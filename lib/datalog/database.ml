@@ -91,3 +91,144 @@ let equal_on a b preds =
       List.length ra = List.length rb
       && List.for_all2 (fun x y -> row_compare x y = 0) (sort ra) (sort rb))
     preds
+
+(* ---------------- multiset digest ---------------- *)
+
+(* Every fact hashes, in two independent 63-bit lanes, a tagged
+   canonical encoding of itself: predicate name, arity, then each field
+   — an [Int] by its value, a [Sym]/[Str] by the hash of its text (never
+   its interner id), a [Tup]/[App] by its shape and fields.  The model's
+   digest is the lanewise sum over its facts, so neither insertion order
+   nor the storage representation can move it, and a flat relation is
+   hashed straight off its cells. *)
+
+let mix_a x =
+  let x = (x lxor (x lsr 32)) * 0x7fb5d329728ea185 in
+  let x = (x lxor (x lsr 29)) * 0x4cf5ad432745937f in
+  x lxor (x lsr 32)
+
+let mix_b x =
+  let x = (x lxor (x lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let x = (x lxor (x lsr 27)) * 0x14d049bb133111eb in
+  x lxor (x lsr 31)
+
+type lanes = { mutable a : int; mutable b : int }
+
+let absorb2 st wa wb =
+  st.a <- mix_a (st.a + wa);
+  st.b <- mix_b (st.b + wb)
+
+let absorb st w = absorb2 st w w
+
+let seed_a = 0x2545f4914f6cdd1d
+let seed_b = 0x1d8e4e27c47d124f
+
+(* Field tags: keep [Int 1], [Sym "1"] and [Str "1"] apart. *)
+let tag_int = 1
+let tag_sym = 2
+let tag_str = 3
+let tag_tup = 4
+let tag_app = 5
+
+type text_hash = { ta : int; tb : int }
+
+(* Length, then the bytes seven to a word (56 bits: no overflow). *)
+let hash_text s =
+  let st = { a = seed_a; b = seed_b } in
+  let n = String.length s in
+  absorb st n;
+  let i = ref 0 in
+  while !i < n do
+    let w = ref 0 in
+    for j = min (n - 1) (!i + 6) downto !i do
+      w := (!w lsl 8) lor Char.code (String.unsafe_get s j)
+    done;
+    absorb st !w;
+    i := !i + 7
+  done;
+  { ta = st.a; tb = st.b }
+
+(* Text hashes per interner id, filled on first use.  Shared by every
+   domain without a lock: entries are immutable records, so a racy read
+   sees either the sentinel or a complete entry, and a write lost to a
+   concurrent resize only costs recomputing a deterministic value. *)
+let unset = { ta = 0; tb = 0 }
+let text_cache = Atomic.make (Array.make 1024 unset)
+
+let text_hash_of_id id =
+  let c = Atomic.get text_cache in
+  let e = if id < Array.length c then Array.unsafe_get c id else unset in
+  if e != unset then e
+  else begin
+    let e = hash_text (Interner.resolve id) in
+    let c =
+      if id < Array.length c then c
+      else begin
+        let bigger = Array.make (max (2 * Array.length c) (id + 1)) unset in
+        Array.blit c 0 bigger 0 (Array.length c);
+        Atomic.set text_cache bigger;
+        bigger
+      end
+    in
+    c.(id) <- e;
+    e
+  end
+
+let absorb_text st h = absorb2 st h.ta h.tb
+
+let absorb_int st i =
+  absorb st tag_int;
+  absorb st i
+
+let absorb_interned st tag id =
+  absorb st tag;
+  absorb_text st (text_hash_of_id id)
+
+let rec absorb_value st = function
+  | Value.Int i -> absorb_int st i
+  | Value.Sym id -> absorb_interned st tag_sym id
+  | Value.Str id -> absorb_interned st tag_str id
+  | Value.Tup xs ->
+    absorb st tag_tup;
+    absorb_values st xs
+  | Value.App (f, xs) ->
+    absorb st tag_app;
+    absorb_text st (hash_text f);
+    absorb_values st xs
+
+and absorb_values st xs =
+  absorb st (List.length xs);
+  List.iter (absorb_value st) xs
+
+let digest db =
+  let sum = { a = 0; b = 0 } and st = { a = 0; b = 0 } in
+  Hashtbl.iter
+    (fun pred r ->
+      let w = Relation.arity r in
+      let head = { a = seed_a; b = seed_b } in
+      absorb_text head (hash_text pred);
+      absorb head w;
+      let add_fact () =
+        sum.a <- sum.a + st.a;
+        sum.b <- sum.b + st.b
+      in
+      match Relation.flat_cells r with
+      | Some cells ->
+        for i = 0 to Relation.cardinal r - 1 do
+          st.a <- head.a;
+          st.b <- head.b;
+          for j = i * w to (i * w) + w - 1 do
+            let c = Array.unsafe_get cells j in
+            if Relation.cell_is_sym c then absorb_interned st tag_sym (Relation.cell_sym c)
+            else absorb_int st (c asr 1)
+          done;
+          add_fact ()
+        done
+      | None ->
+        Relation.iter r (fun row ->
+            st.a <- head.a;
+            st.b <- head.b;
+            Array.iter (absorb_value st) row;
+            add_fact ()))
+    db.relations;
+  Printf.sprintf "mset1:%016x%016x" sum.a sum.b

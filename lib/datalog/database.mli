@@ -46,6 +46,17 @@ val facts_of : t -> string -> Value.t array list
 val pp : Format.formatter -> t -> unit
 (** Sorted, one fact per line — stable output for tests and the CLI. *)
 
+val digest : t -> string
+(** A canonical digest of the fact set, in one pass over relation
+    storage: no sorting and no rendering.  Each fact hashes its
+    predicate, arity and fields into two 63-bit lanes ([Sym]/[Str] by
+    their text, so interner ids do not matter); the lanes are summed
+    over all facts, so insertion order and flat vs boxed storage do not
+    matter either.  Databases with equal canonical renderings ({!pp})
+    have equal digests.  Not collision-resistant against an adversary:
+    it guards replay against divergence.  The result is ["mset1:"]
+    followed by 32 hex digits. *)
+
 val equal_on : t -> t -> string list -> bool
 (** [equal_on a b preds]: do [a] and [b] hold exactly the same facts for
     each predicate in [preds]? *)

@@ -11,9 +11,9 @@
     A snapshot collapses the WAL prefix up to [last_lsn] into one
     CRC-protected file: the session's fact base, its assert multiset,
     its exactly-once dedup state and — when no mutations were pending —
-    the materialized model with the MD5 of its canonical rendering, so
+    the materialized model with its {!Gbc_datalog.Database.digest}, so
     a restart re-serves the model without re-evaluating and can prove
-    it byte-identical.  Snapshots are written to a temporary file,
+    it unchanged.  Snapshots are written to a temporary file,
     fsynced and renamed, so a crash mid-snapshot leaves the previous
     one intact; recovery then replays only WAL records beyond
     [last_lsn].
@@ -66,7 +66,9 @@ type mat_snapshot = {
   m_engine : int;  (** wire encoding: 0 staged, 1 reference *)
   m_seed : int option;
   model : Database.t;
-  model_digest : string;  (** MD5 (hex) of the canonical rendering *)
+  model_digest : string;
+      (** {!Gbc_datalog.Database.digest} of [model]; snapshots written by
+          older builds carry the MD5 (hex) of its canonical rendering *)
 }
 
 type snapshot = {

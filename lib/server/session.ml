@@ -173,7 +173,15 @@ let render_model ?preds db =
       preds;
     Buffer.contents b
 
-let model_digest db = Digest.to_hex (Digest.string (render_model db))
+(* A served model is logged and snapshotted with [Database.digest].
+   Data dirs written before it carry the MD5 of the canonical rendering
+   instead (32 hex digits; multiset digests are longer), which recovery
+   still verifies the old way. *)
+let legacy_digest db = Digest.to_hex (Digest.string (render_model db))
+
+let digest_matches model digest =
+  if String.length digest = 32 then String.equal (legacy_digest model) digest
+  else String.equal (Database.digest model) digest
 
 (* ---------------- durability ---------------- *)
 
@@ -202,7 +210,7 @@ let engine_of_int n = if n = 1 then Protocol.Reference else Protocol.Staged
 
 (* Collapse the WAL into a fresh snapshot once enough records piled
    up.  The materialized model is stored only when nothing is pending
-   (then it, its engine key and its rendering digest fully describe
+   (then it, its engine key and its digest fully describe
    the session's warm state); with mutations pending the next run is
    full anyway, so recovery just drops the materialization.  A failed
    snapshot only warns — the WAL still holds everything. *)
@@ -227,7 +235,7 @@ let maybe_snapshot t =
             { Durable.m_engine = engine_to_int m.mat_engine;
               m_seed = m.mat_seed;
               model;
-              model_digest = model_digest model }
+              model_digest = Database.digest model }
         | _ -> None
       in
       let snap =
@@ -523,20 +531,23 @@ let try_incremental t ~key ~jobs ~limits ~telemetry =
       | exception _ -> drop ()))
   | _ -> None
 
-(* A complete run is WAL-logged with the MD5 of its canonical
-   rendering: recovery re-runs it to rebuild the warm materialization
-   and the digest proves the restored model byte-identical.  A failed
-   append here only warns — the model was already computed and the
-   fact state is fully covered by the mutation records. *)
+(* A complete run is WAL-logged with its model's digest: recovery
+   re-runs it to rebuild the warm materialization and the digest proves
+   the restored model identical.  The digest is only computed when the
+   record is actually appended — ephemeral sessions and replay skip it.
+   A failed append here only warns — the model was already computed and
+   the fact state is fully covered by the mutation records. *)
 let log_run t ~key model =
-  match
-    log_record t
-      (Wal.Run
-         { engine = engine_to_int (fst key); seed = snd key; model_digest = model_digest model })
-  with
-  | Ok () -> maybe_snapshot t
-  | Error (_, msg) -> (
-    match t.durability with Some d -> Durable.warn d.dur msg | None -> ())
+  if Option.is_some t.durability && not t.replaying then
+    match
+      log_record t
+        (Wal.Run
+           { engine = engine_to_int (fst key); seed = snd key;
+             model_digest = Database.digest model })
+    with
+    | Ok () -> maybe_snapshot t
+    | Error (_, msg) -> (
+      match t.durability with Some d -> Durable.warn d.dur msg | None -> ())
 
 let run ?(compiled = false) t ~engine ~seed ~jobs ~limits ~telemetry =
   match (t.entry, t.db) with
@@ -654,18 +665,19 @@ let warn_recovery t msg =
   | None -> ()
 
 (* Re-execute a logged complete run to rebuild the warm
-   materialization, then prove the model byte-identical to what was
-   served before the crash: the canonical rendering's MD5 must match
-   the one logged with the record.  Any disagreement — partial
-   outcome, error, digest mismatch — drops the materialization and
-   warns; the next client run evaluates from scratch.  Recovery never
-   crashes and never serves a silently different model warm. *)
+   materialization, then prove the model identical to what was served
+   before the crash: its digest must match the one logged with the
+   record (a legacy MD5 is checked against the rendering).  Any
+   disagreement — partial outcome, error, digest mismatch — drops the
+   materialization and warns; the next client run evaluates from
+   scratch.  Recovery never crashes and never serves a silently
+   different model warm. *)
 let replay_run t ~engine ~seed ~digest =
   let limits = Limits.create ~cancel:t.cancel () in
   let telemetry = Telemetry.create () in
   match run t ~engine:(engine_of_int engine) ~seed ~jobs:1 ~limits ~telemetry with
   | Ok (Limits.Complete model) ->
-    if model_digest model <> digest then begin
+    if not (digest_matches model digest) then begin
       warn_recovery t "replayed run disagrees with the logged model digest; materialization dropped";
       t.mat <- None
     end
@@ -708,7 +720,7 @@ let restore ~cache dur id =
       (match s.Durable.mat with
       | None -> ()
       | Some m ->
-        if model_digest m.Durable.model <> m.Durable.model_digest then
+        if not (digest_matches m.Durable.model m.Durable.model_digest) then
           warn_recovery t "snapshot materialization fails its digest; dropped"
         else
           t.mat <-

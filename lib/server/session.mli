@@ -62,7 +62,7 @@ type durability = {
 (** Durability state of one session; present when the server runs with
     a data dir.  Mutations are logged {e before} they are applied (a
     failed append is an [io-error] and nothing changes), complete runs
-    are logged with the MD5 of their canonical rendering, and every
+    are logged with their model's {!Gbc_datalog.Database.digest}, and every
     [snapshot_every] records the WAL is collapsed into an atomic
     binary snapshot. *)
 
@@ -102,8 +102,10 @@ val restore : cache:Program_cache.t -> Durable.t -> int -> t
 (** Rebuild a session from its on-disk state: the latest readable
     snapshot, then the WAL tail beyond it replayed through the normal
     [load]/[assert_facts]/[retract_facts]/[run] paths.  Logged runs are
-    re-executed and their models verified byte-identical (canonical
-    rendering MD5) before the materialization is kept.  Tolerant by
+    re-executed and their models verified against the logged digest
+    (a 32-hex-digit digest from an older data dir is the MD5 of the
+    canonical rendering, and is checked as such) before the
+    materialization is kept.  Tolerant by
     construction: corrupt snapshots, torn/corrupt WAL tails, missing
     program sources and replay failures warn on stderr and degrade
     (cold materialization, lost tail) — they never raise.  The result

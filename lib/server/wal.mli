@@ -42,8 +42,10 @@ type record =
   | Assert of { text : string; id : int option }
   | Retract of { text : string; id : int option }
   | Run of { engine : int; seed : int option; model_digest : string }
-      (** a complete run was materialized; [model_digest] is the MD5 of
-          the canonical rendering, checked on replay *)
+      (** a complete run was materialized; [model_digest] is the
+          model's {!Gbc_datalog.Database.digest} (in logs written by
+          older builds: the MD5 of its canonical rendering), checked on
+          replay *)
 
 (** {2 Fault injection} *)
 

@@ -1,0 +1,268 @@
+(* The multiset model digest ([Database.digest]).
+
+   - it depends on the fact set only: not on insertion order, not on
+     flat vs boxed storage, not on interner ids (checked across forked
+     children that intern different unrelated symbols first);
+   - incremental maintenance ([Ivm.apply]) over random assert/retract
+     batches lands on the digest of a from-scratch evaluation;
+   - it separates values the canonical rendering separates, and more;
+   - equal digests coincide with equal canonical renderings on random
+     databases;
+   - a pinned value catches accidental drift of the encoding. *)
+
+open Gbc
+
+let with_threshold t f =
+  let saved = Relation.flat_threshold () in
+  Relation.set_flat_threshold t;
+  Fun.protect ~finally:(fun () -> Relation.set_flat_threshold saved) f
+
+let render db = Format.asprintf "%a" Database.pp db
+
+let db_of facts =
+  let db = Database.create () in
+  List.iter (fun (pred, row) -> ignore (Database.add_fact db pred row)) facts;
+  db
+
+(* ---------------- generators ---------------- *)
+
+(* Rows over a small domain, so facts collide across orders and
+   relations grow past a tiny flat threshold. *)
+let gen_flat_value =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun i -> Value.Int (i - 4)) (int_bound 8));
+        (1, map (fun i -> Value.sym (Printf.sprintf "s%d" i)) (int_bound 3)) ])
+
+let rec gen_value depth =
+  QCheck.Gen.(
+    if depth = 0 then gen_flat_value
+    else
+      frequency
+        [ (4, gen_flat_value);
+          (1, map (fun i -> Value.str (Printf.sprintf "t %d" i)) (int_bound 3));
+          (1, map (fun xs -> Value.Tup xs) (list_size (int_bound 2) (gen_value (depth - 1))));
+          ( 1,
+            map (fun xs -> Value.App ("f", xs))
+              (list_size (int_range 1 2) (gen_value (depth - 1))) ) ])
+
+(* [p]/[q] stay flat-encodable; [r] also holds strings and terms. *)
+let gen_fact =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun row -> ("p", Array.of_list row)) (list_repeat 2 gen_flat_value));
+        (2, map (fun v -> ("q", [| v |])) gen_flat_value);
+        (1, map (fun row -> ("r", Array.of_list row)) (list_repeat 2 (gen_value 2))) ])
+
+let gen_facts = QCheck.Gen.(list_size (int_bound 40) gen_fact)
+
+let print_facts facts =
+  String.concat " "
+    (List.map
+       (fun (p, row) ->
+         Printf.sprintf "%s(%s)." p
+           (String.concat ", " (List.map Value.to_string (Array.to_list row))))
+       facts)
+
+(* ---------------- order and representation ---------------- *)
+
+let qc_order_and_storage =
+  QCheck.Test.make ~count:200 ~name:"independent of insertion order and flat/boxed storage"
+    (QCheck.make ~print:(fun (f, _) -> print_facts f)
+       QCheck.Gen.(gen_facts >>= fun facts -> pair (return facts) (shuffle_l facts)))
+    (fun (facts, shuffled) ->
+      let boxed = with_threshold None (fun () -> db_of facts) in
+      let flat = with_threshold (Some 2) (fun () -> db_of shuffled) in
+      let d = Database.digest boxed in
+      if not (String.equal d (Database.digest flat)) then
+        QCheck.Test.fail_reportf "boxed %s, flat+shuffled %s" d (Database.digest flat);
+      (* forcing every relation flat after the fact changes nothing either *)
+      List.iter
+        (fun p -> Option.iter (fun r -> ignore (Relation.promote r)) (Database.find boxed p))
+        (Database.preds boxed);
+      String.equal d (Database.digest boxed))
+
+let test_promote_demote () =
+  with_threshold (Some 2) (fun () ->
+      let db = db_of [ ("p", [| Value.Int 1; Value.sym "a" |]); ("p", [| Value.Int 2; Value.Int 3 |]) ] in
+      let r = Option.get (Database.find db "p") in
+      Alcotest.(check bool) "promoted" true (Relation.is_flat r);
+      let d = Database.digest db in
+      Relation.demote r;
+      Alcotest.(check bool) "demoted" false (Relation.is_flat r);
+      Alcotest.(check string) "same digest" d (Database.digest db))
+
+(* Equal digests exactly when the canonical renderings are equal. *)
+let qc_agrees_with_rendering =
+  QCheck.Test.make ~count:300 ~name:"equal digests iff equal canonical renderings"
+    (QCheck.make
+       ~print:(fun (a, b) -> print_facts a ^ "\n vs \n" ^ print_facts b)
+       QCheck.Gen.(
+         (* small pools, so the two sets are often equal *)
+         let small = list_size (int_bound 3) (map (fun i -> ("p", [| Value.Int i |])) (int_bound 2)) in
+         pair small small))
+    (fun (a, b) ->
+      let da = db_of a and dbb = db_of b in
+      Bool.equal
+        (String.equal (Database.digest da) (Database.digest dbb))
+        (String.equal (render da) (render dbb)))
+
+(* ---------------- interner ids ---------------- *)
+
+(* Build a model over symbols and strings nobody interned yet, in a
+   forked child that first interns [noise] unrelated strings, so the
+   model's ids differ from child to child.  Reports the digest and the
+   id the first model symbol got. *)
+let digest_in_child ~noise =
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    for i = 1 to noise do
+      ignore (Interner.intern (Printf.sprintf "unrelated_%d_%d" noise i))
+    done;
+    let a = Value.sym "fresh_alpha" in
+    let db =
+      db_of
+        [ ("edge", [| a; Value.sym "fresh_beta" |]);
+          ("edge", [| Value.sym "fresh_beta"; Value.Int 3 |]);
+          ("label", [| a; Value.str "fresh text" |]);
+          ("term", [| Value.App ("node", [ a; Value.Tup [ Value.str "fresh text" ] ]) |]) ]
+    in
+    let id = match a with Value.Sym id -> id | _ -> -1 in
+    let out = Printf.sprintf "%s %d" (Database.digest db) id in
+    ignore (Unix.write_substring w out 0 (String.length out));
+    Unix._exit 0
+  | pid ->
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    let line = input_line ic in
+    close_in ic;
+    ignore (Unix.waitpid [] pid);
+    Scanf.sscanf line "%s %d" (fun d id -> (d, id))
+
+let test_interner_ids () =
+  let d0, id0 = digest_in_child ~noise:0 in
+  let d1, id1 = digest_in_child ~noise:1 in
+  let d2, id2 = digest_in_child ~noise:777 in
+  Alcotest.(check bool) "ids shifted" true (id0 <> id1 && id1 <> id2 && id0 <> id2);
+  Alcotest.(check string) "noise 1" d0 d1;
+  Alcotest.(check string) "noise 777" d0 d2
+
+(* ---------------- incremental maintenance ---------------- *)
+
+let ivm_rules =
+  Parser.parse_program
+    "tc(X, Y) <- edge(X, Y).\n\
+     tc(X, Z) <- tc(X, Y), edge(Y, Z).\n\
+     node(X) <- edge(X, Y).\n\
+     node(Y) <- edge(X, Y).\n\
+     unreach(X, Y) <- node(X), node(Y), not tc(X, Y).\n"
+
+let edge_row (a, b) = ("edge", [| Value.Int a; Value.Int b |])
+let edb_of edges = db_of (List.map edge_row edges)
+let scratch_model edb = Stage_engine.model ~db:(Database.copy edb) ivm_rules
+
+(* Each batch toggles a few edges: present ones are retracted, absent
+   ones asserted (net changes, as the session layer hands them over). *)
+let gen_batches =
+  QCheck.Gen.(
+    list_size (int_range 1 8)
+      (list_size (int_range 1 3) (pair (int_bound 5) (int_bound 5))))
+
+let qc_ivm =
+  QCheck.Test.make ~count:60 ~name:"Ivm.apply sequences equal the from-scratch digest"
+    (QCheck.make gen_batches)
+    (fun batches ->
+      with_threshold (Some 3) (fun () ->
+          let present = ref [ (0, 1); (1, 2); (2, 3) ] in
+          let edb = edb_of !present in
+          let ivm = Ivm.create ivm_rules ~edb ~model:(scratch_model edb) in
+          List.iter
+            (fun batch ->
+              let dels, ins = List.partition (fun e -> List.mem e !present) (List.sort_uniq compare batch) in
+              present := ins @ List.filter (fun e -> not (List.mem e dels)) !present;
+              match
+                Ivm.apply ivm ~inserts:(List.map edge_row ins) ~deletes:(List.map edge_row dels)
+              with
+              | Ivm.Maintained -> ()
+              | Ivm.Fallback _ -> QCheck.Test.fail_report "unexpected fallback")
+            batches;
+          let got = Ivm.model ivm and fresh = scratch_model (edb_of !present) in
+          if not (String.equal (Database.digest got) (Database.digest fresh)) then
+            QCheck.Test.fail_reportf "incremental\n%s\nscratch\n%s" (render got) (render fresh);
+          String.equal (render got) (render fresh)))
+
+(* ---------------- separation ---------------- *)
+
+let test_separates () =
+  let i n = Value.Int n in
+  let one pred row = db_of [ (pred, Array.of_list row) ] in
+  let cases =
+    [ ("p(1)", one "p" [ i 1 ]);
+      ("p(a)", one "p" [ Value.sym "a" ]);
+      ("p(\"1\")", one "p" [ Value.str "1" ]);
+      ("p(\"a\")", one "p" [ Value.str "a" ]);
+      ("p(-1)", one "p" [ i (-1) ]);
+      ("q(1)", one "q" [ i 1 ]);
+      ("p(1, 2)", one "p" [ i 1; i 2 ]);
+      ("p(2, 1)", one "p" [ i 2; i 1 ]);
+      ("p((1, 2))", one "p" [ Value.Tup [ i 1; i 2 ] ]);
+      ("p(t(1, 2))", one "p" [ Value.App ("t", [ i 1; i 2 ]) ]);
+      ("p(u(1, 2))", one "p" [ Value.App ("u", [ i 1; i 2 ]) ]);
+      ("p(((1), 2))", one "p" [ Value.Tup [ Value.Tup [ i 1 ]; i 2 ] ]);
+      ("p((1, (2)))", one "p" [ Value.Tup [ i 1; Value.Tup [ i 2 ] ] ]);
+      ("p(())", one "p" [ Value.unit ]);
+      ("p(t(t(1)))", one "p" [ Value.App ("t", [ Value.App ("t", [ i 1 ]) ]) ]);
+      ("p(t((1)))", one "p" [ Value.App ("t", [ Value.Tup [ i 1 ] ]) ]);
+      ("p(ab)", one "p" [ Value.sym "ab" ]);
+      ("p(a, b)", one "p" [ Value.sym "a"; Value.sym "b" ]);
+      ("p(1). p(2).", db_of [ ("p", [| i 1 |]); ("p", [| i 2 |]) ]);
+      ("p(1). p(3).", db_of [ ("p", [| i 1 |]); ("p", [| i 3 |]) ]);
+      ("empty", Database.create ()) ]
+  in
+  let seen = Hashtbl.create 32 in
+  List.iter
+    (fun (name, db) ->
+      let d = Database.digest db in
+      (match Hashtbl.find_opt seen d with
+       | Some other -> Alcotest.failf "%s and %s share digest %s" name other d
+       | None -> ());
+      Hashtbl.replace seen d name)
+    cases;
+  (* an empty relation renders nothing, so it digests to nothing *)
+  let db = db_of [ ("p", [| i 1 |]) ] in
+  ignore (Database.relation db "never_used" 3);
+  Alcotest.(check string) "empty relation is invisible"
+    (Database.digest (one "p" [ i 1 ])) (Database.digest db)
+
+(* ---------------- golden vector ---------------- *)
+
+let golden_src =
+  "edge(a, b, 3). edge(b, c, -7). edge(c, a, 4611686018427387903).\n\
+   label(a, \"first \\\"node\\\"\"). label(b, \"\").\n\
+   tree(t(l(1), (x, y), ())).\n\
+   nullary.\n"
+
+let test_golden () =
+  List.iter
+    (fun threshold ->
+      with_threshold threshold (fun () ->
+          let db = Stage_engine.model (Parser.parse_program golden_src) in
+          Alcotest.(check string) "pinned value" "mset1:3d57494eb05790b223ae0b38227918cb"
+            (Database.digest db)))
+    [ None; Some 1 ]
+
+let () =
+  Alcotest.run "digest"
+    [ ( "digest ids",
+        (* first: forking needs a process without other domains *)
+        [ Alcotest.test_case "unchanged when ids shift" `Quick test_interner_ids ] );
+      ( "digest canonical",
+        [ QCheck_alcotest.to_alcotest qc_order_and_storage;
+          Alcotest.test_case "promote/demote keeps the digest" `Quick test_promote_demote;
+          QCheck_alcotest.to_alcotest qc_agrees_with_rendering ] );
+      ("digest ivm", [ QCheck_alcotest.to_alcotest qc_ivm ]);
+      ( "digest separation",
+        [ Alcotest.test_case "distinct facts, distinct digests" `Quick test_separates;
+          Alcotest.test_case "golden vector" `Quick test_golden ] ) ]

@@ -35,6 +35,11 @@ let rec rm_rf path =
   | _ -> Unix.unlink path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let tmp_counter = ref 0
 
 let with_tmpdir f =
@@ -333,19 +338,137 @@ let restart_roundtrip ~snapshot_every () =
                | _ -> Alcotest.fail "retract after recovery");
               (match Client.rpc c Protocol.Stats with
                | Protocol.Stats_json json ->
-                 let contains s sub =
-                   let n = String.length sub in
-                   let rec go i =
-                     i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-                   in
-                   go 0
-                 in
                  Alcotest.(check bool) "recovery counted" true
                    (contains json "\"sessions_recovered\": 1")
                | _ -> Alcotest.fail "expected Stats_json"))))
 
 let test_restart_wal_only () = restart_roundtrip ~snapshot_every:0 ()
 let test_restart_snapshot_tail () = restart_roundtrip ~snapshot_every:2 ()
+
+(* ---------------- digest checks on recovery ---------------- *)
+
+(* Run [f] with the process's stderr sent to a file; returns its result
+   and everything written there (durability warnings go to stderr). *)
+let capture_stderr f =
+  let path = Printf.sprintf "gbcd_rec_%d.stderr" (Unix.getpid ()) in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let saved = Unix.dup Unix.stderr in
+  flush stderr;
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let text = read_file path in
+  Sys.remove path;
+  (result, text)
+
+let digest_edge = "edge(2, 3)."
+
+(* The fact base and model a session reaches after loading [tc_src]
+   and asserting [digest_edge], computed by an ephemeral session. *)
+let digest_fixture () =
+  let s = Session.create ~cache:(Program_cache.create ()) ~id:0 () in
+  (match Session.load s tc_src with Ok _ -> () | Error (_, m) -> Alcotest.fail m);
+  (match Session.assert_facts s digest_edge with Ok _ -> () | Error (_, m) -> Alcotest.fail m);
+  match
+    Session.run s ~engine:Protocol.Staged ~seed:None ~jobs:1 ~limits:Limits.unlimited
+      ~telemetry:Telemetry.none
+  with
+  | Ok (Limits.Complete model) -> (Option.get s.Session.db, model)
+  | _ -> Alcotest.fail "fixture run did not complete"
+
+let legacy_digest model = Digest.to_hex (Digest.string (Session.render_model model))
+let wrong_legacy = String.make 32 '0'
+let wrong_mset = "mset1:" ^ String.make 32 '0'
+
+(* Restore session 1 from a hand-built data dir — the program stored,
+   then either a WAL (load, assert, run with [digest]) or a snapshot
+   whose materialization carries [digest] — and report whether the
+   materialization survived, what recovery warned, and whether a run
+   on the restored session still serves the model. *)
+let restore_with ~via digest =
+  with_tmpdir (fun dir ->
+      match Durable.create ~fsync:Wal.Never ~snapshot_every:0 dir with
+      | Error msg -> Alcotest.fail msg
+      | Ok dur ->
+        let db, model = digest_fixture () in
+        let program = Program_cache.digest_hex tc_src in
+        Durable.store_program dur ~digest:program ~source:tc_src;
+        (match via with
+         | `Wal ->
+           let w = Wal.create ~fsync:Wal.Never (Durable.wal_path dur 1) in
+           List.iteri
+             (fun lsn r -> Wal.append w ~lsn r)
+             [ Wal.Load { digest = program };
+               Wal.Assert { text = digest_edge; id = None };
+               Wal.Run { engine = 0; seed = None; model_digest = digest model } ];
+           Wal.close w
+         | `Snapshot -> (
+           let row = [| Value.Int 2; Value.Int 3 |] in
+           let snap =
+             { Durable.last_lsn = 2;
+               digest = Some program;
+               db;
+               multiset = [ ("edge", row, 1) ];
+               last_mut = None;
+               mat =
+                 Some
+                   { Durable.m_engine = 0; m_seed = None; model; model_digest = digest model } }
+           in
+           match Durable.write_snapshot dur ~id:1 snap with
+           | Ok () -> ()
+           | Error msg -> Alcotest.fail msg));
+        let s, warnings =
+          capture_stderr (fun () -> Session.restore ~cache:(Program_cache.create ()) dur 1)
+        in
+        let warm = s.Session.mat <> None in
+        let served =
+          match
+            Session.run s ~engine:Protocol.Staged ~seed:None ~jobs:1 ~limits:Limits.unlimited
+              ~telemetry:Telemetry.none
+          with
+          | Ok (Limits.Complete m) -> Session.render_model m
+          | _ -> Alcotest.fail "run after restore did not complete"
+        in
+        Session.discard s;
+        Alcotest.(check string) "restored session serves the model" (Session.render_model model)
+          served;
+        (warm, warnings))
+
+let expect_warm what (warm, warnings) =
+  Alcotest.(check bool) (what ^ ": materialization kept") true warm;
+  Alcotest.(check string) (what ^ ": no warning") "" warnings
+
+let expect_dropped what ~needle (warm, warnings) =
+  Alcotest.(check bool) (what ^ ": materialization dropped") false warm;
+  if not (contains warnings needle) then
+    Alcotest.failf "%s: expected a warning containing %S, got %S" what needle warnings
+
+let test_run_digest_accepted () =
+  expect_warm "multiset digest" (restore_with ~via:`Wal Database.digest);
+  expect_warm "legacy MD5 digest" (restore_with ~via:`Wal legacy_digest)
+
+let test_run_digest_rejected () =
+  let needle = "disagrees with the logged model digest" in
+  expect_dropped "wrong multiset digest" ~needle (restore_with ~via:`Wal (fun _ -> wrong_mset));
+  expect_dropped "wrong legacy digest" ~needle (restore_with ~via:`Wal (fun _ -> wrong_legacy))
+
+let test_snapshot_digest_accepted () =
+  expect_warm "multiset digest" (restore_with ~via:`Snapshot Database.digest);
+  expect_warm "legacy MD5 digest" (restore_with ~via:`Snapshot legacy_digest)
+
+let test_snapshot_digest_rejected () =
+  let needle = "snapshot materialization fails its digest" in
+  expect_dropped "wrong multiset digest" ~needle
+    (restore_with ~via:`Snapshot (fun _ -> wrong_mset));
+  expect_dropped "wrong legacy digest" ~needle
+    (restore_with ~via:`Snapshot (fun _ -> wrong_legacy))
 
 (* ---------------- the chaos test ---------------- *)
 
@@ -490,5 +613,14 @@ let () =
       ( "restart",
         [ Alcotest.test_case "wal-only recovery" `Quick test_restart_wal_only;
           Alcotest.test_case "snapshot + tail recovery" `Quick test_restart_snapshot_tail ] );
+      ( "digest",
+        [ Alcotest.test_case "logged run digests verify (new and legacy)" `Quick
+            test_run_digest_accepted;
+          Alcotest.test_case "a wrong run digest drops the materialization" `Quick
+            test_run_digest_rejected;
+          Alcotest.test_case "snapshot digests verify (new and legacy)" `Quick
+            test_snapshot_digest_accepted;
+          Alcotest.test_case "a wrong snapshot digest drops the materialization" `Quick
+            test_snapshot_digest_rejected ] );
       ( "chaos",
         [ Alcotest.test_case "kill -9 at every WAL record" `Quick test_chaos ] ) ]
