@@ -827,29 +827,40 @@ let e16 () =
    instead of a from-scratch fixpoint.  Measured on a transitive-
    closure chain (model of n(n-1)/2 facts, the honest worst case for
    re-evaluation): each update asserts one edge from a fresh source
-   into the chain's sink, deriving exactly one new tc fact.  Every
-   update is checked to have been served incrementally (zero
-   fallbacks); the speedup over the from-scratch run is the claim. *)
+   into the chain's sink, deriving exactly one new tc fact.  The
+   retract column removes the chain's middle edge instead — the DRed
+   worst case: (n/2)^2 tc facts over-deleted through n/2 rounds, none
+   re-derivable — then restores it, untimed, for the next sample.  The
+   middle edge is asserted rather than part of the program, since a
+   session may only retract what it asserted.  Every update is checked
+   to have been served incrementally (zero fallbacks, DRed on every
+   retract); the speedup over the from-scratch run is the claim. *)
 
 let e17 () =
   let sizes = scale [ 128; 256; 512; 1024 ] in
   let cache = Program_cache.create () in
   let reps = if smoke then 3 else 10 in
+  let retract_reps = if smoke then 2 else 5 in
   let rows =
     List.map
       (fun n ->
+        let mid = n / 2 in
+        let mid_edge = Printf.sprintf "edge(%d, %d)." mid (mid + 1) in
         let buf = Buffer.create (32 * n) in
         Buffer.add_string buf
           "tc(X, Y) <- edge(X, Y).\ntc(X, Z) <- tc(X, Y), edge(Y, Z).\n";
         for i = 1 to n - 1 do
-          Buffer.add_string buf (Printf.sprintf "edge(%d, %d).\n" i (i + 1))
+          if i <> mid then Buffer.add_string buf (Printf.sprintf "edge(%d, %d).\n" i (i + 1))
         done;
         let src = Buffer.contents buf in
-        let session () =
-          let s = Session.create ~cache ~id:0 () in
-          (match Session.load s src with
+        let expect what = function
           | Ok _ -> ()
-          | Error (_, m) -> failwith ("E17 load: " ^ m));
+          | Error (_, m) -> failwith (Printf.sprintf "E17 %s: %s" what m)
+        in
+        let session ?(whole = true) () =
+          let s = Session.create ~cache ~id:0 () in
+          expect "load" (Session.load s src);
+          if whole then expect "assert" (Session.assert_facts s mid_edge);
           s
         in
         let run s =
@@ -859,6 +870,10 @@ let e17 () =
           with
           | Ok (Limits.Complete db) -> db
           | _ -> failwith "E17: run did not complete"
+        in
+        let served_incrementally s k =
+          let c = s.Session.counters in
+          c.Session.ivm_fallbacks = 0 && c.Session.runs_incremental >= k
         in
         (* from-scratch latency: a fresh session's first run (the load
            is a cache hit; the evaluation dominates) *)
@@ -880,18 +895,46 @@ let e17 () =
           Array.init reps (fun k ->
               let fact = Printf.sprintf "edge(%d, %d)." (10_000_000 + k) n in
               let t0 = Unix.gettimeofday () in
-              (match Session.assert_facts s fact with
-              | Ok _ -> ()
-              | Error (_, m) -> failwith ("E17 assert: " ^ m));
+              expect "assert" (Session.assert_facts s fact);
               ignore (run s);
               Unix.gettimeofday () -. t0)
         in
         Array.sort compare samples;
         let t_inc = samples.(0) in
         let t_inc_median = samples.(reps / 2) in
-        let c = s.Session.counters in
-        if c.Session.ivm_fallbacks > 0 || c.Session.runs_incremental < reps then begin
+        if not (served_incrementally s reps) then begin
           Printf.eprintf "E17: n=%d updates were not served incrementally\n" n;
+          exit 1
+        end;
+        (* retract latency: a second warm session; each sample retracts
+           the middle edge and runs, then puts the edge back *)
+        let r = session () in
+        ignore (run r);
+        let retracted = ref "" in
+        let rsamples =
+          Array.init retract_reps (fun k ->
+              let t0 = Unix.gettimeofday () in
+              expect "retract" (Session.retract_facts r mid_edge);
+              let db = run r in
+              let t = Unix.gettimeofday () -. t0 in
+              if k = 0 && n <= 256 then retracted := Session.render_model db;
+              expect "assert" (Session.assert_facts r mid_edge);
+              ignore (run r);
+              t)
+        in
+        Array.sort compare rsamples;
+        let t_ret = rsamples.(0) in
+        let t_ret_median = rsamples.(retract_reps / 2) in
+        let overdeleted =
+          match r.Session.mat with
+          | Some m -> (Ivm.stats m.Session.ivm).Ivm.dred_overdeleted
+          | None -> 0
+        in
+        if
+          (not (served_incrementally r (2 * retract_reps)))
+          || overdeleted < retract_reps * mid * (n - mid)
+        then begin
+          Printf.eprintf "E17: n=%d retracts were not served incrementally by DRed\n" n;
           exit 1
         end;
         (* byte-identity spot check against from-scratch on the small
@@ -899,36 +942,39 @@ let e17 () =
         if n <= 256 then begin
           let fresh = session () in
           for k = 0 to reps - 1 do
-            match
-              Session.assert_facts fresh
-                (Printf.sprintf "edge(%d, %d)." (10_000_000 + k) n)
-            with
-            | Ok _ -> ()
-            | Error (_, m) -> failwith ("E17 assert: " ^ m)
+            expect "assert"
+              (Session.assert_facts fresh (Printf.sprintf "edge(%d, %d)." (10_000_000 + k) n))
           done;
           let b1 = Session.render_model (run s) in
           let b2 = Session.render_model (run fresh) in
-          if not (String.equal b1 b2) then begin
+          let b3 = Session.render_model (run (session ~whole:false ())) in
+          if not (String.equal b1 b2 && String.equal !retracted b3) then begin
             Printf.eprintf "E17: n=%d maintained model differs from from-scratch\n" n;
             exit 1
           end
         end;
         let us t = int_of_float (t *. 1e6) in
-        let speedup = if t_inc > 0.0 then t_full /. t_inc else 0.0 in
+        let speedup t = if t > 0.0 then t_full /. t else 0.0 in
         record ~exp:"E17" ~n ~wall:t_inc ~median:t_inc_median
           [ ("model_facts", model_facts); ("full_us", us t_full);
             ("inc_best_us", us t_inc); ("inc_median_us", us t_inc_median);
-            ("updates", reps); ("speedup_x10", int_of_float (speedup *. 10.0)) ];
+            ("updates", reps); ("speedup_x10", int_of_float (speedup t_inc *. 10.0));
+            ("retract_best_us", us t_ret); ("retract_median_us", us t_ret_median);
+            ("retracts", retract_reps); ("retract_overdeleted", mid * (n - mid));
+            ("retract_speedup_x10", int_of_float (speedup t_ret *. 10.0)) ];
         [ string_of_int n; string_of_int model_facts; Harness.sec t_full;
           Printf.sprintf "%d" (us t_inc); Printf.sprintf "%d" (us t_inc_median);
-          Printf.sprintf "%.0fx" speedup ])
+          Printf.sprintf "%.0fx" (speedup t_inc); Harness.sec t_ret; Harness.sec t_ret_median;
+          Printf.sprintf "%.1fx" (speedup t_ret) ])
       sizes
   in
   Harness.table
     ~title:
-      "E17  Incremental maintenance: single-fact assert latency vs model size \
-       (TC chain, staged engine; update = assert + maintained run)"
-    ~header:[ "n"; "model facts"; "full run(s)"; "update best(us)"; "update median(us)"; "speedup" ]
+      "E17  Incremental maintenance: single-fact update latency vs model size \
+       (TC chain, staged engine; update = assert or retract + maintained run)"
+    ~header:
+      [ "n"; "model facts"; "full run(s)"; "assert best(us)"; "assert median(us)";
+        "assert speedup"; "retract best(s)"; "retract median(s)"; "retract speedup" ]
     rows
 
 (* ------------------------------------------------------------------ *)

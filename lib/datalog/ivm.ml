@@ -24,6 +24,12 @@
      rows through the clique's rules, then restore the rows that are
      still EDB-backed or re-derivable from what survived;
 
+   - a deletion costs the rows it touches plus one [Relation.remove]
+     pass over each relation that loses rows: DRed's fixpoint marks
+     rows instead of removing them round by round, and the relation a
+     removal replaces, indexes included, is kept as the pre state the
+     deletion joins read — no snapshot is copied;
+
    - a stratum with negation, extrema or aggregates is {e recomputed}
      from its (updated) inputs with the same [Seminaive.eval_clique]
      the engines use, and its output diff keeps propagating;
@@ -179,22 +185,18 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
 
           (* ---- per-apply bookkeeping ---------------------------- *)
 
-          (* Pre-apply copy of every relation we mutate: the deletion
-             joins must read the state the model was derived from.
-             Only the deletion machinery (and the recompute diff) ever
-             reads it, so a pure-insert apply skips the snapshots —
-             [Relation.copy] is O(1) but marks the relation
-             copy-on-write, which would turn the delta step's first
-             insertion into an O(model) privatization. *)
-          let deleting = deletes <> [] in
+          (* Pre-apply state of every relation that loses rows: the
+             deletion joins must read the state the model was derived
+             from.  Removal never mutates a relation, it installs a
+             fresh one ([replace]), so the replaced object, indexes
+             included, IS the pre state — no snapshot is ever copied.
+             Within one apply a relation loses rows before it gains
+             any; relations that only gain rows use [pre_view] below. *)
           let pre : (string, Relation.t) Hashtbl.t = Hashtbl.create 8 in
-          let save_pre_always p =
-            if not (Hashtbl.mem pre p) then
-              match Database.find model p with
-              | Some r -> Hashtbl.replace pre p (Relation.copy r)
-              | None -> ()
+          let replace p old fresh =
+            if not (Hashtbl.mem pre p) then Hashtbl.replace pre p old;
+            Database.set_relation model p fresh
           in
-          let save_pre p = if deleting then save_pre_always p in
           (* Net rows removed from the model so far, per predicate. *)
           let deleted : (string, Relation.t) Hashtbl.t = Hashtbl.create 8 in
           (* Rows at index >= base_card are "new since this apply
@@ -271,8 +273,8 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
               List.iter (fun row -> ignore (Relation.add rel row)) rows
           in
           (* Remove [rows] from [p]'s model relation in one
-             order-preserving rebuild; returns the rows actually
-             removed (deduplicated). *)
+             order-preserving pass; returns the rows actually removed
+             (deduplicated). *)
           let remove_rows p rows =
             let seen = Relation.Row_tbl.create 16 in
             let present =
@@ -286,13 +288,10 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
             match present with
             | [] -> []
             | _ ->
-              save_pre_always p;
               let rel = Option.get (Database.find model p) in
-              let filtered =
-                Relation.filter rel (fun row -> not (Relation.Row_tbl.mem seen row))
-              in
-              Database.set_relation model p filtered;
-              Hashtbl.replace base_card p (Relation.cardinal filtered);
+              let fresh = Relation.remove rel present in
+              replace p rel fresh;
+              Hashtbl.replace base_card p (Relation.cardinal fresh);
               note_deleted p present;
               stats.rows_deleted <- stats.rows_deleted + List.length present;
               present
@@ -307,8 +306,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
             | None ->
               let r =
                 match (Hashtbl.find_opt pre p, Hashtbl.find_opt deleted p) with
-                | Some pr, Some del ->
-                  Relation.filter pr (fun row -> not (Relation.mem del row))
+                | Some pr, Some del -> Relation.remove pr (Relation.to_list del)
                 | Some pr, None -> pr
                 | None, _ -> (
                   match Database.find model p with
@@ -340,10 +338,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
             (fun (p, rows) ->
               match Database.find t.edb p with
               | None -> ()
-              | Some rel ->
-                let doomed = row_tbl_of rows in
-                Database.set_relation t.edb p
-                  (Relation.filter rel (fun r -> not (Relation.Row_tbl.mem doomed r))))
+              | Some rel -> Database.set_relation t.edb p (Relation.remove rel rows))
             del_groups;
           List.iter
             (fun (p, rows) ->
@@ -364,14 +359,12 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
           List.iter
             (fun (p, rows) ->
               if Hashtbl.mem t.idb p then Hashtbl.replace edb_ins p rows
-              else begin
-                save_pre p;
+              else
                 List.iter
                   (fun row ->
                     if Database.add_fact model p row then
                       stats.rows_inserted <- stats.rows_inserted + 1)
-                  rows
-              end)
+                  rows)
             ins_groups;
           let edb_ins_of p =
             match Hashtbl.find_opt edb_ins p with Some r -> r | None -> []
@@ -510,10 +503,13 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
              everything reachable from the deleted rows through the
              clique's rules (judged over the pre state), then restore
              what is still EDB-backed or re-derivable from the
-             survivors. *)
+             survivors.  The over-delete fixpoint reads the clique only
+             through [$ivm_pre] and [$ivm_fr] and rejects rows already
+             over-deleted, so the live relations stay untouched — they
+             are the pre state, bound with their indexes — until one
+             removal pass per predicate after the fixpoint. *)
           let dred_delete s =
             let clique = s.s_preds in
-            List.iter save_pre_always clique;
             let in_clique p = List.mem p clique in
             let is_front q = in_clique q || Hashtbl.mem deleted q in
             let is_pre q = is_front q || Hashtbl.mem pre q || has_inserts q in
@@ -543,18 +539,6 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                 let tb = Relation.Row_tbl.create 64 in
                 Relation.Row_tbl.replace tb row ();
                 Hashtbl.replace over_tbl p tb)
-            in
-            let remove_now p rows =
-              match rows with
-              | [] -> ()
-              | _ -> (
-                match Database.find model p with
-                | None -> ()
-                | Some rel ->
-                  let doomed = row_tbl_of rows in
-                  Database.set_relation model p
-                    (Relation.filter rel (fun r ->
-                         not (Relation.Row_tbl.mem doomed r))))
             in
             (* One variant per positive occurrence of a frontier-able
                predicate; every other occurrence of a dirty predicate
@@ -647,7 +631,6 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                             (edb_del_of p)
                         in
                         if rows <> [] then begin
-                          remove_now p rows;
                           List.iter (mark_over p) rows;
                           Hashtbl.replace frontier p rows
                         end)
@@ -681,15 +664,47 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                               end))
                         variants;
                       Hashtbl.reset frontier;
-                      Hashtbl.iter
-                        (fun p l ->
-                          remove_now p !l;
-                          Hashtbl.replace frontier p !l)
-                        next
+                      Hashtbl.iter (fun p l -> Hashtbl.replace frontier p !l) next
                     done));
+            Hashtbl.iter
+              (fun p l ->
+                match Database.find model p with
+                | Some rel -> replace p rel (Relation.remove rel !l)
+                | None -> ())
+              over;
             (* Re-derive: restore over-deleted rows that are still
                EDB-backed or have a derivation over the surviving (and
-               already-updated lower) state. *)
+               already-updated lower) state.  A probe only asks whether
+               some derivation exists, so its positive literals may join
+               in any order: most bound arguments first, the smaller
+               relation on a tie.  On [tc(X, Z) <- tc(X, Y), edge(Y, Z)]
+               that walks edge's one-row bucket and ends in a ground tc
+               lookup instead of scanning every tc(X, _).  Comparisons
+               and negations still go wherever [Eval.compile_body] finds
+               them ready; computed arguments keep the written order. *)
+            let probe_order bound body =
+              let simple = function
+                | Pos a -> List.for_all (function Var _ | Cst _ -> true | _ -> false) a.args
+                | _ -> true
+              in
+              let score bound = function
+                | Pos a ->
+                  let is_bound = function Var v -> List.mem v bound | _ -> true in
+                  ( -List.length (List.filter is_bound a.args),
+                    match Database.find model a.pred with
+                    | Some r -> Relation.cardinal r
+                    | None -> 0 )
+                | _ -> (0, max_int)
+              in
+              let rec go bound = function
+                | [] -> []
+                | first :: _ as lits ->
+                  let better b l = if score bound l < score bound b then l else b in
+                  let best = List.fold_left better first lits in
+                  best :: go (Ast.literal_vars best @ bound) (List.filter (( != ) best) lits)
+              in
+              if List.for_all simple body then go bound body else body
+            in
             let checkers =
               Array.of_list
               @@ List.map
@@ -704,7 +719,9 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                       List.sort_uniq compare
                         (List.concat_map Ast.term_vars rule.head.args)
                     in
-                    let cbody = Eval.compile_body ~extra_bound:head_vars rule.body in
+                    let cbody =
+                      Eval.compile_body ~extra_bound:head_vars (probe_order head_vars rule.body)
+                    in
                     `Probe (rule.head.pred, cbody, Eval.compile_terms cbody rule.head.args)
                   end
                   else
@@ -820,14 +837,12 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                   match edb_ins_of p with
                   | [] -> ()
                   | rows ->
-                    save_pre p;
                     List.iter
                       (fun row ->
                         if Database.add_fact model p row then
                           stats.rows_inserted <- stats.rows_inserted + 1)
                       rows)
                 s.s_preds;
-              List.iter save_pre s.s_preds;
               let before =
                 List.map
                   (fun p ->
@@ -858,7 +873,6 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
           (* Non-monotone stratum: recompute from the updated inputs
              with the same machinery the engines use, then diff. *)
           let recompute s =
-            List.iter save_pre_always s.s_preds;
             List.iter
               (fun p ->
                 match Database.find model p with
@@ -869,7 +883,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                   | Some er ->
                     Relation.iter er (fun row -> ignore (Relation.add fresh row))
                   | None -> ());
-                  Database.set_relation model p fresh)
+                  replace p r fresh)
               s.s_preds;
             Seminaive.eval_clique ~telemetry ~limits ~pool model ~clique:s.s_preds
               s.s_rules;

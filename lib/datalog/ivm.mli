@@ -12,7 +12,11 @@
       support count per derived fact, decremented by the lost
       derivations); recursive strata use DRed — over-delete everything
       reachable from the retracted rows, then restore what is still
-      EDB-backed or re-derivable;
+      EDB-backed or re-derivable.  A delete costs the rows it touches
+      plus one {!Relation.remove} pass over each relation that loses
+      rows: the over-delete fixpoint leaves the live relations alone,
+      and the relation a removal replaces, indexes included, serves as
+      the pre state (nothing is snapshotted by copying);
     - strata with negation, extrema or aggregates are recomputed from
       their updated inputs with the same {!Seminaive.eval_clique} the
       engines use, and the diff keeps propagating;

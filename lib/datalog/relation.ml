@@ -164,19 +164,20 @@ let fs_resize fs cells w =
     fs.fs_slots;
   fs.fs_slots <- nslots
 
-(* [probe] holds the encoded candidate row. *)
-let fs_mem fs cells w (probe : int array) =
+(* [probe] holds the encoded candidate row; the id of the stored row
+   equal to it, or -1. *)
+let fs_find fs cells w (probe : int array) =
   let slots = fs.fs_slots in
   let mask = Array.length slots - 1 in
   let h = hash_probe probe w 17 0 in
   let i = ref (h land mask) in
-  let found = ref false in
+  let found = ref (-1) in
   let stop = ref false in
   while not !stop do
     let id = Array.unsafe_get slots !i in
     if id < 0 then stop := true
     else if cells_eq_probe cells (id * w) probe w 0 then begin
-      found := true;
+      found := id;
       stop := true
     end
     else i := (!i + 1) land mask
@@ -468,10 +469,38 @@ let demote r =
 
 (* ---------------- add / mem ---------------- *)
 
-let encode_probe f (row : tuple) =
-  for j = 0 to f.width - 1 do
-    f.fscratch.(j) <- encode_cell row.(j)
-  done
+(* Ground lookups on a flat store: encode a full row (or a fully-bound
+   pattern) into [probe] — false when a value is not flat-encodable,
+   so no flat row can equal it — and find its id in [fseen], or -1.
+   Membership tests, removal and every fully-bound probe go through
+   them: [fseen] already maps a row's cells to its id, so a full-width
+   index (a duplicate of [fseen]) is never built.  [probe] needs
+   [width] slots. *)
+let full_mask r = (1 lsl r.rel_arity) - 1
+
+let rec encode_key (probe : int array) (key : Value.t array) w i =
+  i = w
+  || cell_encodable key.(i)
+     && begin
+          probe.(i) <- encode_cell key.(i);
+          encode_key probe key w (i + 1)
+        end
+
+let rec encode_pattern (probe : int array) (pattern : Value.t option array) w i =
+  i = w
+  ||
+  match pattern.(i) with
+  | Some v when cell_encodable v ->
+    probe.(i) <- encode_cell v;
+    encode_pattern probe pattern w (i + 1)
+  | _ -> false
+
+let ground_key fl probe key =
+  if encode_key probe key fl.width 0 then fs_find fl.fseen fl.cells fl.width probe else -1
+
+let ground_pattern fl probe pattern =
+  if encode_pattern probe pattern fl.width 0 then fs_find fl.fseen fl.cells fl.width probe
+  else -1
 
 let add_boxed r b row =
   if Row_tbl.mem b.seen row then false
@@ -491,7 +520,7 @@ let add_boxed r b row =
 
 (* The encoded candidate is in [f.fscratch]. *)
 let add_flat_encoded r f =
-  if fs_mem f.fseen f.cells f.width f.fscratch then false
+  if fs_find f.fseen f.cells f.width f.fscratch >= 0 then false
   else begin
     privatize r;
     grow_flat r f;
@@ -514,10 +543,7 @@ let add r row =
   match r.repr with
   | Boxed b -> add_boxed r b row
   | Flat f ->
-    if row_encodable row 0 then begin
-      encode_probe f row;
-      add_flat_encoded r f
-    end
+    if encode_key f.fscratch row f.width 0 then add_flat_encoded r f
     else begin
       demote r;
       r.all_int <- false;
@@ -549,12 +575,7 @@ let mem r row =
   match r.repr with
   | Boxed b -> Row_tbl.mem b.seen row
   | Flat f ->
-    Array.length row = f.width
-    && row_encodable row 0
-    && begin
-         encode_probe f row;
-         fs_mem f.fseen f.cells f.width f.fscratch
-       end
+    Array.length row = f.width && ground_key f f.fscratch row >= 0
 
 (* ---------------- iteration ---------------- *)
 
@@ -588,18 +609,24 @@ let iter_ids r f =
   done
 
 (* Deletion support for incremental view maintenance: relations are
-   append-only, so removing rows means rebuilding.  The survivors keep
-   their relative insertion order (engines and the canonical printer
-   rely on it) and the source's representation; indexes are rebuilt
-   lazily on the next probe. *)
-let filter r keep =
+   append-only, so removing rows rebuilds the survivors into a fresh
+   relation, in their insertion order and the source's representation.
+   The source is never touched, so callers can keep it, indexes and
+   all, as the pre-removal state.  On a flat store the doomed rows are
+   located through the membership set and the survivors copied as runs
+   of cells between them: no survivor is decoded or hashed into a
+   [Row_tbl], only re-inserted into the fresh membership set.  Indexes
+   are rebuilt lazily on the next probe. *)
+let remove r rows =
   let out = create r.rel_name r.rel_arity in
   (match r.repr with
   | Boxed b ->
+    let doomed = Row_tbl.create (max 4 (List.length rows)) in
+    List.iter (fun row -> Row_tbl.replace doomed row ()) rows;
     let ob = match out.repr with Boxed ob -> ob | Flat _ -> assert false in
     for i = 0 to r.count - 1 do
       let row = b.rows.(i) in
-      if keep row then begin
+      if not (Row_tbl.mem doomed row) then begin
         Row_tbl.add ob.seen row ();
         grow_boxed out ob row;
         ob.rows.(out.count) <- row;
@@ -608,17 +635,33 @@ let filter r keep =
     done;
     out.all_int <- r.all_int
   | Flat f ->
-    out.repr <- mk_flat r.rel_arity;
-    let og = match out.repr with Flat og -> og | Boxed _ -> assert false in
     let w = f.width in
-    for i = 0 to r.count - 1 do
-      if keep (decode_row f i) then begin
-        grow_flat out og;
-        Array.blit f.cells (i * w) og.cells (out.count * w) w;
-        fs_insert og.fseen og.cells w out.count;
-        out.count <- out.count + 1
-      end
-    done);
+    let ids =
+      List.filter_map
+        (fun row ->
+          if Array.length row <> w then None
+          else match ground_key f f.fscratch row with -1 -> None | id -> Some id)
+        rows
+      |> List.sort_uniq Int.compare
+    in
+    let n = r.count - List.length ids in
+    let og =
+      { width = w;
+        cells = Array.make (max (16 * w) (n * w)) 0;
+        fseen = fs_create (max 16 (n + 1));
+        findexes = Hashtbl.create 4;
+        fscratch = Array.make w 0 }
+    in
+    (* copy the survivor run [lo, hi) *)
+    let run lo hi =
+      Array.blit f.cells (lo * w) og.cells (out.count * w) ((hi - lo) * w);
+      out.count <- out.count + hi - lo
+    in
+    run (List.fold_left (fun lo id -> run lo id; id + 1) 0 ids) r.count;
+    for i = 0 to n - 1 do
+      fs_insert og.fseen og.cells w i
+    done;
+    out.repr <- Flat og);
   out
 
 (* Bulk append of rows [from, cardinal src) of [src] into the empty
@@ -768,6 +811,9 @@ let iter_matching_ids r pattern f =
         for i = 0 to stop do
           f (Array.unsafe_get ids i)
         done)
+    | Flat fl when nbound = r.rel_arity ->
+      let id = ground_pattern fl fl.fscratch pattern in
+      if id >= 0 then f id
     | Flat fl ->
       let fi = flat_index r fl mask nbound in
       if fill_fprobe fi.fi_probe fi.fi_cols pattern then begin
@@ -809,6 +855,9 @@ let iter_matching_cols_ids r mask (key : Value.t array) f =
         for i = 0 to stop do
           f (Array.unsafe_get ids i)
         done)
+    | Flat fl when mask = full_mask r ->
+      let id = ground_key fl fl.fscratch key in
+      if id >= 0 then f id
     | Flat fl ->
       let fi = flat_index r fl mask (popcount mask) in
       if fill_fprobe_cols fi.fi_probe fi.fi_cols key then begin
@@ -872,6 +921,9 @@ let iter_matching_cols_ro_ids r mask (key : Value.t array) (probe : Value.t arra
         for i = 0 to r.count - 1 do
           if row_matches_cols mask key (Array.unsafe_get rows i) 0 then f i
         done)
+    | Flat fl when mask = full_mask r ->
+      let id = ground_key fl iprobe key in
+      if id >= 0 then f id
     | Flat fl -> (
       match Hashtbl.find_opt fl.findexes mask with
       | Some fi ->
@@ -941,6 +993,9 @@ let iter_matching_ro_ids r pattern f =
         for i = 0 to r.count - 1 do
           if row_matches pattern (Array.unsafe_get rows i) 0 then f i
         done)
+    | Flat fl when nbound = r.rel_arity ->
+      let id = ground_pattern fl (Array.make fl.width 0) pattern in
+      if id >= 0 then f id
     | Flat fl -> (
       match Hashtbl.find_opt fl.findexes mask with
       | Some fi ->
@@ -980,7 +1035,7 @@ let ensure_index r mask =
     let nbound = popcount mask in
     match r.repr with
     | Boxed b -> ignore (boxed_index r b mask nbound)
-    | Flat f -> ignore (flat_index r f mask nbound)
+    | Flat f -> if nbound < r.rel_arity then ignore (flat_index r f mask nbound)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1006,6 +1061,9 @@ let matched_bucket r pattern mask nbound =
     match Row_tbl.find_opt idx.buckets idx.scratch with
     | None -> None
     | Some bk -> Some (bk.ids, bk.n))
+  | Flat fl when nbound = r.rel_arity ->
+    let id = ground_pattern fl fl.fscratch pattern in
+    if id >= 0 then Some ([| id |], 1) else None
   | Flat fl ->
     let fi = flat_index r fl mask nbound in
     if fill_fprobe fi.fi_probe fi.fi_cols pattern then begin
@@ -1035,6 +1093,10 @@ let slice_cols r mask (key : Value.t array) =
       match Row_tbl.find_opt idx.buckets idx.scratch with
       | None -> { sl_rel = r; sl_ids = None; sl_len = 0 }
       | Some bk -> { sl_rel = r; sl_ids = Some bk.ids; sl_len = bk.n })
+    | Flat fl when mask = full_mask r ->
+      let id = ground_key fl fl.fscratch key in
+      if id >= 0 then { sl_rel = r; sl_ids = Some [| id |]; sl_len = 1 }
+      else { sl_rel = r; sl_ids = None; sl_len = 0 }
     | Flat fl ->
       let fi = flat_index r fl mask (popcount mask) in
       if fill_fprobe_cols fi.fi_probe fi.fi_cols key then begin

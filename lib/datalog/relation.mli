@@ -64,13 +64,18 @@ val iter_from : t -> int -> (tuple -> unit) -> unit
 (** [iter_from r k f] applies [f] to rows [k, k+1, ...] in insertion
     order — the semi-naive delta between two watermarks. *)
 
-val filter : t -> (tuple -> bool) -> t
-(** [filter r keep]: a fresh relation holding the rows of [r] that
-    satisfy [keep], in their original insertion order.  This is how
-    incremental view maintenance retracts: relations themselves are
-    append-only, so deletion rebuilds the survivors (O(n)) and installs
-    the result with [Database.set_relation]; indexes are rebuilt lazily
-    on the next probe.  Preserves the source's representation. *)
+val remove : t -> tuple list -> t
+(** [remove r rows]: a fresh relation holding the rows of [r] that are
+    not in [rows], in their original insertion order and [r]'s
+    representation.  This is how incremental view maintenance retracts:
+    relations themselves are append-only, so deletion rebuilds the
+    survivors and installs the result with [Database.set_relation].
+    [r] itself is left untouched, indexes included, so it can serve as
+    the pre-removal state.  Rows of [rows] absent from [r] are ignored.
+    One pass over [r]: a flat store locates the doomed rows through its
+    membership set and copies the survivors' cells in runs, decoding
+    nothing; a boxed one matches rows against a [Row_tbl].  The
+    result's indexes are rebuilt lazily on the next probe. *)
 
 val append_from : t -> t -> int -> unit
 (** [append_from dst src from]: bulk-copy rows [from, cardinal src) of
@@ -119,7 +124,11 @@ val iter_matching_cols_ro_ids :
 val iter_matching : t -> Value.t option array -> (tuple -> unit) -> unit
 (** [iter_matching r pattern f]: rows agreeing with every [Some v]
     position of [pattern], in insertion order.  Uses (and if needed
-    builds) the index for the pattern's bound-column set.  The pattern
+    builds) the index for the pattern's bound-column set — except that a
+    fully-bound probe of a flat relation is answered from the membership
+    set, which already maps a row to its id, so no full-width index is
+    ever built for it (this holds for every probe and slice below, the
+    read-only variants and {!ensure_index} included).  The pattern
     is consumed before [f] is first called, so callers may reuse a
     scratch pattern buffer across calls.  Rows inserted by [f] itself
     are not visited. *)

@@ -447,6 +447,7 @@ let retract_facts ?id t text =
             protect (fun () ->
             List.iter
               (fun (pred, tb) ->
+                let gone = ref [] in
                 Relation.Row_tbl.iter
                   (fun row n ->
                     let cur = occ_count t pred row in
@@ -459,18 +460,17 @@ let retract_facts ?id t text =
                          the snapshot unless the program owns it. *)
                       if not (Database.mem_fact entry.Program_cache.base pred row)
                       then begin
-                        (match Database.find db pred with
-                        | Some rel ->
-                          Database.set_relation db pred
-                            (Relation.filter rel (fun r ->
-                                 not (Relation.Row_key.equal r row)))
-                        | None -> ());
+                        gone := row :: !gone;
                         match remove_first pred row t.pending_inserts with
                         | Some rest -> t.pending_inserts <- rest
                         | None -> t.pending_deletes <- (pred, row) :: t.pending_deletes
                       end
                     end)
-                  tb)
+                  tb;
+                (* one removal pass per predicate for the whole batch *)
+                match (!gone, Database.find db pred) with
+                | _ :: _, Some rel -> Database.set_relation db pred (Relation.remove rel !gone)
+                | _ -> ())
               !need;
             t.counters.facts_retracted <- t.counters.facts_retracted + List.length facts;
             List.length facts)

@@ -287,6 +287,138 @@ let prop_index_agrees_with_scan =
           if Value.equal a.(col) (Value.Int key) then scanned := Array.to_list a :: !scanned);
       List.sort compare !indexed = List.sort compare !scanned)
 
+(* ---------------- removal and ground probes ---------------- *)
+
+(* Field values from a small domain.  [mixed] adds strings, which keep
+   a relation boxed; the flat side only ever stores ints and symbols. *)
+let gen_value ~mixed =
+  QCheck.Gen.(
+    frequency
+      ([ (4, map (fun i -> Value.Int i) (int_bound 4)); (1, map (fun i -> Value.sym (Printf.sprintf "s%d" i)) (int_bound 2)) ]
+      @ if mixed then [ (1, map (fun i -> Value.str (Printf.sprintf "s%d" i)) (int_bound 2)) ] else []))
+
+let gen_row3 ~mixed = QCheck.Gen.(array_size (return 3) (gen_value ~mixed))
+
+let show_rows rows =
+  String.concat " "
+    (List.map (fun r -> "(" ^ String.concat "," (Array.to_list (Array.map Value.to_string r)) ^ ")") rows)
+
+let row_eq a b = Array.length a = Array.length b && Array.for_all2 Value.equal a b
+
+(* A relation of the given representation holding [rows]. *)
+let build ~flat rows =
+  with_threshold (if flat then Some 1 else None) (fun () ->
+      let r = Relation.create "p" 3 in
+      List.iter (fun a -> ignore (Relation.add r a)) rows;
+      r)
+
+(* Rows, doomed rows (some present, some not), and the representation. *)
+let arb_removal =
+  QCheck.make
+    ~print:(fun (flat, rows, doomed) ->
+      Printf.sprintf "flat=%b rows=%s doomed=%s" flat (show_rows rows) (show_rows doomed))
+    QCheck.Gen.(
+      bool >>= fun flat ->
+      let g = gen_row3 ~mixed:(not flat) in
+      triple (return flat) (list_size (int_bound 30) g) (list_size (int_bound 10) g))
+
+let prop_remove_matches_list_model =
+  QCheck.Test.make ~name:"remove = list filter (flat and boxed, order kept)" ~count:300
+    arb_removal (fun (flat, rows, doomed) ->
+      let r = build ~flat rows in
+      let before = Relation.to_list r in
+      let r' = Relation.remove r doomed in
+      let expected = List.filter (fun a -> not (List.exists (row_eq a) doomed)) before in
+      let same l1 l2 = List.length l1 = List.length l2 && List.for_all2 row_eq l1 l2 in
+      same (Relation.to_list r') expected
+      && Relation.cardinal r' = List.length expected
+      && same (Relation.to_list r) before
+      && Relation.is_flat r' = Relation.is_flat r
+      && List.for_all (fun a -> Relation.mem r' a = not (List.exists (row_eq a) doomed)) before
+      && List.for_all (fun a -> Relation.mem r a) before)
+
+(* Every probe path, for one mask and key, as a list of ids.  The
+   read-only paths run first, so on a fresh relation they see no index
+   (boxed: linear scan; flat: membership set or scan). *)
+let probe_paths r mask (key : Value.t array) =
+  let w = Array.length key in
+  let pattern = Array.mapi (fun i v -> if mask land (1 lsl i) <> 0 then Some v else None) key in
+  let collect iter =
+    let acc = ref [] in
+    iter (fun id -> acc := id :: !acc);
+    List.rev !acc
+  in
+  let slice_ids sl = collect (Relation.slice_iter_ids sl 0 (Relation.slice_len sl)) in
+  (* the boxed probe buffer holds exactly one slot per bound column *)
+  let bits = List.length (List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init w Fun.id)) in
+  let ro = collect (Relation.iter_matching_ro_ids r pattern) in
+  let cols_ro =
+    collect
+      (Relation.iter_matching_cols_ro_ids r mask key (Array.make bits Value.unit) (Array.make w 0))
+  in
+  let plain = collect (Relation.iter_matching_ids r pattern) in
+  let cols = collect (Relation.iter_matching_cols_ids r mask key) in
+  let sl = slice_ids (Relation.slice r pattern) in
+  let sl_cols = slice_ids (Relation.slice_cols r mask key) in
+  [ ("iter_matching_ro_ids", ro); ("iter_matching_cols_ro_ids", cols_ro);
+    ("iter_matching_ids", plain); ("iter_matching_cols_ids", cols); ("slice", sl);
+    ("slice_cols", sl_cols) ]
+
+(* The ids a linear scan finds, in insertion order. *)
+let scan_ids r mask (key : Value.t array) =
+  List.filteri (fun _ x -> x >= 0)
+    (List.mapi
+       (fun id a ->
+         let ok = ref true in
+         Array.iteri (fun i v -> if mask land (1 lsl i) <> 0 && not (Value.equal v a.(i)) then ok := false) key;
+         if !ok then id else -1)
+       (Relation.to_list r))
+
+let arb_row = QCheck.make ~print:(fun a -> show_rows [ a ]) (gen_row3 ~mixed:false)
+
+let prop_probes_after_remove =
+  QCheck.Test.make ~name:"after remove, every probe mask = linear scan; _ro ids = plain ids"
+    ~count:300
+    QCheck.(pair arb_removal (pair arb_row arb_row))
+    (fun ((flat, rows, doomed), (key, extra)) ->
+      let r = Relation.remove (build ~flat rows) doomed in
+      let check () =
+        List.for_all
+          (fun mask ->
+            let paths = probe_paths r mask key in
+            let expected = scan_ids r mask key in
+            List.for_all
+              (fun (name, ids) ->
+                ids = expected
+                || QCheck.Test.fail_reportf "mask %d, %s: got [%s], scan [%s]" mask name
+                     (String.concat ";" (List.map string_of_int ids))
+                     (String.concat ";" (List.map string_of_int expected)))
+              paths
+            && List.for_all (fun (_, ids) -> ids = expected) (probe_paths r mask key))
+          (List.init 8 Fun.id)
+      in
+      (* and again once indexes exist and a row arrived after removal *)
+      check () && (ignore (Relation.add r extra); ignore (Relation.add r key); check ()))
+
+let test_ground_probe_non_encodable () =
+  with_threshold (Some 1) (fun () ->
+      let r = Relation.create "p" 2 in
+      let s = Value.sym "same" in
+      ignore (Relation.add r [| Value.Int 1; s |]);
+      ignore (Relation.add r [| Value.Int 1; Value.Int 2 |]);
+      Alcotest.(check bool) "flat" true (Relation.is_flat r);
+      List.iter
+        (fun (what, v) ->
+          let key = [| Value.Int 1; v |] in
+          List.iter
+            (fun (name, ids) ->
+              Alcotest.(check (list int)) (Printf.sprintf "%s probe via %s" what name) [] ids)
+            (probe_paths r 3 key))
+        [ ("Str sharing the symbol's text", Value.str "same");
+          ("Tup", Value.Tup [ Value.Int 2 ]);
+          ("App", Value.App ("f", [ Value.Int 2 ])) ];
+      Alcotest.(check bool) "still flat" true (Relation.is_flat r))
+
 let () =
   Alcotest.run "relation"
     [ ( "relation",
@@ -312,4 +444,9 @@ let () =
           Alcotest.test_case "v2 flat round-trip" `Quick test_snapshot_v2_flat_roundtrip;
           Alcotest.test_case "future version rejected" `Quick
             test_snapshot_rejects_future_version ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_index_agrees_with_scan ]) ]
+      ("properties", [ QCheck_alcotest.to_alcotest prop_index_agrees_with_scan ]);
+      ( "remove",
+        [ QCheck_alcotest.to_alcotest prop_remove_matches_list_model;
+          QCheck_alcotest.to_alcotest prop_probes_after_remove;
+          Alcotest.test_case "ground probes with non-encodable values" `Quick
+            test_ground_probe_non_encodable ] ) ]
