@@ -50,12 +50,6 @@ let cache_arg =
   Arg.(value & opt int 64 & info [ "cache-capacity" ] ~docv:"N"
          ~doc:"Compiled-program cache entries (LRU beyond that).")
 
-let compiled_arg =
-  Arg.(value & flag & info [ "compiled" ]
-         ~doc:"Evaluate requests with the ahead-of-time compiled closure chains \
-               (cost-planned join orders cached per program).  Models are \
-               byte-identical to the interpreter's.")
-
 let data_dir_arg =
   Arg.(value & opt (some string) None & info [ "data-dir" ] ~docv:"DIR"
          ~doc:"Make sessions durable under DIR: mutations are write-ahead logged and \
@@ -92,8 +86,8 @@ let fleet_arg =
    children's lifetime — when it finishes draining they are SIGTERMed
    (their own graceful drain) and reaped. *)
 let serve_fleet host port no_tcp unix_path workers default_timeout max_facts max_steps
-    max_candidates max_jobs max_frame cache_capacity compiled data_dir fsync
-    snapshot_every idle_timeout fleet =
+    max_candidates max_jobs max_frame cache_capacity data_dir fsync snapshot_every
+    idle_timeout fleet =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "gbc-fleet-%d" (Unix.getpid ()))
@@ -111,7 +105,6 @@ let serve_fleet host port no_tcp unix_path workers default_timeout max_facts max
       "--fsync"; fsync;
       "--snapshot-every"; string_of_int (max 0 snapshot_every);
       "--idle-timeout"; Printf.sprintf "%g" idle_timeout ]
-    @ (if compiled then [ "--compiled" ] else [])
     @ opt "--max-facts" max_facts
     @ opt "--max-steps" max_steps
     @ opt "--max-candidates" max_candidates
@@ -192,12 +185,12 @@ let serve_fleet host port no_tcp unix_path workers default_timeout max_facts max
     Format.printf "gbcd: fleet drained, goodbye@."
 
 let serve host port no_tcp unix_path workers default_timeout max_facts max_steps
-    max_candidates max_jobs max_frame cache_capacity compiled data_dir fsync
-    snapshot_every idle_timeout fleet =
+    max_candidates max_jobs max_frame cache_capacity data_dir fsync snapshot_every
+    idle_timeout fleet =
   if fleet > 0 then
     serve_fleet host port no_tcp unix_path workers default_timeout max_facts max_steps
-      max_candidates max_jobs max_frame cache_capacity compiled data_dir fsync
-      snapshot_every idle_timeout fleet
+      max_candidates max_jobs max_frame cache_capacity data_dir fsync snapshot_every
+      idle_timeout fleet
   else
   let fsync =
     match Gbc.Wal.fsync_policy_of_string fsync with
@@ -219,7 +212,6 @@ let serve host port no_tcp unix_path workers default_timeout max_facts max_steps
       max_jobs = max 1 max_jobs;
       max_frame;
       cache_capacity;
-      compiled;
       data_dir;
       fsync;
       snapshot_every = max 0 snapshot_every;
@@ -257,8 +249,8 @@ let serve host port no_tcp unix_path workers default_timeout max_facts max_steps
 let serve_term =
   Term.(const serve $ host_arg $ port_arg $ no_tcp_arg $ unix_arg $ workers_arg
         $ default_timeout_arg $ max_facts_arg $ max_steps_arg $ max_candidates_arg
-        $ max_jobs_arg $ max_frame_arg $ cache_arg $ compiled_arg $ data_dir_arg
-        $ fsync_arg $ snapshot_every_arg $ idle_timeout_arg $ fleet_arg)
+        $ max_jobs_arg $ max_frame_arg $ cache_arg $ data_dir_arg $ fsync_arg
+        $ snapshot_every_arg $ idle_timeout_arg $ fleet_arg)
 
 let serve_doc =
   "Serve programs over the gbcd wire protocol: a worker pool of OCaml domains, \

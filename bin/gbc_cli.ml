@@ -94,12 +94,6 @@ let jobs_arg =
          ~doc:"Evaluation domains for data-parallel saturation (default 1: sequential).  \
                The model is byte-identical at any value.")
 
-let compiled_arg =
-  Arg.(value & flag & info [ "compiled" ]
-         ~doc:"Evaluate with the ahead-of-time compiled closure chains: rule bodies are \
-               cost-planned (join order by index selectivity) and compiled to straight-line \
-               scans.  The model is byte-identical to the interpreter's.")
-
 let limits_of ?timeout_s ?max_facts ?max_steps ?max_candidates () =
   match (timeout_s, max_facts, max_steps, max_candidates) with
   | None, None, None, None -> Limits.unlimited
@@ -111,15 +105,14 @@ let map_outcome f = function
 
 (* Evaluate with telemetry and a governor threaded through the chosen
    engine; the outcome carries just the database. *)
-let evaluate_with ?(jobs = 1) ?(compiled = false) ?db ~telemetry ~limits ~engine ~seed prog =
+let evaluate_with ?(jobs = 1) ?db ~telemetry ~limits ~engine ~seed prog =
   match (engine, seed) with
   | `Reference, Some s ->
     map_outcome fst
-      (Choice_fixpoint.run_governed ~policy:(Random s) ~telemetry ~limits ~jobs ~compiled ?db prog)
+      (Choice_fixpoint.run_governed ~policy:(Random s) ~telemetry ~limits ~jobs ?db prog)
   | `Reference, None ->
-    map_outcome fst (Choice_fixpoint.run_governed ~telemetry ~limits ~jobs ~compiled ?db prog)
-  | `Staged, _ ->
-    map_outcome fst (Stage_engine.run_governed ~telemetry ~limits ~jobs ~compiled ?db prog)
+    map_outcome fst (Choice_fixpoint.run_governed ~telemetry ~limits ~jobs ?db prog)
+  | `Staged, _ -> map_outcome fst (Stage_engine.run_governed ~telemetry ~limits ~jobs ?db prog)
 
 (* A fact base written by `gbc load` — decoded with the snapshot codec,
    so flat relations come back as cell-blob blits. *)
@@ -142,15 +135,14 @@ let run_cmd =
     Arg.(value & flag & info [ "stats" ]
            ~doc:"Collect engine telemetry and print the per-rule counter table to stderr.")
   in
-  let run file engine preds seed stats jobs compiled db timeout_s max_facts max_steps
-      max_candidates =
+  let run file engine preds seed stats jobs db timeout_s max_facts max_steps max_candidates =
     handle (fun () ->
         let prog = parse_file file in
         let db = Option.map read_db db in
         let telemetry = if stats then Telemetry.create () else Telemetry.none in
         let limits = limits_of ?timeout_s ?max_facts ?max_steps ?max_candidates () in
         match
-          evaluate_with ~jobs:(max 1 jobs) ~compiled ?db ~telemetry ~limits ~engine ~seed prog
+          evaluate_with ~jobs:(max 1 jobs) ?db ~telemetry ~limits ~engine ~seed prog
         with
         | Limits.Complete db ->
           print_model ?preds db;
@@ -164,16 +156,14 @@ let run_cmd =
   in
   let doc =
     "Evaluate a choice program and print one stable model.  $(b,--jobs) shards \
-     flat-rule saturation across that many OCaml domains (same model, byte for byte); \
-     $(b,--compiled) runs the cost-planned closure chains (same model again).  \
+     flat-rule saturation across that many OCaml domains (same model, byte for byte).  \
      With a budget ($(b,--timeout), $(b,--max-facts), $(b,--max-steps), \
      $(b,--max-candidates)) exhaustion prints the partial model, a diagnostic on \
      stderr, and exits with code 3."
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ file_arg $ engine_arg $ preds_arg $ seed_arg $ stats_arg $ jobs_arg
-          $ compiled_arg $ db_arg $ timeout_arg $ max_facts_arg $ max_steps_arg
-          $ max_candidates_arg)
+          $ db_arg $ timeout_arg $ max_facts_arg $ max_steps_arg $ max_candidates_arg)
 
 (* ---------------- load ---------------- *)
 
@@ -282,14 +272,14 @@ let profile_cmd =
     Arg.(value & flag & info [ "json" ]
            ~doc:"Emit the counter snapshot as JSON instead of the table.")
   in
-  let run file engine seed compiled json =
+  let run file engine seed json =
     handle (fun () ->
         let prog = parse_file file in
         let telemetry = Telemetry.create () in
         let _db =
           Telemetry.span telemetry "total" (fun () ->
               Limits.value
-                (evaluate_with ~compiled ~telemetry ~limits:Limits.unlimited ~engine ~seed prog))
+                (evaluate_with ~telemetry ~limits:Limits.unlimited ~engine ~seed prog))
         in
         if json then print_string (Telemetry.to_json telemetry)
         else Format.printf "%a@?" Telemetry.pp telemetry)
@@ -300,7 +290,7 @@ let profile_cmd =
      sizes, per-stratum spans and totals."
   in
   Cmd.v (Cmd.info "profile" ~doc)
-    Term.(const run $ file_arg $ engine_arg $ seed_arg $ compiled_arg $ json_arg)
+    Term.(const run $ file_arg $ engine_arg $ seed_arg $ json_arg)
 
 (* ---------------- check ---------------- *)
 
@@ -336,8 +326,8 @@ let plan_cmd =
         let prog = parse_file file in
         (* Materialize the program's own facts so the planner sees real
            cardinalities and per-column distinct counts — the same
-           statistics a --compiled run (and the daemon's program cache)
-           plans against. *)
+           statistics a run (and the daemon's program cache) plans
+           against. *)
         let db = Database.create () in
         Database.load_facts db (List.filter Ast.is_fact prog);
         let plan = Plan.analyze ~db prog in
@@ -345,7 +335,7 @@ let plan_cmd =
         else Format.printf "@[<v>%a@]@?" Plan.pp plan)
   in
   let doc =
-    "Print the cost-based join plan $(b,--compiled) evaluation would execute: per rule, \
+    "Print the cost-based join plan evaluation executes: per rule, \
      the planned scan order with estimated cardinalities and per-binding costs, and \
      whether reordering is enabled (flat programs) or gated off (choice / extrema / \
      next programs keep their source order)."
@@ -478,7 +468,7 @@ let query_cmd =
             in
             let body = Eval.compile_body [ Ast.Pos goal ] in
             let outs = List.map (fun v -> Ast.Var v) vars in
-            print_rows (Eval.solutions body db outs)
+            print_rows (Compile.solutions body db outs)
           end
         with Invalid_argument msg ->
           Format.eprintf "gbc: %s@." msg;
@@ -536,7 +526,6 @@ let repl_cmd =
     in
     let program = ref [] in
     let jobs = ref 1 in
-    let compiled = ref false in
     let errors = ref 0 in
     let print_err msg =
       incr errors;
@@ -550,12 +539,10 @@ let repl_cmd =
           Error ("query interrupted (" ^ Limits.violation_to_string d.Limits.violated ^ ")")
       in
       with_interrupt (fun () ->
-          match Stage_engine.run_governed ~limits ~jobs:!jobs ~compiled:!compiled !program with
+          match Stage_engine.run_governed ~limits ~jobs:!jobs !program with
           | outcome -> unwrap outcome
           | exception Stage_engine.Not_compilable _ -> (
-            match
-              Choice_fixpoint.run_governed ~limits ~jobs:!jobs ~compiled:!compiled !program
-            with
+            match Choice_fixpoint.run_governed ~limits ~jobs:!jobs !program with
             | outcome -> unwrap outcome
             | exception Choice_fixpoint.Unsupported msg -> Error msg)
           | exception Choice_fixpoint.Unsupported msg -> Error msg)
@@ -569,7 +556,7 @@ let repl_cmd =
         | Ok db ->
           let body = Eval.compile_body [ Ast.Pos goal ] in
           let vars = Ast.atom_vars goal in
-          let rows = Eval.solutions body db (List.map (fun v -> Ast.Var v) vars) in
+          let rows = Compile.solutions body db (List.map (fun v -> Ast.Var v) vars) in
           if vars = [] then Format.printf "%b@." (rows <> [])
           else begin
             List.iter
@@ -605,9 +592,6 @@ let repl_cmd =
           try Format.printf "stable: %b@." (Stable.is_stable !program db)
           with Invalid_argument msg -> print_err msg)
         | Error msg -> print_err msg)
-      | [ ":compiled" ] ->
-        compiled := not !compiled;
-        Format.printf "compiled: %b@." !compiled
       | [ ":jobs" ] -> Format.printf "jobs: %d@." !jobs
       | [ ":jobs"; n ] -> (
         match int_of_string_opt n with
@@ -623,7 +607,9 @@ let repl_cmd =
         | Error e -> print_err (Gbc_error.to_string e))
       | [ ":help" ] | [ ":h" ] ->
         Format.printf
-          "clauses end with '.'; queries start with '?-'.@.commands: :model :models            :check :stable :list :load FILE :jobs N :compiled :clear :quit@.:compiled toggles the ahead-of-time compiled evaluation (same model, byte for byte).@.Ctrl-C interrupts a running query (the session and the program survive).@."
+          "clauses end with '.'; queries start with '?-'.@.commands: :model :models :check \
+           :stable :list :load FILE :jobs N :clear :quit@.Ctrl-C interrupts a running query \
+           (the session and the program survive).@."
       | _ -> print_err ("unknown command: " ^ line)
     in
     Format.printf "gbc repl — :help for commands, :quit to leave@.";

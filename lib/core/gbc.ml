@@ -52,7 +52,6 @@ module Durable = Gbc_server.Durable
 
 (* Ordered structures (Section 6) *)
 module Binary_heap = Gbc_ordered.Binary_heap
-module Pairing_heap = Gbc_ordered.Pairing_heap
 module Union_find = Gbc_ordered.Union_find
 module Rql = Gbc_ordered.Rql
 

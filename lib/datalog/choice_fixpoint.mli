@@ -44,7 +44,6 @@ val run :
   ?telemetry:Telemetry.t ->
   ?limits:Limits.t ->
   ?jobs:int ->
-  ?compiled:bool ->
   ?plan:Plan.t ->
   ?db:Database.t ->
   Ast.program ->
@@ -58,11 +57,9 @@ val run :
     telemetry counters — are byte-identical to [jobs = 1]; each gamma
     step still fires exactly one chosen fact, sequentially.
 
-    [compiled] (default [false]) runs every rule body as an
-    ahead-of-time {!Compile} closure chain over the cost-planned join
-    order ([plan] when given, else {!Plan.analyze} on the program) —
-    byte-identical models, less allocation per tuple (see
-    docs/INTERNALS.md, "Compiled execution").
+    Every rule body runs as a {!Compile} closure chain over the
+    cost-planned join order ([plan] when given, else {!Plan.analyze} on
+    the program; see docs/INTERNALS.md, "Execution").
     @raise Limits.Exhausted when [limits] trips a budget; use
     {!run_governed} to receive the partial database instead. *)
 
@@ -71,7 +68,6 @@ val run_governed :
   ?telemetry:Telemetry.t ->
   ?limits:Limits.t ->
   ?jobs:int ->
-  ?compiled:bool ->
   ?plan:Plan.t ->
   ?db:Database.t ->
   Ast.program ->

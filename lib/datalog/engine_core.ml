@@ -6,7 +6,7 @@ type stats = { gamma_steps : int; candidates_examined : int }
 exception Unsupported of string
 
 (* ------------------------------------------------------------------ *)
-(* Compiled choice rules                                               *)
+(* Choice rules                                                        *)
 (* ------------------------------------------------------------------ *)
 
 type extremum = { minimize : bool; key : term; cost : term }
@@ -27,30 +27,20 @@ type crule = {
   vars : string list;  (* V: argument layout of chosen$ridx *)
   out_terms : term list;
   fds : (term list * term list) list;
-  body : Eval.body;
   extrema : extremum list;
   stage : (string * int) option;  (* next rules: stage var and head position *)
-  (* Hot-path forms, resolved once at compile time. *)
-  c_out : Eval.cterm array;  (* [out_terms] against [body] *)
-  c_fds : (Eval.cterm list * Eval.cterm list) list;  (* [fds] against [body] *)
-  c_ext : (Eval.cterm * Eval.cterm) array;  (* (key, cost) per extremum *)
+  stage_slot : int;  (* environment slot of the stage variable, or -1 *)
   c_min : bool array;  (* minimize flag per extremum *)
   v_fds : (vterm list * vterm list) list;  (* [fds] against the V layout *)
-  (* Per-shard scratch for data-parallel candidate collection: one
-     cloned body and private environment per shard, grown lazily. *)
-  mutable c_scratch : (Eval.body * Eval.env) array;
-  (* Compiled execution: the body's closure chain plus V/FD/extrema
-     evaluators over its unboxed environment ([None] when running
-     interpreted). *)
-  cc : ccompiled option;
-}
-
-and ccompiled = {
-  cc_chain : Compile.t;
-  cc_out : Compile.value_prog array;
-  cc_fds : (Compile.value_prog list * Compile.value_prog list) list;
-  cc_ext : (Compile.value_prog * Compile.value_prog) array;
-  mutable cc_scratch : Compile.t array;
+  (* The body's closure chain plus the V / FD / extrema evaluators over
+     its environment, resolved once at compile time. *)
+  chain : Compile.t;
+  c_out : Compile.value_prog array;
+  c_fds : (Compile.value_prog list * Compile.value_prog list) list;
+  c_ext : (Compile.value_prog * Compile.value_prog) array;
+  (* Per-shard chain clones for data-parallel candidate collection,
+     grown lazily. *)
+  mutable c_scratch : Compile.t array;
 }
 
 let is_choice_rule r = has_next r || has_choice r
@@ -101,7 +91,7 @@ let rec compile_vterm vars = function
   | Cmp (f, args) -> VCmp (f, List.map (compile_vterm vars) args)
   | Binop (op, a, b) -> VBinop (op, compile_vterm vars a, compile_vterm vars b)
 
-let compile_crule ?(compiled = false) ridx (r : Ast.rule) =
+let compile_crule ridx (r : Ast.rule) =
   let stage = stage_of_rule r in
   let fds =
     match stage with
@@ -120,33 +110,20 @@ let compile_crule ?(compiled = false) ridx (r : Ast.rule) =
   in
   let out_terms = List.map (fun v -> Var v) vars in
   let extrema = extrema_of r in
-  let compile_t t = try Eval.compile_term body t with Eval.Unsafe msg -> unsafe msg in
-  let c_out = Array.of_list (List.map compile_t out_terms) in
-  let c_fds = List.map (fun (l, rr) -> (List.map compile_t l, List.map compile_t rr)) fds in
-  let c_ext = Array.of_list (List.map (fun e -> (compile_t e.key, compile_t e.cost)) extrema) in
-  let cc =
-    if not compiled then None
-    else begin
-      let bound = match stage with Some (v, _) -> [ Eval.slot body v ] | None -> [] in
-      let chain = Compile.of_body ~bound body in
-      Some
-        { cc_chain = chain;
-          cc_out = Compile.compile_row chain c_out;
-          cc_fds =
-            List.map
-              (fun (l, rr) ->
-                (List.map (Compile.compile_value chain) l, List.map (Compile.compile_value chain) rr))
-              c_fds;
-          cc_ext = Array.map (fun (k, c) -> (Compile.compile_value chain k, Compile.compile_value chain c)) c_ext;
-          cc_scratch = [||] }
-    end
+  let stage_slot = match stage with Some (v, _) -> Eval.slot body v | None -> -1 in
+  let chain = Compile.of_body ~bound:(if stage_slot < 0 then [] else [ stage_slot ]) body in
+  let value t =
+    Compile.compile_value chain (try Eval.compile_term body t with Eval.Unsafe msg -> unsafe msg)
   in
   { ridx; label = Telemetry.rule_label r; head = r.head; vars; out_terms;
-    fds; body; extrema; stage;
-    c_out; c_fds; c_ext;
+    fds; extrema; stage; stage_slot;
     c_min = Array.of_list (List.map (fun e -> e.minimize) extrema);
     v_fds = List.map (fun (l, rr) -> (List.map (compile_vterm vars) l, List.map (compile_vterm vars) rr)) fds;
-    c_scratch = [||]; cc }
+    chain;
+    c_out = Array.of_list (List.map value out_terms);
+    c_fds = List.map (fun (l, rr) -> (List.map value l, List.map value rr)) fds;
+    c_ext = Array.of_list (List.map (fun e -> (value e.key, value e.cost)) extrema);
+    c_scratch = [||] }
 
 (* The rewritten positive rule: head <- flat body, chosen$i(V).  The
    extrema are dropped when the head is fully determined by V (always
@@ -166,7 +143,7 @@ let positive_rule cr (r : Ast.rule) =
 (* FD bookkeeping                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Evaluate a compiled choice-goal term against a chosen$i row. *)
+(* Evaluate a resolved choice-goal term against a chosen$i row. *)
 let rec vterm_value row = function
   | VPos i -> row.(i)
   | VCst v -> v
@@ -244,90 +221,51 @@ type candidate = {
    the parallel path at [--jobs] > 1. *)
 let par_threshold = 2
 
-let crule_scratch cr shards =
-  if Array.length cr.c_scratch < shards then begin
-    let old = cr.c_scratch in
-    cr.c_scratch <-
-      Array.init shards (fun i ->
-          if i < Array.length old then old.(i)
-          else
-            let b = Eval.clone_body cr.body in
-            (b, Eval.fresh_env b))
-  end;
-  cr.c_scratch
+(* One enumerated solution, read out of a chain's environment: the
+   chosen$i row when it is new to this collection and FD-compatible,
+   with its (key, cost) per extremum.  [seen] only ever holds
+   compatible rows, so every occurrence of an incompatible row is
+   checked and counted. *)
+let visit_solution cr st seen cenv ~rejected k =
+  let row = Compile.eval_row cenv cr.c_out in
+  if not (Relation.Row_tbl.mem seen row) then begin
+    let projections =
+      List.map
+        (fun (l, r) ->
+          (Value.Tup (List.map (fun p -> p cenv) l), Value.Tup (List.map (fun p -> p cenv) r)))
+        cr.c_fds
+    in
+    if compatible st projections then begin
+      Relation.Row_tbl.add seen row ();
+      k row (Array.map (fun (key, cost) -> (key cenv, cost cenv)) cr.c_ext)
+    end
+    else rejected ()
+  end
 
 (* Data-parallel candidate enumeration.  Each shard runs its slice of
-   the first scan read-only, deduplicates locally and keeps only
-   FD-compatible solutions ([st.tables] is frozen for the whole region
-   — replay happened before).  The local [seen] tables only ever hold
-   compatible rows, so every occurrence of an incompatible row is
-   checked and counted in both modes, and the coordinator's merge —
-   shards in slice order, with a global first-occurrence dedup —
-   reproduces the sequential solution list and telemetry counters
-   exactly. *)
-let collect_parallel pool limits st stage_binding db slice =
+   the first scan read-only on a private chain clone, deduplicates
+   locally and keeps only FD-compatible solutions ([st.tables] is
+   frozen for the whole region — replay happened before).  The V / FD
+   / extrema programs are shared: they take the environment as an
+   argument, so a clone's private env plugs straight in.  Shards touch
+   no relation state beyond the read-only probes; whether a row is
+   already chosen is decided by the sequential merge. *)
+let collect_parallel pool limits st db slice =
   let cr = st.cr in
   let n = Relation.slice_len slice in
   let shards = Par.nshards pool n in
-  Eval.prepare_indexes cr.body db;
-  let scratch = crule_scratch cr shards in
-  let results = Array.make shards ([], 0, 0) in
-  Par.run pool ~shards (fun s ->
-      let body, env = scratch.(s) in
-      Array.fill env 0 (Array.length env) None;
-      (match stage_binding with
-      | Some (slot, v) -> env.(slot) <- Some v
-      | None -> ());
-      let lo, hi = Par.bounds ~shards n s in
-      let seen = Relation.Row_tbl.create 64 in
-      let acc = ref [] and ex = ref 0 and rej = ref 0 in
-      Eval.run_slice body db env slice lo hi (fun env ->
-          incr ex;
-          Limits.tick_candidates limits 1;
-          let row = Eval.eval_row env cr.c_out in
-          if not (Relation.Row_tbl.mem seen row) then begin
-            let projections =
-              List.map
-                (fun (l, r) ->
-                  ( Value.Tup (List.map (Eval.eval_cterm env) l),
-                    Value.Tup (List.map (Eval.eval_cterm env) r) ))
-                cr.c_fds
-            in
-            if compatible st projections then begin
-              Relation.Row_tbl.add seen row ();
-              let kcs =
-                Array.map
-                  (fun (k, c) -> (Eval.eval_cterm env k, Eval.eval_cterm env c))
-                  cr.c_ext
-              in
-              acc := (row, Relation.mem st.rel row, kcs) :: !acc
-            end
-            else incr rej
-          end);
-      results.(s) <- (List.rev !acc, !ex, !rej));
-  (results, shards, n)
-
-(* Compiled twin of [collect_parallel]: same slicing, same local dedup,
-   same merge contract, each shard running a private chain clone.  The
-   V/FD/extrema programs are shared — they take the environment as an
-   argument, so a clone's private env plugs straight in. *)
-let collect_parallel_compiled pool limits cc st stage_binding db slice =
-  let n = Relation.slice_len slice in
-  let shards = Par.nshards pool n in
-  Compile.prepare_indexes cc.cc_chain db;
-  if Array.length cc.cc_scratch < shards then begin
-    let old = cc.cc_scratch in
-    cc.cc_scratch <-
-      Array.init shards (fun i ->
-          if i < Array.length old then old.(i) else Compile.clone cc.cc_chain)
+  Compile.prepare_indexes cr.chain db;
+  if Array.length cr.c_scratch < shards then begin
+    let old = cr.c_scratch in
+    cr.c_scratch <-
+      Array.init shards (fun i -> if i < Array.length old then old.(i) else Compile.clone cr.chain)
   end;
-  let scratch = cc.cc_scratch in
+  let scratch = cr.c_scratch in
+  let stage = if cr.stage_slot >= 0 then Some (Compile.env cr.chain).(cr.stage_slot) else None in
   let results = Array.make shards ([], 0, 0) in
   Par.run pool ~shards (fun s ->
       let ch = scratch.(s) in
-      (match stage_binding with
-      | Some (slot, v) -> Compile.set_slot ch slot v
-      | None -> ());
+      Option.iter (Compile.set_slot ch cr.stage_slot) stage;
       let cenv = Compile.env ch in
       let lo, hi = Par.bounds ~shards n s in
       let seen = Relation.Row_tbl.create 64 in
@@ -335,22 +273,9 @@ let collect_parallel_compiled pool limits cc st stage_binding db slice =
       Compile.run_slice ch db slice lo hi (fun () ->
           incr ex;
           Limits.tick_candidates limits 1;
-          let row = Compile.eval_row cenv cc.cc_out in
-          if not (Relation.Row_tbl.mem seen row) then begin
-            let projections =
-              List.map
-                (fun (l, r) ->
-                  ( Value.Tup (List.map (fun p -> p cenv) l),
-                    Value.Tup (List.map (fun p -> p cenv) r) ))
-                cc.cc_fds
-            in
-            if compatible st projections then begin
-              Relation.Row_tbl.add seen row ();
-              let kcs = Array.map (fun (k, c) -> (k cenv, c cenv)) cc.cc_ext in
-              acc := (row, Relation.mem st.rel row, kcs) :: !acc
-            end
-            else incr rej
-          end);
+          visit_solution cr st seen cenv
+            ~rejected:(fun () -> incr rej)
+            (fun row kcs -> acc := (row, kcs) :: !acc));
       results.(s) <- (List.rev !acc, !ex, !rej));
   (results, shards, n)
 
@@ -359,15 +284,16 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
   let cr = st.cr in
   replay_chosen st;
   let rc = Telemetry.rule tele cr.label in
-  let stage_binding =
-    match cr.stage, tracker with
-    | Some (v, _), Some tr ->
-      Some (Eval.slot cr.body v, Value.Int (current_stage db tr + 1))
-    | None, None -> None
-    | _ -> assert false
-  in
+  (match cr.stage, tracker with
+  | Some _, Some tr ->
+    Compile.set_slot cr.chain cr.stage_slot (Value.Int (current_stage db tr + 1))
+  | None, None -> ()
+  | _ -> assert false);
   (* Shards in slice order with a global first-occurrence dedup: the
-     merged list reproduces the sequential solution order exactly. *)
+     merged list reproduces the sequential solution order exactly.  The
+     membership test against chosen$i runs here, sequentially: a flat
+     relation's [Relation.mem] encodes its probe into a buffer the
+     relation owns. *)
   let merge_shards (results, shards, rows) =
     let gseen = Relation.Row_tbl.create 64 in
     let merged = ref [] in
@@ -381,10 +307,10 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
               rc.Telemetry.fd_rejections <- rc.Telemetry.fd_rejections + rej
             | None -> ());
             List.iter
-              (fun ((row, _, _) as sol) ->
+              (fun (row, kcs) ->
                 if not (Relation.Row_tbl.mem gseen row) then begin
                   Relation.Row_tbl.add gseen row ();
-                  merged := sol :: !merged
+                  merged := (row, Relation.mem st.rel row, kcs) :: !merged
                 end)
               sols)
           results);
@@ -395,92 +321,31 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
      existing rows act as witnesses that suppress costlier candidates
      (cf. the bi_st_c example), while only new rows are candidates. *)
   let solutions =
-    match cr.cc with
-    | Some cc ->
-      (match stage_binding with
-      | Some (slot, v) -> Compile.set_slot cc.cc_chain slot v
-      | None -> ());
-      let parallel_slice =
-        if Par.size pool > 1 && Compile.shardable cc.cc_chain then
-          match Compile.shard_scan cc.cc_chain db with
-          | Some slice when Relation.slice_len slice >= par_threshold -> Some slice
-          | _ -> None
-        else None
-      in
-      (match parallel_slice with
-      | Some slice ->
-        merge_shards (collect_parallel_compiled pool limits cc st stage_binding db slice)
-      | None ->
-        let cenv = Compile.env cc.cc_chain in
-        let seen = Relation.Row_tbl.create 64 in
-        let solutions = ref [] in
-        Compile.run cc.cc_chain db (fun () ->
-            incr examined;
-            Limits.tick_candidates limits 1;
-            (match rc with Some rc -> rc.Telemetry.candidates <- rc.Telemetry.candidates + 1 | None -> ());
-            let row = Compile.eval_row cenv cc.cc_out in
-            if not (Relation.Row_tbl.mem seen row) then begin
-              let projections =
-                List.map
-                  (fun (l, r) ->
-                    ( Value.Tup (List.map (fun p -> p cenv) l),
-                      Value.Tup (List.map (fun p -> p cenv) r) ))
-                  cc.cc_fds
-              in
-              if compatible st projections then begin
-                Relation.Row_tbl.add seen row ();
-                let kcs = Array.map (fun (k, c) -> (k cenv, c cenv)) cc.cc_ext in
-                solutions := (row, Relation.mem st.rel row, kcs) :: !solutions
-              end
-              else
-                match rc with
-                | Some rc -> rc.Telemetry.fd_rejections <- rc.Telemetry.fd_rejections + 1
-                | None -> ()
-            end);
-        List.rev !solutions)
+    let parallel_slice =
+      if Par.size pool > 1 && Compile.shardable cr.chain then
+        match Compile.shard_scan cr.chain db with
+        | Some slice when Relation.slice_len slice >= par_threshold -> Some slice
+        | _ -> None
+      else None
+    in
+    match parallel_slice with
+    | Some slice -> merge_shards (collect_parallel pool limits st db slice)
     | None ->
-      let env = Eval.fresh_env cr.body in
-      (match stage_binding with
-      | Some (slot, v) -> env.(slot) <- Some v
-      | None -> ());
-      let parallel_slice =
-        if Par.size pool > 1 && Eval.shardable cr.body then
-          match Eval.shard_scan cr.body db env with
-          | Some slice when Relation.slice_len slice >= par_threshold -> Some slice
-          | _ -> None
-        else None
+      let cenv = Compile.env cr.chain in
+      let seen = Relation.Row_tbl.create 64 in
+      let solutions = ref [] in
+      let rejected () =
+        match rc with
+        | Some rc -> rc.Telemetry.fd_rejections <- rc.Telemetry.fd_rejections + 1
+        | None -> ()
       in
-      (match parallel_slice with
-      | Some slice -> merge_shards (collect_parallel pool limits st stage_binding db slice)
-      | None ->
-        let seen = Relation.Row_tbl.create 64 in
-        let solutions = ref [] in
-        Eval.run cr.body db env (fun env ->
-            incr examined;
-            Limits.tick_candidates limits 1;
-            (match rc with Some rc -> rc.Telemetry.candidates <- rc.Telemetry.candidates + 1 | None -> ());
-            let row = Eval.eval_row env cr.c_out in
-            if not (Relation.Row_tbl.mem seen row) then begin
-              let projections =
-                List.map
-                  (fun (l, r) ->
-                    ( Value.Tup (List.map (Eval.eval_cterm env) l),
-                      Value.Tup (List.map (Eval.eval_cterm env) r) ))
-                  cr.c_fds
-              in
-              if compatible st projections then begin
-                Relation.Row_tbl.add seen row ();
-                let kcs =
-                  Array.map (fun (k, c) -> (Eval.eval_cterm env k, Eval.eval_cterm env c)) cr.c_ext
-                in
-                solutions := (row, Relation.mem st.rel row, kcs) :: !solutions
-              end
-              else
-                match rc with
-                | Some rc -> rc.Telemetry.fd_rejections <- rc.Telemetry.fd_rejections + 1
-                | None -> ()
-            end);
-        List.rev !solutions)
+      Compile.run cr.chain db (fun () ->
+          incr examined;
+          Limits.tick_candidates limits 1;
+          (match rc with Some rc -> rc.Telemetry.candidates <- rc.Telemetry.candidates + 1 | None -> ());
+          visit_solution cr st seen cenv ~rejected (fun row kcs ->
+              solutions := (row, Relation.mem st.rel row, kcs) :: !solutions));
+      List.rev !solutions
   in
   (* Optimum per key for each extremum, over all compatible solutions. *)
   let bests = Array.map (fun _ -> Value.Tbl.create 16) cr.c_ext in
@@ -537,12 +402,12 @@ type clique_state = {
 let saturate_flat state =
   wrap_invalid (fun () -> List.iter Seminaive.step state.saturators)
 
-let make_state ?telemetry ?limits ?(pool = Par.sequential) ?(compiled = false) db plan =
+let make_state ?telemetry ?limits ?(pool = Par.sequential) db plan =
   let saturators =
     wrap_invalid (fun () ->
         List.map
           (fun sub ->
-            Seminaive.make ~allow_clique_negation:true ?telemetry ?limits ~pool ~compiled db
+            Seminaive.make ~allow_clique_negation:true ?telemetry ?limits ~pool db
               ~clique:sub plan.flat)
           plan.sub_cliques)
   in
@@ -572,9 +437,9 @@ let fire ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited) db cand =
   Telemetry.fired telemetry cand.c_st.cr.label;
   ignore db
 
-let eval_choice_clique ~policy ~telemetry ~limits ?pool ?(compiled = false) db plan stats_steps
+let eval_choice_clique ~policy ~telemetry ~limits ?pool db plan stats_steps
     stats_examined =
-  let state = make_state ~telemetry ~limits ?pool ~compiled db plan in
+  let state = make_state ~telemetry ~limits ?pool db plan in
   let rng =
     match policy with First -> None | Random seed -> Some (Random.State.make [| seed |])
   in
@@ -615,7 +480,7 @@ type program_plan = {
   cliques : [ `Plain of string list | `Choice of clique_plan ] list;
 }
 
-let plan_program ?(compiled = false) program =
+let plan_program program =
   let facts, rules = List.partition Ast.is_fact program in
   (* Number the choice rules exactly as Rewrite.expand_choice does on
      the next-expanded program: program order among choice rules. *)
@@ -626,7 +491,7 @@ let plan_program ?(compiled = false) program =
         if is_choice_rule r then begin
           let i = !counter in
           incr counter;
-          `Choice (compile_crule ~compiled i r, r)
+          `Choice (compile_crule i r, r)
         end
         else `Flat r)
       rules
@@ -662,7 +527,7 @@ let stratum_label i clique =
   Printf.sprintf "stratum %d: %s" i (String.concat "," (clique_preds clique))
 
 let run_governed ?(policy = First) ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
-    ?(jobs = 1) ?(compiled = false) ?plan ?db program =
+    ?(jobs = 1) ?plan ?db program =
   let pool = Par.get jobs in
   let db = match db with Some db -> db | None -> Database.create () in
   let steps = ref 0 and examined = ref 0 in
@@ -670,17 +535,15 @@ let run_governed ?(policy = First) ?(telemetry = Telemetry.none) ?(limits = Limi
   Limits.govern ~telemetry limits
     ~partial:(fun () -> (db, stats ()))
     (fun () ->
-      (* Compiled mode reorders reorderable rule bodies by the cost
-         plan first; the chains are then built from the planned bodies,
-         so plan dumps, compiled runs and [gbc plan] all agree. *)
+      (* Reorderable rule bodies are cost-planned first; the chains are
+         then built from the planned bodies, so plan dumps, runs and
+         [gbc plan] all agree. *)
       let program =
-        if not compiled then program
-        else
-          match plan with
-          | Some p -> Plan.program p
-          | None -> Plan.program (Plan.analyze ~telemetry ~db program)
+        match plan with
+        | Some p -> Plan.program p
+        | None -> Plan.program (Plan.analyze ~telemetry ~db program)
       in
-      let pplan = plan_program ~compiled program in
+      let pplan = plan_program program in
       Database.load_facts db pplan.facts;
       List.iteri
         (fun i clique ->
@@ -692,19 +555,19 @@ let run_governed ?(policy = First) ?(telemetry = Telemetry.none) ?(limits = Limi
               | `Plain preds ->
                 wrap_invalid (fun () ->
                     try
-                      Seminaive.eval_clique ~telemetry ~limits ~pool ~compiled db ~clique:preds
+                      Seminaive.eval_clique ~telemetry ~limits ~pool db ~clique:preds
                         (List.filter (fun r -> not (Ast.is_fact r)) program)
                     with Eval.Unsafe msg -> raise (Unsupported msg))
               | `Choice cplan ->
-                eval_choice_clique ~policy ~telemetry ~limits ~pool ~compiled db cplan steps
+                eval_choice_clique ~policy ~telemetry ~limits ~pool db cplan steps
                   examined))
         pplan.cliques;
       (db, stats ()))
 
 (* The ungoverned entry points re-raise: callers that pass a governor
    and want the partial database use [run_governed]. *)
-let run ?policy ?telemetry ?limits ?jobs ?compiled ?plan ?db program =
-  match run_governed ?policy ?telemetry ?limits ?jobs ?compiled ?plan ?db program with
+let run ?policy ?telemetry ?limits ?jobs ?plan ?db program =
+  match run_governed ?policy ?telemetry ?limits ?jobs ?plan ?db program with
   | Limits.Complete x -> x
   | Limits.Partial (_, d) -> raise (Limits.Exhausted d.Limits.violated)
 

@@ -43,9 +43,9 @@ type scan = {
   sc_fast : bool;
   sc_mask : int;
       (* static probe mask: positions known bound at fill time
-         (constants + statically-bound variables/terms).  Drives index
-         prebuilding before a parallel region; when the runtime pattern
-         binds more, the read-only paths fall back to a linear scan. *)
+         (constants + statically-bound variables/terms) — the mask
+         {!Compile} probes with and prebuilds before a parallel
+         region. *)
 }
 
 type step =
@@ -444,10 +444,9 @@ let fill_pattern env sc =
   done
 
 (* The kernel assumes statically-bound variables are bound and
-   statically-unbound ones are not.  [Eval.solutions ~bindings] (and an
-   engine running without binding its [extra_bound] variables) can
-   violate either assumption, in which case this invocation falls back
-   to generic matching. *)
+   statically-unbound ones are not.  A caller that binds more or fewer
+   variables than the body's [extra_bound] violates one of the two, in
+   which case this invocation falls back to generic matching. *)
 let fast_applicable sc =
   let ok = ref true in
   let writes = sc.sc_writes in
@@ -563,223 +562,9 @@ let compile_term body t =
 
 let compile_terms body ts = Array.of_list (List.map (compile_term body) ts)
 
-let eval_cterm env ct =
-  match eval_pterm env ct with
-  | Some v -> v
-  | None -> raise (Unsafe "unbound variable in compiled term")
-
-(* Manual loop: [Array.map] with a partial application would allocate
-   a closure per call on top of the (wanted) result row. *)
-let eval_row env cts =
-  let n = Array.length cts in
-  let out = Array.make n Value.unit in
-  for i = 0 to n - 1 do
-    out.(i) <- eval_cterm env cts.(i)
-  done;
-  out
-
-(* Match compiled argument terms against a ground row, binding unbound
-   variable slots in place.  No trail: the caller owns [env] and resets
-   it (or discards it) between rows. *)
-let rec bind_cterm env t v =
-  match t with
-  | PAny -> true
-  | PVar s -> (
-    match env.(s) with
-    | Some v' -> Value.equal v v'
-    | None ->
-      env.(s) <- Some v;
-      true)
-  | PCst c -> Value.equal c v
-  | PCmp ("", args) -> (
-    match v with
-    | Value.Tup vs -> bind_args env args vs
-    | _ -> false)
-  | PCmp (f, args) -> (
-    match v with
-    | Value.App (g, vs) when String.equal f g -> bind_args env args vs
-    | _ -> false)
-  | PBinop _ -> (
-    match eval_pterm env t with
-    | Some v' -> Value.equal v v'
-    | None -> false)
-
-and bind_args env args vs =
-  Array.length args = List.length vs
-  &&
-  let rec go i = function
-    | [] -> true
-    | v :: rest -> bind_cterm env args.(i) v && go (i + 1) rest
-  in
-  go 0 vs
-
-let rec bind_row_from env cts (row : Value.t array) i =
-  i = Array.length cts || (bind_cterm env cts.(i) row.(i) && bind_row_from env cts row (i + 1))
-
-let bind_row env cts (row : Value.t array) =
-  Array.length row = Array.length cts && bind_row_from env cts row 0
-
 let eval_term body env t =
   match eval_pterm env (compile_term body t) with
   | Some v -> v
   | None -> raise (Unsafe ("unbound variable in term " ^ Pretty.term_to_string t))
 
 let eval_terms body env ts = List.map (eval_term body env) ts
-
-let solutions body db ?(bindings = []) outs =
-  let env = fresh_env body in
-  List.iter (fun (v, value) -> env.(slot body v) <- Some value) bindings;
-  let acc = ref [] in
-  run body db env (fun env -> acc := eval_terms body env outs :: !acc);
-  List.rev !acc
-
-(* ------------------------------------------------------------------ *)
-(* Sharded read-only execution (parallel saturation)                   *)
-(* ------------------------------------------------------------------ *)
-
-(* During a parallel region every shard joins against the same frozen
-   database, so execution must touch nothing shared and mutable: scans
-   go through [Relation.iter_matching_ro] (private probe keys, no lazy
-   index builds) and every shard owns a [clone_body] — a structural
-   copy with private [sc_pattern] buffers.  Slot assignments and
-   compiled terms are shared with the original, so cterms compiled
-   against the original body evaluate correctly under a clone's
-   environment. *)
-
-let clone_scan sc = { sc with sc_pattern = Array.copy sc.sc_pattern }
-
-let clone_body b =
-  { b with
-    steps =
-      Array.map
-        (function
-          | SScan sc -> SScan (clone_scan sc)
-          | SNeg (sc, g) -> SNeg (clone_scan sc, g)
-          | (STest _ | SUnify _) as s -> s)
-        b.steps }
-
-(* Build (sequentially, before the region) every index the shards'
-   read-only scans will probe, keyed by the compile-time masks. *)
-let prepare_indexes body db =
-  Array.iter
-    (function
-      | SScan sc | SNeg (sc, _) -> (
-        if sc.sc_mask <> 0 then
-          match find_rel db sc with
-          | Some rel -> Relation.ensure_index rel sc.sc_mask
-          | None -> ())
-      | STest _ | SUnify _ -> ())
-    body.steps
-
-let neg_holds_ro db env sc guards =
-  match find_rel db sc with
-  | None -> true
-  | Some rel ->
-    fill_pattern env sc;
-    let found = ref false in
-    (try
-       Relation.iter_matching_ro rel sc.sc_pattern (fun row ->
-           let trail = ref [] in
-           let matched =
-             match_row env trail sc.sc_args row
-             && List.for_all
-                  (fun (op, x, y) ->
-                    match eval_pterm env x, eval_pterm env y with
-                    | Some a, Some b -> test_cmp op a b
-                    | _ -> raise (Unsafe "unbound variable in negation guard"))
-                  guards
-           in
-           undo env trail;
-           if matched then begin
-             found := true;
-             raise Exit
-           end)
-     with Exit -> ());
-    not !found
-
-let shardable body =
-  Array.length body.steps > 0
-  && match body.steps.(0) with SScan _ -> true | _ -> false
-
-let shard_scan body db env =
-  match body.steps.(0) with
-  | SScan sc -> (
-    match find_rel db sc with
-    | None -> None
-    | Some rel ->
-      fill_pattern env sc;
-      Some (Relation.slice rel sc.sc_pattern))
-  | _ -> invalid_arg "Eval.shard_scan: body does not start with a scan"
-
-(* [run_slice body db env slice lo hi k]: evaluate a body whose first
-   step is a scan, drawing that scan's rows from [slice.(lo..hi-1)] and
-   executing the remaining steps read-only.  [body] must be a private
-   clone and [env] a private environment of the calling shard (with any
-   extra-bound variables already set). *)
-let run_slice body db env slice lo hi k =
-  let nsteps = Array.length body.steps in
-  let rec exec i =
-    if i = nsteps then k env
-    else
-      match body.steps.(i) with
-      | SScan sc -> (
-        match find_rel db sc with
-        | None -> ()
-        | Some rel ->
-          fill_pattern env sc;
-          if sc.sc_fast && fast_applicable sc then begin
-            let writes = sc.sc_writes in
-            let nw = Array.length writes in
-            Relation.iter_matching_ro_ids rel sc.sc_pattern (fun id ->
-                for j = 0 to nw - 1 do
-                  let p, s = writes.(j) in
-                  env.(s) <- Some (Relation.read rel id p)
-                done;
-                exec (i + 1));
-            for j = 0 to nw - 1 do
-              let _, s = writes.(j) in
-              env.(s) <- None
-            done
-          end
-          else
-            Relation.iter_matching_ro rel sc.sc_pattern (fun row ->
-                let trail = ref [] in
-                if match_row env trail sc.sc_args row then exec (i + 1);
-                undo env trail))
-      | SNeg (sc, guards) -> if neg_holds_ro db env sc guards then exec (i + 1)
-      | STest (op, x, y) -> (
-        match eval_pterm env x, eval_pterm env y with
-        | Some a, Some b -> if test_cmp op a b then exec (i + 1)
-        | _ -> raise (Unsafe "unbound variable in comparison"))
-      | SUnify (pat, ground) -> (
-        match eval_pterm env ground with
-        | None -> raise (Unsafe "unbound variable in equality")
-        | Some v ->
-          let trail = ref [] in
-          if match_pterm env trail pat v then exec (i + 1);
-          undo env trail)
-  in
-  match body.steps.(0) with
-  | SScan sc ->
-    fill_pattern env sc;
-    if sc.sc_fast && fast_applicable sc then begin
-      let writes = sc.sc_writes in
-      let nw = Array.length writes in
-      let srel = Relation.slice_rel slice in
-      Relation.slice_iter_ids slice lo hi (fun id ->
-          for j = 0 to nw - 1 do
-            let p, s = writes.(j) in
-            env.(s) <- Some (Relation.read srel id p)
-          done;
-          exec 1);
-      for j = 0 to nw - 1 do
-        let _, s = writes.(j) in
-        env.(s) <- None
-      done
-    end
-    else
-      Relation.slice_iter slice lo hi (fun row ->
-          let trail = ref [] in
-          if match_row env trail sc.sc_args row then exec 1;
-          undo env trail)
-  | _ -> invalid_arg "Eval.run_slice: body does not start with a scan"

@@ -10,9 +10,11 @@
     [¬subtree(X, L1), L1 < I], where [L1] is existentially quantified
     under the negation (cf. Example 6 and footnote 2).
 
-    Evaluation enumerates all satisfying assignments by backtracking
-    joins over {!Relation.iter_matching}, in relation insertion order —
-    engines rely on that order for deterministic tie-breaking. *)
+    The engines execute a compiled body as a {!Compile} closure chain.
+    {!run} is the independent reference executor behind {!Naive} (and
+    so behind [Stable.is_stable]): it enumerates all satisfying
+    assignments by backtracking joins over {!Relation.iter_matching},
+    in relation insertion order — the same order the chains keep. *)
 
 type env = Value.t option array
 
@@ -20,7 +22,7 @@ type env = Value.t option array
 
     Exposed concretely so {!Compile} can turn an already-planned body
     into a chain of specialized closures without re-deriving the join
-    order — the compiled engine's byte-identity guarantee rests on
+    order — the engines' deterministic enumeration order rests on
     executing exactly these steps in exactly this order.  Everything
     here is produced by {!compile_body}; treat it as read-only. *)
 
@@ -94,12 +96,12 @@ val eval_term : body -> env -> Ast.term -> Value.t
 
 val eval_terms : body -> env -> Ast.term list -> Value.t list
 
-(** {2 Precompiled terms}
+(** {2 Resolved terms}
 
     [eval_term] re-resolves its AST argument against the slot table on
-    every call.  Hot paths (the greedy engines evaluate heads, costs,
-    keys and FD projections once per candidate row) should instead
-    resolve once with {!compile_term} and evaluate the compiled form. *)
+    every call.  The engines instead resolve heads, costs, keys and FD
+    projections once with {!compile_term} and hand the resolved form to
+    {!Compile.compile_value}. *)
 
 val compile_term : body -> Ast.term -> cterm
 (** Resolve a term's variables to slots once.  Wildcards ([_]) compile
@@ -107,59 +109,3 @@ val compile_term : body -> Ast.term -> cterm
     @raise Unsafe when a named variable does not occur in the body. *)
 
 val compile_terms : body -> Ast.term list -> cterm array
-
-val eval_cterm : env -> cterm -> Value.t
-(** @raise Unsafe when a variable is unbound. *)
-
-val eval_row : env -> cterm array -> Value.t array
-
-val bind_row : env -> cterm array -> Value.t array -> bool
-(** [bind_row env cts row] matches compiled argument terms against a
-    ground row, binding unbound variable slots of [env] in place.  On
-    [false], [env] may be partially written: the caller owns the
-    environment and must reset (or discard) it between rows. *)
-
-val solutions :
-  body -> Database.t -> ?bindings:(string * Value.t) list -> Ast.term list -> Value.t list list
-(** [solutions body db ~bindings outs] runs the body with the given
-    initial variable bindings and returns the evaluation of [outs] for
-    every solution, in enumeration order. *)
-
-(** {2 Sharded read-only execution}
-
-    The data-parallel saturation path ({!Par}) splits the first scan of
-    a body into contiguous row ranges evaluated by independent domains.
-    Shards must touch nothing shared and mutable: each owns a
-    {!clone_body} (private probe buffers; slots and compiled terms
-    shared, so cterms compiled against the original still evaluate
-    under the clone's environments) and runs {!run_slice}, whose scans
-    are read-only — no lazy index builds, private probe keys.  The
-    sequential coordinator calls {!prepare_indexes} first so the
-    read-only probes hit prebuilt indexes. *)
-
-val shardable : body -> bool
-(** The body starts with a positive scan — its enumeration can be
-    sharded.  (Bodies starting with a filter fall back to sequential
-    evaluation.) *)
-
-val clone_body : body -> body
-(** A structural copy with private scan-pattern buffers, safe to
-    execute concurrently with other clones of the same body. *)
-
-val prepare_indexes : body -> Database.t -> unit
-(** Build (sequentially) every index the body's scans will probe,
-    using the compile-time static bound-column masks.  Call before
-    entering a parallel region. *)
-
-val shard_scan : body -> Database.t -> env -> Relation.slice option
-(** Fill the first scan's probe pattern from [env] and return the
-    slice of matching rows ([None] when the relation does not exist).
-    Sequential: may build the probed index.
-    @raise Invalid_argument when the body does not start with a scan. *)
-
-val run_slice :
-  body -> Database.t -> env -> Relation.slice -> int -> int -> (env -> unit) -> unit
-(** [run_slice body db env slice lo hi k]: like {!run}, but the first
-    scan's rows are drawn from [slice.(lo..hi-1)] and all execution is
-    read-only.  [body] and [env] must be private to the calling shard,
-    with any extra-bound variables already set in [env]. *)

@@ -37,7 +37,7 @@ let body_instance db rule row =
   | body ->
     let positives = positive_body_atoms rule in
     let outs = List.map (fun (a : Ast.atom) -> Cmp ("", a.args)) positives in
-    (match Eval.solutions body db outs with
+    (match Compile.solutions body db outs with
     | [] -> None
     | sol :: _ ->
       Some

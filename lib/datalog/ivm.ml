@@ -150,6 +150,20 @@ let reaches_choice t preds =
     t.strata;
   !hit
 
+(* A rule body's closure chain plus the head row's evaluators over its
+   environment.  Chains are built per apply: one costs about a
+   microsecond to build, so nothing is cached across applies. *)
+let head_chain body (head : Ast.atom) =
+  let cbody = Eval.compile_body body in
+  let chain = Compile.of_body cbody in
+  (chain, Compile.compile_row chain (Eval.compile_terms cbody head.args))
+
+let run_chain limits db (chain, head) k =
+  let env = Compile.env chain in
+  Compile.run chain db (fun () ->
+      Limits.poll limits;
+      k (Compile.eval_row env head))
+
 let row_tbl_of rows =
   let tbl = Relation.Row_tbl.create (max 4 (List.length rows)) in
   List.iter (fun r -> Relation.Row_tbl.replace tbl r ()) rows;
@@ -324,12 +338,6 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                 List.iter (fun (n, r) -> Database.set_relation model n r) bindings;
                 f ())
           in
-          let run_variant (cbody, chead) k =
-            let env = Eval.fresh_env cbody in
-            Eval.run cbody model env (fun env ->
-                Limits.poll limits;
-                k (Eval.eval_row env chead))
-          in
 
           (* ---- phase 0: the fact base -------------------------- *)
 
@@ -412,8 +420,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                 let body =
                   match !delta with Some d -> d :: rest | None -> assert false
                 in
-                let cbody = Eval.compile_body body in
-                (cbody, Eval.compile_terms cbody rule.head.args))
+                head_chain body rule.head)
           in
           let bindings_for reads =
             List.concat_map
@@ -455,7 +462,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                   List.iter
                     (fun rule ->
                       List.iter
-                        (fun v -> run_variant v (fun row -> bump dec row 1))
+                        (fun v -> run_chain limits model v (fun row -> bump dec row 1))
                         (deletion_variants ~is_deleted ~is_dirty rule))
                     s.s_rules);
               let doomed = ref [] in
@@ -481,12 +488,8 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
               | None -> ());
               List.iter
                 (fun rule ->
-                  let cbody = Eval.compile_body rule.body in
-                  let chead = Eval.compile_terms cbody rule.head.args in
-                  let env = Eval.fresh_env cbody in
-                  Eval.run cbody model env (fun env ->
-                      Limits.poll limits;
-                      bump tbl (Eval.eval_row env chead) 1))
+                  run_chain limits model (head_chain rule.body rule.head) (fun row ->
+                      bump tbl row 1))
                 s.s_rules;
               let doomed = ref [] in
               (match Database.find model p with
@@ -576,8 +579,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                       let body =
                         match !delta with Some d -> d :: rest | None -> assert false
                       in
-                      let cbody = Eval.compile_body body in
-                      (rule.head.pred, cbody, Eval.compile_terms cbody rule.head.args)))
+                      (rule.head.pred, head_chain body rule.head)))
                 s.s_rules
             in
             let pre_of p =
@@ -651,8 +653,8 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                         Hashtbl.create 4
                       in
                       List.iter
-                        (fun (hp, cbody, chead) ->
-                          run_variant (cbody, chead) (fun row ->
+                        (fun (hp, v) ->
+                          run_chain limits model v (fun row ->
                               if
                                 Database.mem_fact model hp row
                                 && not (is_over hp row)
@@ -722,11 +724,15 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                     let cbody =
                       Eval.compile_body ~extra_bound:head_vars (probe_order head_vars rule.body)
                     in
-                    `Probe (rule.head.pred, cbody, Eval.compile_terms cbody rule.head.args)
+                    let chain =
+                      Compile.of_body ~bound:(List.map (Eval.slot cbody) head_vars) cbody
+                    in
+                    let bind =
+                      Compile.compile_binder ~bound:[] (Eval.compile_terms cbody rule.head.args)
+                    in
+                    `Probe (rule.head.pred, chain, bind)
                   end
-                  else
-                    let cbody = Eval.compile_body rule.body in
-                    `Enumerate (rule.head.pred, cbody, Eval.compile_terms cbody rule.head.args))
+                  else `Enumerate (rule.head.pred, head_chain rule.body rule.head))
                 s.s_rules
             in
             let overdeleted = ref 0 and rederived = ref 0 in
@@ -756,12 +762,9 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                   (fun checker ->
                     match checker with
                     | `Probe _ -> None
-                    | `Enumerate (_, cbody, chead) ->
+                    | `Enumerate (_, v) ->
                       let tb = Relation.Row_tbl.create 64 in
-                      let env = Eval.fresh_env cbody in
-                      Eval.run cbody model env (fun env ->
-                          Limits.poll limits;
-                          Relation.Row_tbl.replace tb (Eval.eval_row env chead) ());
+                      run_chain limits model v (fun row -> Relation.Row_tbl.replace tb row ());
                       Some tb)
                   checkers
               in
@@ -771,18 +774,17 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                   (fun i checker ->
                     if not !ok then
                       match checker with
-                      | `Probe (hp, cbody, chead) ->
+                      | `Probe (hp, chain, bind) ->
                         if String.equal hp p then begin
-                          let env = Eval.fresh_env cbody in
                           if
-                            Eval.bind_row env chead row
+                            Compile.bind bind (Compile.env chain) row
                             && (try
-                                  Eval.run cbody model env (fun _ -> raise Exit);
+                                  Compile.run chain model (fun () -> raise Exit);
                                   false
                                 with Exit -> true)
                           then ok := true
                         end
-                      | `Enumerate (hp, _, _) -> (
+                      | `Enumerate (hp, _) -> (
                         if String.equal hp p then
                           match enum_heads.(i) with
                           | Some tb -> if Relation.Row_tbl.mem tb row then ok := true

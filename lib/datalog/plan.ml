@@ -1,4 +1,4 @@
-(* Cost-based join planning for the compiled execution path.
+(* Cost-based join planning: every engine run executes planned bodies.
 
    The planner estimates, for every rule, how many rows each positive
    atom would enumerate if scanned at a given point, and greedily
@@ -15,8 +15,8 @@
    first and how RQL breaks ties.  So reordering is gated on
    {!reorderable}: every rule body must be flat ([Pos]/[Neg]/[Rel]
    literals only).  For anything with choice / extrema / aggregates /
-   next goals the plan is annotation-only — the engines keep the
-   interpreter's order and byte-identity is preserved by construction. *)
+   next goals the plan is annotation-only — the engines keep the source
+   order and the model is preserved by construction. *)
 
 open Ast
 

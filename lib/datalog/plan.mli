@@ -1,4 +1,4 @@
-(** Cost-based join planning for the compiled execution path.
+(** Cost-based join planning: every engine run executes planned bodies.
 
     [analyze] estimates per-rule join costs from relation cardinalities
     (and per-column distinct counts) of the base database, telemetry
@@ -9,8 +9,8 @@
     through choice tie-breaking, so it is gated: only programs whose
     every rule body is flat ([Pos]/[Neg]/[Rel]) are reordered.  For
     order-sensitive programs the plan is annotation-only and
-    {!program} returns the input unchanged — the compiled engine then
-    executes the interpreter's join order and stays byte-identical. *)
+    {!program} returns the input unchanged — the engines then execute
+    the source join order. *)
 
 type lit_cost = {
   lp_lit : Ast.literal;

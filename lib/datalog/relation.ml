@@ -831,12 +831,12 @@ let iter_matching r pattern f =
   | Boxed b -> iter_matching_ids r pattern (fun id -> f (Array.unsafe_get b.rows id))
   | Flat fl -> iter_matching_ids r pattern (fun id -> f (decode_row fl id))
 
-(* Mask + key-buffer probes for the compiled execution path: the
-   compiled chains know their bound-column masks statically, so they
-   probe with a full-arity buffer (bound positions filled, the rest
-   ignored) instead of an option pattern.  Index choice, bucket walk
-   and snapshot semantics are identical to [iter_matching], so the
-   enumeration order matches the interpreter's exactly. *)
+(* Mask + key-buffer probes for the closure chains ({!Compile}): they
+   know their bound-column masks statically, so they probe with a
+   full-arity buffer (bound positions filled, the rest ignored) instead
+   of an option pattern.  Index choice, bucket walk and snapshot
+   semantics are identical to [iter_matching], so the enumeration order
+   matches [Eval.run]'s exactly. *)
 
 let iter_matching_cols_ids r mask (key : Value.t array) f =
   if mask = 0 then iter_ids r f
@@ -953,83 +953,6 @@ let iter_matching_cols_ro_ids r mask (key : Value.t array) (probe : Value.t arra
           done
         end)
 
-let iter_matching_cols_ro r mask key probe f =
-  let iprobe = Array.make r.rel_arity 0 in
-  match r.repr with
-  | Boxed b ->
-    iter_matching_cols_ro_ids r mask key probe iprobe (fun id ->
-        f (Array.unsafe_get b.rows id))
-  | Flat fl ->
-    iter_matching_cols_ro_ids r mask key probe iprobe (fun id -> f (decode_row fl id))
-
-(* Does [row] agree with every bound position of [pattern]? *)
-let rec row_matches pattern (row : tuple) i =
-  i = Array.length pattern
-  || ((match pattern.(i) with None -> true | Some v -> Value.equal v row.(i))
-     && row_matches pattern row (i + 1))
-
-let iter_matching_ro_ids r pattern f =
-  let mask, nbound = pattern_mask r "iter_matching_ro_ids" pattern in
-  if mask = 0 then iter_ids r f
-  else
-    match r.repr with
-    | Boxed b -> (
-      match Hashtbl.find_opt b.bindexes mask with
-      | Some idx -> (
-        let key = Array.make nbound Value.unit in
-        for j = 0 to nbound - 1 do
-          key.(j) <-
-            (match pattern.(idx.columns.(j)) with Some v -> v | None -> assert false)
-        done;
-        match Row_tbl.find_opt idx.buckets key with
-        | None -> ()
-        | Some bk ->
-          let ids = bk.ids and stop = bk.n - 1 in
-          for i = 0 to stop do
-            f (Array.unsafe_get ids i)
-          done)
-      | None ->
-        let rows = b.rows in
-        for i = 0 to r.count - 1 do
-          if row_matches pattern (Array.unsafe_get rows i) 0 then f i
-        done)
-    | Flat fl when nbound = r.rel_arity ->
-      let id = ground_pattern fl (Array.make fl.width 0) pattern in
-      if id >= 0 then f id
-    | Flat fl -> (
-      match Hashtbl.find_opt fl.findexes mask with
-      | Some fi ->
-        let iprobe = Array.make nbound 0 in
-        if fill_fprobe iprobe fi.fi_cols pattern then begin
-          let bk = fi_find fi fl.cells fl.width iprobe in
-          if bk.fb_n >= 0 then begin
-            let ids = bk.fb_ids and stop = bk.fb_n - 1 in
-            for i = 0 to stop do
-              f (Array.unsafe_get ids i)
-            done
-          end
-        end
-      | None ->
-        let w = fl.width in
-        let iprobe = Array.make w 0 in
-        let ok = ref true in
-        for i = 0 to w - 1 do
-          match pattern.(i) with
-          | None -> ()
-          | Some v -> if cell_encodable v then iprobe.(i) <- encode_cell v else ok := false
-        done;
-        if !ok then begin
-          let cells = fl.cells in
-          for i = 0 to r.count - 1 do
-            if cells_match_cols cells (i * w) w mask iprobe 0 then f i
-          done
-        end)
-
-let iter_matching_ro r pattern f =
-  match r.repr with
-  | Boxed b -> iter_matching_ro_ids r pattern (fun id -> f (Array.unsafe_get b.rows id))
-  | Flat fl -> iter_matching_ro_ids r pattern (fun id -> f (decode_row fl id))
-
 let ensure_index r mask =
   if mask <> 0 then begin
     let nbound = popcount mask in
@@ -1042,43 +965,13 @@ let ensure_index r mask =
 (* Slices: sharded enumeration of a matched row set                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A frozen description of the rows matching a pattern, splittable into
+(* A frozen description of the rows matching a probe, splittable into
    contiguous ranges for the domain pool.  Built by the sequential
    coordinator (which may create the index); iterated concurrently by
    shards, each over its own [lo, hi) range, touching nothing mutable.
    The ids array and its bound are captured at build time, so later
    appends by the coordinator are invisible. *)
 type slice = { sl_rel : t; sl_ids : int array option; sl_len : int }
-
-let matched_bucket r pattern mask nbound =
-  match r.repr with
-  | Boxed b -> (
-    let idx = boxed_index r b mask nbound in
-    for j = 0 to nbound - 1 do
-      idx.scratch.(j) <-
-        (match pattern.(idx.columns.(j)) with Some v -> v | None -> assert false)
-    done;
-    match Row_tbl.find_opt idx.buckets idx.scratch with
-    | None -> None
-    | Some bk -> Some (bk.ids, bk.n))
-  | Flat fl when nbound = r.rel_arity ->
-    let id = ground_pattern fl fl.fscratch pattern in
-    if id >= 0 then Some ([| id |], 1) else None
-  | Flat fl ->
-    let fi = flat_index r fl mask nbound in
-    if fill_fprobe fi.fi_probe fi.fi_cols pattern then begin
-      let bk = fi_find fi fl.cells fl.width fi.fi_probe in
-      if bk.fb_n >= 0 then Some (bk.fb_ids, bk.fb_n) else None
-    end
-    else None
-
-let slice r pattern =
-  let mask, nbound = pattern_mask r "slice" pattern in
-  if mask = 0 then { sl_rel = r; sl_ids = None; sl_len = r.count }
-  else
-    match matched_bucket r pattern mask nbound with
-    | None -> { sl_rel = r; sl_ids = None; sl_len = 0 }
-    | Some (ids, n) -> { sl_rel = r; sl_ids = Some ids; sl_len = n }
 
 let slice_cols r mask (key : Value.t array) =
   if mask = 0 then { sl_rel = r; sl_ids = None; sl_len = r.count }
@@ -1120,11 +1013,6 @@ let slice_iter_ids sl lo hi f =
     for i = lo to hi - 1 do
       f (Array.unsafe_get ids i)
     done
-
-let slice_iter sl lo hi f =
-  match sl.sl_rel.repr with
-  | Boxed b -> slice_iter_ids sl lo hi (fun id -> f (Array.unsafe_get b.rows id))
-  | Flat fl -> slice_iter_ids sl lo hi (fun id -> f (decode_row fl id))
 
 let fold r ~init ~f =
   let acc = ref init in

@@ -108,18 +108,19 @@ val iter_matching_ids : t -> Value.t option array -> (int -> unit) -> unit
 (** Id-yielding {!iter_matching}: same index use, same order, same
     snapshot semantics. *)
 
-val iter_matching_ro_ids : t -> Value.t option array -> (int -> unit) -> unit
-(** Id-yielding {!iter_matching_ro}. *)
-
 val iter_matching_cols_ids : t -> int -> Value.t array -> (int -> unit) -> unit
 (** Id-yielding {!iter_matching_cols}. *)
 
 val iter_matching_cols_ro_ids :
   t -> int -> Value.t array -> Value.t array -> int array -> (int -> unit) -> unit
-(** [iter_matching_cols_ro_ids r mask key probe iprobe f]: id-yielding
-    {!iter_matching_cols_ro}.  Concurrent readers own both scratch
-    buffers: [probe] needs as many slots as [mask] has bits (boxed
-    probes), [iprobe] needs [arity r] slots (flat probes). *)
+(** [iter_matching_cols_ro_ids r mask key probe iprobe f]: like
+    {!iter_matching_cols_ids} but safe for concurrent readers — never
+    builds or mutates an index, and probes only with the caller-owned
+    scratch buffers: [probe] needs as many slots as [mask] has bits
+    (boxed probes), [iprobe] needs [arity r] slots (flat probes).
+    Falls back to a filtered linear scan when no index exists for
+    [mask] — same rows, same insertion order, just slower; call
+    {!ensure_index} from the (sequential) coordinator first. *)
 
 val iter_matching : t -> Value.t option array -> (tuple -> unit) -> unit
 (** [iter_matching r pattern f]: rows agreeing with every [Some v]
@@ -128,58 +129,40 @@ val iter_matching : t -> Value.t option array -> (tuple -> unit) -> unit
     fully-bound probe of a flat relation is answered from the membership
     set, which already maps a row to its id, so no full-width index is
     ever built for it (this holds for every probe and slice below, the
-    read-only variants and {!ensure_index} included).  The pattern
+    read-only variant and {!ensure_index} included).  The pattern
     is consumed before [f] is first called, so callers may reuse a
     scratch pattern buffer across calls.  Rows inserted by [f] itself
     are not visited. *)
-
-val iter_matching_ro : t -> Value.t option array -> (tuple -> unit) -> unit
-(** Like {!iter_matching} but safe for concurrent readers: never builds
-    or mutates an index and probes with a private key.  Falls back to a
-    filtered linear scan when no index exists for the pattern's bound
-    columns — same rows, same insertion order, just slower; call
-    {!ensure_index} from the (sequential) coordinator first. *)
 
 val iter_matching_cols : t -> int -> Value.t array -> (tuple -> unit) -> unit
 (** [iter_matching_cols r mask key f]: rows agreeing with [key] on every
     column of the bitmask [mask], in insertion order.  [key] is a
     full-arity buffer whose positions outside [mask] are ignored — the
-    compiled execution path's allocation-free replacement for building
-    an option pattern.  Index choice and snapshot semantics are those of
+    closure chains' allocation-free replacement for building an option
+    pattern.  Index choice and snapshot semantics are those of
     {!iter_matching}, so the row sequence is identical. *)
-
-val iter_matching_cols_ro : t -> int -> Value.t array -> Value.t array -> (tuple -> unit) -> unit
-(** [iter_matching_cols_ro r mask key probe f]: like
-    {!iter_matching_cols} but safe for concurrent readers — never builds
-    an index and probes with the caller-owned [probe] buffer, which must
-    hold exactly as many slots as [mask] has bits.  Falls back to a
-    filtered linear scan when no index exists (same rows, same order). *)
 
 val ensure_index : t -> int -> unit
 (** [ensure_index r mask] builds (if absent) the index for the
-    bound-column bitmask [mask], so subsequent {!iter_matching_ro}
-    probes with that mask hit it.  Must be called outside any parallel
+    bound-column bitmask [mask], so subsequent
+    {!iter_matching_cols_ro_ids} probes with that mask hit it.  Must be called outside any parallel
     region — it mutates the relation's index table. *)
 
 (** {2 Slices — sharded enumeration}
 
-    A slice freezes the row set matching a pattern so a domain pool can
+    A slice freezes the row set matching a probe so a domain pool can
     enumerate disjoint contiguous ranges of it concurrently.  Built by
-    the sequential coordinator ({!slice} may create an index); shards
-    then call {!slice_iter} on their own ranges, which touches nothing
-    mutable.  Rows appended after the slice was taken are not
-    visited. *)
+    the sequential coordinator ({!slice_cols} may create an index);
+    shards then call {!slice_iter_ids} on their own ranges, which
+    touches nothing mutable.  Rows appended after the slice was taken
+    are not visited. *)
 
 type slice
 
-val slice : t -> Value.t option array -> slice
-(** The rows matching [pattern] (every [Some v] position), in insertion
-    order: the whole relation when the pattern is all-wildcards, an
-    index bucket otherwise. *)
-
 val slice_cols : t -> int -> Value.t array -> slice
-(** Mask + key-buffer variant of {!slice} for compiled chains: the rows
-    agreeing with [key] on every column of [mask]. *)
+(** The rows agreeing with [key] on every column of [mask], in
+    insertion order: the whole relation when [mask] is [0], an index
+    bucket otherwise. *)
 
 val slice_len : slice -> int
 
@@ -187,11 +170,9 @@ val slice_rel : slice -> t
 (** The relation the slice was taken from — pair with {!slice_iter_ids}
     and {!read}. *)
 
-val slice_iter : slice -> int -> int -> (tuple -> unit) -> unit
-(** [slice_iter sl lo hi f]: rows [lo, hi) of the slice, in order. *)
-
 val slice_iter_ids : slice -> int -> int -> (int -> unit) -> unit
-(** Id-yielding {!slice_iter}: same ids, same order. *)
+(** [slice_iter_ids sl lo hi f]: the ids of rows [lo, hi) of the
+    slice, in order. *)
 
 val fold : t -> init:'a -> f:('a -> tuple -> 'a) -> 'a
 val to_list : t -> tuple list

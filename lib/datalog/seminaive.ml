@@ -22,19 +22,18 @@ let flat_body rule =
 let eval_extrema_rule ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited) db rule =
   let extrema = extrema_of rule in
   let body = Eval.compile_body (flat_body rule) in
-  let c_head = Eval.compile_terms body rule.head.args in
-  let c_ext =
-    Array.of_list
-      (List.map (fun e -> (Eval.compile_term body e.key, Eval.compile_term body e.cost)) extrema)
-  in
+  let chain = Compile.of_body body in
+  let value t = Compile.compile_value chain (Eval.compile_term body t) in
+  let c_head = Compile.compile_row chain (Eval.compile_terms body rule.head.args) in
+  let c_ext = Array.of_list (List.map (fun e -> (value e.key, value e.cost)) extrema) in
   let c_min = Array.of_list (List.map (fun e -> e.minimize) extrema) in
-  let env = Eval.fresh_env body in
+  let env = Compile.env chain in
   (* Solution: head row + per-extremum (key, cost). *)
   let solutions = ref [] in
-  Eval.run body db env (fun env ->
+  Compile.run chain db (fun () ->
       Limits.poll limits;
-      let head = Eval.eval_row env c_head in
-      let kcs = Array.map (fun (k, c) -> (Eval.eval_cterm env k, Eval.eval_cterm env c)) c_ext in
+      let head = Compile.eval_row env c_head in
+      let kcs = Array.map (fun (k, c) -> (k env, c env)) c_ext in
       solutions := (head, kcs) :: !solutions);
   let solutions = List.rev !solutions in
   (* Optimum per key, per extremum. *)
@@ -83,8 +82,10 @@ let eval_agg_rule ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited) db 
     invalid_arg ("Seminaive: aggregate mixed with extremum: " ^ Pretty.rule_to_string rule);
   let key_term = Cmp ("", keys) in
   let body = Eval.compile_body (flat_body rule) in
-  let c_key = Eval.compile_term body key_term in
-  let c_counted = Eval.compile_term body counted in
+  let chain = Compile.of_body body in
+  let value t = Compile.compile_value chain (Eval.compile_term body t) in
+  let c_key = value key_term in
+  let c_counted = value counted in
   (* Head arguments: the output variable passes through ([None]),
      everything else must be determined by the group (evaluated per
      solution, first solution of the group wins — sound when head vars
@@ -94,23 +95,21 @@ let eval_agg_rule ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited) db 
       (fun t ->
         match t with
         | Var v when String.equal v out -> None
-        | t -> Some (Eval.compile_term body t))
+        | t -> Some (value t))
       rule.head.args
   in
-  let env = Eval.fresh_env body in
+  let env = Compile.env chain in
   let head_parts = Value.Tbl.create 16 in
   let groups = Value.Tbl.create 16 in
-  Eval.run body db env (fun env ->
+  Compile.run chain db (fun () ->
       Limits.poll limits;
-      let key = Eval.eval_cterm env c_key in
-      let v = Eval.eval_cterm env c_counted in
+      let key = c_key env in
+      let v = c_counted env in
       (match Value.Tbl.find_opt groups key with
       | Some set -> set := Value.Set.add v !set
       | None -> Value.Tbl.add groups key (ref (Value.Set.singleton v)));
       if not (Value.Tbl.mem head_parts key) then begin
-        let partial =
-          List.map (Option.map (Eval.eval_cterm env)) c_head
-        in
+        let partial = List.map (Option.map (fun p -> p env)) c_head in
         Value.Tbl.add head_parts key partial
       end);
   let added = ref 0 in
@@ -167,23 +166,16 @@ let check_clique_rule ~allow_clique_negation clique rule =
 type variant = {
   v_label : string;
   v_head : Ast.atom;
-  v_body : Eval.body;
-  v_chead : Eval.cterm array;  (* head arguments against [v_body] *)
-  (* Per-shard scratch for the data-parallel fire path: one cloned body
-     (private probe buffers) and one private environment per shard,
-     grown lazily and reused across steps. *)
-  mutable v_scratch : (Eval.body * Eval.env) array;
-  (* Compiled execution: the closure chain for [v_body] plus the head
-     row evaluators over its unboxed environment ([None] when running
-     interpreted).  Shards get chain clones, grown like [v_scratch]. *)
-  v_chain : Compile.t option;
-  v_cprogs : Compile.value_prog array;
+  v_chain : Compile.t;
+  v_cprogs : Compile.value_prog array;  (* head row over the chain's env *)
+  (* Per-shard chain clones for the data-parallel fire path, grown
+     lazily and reused across steps. *)
   mutable v_cscratch : Compile.t array;
 }
 
 (* Delta variants of a rule: one per positive occurrence of a tracked
    predicate, reading that occurrence from [pred$delta]. *)
-let variants_of_rule ?(compiled = false) tracked (rule : Ast.rule) =
+let variants_of_rule tracked (rule : Ast.rule) =
   let occurrences =
     List.filter (function Pos a -> List.mem a.pred tracked | _ -> false) rule.body
   in
@@ -209,13 +201,10 @@ let variants_of_rule ?(compiled = false) tracked (rule : Ast.rule) =
        delta is empty costs O(1). *)
     let body = match !delta with Some d -> d :: rest | None -> assert false in
     let v_body = Eval.compile_body body in
-    let v_chead = Eval.compile_terms v_body rule.head.args in
-    let v_chain = if compiled then Some (Compile.of_body v_body) else None in
-    let v_cprogs =
-      match v_chain with Some c -> Compile.compile_row c v_chead | None -> [||]
-    in
-    { v_label = Telemetry.rule_label rule; v_head = rule.head; v_body; v_chead;
-      v_scratch = [||]; v_chain; v_cprogs; v_cscratch = [||] }
+    let v_chain = Compile.of_body v_body in
+    let v_cprogs = Compile.compile_row v_chain (Eval.compile_terms v_body rule.head.args) in
+    { v_label = Telemetry.rule_label rule; v_head = rule.head; v_chain; v_cprogs;
+      v_cscratch = [||] }
   in
   List.init (List.length occurrences) make
 
@@ -232,8 +221,8 @@ type incremental = {
 }
 
 let make ?(allow_clique_negation = false) ?(telemetry = Telemetry.none)
-    ?(limits = Limits.unlimited) ?(pool = Par.sequential) ?(marks = fun _ -> 0)
-    ?(compiled = false) db ~clique program =
+    ?(limits = Limits.unlimited) ?(pool = Par.sequential) ?(marks = fun _ -> 0) db ~clique
+    program =
   let rules =
     List.filter (fun r -> (not (Ast.is_fact r)) && List.mem (head_pred r) clique) program
   in
@@ -258,7 +247,7 @@ let make ?(allow_clique_negation = false) ?(telemetry = Telemetry.none)
           (fun r -> List.map (fun a -> a.pred) (positive_body_atoms r))
           (plain @ extrema_rules))
   in
-  let variants = List.concat_map (variants_of_rule ~compiled tracked) plain in
+  let variants = List.concat_map (variants_of_rule tracked) plain in
   (* Initial watermark per tracked predicate: 0 replays the whole
      relation on the first step (the seed evaluation); a caller doing
      incremental view maintenance passes [marks] pointing at the rows
@@ -312,64 +301,24 @@ let publish_deltas t =
    machinery when [--jobs] asks for it. *)
 let par_threshold = 4
 
-let scratch_for variant shards =
-  if Array.length variant.v_scratch < shards then begin
-    let old = variant.v_scratch in
-    variant.v_scratch <-
-      Array.init shards (fun i ->
-          if i < Array.length old then old.(i)
-          else
-            let b = Eval.clone_body variant.v_body in
-            (b, Eval.fresh_env b))
-  end;
-  variant.v_scratch
-
-(* Data-parallel evaluation of one delta variant: the first scan (the
-   delta occurrence) is sliced into contiguous ranges, each evaluated
-   by a shard into a private prepend-built list.  The sequential path
-   inserts in reverse enumeration order (prepend then fold), so the
-   merge walks shards from last to first, each list front-to-back —
-   the database insertion order is byte-identical to sequential. *)
-let fire_parallel tele limits db pool variant slice =
-  let n = Relation.slice_len slice in
-  let shards = Par.nshards pool n in
-  Eval.prepare_indexes variant.v_body db;
-  let scratch = scratch_for variant shards in
-  let accs = Array.make shards [] in
-  Par.run pool ~shards (fun s ->
-      let body, env = scratch.(s) in
-      Array.fill env 0 (Array.length env) None;
-      let lo, hi = Par.bounds ~shards n s in
-      let acc = ref [] in
-      Eval.run_slice body db env slice lo hi (fun env ->
-          Limits.poll limits;
-          acc := Eval.eval_row env variant.v_chead :: !acc);
-      accs.(s) <- !acc);
-  let added = ref 0 in
-  Telemetry.span tele "par:merge" (fun () ->
-      for s = shards - 1 downto 0 do
-        List.iter
-          (fun row -> if Database.add_fact db variant.v_head.pred row then incr added)
-          accs.(s)
-      done);
-  Telemetry.add_par tele ~shards ~rows:n;
-  Telemetry.add_derived tele variant.v_label !added;
-  Limits.tick_derived limits !added;
-  !added > 0
-
-let cscratch_for variant chain shards =
+let cscratch_for variant shards =
   if Array.length variant.v_cscratch < shards then begin
     let old = variant.v_cscratch in
     variant.v_cscratch <-
       Array.init shards (fun i ->
-          if i < Array.length old then old.(i) else Compile.clone chain)
+          if i < Array.length old then old.(i) else Compile.clone variant.v_chain)
   end;
   variant.v_cscratch
 
-(* Compiled fire: same slice threshold, same shard bounds, same
-   last-to-first merge as the interpreted paths — only the per-tuple
-   machinery differs. *)
-let fire_compiled tele limits db pool variant chain =
+(* Fire one delta variant.  When the delta slice is large enough and
+   the pool has several domains, the first scan (the delta occurrence)
+   is sliced into contiguous ranges, each enumerated read-only by a
+   private chain clone into a prepend-built list.  The sequential path
+   inserts in reverse enumeration order (prepend then fold), so the
+   merge walks shards from last to first, each list front-to-back —
+   the database insertion order is byte-identical to sequential. *)
+let fire ?(pool = Par.sequential) tele limits db variant =
+  let chain = variant.v_chain in
   let parallel_slice =
     if Par.size pool > 1 && Compile.shardable chain then
       match Compile.shard_scan chain db with
@@ -377,75 +326,45 @@ let fire_compiled tele limits db pool variant chain =
       | _ -> None
     else None
   in
-  match parallel_slice with
-  | Some slice ->
-    let n = Relation.slice_len slice in
-    let shards = Par.nshards pool n in
-    Compile.prepare_indexes chain db;
-    let scratch = cscratch_for variant chain shards in
-    let accs = Array.make shards [] in
-    Par.run pool ~shards (fun s ->
-        let ch = scratch.(s) in
-        let cenv = Compile.env ch in
-        let lo, hi = Par.bounds ~shards n s in
-        let acc = ref [] in
-        Compile.run_slice ch db slice lo hi (fun () ->
-            Limits.poll limits;
-            acc := Compile.eval_row cenv variant.v_cprogs :: !acc);
-        accs.(s) <- !acc);
-    let added = ref 0 in
-    Telemetry.span tele "par:merge" (fun () ->
-        for s = shards - 1 downto 0 do
-          List.iter
-            (fun row -> if Database.add_fact db variant.v_head.pred row then incr added)
-            accs.(s)
-        done);
-    Telemetry.add_par tele ~shards ~rows:n;
-    Telemetry.add_derived tele variant.v_label !added;
-    Limits.tick_derived limits !added;
-    !added > 0
-  | None ->
-    let cenv = Compile.env chain in
-    let additions = ref [] in
-    Compile.run chain db (fun () ->
-        Limits.poll limits;
-        additions := Compile.eval_row cenv variant.v_cprogs :: !additions);
-    let added =
+  let added =
+    match parallel_slice with
+    | Some slice ->
+      let n = Relation.slice_len slice in
+      let shards = Par.nshards pool n in
+      Compile.prepare_indexes chain db;
+      let scratch = cscratch_for variant shards in
+      let accs = Array.make shards [] in
+      Par.run pool ~shards (fun s ->
+          let ch = scratch.(s) in
+          let cenv = Compile.env ch in
+          let lo, hi = Par.bounds ~shards n s in
+          let acc = ref [] in
+          Compile.run_slice ch db slice lo hi (fun () ->
+              Limits.poll limits;
+              acc := Compile.eval_row cenv variant.v_cprogs :: !acc);
+          accs.(s) <- !acc);
+      let added = ref 0 in
+      Telemetry.span tele "par:merge" (fun () ->
+          for s = shards - 1 downto 0 do
+            List.iter
+              (fun row -> if Database.add_fact db variant.v_head.pred row then incr added)
+              accs.(s)
+          done);
+      Telemetry.add_par tele ~shards ~rows:n;
+      !added
+    | None ->
+      let cenv = Compile.env chain in
+      let additions = ref [] in
+      Compile.run chain db (fun () ->
+          Limits.poll limits;
+          additions := Compile.eval_row cenv variant.v_cprogs :: !additions);
       List.fold_left
         (fun n row -> if Database.add_fact db variant.v_head.pred row then n + 1 else n)
         0 !additions
-    in
-    Telemetry.add_derived tele variant.v_label added;
-    Limits.tick_derived limits added;
-    added > 0
-
-let fire ?(pool = Par.sequential) tele limits db variant =
-  match variant.v_chain with
-  | Some chain -> fire_compiled tele limits db pool variant chain
-  | None -> (
-    let parallel_slice =
-      if Par.size pool > 1 && Eval.shardable variant.v_body then
-        match Eval.shard_scan variant.v_body db (Eval.fresh_env variant.v_body) with
-        | Some slice when Relation.slice_len slice >= par_threshold -> Some slice
-        | _ -> None
-      else None
-    in
-    match parallel_slice with
-    | Some slice -> fire_parallel tele limits db pool variant slice
-    | None ->
-      let env = Eval.fresh_env variant.v_body in
-      let additions = ref [] in
-      Eval.run variant.v_body db env (fun env ->
-          Limits.poll limits;
-          additions := Eval.eval_row env variant.v_chead :: !additions);
-      let added =
-        List.fold_left
-          (fun n row -> if Database.add_fact db variant.v_head.pred row then n + 1 else n)
-          0 !additions
-      in
-      Telemetry.add_derived tele variant.v_label added;
-      Limits.tick_derived limits added;
-      added > 0)
+  in
+  Telemetry.add_derived tele variant.v_label added;
+  Limits.tick_derived limits added;
+  added > 0
 
 let step t =
   (* The delta relations are scratch state: drop them even when a
@@ -469,5 +388,5 @@ let step t =
         progressed := publish_deltas t
       done)
 
-let eval_clique ?allow_clique_negation ?telemetry ?limits ?pool ?compiled db ~clique program =
-  step (make ?allow_clique_negation ?telemetry ?limits ?pool ?compiled db ~clique program)
+let eval_clique ?allow_clique_negation ?telemetry ?limits ?pool db ~clique program =
+  step (make ?allow_clique_negation ?telemetry ?limits ?pool db ~clique program)

@@ -23,7 +23,6 @@ val make :
   ?limits:Limits.t ->
   ?pool:Par.t ->
   ?marks:(string -> int) ->
-  ?compiled:bool ->
   Database.t ->
   clique:string list ->
   Ast.program ->
@@ -48,11 +47,8 @@ val make :
     the database insertion order byte-identical to sequential
     evaluation (see docs/INTERNALS.md, "Parallel evaluation").
 
-    With [compiled] (default [false]) every delta variant runs as an
-    ahead-of-time {!Compile} closure chain instead of the [Eval]
-    interpreter — same steps, same enumeration order, byte-identical
-    models, less allocation per tuple (see docs/INTERNALS.md,
-    "Compiled execution").
+    Every delta variant, extrema rule and aggregate rule runs as a
+    {!Compile} closure chain (see docs/INTERNALS.md, "Execution").
     @raise Invalid_argument on rules outside the supported class (see
     above). *)
 
@@ -68,7 +64,6 @@ val eval_clique :
   ?telemetry:Telemetry.t ->
   ?limits:Limits.t ->
   ?pool:Par.t ->
-  ?compiled:bool ->
   Database.t ->
   clique:string list ->
   Ast.program ->

@@ -87,54 +87,40 @@ let shadow_analysis ~svars ~stagevars ~costvars ~fds =
   (safe, key)
 
 (* ------------------------------------------------------------------ *)
-(* Compiled next rules                                                 *)
+(* Next rules                                                          *)
 (* ------------------------------------------------------------------ *)
 
 type srule = {
   cr : EC.crule;
-  rule : Ast.rule;
   source : atom;
-  residual : Eval.body;
   minimize : bool;  (* meaningful when has_extremum *)
   has_extremum : bool;
-  cost : term option;
   key_positions : int list;
   stage_positions : int list;
   shadow : bool;
   newer_wins : bool;
-  stage_var : string;
-  (* Hot-path forms, resolved against [residual] once at compile time:
-     the pop-validate loop binds and evaluates these per candidate row,
-     with no per-call AST re-resolution. *)
   stage_slot : int;
-  src_pats : Eval.cterm array;  (* source argument terms *)
-  c_out : Eval.cterm array;  (* chosen$i tuple terms *)
-  c_head : Eval.cterm array;  (* head argument terms *)
-  c_fds : (Eval.cterm list * Eval.cterm list) list;
-  c_cost : Eval.cterm option;
-  cost_pos : int option;
-  (* Source argument position holding the extremum cost when the cost
-     term is that argument's plain variable — the compiled queue then
-     reads costs straight out of the row, no memo table. *)
-  (* Compiled execution of the residual: closure chain plus output /
-     FD evaluators over its unboxed environment ([None] when running
-     interpreted).  Source-row costs keep using the interpreted terms —
-     they are computed once per row and memoized by the queue. *)
-  scc : scompiled option;
-}
-
-and scompiled = {
-  sc_chain : Compile.t;
-  sc_bind : Compile.binder;  (* [src_pats] against a source row *)
-  sc_out : Compile.value_prog array;
-  sc_head : Compile.value_prog array;
-  sc_fds : (Compile.value_prog list * Compile.value_prog list) list;
-  sc_fd_cols : (int * int array * Value.t array * int array) array option;
+  (* The residual body's closure chain and the evaluators the
+     pop-validate loop runs per candidate row, resolved against it once
+     at compile time. *)
+  chain : Compile.t;
+  bind : Compile.binder;  (* source argument terms against a source row *)
+  out : Compile.value_prog array;  (* chosen$i tuple *)
+  head_row : Compile.value_prog array;
+  fds : (Compile.value_prog list * Compile.value_prog list) list;
+  fd_cols : (int * int array * Value.t array * int array) array option;
   (* When every projection of every choice FD is a plain chosen-row
      column ([VPos]), the FD state needs no tables at all: per FD the
      left-column bitmask, the left columns, a reusable full-arity probe
      key and the right columns, checked against the chosen relation's
      own indexes. *)
+  cost_pos : int option;
+  (* Source argument position holding the extremum cost when the cost
+     term is that argument's plain variable — the queue then reads
+     costs straight out of the row, no memo table. *)
+  cost_of : (Value.t array -> Value.t) option;
+  (* Otherwise: the cost of a source row, evaluated from a private
+     environment the row is bound into. *)
 }
 
 (* Index-backed FD compatibility: the chosen relation's rows are
@@ -161,7 +147,7 @@ let compatible_cols rel fds (cand : Value.t array) =
     true
   with Fd_conflict -> false
 
-let compile_srule ?(compiled = false) (cr : EC.crule) (r : Ast.rule) =
+let compile_srule (cr : EC.crule) (r : Ast.rule) =
   let fail msg = raise (Not_compilable (msg ^ ": " ^ Pretty.rule_to_string r)) in
   let stage_var =
     match cr.EC.stage with Some (v, _) -> v | None -> assert false
@@ -255,56 +241,34 @@ let compile_srule ?(compiled = false) (cr : EC.crule) (r : Ast.rule) =
   in
   let stage_slot = Eval.slot residual stage_var in
   let src_pats = Array.of_list (List.map compile_t source.args) in
-  let c_out = Array.of_list (List.map compile_t cr.EC.out_terms) in
-  let c_head = Array.of_list (List.map compile_t cr.EC.head.args) in
-  let c_fds =
-    List.map (fun (l, rr) -> (List.map compile_t l, List.map compile_t rr)) cr.EC.fds
+  let chain =
+    Compile.of_body
+      ~bound:(List.sort_uniq compare (List.map (Eval.slot residual) extra_bound))
+      residual
   in
-  let scc =
-    if not compiled then None
-    else begin
-      let bound =
-        List.sort_uniq compare
-          (List.map (Eval.slot residual) (stage_var :: atom_vars source))
-      in
-      let chain = Compile.of_body ~bound residual in
-      let fd_cols =
-        let arity = List.length cr.EC.vars in
-        let cols vs =
-          List.fold_right
-            (fun v acc ->
-              match (v, acc) with EC.VPos i, Some l -> Some (i :: l) | _ -> None)
-            vs (Some [])
-        in
-        let conv (l, rr) =
-          match (cols l, cols rr) with
-          | Some ls, Some rs ->
-            Some
-              ( List.fold_left (fun m c -> m lor (1 lsl c)) 0 ls,
-                Array.of_list ls,
-                Array.make (max 1 arity) Value.unit,
-                Array.of_list rs )
-          | _ -> None
-        in
-        let rec go acc = function
-          | [] -> Some (Array.of_list (List.rev acc))
-          | fd :: rest -> (
-            match conv fd with Some c -> go (c :: acc) rest | None -> None)
-        in
-        go [] cr.EC.v_fds
-      in
-      Some
-        { sc_chain = chain;
-          sc_bind = Compile.compile_binder ~bound:[ stage_slot ] src_pats;
-          sc_out = Compile.compile_row chain c_out;
-          sc_head = Compile.compile_row chain c_head;
-          sc_fds =
-            List.map
-              (fun (l, rr) ->
-                (List.map (Compile.compile_value chain) l, List.map (Compile.compile_value chain) rr))
-              c_fds;
-          sc_fd_cols = fd_cols }
-    end
+  let value t = Compile.compile_value chain (compile_t t) in
+  let fd_cols =
+    let arity = List.length cr.EC.vars in
+    let cols vs =
+      List.fold_right
+        (fun v acc -> match (v, acc) with EC.VPos i, Some l -> Some (i :: l) | _ -> None)
+        vs (Some [])
+    in
+    let conv (l, rr) =
+      match (cols l, cols rr) with
+      | Some ls, Some rs ->
+        Some
+          ( List.fold_left (fun m c -> m lor (1 lsl c)) 0 ls,
+            Array.of_list ls,
+            Array.make (max 1 arity) Value.unit,
+            Array.of_list rs )
+      | _ -> None
+    in
+    let rec go acc = function
+      | [] -> Some (Array.of_list (List.rev acc))
+      | fd :: rest -> ( match conv fd with Some c -> go (c :: acc) rest | None -> None)
+    in
+    go [] cr.EC.v_fds
   in
   let cost_pos =
     match cost with
@@ -317,22 +281,25 @@ let compile_srule ?(compiled = false) (cr : EC.crule) (r : Ast.rule) =
       find 0 source.args
     | _ -> None
   in
-  { cr; rule = r; source; residual; minimize; has_extremum; cost; key_positions;
-    stage_positions; shadow; newer_wins; stage_var; stage_slot; src_pats;
-    c_out; c_head; c_fds;
-    c_cost = Option.map compile_t cost; cost_pos; scc }
-
-(* ------------------------------------------------------------------ *)
-(* Matching a source row                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Bind the source atom's compiled argument terms against a stored row,
-   writing variable bindings into the residual's environment.  The
-   caller owns [env] and resets it between rows. *)
-let bind_source sr (env : Eval.env) row = Eval.bind_row env sr.src_pats row
-
-let row_cost sr env =
-  match sr.c_cost with None -> Value.Int 0 | Some ct -> Eval.eval_cterm env ct
+  let cost_of =
+    match (cost, cost_pos) with
+    | None, _ | _, Some _ -> None
+    | Some c, None ->
+      let env = Array.make (max 1 (Eval.nvars residual)) Value.unit in
+      let bind = Compile.compile_binder ~bound:[] src_pats in
+      let cost = value c in
+      Some
+        (fun row ->
+          if Compile.bind bind env row then cost env
+          else invalid_arg "Stage_engine: source row does not match its own atom")
+  in
+  { cr; source; minimize; has_extremum; key_positions; stage_positions; shadow;
+    newer_wins; stage_slot; chain;
+    bind = Compile.compile_binder ~bound:[ stage_slot ] src_pats;
+    out = Array.of_list (List.map value cr.EC.out_terms);
+    head_row = Array.of_list (List.map value cr.EC.head.args);
+    fds = List.map (fun (l, rr) -> (List.map value l, List.map value rr)) cr.EC.fds;
+    fd_cols; cost_pos; cost_of }
 
 (* ------------------------------------------------------------------ *)
 (* Clique evaluation                                                   *)
@@ -341,62 +308,54 @@ let row_cost sr env =
 type staged = {
   sr : srule;
   rql : (Value.t array, Value.t) Rql.t;
-  fd : EC.fd_state;
-  tracker : EC.tracker;
-  scratch : Eval.env;  (* reusable residual environment for [valid] *)
   mutable src_mark : int;
   src_rel : Relation.t;
-  ins : Value.t array -> unit;  (* preallocated [Rql.insert], lean sync *)
-  cfire : (unit -> int) option;
-  (* Compiled pop-validate-fire; returns the stage fired at, or -1. *)
+  ins : Value.t array -> unit;  (* preallocated [Rql.insert] *)
+  fire : unit -> int;  (* pop-validate-fire: the stage fired at, or -1 *)
 }
-
-let reset_env (env : Eval.env) = Array.fill env 0 (Array.length env) None
 
 exception Fired of Value.t array * Value.t array (* chosen row, head row *)
 
-(* Compiled pop-validate-fire loop for one staged rule.  The closures
-   are preallocated here rather than per fire, relations are resolved
-   once per call rather than per candidate, the stage slot is written
-   once per stage (the binder and the chain both treat it as bound),
-   and FD checks go through {!compatible_cols} when the FDs are plain
-   column projections — the validity semantics and therefore the fired
-   sequence are exactly the interpreter's. *)
-let make_cfire ~telemetry ~limits db (sr : srule) (sc : scompiled) ~rql ~fd ~tracker ~head_rel =
-  let cenv = Compile.env sc.sc_chain in
+(* Pop-validate-fire loop for one staged rule.  The closures are
+   preallocated here rather than per fire, relations are resolved once
+   per call rather than per candidate, the stage slot is written once
+   per stage (the binder and the chain both treat it as bound), and FD
+   checks go through {!compatible_cols} when the FDs are plain column
+   projections. *)
+let make_fire ~telemetry ~limits db (sr : srule) ~rql ~(fd : EC.fd_state) ~tracker ~head_rel =
+  let cenv = Compile.env sr.chain in
   let rc = Telemetry.rule telemetry sr.cr.EC.label in
   let kont =
-    match sc.sc_fd_cols with
+    match sr.fd_cols with
     | Some fds ->
       fun () ->
-        let chosen_row = Compile.eval_row cenv sc.sc_out in
-        if
-          (not (Relation.mem fd.EC.rel chosen_row))
-          && compatible_cols fd.EC.rel fds chosen_row
-        then raise (Fired (chosen_row, Compile.eval_row cenv sc.sc_head))
+        let chosen_row = Compile.eval_row cenv sr.out in
+        if (not (Relation.mem fd.EC.rel chosen_row)) && compatible_cols fd.EC.rel fds chosen_row
+        then raise (Fired (chosen_row, Compile.eval_row cenv sr.head_row))
     | None ->
       fun () ->
-        let chosen_row = Compile.eval_row cenv sc.sc_out in
+        let chosen_row = Compile.eval_row cenv sr.out in
         if not (Relation.mem fd.EC.rel chosen_row) then begin
           let projections =
             List.map
               (fun (l, r) ->
                 ( Value.Tup (List.map (fun p -> p cenv) l),
                   Value.Tup (List.map (fun p -> p cenv) r) ))
-              sc.sc_fds
+              sr.fds
           in
           if EC.compatible fd projections then
-            raise (Fired (chosen_row, Compile.eval_row cenv sc.sc_head))
+            raise (Fired (chosen_row, Compile.eval_row cenv sr.head_row))
         end
   in
   let valid row =
+    (* Every popped source fact is a candidate the engine examines. *)
     Limits.tick_candidates limits 1;
     (match rc with
     | Some rc -> rc.Telemetry.candidates <- rc.Telemetry.candidates + 1
     | None -> ());
-    if not (Compile.bind sc.sc_bind cenv row) then false
+    if not (Compile.bind sr.bind cenv row) then false
     else begin
-      match Compile.run_resolved sc.sc_chain kont with
+      match Compile.run_resolved sr.chain kont with
       | () -> false
       | exception Fired (chosen_row, head_row) ->
         ignore (Relation.add fd.EC.rel chosen_row);
@@ -406,16 +365,15 @@ let make_cfire ~telemetry ~limits db (sr : srule) (sc : scompiled) ~rql ~fd ~tra
     end
   in
   fun () ->
-    if Option.is_none sc.sc_fd_cols then EC.replay_chosen fd;
+    if Option.is_none sr.fd_cols then EC.replay_chosen fd;
     let stage = EC.current_stage db tracker + 1 in
-    Compile.set_slot sc.sc_chain sr.stage_slot (Value.Int stage);
-    Compile.resolve sc.sc_chain db;
+    Compile.set_slot sr.chain sr.stage_slot (Value.Int stage);
+    Compile.resolve sr.chain db;
     match Rql.retrieve_least rql ~valid with Some _ -> stage | None -> -1
 
-let eval_choice_clique ~backend ~shadow_mode ~telemetry ~limits ~pool ~compiled db crules
-    flat_rules gamma =
+let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db crules flat_rules gamma =
   let exits, nexts = List.partition (fun ((cr : EC.crule), _) -> cr.EC.stage = None) crules in
-  let srules = List.map (fun (cr, r) -> compile_srule ~compiled cr r) nexts in
+  let srules = List.map (fun (cr, r) -> compile_srule cr r) nexts in
   let flat =
     flat_rules @ List.map (fun (cr, r) -> EC.positive_rule cr r) exits
   in
@@ -424,8 +382,7 @@ let eval_choice_clique ~backend ~shadow_mode ~telemetry ~limits ~pool ~compiled 
     try
       List.map
         (fun sub ->
-          Seminaive.make ~allow_clique_negation:true ~telemetry ~limits ~pool ~compiled db
-            ~clique:sub flat)
+          Seminaive.make ~allow_clique_negation:true ~telemetry ~limits ~pool db ~clique:sub flat)
         sub_cliques
     with Invalid_argument msg | Eval.Unsafe msg -> raise (Not_compilable msg)
   in
@@ -438,21 +395,14 @@ let eval_choice_clique ~backend ~shadow_mode ~telemetry ~limits ~pool ~compiled 
     List.map
       (fun sr ->
         let key_of row = Value.Tup (List.map (fun p -> row.(p)) sr.key_positions) in
-        (* Cost of a source row: bind its terms into a scratch residual
-           environment and evaluate the compiled cost term.  Compiled
-           mode reads projected costs straight out of the row instead —
-           physically the same values, and neither the memo table nor
-           its per-row entries exist. *)
-        let cost_env = Eval.fresh_env sr.residual in
-        let cost_of row =
-          reset_env cost_env;
-          if bind_source sr cost_env row then row_cost sr cost_env
-          else invalid_arg "Stage_engine: source row does not match its own atom"
-        in
+        (* Cost of a source row: read straight out of the row when it is
+           a plain source argument, else evaluated once per row and
+           memoized. *)
         let cost_cached =
-          match (if compiled then sr.cost_pos else None) with
-          | Some p -> fun (row : Value.t array) -> row.(p)
-          | None ->
+          match (sr.cost_pos, sr.cost_of) with
+          | Some p, _ -> fun (row : Value.t array) -> row.(p)
+          | None, None -> fun _ -> Value.Int 0
+          | None, Some cost_of ->
             let cost_tbl = Relation.Row_tbl.create 256 in
             fun row ->
               (* [find]/[Not_found] rather than [find_opt]: the heap
@@ -478,8 +428,7 @@ let eval_choice_clique ~backend ~shadow_mode ~telemetry ~limits ~pool ~compiled 
         in
         let shadow = match shadow_mode with `Auto -> sr.shadow | `Off -> false in
         let rql =
-          Rql.create ~backend ~lean:compiled ~shadow ~newer_wins:sr.newer_wins ~key:key_of
-            ~cost_cmp ~stage:stage_of ()
+          Rql.create ~shadow ~newer_wins:sr.newer_wins ~key:key_of ~cost_cmp ~stage:stage_of ()
         in
         (* Relation creation order (source, head, chosen$) is part of
            the canonical output; keep it. *)
@@ -493,36 +442,19 @@ let eval_choice_clique ~backend ~shadow_mode ~telemetry ~limits ~pool ~compiled 
           Database.relation db sr.cr.EC.head.pred (List.length sr.cr.EC.head.args)
         in
         let fd = EC.make_fd_state db sr.cr in
-        let cfire =
-          match sr.scc with
-          | None -> None
-          | Some sc -> Some (make_cfire ~telemetry ~limits db sr sc ~rql ~fd ~tracker ~head_rel)
-        in
-        { sr; rql; fd; tracker;
-          scratch = Eval.fresh_env sr.residual;
-          src_mark = 0; src_rel;
+        { sr; rql; src_mark = 0; src_rel;
           ins = (fun row -> Rql.insert rql row);
-          cfire })
+          fire = make_fire ~telemetry ~limits db sr ~rql ~fd ~tracker ~head_rel })
       srules
   in
+  (* The source relation and the insert closure are cached in the
+     staged state: nothing is allocated per call. *)
   let sync () =
-    if compiled then
-      (* Lean variant: the source relation and the insert closure are
-         cached in the staged state — nothing per call. *)
-      List.iter
-        (fun st ->
-          Relation.iter_from st.src_rel st.src_mark st.ins;
-          st.src_mark <- Relation.cardinal st.src_rel)
-        staged
-    else
-      List.iter
-        (fun st ->
-          match Database.find db st.sr.source.pred with
-          | None -> ()
-          | Some rel ->
-            Relation.iter_from rel st.src_mark (fun row -> Rql.insert st.rql row);
-            st.src_mark <- Relation.cardinal rel)
-        staged
+    List.iter
+      (fun st ->
+        Relation.iter_from st.src_rel st.src_mark st.ins;
+        st.src_mark <- Relation.cardinal st.src_rel)
+      staged
   in
   let examined = ref 0 in
   let fire_exit () =
@@ -540,62 +472,13 @@ let eval_choice_clique ~backend ~shadow_mode ~telemetry ~limits ~pool ~compiled 
   in
   (* Pop-validate-fire for one staged rule; returns true if fired. *)
   let fire_staged st =
-    match st.cfire with
-    | Some cf ->
-      let stage = cf () in
-      if stage >= 0 then begin
-        incr gamma;
-        if Telemetry.enabled telemetry then
-          Telemetry.fired telemetry ~stage st.sr.cr.EC.label;
-        true
-      end
-      else false
-    | None ->
-      EC.replay_chosen st.fd;
-      let rc = Telemetry.rule telemetry st.sr.cr.EC.label in
-      let stage = EC.current_stage db st.tracker + 1 in
-      let stage_value = Some (Value.Int stage) in
-      let fired chosen_row head_row =
-        ignore (Relation.add st.fd.EC.rel chosen_row);
-        Limits.tick_derived limits 1;
-        if Database.add_fact db st.sr.cr.EC.head.pred head_row then
-          Limits.tick_derived limits 1;
-        true
-      in
-      let valid row =
-        (* Every popped source fact is a candidate the engine examines. *)
-        Limits.tick_candidates limits 1;
-        (match rc with Some rc -> rc.Telemetry.candidates <- rc.Telemetry.candidates + 1 | None -> ());
-        let env = st.scratch in
-        reset_env env;
-        env.(st.sr.stage_slot) <- stage_value;
-        if not (bind_source st.sr env row) then false
-        else begin
-          match
-            Eval.run st.sr.residual db env (fun env ->
-                let chosen_row = Eval.eval_row env st.sr.c_out in
-                if not (Relation.mem st.fd.EC.rel chosen_row) then begin
-                  let projections =
-                    List.map
-                      (fun (l, r) ->
-                        ( Value.Tup (List.map (Eval.eval_cterm env) l),
-                          Value.Tup (List.map (Eval.eval_cterm env) r) ))
-                      st.sr.c_fds
-                  in
-                  if EC.compatible st.fd projections then
-                    raise (Fired (chosen_row, Eval.eval_row env st.sr.c_head))
-                end)
-          with
-          | () -> false
-          | exception Fired (chosen_row, head_row) -> fired chosen_row head_row
-        end
-      in
-      (match Rql.retrieve_least st.rql ~valid with
-      | Some _ ->
-        incr gamma;
-        Telemetry.fired telemetry ~stage st.sr.cr.EC.label;
-        true
-      | None -> false)
+    let stage = st.fire () in
+    if stage >= 0 then begin
+      incr gamma;
+      if Telemetry.enabled telemetry then Telemetry.fired telemetry ~stage st.sr.cr.EC.label;
+      true
+    end
+    else false
   in
   saturate ();
   let rec loop () =
@@ -625,7 +508,7 @@ let eval_choice_clique ~backend ~shadow_mode ~telemetry ~limits ~pool ~compiled 
 (* Program driver                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let plan_cliques ?(compiled = false) rules =
+let plan_cliques rules =
   let counter = ref 0 in
   let tagged =
     List.map
@@ -633,7 +516,7 @@ let plan_cliques ?(compiled = false) rules =
         if EC.is_choice_rule r then begin
           let i = !counter in
           incr counter;
-          `Choice (EC.compile_crule ~compiled i r, r)
+          `Choice (EC.compile_crule i r, r)
         end
         else `Flat r)
       rules
@@ -656,8 +539,8 @@ let plan_cliques ?(compiled = false) rules =
       (clique, crules_in, flat_in))
     (Depgraph.cliques graph)
 
-let run_governed ?(backend = `Binary) ?(shadow = `Auto) ?(telemetry = Telemetry.none)
-    ?(limits = Limits.unlimited) ?(jobs = 1) ?(compiled = false) ?plan ?db program =
+let run_governed ?(shadow = `Auto) ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
+    ?(jobs = 1) ?plan ?db program =
   let pool = Par.get jobs in
   let db = match db with Some db -> db | None -> Database.create () in
   let gamma = ref 0 in
@@ -677,16 +560,14 @@ let run_governed ?(backend = `Binary) ?(shadow = `Auto) ?(telemetry = Telemetry.
   Limits.govern ~telemetry limits
     ~partial:(fun () -> (db, stats ()))
     (fun () ->
-      (* Compiled mode reorders reorderable rule bodies by the cost
-         plan first.  The gate makes this a no-op on any program with
-         choice / next rules, so [compile_srule]'s source-atom
-         selection always sees the source order. *)
+      (* Reorderable rule bodies are cost-planned first.  The gate
+         makes this a no-op on any program with choice / next rules,
+         so [compile_srule]'s source-atom selection always sees the
+         source order. *)
       let program =
-        if not compiled then program
-        else
-          match plan with
-          | Some p -> Plan.program p
-          | None -> Plan.program (Plan.analyze ~telemetry ~db program)
+        match plan with
+        | Some p -> Plan.program p
+        | None -> Plan.program (Plan.analyze ~telemetry ~db program)
       in
       let facts, rules = List.partition Ast.is_fact program in
       Database.load_facts db facts;
@@ -697,19 +578,19 @@ let run_governed ?(backend = `Binary) ?(shadow = `Auto) ?(telemetry = Telemetry.
           Telemetry.stratum telemetry label;
           Telemetry.span telemetry label (fun () ->
               if crules_in = [] then begin
-                try Seminaive.eval_clique ~telemetry ~limits ~pool ~compiled db ~clique rules
+                try Seminaive.eval_clique ~telemetry ~limits ~pool db ~clique rules
                 with Invalid_argument msg | Eval.Unsafe msg -> raise (Not_compilable msg)
               end
               else
                 rql_stats :=
-                  eval_choice_clique ~backend ~shadow_mode:shadow ~telemetry ~limits ~pool
-                    ~compiled db crules_in flat_in gamma
+                  eval_choice_clique ~shadow_mode:shadow ~telemetry ~limits ~pool db crules_in
+                    flat_in gamma
                   @ !rql_stats))
-        (plan_cliques ~compiled rules);
+        (plan_cliques rules);
       (db, stats ()))
 
-let run ?backend ?shadow ?telemetry ?limits ?jobs ?compiled ?plan ?db program =
-  match run_governed ?backend ?shadow ?telemetry ?limits ?jobs ?compiled ?plan ?db program with
+let run ?shadow ?telemetry ?limits ?jobs ?plan ?db program =
+  match run_governed ?shadow ?telemetry ?limits ?jobs ?plan ?db program with
   | Limits.Complete x -> x
   | Limits.Partial (_, d) -> raise (Limits.Exhausted d.Limits.violated)
 

@@ -50,12 +50,10 @@ type shadow_mode =
   ]
 
 val run :
-  ?backend:[ `Binary | `Pairing ] ->
   ?shadow:shadow_mode ->
   ?telemetry:Telemetry.t ->
   ?limits:Limits.t ->
   ?jobs:int ->
-  ?compiled:bool ->
   ?plan:Plan.t ->
   ?db:Database.t ->
   Ast.program ->
@@ -69,21 +67,18 @@ val run :
     paper's alternation), only the side-effect-free enumeration fans
     out.
 
-    [compiled] (default [false]) runs flat saturation, residual
-    revalidation and exit-rule enumeration as ahead-of-time {!Compile}
-    closure chains over the cost-planned join order ([plan] when given,
-    else {!Plan.analyze}) — byte-identical models, less allocation per
-    tuple (see docs/INTERNALS.md, "Compiled execution").
+    Flat saturation, residual revalidation and exit-rule enumeration
+    run as {!Compile} closure chains over the cost-planned join order
+    ([plan] when given, else {!Plan.analyze}; see docs/INTERNALS.md,
+    "Execution").
     @raise Limits.Exhausted when [limits] trips a budget; use
     {!run_governed} to receive the partial database instead. *)
 
 val run_governed :
-  ?backend:[ `Binary | `Pairing ] ->
   ?shadow:shadow_mode ->
   ?telemetry:Telemetry.t ->
   ?limits:Limits.t ->
   ?jobs:int ->
-  ?compiled:bool ->
   ?plan:Plan.t ->
   ?db:Database.t ->
   Ast.program ->

@@ -1,11 +1,3 @@
-type 'f entry = { fact : 'f; id : int }
-
-type 'f queue = {
-  q_push : 'f entry -> unit;
-  q_pop : unit -> 'f entry option;
-  q_length : unit -> int;
-}
-
 type 'k class_state = Used | Live of int (* live entry id *)
 
 type stats = {
@@ -17,12 +9,11 @@ type stats = {
   max_queue : int;
 }
 
-(* Allocation-lean queue used by the compiled engine: the same
-   (cost, insertion id) total order as the boxed backends — ids are
-   unique, so the order is total and the pop sequence is identical
-   whatever the heap — but entries live in two parallel arrays and the
-   sift loops are top-level recursions over plain integers, so a push
-   or pop allocates nothing beyond amortized array growth. *)
+(* The queue [Q]: a binary heap over the (cost, insertion id) total
+   order — ids are unique, so ties pop first-in first-out.  Entries
+   live in two parallel arrays and the sift loops are top-level
+   recursions over plain integers, so a push or pop allocates nothing
+   beyond amortized array growth. *)
 type 'f flat = {
   mutable ff : 'f array;  (* facts, heap-ordered *)
   mutable fi : int array;  (* insertion ids, the cost tie-break *)
@@ -37,8 +28,7 @@ type ('f, 'k) t = {
   shadow : bool;
   newer_wins : bool;
   classes : ('k, 'k class_state * 'f) Hashtbl.t;
-  queue : 'f queue;
-  flat : 'f flat option;
+  flat : 'f flat;
   mutable live : int;
   mutable next_id : int;
   mutable s_inserted : int;
@@ -48,19 +38,6 @@ type ('f, 'k) t = {
   mutable s_used : int;
   mutable s_max_queue : int;
 }
-
-let make_queue backend cmp =
-  match backend with
-  | `Binary ->
-    let h = Binary_heap.create ~cmp () in
-    { q_push = Binary_heap.push h;
-      q_pop = (fun () -> Binary_heap.pop h);
-      q_length = (fun () -> Binary_heap.length h) }
-  | `Pairing ->
-    let h = Pairing_heap.create ~cmp () in
-    { q_push = Pairing_heap.push h;
-      q_pop = (fun () -> Pairing_heap.pop h);
-      q_length = (fun () -> Pairing_heap.length h) }
 
 (* Flat-heap primitives.  Explicit arguments on the sift recursions:
    a nested [let rec] capturing its surroundings would allocate a
@@ -122,18 +99,10 @@ let flat_pop cmp fl =
   end;
   top
 
-let create ?(backend = `Binary) ?(lean = false) ?(shadow = true) ?(newer_wins = false) ~key
-    ~cost_cmp ?(stage = fun _ -> 0) () =
-  (* Entry ids break cost ties so pops are deterministic (FIFO within
-     equal cost), which the engines rely on for reproducible models. *)
-  let entry_cmp a b =
-    let c = cost_cmp a.fact b.fact in
-    if c <> 0 then c else compare a.id b.id
-  in
+let create ?(shadow = true) ?(newer_wins = false) ~key ~cost_cmp ?(stage = fun _ -> 0) () =
   { key; cost_cmp; stage; shadow; newer_wins;
     classes = Hashtbl.create 64;
-    queue = make_queue backend entry_cmp;
-    flat = (if lean then Some { ff = [||]; fi = [||]; fn = 0; f_popped_id = 0 } else None);
+    flat = { ff = [||]; fi = [||]; fn = 0; f_popped_id = 0 };
     live = 0; next_id = 0;
     s_inserted = 0; s_shadowed = 0; s_stale = 0; s_invalid = 0; s_used = 0;
     s_max_queue = 0 }
@@ -144,9 +113,7 @@ let bump_max t =
 let push_live t fact =
   let id = t.next_id in
   t.next_id <- id + 1;
-  (match t.flat with
-  | Some fl -> flat_push t.cost_cmp fl fact id
-  | None -> t.queue.q_push { fact; id });
+  flat_push t.cost_cmp t.flat fact id;
   t.live <- t.live + 1;
   bump_max t;
   id
@@ -178,10 +145,10 @@ let insert t fact =
       Hashtbl.replace t.classes k (Live id, fact)
   end
 
-(* Lean retrieval over the flat heap: same class/liveness logic as
-   [retrieve_least] below, but tail-recursive with no result cells, the
-   congruence key is only computed when shadowing is on, and the pop
-   itself does not allocate. *)
+(* Retrieval: tail-recursive with no result cells (a queue full of
+   stale or invalid entries cannot blow the stack), the congruence key
+   is only computed when shadowing is on, and the pop itself does not
+   allocate. *)
 let rec retrieve_flat t fl ~valid =
   if fl.fn = 0 then None
   else begin
@@ -226,45 +193,7 @@ let rec retrieve_flat t fl ~valid =
     end
   end
 
-let retrieve_boxed t ~valid =
-  (* Iterative: a queue full of stale or invalid entries must not blow
-     the stack. *)
-  let result = ref None in
-  let finished = ref false in
-  while not !finished do
-    match t.queue.q_pop () with
-    | None -> finished := true
-    | Some { fact; id } ->
-      let k = t.key fact in
-      let is_live =
-        if not t.shadow then true
-        else
-          match Hashtbl.find_opt t.classes k with
-          | Some (Live live_id, _) -> live_id = id
-          | Some (Used, _) | None -> false
-      in
-      if not is_live then t.s_stale <- t.s_stale + 1
-      else begin
-        t.live <- t.live - 1;
-        if valid fact then begin
-          t.s_used <- t.s_used + 1;
-          if t.shadow then Hashtbl.replace t.classes k (Used, fact);
-          result := Some fact;
-          finished := true
-        end
-        else begin
-          (* Invalid candidate: goes to R and reopens its class. *)
-          t.s_invalid <- t.s_invalid + 1;
-          if t.shadow then Hashtbl.remove t.classes k
-        end
-      end
-  done;
-  !result
-
-let retrieve_least t ~valid =
-  match t.flat with
-  | Some fl -> retrieve_flat t fl ~valid
-  | None -> retrieve_boxed t ~valid
+let retrieve_least t ~valid = retrieve_flat t t.flat ~valid
 
 let queue_length t = t.live
 

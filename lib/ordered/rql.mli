@@ -44,8 +44,6 @@ type stats = {
 }
 
 val create :
-  ?backend:[ `Binary | `Pairing ] ->
-  ?lean:bool ->
   ?shadow:bool ->
   ?newer_wins:bool ->
   key:('f -> 'k) ->
@@ -56,13 +54,11 @@ val create :
 (** [create ~key ~cost_cmp ()] builds an empty structure.  [key]
     extracts the r-congruence class, [cost_cmp] orders candidates
     (ties must be broken deterministically by the caller for reproducible
-    runs), and [stage] is required when [newer_wins] is set.
+    runs), and [stage] is required when [newer_wins] is set.  Equal
+    costs pop in insertion order.
 
-    [~lean:true] (the compiled engine's mode) stores the queue in a
-    flat dual-array heap whose push/pop allocate nothing beyond
-    amortized growth, overriding [backend].  The pop sequence is
-    byte-identical either way: ids make the (cost, id) order total, so
-    every correct heap drains in the same order. *)
+    [Q] is a flat dual-array binary heap: push and pop allocate nothing
+    beyond amortized growth. *)
 
 val insert : ('f, 'k) t -> 'f -> unit
 (** The paper's insertion operation, [O(log |Q|)] plus one hash probe. *)

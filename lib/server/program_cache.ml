@@ -30,7 +30,7 @@ type entry = {
   rules : Ast.program;  (* non-fact clauses *)
   base : Database.t;  (* the program's ground facts; frozen *)
   report : Stage.report;
-  plan : Plan.t;  (* cost plan against [base]; feeds --compiled runs *)
+  plan : Plan.t;  (* cost plan against [base]; feeds every session run *)
   compile_ms : float;  (* wall time of this entry's compilation *)
 }
 

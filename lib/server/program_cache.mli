@@ -26,8 +26,7 @@ type entry = private {
   report : Stage.report;
   plan : Plan.t;
       (** cost plan computed once against [base]; sessions hand it to
-          the engines for [compiled] evaluation so re-runs skip
-          re-analysis *)
+          the engines so re-runs skip re-analysis *)
   compile_ms : float;  (** wall time this entry took to compile *)
 }
 

@@ -133,7 +133,6 @@ type config = {
   max_jobs : int;  (* cap on granted evaluation domains per request *)
   max_frame : int;
   cache_capacity : int;
-  compiled : bool;  (* evaluate with the AOT-compiled closure chains *)
   data_dir : string option;  (* None: ephemeral sessions, no WAL *)
   fsync : Wal.fsync_policy;
   snapshot_every : int;  (* WAL records between snapshots; 0 disables *)
@@ -154,7 +153,6 @@ let default_config =
     max_jobs = 1;
     max_frame = Protocol.max_frame_default;
     cache_capacity = 64;
-    compiled = false;
     data_dir = None;
     fsync = Wal.Batch 16;
     snapshot_every = 64;
@@ -545,9 +543,7 @@ let handle_request t (session : Session.t) req : Protocol.response * post =
       let limits = effective_limits t session budget in
       let jobs = effective_jobs t budget in
       let telemetry = Telemetry.create () in
-      let result =
-        Session.run ~compiled:t.cfg.compiled session ~engine ~seed ~jobs ~limits ~telemetry
-      in
+      let result = Session.run session ~engine ~seed ~jobs ~limits ~telemetry in
       merge_global_totals t telemetry;
       match result with
       | Ok (Limits.Complete db) ->
@@ -573,9 +569,7 @@ let handle_request t (session : Session.t) req : Protocol.response * post =
       let limits = effective_limits t session budget in
       let jobs = effective_jobs t budget in
       let telemetry = Telemetry.create () in
-      let result =
-        Session.query ~compiled:t.cfg.compiled session ~engine ~text ~jobs ~limits ~telemetry
-      in
+      let result = Session.query session ~engine ~text ~jobs ~limits ~telemetry in
       merge_global_totals t telemetry;
       match result with
       | Ok (complete, vars, rows) ->

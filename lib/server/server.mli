@@ -56,11 +56,6 @@ type config = {
           [min max_jobs (client's requested jobs)], at least 1 *)
   max_frame : int;  (** frames above this are a protocol violation *)
   cache_capacity : int;  (** compiled-program cache entries *)
-  compiled : bool;
-      (** evaluate requests with the ahead-of-time compiled closure
-          chains (cost-planned join orders from the cached
-          {!Program_cache.entry} plan); models are byte-identical to
-          interpreted evaluation *)
   data_dir : string option;
       (** root of the durability layout (WALs, snapshots, program
           store); [None] keeps sessions ephemeral *)

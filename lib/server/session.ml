@@ -40,6 +40,7 @@ module Relation = Gbc_datalog.Relation
 module Value = Gbc_datalog.Value
 module Parser = Gbc_datalog.Parser
 module Eval = Gbc_datalog.Eval
+module Compile = Gbc_datalog.Compile
 module Ivm = Gbc_datalog.Ivm
 module Par = Gbc_datalog.Par
 module Limits = Gbc_datalog.Limits
@@ -549,7 +550,7 @@ let log_run t ~key model =
     | Error (_, msg) -> (
       match t.durability with Some d -> Durable.warn d.dur msg | None -> ())
 
-let run ?(compiled = false) t ~engine ~seed ~jobs ~limits ~telemetry =
+let run t ~engine ~seed ~jobs ~limits ~telemetry =
   match (t.entry, t.db) with
   | None, _ | _, None -> Error (Protocol.No_program, "no program loaded (send a load frame first)")
   | Some entry, Some db -> (
@@ -565,23 +566,23 @@ let run ?(compiled = false) t ~engine ~seed ~jobs ~limits ~telemetry =
       Ok outcome
     | None ->
       let work = Database.copy db in
-      (* In compiled mode hand the engines the entry's cached cost
-         plan: re-runs skip re-analysis, and every session sharing the
-         entry executes the same join orders. *)
+      (* Hand the engines the entry's cached cost plan: re-runs skip
+         re-analysis, and every session sharing the entry executes the
+         same join orders. *)
       let plan = entry.Program_cache.plan in
       let result =
         protect (fun () ->
             match engine with
             | Protocol.Staged ->
               map_outcome fst
-                (Stage_engine.run_governed ~compiled ~plan ~telemetry ~limits ~jobs ~db:work
+                (Stage_engine.run_governed ~plan ~telemetry ~limits ~jobs ~db:work
                    entry.Program_cache.rules)
             | Protocol.Reference ->
               let policy =
                 match seed with Some s -> Choice_fixpoint.Random s | None -> Choice_fixpoint.First
               in
               map_outcome fst
-                (Choice_fixpoint.run_governed ~compiled ~plan ~policy ~telemetry ~limits ~jobs
+                (Choice_fixpoint.run_governed ~plan ~policy ~telemetry ~limits ~jobs
                    ~db:work entry.Program_cache.rules))
       in
       note_eval t telemetry t0;
@@ -632,11 +633,11 @@ let parse_goal text =
   | { Ast.body = [ Ast.Pos a ]; _ } -> a
   | _ -> raise (Parser.Error ("queries take a single positive atom", nowhere))
 
-let query ?compiled t ~engine ~text ~jobs ~limits ~telemetry =
+let query t ~engine ~text ~jobs ~limits ~telemetry =
   match parse_goal text with
   | exception Parser.Error (msg, pos) -> Error (of_gbc_error (Gbc_error.Parse (msg, pos)))
   | goal -> (
-    match run ?compiled t ~engine ~seed:None ~jobs ~limits ~telemetry with
+    match run t ~engine ~seed:None ~jobs ~limits ~telemetry with
     | Error e -> Error e
     | Ok outcome ->
       let complete = match outcome with Limits.Complete _ -> true | _ -> false in
@@ -644,7 +645,7 @@ let query ?compiled t ~engine ~text ~jobs ~limits ~telemetry =
       protect (fun () ->
           let body = Eval.compile_body [ Ast.Pos goal ] in
           let vars = Ast.atom_vars goal in
-          let rows = Eval.solutions body db (List.map (fun v -> Ast.Var v) vars) in
+          let rows = Compile.solutions body db (List.map (fun v -> Ast.Var v) vars) in
           let rendered =
             List.map
               (fun row ->

@@ -140,7 +140,6 @@ val retract_facts : ?id:int -> t -> string -> (int, error) result
     join the pending delta. *)
 
 val run :
-  ?compiled:bool ->
   t ->
   engine:Protocol.engine ->
   seed:int option ->
@@ -148,10 +147,8 @@ val run :
   limits:Limits.t ->
   telemetry:Telemetry.t ->
   (Database.t Limits.outcome, error) result
-(** Evaluate the session's program.  With [compiled] (default false)
-    from-scratch evaluations run the ahead-of-time compiled closure
-    chains, reusing the cache entry's cost plan — models stay
-    byte-identical.  When a live materialization
+(** Evaluate the session's program.  From-scratch evaluations reuse the
+    cache entry's cost plan.  When a live materialization
     exists for the same (engine, seed), the pending delta is applied
     incrementally ({!Gbc_datalog.Ivm.apply}) — or the materialized
     model is served as-is when nothing changed; the result is
@@ -168,7 +165,6 @@ val enumerate : t -> max_models:int -> limits:Limits.t -> (Database.t list, erro
     [Budget_exhausted] error.  Always evaluates from scratch. *)
 
 val query :
-  ?compiled:bool ->
   t ->
   engine:Protocol.engine ->
   text:string ->

@@ -1,5 +1,6 @@
 (* The body evaluator: joins, binding order, negation with scoped
-   guards, arithmetic (including inversion), safety errors. *)
+   guards, arithmetic (including inversion), safety errors — each case
+   run through both the reference executor and the closure chain. *)
 
 open Gbc
 
@@ -12,9 +13,35 @@ let body_of src =
   let r = Parser.parse_rule ("dummy <- " ^ src) in
   r.Ast.body
 
+(* Every solution of [body] as the values of [outs], in enumeration
+   order, from both executors: the reference [Eval.run] and the
+   [Compile] chain, which must agree.  [bindings] set the
+   [extra_bound] variables before the run. *)
+let run_both ?(bindings = []) b db outs =
+  let outs = List.map (fun v -> Ast.Var v) outs in
+  let reference =
+    let env = Eval.fresh_env b in
+    List.iter (fun (v, x) -> env.(Eval.slot b v) <- Some x) bindings;
+    let acc = ref [] in
+    Eval.run b db env (fun env -> acc := Eval.eval_terms b env outs :: !acc);
+    List.rev !acc
+  in
+  let chained =
+    let chain = Compile.of_body ~bound:(List.map (fun (v, _) -> Eval.slot b v) bindings) b in
+    List.iter (fun (v, x) -> Compile.set_slot chain (Eval.slot b v) x) bindings;
+    let progs = Compile.compile_row chain (Eval.compile_terms b outs) in
+    let acc = ref [] in
+    Compile.run chain db (fun () ->
+        acc := Array.to_list (Compile.eval_row (Compile.env chain) progs) :: !acc);
+    List.rev !acc
+  in
+  if not (List.equal (List.equal Value.equal) reference chained) then
+    Alcotest.fail "Eval.run and the Compile chain enumerate different solutions";
+  chained
+
 let solutions ?extra_bound ?bindings facts body outs =
   let b = Eval.compile_body ?extra_bound (body_of body) in
-  Eval.solutions b (db_of facts) ?bindings (List.map (fun v -> Ast.Var v) outs)
+  run_both ?bindings b (db_of facts) outs
 
 let ints rows = List.map (List.map Value.as_int) rows
 
@@ -203,7 +230,7 @@ let prop_join_against_bruteforce =
         pairs;
       let body = Eval.compile_body (body_of "e(X, Y), e(Y, Z)") in
       let got =
-        Eval.solutions body db [ Ast.Var "X"; Ast.Var "Y"; Ast.Var "Z" ]
+        run_both body db [ "X"; "Y"; "Z" ]
         |> List.map (List.map Value.as_int)
         |> List.sort compare
       in

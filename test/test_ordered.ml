@@ -35,35 +35,17 @@ module B = struct
 end
 
 let binary_basic = test_heap_basic (module B)
-let pairing_basic = test_heap_basic (module Pairing_heap)
 
 let test_binary_of_list_heapify () =
   let h = Binary_heap.of_list ~cmp:int_cmp [ 9; 2; 7; 2; 0; 5 ] in
   Alcotest.(check (list int)) "heapify + drain" [ 0; 2; 2; 5; 7; 9 ]
     (Binary_heap.to_sorted_list h)
 
-let test_pairing_sorted_insertion_no_stack_overflow () =
-  (* Degenerate order: ascending inserts build a deep pairing heap. *)
-  let h = Pairing_heap.create ~cmp:int_cmp () in
-  for i = 1 to 200_000 do
-    Pairing_heap.push h i
-  done;
-  Alcotest.(check (option int)) "min" (Some 1) (Pairing_heap.pop h);
-  Alcotest.(check (option int)) "next" (Some 2) (Pairing_heap.pop h)
-
-let prop_heap_sorts backend =
-  let name = match backend with `Binary -> "binary" | `Pairing -> "pairing" in
-  QCheck.Test.make
-    ~name:(name ^ " heap drains sorted")
-    ~count:300
+let prop_heap_sorts =
+  QCheck.Test.make ~name:"binary heap drains sorted" ~count:300
     QCheck.(small_list small_signed_int)
     (fun xs ->
-      let sorted =
-        match backend with
-        | `Binary -> Binary_heap.to_sorted_list (Binary_heap.of_list ~cmp:int_cmp xs)
-        | `Pairing -> Pairing_heap.to_sorted_list (Pairing_heap.of_list ~cmp:int_cmp xs)
-      in
-      sorted = List.sort int_cmp xs)
+      Binary_heap.to_sorted_list (Binary_heap.of_list ~cmp:int_cmp xs) = List.sort int_cmp xs)
 
 (* ---------------- union-find ---------------- *)
 
@@ -105,8 +87,8 @@ let prop_union_find_vs_naive =
 
 type fact = { key : int; cost : int; stage : int }
 
-let make_rql ?backend ?lean ?shadow ?newer_wins () =
-  Rql.create ?backend ?lean ?shadow ?newer_wins ~key:(fun f -> f.key)
+let make_rql ?shadow ?newer_wins () =
+  Rql.create ?shadow ?newer_wins ~key:(fun f -> f.key)
     ~cost_cmp:(fun a b -> compare a.cost b.cost)
     ~stage:(fun f -> f.stage) ()
 
@@ -180,14 +162,11 @@ let test_rql_stale_entries_skipped () =
     (Option.map (fun f -> f.cost) (Rql.retrieve_least q ~valid:(fun _ -> true)));
   Alcotest.(check int) "stale counted" 1 (Rql.stats q).Rql.stale
 
-let prop_rql_no_shadow_equals_heap backend =
-  let name = match backend with `Binary -> "binary" | `Pairing -> "pairing" in
-  QCheck.Test.make
-    ~name:("rql(no shadow, " ^ name ^ ") drains like a heap")
-    ~count:200
+let prop_rql_no_shadow_equals_heap =
+  QCheck.Test.make ~name:"rql(no shadow, binary) drains like a heap" ~count:200
     QCheck.(small_list (int_bound 100))
     (fun costs ->
-      let q = make_rql ~backend ~shadow:false () in
+      let q = make_rql ~shadow:false () in
       List.iteri (fun i c -> Rql.insert q { key = i; cost = c; stage = 0 }) costs;
       let rec drain acc =
         match Rql.retrieve_least q ~valid:(fun _ -> true) with
@@ -196,35 +175,48 @@ let prop_rql_no_shadow_equals_heap backend =
       in
       drain [] = List.sort compare costs)
 
-(* The compiled engine's flat heap must be observationally identical
-   to the boxed backends: ids make the (cost, id) order total, so the
-   pop sequence — including which pops the validity predicate rejects —
-   matches fact for fact. *)
-let prop_rql_lean_equals_boxed =
-  QCheck.Test.make ~name:"rql ~lean drains identically to the boxed heap" ~count:200
-    QCheck.(pair bool (small_list (pair (int_bound 4) (int_bound 50))))
-    (fun (shadow, facts) ->
-      let drain q =
-        (* Reject every third valid-checked candidate, deterministically,
-           to exercise the invalid-reopens-class path too. *)
-        let checks = ref 0 in
-        let valid _ =
-          incr checks;
-          !checks mod 3 <> 0
-        in
-        let rec go acc =
-          match Rql.retrieve_least q ~valid with
-          | Some f -> go ((f.key, f.cost) :: acc)
-          | None -> List.rev acc
-        in
-        (go [], Rql.stats q)
+(* With shadowing off every fact is its own class, so [Rql] is exactly
+   a queue ordered by (cost, insertion id) that drops the candidates
+   the validity predicate rejects.  A sorted list is that model.
+   Inserts and retrievals interleave, and every third validity check
+   fails, to exercise the invalid-pop path. *)
+let prop_rql_equals_sorted_model =
+  QCheck.Test.make ~name:"rql(no shadow) = sorted-list model by (cost, id)" ~count:300
+    QCheck.(small_list (option (int_bound 50)))
+    (fun ops ->
+      let q = make_rql ~shadow:false () in
+      let model = ref [] and next_id = ref 0 in
+      let checks_q = ref 0 and checks_m = ref 0 in
+      let valid checks _ =
+        incr checks;
+        !checks mod 3 <> 0
       in
-      let fill q = List.iter (fun (k, c) -> Rql.insert q { key = k; cost = c; stage = 0 }) facts in
-      let boxed = make_rql ~shadow () in
-      let lean = make_rql ~lean:true ~shadow () in
-      fill boxed;
-      fill lean;
-      drain boxed = drain lean)
+      let rec model_pop () =
+        match !model with
+        | [] -> None
+        | (_, f) :: rest ->
+          model := rest;
+          if valid checks_m f then Some f else model_pop ()
+      in
+      let used = ref 0 in
+      List.for_all
+        (function
+          | Some cost ->
+            let f = { key = !next_id; cost; stage = 0 } in
+            Rql.insert q f;
+            model := List.merge compare !model [ ((cost, !next_id), f) ];
+            incr next_id;
+            Rql.queue_length q = List.length !model
+          | None ->
+            let got = Rql.retrieve_least q ~valid:(valid checks_q) in
+            let want = model_pop () in
+            if Option.is_some want then incr used;
+            got = want && Rql.queue_length q = List.length !model)
+        (ops @ List.init (List.length ops) (fun _ -> None))
+      &&
+      let s = Rql.stats q in
+      s.Rql.inserted = !next_id && s.Rql.shadowed = 0 && s.Rql.stale = 0
+      && s.Rql.used = !used && s.Rql.invalid = !checks_m - !used)
 
 let prop_rql_shadow_one_per_class =
   QCheck.Test.make ~name:"rql shadowing yields at most one pop per class" ~count:200
@@ -250,12 +242,8 @@ let () =
   Alcotest.run "ordered"
     [ ( "heaps",
         [ Alcotest.test_case "binary basics" `Quick binary_basic;
-          Alcotest.test_case "pairing basics" `Quick pairing_basic;
           Alcotest.test_case "binary heapify" `Quick test_binary_of_list_heapify;
-          Alcotest.test_case "pairing deep insertion" `Quick
-            test_pairing_sorted_insertion_no_stack_overflow;
-          QCheck_alcotest.to_alcotest (prop_heap_sorts `Binary);
-          QCheck_alcotest.to_alcotest (prop_heap_sorts `Pairing) ] );
+          QCheck_alcotest.to_alcotest prop_heap_sorts ] );
       ( "union-find",
         [ Alcotest.test_case "basics" `Quick test_union_find;
           QCheck_alcotest.to_alcotest prop_union_find_vs_naive ] );
@@ -265,7 +253,6 @@ let () =
           Alcotest.test_case "invalid pop reopens class" `Quick test_rql_invalid_reopens_class;
           Alcotest.test_case "newer wins" `Quick test_rql_newer_wins;
           Alcotest.test_case "stale entries skipped" `Quick test_rql_stale_entries_skipped;
-          QCheck_alcotest.to_alcotest (prop_rql_no_shadow_equals_heap `Binary);
-          QCheck_alcotest.to_alcotest (prop_rql_no_shadow_equals_heap `Pairing);
-          QCheck_alcotest.to_alcotest prop_rql_lean_equals_boxed;
+          QCheck_alcotest.to_alcotest prop_rql_no_shadow_equals_heap;
+          QCheck_alcotest.to_alcotest prop_rql_equals_sorted_model;
           QCheck_alcotest.to_alcotest prop_rql_shadow_one_per_class ] ) ]
