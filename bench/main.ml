@@ -25,10 +25,10 @@ open Gbc
    through gbc-router, blocking vs pipelined clients) at full scale,
    write BENCH_E19.json, and fail unless the pipelined client's
    requests/s strictly beats the blocking client's. *)
-(* --e20: run only the big-EDB tier (million-edge bulk loads, flat vs
-   boxed; snapshot restore; the greedy exemplars at a sub-tier), write
-   BENCH_E20.json, and fail unless the flat representation is at least
-   1.5x better on minor words per loaded fact on every corpus. *)
+(* --e20: run only the big-EDB tier (million-edge bulk loads; snapshot
+   restore; the greedy exemplars at a sub-tier), write BENCH_E20.json,
+   and fail unless every corpus loads in at most 2.0 minor words per
+   fact. *)
 let only_e14 = Array.exists (( = ) "--e14") Sys.argv
 let only_e15 = Array.exists (( = ) "--e15") Sys.argv
 let only_e17 = Array.exists (( = ) "--e17") Sys.argv
@@ -1381,46 +1381,39 @@ let e19 () =
   (rps_b, rps_p)
 
 (* ------------------------------------------------------------------ *)
-(* E20 — the big-EDB tier: flat vs boxed million-edge loads            *)
+(* E20 — the big-EDB tier: million-edge loads into the cell store     *)
 (* ------------------------------------------------------------------ *)
 
-(* The storage-layout claim: columnar flat-int relations make the
+(* The storage-layout claim: relations of int cells make the
    million-edge corpus a systems workload rather than an allocation
    stress test.  Three measurements, all on the generated graph
    corpora behind Prim / Kruskal / Dijkstra (seeds recorded in every
    point):
 
-   1. Bulk-load allocation — the same corpus loaded twice through
-      [Graph_gen.load_big], once with flat storage disabled (boxed
-      rows: a tuple plus a Value box per field) and once enabled.
-      The gate asserts flat is >= 1.5x better on minor words per
-      fact; per-predicate cardinalities and distinct counts must
-      agree between the two representations before any point is
-      recorded.
+   1. Bulk-load allocation — each corpus loaded through
+      [Graph_gen.load_big] ([Relation.add_ints]).  The gate asserts at
+      most [e20_words_per_fact] minor words per loaded fact: nothing
+      is boxed per row (boxing each row cost ~23 words/fact).
 
-   2. Snapshot round-trip at the tier — the flat database written
-      with the v2 cell-blob codec and restored, against the same
-      data written v1 (tagged values) and restored; plus the
-      session-fork primitive ([Database.copy]) timed on the
-      million-fact database.
+   2. Snapshot round-trip at the tier — the database written with the
+      v2 cell-blob codec and restored, against the same data written
+      v1 (tagged values) and restored; plus the session-fork primitive
+      ([Database.copy]) timed on the million-fact database.
 
    3. The programs themselves at a sub-tier the engines settle in
       bench time — Prim / Kruskal / Dijkstra through the staged
-      engine seeded via [?db], byte-identical models required
-      between the boxed and flat runs. *)
+      engine seeded via [?db]. *)
 
 let e20_seed = 42
+let e20_words_per_fact = 2.0
 
 let e20 () =
   let nodes, edges, grid = if smoke then (2_000, 20_000, 100) else (100_000, 1_000_000, 707) in
-  let saved_threshold = Relation.flat_threshold () in
-  let set_flat flat = Relation.set_flat_threshold (if flat then Some 1024 else None) in
-  Fun.protect ~finally:(fun () -> Relation.set_flat_threshold saved_threshold) @@ fun () ->
-  (* -- 1: bulk-load allocation, boxed vs flat ----------------------- *)
+  (* -- 1: bulk-load allocation ----------------------------------------- *)
   let corpora =
     [ ("prim", `Power, false); ("kruskal", `Road, false); ("dijkstra", `Power, true) ]
   in
-  let worst_ratio = ref infinity in
+  let worst_wpf = ref 0.0 in
   let big_db = ref None in
   let load_rows =
     List.map
@@ -1430,68 +1423,39 @@ let e20 () =
           | `Power -> Graph_gen.power_law ~seed:e20_seed ~nodes ~edges
           | `Road -> Graph_gen.road_network ~seed:e20_seed ~width:grid ~height:grid
         in
-        let measure flat =
-          set_flat flat;
-          Gc.compact ();
-          let w0 = Gc.minor_words () in
-          let t0 = Unix.gettimeofday () in
-          let db = Database.create () in
-          Graph_gen.load_big ~directed db g;
-          Graph_gen.load_big_nodes db g;
-          let wall = Unix.gettimeofday () -. t0 in
-          (db, wall, Gc.minor_words () -. w0)
-        in
-        let db_b, wall_b, dw_b = measure false in
-        let db_f, wall_f, dw_f = measure true in
-        let facts = Database.cardinal db_b in
-        (* representation must be invisible: same cardinalities, same
-           per-column statistics (full byte-identity is the bigedb
-           smoke test's job — at 10^6+ facts the canonical printer
-           would dominate the bench) *)
-        let stats db =
-          List.map
-            (fun p ->
-              let rel = Option.get (Database.find db p) in
-              (p, Relation.cardinal rel, Relation.distinct_counts rel))
-            (Database.preds db)
-        in
-        if Database.cardinal db_f <> facts || stats db_b <> stats db_f then begin
-          Printf.eprintf "E20: %s: flat load disagrees with boxed load\n" name;
-          exit 1
-        end;
-        let wpf_b = dw_b /. float_of_int facts in
-        let wpf_f = dw_f /. float_of_int facts in
-        let ratio = wpf_b /. Float.max wpf_f 0.01 in
-        worst_ratio := Float.min !worst_ratio ratio;
-        if name = "dijkstra" then big_db := Some db_f;
-        record ~exp:"E20" ~n:facts ~wall:wall_f
+        Gc.compact ();
+        let w0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        let db = Database.create () in
+        Graph_gen.load_big ~directed db g;
+        Graph_gen.load_big_nodes db g;
+        let wall = Unix.gettimeofday () -. t0 in
+        let words = Gc.minor_words () -. w0 in
+        let facts = Database.cardinal db in
+        let wpf = words /. float_of_int facts in
+        worst_wpf := Float.max !worst_wpf wpf;
+        if name = "dijkstra" then big_db := Some db;
+        record ~exp:"E20" ~n:facts ~wall
           [ ("seed", e20_seed); ("nodes", nodes); ("graph_edges", Graph_gen.big_edges g);
             ("directed", if directed then 1 else 0);
-            ("boxed_minor_words", int_of_float dw_b);
-            ("flat_minor_words", int_of_float dw_f);
-            ("boxed_words_per_fact_x10", int_of_float (wpf_b *. 10.0));
-            ("flat_words_per_fact_x10", int_of_float (wpf_f *. 10.0));
-            ("improvement_x10", int_of_float (ratio *. 10.0));
-            ("boxed_load_us", int_of_float (wall_b *. 1e6));
-            ("flat_load_us", int_of_float (wall_f *. 1e6));
+            ("minor_words", int_of_float words);
+            ("words_per_fact_x10", int_of_float (wpf *. 10.0));
+            ("load_us", int_of_float (wall *. 1e6));
             ("top_heap_words", Harness.top_heap_words ()) ];
-        [ name; string_of_int facts; Harness.sec wall_b; Harness.sec wall_f;
-          Printf.sprintf "%.1f" wpf_b; Printf.sprintf "%.1f" wpf_f;
-          Printf.sprintf "%.0fx" ratio ])
+        [ name; string_of_int facts; Harness.sec wall; Printf.sprintf "%.2f" wpf ])
       corpora
   in
   Harness.table
     ~title:
       (Printf.sprintf
-         "E20  Big-EDB bulk loads (%d-node / %d-edge power-law, %dx%d road): boxed vs \
-          flat relations, minor words per loaded fact"
-         nodes edges grid grid)
-    ~header:[ "corpus"; "facts"; "boxed(s)"; "flat(s)"; "boxed w/f"; "flat w/f"; "gain" ]
+         "E20  Big-EDB bulk loads (%d-node / %d-edge power-law, %dx%d road): minor words per \
+          loaded fact (gate <= %.1f)"
+         nodes edges grid grid e20_words_per_fact)
+    ~header:[ "corpus"; "facts"; "load(s)"; "w/f" ]
     load_rows;
   (* -- 2: snapshot round-trip and session fork at the tier ---------- *)
   let db = Option.get !big_db in
   let facts = Database.cardinal db in
-  set_flat true;
   let buf = Buffer.create (1 lsl 20) in
   Db_snapshot.write buf db;
   let v2 = Buffer.contents buf in
@@ -1513,7 +1477,7 @@ let e20 () =
       ("fork_us", int_of_float (t_fork *. 1e6));
       ("top_heap_words", Harness.top_heap_words ()) ];
   Harness.table
-    ~title:"E20  Snapshot round-trip of the big fact base: v2 (flat cell blobs) vs v1 \
+    ~title:"E20  Snapshot round-trip of the big fact base: v2 (cell blobs) vs v1 \
             (tagged values), and the session-fork primitive"
     ~header:[ "facts"; "v2 bytes"; "v1 bytes"; "v2 restore(s)"; "v1 restore(s)"; "fork(s)" ]
     [ [ string_of_int facts; string_of_int (String.length v2); string_of_int (String.length v1);
@@ -1529,38 +1493,26 @@ let e20 () =
         in
         let sub = Graph_gen.power_law ~seed:e20_seed ~nodes:sub_nodes ~edges:sub_edges in
         let prog = Parser.parse_program source in
-        let run flat =
-          set_flat flat;
-          let db = Database.create () in
-          Graph_gen.load_big ~directed db sub;
-          Graph_gen.load_big_nodes db sub;
-          let t0 = Unix.gettimeofday () in
-          let model, _ = Stage_engine.run ~db prog in
-          (Unix.gettimeofday () -. t0, Format.asprintf "%a" Database.pp model)
-        in
-        let wall_b, model_b = run false in
-        let wall_f, model_f = run true in
-        if not (String.equal model_b model_f) then begin
-          Printf.eprintf "E20: %s: flat model differs from boxed\n" name;
-          exit 1
-        end;
-        record ~exp:"E20" ~n:sub_edges ~wall:wall_f
+        let db = Database.create () in
+        Graph_gen.load_big ~directed db sub;
+        Graph_gen.load_big_nodes db sub;
+        let t0 = Unix.gettimeofday () in
+        let model, _ = Stage_engine.run ~db prog in
+        let wall = Unix.gettimeofday () -. t0 in
+        record ~exp:"E20" ~n:sub_edges ~wall
           [ ("seed", e20_seed); ("sub_nodes", sub_nodes); ("sub_edges", sub_edges);
-            ("engine_boxed_us", int_of_float (wall_b *. 1e6));
-            ("engine_flat_us", int_of_float (wall_f *. 1e6)) ];
-        [ name; string_of_int sub_edges; Harness.sec wall_b; Harness.sec wall_f;
-          Harness.ratio wall_b wall_f ])
+            ("engine_us", int_of_float (wall *. 1e6));
+            ("model_facts", Database.cardinal model) ];
+        [ name; string_of_int sub_edges; Harness.sec wall; string_of_int (Database.cardinal model) ])
       [ ("prim", Prim.source ~root:0, false, (4_096, 32_768));
         ("kruskal", Kruskal.source, false, (1_024, 4_096));
         ("dijkstra", Dijkstra.source ~root:0, true, (4_096, 32_768)) ]
   in
   Harness.table
-    ~title:
-      "E20  Prim / Kruskal / Dijkstra on the generated corpus (staged engine, \
-       byte-identical models boxed vs flat)"
-    ~header:[ "program"; "edges"; "boxed(s)"; "flat(s)"; "speedup" ]
+    ~title:"E20  Prim / Kruskal / Dijkstra on the generated corpus (staged engine)"
+    ~header:[ "program"; "edges"; "time(s)"; "model facts" ]
     engine_rows;
-  !worst_ratio
+  !worst_wpf
 
 (* ------------------------------------------------------------------ *)
 (* A1 — (R,Q,L) vs recompute-least (reference engine)                  *)
@@ -1779,7 +1731,7 @@ let () =
     exit 0
   end;
   if only_e20 then begin
-    Printf.printf "Greedy by Choice — E20 (big-EDB tier: flat vs boxed bulk loads)\n";
+    Printf.printf "Greedy by Choice — E20 (big-EDB tier: bulk loads into the cell store)\n";
     let worst = e20 () in
     let files = Harness.flush_bench () in
     if not (Harness.validate_bench files) then begin
@@ -1787,9 +1739,10 @@ let () =
       exit 1
     end;
     Printf.printf "wrote %s\n" (String.concat ", " files);
-    Printf.printf "E20: worst flat-vs-boxed words/fact gain %.1fx (gate 1.5x)\n" worst;
-    if worst < 1.5 then begin
-      print_endline "E20: FAILED — flat representation does not clear the 1.5x gate";
+    Printf.printf "E20: worst bulk load %.2f minor words/fact (gate <= %.1f)\n" worst
+      e20_words_per_fact;
+    if worst > e20_words_per_fact then begin
+      print_endline "E20: FAILED — bulk loads allocate per row";
       exit 1
     end;
     exit 0

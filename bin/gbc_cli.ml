@@ -115,7 +115,7 @@ let evaluate_with ?(jobs = 1) ?db ~telemetry ~limits ~engine ~seed prog =
   | `Staged, _ -> map_outcome fst (Stage_engine.run_governed ~telemetry ~limits ~jobs ?db prog)
 
 (* A fact base written by `gbc load` — decoded with the snapshot codec,
-   so flat relations come back as cell-blob blits. *)
+   so relations of ints and symbols come back from their cell blobs. *)
 let read_db path =
   match Db_snapshot.read (read_file path) 0 with
   | db, _ -> db
@@ -169,9 +169,9 @@ let run_cmd =
 
 (* Bulk-load a fact base and write it as a snapshot file for
    `gbc run --db`.  Generated corpora go through the columnar
-   generators and [Relation.add_ints], so the facts land in flat
-   relations and the snapshot writes them as raw cell blobs — loading
-   a million-edge graph never boxes a value. *)
+   generators and [Relation.add_ints], so the facts land in relation
+   cells and the snapshot writes them as raw cell blobs — loading a
+   million-edge graph never boxes a value. *)
 let load_cmd =
   let out_arg =
     Arg.(required & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
@@ -258,8 +258,8 @@ let load_cmd =
   let doc =
     "Bulk-load a fact base — from a fact file or a generated graph corpus — and write it \
      as a snapshot for $(b,gbc run --db).  Generated corpora use the columnar fast path \
-     end to end: facts land in flat (unboxed) relations and the snapshot stores them as \
-     raw cell blobs, so both this command and the later restore run without boxing."
+     end to end: facts land in relation cells without boxing and the snapshot stores \
+     them as raw cell blobs, so the later restore decodes no value either."
   in
   Cmd.v (Cmd.info "load" ~doc)
     Term.(const run $ out_arg $ gen_arg $ nodes_arg $ edges_arg $ width_arg $ height_arg

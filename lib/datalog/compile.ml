@@ -212,8 +212,7 @@ type cscan = {
   cs_ops : rowop array;
   cs_writes : (int * int) array;  (* = the ops when they are all writes *)
   cs_all_writes : bool;
-  cs_probe : Value.t array;  (* private probe buffer for read-only runs *)
-  cs_iprobe : int array;  (* private flat-probe buffer for read-only runs *)
+  cs_probe : int array;  (* private cell-probe buffer for read-only runs *)
   mutable cs_rel : Relation.t option;
 }
 
@@ -222,14 +221,6 @@ type cstep =
   | CNeg of cscan * (env -> bool) array
   | CTest of (env -> bool)
   | CUnify of (env -> Value.t) * (env -> Value.t -> bool)
-
-let popcount mask =
-  let n = ref 0 and m = ref mask in
-  while !m <> 0 do
-    m := !m land (!m - 1);
-    incr n
-  done;
-  !n
 
 let build_scan bound (sc : E.scan) =
   let mask = sc.E.sc_mask in
@@ -271,14 +262,13 @@ let build_scan bound (sc : E.scan) =
       cs_ops = ops;
       cs_writes = writes;
       cs_all_writes = all_writes;
-      cs_probe = Array.make (max 1 (popcount mask)) Value.unit;
-      cs_iprobe = Array.make (max 1 sc.E.sc_arity) 0;
+      cs_probe = Array.make sc.E.sc_arity 0;
       cs_rel = None },
     !bound )
 
 (* The statically-unrolled residue of [match_row] per enumerated row:
-   fields are read positionally through [Relation.read], so flat
-   relations never materialize a row tuple. *)
+   fields are read positionally through [Relation.read], so no row
+   tuple is ever materialized. *)
 let rec ops_ok_ids env (ops : rowop array) rel id j =
   j = Array.length ops
   || (match ops.(j) with
@@ -316,7 +306,7 @@ let neg_fails ~ro env cs guards =
     in
     (try
        if ro then
-         Relation.iter_matching_cols_ro_ids rel cs.cs_mask cs.cs_key cs.cs_probe cs.cs_iprobe visit
+         Relation.iter_matching_cols_ro_ids rel cs.cs_mask cs.cs_key cs.cs_probe visit
        else Relation.iter_matching_cols_ids rel cs.cs_mask cs.cs_key visit
      with Exit -> ());
     !hit
@@ -402,8 +392,7 @@ let of_body ?(bound = []) (body : E.body) =
             | Some rel ->
               fill_key env cs;
               if ro then
-                Relation.iter_matching_cols_ro_ids rel cs.cs_mask cs.cs_key cs.cs_probe
-                  cs.cs_iprobe visit
+                Relation.iter_matching_cols_ro_ids rel cs.cs_mask cs.cs_key cs.cs_probe visit
               else Relation.iter_matching_cols_ids rel cs.cs_mask cs.cs_key visit
         end
         else begin
@@ -419,8 +408,7 @@ let of_body ?(bound = []) (body : E.body) =
             | Some rel ->
               fill_key env cs;
               if ro then
-                Relation.iter_matching_cols_ro_ids rel cs.cs_mask cs.cs_key cs.cs_probe
-                  cs.cs_iprobe visit
+                Relation.iter_matching_cols_ro_ids rel cs.cs_mask cs.cs_key cs.cs_probe visit
               else Relation.iter_matching_cols_ids rel cs.cs_mask cs.cs_key visit
         end
       | CNeg (cs, gs) -> fun () -> if not (neg_fails ~ro env cs gs) then next ()

@@ -98,9 +98,9 @@ let equal_on a b preds =
    canonical encoding of itself: predicate name, arity, then each field
    — an [Int] by its value, a [Sym]/[Str] by the hash of its text (never
    its interner id), a [Tup]/[App] by its shape and fields.  The model's
-   digest is the lanewise sum over its facts, so neither insertion order
-   nor the storage representation can move it, and a flat relation is
-   hashed straight off its cells. *)
+   digest is the lanewise sum over its facts, so insertion order cannot
+   move it.  Relations are hashed straight off their cells: only term
+   cells are decoded. *)
 
 let mix_a x =
   let x = (x lxor (x lsr 32)) * 0x7fb5d329728ea185 in
@@ -208,27 +208,18 @@ let digest db =
       let head = { a = seed_a; b = seed_b } in
       absorb_text head (hash_text pred);
       absorb head w;
-      let add_fact () =
+      let cells = Relation.cells r in
+      for i = 0 to Relation.cardinal r - 1 do
+        st.a <- head.a;
+        st.b <- head.b;
+        for j = i * w to (i * w) + w - 1 do
+          let c = Array.unsafe_get cells j in
+          if Relation.Cell.is_int c then absorb_int st (c asr 1)
+          else if Relation.Cell.is_sym c then absorb_interned st tag_sym (Relation.Cell.sym_id c)
+          else absorb_value st (Relation.Cell.decode c)
+        done;
         sum.a <- sum.a + st.a;
         sum.b <- sum.b + st.b
-      in
-      match Relation.flat_cells r with
-      | Some cells ->
-        for i = 0 to Relation.cardinal r - 1 do
-          st.a <- head.a;
-          st.b <- head.b;
-          for j = i * w to (i * w) + w - 1 do
-            let c = Array.unsafe_get cells j in
-            if Relation.cell_is_sym c then absorb_interned st tag_sym (Relation.cell_sym c)
-            else absorb_int st (c asr 1)
-          done;
-          add_fact ()
-        done
-      | None ->
-        Relation.iter r (fun row ->
-            st.a <- head.a;
-            st.b <- head.b;
-            Array.iter (absorb_value st) row;
-            add_fact ()))
+      done)
     db.relations;
   Printf.sprintf "mset1:%016x%016x" sum.a sum.b

@@ -50,9 +50,9 @@ val digest : t -> string
 (** A canonical digest of the fact set, in one pass over relation
     storage: no sorting and no rendering.  Each fact hashes its
     predicate, arity and fields into two 63-bit lanes ([Sym]/[Str] by
-    their text, so interner ids do not matter); the lanes are summed
-    over all facts, so insertion order and flat vs boxed storage do not
-    matter either.  Databases with equal canonical renderings ({!pp})
+    their text, so interner and term-table ids do not matter); the
+    lanes are summed over all facts, so insertion order does not matter
+    either.  Databases with equal canonical renderings ({!pp})
     have equal digests.  Not collision-resistant against an adversary:
     it guards replay against divergence.  The result is ["mset1:"]
     followed by 32 hex digits. *)

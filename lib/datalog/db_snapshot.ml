@@ -12,9 +12,9 @@
        u32 len, bytes               name
        u32 arity
        u32 nrows
-       u8  repr                     0 boxed, 1 flat
+       u8  repr                     0 tagged rows, 1 cell blob
        repr 0: nrows x arity x value          rows in insertion order
-       repr 1: (nrows * arity) x i64 cell     raw flat cells
+       repr 1: (nrows * arity) x i64 cell     raw cells
 
      value := u8 tag
        0  Int  i64
@@ -23,12 +23,14 @@
        3  Tup  u32 count, values
        4  App  (u32 len, bytes) name, u32 count, values
 
-   A flat relation's cell store is dumped as one run of i64s — no per
-   value tag bytes, and the reader rebuilds the relation with a single
-   blit plus a membership rehash instead of row-at-a-time inserts.
-   Cells use the in-memory encoding ([i lsl 1] for ints,
-   [(id lsl 1) lor 1] for symbols) with symbol ids rewritten through
-   the local table on both sides.
+   A relation whose fields are all ints and symbols is dumped as one
+   run of i64 cells — no per value tag bytes, and the reader rebuilds
+   the relation from the blob plus a membership rehash instead of
+   row-at-a-time inserts.  Blob cells are [i lsl 1] for ints and
+   [(local lsl 1) lor 1] for symbols, with symbol ids rewritten through
+   the local table on both sides; the reader re-encodes them as
+   in-memory cells ([Relation.Cell]).  Relations holding strings or terms, and nullary
+   ones, are written as repr-0 rows.
 
    Version 1 streams (everything before the magic existed) start
    directly at the [u32 nsyms] field and encode every relation with
@@ -95,20 +97,22 @@ let rec w_value enc b = function
     w_u32 b (List.length xs);
     List.iter (w_value enc b) xs
 
-let w_boxed_rows enc body rel =
+let w_rows enc body rel =
   Relation.iter rel (fun row -> Array.iter (fun v -> w_value enc body v) row)
 
-(* One i64 per cell.  Int cells travel in their in-memory encoding;
-   sym cells are re-encoded with the local id. *)
-let w_flat_cells enc body rel cells =
-  let n = Relation.cardinal rel * Relation.arity rel in
-  for i = 0 to n - 1 do
+(* A relation with no term cells travels as one blob of i64 cells: int
+   cells in their in-memory encoding, sym cells re-encoded as
+   [(local lsl 1) lor 1].  Nullary relations keep tagged rows, which
+   every reader accepts. *)
+let w_cells enc body rel =
+  let cells = Relation.cells rel in
+  for i = 0 to (Relation.cardinal rel * Relation.arity rel) - 1 do
     let c = Array.unsafe_get cells i in
-    if Relation.cell_is_sym c then w_i64 body (Relation.sym_cell (local enc (Relation.cell_sym c)))
+    if Relation.Cell.is_sym c then w_i64 body ((local enc (Relation.Cell.sym_id c) lsl 1) lor 1)
     else w_i64 body c
   done
 
-let write_body ~flat buf db =
+let write_body ~v2 buf db =
   let enc = { locals = Hashtbl.create 64; syms_rev = []; nsyms = 0 } in
   (* rows go to a scratch buffer first: the symbol table they populate
      must precede them in the stream *)
@@ -121,15 +125,15 @@ let write_body ~flat buf db =
       w_str body pred;
       w_u32 body (Relation.arity rel);
       w_u32 body (Relation.cardinal rel);
-      if flat then
-        match Relation.flat_cells rel with
-        | Some cells ->
-          w_u8 body 1;
-          w_flat_cells enc body rel cells
-        | None ->
-          w_u8 body 0;
-          w_boxed_rows enc body rel
-      else w_boxed_rows enc body rel)
+      if not v2 then w_rows enc body rel
+      else if Relation.arity rel > 0 && not (Relation.has_terms rel) then begin
+        w_u8 body 1;
+        w_cells enc body rel
+      end
+      else begin
+        w_u8 body 0;
+        w_rows enc body rel
+      end)
     preds;
   w_u32 buf enc.nsyms;
   List.iter (fun s -> w_str buf s) (List.rev enc.syms_rev);
@@ -138,9 +142,9 @@ let write_body ~flat buf db =
 let write buf db =
   w_u32 buf magic;
   w_u8 buf version;
-  write_body ~flat:true buf db
+  write_body ~v2:true buf db
 
-let write_v1 buf db = write_body ~flat:false buf db
+let write_v1 buf db = write_body ~v2:false buf db
 
 (* ---------------- reading ---------------- *)
 
@@ -163,9 +167,18 @@ let r_u32 rd what =
   if v < 0 then raise (Corrupt (Printf.sprintf "negative count in %s" what));
   v
 
+(* Every int this codec writes fits in 63 bits: the top two bits of
+   the i64 agree.  Anything else is corrupt, not an int to truncate.
+   The caller has checked that 8 bytes are there. *)
+let int_at src pos what =
+  let top = Char.code (String.unsafe_get src pos) lsr 6 in
+  if top = 1 || top = 2 then
+    raise (Corrupt (Printf.sprintf "%s out of range at offset %d" what pos));
+  Int64.to_int (String.get_int64_be src pos)
+
 let r_i64 rd what =
   need rd 8 what;
-  let v = Int64.to_int (String.get_int64_be rd.src rd.pos) in
+  let v = int_at rd.src rd.pos what in
   rd.pos <- rd.pos + 8;
   v
 
@@ -203,33 +216,39 @@ and r_sym syms rd =
     raise (Corrupt (Printf.sprintf "local symbol id %d out of range" l));
   syms.(l)
 
-let r_boxed_rows syms rd rel arity nrows =
+let r_rows syms rd rel arity nrows =
   for _ = 1 to nrows do
     let row = Array.init arity (fun _ -> r_value syms rd) in
     ignore (Relation.add rel row)
   done
 
-(* The whole cell store in one pass: a flat row is 8 * arity bytes, so
-   one length check up front covers every cell. *)
-let r_flat_cells syms rd name arity nrows =
-  if arity = 0 then raise (Corrupt (Printf.sprintf "flat nullary predicate %s" name));
+(* The whole cell store in one pass: a blob row is 8 * arity bytes, so
+   one length check up front covers every cell.  Even cells must be
+   inline ints ([-2^61] is not), odd ones name a local symbol. *)
+let r_cells syms rd name arity nrows =
+  if arity = 0 then raise (Corrupt (Printf.sprintf "nullary cell blob for %s" name));
   let n = nrows * arity in
-  need rd (8 * n) "flat cells";
-  let cells =
-    Array.init n (fun _ ->
-        let c = r_i64 rd "flat cell" in
-        if Relation.cell_is_sym c then begin
-          let l = Relation.cell_sym c in
-          if l >= Array.length syms then
-            raise (Corrupt (Printf.sprintf "local symbol id %d out of range" l));
-          Relation.sym_cell syms.(l)
-        end
-        else c)
-  in
-  Relation.of_flat_cells name arity cells nrows
+  need rd (8 * n) "cell blob";
+  let src = rd.src and base = rd.pos in
+  let cells = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let pos = base + (8 * i) in
+    let c = int_at src pos "cell" in
+    if c = min_int then raise (Corrupt (Printf.sprintf "int cell out of range at offset %d" pos));
+    cells.(i) <-
+      (if c land 1 = 0 then c
+       else begin
+         let l = c lsr 1 in
+         if l >= Array.length syms then
+           raise (Corrupt (Printf.sprintf "local symbol id %d out of range" l));
+         Relation.Cell.of_sym syms.(l)
+       end)
+  done;
+  rd.pos <- base + (8 * n);
+  Relation.of_cells name arity cells nrows
 
 (* body shared by both versions: v2 streams carry a repr byte per
-   predicate, v1 streams are always boxed rows *)
+   predicate, v1 streams are always tagged rows *)
 let read_body ~v2 rd =
   let nsyms = r_count rd "symbol table" in
   (* re-intern: local id -> this process's global id *)
@@ -240,7 +259,10 @@ let read_body ~v2 rd =
     let name = r_str rd "predicate name" in
     let arity = r_u32 rd "arity" in
     if arity > 0xFFFF then raise (Corrupt (Printf.sprintf "implausible arity %d" arity));
-    let nrows = r_count rd "row count" in
+    (* a nullary row takes no bytes: its count promises none *)
+    let nrows = if arity = 0 then r_u32 rd "row count" else r_count rd "row count" in
+    if arity = 0 && nrows > 1 then
+      raise (Corrupt (Printf.sprintf "%d rows for nullary predicate %s" nrows name));
     let repr = if v2 then r_u8 rd "representation tag" else 0 in
     match repr with
     | 0 ->
@@ -248,12 +270,12 @@ let read_body ~v2 rd =
         try Database.relation db name arity
         with Invalid_argument msg -> raise (Corrupt msg)
       in
-      r_boxed_rows syms rd rel arity nrows
+      r_rows syms rd rel arity nrows
     | 1 ->
       if Database.find db name <> None then
-        raise (Corrupt (Printf.sprintf "duplicate flat predicate %s" name));
+        raise (Corrupt (Printf.sprintf "duplicate cell-blob predicate %s" name));
       let rel =
-        try r_flat_cells syms rd name arity nrows
+        try r_cells syms rd name arity nrows
         with Invalid_argument msg -> raise (Corrupt msg)
       in
       Database.set_relation db name rel

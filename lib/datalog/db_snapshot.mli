@@ -7,10 +7,10 @@
     order, so a round trip preserves arities, per-relation order and —
     therefore — the canonical [Database.pp] rendering byte-for-byte.
 
-    The current stream format (version 2, magic ["GBC2"]) writes flat
-    all-int relations as one raw cell blob — restoring a bulk-loaded
-    database is a blit plus a membership rehash per relation instead of
-    a value decode per field.  Version 1 streams (no magic) are still
+    The current stream format (version 2, magic ["GBC2"]) writes every
+    relation of ints and symbols as one raw cell blob — restoring a
+    bulk-loaded database is a blob decode plus a membership rehash per
+    relation instead of a value decode per field.  Version 1 streams (no magic) are still
     decoded; {!write_v1} produces them for back-compat tests.
 
     The codec checksums nothing: callers (lib/server/durable.ml) wrap
@@ -20,8 +20,10 @@
 
 exception Corrupt of string
 (** Raised by {!read} on any malformation — truncation, impossible
-    counts, unknown value tags, out-of-range local symbol ids.  Never
-    raised after reading past the snapshot's own bytes. *)
+    counts, unknown value tags, out-of-range local symbol ids, ints
+    that do not fit in 63 bits, and cell blobs with an out-of-range
+    int cell or a duplicate row.  Never raised after reading past the
+    snapshot's own bytes. *)
 
 val write : Buffer.t -> Database.t -> unit
 (** Append the (version 2) snapshot encoding of a database. *)

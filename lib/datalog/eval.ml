@@ -508,8 +508,8 @@ let run body db env k =
         | Some rel ->
           fill_pattern env sc;
           if sc.sc_fast && fast_applicable sc then begin
-            (* id-based kernel: read only the written positions — on a
-               flat relation no row tuple is ever materialized *)
+            (* id-based kernel: read only the written positions — no
+               row tuple is ever materialized *)
             let writes = sc.sc_writes in
             let nw = Array.length writes in
             Relation.iter_matching_ids rel sc.sc_pattern (fun id ->

@@ -53,8 +53,8 @@ type pred_stats = { card : float; distinct : float array option }
 (* Per-column distinct counts of a materialized relation.  O(rows ×
    arity) once per predicate at plan time — load-time work, amortized
    by the program cache.  [Relation.distinct_counts] runs over raw
-   cells on flat relations, so statistics over a bulk-loaded
-   million-row EDB cost integer hashing, not [Value] boxing. *)
+   cells, so statistics over a bulk-loaded million-row EDB cost
+   integer hashing, not [Value] boxing. *)
 let column_stats rel =
   Array.map (fun n -> float_of_int (max 1 n)) (Relation.distinct_counts rel)
 

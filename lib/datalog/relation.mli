@@ -11,19 +11,39 @@
     {!iter_from}) sound, and what lets {!copy} share the frozen prefix
     copy-on-write instead of re-hashing every row.
 
-    {b Two physical representations} live behind this interface.  Rows
-    whose fields are all [Value.Int]/[Value.Sym] (every ground EDB row
-    since interning) can be stored {e flat}: one growable int array of
-    [arity * count] cells, with membership and index buckets probing
-    directly into it — no per-row tuple, no per-field box.  A relation
-    starts boxed and promotes automatically once it holds
-    {!flat_threshold} all-int rows; a later non-encodable row demotes it
-    back.  Promotion is invisible: iteration order, dedup and probe
-    semantics are identical in both representations, which the
-    byte-identity of canonical models depends on.  Flat relations decode
-    cells through shared-value caches, so scans allocate (almost)
-    nothing; the id-based accessors below avoid even the per-row tuple
-    for hot paths that only read a few fields. *)
+    {b One representation.}  A row is [arity] {e cells} — one int per
+    field — stored with every other row in one growable int array of
+    [arity * count] cells.  A cell is
+
+    - [i lsl 1] for [Int i] with [|i| < 2^61];
+    - [(id lsl 2) lor 1] for [Sym id];
+    - [(k lsl 2) lor 3] for every other value — [Str], [Tup], [App] and
+      wider ints — where [k] is the value's id in a global hash-consing
+      table of terms.
+
+    Every value has exactly one cell, so membership, indexes and
+    distinct counts work on raw ints and agree with {!Value.equal}.
+    The term table is shared by every domain and lives as long as the
+    process, like {!Interner}: inserts and lookups run under its mutex,
+    decoding reads it lock-free behind an atomic frontier.  Probing with
+    a value no row holds never grows it.  Scans decode cells through
+    shared-value caches and the term table, so they allocate (almost)
+    nothing beyond the row tuple; the id-based accessors below avoid
+    even that for hot paths that only read a few fields. *)
+
+(** Cell inspection for the snapshot codec and the digest. *)
+module Cell : sig
+  val decode : int -> Value.t
+
+  val is_int : int -> bool
+  (** The cell holds an inline [Int]; its payload is [c asr 1]. *)
+
+  val is_sym : int -> bool
+  (** The cell holds a [Sym]; its interner id is {!sym_id}. *)
+
+  val sym_id : int -> int
+  val of_sym : int -> int
+end
 
 type tuple = Value.t array
 
@@ -49,10 +69,8 @@ val add : t -> tuple -> bool
 
 val add_ints : t -> int array -> bool
 (** [add_ints r ints]: add the row [Int ints.(0), ..., Int ints.(n-1)]
-    without boxing any field — the bulk-loader fast path.  The first row
-    of an empty relation switches it to the flat representation
-    immediately (when flat storage is enabled), bypassing the promotion
-    threshold.  Same dedup/return semantics as {!add}.
+    without boxing any inline field — the bulk-loader fast path.  Same
+    dedup/return semantics as {!add}, for every int.
     @raise Invalid_argument on arity mismatch. *)
 
 val mem : t -> tuple -> bool
@@ -66,23 +84,23 @@ val iter_from : t -> int -> (tuple -> unit) -> unit
 
 val remove : t -> tuple list -> t
 (** [remove r rows]: a fresh relation holding the rows of [r] that are
-    not in [rows], in their original insertion order and [r]'s
-    representation.  This is how incremental view maintenance retracts:
-    relations themselves are append-only, so deletion rebuilds the
-    survivors and installs the result with [Database.set_relation].
+    not in [rows], in their original insertion order.  This is how
+    incremental view maintenance retracts: relations themselves are
+    append-only, so deletion rebuilds the survivors and installs the
+    result with [Database.set_relation].
     [r] itself is left untouched, indexes included, so it can serve as
     the pre-removal state.  Rows of [rows] absent from [r] are ignored.
-    One pass over [r]: a flat store locates the doomed rows through its
-    membership set and copies the survivors' cells in runs, decoding
-    nothing; a boxed one matches rows against a [Row_tbl].  The
-    result's indexes are rebuilt lazily on the next probe. *)
+    One pass over [r]: the doomed rows are located through the
+    membership set and the survivors' cells copied in runs, decoding
+    nothing.  The result has room for a quarter more rows; its indexes
+    are rebuilt lazily on the next probe. *)
 
 val append_from : t -> t -> int -> unit
 (** [append_from dst src from]: bulk-copy rows [from, cardinal src) of
     [src] into [dst], which must be empty — the semi-naive delta
     publisher.  Rows of one relation are already distinct, so no
-    membership probes are paid on the way in; a flat source is copied as
-    one cell blit.
+    membership probes are paid on the way in: the source's cells are
+    copied as one blit.
     @raise Invalid_argument if [dst] is non-empty or arities differ. *)
 
 (** {2 Id-based access}
@@ -91,15 +109,14 @@ val append_from : t -> t -> int -> unit
     dense in [0, cardinal) and stable forever (relations only grow).
     The [_ids] iterators enumerate exactly the same ids, in exactly the
     same order, as their tuple-yielding counterparts — but without
-    materializing a tuple per row, which on flat relations is the
-    difference between one array load per field and an allocation per
-    row.  Pair them with {!read}. *)
+    materializing a tuple per row: one array load per field instead of
+    an allocation per row.  Pair them with {!read}. *)
 
 val read : t -> int -> int -> Value.t
 (** [read r id col]: field [col] of row [id].  No bounds checks beyond
     the store's own; callers pass ids obtained from the [_ids]
-    iterators.  Allocation-free on boxed relations and on flat cells
-    that hit the decode cache. *)
+    iterators.  Allocation-free on terms and on ints and symbols that
+    hit the decode cache. *)
 
 val iter_ids : t -> (int -> unit) -> unit
 (** Ids [0, cardinal) in order; the bound is read once. *)
@@ -111,25 +128,23 @@ val iter_matching_ids : t -> Value.t option array -> (int -> unit) -> unit
 val iter_matching_cols_ids : t -> int -> Value.t array -> (int -> unit) -> unit
 (** Id-yielding {!iter_matching_cols}. *)
 
-val iter_matching_cols_ro_ids :
-  t -> int -> Value.t array -> Value.t array -> int array -> (int -> unit) -> unit
-(** [iter_matching_cols_ro_ids r mask key probe iprobe f]: like
+val iter_matching_cols_ro_ids : t -> int -> Value.t array -> int array -> (int -> unit) -> unit
+(** [iter_matching_cols_ro_ids r mask key probe f]: like
     {!iter_matching_cols_ids} but safe for concurrent readers — never
-    builds or mutates an index, and probes only with the caller-owned
-    scratch buffers: [probe] needs as many slots as [mask] has bits
-    (boxed probes), [iprobe] needs [arity r] slots (flat probes).
-    Falls back to a filtered linear scan when no index exists for
-    [mask] — same rows, same insertion order, just slower; call
-    {!ensure_index} from the (sequential) coordinator first. *)
+    builds or mutates an index, and encodes the key into the
+    caller-owned [probe] buffer, which needs [arity r] slots.  Falls
+    back to a filtered linear scan when no index exists for [mask] —
+    same rows, same insertion order, just slower; call {!ensure_index}
+    from the (sequential) coordinator first. *)
 
 val iter_matching : t -> Value.t option array -> (tuple -> unit) -> unit
 (** [iter_matching r pattern f]: rows agreeing with every [Some v]
     position of [pattern], in insertion order.  Uses (and if needed
     builds) the index for the pattern's bound-column set — except that a
-    fully-bound probe of a flat relation is answered from the membership
-    set, which already maps a row to its id, so no full-width index is
-    ever built for it (this holds for every probe and slice below, the
-    read-only variant and {!ensure_index} included).  The pattern
+    fully-bound probe is answered from the membership set, which already
+    maps a row to its id, so no full-width index is ever built for it
+    (this holds for every probe and slice below, the read-only variant
+    and {!ensure_index} included).  The pattern
     is consumed before [f] is first called, so callers may reuse a
     scratch pattern buffer across calls.  Rows inserted by [f] itself
     are not visited. *)
@@ -182,51 +197,27 @@ val copy : t -> t
     to the other.  O(1) — the row store and membership set are shared
     until one side next mutates (stored rows themselves never change). *)
 
-(** {2 Flat representation control and raw access} *)
-
-val is_flat : t -> bool
-
-val set_flat_threshold : int option -> unit
-(** Override the promotion threshold for this process: [Some n] promotes
-    all-int relations at [n] rows, [None] disables flat storage for
-    relations not already flat.  Initialized from the [GBC_FLAT]
-    environment variable ("off"/"0" disables, an integer overrides the
-    default of 1024).  Intended for tests and benchmarks. *)
-
-val flat_threshold : unit -> int option
-
-val promote : t -> bool
-(** Force promotion now (threshold ignored); returns whether the
-    relation is flat afterwards (false if it holds non-encodable rows,
-    is nullary, or flat storage is disabled). *)
-
-val demote : t -> unit
-(** Force the boxed representation (no-op if already boxed). *)
-
 val distinct_counts : t -> int array
-(** Per-column distinct-value counts — planner statistics.  O(cells) on
-    flat relations with no boxing. *)
+(** Per-column distinct-value counts — planner statistics.  O(cells)
+    with no boxing. *)
 
-(** {2 Snapshot codec support}
+(** {2 Raw cells}
 
-    A flat relation's store is an array of cells: [i lsl 1] encodes
-    [Int i], [(id lsl 1) lor 1] encodes [Sym id].  The codec writes the
-    store as one blob and rewrites sym ids through the snapshot's local
-    symbol table using the helpers below. *)
+    The snapshot codec and the digest read and rebuild the cell store
+    directly, in the encoding described at the top. *)
 
-val flat_cells : t -> int array option
-(** The live cell store of a flat relation (length may exceed
-    [cardinal * arity]; only the first [cardinal * arity] cells are
-    meaningful).  [None] for boxed relations.  Callers must not mutate
-    the array. *)
+val cells : t -> int array
+(** The live cell store (length may exceed [cardinal * arity]; only the
+    first [cardinal * arity] cells are meaningful).  Callers must not
+    mutate the array. *)
 
-val of_flat_cells : string -> int -> int array -> int -> t
-(** [of_flat_cells name arity cells count]: rebuild a flat relation from
-    a decoded cell blob, taking ownership of [cells].  Rows must already
-    be distinct (membership is rebuilt, not checked).
-    @raise Invalid_argument if [arity <= 0] or [cells] is too short. *)
+val has_terms : t -> bool
+(** Some cell holds a term-table value: a [Str], [Tup], [App] or wide
+    [Int]. *)
 
-val cell_is_sym : int -> bool
-val cell_sym : int -> int
-val sym_cell : int -> int
-val int_cell : int -> int
+val of_cells : string -> int -> int array -> int -> t
+(** [of_cells name arity cells count]: rebuild a relation from a
+    decoded cell blob, taking ownership of [cells].  Membership is
+    rebuilt, indexes stay lazy.
+    @raise Invalid_argument if [cells] is too short or holds a
+    duplicate row. *)

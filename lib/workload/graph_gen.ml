@@ -109,8 +109,7 @@ let big_edges g = Array.length g.big_src
 
 (* Pairwise-distinct costs: a shuffled block of 1..m, as in
    [random_connected] — unique weights give the greedy programs a
-   single stable model, which the flat-vs-boxed identity checks rely
-   on. *)
+   single stable model, which the byte-identity checks rely on. *)
 let unique_costs rng m =
   let costs = Array.init m (fun i -> i + 1) in
   Rng.shuffle rng costs;

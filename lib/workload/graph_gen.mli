@@ -42,7 +42,7 @@ val node_facts : ?pred:string -> t -> Gbc_datalog.Ast.program
 
     Columnar graphs for the 10^6-10^7-edge corpus: three parallel int
     arrays instead of a triple list, generated in O(edges) and loaded
-    straight into flat relations with {!load_big} — no [Value] boxing
+    straight into relation cells with {!load_big} — no [Value] boxing
     anywhere on the path. *)
 
 type big = {

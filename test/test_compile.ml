@@ -4,7 +4,7 @@
    Every engine runs rule bodies as [Compile] chains over cost-planned
    bodies.  These tests pin that the models do not depend on the
    number of evaluation domains (every shipped exemplar, plus a
-   chosen$ relation large enough to be stored flat), that chained
+   chosen$ relation probed while candidates are sharded), that chained
    evaluation of random Horn programs equals the reference executor
    behind [Naive], and the planner itself: join orders on a fixture
    with skewed selectivities, and the reorder gate that keeps choice
@@ -56,42 +56,33 @@ let test_staged_jobs =
   jobs_byte_identical "staged" (fun ~jobs prog -> fst (Stage_engine.run ~jobs prog))
 
 (* The gamma step's candidate collection is sharded at jobs > 1 and
-   asks, per solution, whether the chosen$ row already exists.  On a
-   flat relation that membership test encodes its probe into a buffer
-   the relation owns, so it must stay out of the shards.  A low flat
-   threshold stores chosen$ flat from its first rows.  Every row is
-   compatible and its own candidate, so by step k the first k rows are
-   chosen and a wrong "not chosen" answer on any of them fires a
-   duplicate gamma step: the step and candidate counts, and the model,
-   must equal the sequential run's on every seed. *)
+   asks, per solution, whether the chosen$ row already exists.  That
+   membership test encodes its probe into a cell buffer, which must
+   not be shared with the shards.  Every row is compatible and its own
+   candidate, so by step k the first k rows are chosen and a wrong "not
+   chosen" answer on any of them fires a duplicate gamma step: the step
+   and candidate counts, and the model, must equal the sequential run's
+   on every seed. *)
 let test_flat_chosen_jobs () =
-  let saved = Relation.flat_threshold () in
-  Relation.set_flat_threshold (Some 4);
-  Fun.protect
-    ~finally:(fun () -> Relation.set_flat_threshold saved)
-    (fun () ->
-      for seed = 1 to 30 do
-        let rng = Random.State.make [| seed |] in
-        let src = Buffer.create 4096 in
-        for x = 1 to 300 do
-          Buffer.add_string src
-            (Printf.sprintf "e(%d, %d).\n" x (Random.State.int rng 1000))
-        done;
-        Buffer.add_string src "pick(X, Y) :- e(X, Y), choice((X), (Y)).\n";
-        let prog = Parser.parse_program (Buffer.contents src) in
-        let sequential, s1 = Choice_fixpoint.run ~jobs:1 prog in
-        (match Database.find sequential "chosen$0" with
-        | Some rel -> Alcotest.(check bool) "chosen$0 is flat" true (Relation.is_flat rel)
-        | None -> Alcotest.fail "no chosen$0 relation");
-        let parallel, s2 = Choice_fixpoint.run ~jobs:2 prog in
-        Alcotest.(check (pair int int))
-          (Printf.sprintf "seed %d: jobs 2 gamma steps and candidates = jobs 1" seed)
-          (s1.Choice_fixpoint.gamma_steps, s1.Choice_fixpoint.candidates_examined)
-          (s2.Choice_fixpoint.gamma_steps, s2.Choice_fixpoint.candidates_examined);
-        Alcotest.(check string)
-          (Printf.sprintf "seed %d: jobs 2 = jobs 1" seed)
-          (db_bytes sequential) (db_bytes parallel)
-      done)
+  for seed = 1 to 30 do
+    let rng = Random.State.make [| seed |] in
+    let src = Buffer.create 4096 in
+    for x = 1 to 300 do
+      Buffer.add_string src (Printf.sprintf "e(%d, %d).\n" x (Random.State.int rng 1000))
+    done;
+    Buffer.add_string src "pick(X, Y) :- e(X, Y), choice((X), (Y)).\n";
+    let prog = Parser.parse_program (Buffer.contents src) in
+    let sequential, s1 = Choice_fixpoint.run ~jobs:1 prog in
+    Alcotest.(check bool) "chosen$0 exists" true (Database.find sequential "chosen$0" <> None);
+    let parallel, s2 = Choice_fixpoint.run ~jobs:2 prog in
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "seed %d: jobs 2 gamma steps and candidates = jobs 1" seed)
+      (s1.Choice_fixpoint.gamma_steps, s1.Choice_fixpoint.candidates_examined)
+      (s2.Choice_fixpoint.gamma_steps, s2.Choice_fixpoint.candidates_examined);
+    Alcotest.(check string)
+      (Printf.sprintf "seed %d: jobs 2 = jobs 1" seed)
+      (db_bytes sequential) (db_bytes parallel)
+  done
 
 (* Random Horn programs: both engines, sequential and sharded, against
    the reference executor ([Naive] runs [Eval.run]).  Enough duplicate

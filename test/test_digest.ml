@@ -1,7 +1,7 @@
 (* The multiset model digest ([Database.digest]).
 
    - it depends on the fact set only: not on insertion order, not on
-     flat vs boxed storage, not on interner ids (checked across forked
+     repeated insertions, not on interner ids (checked across forked
      children that intern different unrelated symbols first);
    - incremental maintenance ([Ivm.apply]) over random assert/retract
      batches lands on the digest of a from-scratch evaluation;
@@ -12,11 +12,6 @@
 
 open Gbc
 
-let with_threshold t f =
-  let saved = Relation.flat_threshold () in
-  Relation.set_flat_threshold t;
-  Fun.protect ~finally:(fun () -> Relation.set_flat_threshold saved) f
-
 let render db = Format.asprintf "%a" Database.pp db
 
 let db_of facts =
@@ -26,9 +21,8 @@ let db_of facts =
 
 (* ---------------- generators ---------------- *)
 
-(* Rows over a small domain, so facts collide across orders and
-   relations grow past a tiny flat threshold. *)
-let gen_flat_value =
+(* Rows over a small domain, so facts collide across orders. *)
+let gen_inline_value =
   QCheck.Gen.(
     frequency
       [ (3, map (fun i -> Value.Int (i - 4)) (int_bound 8));
@@ -36,22 +30,22 @@ let gen_flat_value =
 
 let rec gen_value depth =
   QCheck.Gen.(
-    if depth = 0 then gen_flat_value
+    if depth = 0 then gen_inline_value
     else
       frequency
-        [ (4, gen_flat_value);
+        [ (4, gen_inline_value);
           (1, map (fun i -> Value.str (Printf.sprintf "t %d" i)) (int_bound 3));
           (1, map (fun xs -> Value.Tup xs) (list_size (int_bound 2) (gen_value (depth - 1))));
           ( 1,
             map (fun xs -> Value.App ("f", xs))
               (list_size (int_range 1 2) (gen_value (depth - 1))) ) ])
 
-(* [p]/[q] stay flat-encodable; [r] also holds strings and terms. *)
+(* [p]/[q] hold ints and symbols; [r] also holds strings and terms. *)
 let gen_fact =
   QCheck.Gen.(
     frequency
-      [ (3, map (fun row -> ("p", Array.of_list row)) (list_repeat 2 gen_flat_value));
-        (2, map (fun v -> ("q", [| v |])) gen_flat_value);
+      [ (3, map (fun row -> ("p", Array.of_list row)) (list_repeat 2 gen_inline_value));
+        (2, map (fun v -> ("q", [| v |])) gen_inline_value);
         (1, map (fun row -> ("r", Array.of_list row)) (list_repeat 2 (gen_value 2))) ])
 
 let gen_facts = QCheck.Gen.(list_size (int_bound 40) gen_fact)
@@ -64,33 +58,16 @@ let print_facts facts =
            (String.concat ", " (List.map Value.to_string (Array.to_list row))))
        facts)
 
-(* ---------------- order and representation ---------------- *)
+(* ---------------- order ---------------- *)
 
-let qc_order_and_storage =
-  QCheck.Test.make ~count:200 ~name:"independent of insertion order and flat/boxed storage"
+let qc_order =
+  QCheck.Test.make ~count:200 ~name:"independent of insertion order and repeats"
     (QCheck.make ~print:(fun (f, _) -> print_facts f)
        QCheck.Gen.(gen_facts >>= fun facts -> pair (return facts) (shuffle_l facts)))
     (fun (facts, shuffled) ->
-      let boxed = with_threshold None (fun () -> db_of facts) in
-      let flat = with_threshold (Some 2) (fun () -> db_of shuffled) in
-      let d = Database.digest boxed in
-      if not (String.equal d (Database.digest flat)) then
-        QCheck.Test.fail_reportf "boxed %s, flat+shuffled %s" d (Database.digest flat);
-      (* forcing every relation flat after the fact changes nothing either *)
-      List.iter
-        (fun p -> Option.iter (fun r -> ignore (Relation.promote r)) (Database.find boxed p))
-        (Database.preds boxed);
-      String.equal d (Database.digest boxed))
-
-let test_promote_demote () =
-  with_threshold (Some 2) (fun () ->
-      let db = db_of [ ("p", [| Value.Int 1; Value.sym "a" |]); ("p", [| Value.Int 2; Value.Int 3 |]) ] in
-      let r = Option.get (Database.find db "p") in
-      Alcotest.(check bool) "promoted" true (Relation.is_flat r);
-      let d = Database.digest db in
-      Relation.demote r;
-      Alcotest.(check bool) "demoted" false (Relation.is_flat r);
-      Alcotest.(check string) "same digest" d (Database.digest db))
+      let d = Database.digest (db_of facts) in
+      let d' = Database.digest (db_of (shuffled @ facts)) in
+      String.equal d d' || QCheck.Test.fail_reportf "in order %s, shuffled and repeated %s" d d')
 
 (* Equal digests exactly when the canonical renderings are equal. *)
 let qc_agrees_with_rendering =
@@ -174,24 +151,23 @@ let qc_ivm =
   QCheck.Test.make ~count:60 ~name:"Ivm.apply sequences equal the from-scratch digest"
     (QCheck.make gen_batches)
     (fun batches ->
-      with_threshold (Some 3) (fun () ->
-          let present = ref [ (0, 1); (1, 2); (2, 3) ] in
-          let edb = edb_of !present in
-          let ivm = Ivm.create ivm_rules ~edb ~model:(scratch_model edb) in
-          List.iter
-            (fun batch ->
-              let dels, ins = List.partition (fun e -> List.mem e !present) (List.sort_uniq compare batch) in
-              present := ins @ List.filter (fun e -> not (List.mem e dels)) !present;
-              match
-                Ivm.apply ivm ~inserts:(List.map edge_row ins) ~deletes:(List.map edge_row dels)
-              with
-              | Ivm.Maintained -> ()
-              | Ivm.Fallback _ -> QCheck.Test.fail_report "unexpected fallback")
-            batches;
-          let got = Ivm.model ivm and fresh = scratch_model (edb_of !present) in
-          if not (String.equal (Database.digest got) (Database.digest fresh)) then
-            QCheck.Test.fail_reportf "incremental\n%s\nscratch\n%s" (render got) (render fresh);
-          String.equal (render got) (render fresh)))
+      let present = ref [ (0, 1); (1, 2); (2, 3) ] in
+      let edb = edb_of !present in
+      let ivm = Ivm.create ivm_rules ~edb ~model:(scratch_model edb) in
+      List.iter
+        (fun batch ->
+          let dels, ins = List.partition (fun e -> List.mem e !present) (List.sort_uniq compare batch) in
+          present := ins @ List.filter (fun e -> not (List.mem e dels)) !present;
+          match
+            Ivm.apply ivm ~inserts:(List.map edge_row ins) ~deletes:(List.map edge_row dels)
+          with
+          | Ivm.Maintained -> ()
+          | Ivm.Fallback _ -> QCheck.Test.fail_report "unexpected fallback")
+        batches;
+      let got = Ivm.model ivm and fresh = scratch_model (edb_of !present) in
+      if not (String.equal (Database.digest got) (Database.digest fresh)) then
+        QCheck.Test.fail_reportf "incremental\n%s\nscratch\n%s" (render got) (render fresh);
+      String.equal (render got) (render fresh))
 
 (* ---------------- separation ---------------- *)
 
@@ -245,13 +221,9 @@ let golden_src =
    nullary.\n"
 
 let test_golden () =
-  List.iter
-    (fun threshold ->
-      with_threshold threshold (fun () ->
-          let db = Stage_engine.model (Parser.parse_program golden_src) in
-          Alcotest.(check string) "pinned value" "mset1:3d57494eb05790b223ae0b38227918cb"
-            (Database.digest db)))
-    [ None; Some 1 ]
+  let db = Stage_engine.model (Parser.parse_program golden_src) in
+  Alcotest.(check string) "pinned value" "mset1:3d57494eb05790b223ae0b38227918cb"
+    (Database.digest db)
 
 let () =
   Alcotest.run "digest"
@@ -259,8 +231,7 @@ let () =
         (* first: forking needs a process without other domains *)
         [ Alcotest.test_case "unchanged when ids shift" `Quick test_interner_ids ] );
       ( "digest canonical",
-        [ QCheck_alcotest.to_alcotest qc_order_and_storage;
-          Alcotest.test_case "promote/demote keeps the digest" `Quick test_promote_demote;
+        [ QCheck_alcotest.to_alcotest qc_order;
           QCheck_alcotest.to_alcotest qc_agrees_with_rendering ] );
       ("digest ivm", [ QCheck_alcotest.to_alcotest qc_ivm ]);
       ( "digest separation",

@@ -83,7 +83,7 @@ let test_most_uses_greater_guard () =
     Alcotest.(check bool) "uses >" true (contains (Pretty.rule_to_string main) ">")
   | _ -> Alcotest.fail "expected two rules"
 
-let test_expand_all_is_flat () =
+let test_expand_all_flat () =
   List.iter
     (fun src ->
       let rewritten = Rewrite.expand_all (Parser.parse_program src) in
@@ -148,7 +148,7 @@ let () =
           Alcotest.test_case "choice expansion" `Quick test_expand_choice_shape;
           Alcotest.test_case "extrema expansion" `Quick test_expand_extrema_shape;
           Alcotest.test_case "most flips the guard" `Quick test_most_uses_greater_guard;
-          Alcotest.test_case "expand_all is flat" `Quick test_expand_all_is_flat;
+          Alcotest.test_case "expand_all is flat" `Quick test_expand_all_flat;
           Alcotest.test_case "internal predicates" `Quick test_internal_pred_detection ] );
       ( "semantics",
         [ Alcotest.test_case "choice = stable models of rewriting" `Quick
