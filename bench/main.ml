@@ -738,7 +738,6 @@ let e15 () =
    correctness gate, the curve is the measurement). *)
 
 let e16 () =
-  let db_bytes db = Format.asprintf "%a" Database.pp db in
   let jobs_levels = [ 1; 2; 4 ] in
   let curve (tag, workload_id, n, prog) =
     let seq_bytes = ref "" in
@@ -750,7 +749,7 @@ let e16 () =
           Harness.time_stats (fun () ->
               result := Some (fst (Choice_fixpoint.run ~jobs prog)))
         in
-        let bytes = db_bytes (Option.get !result) in
+        let bytes = Database.render (Option.get !result) in
         if jobs = 1 then begin
           seq_bytes := bytes;
           t1 := ts.Harness.best_s
@@ -1181,9 +1180,7 @@ let e19 () =
     List.map
       (fun n ->
         let src = read_file ("../programs/" ^ n) in
-        let reference =
-          Format.asprintf "%a" Database.pp (Stage_engine.model (Parser.parse_program src))
-        in
+        let reference = Database.render (Stage_engine.model (Parser.parse_program src)) in
         (src, reference))
       e19_exemplars
   in

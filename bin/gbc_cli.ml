@@ -38,19 +38,6 @@ let parse_file path = Parser.parse_program (read_file path)
 
 let nowhere = { Lexer.line = 0; col = 0 }
 
-let print_model ?preds db =
-  match preds with
-  | None -> Format.printf "%a@?" Database.pp db
-  | Some preds ->
-    List.iter
-      (fun pred ->
-        List.iter
-          (fun row ->
-            Format.printf "%s(%s).@." pred
-              (String.concat ", " (List.map Value.to_string (Array.to_list row))))
-          (Database.facts_of db pred))
-      preds
-
 (* ---------------- common options ---------------- *)
 
 let file_arg =
@@ -65,7 +52,7 @@ let engine_arg =
 
 let preds_arg =
   Arg.(value & opt (some (list string)) None & info [ "print" ] ~docv:"PREDS"
-         ~doc:"Comma-separated predicates to print (default: whole model).")
+         ~doc:"Comma-separated predicates to print, in this order (default: whole model).")
 
 let seed_arg =
   Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N"
@@ -145,10 +132,11 @@ let run_cmd =
           evaluate_with ~jobs:(max 1 jobs) ?db ~telemetry ~limits ~engine ~seed prog
         with
         | Limits.Complete db ->
-          print_model ?preds db;
+          print_string (Database.render ?preds db);
           if stats then Format.eprintf "%a@?" Telemetry.pp telemetry
         | Limits.Partial (db, d) ->
-          print_model ?preds db;
+          print_string (Database.render ?preds db);
+          flush stdout;
           Format.eprintf "gbc: %a" Limits.pp_diagnostics d;
           Format.eprintf "gbc: the model above is partial@.";
           if stats then Format.eprintf "%a@?" Telemetry.pp telemetry;
@@ -365,7 +353,7 @@ let models_cmd =
         List.iteri
           (fun i db ->
             Format.printf "--- model %d ---@." (i + 1);
-            print_model ?preds db)
+            print_string (Database.render ?preds db))
           models)
   in
   let doc = "Enumerate all choice models (small programs only)." in
@@ -405,8 +393,7 @@ let wellfounded_cmd =
           Format.printf "%d undefined atom(s)@." (List.length undef);
           List.iter
             (fun (pred, row) ->
-              Format.printf "  undefined: %s(%s)@." pred
-                (String.concat ", " (List.map Value.to_string (Array.to_list row))))
+              Format.printf "  undefined: %s@." (Database.fact_to_string pred row))
             undef
         | exception Invalid_argument msg ->
           Format.eprintf "gbc: %s@." msg;
@@ -424,6 +411,10 @@ let parse_goal text =
   | { Ast.body = [ Ast.Pos a ]; _ } -> a
   | _ -> raise (Parser.Error ("expected a single positive atom", nowhere))
 
+let print_answers vars rows =
+  List.iter (fun row -> Format.printf "%s@." (Database.answer_to_string vars row)) rows;
+  Format.printf "%d answer(s)@." (List.length rows)
+
 let query_cmd =
   let query_arg =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"ATOM"
@@ -438,17 +429,6 @@ let query_cmd =
         let prog = parse_file file in
         let goal = parse_goal q in
         let vars = Ast.atom_vars goal in
-        let print_rows rows =
-          List.iter
-            (fun row ->
-              Format.printf "%s@."
-                (String.concat ", "
-                   (List.map2
-                      (fun v x -> v ^ " = " ^ Value.to_string x)
-                      vars row)))
-            rows;
-          Format.printf "%d answer(s)@." (List.length rows)
-        in
         try
           if magic then begin
             let var_positions =
@@ -457,7 +437,7 @@ let query_cmd =
                      match t with Ast.Var _ -> Some i | _ -> None)
             in
             let rows = Magic.answers ~query:goal prog in
-            print_rows
+            print_answers vars
               (List.map (fun row -> List.map (fun i -> row.(i)) var_positions) rows)
           end
           else begin
@@ -468,7 +448,7 @@ let query_cmd =
             in
             let body = Eval.compile_body [ Ast.Pos goal ] in
             let outs = List.map (fun v -> Ast.Var v) vars in
-            print_rows (Compile.solutions body db outs)
+            print_answers vars (Compile.solutions body db outs)
           end
         with Invalid_argument msg ->
           Format.eprintf "gbc: %s@." msg;
@@ -557,16 +537,7 @@ let repl_cmd =
           let body = Eval.compile_body [ Ast.Pos goal ] in
           let vars = Ast.atom_vars goal in
           let rows = Compile.solutions body db (List.map (fun v -> Ast.Var v) vars) in
-          if vars = [] then Format.printf "%b@." (rows <> [])
-          else begin
-            List.iter
-              (fun row ->
-                Format.printf "%s@."
-                  (String.concat ", "
-                     (List.map2 (fun v x -> v ^ " = " ^ Value.to_string x) vars row)))
-              rows;
-            Format.printf "%d answer(s)@." (List.length rows)
-          end)
+          if vars = [] then Format.printf "%b@." (rows <> []) else print_answers vars rows)
       | _ -> print_err "queries take a single positive atom"
     in
     let handle_command line =

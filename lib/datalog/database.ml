@@ -58,39 +58,47 @@ let copy db =
 let facts_of db pred =
   match find db pred with None -> [] | Some r -> Relation.to_list r
 
-let row_compare a b =
-  let rec go i =
-    if i = Array.length a then 0
-    else
-      let c = Value.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  let c = compare (Array.length a) (Array.length b) in
-  if c <> 0 then c else go 0
+(* ---------------- canonical printing ---------------- *)
 
-let pp fmt db =
-  let preds = List.sort String.compare (preds db) in
-  List.iter
-    (fun pred ->
-      let rows = List.sort row_compare (facts_of db pred) in
-      List.iter
-        (fun row ->
-          Format.fprintf fmt "%s(%a).@." pred
-            (Format.pp_print_list
-               ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-               Value.pp)
-            (Array.to_list row))
-        rows)
-    preds
+(* Rows sort on their cells in [Value.compare] order: equal cells are
+   equal values and inline ints order as their cells do, so only other
+   cells are decoded.  The order depends on the fact set only, never on
+   insertion history. *)
+let add_relation b pred r =
+  let w = Relation.arity r and cells = Relation.cells r in
+  let rec compare_rows x y j =
+    if j = w then 0
+    else
+      let cx = cells.((x * w) + j) and cy = cells.((y * w) + j) in
+      if cx = cy then compare_rows x y (j + 1)
+      else if Relation.Cell.is_int cx && Relation.Cell.is_int cy then Int.compare cx cy
+      else Value.compare (Relation.Cell.decode cx) (Relation.Cell.decode cy)
+  in
+  let ids = Array.init (Relation.cardinal r) Fun.id in
+  Array.stable_sort (fun x y -> compare_rows x y 0) ids;
+  Array.iter
+    (fun id ->
+      Value.add b (Value.App (pred, List.init w (Relation.read r id)));
+      Buffer.add_string b ".\n")
+    ids
+
+let render ?preds:chosen db =
+  let preds = match chosen with Some ps -> ps | None -> List.sort String.compare (preds db) in
+  let b = Buffer.create 1024 in
+  List.iter (fun pred -> Option.iter (add_relation b pred) (find db pred)) preds;
+  Buffer.contents b
+
+let pp fmt db = Format.pp_print_string fmt (render db)
+
+let fact_to_string pred row = Value.to_string (Value.App (pred, Array.to_list row))
+
+let answer_to_string vars values =
+  String.concat ", "
+    (List.map2 (fun var v -> Printf.sprintf "%s = %s" var (Value.to_string v)) vars values)
 
 let equal_on a b preds =
-  List.for_all
-    (fun pred ->
-      let ra = facts_of a pred and rb = facts_of b pred in
-      let sort = List.sort row_compare in
-      List.length ra = List.length rb
-      && List.for_all2 (fun x y -> row_compare x y = 0) (sort ra) (sort rb))
-    preds
+  let size db pred = Option.fold ~none:0 ~some:Relation.cardinal (find db pred) in
+  List.for_all (fun p -> size a p = size b p && List.for_all (mem_fact b p) (facts_of a p)) preds
 
 (* ---------------- multiset digest ---------------- *)
 

@@ -43,8 +43,20 @@ val remove_relation : t -> string -> unit
 val facts_of : t -> string -> Value.t array list
 (** All rows of a predicate in insertion order ([[]] if absent). *)
 
+val render : ?preds:string list -> t -> string
+(** The canonical text: a [pred(v, ...).] line per fact, each
+    predicate's rows in {!Value.compare} order, so insertion history
+    never shows.  Predicates print in name order, or in [preds] order. *)
+
 val pp : Format.formatter -> t -> unit
-(** Sorted, one fact per line — stable output for tests and the CLI. *)
+(** [render] with no [preds], on a formatter. *)
+
+val fact_to_string : string -> Value.t array -> string
+(** [fact_to_string pred row]: one fact as {!render} writes it, without
+    the final dot. *)
+
+val answer_to_string : string list -> Value.t list -> string
+(** [answer_to_string vars values]: one query answer, ["X = v, Y = w"]. *)
 
 val digest : t -> string
 (** A canonical digest of the fact set, in one pass over relation
@@ -59,4 +71,5 @@ val digest : t -> string
 
 val equal_on : t -> t -> string list -> bool
 (** [equal_on a b preds]: do [a] and [b] hold exactly the same facts for
-    each predicate in [preds]? *)
+    each predicate in [preds]?  Compares sizes, then looks every fact of
+    [a] up in [b]; a predicate absent from one side counts as empty. *)

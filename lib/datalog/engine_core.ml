@@ -592,7 +592,7 @@ let explore ?(max_models = 10_000) ?(limits = Limits.unlimited) ?db ~accept prog
     wrap_invalid (fun () -> Seminaive.eval_clique ~limits db ~clique:preds rules);
     [ db ]
   in
-  let signature db = Format.asprintf "%a" Database.pp db in
+  let signature db = Database.render db in
   let found = ref [] in
   let nfound = ref 0 in
   let explore_choice cplan db =

@@ -105,8 +105,8 @@ let reason_label = function
 
 let pp fmt node =
   let rec go indent node =
-    Format.fprintf fmt "%s%s(%s)   [%s]@." indent node.pred
-      (String.concat ", " (List.map Value.to_string (Array.to_list node.row)))
+    Format.fprintf fmt "%s%s   [%s]@." indent
+      (Database.fact_to_string node.pred node.row)
       (reason_label node.reason);
     List.iter (go (indent ^ "  ")) node.children
   in

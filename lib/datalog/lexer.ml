@@ -73,12 +73,34 @@ let lex_ident st =
      identifier in a token stream shares one string. *)
   Interner.canonical (String.sub st.src start (st.i - start))
 
-let lex_int st =
-  let start = st.i in
+(* After a minus sign the digits may spell [-min_int], one past
+   [max_int]: they read as [min_int], which the parser's negation leaves
+   in place, so the printed [min_int] reads back. *)
+let lex_int st ~after_minus =
+  let pos = here st and start = st.i in
   while (match peek st with Some c -> is_digit c | None -> false) do
     advance st
   done;
-  int_of_string (String.sub st.src start (st.i - start))
+  let digits = String.sub st.src start (st.i - start) in
+  match int_of_string_opt digits with
+  | Some n -> n
+  | None when after_minus && int_of_string_opt ("-" ^ digits) = Some min_int -> min_int
+  | None -> raise (Error ("integer literal out of range: " ^ digits, pos))
+
+(* [\ddd], the decimal byte escape the printer writes for bytes
+   outside printable ASCII; leaves [st] on the last digit. *)
+let lex_decimal_escape st =
+  let pos = here st in
+  let digit k =
+    let i = st.i + k in
+    if i < String.length st.src && is_digit st.src.[i] then Char.code st.src.[i] - Char.code '0'
+    else raise (Error ("bad escape: expected \\ddd", pos))
+  in
+  let code = (100 * digit 0) + (10 * digit 1) + digit 2 in
+  if code > 255 then raise (Error ("bad escape: byte out of range", pos));
+  advance st;
+  advance st;
+  Char.chr code
 
 let lex_string st =
   advance st;
@@ -92,6 +114,9 @@ let lex_string st =
       (match peek st with
       | Some 'n' -> Buffer.add_char buf '\n'
       | Some 't' -> Buffer.add_char buf '\t'
+      | Some 'r' -> Buffer.add_char buf '\r'
+      | Some 'b' -> Buffer.add_char buf '\b'
+      | Some c when is_digit c -> Buffer.add_char buf (lex_decimal_escape st)
       | Some c -> Buffer.add_char buf c
       | None -> error st "unterminated escape");
       advance st;
@@ -104,13 +129,13 @@ let lex_string st =
   go ();
   Buffer.contents buf
 
-let next_token st =
+let next_token st ~after_minus =
   skip_ws st;
   let pos = here st in
   let tok =
     match peek st with
     | None -> EOF
-    | Some c when is_digit c -> INT (lex_int st)
+    | Some c when is_digit c -> INT (lex_int st ~after_minus)
     | Some c when is_lower c ->
       let id = lex_ident st in
       if id = "not" then NOT else LIDENT id
@@ -187,7 +212,8 @@ let next_token st =
 let tokenize src =
   let st = { src; i = 0; line = 1; col = 1 } in
   let rec go acc =
-    let ((tok, _) as t) = next_token st in
+    let after_minus = match acc with (MINUS, _) :: _ -> true | _ -> false in
+    let ((tok, _) as t) = next_token st ~after_minus in
     if tok = EOF then List.rev (t :: acc) else go (t :: acc)
   in
   go []

@@ -31,6 +31,9 @@ type pos = { line : int; col : int }
 exception Error of string * pos
 
 val tokenize : string -> (token * pos) list
-(** @raise Error on any unrecognizable input. *)
+(** String literals take the escapes OCaml's [%S] writes: [\n], [\t],
+    [\r], [\b] and [\ddd]; any other escaped character stands for itself.
+    @raise Error on any unrecognizable input, including an integer
+    literal wider than an [int] ([-4611686018427387904] still reads). *)
 
 val token_to_string : token -> string

@@ -159,13 +159,28 @@ let term_to_atom pos t =
   | Cmp (p, args) when p <> "" -> { pred = p; args }
   | _ -> fail_at pos "expected a predicate atom"
 
+(* [p()] is the nullary atom [p], as the printer writes it.  Only
+   atoms take the empty argument list; a term [f()] stays an error. *)
+let nullary_atom st =
+  match st.toks with
+  | (Lexer.LIDENT pred, _) :: (Lexer.LPAREN, _) :: (Lexer.RPAREN, _) :: rest ->
+    st.toks <- rest;
+    Some { pred; args = [] }
+  | _ -> None
+
+let parse_atom st parse =
+  match nullary_atom st with
+  | Some a -> a
+  | None ->
+    let pos = snd (peek st) in
+    term_to_atom pos (parse st)
+
 let parse_literal st =
   let t, pos = peek st in
   match t with
   | Lexer.NOT ->
     advance st;
-    let pos' = snd (peek st) in
-    Neg (term_to_atom pos' (parse_factor st))
+    Neg (parse_atom st parse_factor)
   | Lexer.LIDENT "choice" ->
     advance st;
     expect st Lexer.LPAREN;
@@ -219,14 +234,17 @@ let parse_literal st =
       expect st Lexer.RPAREN;
       Next name
     | _ -> fail_at pos' "next(..) expects a variable")
-  | _ ->
-    let lhs = parse_expr st in
-    (match cmp_of_token (fst (peek st)) with
-    | Some op ->
-      advance st;
-      let rhs = parse_expr st in
-      Rel (op, lhs, rhs)
-    | None -> Pos (term_to_atom pos lhs))
+  | _ -> (
+    match nullary_atom st with
+    | Some a -> Pos a
+    | None -> (
+      let lhs = parse_expr st in
+      match cmp_of_token (fst (peek st)) with
+      | Some op ->
+        advance st;
+        let rhs = parse_expr st in
+        Rel (op, lhs, rhs)
+      | None -> Pos (term_to_atom pos lhs)))
 
 let rec parse_literals st =
   let first = parse_literal st in
@@ -237,8 +255,7 @@ let rec parse_literals st =
   else [ first ]
 
 let parse_clause st =
-  let _, pos = peek st in
-  let head = term_to_atom pos (parse_expr st) in
+  let head = parse_atom st parse_expr in
   let body =
     if fst (peek st) = Lexer.ARROW then begin
       advance st;

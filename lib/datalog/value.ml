@@ -56,17 +56,24 @@ let rec hash = function
   | Tup xs -> List.fold_left (fun h x -> combine h (hash x)) 11 xs
   | App (f, xs) -> List.fold_left (fun h x -> combine h (hash x)) (combine 13 (Hashtbl.hash f)) xs
 
-let rec pp fmt = function
-  | Int x -> Format.pp_print_int fmt x
-  | Sym id -> Format.pp_print_string fmt (Interner.resolve id)
-  | Str id -> Format.fprintf fmt "%S" (Interner.resolve id)
-  | Tup xs -> Format.fprintf fmt "(%a)" pp_args xs
-  | App (f, xs) -> Format.fprintf fmt "%s(%a)" f pp_args xs
+let rec add b = function
+  | Int x -> Buffer.add_string b (string_of_int x)
+  | Sym id -> Buffer.add_string b (Interner.resolve id)
+  | Str id -> Printf.bprintf b "%S" (Interner.resolve id)
+  | Tup xs -> add_args b xs
+  | App (f, xs) -> Buffer.add_string b f; add_args b xs
 
-and pp_args fmt xs =
-  Format.pp_print_list ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ") pp fmt xs
+and add_args b xs =
+  Buffer.add_char b '(';
+  List.iteri (fun i x -> if i > 0 then Buffer.add_string b ", "; add b x) xs;
+  Buffer.add_char b ')'
 
-let to_string v = Format.asprintf "%a" pp v
+let to_string v =
+  let b = Buffer.create 16 in
+  add b v;
+  Buffer.contents b
+
+let pp fmt v = Format.pp_print_string fmt (to_string v)
 
 let as_int = function
   | Int x -> x

@@ -41,6 +41,10 @@ val hash : t -> int
 (** Deep structural hash (unlike [Hashtbl.hash], never truncates deep
     Huffman trees to a handful of meaningful nodes). *)
 
+val add : Buffer.t -> t -> unit
+(** Append a value's canonical text: strings with OCaml's [%S] escapes,
+    tuples as [(a, b)], compound terms as [f(a, b)]. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

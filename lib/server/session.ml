@@ -155,30 +155,14 @@ let protect f =
 
 (* ---------------- rendering ---------------- *)
 
-(* Identical to the CLI's print_model: the whole model through
-   [Database.pp] (sorted, one fact per line), or the chosen predicates
-   in insertion order. *)
-let render_model ?preds db =
-  match preds with
-  | None -> Format.asprintf "%a" Database.pp db
-  | Some preds ->
-    let b = Buffer.create 256 in
-    List.iter
-      (fun pred ->
-        List.iter
-          (fun row ->
-            Buffer.add_string b
-              (Printf.sprintf "%s(%s).\n" pred
-                 (String.concat ", " (List.map Value.to_string (Array.to_list row)))))
-          (Database.facts_of db pred))
-      preds;
-    Buffer.contents b
+(* perfbench calls this name; it is the canonical rendering. *)
+let render_model = Database.render
 
 (* A served model is logged and snapshotted with [Database.digest].
    Data dirs written before it carry the MD5 of the canonical rendering
    instead (32 hex digits; multiset digests are longer), which recovery
    still verifies the old way. *)
-let legacy_digest db = Digest.to_hex (Digest.string (render_model db))
+let legacy_digest db = Digest.to_hex (Digest.string (Database.render db))
 
 let digest_matches model digest =
   if String.length digest = 32 then String.equal (legacy_digest model) digest
@@ -384,10 +368,6 @@ let assert_facts ?id t text =
             maybe_snapshot t;
             result))
 
-let render_fact pred row =
-  Printf.sprintf "%s(%s)" pred
-    (String.concat ", " (List.map Value.to_string (Array.to_list row)))
-
 (* Retraction removes exactly one asserted occurrence per batch entry.
    The whole batch is validated against the occurrence multiset first:
    if any entry exceeds what the session asserted — including facts
@@ -434,7 +414,7 @@ let retract_facts ?id t text =
         let owned = Database.mem_fact entry.Program_cache.base pred row in
         Error
           ( Protocol.Not_retractable,
-            Printf.sprintf "cannot retract %s: %s" (render_fact pred row)
+            Printf.sprintf "cannot retract %s: %s" (Database.fact_to_string pred row)
               (if owned then "the fact is owned by the loaded program"
                else "the fact was never asserted (or was already retracted)") )
       | None -> (
@@ -648,11 +628,7 @@ let query t ~engine ~text ~jobs ~limits ~telemetry =
           let rows = Compile.solutions body db (List.map (fun v -> Ast.Var v) vars) in
           let rendered =
             List.map
-              (fun row ->
-                if vars = [] then "true"
-                else
-                  String.concat ", "
-                    (List.map2 (fun v x -> v ^ " = " ^ Value.to_string x) vars row))
+              (fun row -> if vars = [] then "true" else Database.answer_to_string vars row)
               rows
           in
           (complete, vars, rendered)))

@@ -177,7 +177,6 @@ val query :
     variable names, rendered rows). *)
 
 val render_model : ?preds:string list -> Database.t -> string
-(** Same text as [gbc run] prints: the whole model via [Database.pp],
-    or the chosen predicates in insertion order.  After incremental
-    maintenance the per-predicate insertion order can differ from a
-    from-scratch run (the canonical [Database.pp] form never does). *)
+(** {!Database.render}: the text [gbc run] prints, canonical with or
+    without [preds], so a model maintained incrementally renders as the
+    same facts evaluated from scratch do. *)

@@ -39,11 +39,11 @@ let mk_session src =
   | Ok (entry, _) -> (s, entry)
   | Error (_, msg) -> Alcotest.failf "load: %s" msg
 
-let run_bytes ?seed ?(jobs = 1) ~engine s =
+let run_bytes ?seed ?(jobs = 1) ?preds ~engine s =
   match
     Session.run s ~engine ~seed ~jobs ~limits:Limits.unlimited ~telemetry:Telemetry.none
   with
-  | Ok (Limits.Complete db) -> Session.render_model db
+  | Ok (Limits.Complete db) -> Session.render_model ?preds db
   | Ok (Limits.Partial _) -> Alcotest.fail "unexpected partial model"
   | Error (_, msg) -> Alcotest.failf "run: %s" msg
 
@@ -159,6 +159,24 @@ let test_no_stale_state () =
             (Printf.sprintf "%s/%s: equals a never-asserted session" pname ename)
             (run_bytes ~engine ?seed never) back)
         [ ("choice", choice_src, "task(3)."); ("tc", tc_src, "edge(4, 5).") ])
+    engines
+
+(* Rendering chosen predicates is canonical too: tc facts derived by an
+   incremental step list where a from-scratch run lists them. *)
+let test_preds_rendering_canonical () =
+  let src = source "transitive_closure.dl" in
+  List.iter
+    (fun (ename, engine, seed) ->
+      let s, _ = mk_session src in
+      ignore (run_bytes ~engine ?seed s);
+      ignore (expect_assert s "e(0, 1).");
+      let maintained = run_bytes ~engine ?seed ~preds:[ "tc" ] s in
+      let fresh, _ = mk_session src in
+      ignore (expect_assert fresh "e(0, 1).");
+      Alcotest.(check string)
+        (ename ^ ": --print tc equals a fresh session's")
+        (run_bytes ~engine ?seed ~preds:[ "tc" ] fresh)
+        maintained)
     engines
 
 (* On a recursive monotone program nothing can reach a choice stratum,
@@ -498,7 +516,9 @@ let () =
             test_exemplar_identity ] );
       ( "retract hygiene",
         [ Alcotest.test_case "no stale derived state" `Quick test_no_stale_state;
-          Alcotest.test_case "program-owned facts refused" `Quick test_base_edge_refused ] );
+          Alcotest.test_case "program-owned facts refused" `Quick test_base_edge_refused;
+          Alcotest.test_case "chosen predicates render canonically" `Quick
+            test_preds_rendering_canonical ] );
       ( "multiset",
         [ Alcotest.test_case "occurrences and counters" `Quick test_multiset_counters ] );
       ( "maintenance path",

@@ -186,6 +186,95 @@ let prop_ast_roundtrip =
       | reparsed -> Pretty.rule_to_string reparsed = printed
       | exception Parser.Error _ -> false)
 
+(* Forms only the canonical printer writes: nullary atoms [p()], every
+   [%S] escape and [min_int]; an integer literal wider than an int is a
+   lexical error at its first digit.  [f()] as a term stays an error. *)
+let test_printed_forms () =
+  (match Parser.parse_program "p(). q <- p(), not r()." with
+  | [ f; r ] ->
+    Alcotest.(check bool) "p() is a nullary fact" true (f.Ast.head = Ast.atom "p" []);
+    Alcotest.(check int) "nullary body atoms" 2 (List.length r.Ast.body)
+  | _ -> Alcotest.fail "expected two clauses");
+  let value src =
+    match Parser.parse_program src with
+    | [ { Ast.head = { Ast.args = [ t ]; _ }; _ } ] -> Ast.term_to_value t
+    | _ -> Alcotest.fail ("expected one unary fact: " ^ src)
+  in
+  Alcotest.(check bool) "escapes" true
+    (Value.equal (Value.str "caf\195\169\r\b\t\n\\\"\000")
+       (value {|s("caf\195\169\r\b\t\n\\\"\000").|}));
+  Alcotest.(check bool) "min_int" true
+    (Value.equal (Value.Int min_int) (value "n(-4611686018427387904)."));
+  List.iter
+    (fun (src, col) ->
+      match Gbc_error.protect (fun () -> Parser.parse_program src) with
+      | Error (Gbc_error.Lex (_, pos)) ->
+        Alcotest.(check (pair int int)) src (1, col) (pos.Lexer.line, pos.Lexer.col)
+      | _ -> Alcotest.fail (src ^ ": expected a lexical error"))
+    [ ("n(4611686018427387904).", 3); ("n(-4611686018427387905).", 4); ("s(\"\\256\").", 5) ];
+  match parse_ok "p(f())." with
+  | Ok _ -> Alcotest.fail "f() accepted as a term"
+  | Error _ -> ()
+
+(* The canonical rendering reads back as the database it was printed
+   from, over every value shape the parser can produce: ints up to
+   [min_int]/[max_int] and across the 2^61 inline-cell boundary,
+   lowercase symbols, strings over arbitrary bytes, tuples of arity 0
+   or >= 2, compound terms with arguments, and nullary facts. *)
+let gen_facts =
+  let open QCheck.Gen in
+  let lower = map Char.chr (int_range (Char.code 'a') (Char.code 'z')) in
+  let ident_char = oneof [ lower; numeral; oneofl [ '_'; '\''; 'Q' ] ] in
+  let ident avoid =
+    map2
+      (fun c rest ->
+        let s = String.make 1 c ^ rest in
+        if List.mem s avoid then s ^ "_" else s)
+      lower (string_size ~gen:ident_char (int_bound 4))
+  in
+  let boundary = 1 lsl 61 in
+  let int =
+    oneof
+      [ small_signed_int; QCheck.Gen.int;
+        oneofl [ min_int; max_int; boundary; -boundary; boundary - 1; -boundary - 1; 0 ] ]
+  in
+  let str = string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 6) in
+  let leaf =
+    oneof
+      [ map (fun i -> Value.Int i) int; map Value.sym (ident [ "not" ]); map Value.str str ]
+  in
+  let value =
+    fix
+      (fun self depth ->
+        if depth = 0 then leaf
+        else
+          frequency
+            [ (4, leaf);
+              (1, map (fun xs -> Value.Tup xs)
+                    (oneof [ return []; list_size (int_range 2 3) (self (depth - 1)) ]));
+              (1, map2 (fun f xs -> Value.App (f, xs))
+                    (ident [ "not"; "choice"; "least"; "most"; "next"; "max"; "min"; "count"; "sum" ])
+                    (list_size (int_range 1 3) (self (depth - 1)))) ])
+      2
+  in
+  list_size (int_bound 12)
+    (let* pred, arity = oneofl [ ("e", 0); ("p", 1); ("q", 2); ("r", 3) ] in
+     map (fun row -> (pred, Array.of_list row)) (list_repeat arity value))
+
+let render_facts facts =
+  let db = Database.create () in
+  List.iter (fun (pred, row) -> ignore (Database.add_fact db pred row)) facts;
+  Database.render db
+
+let prop_render_roundtrip =
+  QCheck.Test.make ~name:"render . parse . render = render on random databases" ~count:500
+    (QCheck.make ~print:render_facts gen_facts)
+    (fun facts ->
+      let text = render_facts facts in
+      let db = Database.create () in
+      Database.load_facts db (Parser.parse_program text);
+      Database.render db = text)
+
 let () =
   Alcotest.run "parser"
     [ ( "clauses",
@@ -204,4 +293,6 @@ let () =
         [ Alcotest.test_case "rejects malformed input" `Quick test_errors;
           Alcotest.test_case "round-trips all paper programs" `Quick
             test_roundtrip_paper_programs;
-          QCheck_alcotest.to_alcotest prop_ast_roundtrip ] ) ]
+          QCheck_alcotest.to_alcotest prop_ast_roundtrip;
+          Alcotest.test_case "printed forms read back" `Quick test_printed_forms;
+          QCheck_alcotest.to_alcotest prop_render_roundtrip ] ) ]

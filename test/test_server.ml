@@ -272,6 +272,21 @@ let test_query_and_enumerate () =
           | Protocol.Error { message; _ } -> Alcotest.fail ("enumerate: " ^ message)
           | _ -> Alcotest.fail "expected Model_set"))
 
+(* An integer literal wider than an OCaml int is a lexical error with a
+   position, not an internal failure; the printed [min_int] loads. *)
+let test_out_of_range_literal () =
+  with_server (fun path ->
+      with_conn path (fun c ->
+          (match Client.rpc c (Protocol.Load "n(4611686018427387904).") with
+          | Protocol.Error { code = Protocol.Lex_error; message } ->
+            Alcotest.(check string) "message"
+              "lexical error at line 1, column 3: integer literal out of range: 4611686018427387904"
+              message
+          | _ -> Alcotest.fail "expected a lex-error frame");
+          let _ = expect_loaded (Client.rpc c (Protocol.Load "n(-4611686018427387904).")) in
+          let _, text, _ = expect_model (Client.rpc c run_req) in
+          Alcotest.(check string) "min_int reads back" "n(-4611686018427387904).\n" text))
+
 let test_stats () =
   with_server (fun path ->
       with_conn path (fun c ->
@@ -723,7 +738,9 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "cache counters in stats" `Quick test_cache_counters_in_stats;
           Alcotest.test_case "jobs request serves identical model" `Quick
-            test_jobs_request_same_model ] );
+            test_jobs_request_same_model;
+          Alcotest.test_case "out-of-range literal is a lex-error" `Quick
+            test_out_of_range_literal ] );
       ( "pipelining",
         [ Alcotest.test_case "pipelined models byte-identical" `Quick
             test_pipeline_byte_identity;
