@@ -298,6 +298,17 @@ let record ~exp ~n ~wall ?median counters =
   let prev = try Hashtbl.find bench_points exp with Not_found -> [] in
   Hashtbl.replace bench_points exp ((n, wall, median, counters) :: prev)
 
+(* The commit the numbers were measured at ("-dirty" when the tree had
+   uncommitted changes), or "unknown" outside a git checkout. *)
+let git_rev =
+  lazy
+    (match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+     | exception Unix.Unix_error _ -> "unknown"
+     | ic ->
+       let rev = try input_line ic with End_of_file -> "" in
+       ignore (Unix.close_process_in ic);
+       if rev = "" then "unknown" else rev)
+
 let flush_bench () =
   List.rev_map
     (fun exp ->
@@ -305,6 +316,7 @@ let flush_bench () =
       let doc =
         Obj
           [ ("experiment", Str exp);
+            ("git_rev", Str (Lazy.force git_rev));
             (* The host's parallelism budget: scaling points (E16) and
                latency points (E15/E17) are meaningless without it. *)
             ( "recommended_domain_count",

@@ -208,26 +208,58 @@ and absorb_values st xs =
   absorb st (List.length xs);
   List.iter (absorb_value st) xs
 
+(* One fact's lanes, hashed from [head] (its predicate and arity) and
+   its [w] cells at [off]. *)
+let hash_row st head cells off w =
+  st.a <- head.a;
+  st.b <- head.b;
+  for j = off to off + w - 1 do
+    let c = Array.unsafe_get cells j in
+    if Relation.Cell.is_int c then absorb_int st (c asr 1)
+    else if Relation.Cell.is_sym c then absorb_interned st tag_sym (Relation.Cell.sym_id c)
+    else absorb_value st (Relation.Cell.decode c)
+  done
+
+(* The sum is maintained per relation through its digest cache: rows
+   past the cached watermark are added, rows [Relation.remove] queued
+   below it are subtracted, and a relation with no cache — or one keyed
+   under another predicate or arity — is summed from scratch, as are
+   nullary relations, which hold at most one row. *)
 let digest db =
   let sum = { a = 0; b = 0 } and st = { a = 0; b = 0 } in
   Hashtbl.iter
     (fun pred r ->
-      let w = Relation.arity r in
+      let w = Relation.arity r and n = Relation.cardinal r in
       let head = { a = seed_a; b = seed_b } in
       absorb_text head (hash_text pred);
       absorb head w;
+      let rel = { a = 0; b = 0 } in
+      let from =
+        match Relation.digest_cache r with
+        | Some c when w > 0 && c.key_a = head.a && c.key_b = head.b && c.mark <= n ->
+          rel.a <- c.sum_a;
+          rel.b <- c.sum_b;
+          List.iter
+            (fun gone ->
+              for i = 0 to (Array.length gone / w) - 1 do
+                hash_row st head gone (i * w) w;
+                rel.a <- rel.a - st.a;
+                rel.b <- rel.b - st.b
+              done)
+            c.removed;
+          c.mark
+        | _ -> 0
+      in
       let cells = Relation.cells r in
-      for i = 0 to Relation.cardinal r - 1 do
-        st.a <- head.a;
-        st.b <- head.b;
-        for j = i * w to (i * w) + w - 1 do
-          let c = Array.unsafe_get cells j in
-          if Relation.Cell.is_int c then absorb_int st (c asr 1)
-          else if Relation.Cell.is_sym c then absorb_interned st tag_sym (Relation.Cell.sym_id c)
-          else absorb_value st (Relation.Cell.decode c)
-        done;
-        sum.a <- sum.a + st.a;
-        sum.b <- sum.b + st.b
-      done)
+      for i = from to n - 1 do
+        hash_row st head cells (i * w) w;
+        rel.a <- rel.a + st.a;
+        rel.b <- rel.b + st.b
+      done;
+      if w > 0 then
+        Relation.set_digest_cache r
+          { key_a = head.a; key_b = head.b; sum_a = rel.a; sum_b = rel.b; mark = n; removed = [] };
+      sum.a <- sum.a + rel.a;
+      sum.b <- sum.b + rel.b)
     db.relations;
   Printf.sprintf "mset1:%016x%016x" sum.a sum.b

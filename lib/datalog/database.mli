@@ -59,15 +59,23 @@ val answer_to_string : string list -> Value.t list -> string
 (** [answer_to_string vars values]: one query answer, ["X = v, Y = w"]. *)
 
 val digest : t -> string
-(** A canonical digest of the fact set, in one pass over relation
-    storage: no sorting and no rendering.  Each fact hashes its
-    predicate, arity and fields into two 63-bit lanes ([Sym]/[Str] by
-    their text, so interner and term-table ids do not matter); the
-    lanes are summed over all facts, so insertion order does not matter
-    either.  Databases with equal canonical renderings ({!pp})
-    have equal digests.  Not collision-resistant against an adversary:
-    it guards replay against divergence.  The result is ["mset1:"]
-    followed by 32 hex digits. *)
+(** A canonical digest of the fact set, read off relation storage: no
+    sorting and no rendering.  Each fact hashes its predicate, arity
+    and fields into two 63-bit lanes ([Sym]/[Str] by their text, so
+    interner and term-table ids do not matter); the lanes are summed
+    over all facts, so insertion order does not matter either.
+    Databases with equal canonical renderings ({!pp}) have equal
+    digests.  Not collision-resistant against an adversary: it guards
+    replay against divergence.  The result is ["mset1:"] followed by
+    32 hex digits.
+
+    Each relation keeps its sums from the previous call
+    ({!Relation.digest_cache}), so a call costs the rows appended to
+    or removed from each relation since its last digest, plus a pass
+    over every relation with no sums yet — a fresh one, such as a
+    snapshot restore or a from-scratch run builds — or with sums taken
+    under another predicate name.  The value does not depend on which
+    path computed it. *)
 
 val equal_on : t -> t -> string list -> bool
 (** [equal_on a b preds]: do [a] and [b] hold exactly the same facts for

@@ -284,6 +284,19 @@ let index_add ix cells w id =
 (* Relations                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The model digest's per-relation state (see [Database.digest]):
+   lane sums over rows [0, mark), the head lanes they were computed
+   under, and the cells of rows removed below [mark] since, not yet
+   subtracted.  Immutable, so a copy can share it. *)
+type digest_cache = {
+  key_a : int;
+  key_b : int;
+  sum_a : int;
+  sum_b : int;
+  mark : int;
+  removed : int array list;
+}
+
 type t = {
   rel_name : string;
   width : int;  (* = arity *)
@@ -293,6 +306,7 @@ type t = {
   mutable seen : seen;
   mutable indexes : index list;
   scratch : int array;  (* reusable full-width probe *)
+  mutable digest : digest_cache option;
 }
 
 let make rel_name width cells count =
@@ -303,7 +317,8 @@ let make rel_name width cells count =
     cells;
     seen = seen_create (count + 1);
     indexes = [];
-    scratch = Array.make width 0 }
+    scratch = Array.make width 0;
+    digest = None }
 
 let create rel_name arity = make rel_name arity [||] 0
 
@@ -420,7 +435,9 @@ let to_list r = List.rev (fold r ~init:[] ~f:(fun acc row -> row :: acc))
    doomed rows are located through the membership set and the
    survivors copied as runs of cells between them: no survivor is
    decoded, only re-inserted into the fresh membership set.  Indexes
-   are rebuilt lazily on the next probe. *)
+   are rebuilt lazily on the next probe.  A digest cache carries over:
+   the doomed rows below its watermark leave the prefix it covers and
+   queue their cells for subtraction. *)
 let remove r rows =
   let w = r.width in
   let probe = Array.make w 0 in
@@ -446,6 +463,14 @@ let remove r rows =
   for i = 0 to n - 1 do
     ignore (seen_add out.seen cells w i)
   done;
+  (match r.digest with
+  | Some d when w > 0 ->
+    let below = List.filter (fun id -> id < d.mark) ids in
+    let k = List.length below in
+    let gone = Array.make (k * w) 0 in
+    List.iteri (fun i id -> Array.blit r.cells (id * w) gone (i * w) w) below;
+    out.digest <- Some { d with mark = d.mark - k; removed = gone :: d.removed }
+  | _ -> ());
   out
 
 (* Bulk append of rows [from, cardinal src) of [src] into the empty
@@ -639,6 +664,8 @@ let distinct_counts r =
   Array.init r.width (fun c -> if r.count = 0 then 0 else distinct_cells r.cells r.count r.width c)
 
 let cells r = r.cells
+let digest_cache r = r.digest
+let set_digest_cache r d = r.digest <- Some d
 
 let has_terms r =
   let rec from i = i < r.count * r.width && (r.cells.(i) land 3 = 3 || from (i + 1)) in

@@ -93,7 +93,10 @@ val remove : t -> tuple list -> t
     One pass over [r]: the doomed rows are located through the
     membership set and the survivors' cells copied in runs, decoding
     nothing.  The result has room for a quarter more rows; its indexes
-    are rebuilt lazily on the next probe. *)
+    are rebuilt lazily on the next probe.  When [r] has a
+    {!digest_cache}, the result inherits it with the watermark lowered
+    past the doomed rows below it, whose cells are queued in
+    [removed]; without one, nothing is copied. *)
 
 val append_from : t -> t -> int -> unit
 (** [append_from dst src from]: bulk-copy rows [from, cardinal src) of
@@ -195,7 +198,9 @@ val to_list : t -> tuple list
 val copy : t -> t
 (** An independent snapshot: further [add]s to either side are invisible
     to the other.  O(1) — the row store and membership set are shared
-    until one side next mutates (stored rows themselves never change). *)
+    until one side next mutates (stored rows themselves never change),
+    and so is the {!digest_cache}, which covers only that shared
+    prefix. *)
 
 val distinct_counts : t -> int array
 (** Per-column distinct-value counts — planner statistics.  O(cells)
@@ -221,3 +226,24 @@ val of_cells : string -> int -> int array -> int -> t
     rebuilt, indexes stay lazy.
     @raise Invalid_argument if [cells] is too short or holds a
     duplicate row. *)
+
+(** {2 Digest cache}
+
+    [Database.digest] keeps its running sums here, so a relation that
+    only grew, or lost rows through {!remove}, is re-hashed at the
+    cost of that change.  Nothing else reads or writes it; a fresh
+    relation has none. *)
+
+type digest_cache = {
+  key_a : int;
+  key_b : int;  (** the head lanes (predicate, arity) the sums were computed under *)
+  sum_a : int;
+  sum_b : int;  (** lane sums over rows [0, mark) *)
+  mark : int;
+  removed : int array list;
+      (** cells of rows removed below [mark] since, each array a run of
+          whole rows, not yet subtracted *)
+}
+
+val digest_cache : t -> digest_cache option
+val set_digest_cache : t -> digest_cache -> unit

@@ -157,6 +157,9 @@ type t = {
   mutable inflight_now : int;
   mutable inflight_max : int;
   mutable conns : rconn list;
+  read_buf : Bytes.t;
+      (* per router, since routers in one process run their loops on
+         different domains at once *)
 }
 
 let endpoint_name = function
@@ -228,7 +231,8 @@ let create (cfg : config) =
       reconnects_total = 0;
       inflight_now = 0;
       inflight_max = 0;
-      conns = [] }
+      conns = [];
+      read_buf = Bytes.create 65536 }
   with
   | t -> Ok t
   | exception Unix.Unix_error (e, fn, _) ->
@@ -565,24 +569,22 @@ let accept_conn t lfd =
     in
     t.conns <- c :: t.conns
 
-let read_chunk = Bytes.create 65536
-
 let on_client_readable t c =
-  match Unix.read c.c_fd read_chunk 0 (Bytes.length read_chunk) with
+  match Unix.read c.c_fd t.read_buf 0 (Bytes.length t.read_buf) with
   | 0 -> on_peer_gone t c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> on_peer_gone t c
   | n ->
-    Buffer.add_subbytes c.c_in read_chunk 0 n;
+    Buffer.add_subbytes c.c_in t.read_buf 0 n;
     parse_client_frames t c
 
 let on_link_readable t c l =
-  match Unix.read l.l_fd read_chunk 0 (Bytes.length read_chunk) with
+  match Unix.read l.l_fd t.read_buf 0 (Bytes.length t.read_buf) with
   | 0 -> kill_link t c "connection closed"
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error (e, _, _) -> kill_link t c (Unix.error_message e)
   | n ->
-    Buffer.add_subbytes l.l_in read_chunk 0 n;
+    Buffer.add_subbytes l.l_in t.read_buf 0 n;
     parse_backend_frames t c l
 
 let on_client_writable t c =

@@ -225,6 +225,9 @@ type t = {
   depth : Hist.t;  (* per-connection in-flight depth at each dispatch *)
   inflight_max : int Atomic.t;  (* deepest pipeline any connection reached *)
   mutable conns : conn list;  (* event-loop owned *)
+  read_buf : Bytes.t;
+      (* event-loop owned; per server, since servers in one process run
+         their loops on different domains at once *)
 }
 
 (* ---------------- creation ---------------- *)
@@ -323,7 +326,8 @@ let create cfg =
       queue_wait = Hist.create ();
       depth = Hist.create ();
       inflight_max = Atomic.make 0;
-      conns = [] }
+      conns = [];
+      read_buf = Bytes.create 65536 }
   with
   | t -> Ok t
   | exception Unix.Unix_error (e, fn, _) ->
@@ -763,16 +767,14 @@ let accept_conn t lfd =
     in
     t.conns <- c :: t.conns
 
-let read_chunk = Bytes.create 65536
-
 let on_readable t c =
-  match Unix.read c.fd read_chunk 0 (Bytes.length read_chunk) with
+  match Unix.read c.fd t.read_buf 0 (Bytes.length t.read_buf) with
   | 0 -> on_peer_gone t c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> on_peer_gone t c
   | n ->
     c.last_activity <- Unix.gettimeofday ();
-    Buffer.add_subbytes c.inbuf read_chunk 0 n;
+    Buffer.add_subbytes c.inbuf t.read_buf 0 n;
     parse_frames t c
 
 let out_pending c = Buffer.length c.out - c.out_off

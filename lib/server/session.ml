@@ -516,6 +516,9 @@ let try_incremental t ~key ~jobs ~limits ~telemetry =
    re-runs it to rebuild the warm materialization and the digest proves
    the restored model identical.  The digest is only computed when the
    record is actually appended — ephemeral sessions and replay skip it.
+   It is maintained: after a run served incrementally it costs the
+   rows that run added and removed, and only a model built from
+   scratch pays a pass over every fact.
    A failed append here only warns — the model was already computed and
    the fact state is fully covered by the mutation records. *)
 let log_run t ~key model =

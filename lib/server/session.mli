@@ -64,7 +64,9 @@ type durability = {
     failed append is an [io-error] and nothing changes), complete runs
     are logged with their model's {!Gbc_datalog.Database.digest}, and every
     [snapshot_every] records the WAL is collapsed into an atomic
-    binary snapshot. *)
+    binary snapshot.  The digest is maintained across runs, so logging
+    an incrementally served run costs the rows it changed; the first
+    run after a load, a fallback or a restore digests its whole model. *)
 
 type t = {
   id : int;

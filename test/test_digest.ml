@@ -5,6 +5,9 @@
      children that intern different unrelated symbols first);
    - incremental maintenance ([Ivm.apply]) over random assert/retract
      batches lands on the digest of a from-scratch evaluation;
+   - the digest a durable session maintains through appends, removals
+     and forks equals that of the same facts in fresh relations, after
+     every step;
    - it separates values the canonical rendering separates, and more;
    - equal digests coincide with equal canonical renderings on random
      databases;
@@ -169,6 +172,192 @@ let qc_ivm =
         QCheck.Test.fail_reportf "incremental\n%s\nscratch\n%s" (render got) (render fresh);
       String.equal (render got) (render fresh))
 
+(* ---------------- maintained digest ---------------- *)
+
+(* [Database.digest] keeps per-relation sums across calls, so a
+   durable session's model, whose [Run] records are each logged with a
+   digest, is re-hashed only where it changed.  The oracle is the same
+   fact set rebuilt into fresh relations, which carry no sums.  The
+   program has a recursive (DRed) stratum, non-recursive counting
+   strata over strings, terms and a nullary fact, a negation stratum
+   that is recomputed, and a choice stratum: a [pref] change reaches
+   it, so the next run falls back and evaluates from scratch. *)
+
+let session_src =
+  "edge(1, 2). label(2, \"two\"). item(t(1, (a, \"x\"))). pref(1, 5).\n\
+   tc(X, Y) <- edge(X, Y).\n\
+   tc(X, Z) <- tc(X, Y), edge(Y, Z).\n\
+   tag(X, S) <- edge(X, Y), label(Y, S).\n\
+   lit(X) <- on, edge(X, Y).\n\
+   wrap(t(X, (Y, S))) <- edge(X, Y), label(Y, S).\n\
+   held(V) <- item(V), on.\n\
+   open(X) <- lit(X), not tc(X, X).\n\
+   pick(X, Y) <- pref(X, Y), choice((X), (Y)).\n"
+
+type op =
+  | Assert of string
+  | Retract of int  (* the k-th live assert, modulo their number *)
+  | Run
+  | Query of string
+  | Fork of int
+
+let print_op = function
+  | Assert f -> "assert " ^ f
+  | Retract k -> Printf.sprintf "retract #%d" k
+  | Run -> "run"
+  | Query q -> "query " ^ q
+  | Fork k -> Printf.sprintf "fork %d" k
+
+let gen_op =
+  QCheck.Gen.(
+    let small = int_bound 5 in
+    frequency
+      [ (4, map2 (fun a b -> Assert (Printf.sprintf "edge(%d, %d)." a b)) small small);
+        (1, map2 (fun a k -> Assert (Printf.sprintf "label(%d, \"s%d\")." a k)) small (int_bound 2));
+        ( 1,
+          map2
+            (fun a k ->
+              Assert
+                (if k = 0 then Printf.sprintf "item((%d, b))." a
+                 else Printf.sprintf "item(t(%d, (a, \"x%d\")))." a k))
+            small (int_bound 2) );
+        (1, return (Assert "on."));
+        (1, map2 (fun a b -> Assert (Printf.sprintf "pref(%d, %d)." a b)) (int_bound 2) small);
+        (4, map (fun k -> Retract k) (int_bound 20));
+        (4, return Run);
+        (1, map (fun p -> Query (p ^ "(X, Y)")) (oneofl [ "tc"; "tag" ]));
+        (1, map (fun k -> Fork k) (int_bound 20)) ])
+
+let rebuilt db =
+  db_of
+    (List.concat_map
+       (fun p -> List.map (fun row -> (p, row)) (Database.facts_of db p))
+       (Database.preds db))
+
+let check_digest what db =
+  let maintained = Database.digest db and oracle = Database.digest (rebuilt db) in
+  if not (String.equal maintained oracle) then
+    QCheck.Test.fail_reportf "%s: maintained %s, rebuilt %s\n%s" what maintained oracle (render db)
+
+(* Two forks of [model] share its sums, then diverge: one gains a row
+   and loses one, the other loses a different one. *)
+let check_forks model k =
+  let f1 = Database.copy model and f2 = Database.copy model in
+  ignore (Database.add_fact f1 "tc" [| Value.Int (100 + k); Value.str "fork" |]);
+  let drop db nth =
+    List.iter
+      (fun p ->
+        match Database.find db p with
+        | Some r when Relation.cardinal r > 0 ->
+          let row = List.nth (Relation.to_list r) (nth mod Relation.cardinal r) in
+          Database.set_relation db p (Relation.remove r [ row ])
+        | _ -> ())
+      (Database.preds db)
+  in
+  drop f1 k;
+  drop f2 (k + 1);
+  check_digest "fork 1" f1;
+  check_digest "fork 2" f2;
+  check_digest "forked model" model
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+let tmp_counter = ref 0
+
+let with_tmpdir f =
+  incr tmp_counter;
+  let dir = Printf.sprintf "gbcd_digest_%d_%d.data" (Unix.getpid ()) !tmp_counter in
+  rm_rf dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* Maintenance and semi-naive scratch bindings ([$ivm_*], [$delta]). *)
+let scratch_pred p =
+  match String.index_opt p '$' with
+  | None -> false
+  | Some i ->
+    let rest = String.sub p i (String.length p - i) in
+    String.starts_with ~prefix:"$ivm_" rest || String.equal rest "$delta"
+
+(* Play [ops] on a durable session, checking the materialized model
+   and the fact base after every step; returns the session. *)
+let play ops =
+  with_tmpdir (fun dir ->
+      let dur =
+        match Durable.create ~fsync:Wal.Never ~snapshot_every:8 dir with
+        | Ok d -> d
+        | Error msg -> failwith msg
+      in
+      let s = Session.create ~durable:dur ~cache:(Program_cache.create ()) ~id:0 () in
+      (match Session.load s session_src with Ok _ -> () | Error (_, m) -> failwith m);
+      let live = ref [] in
+      let limits = Limits.unlimited and telemetry = Telemetry.none in
+      let model () = Option.map (fun m -> Ivm.model m.Session.ivm) s.Session.mat in
+      List.iter
+        (fun op ->
+          (match op with
+          | Assert fact -> (
+            match Session.assert_facts s fact with
+            | Ok _ -> live := fact :: !live
+            | Error (_, m) -> failwith m)
+          | Retract k -> (
+            match !live with
+            | [] -> ()
+            | l ->
+              let fact = List.nth l (k mod List.length l) in
+              (match Session.retract_facts s fact with Ok _ -> () | Error (_, m) -> failwith m);
+              live := List.filteri (fun i _ -> i <> k mod List.length l) l)
+          | Run -> (
+            match
+              Session.run s ~engine:Protocol.Staged ~seed:None ~jobs:1 ~limits ~telemetry
+            with
+            | Ok (Limits.Complete db) ->
+              if List.exists scratch_pred (Database.preds db) then
+                QCheck.Test.fail_reportf "%s left in the model"
+                  (List.find scratch_pred (Database.preds db))
+            | _ -> failwith "run did not complete")
+          | Query text -> (
+            match
+              Session.query s ~engine:Protocol.Staged ~text ~jobs:1 ~limits ~telemetry
+            with
+            | Ok _ -> ()
+            | Error (_, m) -> failwith m)
+          | Fork k -> Option.iter (fun m -> check_forks m k) (model ()));
+          Option.iter (check_digest ("model after " ^ print_op op)) (model ());
+          Option.iter (check_digest ("fact base after " ^ print_op op)) s.Session.db)
+        ops;
+      Session.discard s;
+      s)
+
+let qc_maintained =
+  QCheck.Test.make ~count:150 ~name:"maintained digest equals a rebuilt one after every step"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+       QCheck.Gen.(list_size (int_range 1 30) gen_op))
+    (fun ops ->
+      ignore (play ops);
+      true)
+
+(* One fixed script through every maintenance path the property draws
+   from: incremental inserts and DRed retracts, a fallback to a full
+   run, and a fork. *)
+let test_maintained_paths () =
+  let s =
+    play
+      [ Run; Assert "edge(2, 3)."; Assert "on."; Assert "label(3, \"s\")."; Run;
+        Assert "item((4, b))."; Retract 1; Run; Fork 3; Retract 0; Query "tc(X, Y)";
+        Assert "pref(2, 3)."; Run; Assert "edge(3, 1)."; Run; Retract 0; Run ]
+  in
+  let c = s.Session.counters in
+  Alcotest.(check bool) "incremental runs" true (c.Session.runs_incremental >= 3);
+  Alcotest.(check bool) "fallbacks" true (c.Session.ivm_fallbacks >= 1)
+
 (* ---------------- separation ---------------- *)
 
 let test_separates () =
@@ -234,6 +423,9 @@ let () =
         [ QCheck_alcotest.to_alcotest qc_order;
           QCheck_alcotest.to_alcotest qc_agrees_with_rendering ] );
       ("digest ivm", [ QCheck_alcotest.to_alcotest qc_ivm ]);
+      ( "digest maintained",
+        [ Alcotest.test_case "every maintenance path" `Quick test_maintained_paths;
+          QCheck_alcotest.to_alcotest qc_maintained ] );
       ( "digest separation",
         [ Alcotest.test_case "distinct facts, distinct digests" `Quick test_separates;
           Alcotest.test_case "golden vector" `Quick test_golden ] ) ]

@@ -710,6 +710,34 @@ let test_concurrent_sessions () =
       List.iter Thread.join threads;
       Alcotest.(check int) "every session saw every exact model" 0 (Atomic.get failures))
 
+(* Two servers in one process run their event loops on two domains at
+   once.  Each must read into its own buffer: with a shared one, bytes
+   one loop had just read could be overwritten by the other's before
+   they were copied out, corrupting frames or stalling a connection on
+   a frame that never completes (seen as a hang in the in-process
+   fleet of bench experiment E19).  Large frames take several reads
+   each, so the loops read concurrently often; a receive deadline turns
+   a stall into a failure. *)
+let test_two_servers_read_apart () =
+  let facts = List.init 3000 (fun i -> Printf.sprintf "fact(%d, \"padding %d\")." i i) in
+  let src = String.concat "\n" facts ^ "\n" in
+  let failures = Atomic.make 0 in
+  let hammer path =
+    with_conn path (fun c ->
+        Client.set_recv_deadline c (Some 10.0);
+        for _ = 1 to 120 do
+          match Client.rpc c (Protocol.Load src) with
+          | Protocol.Loaded { clauses = 3000; _ } -> ()
+          | _ -> Atomic.incr failures
+          | exception (Client.Timeout | Client.Protocol_error _) -> Atomic.incr failures
+        done)
+  in
+  with_server ~workers:2 (fun a ->
+      with_server ~workers:2 (fun b ->
+          let threads = List.map (Thread.create hammer) [ a; b; a; b ] in
+          List.iter Thread.join threads));
+  Alcotest.(check int) "every load answered intact" 0 (Atomic.get failures)
+
 let () =
   Alcotest.run "server"
     [ ( "basics",
@@ -751,4 +779,6 @@ let () =
       ( "lifecycle",
         [ Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
           Alcotest.test_case "8 sessions x 13 exemplars x 4 workers" `Slow
-            test_concurrent_sessions ] ) ]
+            test_concurrent_sessions;
+          Alcotest.test_case "two servers in one process read apart" `Quick
+            test_two_servers_read_apart ] ) ]
