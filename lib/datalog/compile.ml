@@ -556,6 +556,12 @@ let rec bind_from (bdr : binder) env (row : Value.t array) i =
 let bind (bdr : binder) env (row : Value.t array) =
   Array.length row = Array.length bdr && bind_from bdr env row 0
 
+let rec bind_id_from (bdr : binder) env rel id i =
+  i = Array.length bdr || (bdr.(i) env (Relation.read rel id i) && bind_id_from bdr env rel id (i + 1))
+
+let bind_id (bdr : binder) env rel id =
+  Relation.arity rel = Array.length bdr && bind_id_from bdr env rel id 0
+
 let solutions body db outs =
   let t = of_body body in
   let progs = compile_row t (E.compile_terms body outs) in

@@ -84,6 +84,10 @@ val compile_binder : bound:int list -> Eval.cterm array -> binder
 
 val bind : binder -> env -> Value.t array -> bool
 
+val bind_id : binder -> env -> Relation.t -> int -> bool
+(** [bind_id b env rel id]: {!bind} against row [id] of [rel], read
+    field by field from its cells — no row is decoded as a whole. *)
+
 val solutions : Eval.body -> Database.t -> Ast.term list -> Value.t list list
 (** [solutions body db outs]: run [body] (compiled with no
     [extra_bound] variables) once and return the values of [outs] per

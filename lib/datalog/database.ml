@@ -60,27 +60,176 @@ let facts_of db pred =
 
 (* ---------------- canonical printing ---------------- *)
 
-(* Rows sort on their cells in [Value.compare] order: equal cells are
-   equal values and inline ints order as their cells do, so only other
-   cells are decoded.  The order depends on the fact set only, never on
-   insertion history. *)
+(* Rows print in [Value.compare] order, field by field.  Every column
+   gets one int sort key per row, monotone in that order:
+
+   - an inline int is its value, in (-2^61, 2^61);
+   - a symbol is its interner rank plus [sym_base];
+   - any other cell — a [Str], [Tup], [App] or an int too wide to be
+     inline — is decoded once per distinct cell and ranked with
+     [Value.compare] among the column's others ([Int < Str < Tup <
+     App]).  A wide int sorts among the ints: a negative one just below
+     -2^61, a positive one just above 2^61 and below every symbol; the
+     rest go above every symbol.
+
+   The keys span less than 2^63, so offsets from a column's least key
+   are exact as unsigned ints.  The row ids are then sorted LSD: one
+   stable pass per column, last column first, each a counting sort on
+   the offsets' digits (an insertion sort for a few rows).  Relations
+   are sets, so no two rows tie on every key. *)
+
+let max_inline = 1 lsl 61
+
+(* The column's distinct term cells, sorted by cell, and each one's
+   position in [Value.compare] order: the first [nneg] are negative
+   ints, the first [nint] ints. *)
+type terms = { tcells : int array; trank : int array; nneg : int; nint : int }
+
+let no_terms = { tcells = [||]; trank = [||]; nneg = 0; nint = 0 }
+
+let column_terms cells n w j =
+  let found = ref [] in
+  for i = 0 to n - 1 do
+    let c = Array.unsafe_get cells ((i * w) + j) in
+    if Relation.Cell.is_term c then found := c :: !found
+  done;
+  if !found = [] then no_terms
+  else begin
+    let tcells = Array.of_list (List.sort_uniq Int.compare !found) in
+    let k = Array.length tcells in
+    let vals = Array.map Relation.Cell.decode tcells in
+    let order = Array.init k Fun.id in
+    Array.sort (fun a b -> Value.compare vals.(a) vals.(b)) order;
+    let trank = Array.make k 0 in
+    Array.iteri (fun t slot -> trank.(slot) <- t) order;
+    let count p = Array.fold_left (fun acc v -> if p v then acc + 1 else acc) 0 vals in
+    { tcells;
+      trank;
+      nneg = count (function Value.Int i -> i < 0 | _ -> false);
+      nint = count (function Value.Int _ -> true | _ -> false) }
+  end
+
+let rec find_cell tcells c lo hi =
+  let mid = (lo + hi) / 2 in
+  let x = Array.unsafe_get tcells mid in
+  if x = c then mid else if x < c then find_cell tcells c (mid + 1) hi else find_cell tcells c lo mid
+
+(* Fill [keys.(i)] for column [j]; returns the least key and the
+   spread, the greatest key's unsigned offset from it. *)
+let column_keys keys cells n w j ord =
+  let t = column_terms cells n w j in
+  let k = Array.length t.tcells in
+  let sym_base = max_inline + k in
+  let other_base = sym_base + Array.length ord in
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to n - 1 do
+    let c = Array.unsafe_get cells ((i * w) + j) in
+    let key =
+      if Relation.Cell.is_int c then c asr 1
+      else if Relation.Cell.is_sym c then sym_base + ord.(Relation.Cell.sym_id c)
+      else begin
+        let r = t.trank.(find_cell t.tcells c 0 k) in
+        if r < t.nneg then r - max_inline - t.nneg
+        else if r < t.nint then max_inline + r
+        else other_base + r
+      end
+    in
+    Array.unsafe_set keys i key;
+    if key < !lo then lo := key;
+    if key > !hi then hi := key
+  done;
+  (!lo, !hi - !lo)
+
+let rec bit_width x = if x = 0 then 0 else 1 + bit_width (x lsr 1)
+
+(* Stable sort of [ids] (length [n]) by the unsigned offsets
+   [keys.(id) - lo], which are at most [spread], through [tmp];
+   returns the array holding the result and the spare one.  With no
+   [counts] buckets, an insertion sort. *)
+let sort_by_keys ids tmp counts keys lo spread n =
+  let bits = bit_width spread in
+  if bits = 0 then (ids, tmp)
+  else if Array.length counts = 0 then begin
+    for i = 1 to n - 1 do
+      let id = ids.(i) in
+      let d = (keys.(id) - lo) lxor min_int in
+      let j = ref (i - 1) in
+      while !j >= 0 && (keys.(ids.(!j)) - lo) lxor min_int > d do
+        ids.(!j + 1) <- ids.(!j);
+        decr j
+      done;
+      ids.(!j + 1) <- id
+    done;
+    (ids, tmp)
+  end
+  else begin
+    (* as few counting passes as the buckets allow, of equal width *)
+    let dmax = bit_width (Array.length counts - 1) in
+    let passes = (bits + dmax - 1) / dmax in
+    let d = (bits + passes - 1) / passes in
+    let mask = (1 lsl d) - 1 in
+    let src = ref ids and dst = ref tmp in
+    for p = 0 to passes - 1 do
+      let shift = p * d in
+      Array.fill counts 0 (mask + 1) 0;
+      let s = !src and t = !dst in
+      for i = 0 to n - 1 do
+        let b = ((Array.unsafe_get keys (Array.unsafe_get s i) - lo) lsr shift) land mask in
+        Array.unsafe_set counts b (Array.unsafe_get counts b + 1)
+      done;
+      let sum = ref 0 in
+      for b = 0 to mask do
+        let c = Array.unsafe_get counts b in
+        Array.unsafe_set counts b !sum;
+        sum := !sum + c
+      done;
+      for i = 0 to n - 1 do
+        let id = Array.unsafe_get s i in
+        let b = ((Array.unsafe_get keys id - lo) lsr shift) land mask in
+        let at = Array.unsafe_get counts b in
+        Array.unsafe_set t at id;
+        Array.unsafe_set counts b (at + 1)
+      done;
+      src := t;
+      dst := s
+    done;
+    (!src, !dst)
+  end
+
+let add_row b pred cells w id =
+  Buffer.add_string b pred;
+  Buffer.add_char b '(';
+  for j = 0 to w - 1 do
+    if j > 0 then Buffer.add_string b ", ";
+    let c = Array.unsafe_get cells ((id * w) + j) in
+    if Relation.Cell.is_int c then Value.add_int b (c asr 1)
+    else if Relation.Cell.is_sym c then Buffer.add_string b (Interner.resolve (Relation.Cell.sym_id c))
+    else Value.add b (Relation.Cell.decode c)
+  done;
+  Buffer.add_string b ").\n"
+
 let add_relation b pred r =
-  let w = Relation.arity r and cells = Relation.cells r in
-  let rec compare_rows x y j =
-    if j = w then 0
-    else
-      let cx = cells.((x * w) + j) and cy = cells.((y * w) + j) in
-      if cx = cy then compare_rows x y (j + 1)
-      else if Relation.Cell.is_int cx && Relation.Cell.is_int cy then Int.compare cx cy
-      else Value.compare (Relation.Cell.decode cx) (Relation.Cell.decode cy)
-  in
-  let ids = Array.init (Relation.cardinal r) Fun.id in
-  Array.stable_sort (fun x y -> compare_rows x y 0) ids;
-  Array.iter
-    (fun id ->
-      Value.add b (Value.App (pred, List.init w (Relation.read r id)));
-      Buffer.add_string b ".\n")
-    ids
+  let w = Relation.arity r and n = Relation.cardinal r and cells = Relation.cells r in
+  if n > 0 then begin
+    let top_sym = ref (-1) in
+    for i = 0 to (n * w) - 1 do
+      let c = Array.unsafe_get cells i in
+      if Relation.Cell.is_sym c && Relation.Cell.sym_id c > !top_sym then
+        top_sym := Relation.Cell.sym_id c
+    done;
+    let ord = Interner.ranks (!top_sym + 1) in
+    let ids = ref (Array.init n Fun.id) and tmp = ref (Array.make n 0) in
+    let keys = Array.make n 0 in
+    (* about one bucket per row, and none for a few rows *)
+    let counts = if n < 16 then [||] else Array.make (1 lsl min 16 (bit_width n - 1)) 0 in
+    for j = w - 1 downto 0 do
+      let lo, spread = column_keys keys cells n w j ord in
+      let sorted, spare = sort_by_keys !ids !tmp counts keys lo spread n in
+      ids := sorted;
+      tmp := spare
+    done;
+    Array.iter (add_row b pred cells w) !ids
+  end
 
 let render ?preds:chosen db =
   let preds = match chosen with Some ps -> ps | None -> List.sort String.compare (preds db) in

@@ -76,15 +76,19 @@ let rebuild_order () =
       Array.iteri (fun rank id -> ord.(id) <- rank) ids;
       Atomic.set ranking { ord; upto = n })
 
-let rec compare_ids a b =
-  if a = b then 0
+(* A rebuild covers every id below the [count] it snapshots, and
+   [upto] only grows, so one rebuild serves any [n <= count]. *)
+let rec ranks n =
+  let r = Atomic.get ranking in
+  if n <= r.upto then r.ord
+  else if n > Atomic.get count then invalid_arg (Printf.sprintf "Interner.ranks: %d ids" n)
   else begin
-    let r = Atomic.get ranking in
-    if a < r.upto && b < r.upto then Int.compare r.ord.(a) r.ord.(b)
-    else begin
-      (* [a] and [b] are valid ids, so they sit below the [count] the
-         rebuild snapshots; [upto] only grows, hence one retry. *)
-      rebuild_order ();
-      compare_ids a b
-    end
+    rebuild_order ();
+    ranks n
   end
+
+let compare_ids a b =
+  if a = b then 0
+  else
+    let ord = ranks (1 + max a b) in
+    Int.compare (Array.unsafe_get ord a) (Array.unsafe_get ord b)

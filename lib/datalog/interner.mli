@@ -29,5 +29,14 @@ val compare_ids : int -> int -> int
     the table is O(n log n) amortized over the interns since the last
     comparison against a fresh id. *)
 
+val ranks : int -> int array
+(** [ranks n]: the rank table behind {!compare_ids}, first rebuilt if
+    it does not yet cover every id below [n].  For ids [a, b < n],
+    [(ranks n).(a) < (ranks n).(b)] iff
+    [String.compare (resolve a) (resolve b) < 0]; entries are distinct
+    ranks, so equal ranks mean equal ids.  The array is shared and
+    must not be mutated; a later rebuild replaces it, never changes it.
+    @raise Invalid_argument if [n] exceeds {!size}. *)
+
 val size : unit -> int
 (** Number of distinct strings interned so far. *)

@@ -88,6 +88,7 @@ module Cell = struct
   let of_int i = if inline i then i lsl 1 else encode (Value.Int i)
   let is_int c = c land 1 = 0
   let is_sym c = c land 3 = 1
+  let is_term c = c land 3 = 3
   let sym_id c = c lsr 2
   let of_sym id = (id lsl 2) lor 1
 
@@ -668,7 +669,7 @@ let digest_cache r = r.digest
 let set_digest_cache r d = r.digest <- Some d
 
 let has_terms r =
-  let rec from i = i < r.count * r.width && (r.cells.(i) land 3 = 3 || from (i + 1)) in
+  let rec from i = i < r.count * r.width && (Cell.is_term r.cells.(i) || from (i + 1)) in
   from 0
 
 let of_cells rel_name arity (cells : int array) count =

@@ -31,7 +31,8 @@
     nothing beyond the row tuple; the id-based accessors below avoid
     even that for hot paths that only read a few fields. *)
 
-(** Cell inspection for the snapshot codec and the digest. *)
+(** Cell inspection for the snapshot codec, the digest, the printer
+    and the staged engine's queue. *)
 module Cell : sig
   val decode : int -> Value.t
 
@@ -40,6 +41,10 @@ module Cell : sig
 
   val is_sym : int -> bool
   (** The cell holds a [Sym]; its interner id is {!sym_id}. *)
+
+  val is_term : int -> bool
+  (** The cell holds a term-table value: a [Str], [Tup], [App] or wide
+      [Int]; {!decode} reads it without allocating. *)
 
   val sym_id : int -> int
   val of_sym : int -> int
@@ -208,8 +213,9 @@ val distinct_counts : t -> int array
 
 (** {2 Raw cells}
 
-    The snapshot codec and the digest read and rebuild the cell store
-    directly, in the encoding described at the top. *)
+    The snapshot codec, the digest, the printer and the staged engine's
+    queue read the cell store directly, and the codec rebuilds it, in
+    the encoding described at the top. *)
 
 val cells : t -> int array
 (** The live cell store (length may exceed [cardinal * arity]; only the

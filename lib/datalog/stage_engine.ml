@@ -117,10 +117,10 @@ type srule = {
   cost_pos : int option;
   (* Source argument position holding the extremum cost when the cost
      term is that argument's plain variable — the queue then reads
-     costs straight out of the row, no memo table. *)
-  cost_of : (Value.t array -> Value.t) option;
-  (* Otherwise: the cost of a source row, evaluated from a private
-     environment the row is bound into. *)
+     costs straight out of the row's cells, no memo. *)
+  cost_of : (Relation.t -> int -> Value.t) option;
+  (* Otherwise: the cost of a source row, given by id, evaluated from a
+     private environment the row is bound into. *)
 }
 
 (* Index-backed FD compatibility: the chosen relation's rows are
@@ -289,8 +289,8 @@ let compile_srule (cr : EC.crule) (r : Ast.rule) =
       let bind = Compile.compile_binder ~bound:[] src_pats in
       let cost = value c in
       Some
-        (fun row ->
-          if Compile.bind bind env row then cost env
+        (fun rel id ->
+          if Compile.bind_id bind env rel id then cost env
           else invalid_arg "Stage_engine: source row does not match its own atom")
   in
   { cr; source; minimize; has_extremum; key_positions; stage_positions; shadow;
@@ -305,12 +305,16 @@ let compile_srule (cr : EC.crule) (r : Ast.rule) =
 (* Clique evaluation                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The unset slot of a cost memo: no computed cost is this block. *)
+let no_cost = Value.Str (-1)
+
+(* [Rql] holds source row ids: rows only grow and never move, so an id
+   names its row for the whole run, and ids follow insertion order. *)
 type staged = {
   sr : srule;
-  rql : (Value.t array, Value.t) Rql.t;
+  rql : (int, int array) Rql.t;  (* keyed by the congruence columns' cells *)
   mutable src_mark : int;
   src_rel : Relation.t;
-  ins : Value.t array -> unit;  (* preallocated [Rql.insert] *)
   fire : unit -> int;  (* pop-validate-fire: the stage fired at, or -1 *)
 }
 
@@ -322,7 +326,8 @@ exception Fired of Value.t array * Value.t array (* chosen row, head row *)
    per stage (the binder and the chain both treat it as bound), and FD
    checks go through {!compatible_cols} when the FDs are plain column
    projections. *)
-let make_fire ~telemetry ~limits db (sr : srule) ~rql ~(fd : EC.fd_state) ~tracker ~head_rel =
+let make_fire ~telemetry ~limits db (sr : srule) ~rql ~src_rel ~(fd : EC.fd_state) ~tracker
+    ~head_rel =
   let cenv = Compile.env sr.chain in
   let rc = Telemetry.rule telemetry sr.cr.EC.label in
   let kont =
@@ -347,13 +352,13 @@ let make_fire ~telemetry ~limits db (sr : srule) ~rql ~(fd : EC.fd_state) ~track
             raise (Fired (chosen_row, Compile.eval_row cenv sr.head_row))
         end
   in
-  let valid row =
+  let valid id =
     (* Every popped source fact is a candidate the engine examines. *)
     Limits.tick_candidates limits 1;
     (match rc with
     | Some rc -> rc.Telemetry.candidates <- rc.Telemetry.candidates + 1
     | None -> ());
-    if not (Compile.bind sr.bind cenv row) then false
+    if not (Compile.bind_id sr.bind cenv src_rel id) then false
     else begin
       match Compile.run_resolved sr.chain kont with
       | () -> false
@@ -394,45 +399,61 @@ let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db crules flat_rule
   let staged =
     List.map
       (fun sr ->
-        let key_of row = Value.Tup (List.map (fun p -> row.(p)) sr.key_positions) in
-        (* Cost of a source row: read straight out of the row when it is
-           a plain source argument, else evaluated once per row and
-           memoized. *)
-        let cost_cached =
+        (* Relation creation order (source, head, chosen$) is part of
+           the canonical output; keep it. *)
+        let src_rel = Database.relation db sr.source.pred (List.length sr.source.args) in
+        let w = Relation.arity src_rel in
+        let key_cols = Array.of_list sr.key_positions in
+        let key_of id =
+          let cells = Relation.cells src_rel in
+          let key = Array.make (Array.length key_cols) 0 in
+          for i = 0 to Array.length key_cols - 1 do
+            key.(i) <- cells.((id * w) + key_cols.(i))
+          done;
+          key
+        in
+        (* Cost order of two source rows: read straight off their cells
+           when the cost is a plain source argument, else evaluated once
+           per row and memoized by id. *)
+        let sign = if sr.minimize then 1 else -1 in
+        let cost_cmp =
           match (sr.cost_pos, sr.cost_of) with
-          | Some p, _ -> fun (row : Value.t array) -> row.(p)
-          | None, None -> fun _ -> Value.Int 0
+          | _ when not sr.has_extremum -> fun _ _ -> 0
+          | Some p, _ ->
+            fun a b ->
+              let cells = Relation.cells src_rel in
+              let ca = Array.unsafe_get cells ((a * w) + p)
+              and cb = Array.unsafe_get cells ((b * w) + p) in
+              if Relation.Cell.is_int ca && Relation.Cell.is_int cb then sign * Int.compare ca cb
+              else sign * Value.compare (Relation.Cell.decode ca) (Relation.Cell.decode cb)
+          | None, None -> fun _ _ -> 0
           | None, Some cost_of ->
-            let cost_tbl = Relation.Row_tbl.create 256 in
-            fun row ->
-              (* [find]/[Not_found] rather than [find_opt]: the heap
-                 calls this O(log n) times per pop, and the [Some]
-                 boxes add up. *)
-              (match Relation.Row_tbl.find cost_tbl row with
-              | c -> c
-              | exception Not_found ->
-                let c = cost_of row in
-                Relation.Row_tbl.add cost_tbl row c;
-                c)
+            let memo = ref [||] in
+            let cost id =
+              let m = !memo in
+              if id < Array.length m && m.(id) != no_cost then m.(id)
+              else begin
+                let c = cost_of src_rel id in
+                if id >= Array.length m then begin
+                  let bigger = Array.make (max (id + 1) (2 * Array.length m)) no_cost in
+                  Array.blit m 0 bigger 0 (Array.length m);
+                  memo := bigger
+                end;
+                !memo.(id) <- c;
+                c
+              end
+            in
+            fun a b -> sign * Value.compare (cost a) (cost b)
         in
-        let cost_cmp a b =
-          if not sr.has_extremum then 0
-          else
-            let c = Value.compare (cost_cached a) (cost_cached b) in
-            if sr.minimize then c else -c
-        in
-        let stage_of row =
+        let stage_of id =
           match sr.stage_positions with
           | [] -> 0
-          | p :: _ -> ( match row.(p) with Value.Int i -> i | _ -> 0)
+          | p :: _ -> ( match Relation.read src_rel id p with Value.Int i -> i | _ -> 0)
         in
         let shadow = match shadow_mode with `Auto -> sr.shadow | `Off -> false in
         let rql =
           Rql.create ~shadow ~newer_wins:sr.newer_wins ~key:key_of ~cost_cmp ~stage:stage_of ()
         in
-        (* Relation creation order (source, head, chosen$) is part of
-           the canonical output; keep it. *)
-        let src_rel = Database.relation db sr.source.pred (List.length sr.source.args) in
         let tracker =
           let pos = match sr.cr.EC.stage with Some (_, p) -> p | None -> assert false in
           ignore (Database.relation db sr.cr.EC.head.pred (List.length sr.cr.EC.head.args));
@@ -443,17 +464,18 @@ let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db crules flat_rule
         in
         let fd = EC.make_fd_state db sr.cr in
         { sr; rql; src_mark = 0; src_rel;
-          ins = (fun row -> Rql.insert rql row);
-          fire = make_fire ~telemetry ~limits db sr ~rql ~fd ~tracker ~head_rel })
+          fire = make_fire ~telemetry ~limits db sr ~rql ~src_rel ~fd ~tracker ~head_rel })
       srules
   in
-  (* The source relation and the insert closure are cached in the
-     staged state: nothing is allocated per call. *)
+  (* New source rows enter the queue as the id range past the mark. *)
   let sync () =
     List.iter
       (fun st ->
-        Relation.iter_from st.src_rel st.src_mark st.ins;
-        st.src_mark <- Relation.cardinal st.src_rel)
+        let n = Relation.cardinal st.src_rel in
+        for id = st.src_mark to n - 1 do
+          Rql.insert st.rql id
+        done;
+        st.src_mark <- n)
       staged
   in
   let examined = ref 0 in

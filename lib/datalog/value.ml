@@ -56,8 +56,21 @@ let rec hash = function
   | Tup xs -> List.fold_left (fun h x -> combine h (hash x)) 11 xs
   | App (f, xs) -> List.fold_left (fun h x -> combine h (hash x)) (combine 13 (Hashtbl.hash f)) xs
 
+(* Decimal digits of [n <= 0], most significant first.  Working on
+   the non-positive side never negates, so [min_int] needs no case. *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b n
+  end
+  else add_neg_digits b (-n)
+
 let rec add b = function
-  | Int x -> Buffer.add_string b (string_of_int x)
+  | Int x -> add_int b x
   | Sym id -> Buffer.add_string b (Interner.resolve id)
   | Str id -> Printf.bprintf b "%S" (Interner.resolve id)
   | Tup xs -> add_args b xs

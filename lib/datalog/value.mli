@@ -45,6 +45,10 @@ val add : Buffer.t -> t -> unit
 (** Append a value's canonical text: strings with OCaml's [%S] escapes,
     tuples as [(a, b)], compound terms as [f(a, b)]. *)
 
+val add_int : Buffer.t -> int -> unit
+(** Append an int in decimal, as [string_of_int] writes it, without
+    allocating. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

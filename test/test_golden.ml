@@ -117,9 +117,133 @@ let test_derived () =
   Alcotest.(check string) "staged" expected (md5 (fst (Stage_engine.run prog)));
   Alcotest.(check string) "reference" expected (md5 (fst (Choice_fixpoint.run prog)))
 
+(* Tie-heavy staged runs.  Weight and stability checks accept any
+   tied candidate; these pin which one the queue pops first (equal
+   costs pop in insertion order), recorded once like the rest. *)
+let unit_costs (g : Graph_gen.t) =
+  { g with Graph_gen.edges = List.map (fun (u, v, _) -> (u, v, 1)) g.Graph_gen.edges }
+
+let tie_cases =
+  let ties = Graph_gen.random_connected_ties ~seed:11 ~nodes:60 ~extra_edges:150 in
+  let dup_items = List.init 200 (fun k -> (Printf.sprintf "x%d" ((k * 37) mod 200), k mod 7)) in
+  let computed =
+    List.init 60 (fun k ->
+        Printf.sprintf "p(y%d, %d, %d)." k (k mod 5) ((k * 3) mod 4))
+    |> String.concat "\n"
+  in
+  [ ("prim on random_connected_ties", (fun () -> Prim.program ~root:0 ties),
+      "c51cc28803fccb1b1a1bc8d8d33716ca" );
+    ("kruskal on random_connected_ties", (fun () -> Kruskal.program ties),
+      "e2e0e1cb21ae725f0b084e41cd707421" );
+    ("dijkstra on random_connected_ties", (fun () -> Dijkstra.program ~root:0 ties),
+      "fb2af7d6febd718eff767a482f93e7c6" );
+    ("dijkstra on a unit-cost grid",
+      (fun () -> Dijkstra.program ~root:0 (unit_costs (Graph_gen.grid ~width:8 ~height:8))),
+      "23b85ae27640df5d8d865e88cf1fa324" );
+    ("sorting with duplicate costs", (fun () -> Sorting.program dup_items),
+      "3e0818b416a2fa7e8c634c0bfb00ef8c" );
+    ("sorting on a computed cost",
+      (fun () ->
+        Parser.parse_program
+          (computed ^ "\nsp(nil, 0, 0).\nsp(X, C, I) <- next(I), p(X, C, D), least(C + D, I).\n")),
+      "1299ee77b63d89863ff1663d0fbf39f5" ) ]
+
+let test_tie_breaks () =
+  List.iter
+    (fun (name, prog, expected) ->
+      Alcotest.(check string) name expected (md5 (fst (Stage_engine.run (prog ())))))
+    tie_cases
+
+(* The printer against an independent reference on random databases:
+   every relation's rows decoded, sorted by [Value.compare] and printed
+   with [Value.to_string].  Columns mix every kind of value — ints at
+   and beyond the inline bound (2^61), symbols, strings, tuples and
+   compound terms — and each case interns fresh symbols, which the
+   printer meets before any comparison has re-ranked them. *)
+let reference_render db =
+  let b = Buffer.create 256 in
+  let row_compare x y = Value.compare (Value.Tup (Array.to_list x)) (Value.Tup (Array.to_list y)) in
+  List.iter
+    (fun pred ->
+      List.iter
+        (fun row ->
+          Buffer.add_string b (Value.to_string (Value.App (pred, Array.to_list row)));
+          Buffer.add_string b ".\n")
+        (List.sort row_compare (Database.facts_of db pred)))
+    (List.sort String.compare (Database.preds db));
+  Buffer.contents b
+
+let fresh = ref 0
+
+let gen_render_db =
+  let open QCheck.Gen in
+  let edge = 1 lsl 61 in
+  let special =
+    [ 0; 1; -1; edge - 1; edge; edge + 1; -edge + 1; -edge; -edge - 1; min_int; max_int;
+      min_int + 1; max_int - 1 ]
+  in
+  let gen_int =
+    frequency
+      [ (3, oneofl special); (3, int_range (-50) 50); (2, int); (1, map (fun i -> i lor edge) int) ]
+  in
+  let gen_sym =
+    frequency
+      [ (3, map Value.sym (oneofl [ "a"; "b"; "nil"; "zeta"; "Ab"; "a0" ]));
+        ( 1,
+          map
+            (fun k ->
+              incr fresh;
+              Value.sym (Printf.sprintf "f%d_%d" k !fresh))
+            (int_bound 99) ) ]
+  in
+  let leaf =
+    frequency
+      [ (4, map (fun i -> Value.Int i) gen_int);
+        (3, gen_sym);
+        (1, map Value.str (oneofl [ ""; "a"; "b\"c"; "tab\t"; "zeta" ])) ]
+  in
+  let value =
+    fix
+      (fun self d ->
+        if d = 0 then leaf
+        else
+          frequency
+            [ (6, leaf);
+              (1, map (fun xs -> Value.Tup xs) (list_size (int_bound 2) (self (d - 1))));
+              ( 1,
+                map2 (fun f xs -> Value.App (f, xs)) (oneofl [ "f"; "g" ])
+                  (list_size (int_range 1 2) (self (d - 1))) ) ])
+      2
+  in
+  let relation i =
+    int_bound 3 >>= fun arity ->
+    frequency [ (1, return 0); (1, return 1); (3, int_bound 12); (2, int_range 16 120) ]
+    >>= fun rows ->
+    (* Few distinct values per column, so rows share prefixes and
+       every column takes part in the order. *)
+    list_repeat arity (list_size (int_range 1 6) value) >>= fun pools ->
+    list_repeat rows (flatten_l (List.map oneofl pools)) >|= fun rows ->
+    (Printf.sprintf "p%d" i, arity, rows)
+  in
+  int_bound 4 >>= fun k -> flatten_l (List.init k relation)
+
+let prop_render_matches_reference =
+  QCheck.Test.make ~name:"render = sorted facts printed one by one" ~count:300
+    (QCheck.make gen_render_db) (fun rels ->
+      let db = Database.create () in
+      List.iter
+        (fun (pred, arity, rows) ->
+          ignore (Database.relation db pred arity);
+          List.iter (fun row -> ignore (Database.add_fact db pred (Array.of_list row))) rows)
+        rels;
+      let got = Database.render db in
+      String.equal got (reference_render db))
+
 let () =
   Alcotest.run "golden"
     [ ( "canonical bytes",
         [ Alcotest.test_case "every program, staged and reference" `Slow test_programs_pinned;
           Alcotest.test_case "hand cases" `Quick test_hand_cases;
-          Alcotest.test_case "derived escapes and terms" `Quick test_derived ] ) ]
+          Alcotest.test_case "derived escapes and terms" `Quick test_derived;
+          Alcotest.test_case "staged tie-breaks" `Quick test_tie_breaks ] );
+      ("printer oracle", [ QCheck_alcotest.to_alcotest prop_render_matches_reference ]) ]

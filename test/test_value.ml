@@ -63,6 +63,21 @@ let test_pp () =
     (Value.App ("t", [ Value.sym "a"; Value.App ("t", [ Value.sym "b"; Value.sym "c" ]) ]));
   check "\"hi\"" (Value.str "hi")
 
+(* The printer's digit writer against [string_of_int]: zero, each power
+   of ten and its neighbours on both signs, the extremes. *)
+let test_int_digits () =
+  let check i = Alcotest.(check string) (string_of_int i) (string_of_int i) (Value.to_string (Value.Int i)) in
+  List.iter check [ 0; 1; -1; 9; -9; min_int; max_int; min_int + 1; max_int - 1 ];
+  let p = ref 1 in
+  while !p <= max_int / 10 do
+    p := !p * 10;
+    List.iter (fun d -> check (!p + d); check (-(!p + d))) [ -1; 0; 1 ]
+  done
+
+let prop_int_digits =
+  QCheck.Test.make ~name:"to_string (Int i) = string_of_int i" ~count:1000 QCheck.int (fun i ->
+      String.equal (Value.to_string (Value.Int i)) (string_of_int i))
+
 let test_as_int () =
   Alcotest.(check int) "as_int" 7 (Value.as_int (Value.Int 7));
   Alcotest.check_raises "as_int on sym" (Invalid_argument "Value.as_int: a") (fun () ->
@@ -111,6 +126,9 @@ let () =
           Alcotest.test_case "deep difference changes hash" `Quick test_hash_sees_deep_differences ] );
       ( "pp",
         [ Alcotest.test_case "rendering" `Quick test_pp;
+          Alcotest.test_case "int digits" `Quick test_int_digits;
           Alcotest.test_case "as_int" `Quick test_as_int;
           Alcotest.test_case "hashtable" `Quick test_tbl ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_compare_antisymmetric ]) ]
+      ( "properties",
+        [ QCheck_alcotest.to_alcotest prop_compare_antisymmetric;
+          QCheck_alcotest.to_alcotest prop_int_digits ] ) ]
