@@ -1797,6 +1797,79 @@ let perf_smoke_budget = 400.0
    every row into boxed values took 52. *)
 let render_budget = 32.0
 
+(* Update allocation gate: an ephemeral session holding serve_update's
+   model — [paths] disjoint seeded paths of 20 nodes with forward
+   chords, closed under [reach] — runs the same op as that workload:
+   assert an edge from one path's tail to another's head, query the
+   reach fact only it supports, retract it, query again.  Every op
+   changes exactly 400 reach facts at any size, so its allocation
+   should not follow the model: words per op (from [Gc.allocated_bytes],
+   which sees major allocations too) at 104 paths may be at most
+   [update_budget_x] times those at 26.  When every retract rebuilt
+   the relations it touched, the ratio was 2.34. *)
+let update_budget_x = 1.25
+
+let update_words_per_op paths =
+  let len = 20 and cycles = 50 and warm = 10 in
+  let rng = Rng.create 42 in
+  let ids = Array.init (paths * len) Fun.id in
+  Rng.shuffle rng ids;
+  let chains = Array.init paths (fun c -> Array.sub ids (c * len) len) in
+  let facts = Buffer.create (64 * paths * len) in
+  Array.iter
+    (fun ch ->
+      let edge a b = Buffer.add_string facts (Printf.sprintf "e(%d, %d). " a b) in
+      for i = 0 to len - 2 do
+        edge ch.(i) ch.(i + 1)
+      done;
+      List.init (len / 2) (fun _ ->
+          let a = Rng.int rng (len - 2) in
+          (a, a + 2 + Rng.int rng (len - a - 2)))
+      |> List.sort_uniq compare
+      |> List.iter (fun (a, b) -> edge ch.(a) ch.(b)))
+    chains;
+  let ok what = function Ok _ -> () | Error (_, m) -> failwith (Printf.sprintf "update gate %s: %s" what m) in
+  let s = Session.create ~cache:(Program_cache.create ()) ~id:0 () in
+  ok "load" (Session.load s "reach(X, Y) <- e(X, Y).\nreach(X, Y) <- e(X, Z), reach(Z, Y).\n");
+  ok "assert" (Session.assert_facts s (Buffer.contents facts));
+  ok "run"
+    (Session.run s ~engine:Protocol.Staged ~seed:None ~jobs:1 ~limits:Limits.unlimited
+       ~telemetry:Telemetry.none);
+  let op () =
+    let a = Rng.int rng paths in
+    let b = (a + 1 + Rng.int rng (paths - 1)) mod paths in
+    let edge = Printf.sprintf "e(%d, %d)." chains.(a).(len - 1) chains.(b).(0) in
+    let goal = Printf.sprintf "reach(%d, %d)" chains.(a).(0) chains.(b).(len - 1) in
+    let query () =
+      ok "query"
+        (Session.query s ~engine:Protocol.Staged ~text:goal ~jobs:1 ~limits:Limits.unlimited
+           ~telemetry:Telemetry.none)
+    in
+    ok "assert" (Session.assert_facts s edge);
+    query ();
+    ok "retract" (Session.retract_facts s edge);
+    query ()
+  in
+  for _ = 1 to warm do
+    op ()
+  done;
+  let b0 = Gc.allocated_bytes () in
+  for _ = 1 to cycles do
+    op ()
+  done;
+  (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8) /. float_of_int cycles
+
+(* Words per op at 26 and 104 paths, printed; false if the larger model
+   allocates more than [update_budget_x] times the smaller. *)
+let check_update_alloc label =
+  let small = update_words_per_op 26 and large = update_words_per_op 104 in
+  let x = large /. small in
+  Printf.printf "%s: update %.0f words/op at 26 paths, %.0f at 104 (x%.2f, budget x%.2f)\n" label
+    small large x update_budget_x;
+  if x > update_budget_x then
+    Printf.printf "%s: FAILED — update allocation follows the model size\n" label;
+  x <= update_budget_x
+
 (* Print both gates; false if either is exceeded. *)
 let check_e14 label (worst, worst_render) =
   Printf.printf "%s: worst %.1f words/fact (budget %.0f), render %.1f words/fact (budget %.0f)\n"
@@ -1899,7 +1972,8 @@ let () =
       print_endline "perf-smoke: BENCH JSON malformed";
       exit 1
     end;
-    if not (check_e14 "perf-smoke" worst) then exit 1;
+    let e14_ok = check_e14 "perf-smoke" worst in
+    if not (check_update_alloc "perf-smoke" && e14_ok) then exit 1;
     print_endline "perf-smoke: ok";
     exit 0
   end;

@@ -208,22 +208,39 @@ let add_row b pred cells w id =
   done;
   Buffer.add_string b ").\n"
 
+(* Keys are computed for every id below the bound, dead ones included
+   (a removed row's cells are still in place, and its key never reaches
+   the sort): only the live ids are sorted and printed. *)
 let add_relation b pred r =
   let w = Relation.arity r and n = Relation.cardinal r and cells = Relation.cells r in
+  let bound = Relation.id_bound r in
   if n > 0 then begin
     let top_sym = ref (-1) in
-    for i = 0 to (n * w) - 1 do
+    for i = 0 to (bound * w) - 1 do
       let c = Array.unsafe_get cells i in
       if Relation.Cell.is_sym c && Relation.Cell.sym_id c > !top_sym then
         top_sym := Relation.Cell.sym_id c
     done;
     let ord = Interner.ranks (!top_sym + 1) in
-    let ids = ref (Array.init n Fun.id) and tmp = ref (Array.make n 0) in
-    let keys = Array.make n 0 in
+    let live =
+      if n = bound then Array.init n Fun.id
+      else begin
+        let ids = Array.make n 0 and k = ref 0 in
+        for id = 0 to bound - 1 do
+          if Relation.is_live r id then begin
+            ids.(!k) <- id;
+            incr k
+          end
+        done;
+        ids
+      end
+    in
+    let ids = ref live and tmp = ref (Array.make n 0) in
+    let keys = Array.make bound 0 in
     (* about one bucket per row, and none for a few rows *)
     let counts = if n < 16 then [||] else Array.make (1 lsl min 16 (bit_width n - 1)) 0 in
     for j = w - 1 downto 0 do
-      let lo, spread = column_keys keys cells n w j ord in
+      let lo, spread = column_keys keys cells bound w j ord in
       let sorted, spare = sort_by_keys !ids !tmp counts keys lo spread n in
       ids := sorted;
       tmp := spare
@@ -369,16 +386,18 @@ let hash_row st head cells off w =
     else absorb_value st (Relation.Cell.decode c)
   done
 
-(* The sum is maintained per relation through its digest cache: rows
-   past the cached watermark are added, rows [Relation.remove] queued
-   below it are subtracted, and a relation with no cache — or one keyed
-   under another predicate or arity — is summed from scratch, as are
-   nullary relations, which hold at most one row. *)
+(* The sum is maintained per relation through its digest cache: live
+   rows at ids past the cached watermark are added, rows
+   [Relation.remove] queued below it are subtracted, and a relation
+   with no cache — or one keyed under another predicate or arity — is
+   summed from scratch, as are nullary relations, which hold at most
+   one row. *)
 let digest db =
   let sum = { a = 0; b = 0 } and st = { a = 0; b = 0 } in
   Hashtbl.iter
     (fun pred r ->
-      let w = Relation.arity r and n = Relation.cardinal r in
+      let w = Relation.arity r and n = Relation.id_bound r in
+      let all_live = Relation.cardinal r = n in
       let head = { a = seed_a; b = seed_b } in
       absorb_text head (hash_text pred);
       absorb head w;
@@ -401,9 +420,11 @@ let digest db =
       in
       let cells = Relation.cells r in
       for i = from to n - 1 do
-        hash_row st head cells (i * w) w;
-        rel.a <- rel.a + st.a;
-        rel.b <- rel.b + st.b
+        if all_live || Relation.is_live r i then begin
+          hash_row st head cells (i * w) w;
+          rel.a <- rel.a + st.a;
+          rel.b <- rel.b + st.b
+        end
       done;
       if w > 0 then
         Relation.set_digest_cache r

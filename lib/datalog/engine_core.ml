@@ -175,7 +175,7 @@ let replay_chosen st =
           let l, r = fd_projections row fd in
           Value.Tbl.replace tbl l r)
         st.cr.v_fds st.tables);
-  st.mark <- Relation.cardinal st.rel
+  st.mark <- Relation.id_bound st.rel
 
 (* FD-compatibility of a solution (projections computed from the
    environment, so non-V constants inside choice goals work too). *)
@@ -202,7 +202,7 @@ let current_stage db tr =
           raise
             (Unsupported
                (Printf.sprintf "non-integer stage value %s in %s" (Value.to_string v) tr.pred)));
-    tr.mark <- Relation.cardinal rel);
+    tr.mark <- Relation.id_bound rel);
   tr.maxv
 
 (* ------------------------------------------------------------------ *)

@@ -24,11 +24,13 @@
      rows through the clique's rules, then restore the rows that are
      still EDB-backed or re-derivable from what survived;
 
-   - a deletion costs the rows it touches plus one [Relation.remove]
-     pass over each relation that loses rows: DRed's fixpoint marks
-     rows instead of removing them round by round, and the relation a
-     removal replaces, indexes included, is kept as the pre state the
-     deletion joins read — no snapshot is copied;
+   - a deletion costs the rows it touches: DRed's fixpoint marks rows
+     instead of removing them round by round, then one [Relation.remove]
+     per relation that loses rows marks them dead in place, so no
+     survivor is copied and no index rebuilt.  The handle a removal
+     replaces is kept as the pre state the deletion joins read, and a
+     relation that only gained rows is read below its old id bound
+     ([Relation.prefix]) — no snapshot is copied;
 
    - a stratum with negation, extrema or aggregates is {e recomputed}
      from its (updated) inputs with the same [Seminaive.eval_clique]
@@ -201,11 +203,12 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
 
           (* Pre-apply state of every relation that loses rows: the
              deletion joins must read the state the model was derived
-             from.  Removal never mutates a relation, it installs a
-             fresh one ([replace]), so the replaced object, indexes
-             included, IS the pre state — no snapshot is ever copied.
-             Within one apply a relation loses rows before it gains
-             any; relations that only gain rows use [pre_view] below. *)
+             from.  Removal never changes a handle, it installs a new
+             one ([replace]) on the same store, so the replaced handle,
+             indexes included, IS the pre state — no snapshot is ever
+             copied.  Within one apply a relation loses rows before it
+             gains any; relations that only gain rows use [pre_view]
+             below. *)
           let pre : (string, Relation.t) Hashtbl.t = Hashtbl.create 8 in
           let replace p old fresh =
             if not (Hashtbl.mem pre p) then Hashtbl.replace pre p old;
@@ -213,34 +216,33 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
           in
           (* Net rows removed from the model so far, per predicate. *)
           let deleted : (string, Relation.t) Hashtbl.t = Hashtbl.create 8 in
-          (* Rows at index >= base_card are "new since this apply
+          (* Rows at ids >= base_card are "new since this apply
              started" — exactly what downstream strata must see as
-             their insertion deltas ([Seminaive] marks).  A rebuild
-             after deletion resets the mark to the surviving count; a
-             recomputed stratum resets it to 0 (conservatively
-             republishing the whole relation). *)
+             their insertion deltas ([Seminaive] marks).  A removal
+             resets the mark to the result's id bound; a recomputed
+             stratum resets it to 0 (conservatively republishing the
+             whole relation). *)
           let base_card : (string, int) Hashtbl.t = Hashtbl.create 32 in
           List.iter
             (fun p ->
               match Database.find model p with
-              | Some r -> Hashtbl.replace base_card p (Relation.cardinal r)
+              | Some r -> Hashtbl.replace base_card p (Relation.id_bound r)
               | None -> ())
             (Database.preds model);
           let mark p = try Hashtbl.find base_card p with Not_found -> 0 in
           let has_inserts p =
             match Database.find model p with
             | None -> false
-            | Some r -> Relation.cardinal r > mark p
+            | Some r -> Relation.id_bound r > mark p
           in
           let has_deletes p = Hashtbl.mem deleted p in
           (* Exact pre-apply view of a predicate that gained rows but
-             never lost any: rows are append-only within an apply, so
-             the prefix below the watermark IS the pre state.  Built on
-             demand — only when deletion machinery actually joins
-             against an insert-dirtied predicate — so it costs nothing
-             on the common pure-insert apply, and unlike a
-             [Relation.copy] snapshot it never marks the live relation
-             copy-on-write. *)
+             never lost any: rows only append within such an apply, so
+             the handle bounded at the watermark IS the pre state.
+             Built on demand — only when deletion machinery actually
+             joins against an insert-dirtied predicate — for the rows
+             added since; unlike a [Relation.copy] snapshot it never
+             freezes the live relation's store. *)
           let pre_view_memo : (string, Relation.t) Hashtbl.t = Hashtbl.create 8 in
           let pre_view p =
             match Hashtbl.find_opt pre p with
@@ -254,20 +256,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                   | None -> Relation.create p 0
                   | Some rel ->
                     let m = mark p in
-                    if m >= Relation.cardinal rel then rel
-                    else begin
-                      let out =
-                        Relation.create (p ^ pre_suffix) (Relation.arity rel)
-                      in
-                      let i = ref 0 in
-                      (try
-                         Relation.iter rel (fun row ->
-                             if !i >= m then raise Exit;
-                             ignore (Relation.add out row);
-                             incr i)
-                       with Exit -> ());
-                      out
-                    end
+                    if m >= Relation.id_bound rel then rel else Relation.prefix rel m
                 in
                 Hashtbl.replace pre_view_memo p r;
                 r)
@@ -286,8 +275,8 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
               in
               List.iter (fun row -> ignore (Relation.add rel row)) rows
           in
-          (* Remove [rows] from [p]'s model relation in one
-             order-preserving pass; returns the rows actually removed
+          (* Remove [rows] from [p]'s model relation, keeping the
+             survivors' order; returns the rows actually removed
              (deduplicated). *)
           let remove_rows p rows =
             let seen = Relation.Row_tbl.create 16 in
@@ -305,7 +294,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
               let rel = Option.get (Database.find model p) in
               let fresh = Relation.remove rel present in
               replace p rel fresh;
-              Hashtbl.replace base_card p (Relation.cardinal fresh);
+              Hashtbl.replace base_card p (Relation.id_bound fresh);
               note_deleted p present;
               stats.rows_deleted <- stats.rows_deleted + List.length present;
               present
@@ -819,7 +808,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
             List.iter
               (fun p ->
                 match Database.find model p with
-                | Some r -> Hashtbl.replace base_card p (Relation.cardinal r)
+                | Some r -> Hashtbl.replace base_card p (Relation.id_bound r)
                 | None -> ())
               clique
           in

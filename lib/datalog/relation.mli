@@ -1,4 +1,4 @@
-(** Append-only relation storage with on-demand hash indexes.
+(** Relation storage with on-demand hash indexes and removal in place.
 
     Rows are kept in insertion order (engines rely on this for
     deterministic tie-breaking), membership is a hash set, and an index
@@ -6,10 +6,18 @@
     uses.  Indexes are maintained incrementally on insertion, so any
     lookup after the first is expected [O(1 + matches)].
 
-    Relations only grow — the semantics never retracts a fact — which is
-    what makes the watermark-based semi-naive deltas ({!cardinal} +
-    {!iter_from}) sound, and what lets {!copy} share the frozen prefix
-    copy-on-write instead of re-hashing every row.
+    {b Handles.}  A relation is a handle on a row store: the store, an
+    id bound and a set of dead rows.  A row gets the next id when it is
+    added and keeps it: stored rows never change or move, which is what
+    makes the watermark-based semi-naive deltas ({!id_bound} +
+    {!iter_from}) sound.  {!remove} marks rows dead in a new handle on
+    the same store — no survivor is copied, re-hashed or re-indexed —
+    and leaves the old handle reading exactly the rows it had.  One
+    handle, the newest, appends to a store in place; any other copies
+    the store before it first adds a row, as both sides of a {!copy}
+    do.  Once dead rows would exceed an eighth of the live ones,
+    {!remove} compacts the survivors into a fresh store instead, so
+    scans stay within 1.125 times the live rows.
 
     {b One representation.}  A row is [arity] {e cells} — one int per
     field — stored with every other row in one growable int array of
@@ -64,9 +72,20 @@ type t
 val create : string -> int -> t
 (** [create name arity]. *)
 
-val name : t -> string
 val arity : t -> int
+
 val cardinal : t -> int
+(** The live rows. *)
+
+val id_bound : t -> int
+(** One past the newest id: every id below it is live or dead, and
+    rows added later get ids at or above it — the watermark for
+    {!iter_from}.  Equal to {!cardinal} exactly when no row is dead. *)
+
+val is_live : t -> int -> bool
+(** [is_live r id]: [id] is below {!id_bound} and not removed.  Callers
+    reading {!cells} skip the ids this refuses; on a relation with no
+    dead rows ([cardinal r = id_bound r]) none needs asking. *)
 
 val add : t -> tuple -> bool
 (** [add r row] returns [true] if the row was new.
@@ -81,53 +100,71 @@ val add_ints : t -> int array -> bool
 val mem : t -> tuple -> bool
 
 val iter : t -> (tuple -> unit) -> unit
-(** All rows, in insertion order. *)
+(** All live rows, in insertion order. *)
 
 val iter_from : t -> int -> (tuple -> unit) -> unit
-(** [iter_from r k f] applies [f] to rows [k, k+1, ...] in insertion
-    order — the semi-naive delta between two watermarks. *)
+(** [iter_from r k f] applies [f] to the live rows with ids [k, k+1,
+    ...] below {!id_bound}, in insertion order — the semi-naive delta
+    between two watermarks. *)
 
 val remove : t -> tuple list -> t
-(** [remove r rows]: a fresh relation holding the rows of [r] that are
-    not in [rows], in their original insertion order.  This is how
-    incremental view maintenance retracts: relations themselves are
-    append-only, so deletion rebuilds the survivors and installs the
-    result with [Database.set_relation].
-    [r] itself is left untouched, indexes included, so it can serve as
-    the pre-removal state.  Rows of [rows] absent from [r] are ignored.
-    One pass over [r]: the doomed rows are located through the
-    membership set and the survivors' cells copied in runs, decoding
-    nothing.  The result has room for a quarter more rows; its indexes
-    are rebuilt lazily on the next probe.  When [r] has a
-    {!digest_cache}, the result inherits it with the watermark lowered
-    past the doomed rows below it, whose cells are queued in
-    [removed]; without one, nothing is copied. *)
+(** [remove r rows]: a new handle holding the rows of [r] that are not
+    in [rows], in their original insertion order.  This is how
+    incremental view maintenance retracts: the caller installs the
+    result with [Database.set_relation].  Rows of [rows] absent from
+    [r] are ignored.
+
+    The result shares [r]'s store, indexes included: the removed rows
+    are only marked dead in its own bitmap, so the cost is the removed
+    rows plus a copy of that bitmap, one bit per id.  [r] stays the
+    exact pre-removal state — its rows, probes and {!iter_from} do not
+    change when the result later grows — and the result takes over
+    appending to the store in place.  A row added back gets a new id,
+    so it enumerates last, as a fresh insert would.
+
+    When the dead rows would exceed an eighth of the live ones, the
+    survivors are compacted into a fresh store instead, in one pass
+    over [r]: their cells are copied in runs, decoding nothing, and
+    index chains are renumbered, not rebuilt.  Ids are then dense again, so callers holding ids or
+    watermarks of [r] must not apply them to the result; {!id_bound}
+    of the result tells both cases apart for a watermark ([Ivm] resets
+    its watermarks to it after every removal).
+
+    When [r] has a {!digest_cache}, the result inherits it: the removed
+    rows below its watermark queue their cells in [removed], and a
+    compaction lowers the watermark to the survivors below it. *)
+
+val prefix : t -> int -> t
+(** [prefix r m]: a read-only handle on the rows of [r] with ids below
+    [m] — the state [r] had when its {!id_bound} was [m], provided it
+    lost no row since.  Shares [r]'s store and indexes; costs the rows
+    added since [m].
+    @raise Invalid_argument unless [0 <= m <= id_bound r]. *)
 
 val append_from : t -> t -> int -> unit
-(** [append_from dst src from]: bulk-copy rows [from, cardinal src) of
-    [src] into [dst], which must be empty — the semi-naive delta
-    publisher.  Rows of one relation are already distinct, so no
-    membership probes are paid on the way in: the source's cells are
-    copied as one blit.
-    @raise Invalid_argument if [dst] is non-empty or arities differ. *)
+(** [append_from dst src from]: bulk-copy the live rows with ids [from,
+    id_bound src) of [src] into [dst], which must have no row, live or
+    dead — the semi-naive delta publisher.  Rows of one relation are
+    already distinct, so no membership probes are paid on the way in:
+    the source's cells are copied as one blit (as runs around dead
+    rows).
+    @raise Invalid_argument if [dst] has rows or arities differ. *)
 
 (** {2 Id-based access}
 
-    Row ids are insertion positions: row [0] is the oldest, ids are
-    dense in [0, cardinal) and stable forever (relations only grow).
-    The [_ids] iterators enumerate exactly the same ids, in exactly the
-    same order, as their tuple-yielding counterparts — but without
-    materializing a tuple per row: one array load per field instead of
-    an allocation per row.  Pair them with {!read}. *)
+    Row ids are insertion positions: row [0] is the oldest, ids below
+    {!id_bound} are live or dead, and an id names the same row for as
+    long as a relation keeps its store (a compacting {!remove} starts a
+    new one).  The [_ids] iterators enumerate exactly the live ids, in
+    exactly the same order, as their tuple-yielding counterparts — but
+    without materializing a tuple per row: one array load per field
+    instead of an allocation per row.  Pair them with {!read}. *)
 
 val read : t -> int -> int -> Value.t
 (** [read r id col]: field [col] of row [id].  No bounds checks beyond
     the store's own; callers pass ids obtained from the [_ids]
     iterators.  Allocation-free on terms and on ints and symbols that
     hit the decode cache. *)
-
-val iter_ids : t -> (int -> unit) -> unit
-(** Ids [0, cardinal) in order; the bound is read once. *)
 
 val iter_matching_ids : t -> Value.t option array -> (int -> unit) -> unit
 (** Id-yielding {!iter_matching}: same index use, same order, same
@@ -178,7 +215,8 @@ val ensure_index : t -> int -> unit
     the sequential coordinator ({!slice_cols} may create an index);
     shards then call {!slice_iter_ids} on their own ranges, which
     touches nothing mutable.  Rows appended after the slice was taken
-    are not visited. *)
+    are not visited.  The slice of a whole relation is its id range:
+    its positions are ids, and dead ones are skipped. *)
 
 type slice
 
@@ -188,28 +226,30 @@ val slice_cols : t -> int -> Value.t array -> slice
     bucket otherwise. *)
 
 val slice_len : slice -> int
+(** The positions the slice spans: its rows, or for a whole relation
+    its {!id_bound}. *)
 
 val slice_rel : slice -> t
 (** The relation the slice was taken from — pair with {!slice_iter_ids}
     and {!read}. *)
 
 val slice_iter_ids : slice -> int -> int -> (int -> unit) -> unit
-(** [slice_iter_ids sl lo hi f]: the ids of rows [lo, hi) of the
-    slice, in order. *)
+(** [slice_iter_ids sl lo hi f]: the live ids at positions [lo, hi)
+    of the slice, in order. *)
 
-val fold : t -> init:'a -> f:('a -> tuple -> 'a) -> 'a
 val to_list : t -> tuple list
 
 val copy : t -> t
 (** An independent snapshot: further [add]s to either side are invisible
-    to the other.  O(1) — the row store and membership set are shared
-    until one side next mutates (stored rows themselves never change),
-    and so is the {!digest_cache}, which covers only that shared
-    prefix. *)
+    to the other.  O(1) — the row store and membership set are shared,
+    frozen, until one side next adds a row and copies them (stored rows
+    themselves never change), and so is the {!digest_cache}, which
+    covers only that shared prefix.  A frozen store is never written,
+    so handles on it may be read from other domains. *)
 
 val distinct_counts : t -> int array
-(** Per-column distinct-value counts — planner statistics.  O(cells)
-    with no boxing. *)
+(** Per-column distinct-value counts over the live rows — planner
+    statistics.  O(cells) with no boxing. *)
 
 (** {2 Raw cells}
 
@@ -218,13 +258,14 @@ val distinct_counts : t -> int array
     the encoding described at the top. *)
 
 val cells : t -> int array
-(** The live cell store (length may exceed [cardinal * arity]; only the
-    first [cardinal * arity] cells are meaningful).  Callers must not
-    mutate the array. *)
+(** The cell store: row [id] at [id * arity].  Only the rows below
+    {!id_bound} that {!is_live} accepts belong to the relation (the
+    array may be longer, and may hold rows of newer handles past the
+    bound).  Callers must not mutate the array. *)
 
 val has_terms : t -> bool
-(** Some cell holds a term-table value: a [Str], [Tup], [App] or wide
-    [Int]. *)
+(** Some cell of a live row holds a term-table value: a [Str], [Tup],
+    [App] or wide [Int]. *)
 
 val of_cells : string -> int -> int array -> int -> t
 (** [of_cells name arity cells count]: rebuild a relation from a
@@ -238,13 +279,13 @@ val of_cells : string -> int -> int array -> int -> t
     [Database.digest] keeps its running sums here, so a relation that
     only grew, or lost rows through {!remove}, is re-hashed at the
     cost of that change.  Nothing else reads or writes it; a fresh
-    relation has none. *)
+    relation, or a {!prefix}, has none. *)
 
 type digest_cache = {
   key_a : int;
   key_b : int;  (** the head lanes (predicate, arity) the sums were computed under *)
   sum_a : int;
-  sum_b : int;  (** lane sums over rows [0, mark) *)
+  sum_b : int;  (** lane sums over the live rows with ids below [mark] *)
   mark : int;
   removed : int array list;
       (** cells of rows removed below [mark] since, each array a run of

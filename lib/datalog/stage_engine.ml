@@ -308,8 +308,9 @@ let compile_srule (cr : EC.crule) (r : Ast.rule) =
 (* The unset slot of a cost memo: no computed cost is this block. *)
 let no_cost = Value.Str (-1)
 
-(* [Rql] holds source row ids: rows only grow and never move, so an id
-   names its row for the whole run, and ids follow insertion order. *)
+(* [Rql] holds source row ids: an engine run only appends rows, which
+   never move, so an id names its row for the whole run, and ids
+   follow insertion order. *)
 type staged = {
   sr : srule;
   rql : (int, int array) Rql.t;  (* keyed by the congruence columns' cells *)
@@ -467,13 +468,14 @@ let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db crules flat_rule
           fire = make_fire ~telemetry ~limits db sr ~rql ~src_rel ~fd ~tracker ~head_rel })
       srules
   in
-  (* New source rows enter the queue as the id range past the mark. *)
+  (* New source rows enter the queue as the live ids past the mark. *)
   let sync () =
     List.iter
       (fun st ->
-        let n = Relation.cardinal st.src_rel in
+        let n = Relation.id_bound st.src_rel in
+        let all_live = Relation.cardinal st.src_rel = n in
         for id = st.src_mark to n - 1 do
-          Rql.insert st.rql id
+          if all_live || Relation.is_live st.src_rel id then Rql.insert st.rql id
         done;
         st.src_mark <- n)
       staged

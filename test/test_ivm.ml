@@ -509,6 +509,67 @@ let test_dred_downstream () =
       Alcotest.(check bool) (ename ^ ": DRed ran") true ((ivm_stats s).Ivm.dred_overdeleted > 0))
     engines
 
+(* (e) serve_update's program: retract, re-assert and retract the
+   same edge, with a run after every step and all inside one pending
+   batch.  A removed row stays in its relation's store, dead: the
+   re-asserted reach rows come back under new ids while the handle the
+   removal replaced is still read as the pre state, and the dead rows
+   pile up past the compaction threshold.  Throughout, the model must
+   render and digest as a from-scratch run of the same facts does. *)
+let reach_src =
+  "reach(X, Y) <- e(X, Y).\n\
+   reach(X, Y) <- e(X, Z), reach(Z, Y).\n\
+   e(1, 2). e(2, 3). e(3, 4). e(1, 3). e(5, 6). e(6, 7). e(7, 8). e(6, 8).\n"
+
+let test_retract_reassert () =
+  let bridge = "e(4, 5)." in
+  List.iter
+    (fun (ename, engine, seed) ->
+      let model s =
+        match
+          Session.run s ~engine ~seed ~jobs:1 ~limits:Limits.unlimited ~telemetry:Telemetry.none
+        with
+        | Ok (Limits.Complete db) -> db
+        | _ -> Alcotest.fail "run did not complete"
+      in
+      let check what s facts =
+        let db = model s in
+        let fresh, _ = mk_session reach_src in
+        if facts <> "" then ignore (expect_assert fresh facts);
+        let scratch = model fresh in
+        let what = ename ^ ": " ^ what in
+        Alcotest.(check string) (what ^ ", rendering") (Session.render_model scratch)
+          (Session.render_model db);
+        Alcotest.(check string) (what ^ ", digest") (Database.digest scratch) (Database.digest db)
+      in
+      let s, _ = mk_session reach_src in
+      ignore (expect_assert s bridge);
+      check "asserted" s bridge;
+      for k = 1 to 6 do
+        ignore (expect_retract s bridge);
+        check (Printf.sprintf "retract %d" k) s "";
+        ignore (expect_assert s bridge);
+        check (Printf.sprintf "re-assert %d" k) s bridge
+      done;
+      ignore (expect_retract s bridge);
+      check "last retract" s "";
+      check_no_fallback ename s;
+      Alcotest.(check bool) (ename ^ ": DRed ran") true ((ivm_stats s).Ivm.dred_overdeleted > 0);
+      let b, _ = mk_session reach_src in
+      ignore (expect_assert b bridge);
+      check "batch materialized" b bridge;
+      ignore (expect_retract b bridge);
+      ignore (expect_assert b bridge);
+      ignore (expect_assert b "e(8, 9).");
+      ignore (expect_retract b bridge);
+      check "retract, re-assert, retract in one batch" b "e(8, 9).";
+      ignore (expect_assert b bridge);
+      ignore (expect_retract b bridge);
+      ignore (expect_assert b bridge);
+      check "re-assert, retract, re-assert in one batch" b ("e(8, 9). " ^ bridge);
+      check_no_fallback (ename ^ " batch") b)
+    engines
+
 let () =
   Alcotest.run "ivm"
     [ ( "byte-identity",
@@ -530,7 +591,8 @@ let () =
             test_dred_rederive;
           Alcotest.test_case "mixed batch, a clique predicate losing nothing" `Quick
             test_dred_mixed_batch;
-          Alcotest.test_case "downstream counting and recompute" `Quick test_dred_downstream ] );
+          Alcotest.test_case "downstream counting and recompute" `Quick test_dred_downstream;
+          Alcotest.test_case "retract, re-assert, retract (reach)" `Quick test_retract_reassert ] );
       ( "random",
         [ QCheck_alcotest.to_alcotest qc_interleavings;
           QCheck_alcotest.to_alcotest qc_clique_interleavings ] ) ]

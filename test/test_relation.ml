@@ -155,13 +155,26 @@ type op =
   | Probe of int option * Value.t array
       (** every mask, every probe path, keyed by the stored row at this
           position (modulo the count) or else by the given row *)
-  | Iter_from of int
+  | Iter_from of int  (** and the {!Relation.prefix} at that bound *)
   | Remove of int list * Value.t array
       (** the stored rows at these positions and the given row;
           continue on the survivors *)
   | Append_from of int
   | Fork of Value.t array * Value.t array
       (** copy; add the first row to the original, the second to the copy *)
+  | Readd of int
+      (** remove the stored row at this position, then add it back: it
+          must come last *)
+  | Pre_probe of int option * Value.t array * int
+      (** {!Probe} and {!Iter_from} on the handle from before the last
+          removal, whatever the newer handle added since *)
+  | Remove_most
+      (** remove every row but the first: crosses the compaction
+          threshold from two rows on *)
+  | Fill of int
+      (** add this many rows of ints no generator draws: relations big
+          enough that a removal marks rows dead in place instead of
+          compacting *)
 
 let show_op = function
   | Add a -> "add " ^ show_row a
@@ -173,6 +186,11 @@ let show_op = function
     Printf.sprintf "remove #%s %s" (String.concat ",#" (List.map string_of_int ks)) (show_row a)
   | Append_from k -> Printf.sprintf "append_from %d" k
   | Fork (a, b) -> Printf.sprintf "fork %s %s" (show_row a) (show_row b)
+  | Readd k -> Printf.sprintf "readd #%d" k
+  | Pre_probe (Some k, _, j) -> Printf.sprintf "pre probe #%d, iter_from %d" k j
+  | Pre_probe (None, a, j) -> Printf.sprintf "pre probe %s, iter_from %d" (show_row a) j
+  | Remove_most -> "remove most"
+  | Fill k -> Printf.sprintf "fill %d" k
 
 let gen_ops w =
   let open QCheck.Gen in
@@ -185,7 +203,11 @@ let gen_ops w =
          (1, map (fun k -> Iter_from k) (int_bound 12));
          (2, map2 (fun ks a -> Remove (ks, a)) (list_size (int_bound 4) (int_bound 40)) row);
          (1, map (fun k -> Append_from k) (int_bound 12));
-         (1, map2 (fun a b -> Fork (a, b)) row row) ])
+         (1, map2 (fun a b -> Fork (a, b)) row row);
+         (2, map (fun k -> Readd k) (int_bound 40));
+         (2, map3 (fun k a j -> Pre_probe (k, a, j)) (opt (int_bound 40)) row (int_bound 12));
+         (1, return Remove_most);
+         (2, map (fun k -> Fill k) (int_bound 24)) ])
 
 let arb_script =
   QCheck.make
@@ -198,13 +220,19 @@ let collect iter =
   iter (fun x -> acc := x :: !acc);
   List.rev !acc
 
-let drop k l = List.filteri (fun i _ -> i >= k) l
+(* The ids of a relation's rows, in order: its live ids below the
+   bound.  Removed rows leave gaps. *)
+let live_ids r = List.filter (Relation.is_live r) (List.init (Relation.id_bound r) Fun.id)
+
+(* The model's rows whose ids in [r] satisfy [p]. *)
+let rows_where r p model =
+  let ids = live_ids r in
+  List.filteri (fun i _ -> p (List.nth ids i)) model
 
 (* The relation's rows, read every way there is, against the model. *)
 let check_rows what r model =
   let by_read =
-    List.init (Relation.cardinal r) (fun id ->
-        Array.init (Relation.arity r) (fun c -> Relation.read r id c))
+    List.map (fun id -> Array.init (Relation.arity r) (fun c -> Relation.read r id c)) (live_ids r)
   in
   (same (Relation.to_list r) model && same by_read model
   && Relation.cardinal r = List.length model
@@ -217,17 +245,19 @@ let check_rows what r model =
    index yet: a linear scan) and again after the others built one. *)
 let check_probes r model key =
   let w = Array.length key in
-  List.for_all
+  let ids = live_ids r in
+  List.length ids = List.length model
+  && List.for_all
     (fun mask ->
       let bound c = mask land (1 lsl c) <> 0 in
       let expected =
         List.concat
-          (List.mapi
+          (List.map2
              (fun id a ->
                if List.for_all (fun c -> (not (bound c)) || Value.equal a.(c) key.(c)) (List.init w Fun.id)
                then [ id ]
                else [])
-             model)
+             ids model)
       in
       let pattern = Array.mapi (fun c v -> if bound c then Some v else None) key in
       let ro () = collect (Relation.iter_matching_cols_ro_ids r mask key (Array.make w 0)) in
@@ -235,7 +265,7 @@ let check_probes r model key =
         let sl = Relation.slice_cols r mask key in
         collect (Relation.slice_iter_ids sl 0 (Relation.slice_len sl))
       in
-      let rows_of ids = List.map (List.nth model) ids in
+      let rows_of found = List.filteri (fun i _ -> List.mem (List.nth ids i) found) model in
       let paths =
         [ ("iter_matching_cols_ro_ids (scan)", ro ());
           ("iter_matching_ids", collect (Relation.iter_matching_ids r pattern));
@@ -261,6 +291,17 @@ let prop_matches_list_model =
   QCheck.Test.make ~name:"relation = list model (every op, value kind and arity)" ~count:400 arb_script
     (fun (w, ops) ->
       let r = ref (Relation.create "p" w) and model = ref [] in
+      (* the handle a removal was made from, and its rows *)
+      let pre = ref None and filled = ref 0 in
+      let remove doomed =
+        let before = !model in
+        let r' = Relation.remove !r doomed in
+        model := List.filter (fun a -> not (List.exists (row_eq a) doomed)) before;
+        let untouched = check_rows "remove source" !r before in
+        pre := Some (!r, before);
+        r := r';
+        untouched
+      in
       let step op =
         match op with
         | Add a ->
@@ -275,19 +316,15 @@ let prop_matches_list_model =
           let key = match (k, !model) with Some k, _ :: _ -> stored !model k | _ -> a in
           check_probes !r !model key && Relation.mem !r key = List.exists (row_eq key) !model
         | Iter_from k ->
-          same (collect (Relation.iter_from !r k)) (drop k !model)
+          let m = min k (Relation.id_bound !r) in
+          same (collect (Relation.iter_from !r k)) (rows_where !r (fun id -> id >= k) !model)
+          && check_rows "prefix" (Relation.prefix !r m) (rows_where !r (fun id -> id < m) !model)
         | Remove (ks, a) ->
-          let before = !model in
-          let doomed = a :: (if before = [] then [] else List.map (stored before) ks) in
-          let r' = Relation.remove !r doomed in
-          model := List.filter (fun a -> not (List.exists (row_eq a) doomed)) before;
-          let untouched = check_rows "remove source" !r before in
-          r := r';
-          untouched
+          remove (a :: (if !model = [] then [] else List.map (stored !model) ks))
         | Append_from k ->
           let dst = Relation.create "d" w in
           Relation.append_from dst !r k;
-          check_rows "append_from" dst (drop k !model)
+          check_rows "append_from" dst (rows_where !r (fun id -> id >= k) !model)
         | Fork (a, b) ->
           let c = Relation.copy !r in
           let _, mc = add_model !model b in
@@ -296,6 +333,45 @@ let prop_matches_list_model =
           ignore (Relation.add c b);
           model := m;
           check_rows "copy" c mc
+        | Readd k -> (
+          match !model with
+          | [] -> true
+          | m ->
+            let a = stored m k in
+            let untouched = remove [ a ] in
+            let fresh, m = add_model !model a in
+            model := m;
+            untouched && fresh && Relation.add !r a
+            && (row_eq (List.nth (Relation.to_list !r) (List.length m - 1)) a
+               || QCheck.Test.fail_reportf "readd: %s is not last" (show_row a)))
+        | Pre_probe (k, a, j) -> (
+          match !pre with
+          | None -> true
+          | Some (p, pm) ->
+            let key = match (k, pm) with Some k, _ :: _ -> stored pm k | _ -> a in
+            check_rows "pre handle" p pm && check_probes p pm key
+            && Relation.mem p key = List.exists (row_eq key) pm
+            && (same (collect (Relation.iter_from p j)) (rows_where p (fun id -> id >= j) pm)
+               || QCheck.Test.fail_report "pre handle: iter_from"))
+        | Fill k ->
+          List.for_all
+            (fun _ ->
+              incr filled;
+              let ints = Array.make w (100 + !filled) in
+              let fresh, m = add_model !model (Array.map (fun i -> Value.Int i) ints) in
+              model := m;
+              Relation.add_ints !r ints = fresh || QCheck.Test.fail_report "fill")
+            (List.init k Fun.id)
+        | Remove_most -> (
+          match !model with
+          | [] -> true
+          | _ :: rest ->
+            let live = List.length !model - List.length rest in
+            let crosses = 8 * (Relation.id_bound !r - live) > live in
+            remove rest
+            && ((not crosses) || Relation.id_bound !r = live
+               || QCheck.Test.fail_reportf "remove most: %d ids for %d rows, not compacted"
+                    (Relation.id_bound !r) live))
       in
       List.for_all (fun op -> step op && check_rows (show_op op) !r !model) ops)
 
