@@ -1,9 +1,10 @@
 type t = {
   relations : (string, Relation.t) Hashtbl.t;
   mutable order : string list; (* creation order, reversed *)
+  mutable bindings : int; (* bumped whenever a name is bound, rebound or unbound *)
 }
 
-let create () = { relations = Hashtbl.create 32; order = [] }
+let create () = { relations = Hashtbl.create 32; order = []; bindings = 0 }
 
 let relation db pred arity =
   match Hashtbl.find_opt db.relations pred with
@@ -17,9 +18,11 @@ let relation db pred arity =
     let r = Relation.create pred arity in
     Hashtbl.add db.relations pred r;
     db.order <- pred :: db.order;
+    db.bindings <- db.bindings + 1;
     r
 
 let find db pred = Hashtbl.find_opt db.relations pred
+let bindings db = db.bindings
 
 let add_fact db pred row = Relation.add (relation db pred (Array.length row)) row
 
@@ -44,16 +47,18 @@ let cardinal db =
 
 let set_relation db name r =
   if not (Hashtbl.mem db.relations name) then db.order <- name :: db.order;
-  Hashtbl.replace db.relations name r
+  Hashtbl.replace db.relations name r;
+  db.bindings <- db.bindings + 1
 
 let remove_relation db name =
   Hashtbl.remove db.relations name;
-  db.order <- List.filter (fun p -> not (String.equal p name)) db.order
+  db.order <- List.filter (fun p -> not (String.equal p name)) db.order;
+  db.bindings <- db.bindings + 1
 
 let copy db =
   let relations = Hashtbl.create 32 in
   Hashtbl.iter (fun name r -> Hashtbl.add relations name (Relation.copy r)) db.relations;
-  { relations; order = db.order }
+  { relations; order = db.order; bindings = 0 }
 
 let facts_of db pred =
   match find db pred with None -> [] | Some r -> Relation.to_list r

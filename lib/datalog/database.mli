@@ -16,6 +16,13 @@ val relation : t -> string -> int -> Relation.t
 val find : t -> string -> Relation.t option
 (** The relation for a predicate, or [None] if never touched. *)
 
+val bindings : t -> int
+(** A counter that changes whenever a name is bound to a relation,
+    rebound or unbound: a caller that resolved names to relations
+    while it read [n] may keep them for as long as it still reads [n].
+    Adding rows never changes it — a relation keeps its identity as it
+    grows. *)
+
 val add_fact : t -> string -> Value.t array -> bool
 val mem_fact : t -> string -> Value.t array -> bool
 
@@ -34,11 +41,14 @@ val copy : t -> t
 
 val set_relation : t -> string -> Relation.t -> unit
 (** Install (or replace) the relation bound to a name.  Engine-internal:
-    used for semi-naive delta relations ([p$delta]) and for aliasing a
-    fixed model database during reduct evaluation. *)
+    installs the result of {!Relation.remove} during incremental
+    maintenance, a restored snapshot's relations, maintenance scratch
+    relations ([p$ivm_*]), and aliases of a fixed model database during
+    reduct evaluation. *)
 
 val remove_relation : t -> string -> unit
-(** Drop a relation (engine-internal cleanup of delta relations). *)
+(** Unbind a name (engine-internal: drops maintenance scratch
+    relations). *)
 
 val facts_of : t -> string -> Value.t array list
 (** All rows of a predicate in insertion order ([[]] if absent). *)

@@ -681,36 +681,6 @@ let prefix r m =
     scratch = Array.make r.width 0;
     digest = None }
 
-(* Bulk append of the live rows at ids [from, id_bound src) of [src]
-   into the empty [dst] — the semi-naive delta publisher.  Rows of one
-   relation are already distinct, so no membership probes on the way
-   in: one cell blit (a few, around dead rows) plus a membership
-   rehash. *)
-let append_from dst src from =
-  if dst.count <> 0 then invalid_arg "Relation.append_from: destination not empty";
-  if dst.width <> src.width then invalid_arg "Relation.append_from: arity mismatch";
-  if src.count > from then begin
-    let w = src.width in
-    let cells, n =
-      if src.live = src.count then
-        (Array.sub src.cells (from * w) ((src.count - from) * w), src.count - from)
-      else begin
-        let n = ref 0 in
-        iter_live src from src.count (fun _ -> incr n);
-        let cells = Array.make (!n * w) 0 and out = ref 0 in
-        iter_live src from src.count (fun id ->
-            Array.blit src.cells (id * w) cells (!out * w) w;
-            incr out);
-        (cells, !n)
-      end
-    in
-    dst.store <-
-      { cells; slots = fill_slots (slots_create (n + 1)) cells w n; used = n; owner = dst.tok; indexes = [] };
-    dst.cells <- cells;
-    dst.count <- n;
-    dst.live <- n
-  end
-
 (* ---------------- indexes and probes ---------------- *)
 
 let index r mask =
@@ -813,6 +783,20 @@ let iter_matching_cols_ro_ids r mask (key : Value.t array) (probe : int array) f
 
 let ensure_index r mask = if mask <> 0 && mask <> full_mask r then ignore (index r mask)
 
+(* The semi-naive delta scan: the live ids in [lo, hi) whose rows agree
+   with [key] on [mask], in id order, by comparing cells.  No index is
+   read or built — a delta is a few rows at the end of the relation —
+   and the key goes into the caller's [probe], so concurrent readers
+   may share the relation. *)
+let iter_range_ids r lo hi mask (key : Value.t array) (probe : int array) f =
+  let hi = min hi r.count in
+  if mask = 0 then iter_live r lo hi f
+  else begin
+    encode_cols probe mask key;
+    let cells = r.cells and w = r.width in
+    iter_live r lo hi (fun i -> if cells_match cells (i * w) w mask probe 0 then f i)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Slices: sharded enumeration of a matched row set                    *)
 (* ------------------------------------------------------------------ *)
@@ -837,7 +821,6 @@ let slice_cols r mask (key : Value.t array) =
   end
 
 let slice_len sl = sl.sl_len
-let slice_rel sl = sl.sl_rel
 
 let slice_iter_ids sl lo hi f =
   let hi = min hi sl.sl_len in

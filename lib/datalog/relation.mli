@@ -10,7 +10,7 @@
     id bound and a set of dead rows.  A row gets the next id when it is
     added and keeps it: stored rows never change or move, which is what
     makes the watermark-based semi-naive deltas ({!id_bound} +
-    {!iter_from}) sound.  {!remove} marks rows dead in a new handle on
+    {!iter_range_ids}) sound.  {!remove} marks rows dead in a new handle on
     the same store — no survivor is copied, re-hashed or re-indexed —
     and leaves the old handle reading exactly the rows it had.  One
     handle, the newest, appends to a store in place; any other copies
@@ -104,8 +104,8 @@ val iter : t -> (tuple -> unit) -> unit
 
 val iter_from : t -> int -> (tuple -> unit) -> unit
 (** [iter_from r k f] applies [f] to the live rows with ids [k, k+1,
-    ...] below {!id_bound}, in insertion order — the semi-naive delta
-    between two watermarks. *)
+    ...] below {!id_bound}, in insertion order — the rows appended
+    since the watermark [k]. *)
 
 val remove : t -> tuple list -> t
 (** [remove r rows]: a new handle holding the rows of [r] that are not
@@ -140,15 +140,6 @@ val prefix : t -> int -> t
     lost no row since.  Shares [r]'s store and indexes; costs the rows
     added since [m].
     @raise Invalid_argument unless [0 <= m <= id_bound r]. *)
-
-val append_from : t -> t -> int -> unit
-(** [append_from dst src from]: bulk-copy the live rows with ids [from,
-    id_bound src) of [src] into [dst], which must have no row, live or
-    dead — the semi-naive delta publisher.  Rows of one relation are
-    already distinct, so no membership probes are paid on the way in:
-    the source's cells are copied as one blit (as runs around dead
-    rows).
-    @raise Invalid_argument if [dst] has rows or arities differ. *)
 
 (** {2 Id-based access}
 
@@ -208,6 +199,15 @@ val ensure_index : t -> int -> unit
     {!iter_matching_cols_ro_ids} probes with that mask hit it.  Must be called outside any parallel
     region — it mutates the relation's index table. *)
 
+val iter_range_ids : t -> int -> int -> int -> Value.t array -> int array -> (int -> unit) -> unit
+(** [iter_range_ids r lo hi mask key probe f]: the live ids in [lo,
+    hi) (clipped to {!id_bound}) whose rows agree with [key] on every
+    column of [mask], in id order — the delta occurrence of a
+    semi-naive variant, between two watermarks.  Masked columns are
+    compared cell by cell: no index is read or built, and the key is
+    encoded into the caller-owned [probe] ([arity r] slots), so it is
+    safe for concurrent readers. *)
+
 (** {2 Slices — sharded enumeration}
 
     A slice freezes the row set matching a probe so a domain pool can
@@ -228,10 +228,6 @@ val slice_cols : t -> int -> Value.t array -> slice
 val slice_len : slice -> int
 (** The positions the slice spans: its rows, or for a whole relation
     its {!id_bound}. *)
-
-val slice_rel : slice -> t
-(** The relation the slice was taken from — pair with {!slice_iter_ids}
-    and {!read}. *)
 
 val slice_iter_ids : slice -> int -> int -> (int -> unit) -> unit
 (** [slice_iter_ids sl lo hi f]: the live ids at positions [lo, hi)

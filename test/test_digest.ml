@@ -277,13 +277,14 @@ let with_tmpdir f =
   Unix.mkdir dir 0o755;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-(* Maintenance and semi-naive scratch bindings ([$ivm_*], [$delta]). *)
+(* Maintenance scratch bindings ([$ivm_*]).  Semi-naive deltas are id
+   ranges of the live relations and bind nothing. *)
 let scratch_pred p =
   match String.index_opt p '$' with
   | None -> false
   | Some i ->
     let rest = String.sub p i (String.length p - i) in
-    String.starts_with ~prefix:"$ivm_" rest || String.equal rest "$delta"
+    String.starts_with ~prefix:"$ivm_" rest
 
 (* Play [ops] on a durable session, checking the materialized model
    and the fact base after every step; returns the session. *)

@@ -570,6 +570,53 @@ let test_retract_reassert () =
       check_no_fallback (ename ^ " batch") b)
     engines
 
+(* (f) Semi-naive deltas are id ranges of the live relations: after a
+   batch whose retract compacts [e] and [reach] (ids renumbered), the
+   insert phase of the same batch, and the next batch's, must read
+   their ranges on the compacted stores. *)
+let test_range_after_compaction () =
+  List.iter
+    (fun (ename, engine, seed) ->
+      let model s =
+        match
+          Session.run s ~engine ~seed ~jobs:1 ~limits:Limits.unlimited ~telemetry:Telemetry.none
+        with
+        | Ok (Limits.Complete db) -> db
+        | _ -> Alcotest.fail "run did not complete"
+      in
+      let facts = ref "" in
+      let check what s =
+        let db = model s in
+        let fresh, _ = mk_session reach_src in
+        if !facts <> "" then ignore (expect_assert fresh !facts);
+        let scratch = model fresh in
+        let what = ename ^ ": " ^ what in
+        Alcotest.(check string) (what ^ ", rendering") (Session.render_model scratch)
+          (Session.render_model db);
+        Alcotest.(check string) (what ^ ", digest") (Database.digest scratch) (Database.digest db);
+        db
+      in
+      let s, _ = mk_session reach_src in
+      facts := "e(4, 5). e(8, 9).";
+      ignore (expect_assert s !facts);
+      ignore (check "asserted" s);
+      ignore (expect_retract s "e(4, 5). e(8, 9).");
+      facts := "e(4, 6). e(8, 1).";
+      ignore (expect_assert s !facts);
+      let db = check "retract and assert in one batch" s in
+      List.iter
+        (fun p ->
+          let r = Option.get (Database.find db p) in
+          Alcotest.(check bool) (ename ^ ": " ^ p ^ " compacted") true
+            (Relation.id_bound r = Relation.cardinal r))
+        [ "e"; "reach" ];
+      ignore (expect_assert s "e(8, 9). e(9, 10).");
+      facts := !facts ^ " e(8, 9). e(9, 10).";
+      ignore (check "the next batch's step" s);
+      check_no_fallback ename s;
+      Alcotest.(check bool) (ename ^ ": DRed ran") true ((ivm_stats s).Ivm.dred_overdeleted > 0))
+    engines
+
 let () =
   Alcotest.run "ivm"
     [ ( "byte-identity",
@@ -592,7 +639,9 @@ let () =
           Alcotest.test_case "mixed batch, a clique predicate losing nothing" `Quick
             test_dred_mixed_batch;
           Alcotest.test_case "downstream counting and recompute" `Quick test_dred_downstream;
-          Alcotest.test_case "retract, re-assert, retract (reach)" `Quick test_retract_reassert ] );
+          Alcotest.test_case "retract, re-assert, retract (reach)" `Quick test_retract_reassert;
+          Alcotest.test_case "delta ranges after a compaction (reach)" `Quick
+            test_range_after_compaction ] );
       ( "random",
         [ QCheck_alcotest.to_alcotest qc_interleavings;
           QCheck_alcotest.to_alcotest qc_clique_interleavings ] ) ]
