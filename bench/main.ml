@@ -66,6 +66,26 @@ let counters_of prog =
 
 let record = Harness.record
 
+(* An exemplar from [programs/], found in the nearest directory at or
+   above the working directory that has one: the source root when run
+   with `dune exec bench/main.exe` from the repository, the build
+   root's copy when run from [_build/default/bench] (the dune
+   aliases). *)
+let programs_dir =
+  lazy
+    (let rec up dir =
+       let cand = Filename.concat dir "programs" in
+       if Sys.file_exists cand && Sys.is_directory cand then cand
+       else
+         let parent = Filename.dirname dir in
+         if parent = dir then failwith "no programs/ directory at or above the working directory"
+         else up parent
+     in
+     up (Sys.getcwd ()))
+
+let read_program name =
+  In_channel.with_open_bin (Filename.concat (Lazy.force programs_dir) name) In_channel.input_all
+
 (* ------------------------------------------------------------------ *)
 (* E1 — Prim (claim C1: O(e log e) vs procedural O(e log n))           *)
 (* ------------------------------------------------------------------ *)
@@ -635,13 +655,7 @@ let json_int_after json ~section key =
       if !q = !p then 0 else int_of_string (String.sub json !p (!q - !p)))
 
 let e15 () =
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let sources = List.map (fun n -> read_file ("../programs/" ^ n)) e15_exemplars in
+  let sources = List.map (fun n -> read_program n) e15_exemplars in
   let sessions = if smoke then 2 else 8 in
   let rounds = if smoke then 1 else 3 in
   let sock = Printf.sprintf "gbcd_e15_%d.sock" (Unix.getpid ()) in
@@ -1047,12 +1061,6 @@ let e17 () =
       is timed before any listener binds. *)
 
 let e18 () =
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
   let rec conn_retry sock tries =
     match Client.connect_unix sock with
     | c -> c
@@ -1065,7 +1073,7 @@ let e18 () =
       { engine = Protocol.Staged; seed = None; preds = None; budget = Protocol.no_budget }
   in
   (* -- 1: req/s with the WAL off vs on ----------------------------- *)
-  let sources = List.map (fun n -> read_file ("../programs/" ^ n)) e15_exemplars in
+  let sources = List.map (fun n -> read_program n) e15_exemplars in
   let sessions = if smoke then 2 else 4 in
   let rounds = if smoke then 1 else 2 in
   let serve ~data_dir =
@@ -1219,10 +1227,10 @@ let e18 () =
    - blocking: classic closed-loop clients — send, wait, check,
      repeat.  Every request pays the full client → router → backend →
      router → client turnaround before the next may start.
-   - pipelined: the same connections switched to protocol v2, fed by
-     an open-loop generator with exponential (Poisson) inter-arrival
-     times provisioned at twice the blocking throughput, bounded only
-     by an in-flight window.  The backend always finds the next
+   - pipelined: a [Client.Pipeline] keeping many requests in flight,
+     fed by an open-loop generator with exponential (Poisson)
+     inter-arrival times provisioned at twice the blocking throughput,
+     bounded only by an in-flight window.  The backend always finds the next
      request already queued, so requests/s must come out strictly
      higher.
 
@@ -1245,16 +1253,10 @@ let e19_deadline_s = if smoke then 20.0 else 60.0
 let e19_exemplars = [ "example1.dl"; "prim.dl"; "transitive_closure.dl" ]
 
 let e19 () =
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
   let progs =
     List.map
       (fun n ->
-        let src = read_file ("../programs/" ^ n) in
+        let src = read_program n in
         let reference = Database.render (Stage_engine.model (Parser.parse_program src)) in
         (src, reference))
       e19_exemplars
@@ -1503,8 +1505,7 @@ let e19 () =
       is boxed per row (boxing each row cost ~23 words/fact).
 
    2. Snapshot round-trip at the tier — the database written with the
-      v2 cell-blob codec and restored, against the same data written
-      v1 (tagged values) and restored; plus the session-fork primitive
+      cell-blob codec and restored; plus the session-fork primitive
       ([Database.copy]) timed on the million-fact database.
 
    3. The programs themselves at a sub-tier the engines settle in
@@ -1567,28 +1568,22 @@ let e20 () =
   Db_snapshot.write buf db;
   let v2 = Buffer.contents buf in
   let (db2, _), t_restore = Harness.time (fun () -> Db_snapshot.read v2 0) in
-  let buf = Buffer.create (1 lsl 20) in
-  Db_snapshot.write_v1 buf db;
-  let v1 = Buffer.contents buf in
-  let (db1, _), t_restore_v1 = Harness.time (fun () -> Db_snapshot.read v1 0) in
-  if Database.cardinal db2 <> facts || Database.cardinal db1 <> facts then begin
+  if Database.cardinal db2 <> facts then begin
     Printf.eprintf "E20: snapshot round-trip lost facts\n";
     exit 1
   end;
   let _, t_fork = Harness.time (fun () -> Database.copy db) in
   record ~exp:"E20" ~n:facts ~wall:t_restore
     [ ("seed", e20_seed); ("snapshot_v2_bytes", String.length v2);
-      ("snapshot_v1_bytes", String.length v1);
       ("restore_v2_us", int_of_float (t_restore *. 1e6));
-      ("restore_v1_us", int_of_float (t_restore_v1 *. 1e6));
       ("fork_us", int_of_float (t_fork *. 1e6));
       ("top_heap_words", Harness.top_heap_words ()) ];
   Harness.table
-    ~title:"E20  Snapshot round-trip of the big fact base: v2 (cell blobs) vs v1 \
-            (tagged values), and the session-fork primitive"
-    ~header:[ "facts"; "v2 bytes"; "v1 bytes"; "v2 restore(s)"; "v1 restore(s)"; "fork(s)" ]
-    [ [ string_of_int facts; string_of_int (String.length v2); string_of_int (String.length v1);
-        Harness.sec t_restore; Harness.sec t_restore_v1; Printf.sprintf "%.6f" t_fork ] ];
+    ~title:"E20  Snapshot round-trip of the big fact base (v2 cell blobs), and the \
+            session-fork primitive"
+    ~header:[ "facts"; "v2 bytes"; "v2 restore(s)"; "fork(s)" ]
+    [ [ string_of_int facts; string_of_int (String.length v2); Harness.sec t_restore;
+        Printf.sprintf "%.6f" t_fork ] ];
   (* -- 3: the greedy exemplars over a corpus the engines settle ----- *)
   (* Per-program sub-tier: declarative Kruskal is O(e.n) (claim C4), so
      it gets a smaller corpus than the near-linear Prim/Dijkstra. *)

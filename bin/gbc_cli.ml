@@ -807,7 +807,6 @@ let print_response = function
       exit partial_exit
     end
   | Protocol.Attached { id } -> Format.printf "attached to session %d@." id
-  | Protocol.Welcome { version } -> Format.printf "welcome, protocol v%d@." version
   | Protocol.Stats_json json -> Format.printf "%s@." json
   | Protocol.Error { code; message } ->
     Format.eprintf "gbc: %s: %s@." (Protocol.error_code_to_string code) message;

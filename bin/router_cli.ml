@@ -104,6 +104,7 @@ let router_doc =
   "Route clients across a fleet of gbcd backends: new sessions are placed by \
    consistent hashing (a ring with virtual nodes), composite session ids route \
    reconnecting clients back to the backend that owns their session, and frames — \
-   protocol v1 or pipelined v2 — are forwarded byte-identically.  The router \
-   answers $(b,hello), $(b,stats) and $(b,shutdown) itself; requests in flight on \
-   a dying backend come back as structured server-error frames."
+   enveloped, as every gbc client sends them, or bare, in strict order, for \
+   blocking clients without request ids — are forwarded byte-identically.  The \
+   router answers $(b,stats) and $(b,shutdown) itself; requests in flight on a \
+   dying backend come back as structured server-error frames."

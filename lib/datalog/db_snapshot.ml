@@ -34,11 +34,11 @@
 
    Version 1 streams (everything before the magic existed) start
    directly at the [u32 nsyms] field and encode every relation with
-   repr-0 rows and no repr byte.  The reader keys on the leading u32:
-   the magic value as an nsyms count would promise a ~1.2 G-entry
-   symbol table, which the count plausibility check rejects for any
-   stream small enough to be ambiguous.  {!write_v1} is kept so tests
-   can exercise the legacy decode path.
+   repr-0 rows and no repr byte.  Nothing writes them any more, but a
+   data dir may still hold one, so the reader keeps decoding them.  It
+   keys on the leading u32: the magic value as an nsyms count would
+   promise a ~1.2 G-entry symbol table, which the count plausibility
+   check rejects for any stream small enough to be ambiguous.
 
    The global interner allocates ids in first-sight order, which is a
    property of the process, not of the data — hence the local table:
@@ -122,7 +122,9 @@ let w_cells enc body rel =
         done
     done
 
-let write_body ~v2 buf db =
+let write buf db =
+  w_u32 buf magic;
+  w_u8 buf version;
   let enc = { locals = Hashtbl.create 64; syms_rev = []; nsyms = 0 } in
   (* rows go to a scratch buffer first: the symbol table they populate
      must precede them in the stream *)
@@ -135,8 +137,7 @@ let write_body ~v2 buf db =
       w_str body pred;
       w_u32 body (Relation.arity rel);
       w_u32 body (Relation.cardinal rel);
-      if not v2 then w_rows enc body rel
-      else if Relation.arity rel > 0 && not (Relation.has_terms rel) then begin
+      if Relation.arity rel > 0 && not (Relation.has_terms rel) then begin
         w_u8 body 1;
         w_cells enc body rel
       end
@@ -148,13 +149,6 @@ let write_body ~v2 buf db =
   w_u32 buf enc.nsyms;
   List.iter (fun s -> w_str buf s) (List.rev enc.syms_rev);
   Buffer.add_buffer buf body
-
-let write buf db =
-  w_u32 buf magic;
-  w_u8 buf version;
-  write_body ~v2:true buf db
-
-let write_v1 buf db = write_body ~v2:false buf db
 
 (* ---------------- reading ---------------- *)
 

@@ -10,8 +10,9 @@
     The current stream format (version 2, magic ["GBC2"]) writes every
     relation of ints and symbols as one raw cell blob — restoring a
     bulk-loaded database is a blob decode plus a membership rehash per
-    relation instead of a value decode per field.  Version 1 streams (no magic) are still
-    decoded; {!write_v1} produces them for back-compat tests.
+    relation instead of a value decode per field.  Version 1 streams
+    (no magic, every relation as tagged value rows) are no longer
+    written but are still decoded, since a data dir may hold one.
 
     The codec checksums nothing: callers (lib/server/durable.ml) wrap
     the emitted bytes in their own magic/version/CRC envelope.
@@ -27,11 +28,6 @@ exception Corrupt of string
 
 val write : Buffer.t -> Database.t -> unit
 (** Append the (version 2) snapshot encoding of a database. *)
-
-val write_v1 : Buffer.t -> Database.t -> unit
-(** Append the legacy unframed version 1 encoding — every relation as
-    tagged value rows.  Decodes to the same database as {!write};
-    exists so tests can cover the legacy path with current data. *)
 
 val read : string -> int -> Database.t * int
 (** [read s pos] decodes one snapshot starting at [pos], returning the

@@ -1,11 +1,14 @@
 (* A small blocking client for the gbcd wire protocol: connect, frame
    requests out, read response frames back.  Used by `gbc client`, the
-   server tests and bench E15/E18.
+   server tests and bench E15/E18.  Every request goes out in an
+   envelope carrying a request id, and every reply must carry the id
+   of the request it answers.
 
    Two layers:
 
    - [t]: one socket, send/recv/rpc, optional connect timeout and
-     receive deadline (SO_RCVTIMEO -> Timeout).
+     receive deadline (SO_RCVTIMEO -> Timeout).  Ids count up per
+     connection; one request is in flight at a time.
 
    - [resilient]: an endpoint plus retry policy.  It attaches to a
      server session on every (re)connect — first Attach None to learn
@@ -14,12 +17,16 @@
      backoff with jitter.  Mutations are stamped with client-unique
      request ids, so a replay the server already applied is answered
      from its recorded result (exactly-once), even across a server
-     crash and recovery. *)
+     crash and recovery.
+
+   [Pipeline] keeps many enveloped requests in flight on a resilient
+   connection. *)
 
 type t = {
   fd : Unix.file_descr;
   mutable inbuf : string;  (* unconsumed response bytes *)
   max_frame : int;
+  mutable rid : int;  (* envelope id of the last request sent *)
 }
 
 exception Protocol_error of string
@@ -27,7 +34,7 @@ exception Timeout
 
 type endpoint = Tcp of { host : string; port : int } | Uds of string
 
-let connect_fd ?(max_frame = Protocol.max_frame_default) fd = { fd; inbuf = ""; max_frame }
+let connect_fd ?(max_frame = Protocol.max_frame_default) fd = { fd; inbuf = ""; max_frame; rid = 0 }
 
 (* Bounded connect: non-blocking connect, select for writability, read
    the socket error back.  Never blocks past [timeout]. *)
@@ -80,7 +87,9 @@ let send_raw t bytes =
     off := !off + w
   done
 
-let send t req = send_raw t (Protocol.encode_request req)
+let send t req =
+  t.rid <- t.rid + 1;
+  send_raw t (Protocol.encode_request_v2 ~rid:t.rid req)
 
 let chunk = 65536
 
@@ -106,9 +115,16 @@ let recv_body t =
   in
   go ()
 
+(* The reply to the request in flight.  A bare reply is a peer's
+   connection-level protocol violation: it answers whatever was in
+   flight, and the peer hangs up after it. *)
 let recv t =
-  match Protocol.decode_response (recv_body t) with
-  | Ok resp -> resp
+  match Protocol.decode_response_v2 (recv_body t) with
+  | Ok (Some rid, resp) when rid = t.rid -> resp
+  | Ok (Some rid, _) ->
+    raise (Protocol_error (Printf.sprintf "reply carries id %d, request in flight is %d" rid t.rid))
+  | Ok (None, (Protocol.Error { code = Protocol.Protocol_violation; _ } as resp)) -> resp
+  | Ok (None, _) -> raise (Protocol_error "bare reply to an enveloped request")
   | Error msg -> raise (Protocol_error msg)
 
 let rpc t req =
@@ -232,69 +248,48 @@ let resilient_rpc r req =
 
 let resilient_close r = drop_conn r
 
-(* ---------------- pipelining (protocol v2) ---------------- *)
+(* ---------------- pipelining ---------------- *)
 
 module Pipeline = struct
-  (* Many requests in flight on one connection, replies matched by the
-     per-request id of the v2 envelope.  Built on [resilient]: when the
-     connection dies, the next submit/await reconnects, re-attaches,
-     and replays the whole in-flight window in submission order with
-     the {e same} request ids — the server's dedup window answers
-     already-applied mutations from their recorded results. *)
+  (* Many requests in flight on one connection, replies matched by
+     envelope id.  Built on [resilient]: when the connection dies, the
+     next submit/await reconnects, re-attaches, and replays the whole
+     in-flight window in submission order with the {e same} request
+     ids — the server's dedup window answers already-applied mutations
+     from their recorded results. *)
 
   type nonrec t = {
     r : resilient;
     mutable bound : t option;
         (* the connection the in-flight window lives on; compared
            physically against [r.conn] to detect a reconnect *)
-    mutable v2 : bool;  (* negotiated verdict: envelopes understood? *)
-    mutable negotiated : bool;
-    mutable inflight : (int * Protocol.request) list;  (* oldest first *)
+    window : (int, Protocol.request) Hashtbl.t;
+        (* in flight, by id; ids count up, so ascending id order is
+           submission order *)
   }
 
-  let create r = { r; bound = None; v2 = false; negotiated = false; inflight = [] }
-  let inflight t = List.length t.inflight
-  let v2 t = t.v2
+  let create r = { r; bound = None; window = Hashtbl.create 64 }
+  let inflight t = Hashtbl.length t.window
   let session_id t = session_id t.r
 
   let fresh_rid t =
     t.r.next_id <- t.r.next_id + 1;
     t.r.next_id
 
-  let send_req t c (rid, req) =
-    send_raw c
-      (if t.v2 then Protocol.encode_request_v2 ~rid req else Protocol.encode_request req)
+  let send_req c (rid, req) = send_raw c (Protocol.encode_request_v2 ~rid req)
 
   (* Bind the in-flight window to the current (possibly fresh)
-     connection: negotiate v2 once per pipeline, then replay every
-     outstanding request in order. *)
-  let rec ensure t =
+     connection, replaying every outstanding request in order. *)
+  let ensure t =
     let c = ensure_conn t.r 0 in
     match t.bound with
     | Some b when b == c -> c
     | _ ->
-      if t.negotiated then begin
-        t.bound <- Some c;
-        List.iter (send_req t c) t.inflight;
-        c
-      end
-      else begin
-        (match rpc c (Protocol.Hello { version = Protocol.protocol_version }) with
-        | Protocol.Welcome { version } ->
-          t.v2 <- version >= 2;
-          t.negotiated <- true
-        | Protocol.Error { code = Protocol.Protocol_violation; _ } ->
-          (* a v1 server refuses the unknown tag and hangs up; remember
-             the verdict and fall back to bare frames on a fresh
-             connection *)
-          t.v2 <- false;
-          t.negotiated <- true;
-          drop_conn t.r
-        | _ ->
-          drop_conn t.r;
-          raise (Protocol_error "unexpected response to hello"));
-        ensure t
-      end
+      t.bound <- Some c;
+      Hashtbl.fold (fun rid req acc -> (rid, req) :: acc) t.window []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.iter (send_req c);
+      c
 
   let on_conn_error t =
     drop_conn t.r;
@@ -313,7 +308,7 @@ module Pipeline = struct
         Protocol.Retract_facts { text; id = Some rid }
       | req -> req
     in
-    t.inflight <- t.inflight @ [ (rid, req) ];
+    Hashtbl.replace t.window rid req;
     let rec go attempt =
       match
         let already_bound =
@@ -321,7 +316,7 @@ module Pipeline = struct
         in
         let c = ensure t in
         (* a rebind just replayed the whole window, this request included *)
-        if already_bound then send_req t c (rid, req)
+        if already_bound then send_req c (rid, req)
       with
       | () -> rid
       | exception Timeout ->
@@ -338,26 +333,28 @@ module Pipeline = struct
     go 0
 
   (* Next reply off the wire, in server completion order (not
-     necessarily submission order).  Bare v1 replies are matched FIFO
-     against the oldest in-flight request. *)
+     necessarily submission order).  A bare reply is the peer refusing
+     the connection's bytes: replaying them would be refused again, so
+     its message is raised at once. *)
   let await t =
-    if t.inflight = [] then invalid_arg "Client.Pipeline.await: nothing in flight";
+    if Hashtbl.length t.window = 0 then invalid_arg "Client.Pipeline.await: nothing in flight";
     let rec go attempt =
       match
         let c = ensure t in
         match Protocol.decode_response_v2 (recv_body c) with
+        | Ok (Some rid, resp) when Hashtbl.mem t.window rid ->
+          Hashtbl.remove t.window rid;
+          Ok (rid, resp)
+        | Ok (Some rid, _) ->
+          raise (Protocol_error (Printf.sprintf "reply for id %d, which is not in flight" rid))
+        | Ok (None, Protocol.Error { message; _ }) -> Error message
+        | Ok (None, _) -> raise (Protocol_error "bare reply to an enveloped request")
         | Error msg -> raise (Protocol_error msg)
-        | Ok (Some rid, resp) ->
-          t.inflight <- List.filter (fun (r, _) -> r <> rid) t.inflight;
-          (rid, resp)
-        | Ok (None, resp) -> (
-          match t.inflight with
-          | (rid, _) :: rest ->
-            t.inflight <- rest;
-            (rid, resp)
-          | [] -> raise (Protocol_error "response with nothing in flight"))
       with
-      | reply -> reply
+      | Ok reply -> reply
+      | Error message ->
+        on_conn_error t;
+        raise (Protocol_error message)
       | exception Timeout ->
         on_conn_error t;
         raise Timeout
@@ -371,9 +368,9 @@ module Pipeline = struct
     in
     go 0
 
-  (* Collect every outstanding reply, keyed by request id. *)
+  (* Collect every outstanding reply, in arrival order. *)
   let drain t =
-    let rec go acc = if t.inflight = [] then List.rev acc else go (await t :: acc) in
+    let rec go acc = if Hashtbl.length t.window = 0 then List.rev acc else go (await t :: acc) in
     go []
 
   let close t =

@@ -1,5 +1,8 @@
 (** Clients for the gbcd wire protocol.
 
+    Every request goes out in an envelope carrying a request id, and
+    every reply must carry the id of the request it answers.
+
     {!t} is one blocking socket: send/recv/rpc, an optional connect
     timeout and an optional receive deadline.  {!resilient} wraps an
     endpoint with a retry policy: it attaches to a server session on
@@ -39,10 +42,16 @@ val set_recv_deadline : t -> float option -> unit
 val close : t -> unit
 
 val send : t -> Protocol.request -> unit
+(** Send one request in an envelope, under the connection's next id. *)
+
 val recv : t -> Protocol.response
+(** The reply to the request just sent.  A reply carrying another id
+    raises {!Protocol_error}.  A bare reply is only ever the peer's
+    connection-level [Protocol_violation] error, which is returned: it
+    answers the one request in flight. *)
 
 val rpc : t -> Protocol.request -> Protocol.response
-(** [send] then [recv] — the one-in-flight round trip gbcd expects. *)
+(** [send] then [recv]: one request in flight. *)
 
 (** {2 Retry / backoff} *)
 
@@ -79,14 +88,12 @@ val session_id : resilient -> int option
 
 val resilient_close : resilient -> unit
 
-(** {2 Pipelining (protocol v2)} *)
+(** {2 Pipelining} *)
 
 module Pipeline : sig
   (** Many requests in flight on one connection.  Each request is
-      wrapped in a v2 envelope carrying a client-unique id; replies
-      come back in server completion order and are matched by that id.
-      Against a v1 server the pipeline falls back transparently to
-      bare frames with FIFO reply matching (same API, no overtaking).
+      wrapped in an envelope carrying a client-unique id; replies come
+      back in server completion order and are matched by that id.
 
       Built on {!type-resilient}: when the connection dies, the next
       {!submit}/{!await} reconnects, re-attaches, and replays the whole
@@ -109,17 +116,15 @@ module Pipeline : sig
   val await : t -> int * Protocol.response
   (** The next reply off the wire, in server completion order.  Raises
       [Invalid_argument] when nothing is in flight, {!Timeout} when the
-      receive deadline expires (not retried). *)
+      receive deadline expires (not retried), and {!Protocol_error}
+      with the peer's message when the peer refuses the connection
+      with a bare error (not retried either). *)
 
   val drain : t -> (int * Protocol.response) list
   (** {!await} until the in-flight window is empty, in arrival order. *)
 
   val inflight : t -> int
   (** Requests submitted but not yet answered. *)
-
-  val v2 : t -> bool
-  (** Whether envelope framing was negotiated ([false] before the first
-      connect and against a v1 server). *)
 
   val session_id : t -> int option
   val close : t -> unit

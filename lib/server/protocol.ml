@@ -15,16 +15,14 @@
    [Bad_length] so the server can answer with a structured error frame
    instead of dying on garbage input.
 
-   Protocol v2 adds pipelining: a request payload may be wrapped in an
-   envelope (tag 0x7f, then an i64 request id, then the v1 payload
-   unchanged), and the matching response comes back in a response
-   envelope (tag 0xff, same id).  Envelopes are stateless — the server
-   accepts bare v1 and enveloped v2 payloads on the same connection —
-   so version negotiation ([Hello]/[Welcome]) only informs the
-   *client* whether the peer will echo ids back. *)
+   A request payload may be wrapped in an envelope (tag 0x7f, then an
+   i64 request id, then the bare payload unchanged), and the matching
+   response comes back in a response envelope (tag 0xff, same id).
+   Every client in this tree sends envelopes.  Bare payloads are still
+   decoded, and answered bare and in strict order, for blocking
+   clients that send no id. *)
 
 let max_frame_default = 16 * 1024 * 1024
-let protocol_version = 2
 
 type engine = Staged | Reference
 
@@ -52,11 +50,6 @@ type request =
   | Attach of int option
       (** [None]: mark this session attachable and report its id;
           [Some id]: adopt session [id] (detached, or durable on disk) *)
-  | Hello of { version : int }
-      (** capability negotiation: the client's highest protocol
-          version; answered with [Welcome] (v2+ servers) or a
-          protocol-violation error (v1 servers), so the client can
-          fall back *)
 
 type error_code =
   | Lex_error
@@ -85,9 +78,6 @@ type response =
   | Error of { code : error_code; message : string }
   | Bye
   | Attached of { id : int }
-  | Welcome of { version : int }
-      (** the version the server settles on: [min client_version
-          protocol_version] *)
 
 let error_code_to_int = function
   | Lex_error -> 1
@@ -269,11 +259,10 @@ let tag_query = 0x07
 let tag_stats = 0x08
 let tag_shutdown = 0x09
 let tag_attach = 0x0a
-let tag_hello = 0x0b
 
-(* the v2 envelope: tag, i64 request id, then the v1 payload verbatim.
+(* the envelope: tag, i64 request id, then the bare payload verbatim.
    0x7f/0xff sit at the top of each tag space so they can never
-   collide with a v1 frame kind. *)
+   collide with a frame kind. *)
 let tag_req_envelope = 0x7f
 let tag_resp_envelope = 0xff
 
@@ -310,10 +299,7 @@ let write_request b req =
    | Shutdown -> w_u8 b tag_shutdown
    | Attach id ->
      w_u8 b tag_attach;
-     w_opt w_int b id
-   | Hello { version } ->
-     w_u8 b tag_hello;
-     w_int b version)
+     w_opt w_int b id)
 
 let encode_request req =
   let b = Buffer.create 64 in
@@ -365,17 +351,11 @@ let read_request rd =
   else if tag = tag_stats then Stats
   else if tag = tag_shutdown then Shutdown
   else if tag = tag_attach then Attach (r_opt r_int rd "attach")
-  else if tag = tag_hello then Hello { version = r_int rd "hello" }
   else raise (Malformed (Printf.sprintf "unknown request tag 0x%02x" tag))
 
+(* Both wire forms: an enveloped payload yields [Some rid], a bare one
+   [None]; the connection needs no decode mode. *)
 let decode_request body =
-  let rd = { src = body; pos = 0 } in
-  try Ok (finish rd (read_request rd) "request")
-  with Malformed msg -> Result.Error msg
-
-(* v2-aware decode: accepts a bare v1 payload ([None] id) or an
-   enveloped one ([Some rid]); the connection needs no decode mode. *)
-let decode_request_v2 body =
   let rd = { src = body; pos = 0 } in
   try
     if String.length body > 0 && Char.code body.[0] = tag_req_envelope then begin
@@ -400,7 +380,6 @@ let tag_stats_json = 0x88
 let tag_error = 0x89
 let tag_bye = 0x8a
 let tag_attached = 0x8b
-let tag_welcome = 0x8c
 
 let write_response b resp =
   (match resp with
@@ -441,10 +420,7 @@ let write_response b resp =
    | Bye -> w_u8 b tag_bye
    | Attached { id } ->
      w_u8 b tag_attached;
-     w_int b id
-   | Welcome { version } ->
-     w_u8 b tag_welcome;
-     w_int b version)
+     w_int b id)
 
 let encode_response resp =
   let b = Buffer.create 256 in
@@ -499,7 +475,6 @@ let read_response rd =
   end
   else if tag = tag_bye then Bye
   else if tag = tag_attached then Attached { id = r_int rd "attached" }
-  else if tag = tag_welcome then Welcome { version = r_int rd "welcome" }
   else raise (Malformed (Printf.sprintf "unknown response tag 0x%02x" tag))
 
 let decode_response body =

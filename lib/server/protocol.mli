@@ -10,22 +10,19 @@
     comes back as [Error msg], never an exception, so a server can
     always answer garbage with a structured error frame.
 
-    {b Protocol v2 — pipelining.}  A request payload may be wrapped in
-    an {e envelope}: tag [0x7f], an i64 request id, then the v1
+    {b Envelopes — pipelining.}  A request payload may be wrapped in
+    an {e envelope}: tag [0x7f], an i64 request id, then the bare
     payload verbatim; the response comes back wrapped the same way
     (tag [0xff], the request's id), so a client can keep many requests
     in flight on one connection and match replies by id even when they
-    arrive out of order.  Envelopes are per-frame and stateless — the
-    v2 decoders accept bare v1 payloads too — so [Hello]/[Welcome]
-    negotiation exists only to tell the {e client} whether the peer
-    echoes ids (a v1 server answers [Hello] with a protocol-violation
-    error, and the client falls back to blocking v1). *)
+    arrive out of order.  Every client in this tree sends envelopes.
+    Bare payloads are still decoded and answered bare, in strict
+    order, for blocking clients that carry no id; a bare reply to an
+    enveloped request is only ever a connection-level
+    [Protocol_violation]. *)
 
 val max_frame_default : int
 (** Default payload-size cap (16 MiB). *)
-
-val protocol_version : int
-(** The highest protocol version this build speaks (2). *)
 
 type engine = Staged | Reference
 
@@ -66,11 +63,6 @@ type request =
           session [id] — detached in memory, or restored from the data
           dir when the server is durable.  Unknown or busy ids get a
           [No_session] error. *)
-  | Hello of { version : int }
-      (** capability negotiation: the client's highest version.  v2+
-          servers answer [Welcome]; a v1 server answers with a
-          protocol-violation error, telling the client to stay on
-          blocking v1. *)
 
 type error_code =
   | Lex_error
@@ -102,20 +94,18 @@ type response =
   | Error of { code : error_code; message : string }
   | Bye
   | Attached of { id : int }  (** the session now driven by this connection *)
-  | Welcome of { version : int }
-      (** the settled version: [min client_version protocol_version] *)
 
 val error_code_to_int : error_code -> int
 val error_code_of_int : int -> error_code option
 val error_code_to_string : error_code -> string
 
 val encode_request : request -> string
-(** The full frame, length prefix included. *)
+(** The bare frame, length prefix included. *)
 
 val encode_response : response -> string
 
 val encode_request_v2 : rid:int -> request -> string
-(** The enveloped form: tag [0x7f], the i64 [rid], then the v1
+(** The enveloped form: tag [0x7f], the i64 [rid], then the bare
     payload.  Full frame, length prefix included. *)
 
 val encode_response_v2 : rid:int -> response -> string
@@ -129,14 +119,14 @@ val extract_frame : ?max_frame:int -> string -> int -> extracted
 (** [extract_frame buf start] splits the first frame out of a byte
     accumulation starting at [start]. *)
 
-val decode_request : string -> (request, string) result
-(** Decode a frame payload.  Response tags, unknown tags and every
-    malformation are [Error]. *)
+val decode_request : string -> (int option * request, string) result
+(** Decode a frame payload in either wire form: an enveloped payload
+    yields [Some rid], a bare one [None].  Response tags, unknown tags
+    and every malformation are [Error]. *)
 
 val decode_response : string -> (response, string) result
-
-val decode_request_v2 : string -> (int option * request, string) result
-(** Like {!decode_request} but accepts both wire forms: an enveloped
-    payload yields [Some rid], a bare v1 payload yields [None]. *)
+(** Decode a bare response payload. *)
 
 val decode_response_v2 : string -> (int option * response, string) result
+(** Like {!decode_response} but accepts both wire forms, as
+    {!decode_request} does. *)

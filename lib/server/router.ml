@@ -18,8 +18,12 @@
    deterministically back to the backend that owns the session — the
    ring is only consulted for sessions the router has never seen.
 
+   Framing.  In-tree clients send envelopes (per-request ids, matched
+   by id on the way back); bare frames from blocking clients without
+   ids are forwarded bare and their bare replies matched FIFO, so both
+   keep the daemon's ordering through the proxy.
+
    The router answers some requests itself, never forwarding them:
-   [Hello] (the router speaks protocol v2; its backends must too),
    [Stats] (its own JSON: per-backend in-flight/forwarded/reconnects
    plus totals) and [Shutdown] ([Bye], then a graceful drain — stop
    accepting, let in-flight replies come home, flush, close).  The
@@ -134,7 +138,7 @@ type rconn = {
   mutable c_link : link option;
   mutable c_outstanding : int option list;
       (* envelope ids of forwarded-unanswered requests, oldest first;
-         [None] entries are bare v1 frames, matched FIFO *)
+         [None] entries are bare frames, matched FIFO *)
   mutable c_alive : bool;
   mutable c_peer_gone : bool;
   mutable c_close_after_flush : bool;
@@ -420,10 +424,6 @@ let handle_client_frame t c (rid, req) =
     reply_now c rid (P.Error { code = P.Draining; message = "router is draining" })
   else
     match req with
-    | P.Hello { version } ->
-      (* answered locally: the router requires v2-capable backends, so
-         it can promise envelope framing on the client side *)
-      reply_now c rid (P.Welcome { version = min version P.protocol_version })
     | P.Stats -> reply_now c rid (P.Stats_json (stats_json t))
     | P.Shutdown ->
       reply_now c rid P.Bye;
@@ -509,7 +509,7 @@ let parse_client_frames t c =
       stop := true
     | P.Frame (body, next) -> (
       off := next;
-      match P.decode_request_v2 body with
+      match P.decode_request body with
       | Ok (rid, req) -> handle_client_frame t c (rid, req)
       | Error msg ->
         reply_now c None (P.Error { code = P.Protocol_violation; message = msg });

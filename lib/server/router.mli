@@ -16,10 +16,13 @@
     deterministically back to the backend that owns the session,
     without consulting the ring.
 
-    {b Answered locally} (never forwarded): [Hello] (the router speaks
-    protocol v2 and requires v2-capable backends), [Stats] (the
-    router's own JSON: per-backend in-flight / forwarded / reconnects
-    and totals) and [Shutdown] ([Bye], then a graceful drain).  The
+    {b Framing.}  Enveloped frames, which every in-tree client sends,
+    are matched by id; bare frames from blocking clients without ids
+    are forwarded bare and their replies matched in order.
+
+    {b Answered locally} (never forwarded): [Stats] (the router's own
+    JSON: per-backend in-flight / forwarded / reconnects and totals)
+    and [Shutdown] ([Bye], then a graceful drain).  The
     backends' lifetime belongs to whoever spawned them (see
     [gbc serve --fleet]).
 

@@ -4,15 +4,17 @@
 
    - The event loop owns every socket.  It accepts connections, reads
      bytes, splits frames (Protocol.extract_frame), decodes requests
-     (v1 or enveloped v2), and queues session-bound work on the shared
-     work queue at most one per connection at a time (per-connection
-     FIFO order is what makes assert-then-run meaningful).  Enveloped
-     Ping/Hello frames are "independent": they carry no session state,
-     so they are dispatched immediately — even while a session-bound
-     request is in flight — and their replies genuinely overtake
-     (out-of-order, matched by the envelope id on the client).  It
-     also owns all outbound buffers and flushes them as sockets become
-     writable.
+     (enveloped, as every in-tree client sends them, or bare, as a
+     blocking client without ids sends them), and queues session-bound
+     work on the shared work queue at most one per connection at a
+     time (per-connection FIFO order is what makes assert-then-run
+     meaningful).  An enveloped Ping is "independent": it carries no
+     session state, so it is dispatched immediately — even while a
+     session-bound request is in flight — and its reply genuinely
+     overtakes (out-of-order, matched by the envelope id on the
+     client).  Bare frames never overtake: their replies come back in
+     request order.  It also owns all outbound buffers and flushes
+     them as sockets become writable.
 
    - Worker domains block on the work queue, evaluate the request
      against the connection's session under a per-request Limits
@@ -510,8 +512,6 @@ let handle_request t (session : Session.t) req : Protocol.response * post =
   try
     match req with
     | Protocol.Ping -> (Protocol.Pong, Keep)
-    | Protocol.Hello { version } ->
-      (Protocol.Welcome { version = min version Protocol.protocol_version }, Keep)
     | Protocol.Shutdown -> (Protocol.Bye, Start_drain)
     | Protocol.Stats -> (Protocol.Stats_json (stats_json t session), Keep)
     | Protocol.Attach None ->
@@ -585,8 +585,8 @@ let handle_request t (session : Session.t) req : Protocol.response * post =
     err (Protocol.Server_error, Printexc.to_string e)
 
 (* Replies echo the request's wire form: an enveloped request gets its
-   reply wrapped in a response envelope carrying the same id, a bare v1
-   request gets a bare v1 reply. *)
+   reply wrapped in a response envelope carrying the same id, a bare
+   request gets a bare reply. *)
 let encode_reply rid resp =
   match rid with
   | Some rid -> Protocol.encode_response_v2 ~rid resp
@@ -672,12 +672,6 @@ let enqueue_job t c (rid, req, parsed_at) ~session_bound =
       Queue.push (Job (c, rid, req, session_bound, parsed_at)) t.work);
   Condition.signal t.work_c
 
-(* Requests that touch no session state may overtake the per-connection
-   FIFO — but only when the client asked for it by enveloping them
-   (bare v1 traffic keeps its strict request/reply ordering). *)
-let independent = function
-  | Protocol.Ping | Protocol.Hello _ -> true
-  | _ -> false
 
 let dispatch t c =
   if c.alive && not (Queue.is_empty c.pending) then begin
@@ -692,13 +686,14 @@ let dispatch t c =
       c.close_after_flush <- true
     end
     else begin
-      (* enveloped independents go to workers immediately, out of
-         order; session-bound requests stay one-at-a-time FIFO *)
+      (* an enveloped Ping touches no session state, so it goes to a
+         worker at once, out of order; everything else, and all bare
+         traffic, stays one-at-a-time FIFO *)
       let keep = Queue.create () in
       Queue.iter
         (fun ((rid, req, _) as item) ->
-          match rid with
-          | Some _ when independent req -> enqueue_job t c item ~session_bound:false
+          match (rid, req) with
+          | Some _, Protocol.Ping -> enqueue_job t c item ~session_bound:false
           | _ -> Queue.push item keep)
         c.pending;
       Queue.clear c.pending;
@@ -726,7 +721,7 @@ let parse_frames t c =
       stop := true
     | Protocol.Frame (body, next) -> (
       off := next;
-      match Protocol.decode_request_v2 body with
+      match Protocol.decode_request body with
       | Ok (rid, req) -> Queue.push (rid, req, Unix.gettimeofday ()) c.pending
       | Error msg ->
         respond_now c

@@ -3,13 +3,14 @@
     One event-loop domain owns the sockets (accept, frame splitting,
     response flushing); [workers] worker domains pull decoded requests
     from a shared queue and evaluate them against per-connection
-    {!Session.t}s.  Clients may pipeline: protocol v2 envelopes carry
-    a per-request id and replies echo the request's wire form, so many
-    requests can be in flight on one connection.  Session-bound
-    requests still execute one at a time per connection, in arrival
-    order — assert-then-run stays meaningful at any pipeline depth —
-    and only independent frames (an enveloped [Ping] or [Hello])
-    overtake a running evaluation.  Queue-wait and pipeline-depth
+    {!Session.t}s.  Clients may pipeline: envelopes carry a
+    per-request id and replies echo the request's wire form, so many
+    requests can be in flight on one connection.  Every client in this
+    tree sends envelopes; bare frames are still served, in strict
+    order, for blocking clients without ids.  Session-bound requests
+    execute one at a time per connection, in arrival order —
+    assert-then-run stays meaningful at any pipeline depth — and only
+    an enveloped [Ping] overtakes a running evaluation.  Queue-wait and pipeline-depth
     histograms land in the stats ([queue_wait], [inflight_max],
     [pipelined_depth_p99]), keeping queueing distinguishable from
     service time.

@@ -51,8 +51,7 @@ let gen_request =
           (fun engine text budget -> Protocol.Query { engine; text; budget })
           gen_engine gen_binary_string gen_budget;
         return Protocol.Stats;
-        return Protocol.Shutdown;
-        map (fun version -> Protocol.Hello { version }) (int_bound 1000) ])
+        return Protocol.Shutdown ])
 
 let all_error_codes =
   [ Protocol.Lex_error; Protocol.Parse_error; Protocol.Unsafe; Protocol.Unsupported;
@@ -87,9 +86,7 @@ let gen_response =
         map (fun s -> Protocol.Stats_json s) gen_binary_string;
         map2
           (fun code message -> Protocol.Error { code; message })
-          (oneofl all_error_codes) gen_binary_string;
-        map (fun version -> Protocol.Welcome { version }) (int_bound 1000);
-      ])
+          (oneofl all_error_codes) gen_binary_string ])
 
 (* ---------------- round trips ---------------- *)
 
@@ -104,7 +101,8 @@ let request_roundtrip =
   QCheck.Test.make ~count:500 ~name:"request encode/decode round-trip"
     (QCheck.make gen_request) (fun req ->
       match Protocol.decode_request (strip_frame (Protocol.encode_request req)) with
-      | Ok req' -> req = req'
+      | Ok (None, req') -> req = req'
+      | Ok (Some _, _) -> QCheck.Test.fail_reportf "a bare request decoded with an id"
       | Error msg -> QCheck.Test.fail_reportf "decode failed: %s" msg)
 
 let response_roundtrip =
@@ -114,14 +112,14 @@ let response_roundtrip =
       | Ok resp' -> resp = resp'
       | Error msg -> QCheck.Test.fail_reportf "decode failed: %s" msg)
 
-(* ---------------- protocol v2 envelopes ---------------- *)
+(* ---------------- envelopes ---------------- *)
 
 let gen_rid = QCheck.Gen.(oneof [ int_bound 1_000_000; return 0; return max_int ])
 
 let enveloped_request_roundtrip =
   QCheck.Test.make ~count:500 ~name:"v2 request envelope round-trip (id preserved)"
     (QCheck.make QCheck.Gen.(pair gen_rid gen_request)) (fun (rid, req) ->
-      match Protocol.decode_request_v2 (strip_frame (Protocol.encode_request_v2 ~rid req)) with
+      match Protocol.decode_request (strip_frame (Protocol.encode_request_v2 ~rid req)) with
       | Ok (Some rid', req') -> rid = rid' && req = req'
       | Ok (None, _) -> QCheck.Test.fail_reportf "envelope id lost"
       | Error msg -> QCheck.Test.fail_reportf "decode failed: %s" msg)
@@ -134,12 +132,12 @@ let enveloped_response_roundtrip =
       | Ok (None, _) -> QCheck.Test.fail_reportf "envelope id lost"
       | Error msg -> QCheck.Test.fail_reportf "decode failed: %s" msg)
 
-(* the v2 decoders accept bare v1 frames unchanged: same connection,
-   both framings, no mode switch *)
+(* the decoders accept bare frames unchanged: same connection, both
+   framings, no mode switch *)
 let bare_through_v2 =
   QCheck.Test.make ~count:500 ~name:"bare v1 frames decode through the v2 entry points"
     (QCheck.make QCheck.Gen.(pair gen_request gen_response)) (fun (req, resp) ->
-      (match Protocol.decode_request_v2 (strip_frame (Protocol.encode_request req)) with
+      (match Protocol.decode_request (strip_frame (Protocol.encode_request req)) with
       | Ok (None, req') when req' = req -> ()
       | Ok _ -> QCheck.Test.fail_reportf "bare request misdecoded"
       | Error msg -> QCheck.Test.fail_reportf "decode failed: %s" msg);
@@ -151,20 +149,32 @@ let bare_through_v2 =
 let garbage_payload_v2 =
   QCheck.Test.make ~count:1000 ~name:"v2 decoders are total on garbage"
     (QCheck.make gen_binary_string) (fun payload ->
-      (match Protocol.decode_request_v2 payload with Ok _ | Error _ -> ());
+      (match Protocol.decode_request payload with Ok _ | Error _ -> ());
       (match Protocol.decode_response_v2 payload with Ok _ | Error _ -> ());
       (* envelope tags followed by junk, and truncated envelopes *)
-      (match Protocol.decode_request_v2 ("\x7f" ^ payload) with Ok _ | Error _ -> ());
+      (match Protocol.decode_request ("\x7f" ^ payload) with Ok _ | Error _ -> ());
       (match Protocol.decode_response_v2 ("\xff" ^ payload) with Ok _ | Error _ -> ());
       true)
 
 let truncated_envelope () =
   let body = strip_frame (Protocol.encode_request_v2 ~rid:42 Protocol.Ping) in
   for len = 0 to String.length body - 1 do
-    match Protocol.decode_request_v2 (String.sub body 0 len) with
+    match Protocol.decode_request (String.sub body 0 len) with
     | Ok (Some 42, Protocol.Ping) -> Alcotest.fail "a strict prefix decoded whole"
     | Ok _ | Error _ -> ()
   done
+
+(* Tag 0x0b once carried a version handshake.  It is retired: bare or
+   enveloped, it is an unknown tag, which a server answers with a
+   protocol-violation error. *)
+let retired_hello_tag () =
+  let hello = "\x0b" ^ String.init 8 (fun i -> if i = 7 then '\x02' else '\x00') in
+  List.iter
+    (fun (what, body) ->
+      match Protocol.decode_request body with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (what ^ " retired tag 0x0b decoded"))
+    [ ("bare", hello); ("enveloped", "\x7f" ^ String.make 8 '\x00' ^ hello) ]
 
 (* every error code survives the int mapping *)
 let error_code_ints () =
@@ -219,7 +229,7 @@ let truncated_valid_payload =
       let ok = ref true in
       for len = 0 to String.length body - 1 do
         match Protocol.decode_request (String.sub body 0 len) with
-        | Ok req' when req' = req -> ok := false  (* a prefix must not decode to the same value *)
+        | Ok (_, req') when req' = req -> ok := false  (* a prefix must not decode to the same value *)
         | Ok _ | Error _ -> ()
       done;
       !ok)
@@ -260,7 +270,7 @@ let split_stream () =
       drain ())
     stream;
   match List.rev_map Protocol.decode_request !got with
-  | [ Ok Protocol.Ping; Ok (Protocol.Load "p(1).") ] -> ()
+  | [ Ok (None, Protocol.Ping); Ok (None, Protocol.Load "p(1).") ] -> ()
   | _ -> Alcotest.fail "byte-by-byte delivery lost or reordered frames"
 
 let qt = QCheck_alcotest.to_alcotest
@@ -273,7 +283,8 @@ let () =
       ( "v2-envelopes",
         [ qt enveloped_request_roundtrip; qt enveloped_response_roundtrip;
           qt bare_through_v2; qt garbage_payload_v2;
-          Alcotest.test_case "truncated envelope" `Quick truncated_envelope ] );
+          Alcotest.test_case "truncated envelope" `Quick truncated_envelope;
+          Alcotest.test_case "retired hello tag is refused" `Quick retired_hello_tag ] );
       ( "malformed",
         [ Alcotest.test_case "truncated length prefix" `Quick truncated_prefix;
           Alcotest.test_case "oversized / zero / negative length" `Quick oversized_frame;

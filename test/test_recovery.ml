@@ -15,7 +15,8 @@
    every injection point the final models must be byte-identical to an
    uninterrupted run of the same workload.  Reduced scale by default
    (3 programs, every crash point); GBC_CHAOS_FULL=1 replays all 13
-   exemplars. *)
+   exemplars.  The same fault, fired under a pipelined window of
+   asserts, checks that the pipeline's replay is exactly-once. *)
 
 open Gbc
 
@@ -593,6 +594,67 @@ let test_chaos () =
       check_against fault ~must_die:true (with_tmpdir (fun dir -> chaos_run ~fault dir)))
     [ "torn:2"; "torn:7"; "short:2"; "short:7" ]
 
+(* A pipelined window across a crash.  Ten asserts are in flight when
+   the daemon dies right after logging the fifth (record 1 is the
+   load); it is restarted on the same data dir and socket.  The
+   pipeline reconnects, re-attaches and replays what is unanswered
+   under the same ids, and the session answers the logged-but-
+   unanswered ones from its dedup window.  Every id must be answered
+   exactly once, and every fact must be in the model once. *)
+let test_pipeline_replay () =
+  with_tmpdir (fun dir ->
+      let sock = fresh_sock () in
+      let pid = ref (spawn_daemon ~fault:"crash:6" ~dir ~sock ()) in
+      let r = Client.resilient ~connect_timeout:2.0 ~deadline:30.0 ~retries:10 (Client.Uds sock) in
+      let p = Client.Pipeline.create r in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.Pipeline.close p;
+          (try Unix.kill !pid Sys.sigterm with Unix.Unix_error _ -> ());
+          (try ignore (Unix.waitpid [] !pid) with Unix.Unix_error _ -> ());
+          try Unix.unlink sock with Unix.Unix_error _ | Sys_error _ -> ())
+        (fun () ->
+          let load = Client.Pipeline.submit p (Protocol.Load "q(X) <- p(X).\n") in
+          (match Client.Pipeline.drain p with
+          | [ (rid, Protocol.Loaded _) ] when rid = load -> ()
+          | _ -> Alcotest.fail "expected the load's Loaded");
+          let n = 10 in
+          let ids =
+            List.init n (fun i -> Client.Pipeline.submit p (assert_req (Printf.sprintf "p(%d)." i)))
+          in
+          let rec wait_death tries =
+            match Unix.waitpid [ Unix.WNOHANG ] !pid with
+            | 0, _ when tries > 0 ->
+              Unix.sleepf 0.02;
+              wait_death (tries - 1)
+            | 0, _ -> Alcotest.fail "the daemon never died (fault did not fire)"
+            | _ -> ()
+          in
+          wait_death 1000;
+          pid := spawn_daemon ~dir ~sock ();
+          let replies = Client.Pipeline.drain p in
+          Alcotest.(check (list int)) "every id answered exactly once" ids
+            (List.sort Int.compare (List.map fst replies));
+          List.iter
+            (function
+              | _, Protocol.Asserted { added = 1 } -> ()
+              | rid, _ -> Alcotest.failf "id %d: expected one fact added" rid)
+            replies;
+          let run = Client.Pipeline.submit p run_req in
+          match Client.Pipeline.drain p with
+          | [ (rid, Protocol.Model { complete = true; text; _ }) ] when rid = run ->
+            let lines = String.split_on_char '\n' text in
+            for i = 0 to n - 1 do
+              List.iter
+                (fun fact ->
+                  Alcotest.(check int) (fact ^ " present once") 1
+                    (List.length (List.filter (String.equal fact) lines)))
+                [ Printf.sprintf "p(%d)." i; Printf.sprintf "q(%d)." i ]
+            done;
+            Alcotest.(check int) "no other facts" (2 * n)
+              (List.length (List.filter (fun l -> l <> "") lines))
+          | _ -> Alcotest.fail "expected a complete Model"))
+
 let () =
   Alcotest.run "recovery"
     [ ( "wal",
@@ -623,4 +685,6 @@ let () =
           Alcotest.test_case "a wrong snapshot digest drops the materialization" `Quick
             test_snapshot_digest_rejected ] );
       ( "chaos",
-        [ Alcotest.test_case "kill -9 at every WAL record" `Quick test_chaos ] ) ]
+        [ Alcotest.test_case "kill -9 at every WAL record" `Quick test_chaos;
+          Alcotest.test_case "pipelined window replays across a crash" `Quick
+            test_pipeline_replay ] ) ]

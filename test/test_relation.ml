@@ -397,83 +397,10 @@ let db_of_source src =
 
 let pp_db db = Format.asprintf "%a" Database.pp db
 
-(* A version 1 stream (the format every release up to the previous one
-   wrote) must still restore byte-identically. *)
-let test_snapshot_v1_compat () =
-  let db = db_of_source "edge(a, b, 3). edge(b, c, 1). label(a, \"x y\"). n(42). n(-7)." in
-  let buf = Buffer.create 256 in
-  Db_snapshot.write_v1 buf db;
-  let db', _ = Db_snapshot.read (Buffer.contents buf) 0 in
-  Alcotest.(check string) "v1 restores byte-identically" (pp_db db) (pp_db db')
-
-let live_cells rel = Array.sub (Relation.cells rel) 0 (Relation.cardinal rel * Relation.arity rel)
-
-let test_snapshot_v2_flat_roundtrip () =
-  let db = db_of_source "mixed(a, 1). mixed(b, 2). words(\"x\", t(1))." in
-  let rel = Database.relation db "big" 3 in
-  for i = 0 to 2_000 do
-    ignore (Relation.add_ints rel [| i; i * 2; -i |])
-  done;
-  let buf = Buffer.create 256 in
-  Db_snapshot.write buf db;
-  let db', _ = Db_snapshot.read (Buffer.contents buf) 0 in
-  Alcotest.(check string) "v2 restores byte-identically" (pp_db db) (pp_db db');
-  List.iter
-    (fun (p, w) ->
-      Alcotest.(check (array int))
-        (p ^ " restored cell for cell")
-        (live_cells (Database.relation db p w))
-        (live_cells (Database.relation db' p w)))
-    [ ("big", 3); ("mixed", 2); ("words", 2) ];
-  (* The same data through the legacy writer must decode too. *)
-  let buf1 = Buffer.create 256 in
-  Db_snapshot.write_v1 buf1 db;
-  let db1, _ = Db_snapshot.read (Buffer.contents buf1) 0 in
-  Alcotest.(check string) "v1 of the same db agrees" (pp_db db) (pp_db db1)
-
-(* A nullary row takes no bytes, so a stream may end right after its
-   row count. *)
-let test_snapshot_nullary_last () =
-  let db = db_of_source "p(1). flag." in
-  List.iter
-    (fun (what, write) ->
-      let buf = Buffer.create 64 in
-      write buf db;
-      Alcotest.(check string) what (pp_db db) (pp_db (fst (Db_snapshot.read (Buffer.contents buf) 0))))
-    [ ("v2", Db_snapshot.write); ("v1", Db_snapshot.write_v1) ]
-
-(* A cell blob that decodes to a bad store must be refused, not
-   restored: [e] is 1100 rows of 2 cells, written last, so its blob is
-   the stream's tail. *)
-let corrupt_blob edit =
-  let db = Database.create () in
-  let e = Database.relation db "e" 2 in
-  for i = 0 to 1099 do
-    ignore (Relation.add_ints e [| i; i + 1 |])
-  done;
-  let buf = Buffer.create 4096 in
-  Db_snapshot.write buf db;
-  let s = Bytes.of_string (Buffer.contents buf) in
-  edit s (Bytes.length s - (1100 * 16));
-  match Db_snapshot.read (Bytes.to_string s) 0 with
-  | exception Db_snapshot.Corrupt _ -> ()
-  | db', _ ->
-    Alcotest.failf "restored %d facts from a corrupt blob"
-      (Relation.cardinal (Database.relation db' "e" 2))
-
-let test_blob_duplicate_row () =
-  corrupt_blob (fun s blob -> Bytes.blit s blob s (blob + (1099 * 16)) 16)
-
-let test_blob_wide_int () =
-  (* the top two bits of an i64 cell disagree: no 63-bit int *)
-  corrupt_blob (fun s blob -> Bytes.set_int64_be s blob 0x4000_0000_0000_0000L);
-  (* fits in 63 bits, but -2^61 is outside the inline cell range *)
-  corrupt_blob (fun s blob -> Bytes.set_int64_be s blob (Int64.shift_left (-1L) 62))
-
 (* Streams written by an older build must keep restoring.  The two
-   fixtures under [snapshots/] hold the {!Db_snapshot.write} (v2) and
-   {!Db_snapshot.write_v1} encodings of [fixture_db], as written by the
-   build that still kept a boxed store beside the flat one: [big] went
+   fixtures under [snapshots/] hold the v2 and the legacy v1 encodings
+   of [fixture_db], as written by the build that still kept a boxed
+   store beside the flat one and a v1 writer beside the v2 one: [big] went
    out as a repr-1 cell blob, every other relation as repr-0 tagged
    rows.  Both must restore to the pinned rendering and digest, which
    a fresh [fixture_db] must also reproduce. *)
@@ -509,6 +436,106 @@ let read_hex path =
   close_in ic;
   let hex = String.concat "" (String.split_on_char '\n' text) in
   String.init (String.length hex / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2)))
+
+let pinned file = fst (Db_snapshot.read (read_hex (Filename.concat "snapshots" file)) 0)
+
+(* A version 1 stream (the format written before cell blobs; a data
+   dir may still hold one) must still restore byte-identically.  The
+   pinned one holds symbols, strings, terms, wide ints and a nullary
+   fact. *)
+let test_snapshot_v1_compat () =
+  Alcotest.(check string) "v1 restores byte-identically" (pp_db (fixture_db ()))
+    (pp_db (pinned "parent_v1.hex"))
+
+let live_cells rel = Array.sub (Relation.cells rel) 0 (Relation.cardinal rel * Relation.arity rel)
+
+let test_snapshot_v2_flat_roundtrip () =
+  let db = db_of_source "mixed(a, 1). mixed(b, 2). words(\"x\", t(1))." in
+  let rel = Database.relation db "big" 3 in
+  for i = 0 to 2_000 do
+    ignore (Relation.add_ints rel [| i; i * 2; -i |])
+  done;
+  let buf = Buffer.create 256 in
+  Db_snapshot.write buf db;
+  let db', _ = Db_snapshot.read (Buffer.contents buf) 0 in
+  Alcotest.(check string) "v2 restores byte-identically" (pp_db db) (pp_db db');
+  List.iter
+    (fun (p, w) ->
+      Alcotest.(check (array int))
+        (p ^ " restored cell for cell")
+        (live_cells (Database.relation db p w))
+        (live_cells (Database.relation db' p w)))
+    [ ("big", 3); ("mixed", 2); ("words", 2) ];
+  (* The pinned v1 and v2 streams of one database — [big] a cell blob
+     in one, tagged rows in the other — restore cell for cell alike. *)
+  let v1 = pinned "parent_v1.hex" and v2 = pinned "parent_v2.hex" in
+  List.iter
+    (fun (p, w) ->
+      Alcotest.(check (array int))
+        (p ^ ": v1 restores the cells v2 does")
+        (live_cells (Database.relation v2 p w))
+        (live_cells (Database.relation v1 p w)))
+    [ ("flag", 0); ("big", 1); ("small", 2); ("terms", 3) ]
+
+(* A nullary row takes no bytes, so a stream may end right after its
+   row count.  The v1 stream is built by hand: no symbols, two
+   predicates, [p] with one tagged int row, then [flag] with its row
+   count and nothing after it. *)
+let test_snapshot_nullary_last () =
+  let db = db_of_source "p(1). flag." in
+  let v2 = Buffer.create 64 in
+  Db_snapshot.write v2 db;
+  let v1 = Buffer.create 64 in
+  let u32 n = Buffer.add_int32_be v1 (Int32.of_int n) in
+  let name s =
+    u32 (String.length s);
+    Buffer.add_string v1 s
+  in
+  u32 0;
+  u32 2;
+  name "p";
+  u32 1;
+  u32 1;
+  Buffer.add_uint8 v1 0;
+  Buffer.add_int64_be v1 1L;
+  name "flag";
+  u32 0;
+  u32 1;
+  List.iter
+    (fun (what, buf) ->
+      let s = Buffer.contents buf in
+      let db', stop = Db_snapshot.read s 0 in
+      Alcotest.(check string) what (pp_db db) (pp_db db');
+      Alcotest.(check int) (what ^ ": consumed the whole stream") (String.length s) stop)
+    [ ("v2", v2); ("v1", v1) ]
+
+(* A cell blob that decodes to a bad store must be refused, not
+   restored: [e] is 1100 rows of 2 cells, written last, so its blob is
+   the stream's tail. *)
+let corrupt_blob edit =
+  let db = Database.create () in
+  let e = Database.relation db "e" 2 in
+  for i = 0 to 1099 do
+    ignore (Relation.add_ints e [| i; i + 1 |])
+  done;
+  let buf = Buffer.create 4096 in
+  Db_snapshot.write buf db;
+  let s = Bytes.of_string (Buffer.contents buf) in
+  edit s (Bytes.length s - (1100 * 16));
+  match Db_snapshot.read (Bytes.to_string s) 0 with
+  | exception Db_snapshot.Corrupt _ -> ()
+  | db', _ ->
+    Alcotest.failf "restored %d facts from a corrupt blob"
+      (Relation.cardinal (Database.relation db' "e" 2))
+
+let test_blob_duplicate_row () =
+  corrupt_blob (fun s blob -> Bytes.blit s blob s (blob + (1099 * 16)) 16)
+
+let test_blob_wide_int () =
+  (* the top two bits of an i64 cell disagree: no 63-bit int *)
+  corrupt_blob (fun s blob -> Bytes.set_int64_be s blob 0x4000_0000_0000_0000L);
+  (* fits in 63 bits, but -2^61 is outside the inline cell range *)
+  corrupt_blob (fun s blob -> Bytes.set_int64_be s blob (Int64.shift_left (-1L) 62))
 
 let test_snapshot_fixtures () =
   let check what db =

@@ -87,6 +87,11 @@ let run_req =
 let assert_req text = Protocol.Assert_facts { text; id = None }
 let retract_req text = Protocol.Retract_facts { text; id = None }
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* single-shot reference output, same rendering as the server's *)
 let local_model name =
   Format.asprintf "%a" Database.pp (Stage_engine.model (Parser.parse_program (source name)))
@@ -151,11 +156,6 @@ let test_session_isolation () =
                | _ -> Alcotest.fail "assert in session 2");
               let _, m1, _ = expect_model (Client.rpc c1 run_req) in
               let _, m2, _ = expect_model (Client.rpc c2 run_req) in
-              let contains s sub =
-                let n = String.length sub in
-                let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-                go 0
-              in
               Alcotest.(check bool) "s1 sees its own fact" true (contains m1 "path(1, 31)");
               Alcotest.(check bool) "s1 does not see s2's fact" false (contains m1 "path(1, 32)");
               Alcotest.(check bool) "s2 sees its own fact" true (contains m2 "path(1, 32)");
@@ -293,11 +293,6 @@ let test_stats () =
           let _ = Client.rpc c Protocol.Ping in
           match Client.rpc c Protocol.Stats with
           | Protocol.Stats_json json ->
-            let contains s sub =
-              let n = String.length sub in
-              let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-              go 0
-            in
             Alcotest.(check bool) "has requests" true (contains json "\"requests\"");
             Alcotest.(check bool) "has cache" true (contains json "\"cache\"");
             Alcotest.(check bool) "has session" true (contains json "\"session\"")
@@ -503,7 +498,7 @@ let test_jobs_request_same_model () =
                 expected text)))
     [ 1; 4 ]
 
-(* ---------------- pipelining (protocol v2) ---------------- *)
+(* ---------------- pipelining ---------------- *)
 
 let with_pipeline path f =
   let r = Client.resilient (Client.Uds path) in
@@ -521,7 +516,6 @@ let test_pipeline_byte_identity () =
               let rid_load = Client.Pipeline.submit p (Protocol.Load (source name)) in
               let rid_run = Client.Pipeline.submit p run_req in
               let replies = Client.Pipeline.drain p in
-              Alcotest.(check bool) "negotiated v2" true (Client.Pipeline.v2 p);
               (match List.assoc rid_load replies with
               | Protocol.Loaded _ -> ()
               | _ -> Alcotest.fail (name ^ ": expected Loaded"));
@@ -580,80 +574,142 @@ let test_pipeline_stats () =
             Alcotest.(check bool) "queue-wait p99 sane" true (int_field json "p99_us" >= 0)
           | _ -> Alcotest.fail "expected Stats_json"))
 
-(* Against a v1-only server — emulated here: it answers attach and
-   ping but treats the hello tag as a protocol violation and hangs up —
-   the pipeline falls back to bare framing on a fresh connection and
-   keeps working, FIFO. *)
-let test_pipeline_v1_fallback () =
-  incr sock_counter;
-  let path = Printf.sprintf "gbcd_v1_%d_%d.sock" (Unix.getpid ()) !sock_counter in
-  (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
-  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind lfd (Unix.ADDR_UNIX path);
-  Unix.listen lfd 8;
-  let stop = Atomic.make false in
-  let serve_conn fd =
-    let buf = Buffer.create 64 in
+(* ---------------- bare frames ---------------- *)
+
+(* Every client in this tree sends envelopes, but a blocking client
+   without ids (the perfbench driver is one) writes bare frames.  These
+   cases speak raw bytes — [Protocol.encode_request] out,
+   [Protocol.extract_frame] in — to gbcd directly and through an
+   in-process router in front of it. *)
+
+let routed f =
+  with_server (fun backend ->
+      incr sock_counter;
+      let path = Printf.sprintf "gbcr_test_%d_%d.sock" (Unix.getpid ()) !sock_counter in
+      let cfg =
+        { Router.default_config with
+          port = None;
+          unix_path = Some path;
+          backends = [ Client.Uds backend ] }
+      in
+      match Router.create cfg with
+      | Error msg -> Alcotest.fail ("router create: " ^ msg)
+      | Ok rt ->
+        let runner = Domain.spawn (fun () -> Router.run rt) in
+        Fun.protect
+          ~finally:(fun () ->
+            Router.shutdown rt;
+            Domain.join runner;
+            (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ()))
+          (fun () -> f path))
+
+type raw = { fd : Unix.file_descr; pending : Buffer.t }
+
+let with_raw path f =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+      f { fd; pending = Buffer.create 256 })
+
+let raw_write raw frames =
+  let bytes = String.concat "" frames in
+  let rec go off =
+    if off < String.length bytes then
+      go (off + Unix.write_substring raw.fd bytes off (String.length bytes - off))
+  in
+  go 0
+
+(* The next reply: [None] when it came back bare, else its envelope id. *)
+let rec raw_read raw =
+  match Protocol.extract_frame (Buffer.contents raw.pending) 0 with
+  | Protocol.Frame (body, next) ->
+    let rest = Buffer.contents raw.pending in
+    Buffer.clear raw.pending;
+    Buffer.add_string raw.pending (String.sub rest next (String.length rest - next));
+    (match Protocol.decode_response_v2 body with
+    | Ok reply -> reply
+    | Error msg -> Alcotest.fail ("undecodable reply: " ^ msg))
+  | Protocol.Bad_length n -> Alcotest.failf "reply with frame length %d" n
+  | Protocol.Need_more ->
     let chunk = Bytes.create 4096 in
-    let closed = ref false in
-    while not !closed do
-      match Protocol.extract_frame (Buffer.contents buf) 0 with
-      | Protocol.Frame (body, next) ->
-        let rest = Buffer.contents buf in
-        Buffer.clear buf;
-        Buffer.add_string buf (String.sub rest next (String.length rest - next));
-        let reply =
-          match Protocol.decode_request body with
-          | Ok (Protocol.Attach _) -> Protocol.Attached { id = 1 }
-          | Ok Protocol.Ping -> Protocol.Pong
-          | Ok _ | Error _ ->
-            (* an old server does not know hello or envelopes *)
-            closed := true;
-            Protocol.Error { code = Protocol.Protocol_violation; message = "unknown tag" }
-        in
-        let bytes = Protocol.encode_response reply in
-        (try ignore (Unix.write_substring fd bytes 0 (String.length bytes))
-         with Unix.Unix_error _ -> ());
-        if !closed then (try Unix.close fd with Unix.Unix_error _ -> ())
-      | _ -> (
-        match Unix.read fd chunk 0 4096 with
-        | 0 ->
-          closed := true;
-          (try Unix.close fd with Unix.Unix_error _ -> ())
-        | n -> Buffer.add_subbytes buf chunk 0 n
-        | exception Unix.Unix_error _ ->
-          closed := true;
-          (try Unix.close fd with Unix.Unix_error _ -> ()))
-    done
+    let n = Unix.read raw.fd chunk 0 4096 in
+    if n = 0 then Alcotest.fail "connection closed before the reply";
+    Buffer.add_subbytes raw.pending chunk 0 n;
+    raw_read raw
+
+let bare req = Protocol.encode_request req
+
+let test_bare_reply target () =
+  target (fun path ->
+      with_raw path (fun raw ->
+          raw_write raw [ bare Protocol.Ping ];
+          match raw_read raw with
+          | None, Protocol.Pong -> ()
+          | Some _, _ -> Alcotest.fail "a bare request got an enveloped reply"
+          | None, _ -> Alcotest.fail "expected Pong"))
+
+let test_bare_in_order target () =
+  target (fun path ->
+      with_raw path (fun raw ->
+          raw_write raw
+            [ bare Protocol.Ping; bare (Protocol.Load (source "example1.dl")); bare run_req;
+              bare Protocol.Ping ];
+          let got = List.init 4 (fun _ -> raw_read raw) in
+          match got with
+          | [ (None, Protocol.Pong); (None, Protocol.Loaded _); (None, Protocol.Model { text; _ });
+              (None, Protocol.Pong) ] ->
+            Alcotest.(check string) "bare run serves the model" (local_model "example1.dl") text
+          | _ -> Alcotest.fail "bare replies out of order or enveloped"))
+
+(* Behind a slow bare run, a bare ping waits its turn while an
+   enveloped one overtakes. *)
+let test_bare_ping_waits target () =
+  target (fun path ->
+      with_raw path (fun raw ->
+          raw_write raw [ bare (Protocol.Load (source "adversarial_nat.dl")) ];
+          (match raw_read raw with
+          | None, Protocol.Loaded _ -> ()
+          | _ -> Alcotest.fail "expected a bare Loaded");
+          let budget = { Protocol.no_budget with Protocol.timeout_ms = Some 1000 } in
+          raw_write raw
+            [ bare (Protocol.Run { engine = Protocol.Staged; seed = None; preds = None; budget });
+              bare Protocol.Ping;
+              Protocol.encode_request_v2 ~rid:7 Protocol.Ping ];
+          let got = List.init 3 (fun _ -> raw_read raw) in
+          match got with
+          | [ (Some 7, Protocol.Pong); (None, Protocol.Model { complete = false; _ });
+              (None, Protocol.Pong) ] -> ()
+          | _ -> Alcotest.fail "expected enveloped Pong, then the run's Model, then bare Pong"))
+
+(* Tag 0x0b once opened a version handshake; bare or enveloped, it is
+   now an unknown tag and gets a structured refusal. *)
+let test_retired_hello target () =
+  let hello = "\x0b" ^ String.make 7 '\x00' ^ "\x02" in
+  let frame body =
+    let b = Buffer.create 32 in
+    Buffer.add_int32_be b (Int32.of_int (String.length body));
+    Buffer.add_string b body;
+    Buffer.contents b
   in
-  let th =
-    Thread.create
-      (fun () ->
-        while not (Atomic.get stop) do
-          match Unix.accept lfd with
-          | exception Unix.Unix_error _ -> Atomic.set stop true
-          | fd, _ -> serve_conn fd
-        done)
-      ()
-  in
-  let r = Client.resilient ~retries:2 (Client.Uds path) in
-  let p = Client.Pipeline.create r in
-  let rid = Client.Pipeline.submit p Protocol.Ping in
-  let rid', resp = Client.Pipeline.await p in
-  Alcotest.(check int) "bare reply matched FIFO to its id" rid rid';
-  (match resp with
-  | Protocol.Pong -> ()
-  | _ -> Alcotest.fail "expected Pong");
-  Alcotest.(check bool) "fell back to v1 framing" false (Client.Pipeline.v2 p);
-  Client.Pipeline.close p;
-  Atomic.set stop true;
-  (* a throwaway connection unblocks the accept loop *)
-  (let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-   (try Unix.connect fd (Unix.ADDR_UNIX path) with Unix.Unix_error _ -> ());
-   try Unix.close fd with Unix.Unix_error _ -> ());
-  Thread.join th;
-  (try Unix.close lfd with Unix.Unix_error _ -> ());
-  try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ()
+  target (fun path ->
+      List.iter
+        (fun (what, body) ->
+          with_raw path (fun raw ->
+              raw_write raw [ frame body ];
+              match raw_read raw with
+              | None, Protocol.Error { code = Protocol.Protocol_violation; message } ->
+                Alcotest.(check bool) (what ^ ": message names the tag") true
+                  (contains message "0x0b")
+              | _ -> Alcotest.fail (what ^ ": expected a bare protocol-violation")))
+        [ ("bare", hello); ("enveloped", "\x7f" ^ String.make 8 '\x00' ^ hello) ];
+      (* the daemon behind is unaffected *)
+      with_conn path (fun c ->
+          match Client.rpc c Protocol.Ping with
+          | Protocol.Pong -> ()
+          | _ -> Alcotest.fail "expected Pong after the refusals"))
 
 (* ---------------- shutdown ---------------- *)
 
@@ -774,8 +830,19 @@ let () =
             test_pipeline_byte_identity;
           Alcotest.test_case "enveloped ping overtakes a running eval" `Quick
             test_pipeline_out_of_order;
-          Alcotest.test_case "depth and queue-wait in stats" `Quick test_pipeline_stats;
-          Alcotest.test_case "v1 fallback keeps working" `Quick test_pipeline_v1_fallback ] );
+          Alcotest.test_case "depth and queue-wait in stats" `Quick test_pipeline_stats ] );
+      ( "bare-frames",
+        List.concat_map
+          (fun (where, target) ->
+            [ Alcotest.test_case (where ^ ": bare request, bare reply") `Quick
+                (test_bare_reply target);
+              Alcotest.test_case (where ^ ": back-to-back bare requests in order") `Quick
+                (test_bare_in_order target);
+              Alcotest.test_case (where ^ ": bare ping waits behind bare run") `Quick
+                (test_bare_ping_waits target);
+              Alcotest.test_case (where ^ ": retired hello tag refused") `Quick
+                (test_retired_hello target) ])
+          [ ("direct", fun f -> with_server f); ("routed", routed) ] );
       ( "lifecycle",
         [ Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
           Alcotest.test_case "8 sessions x 13 exemplars x 4 workers" `Slow
