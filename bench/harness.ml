@@ -82,7 +82,10 @@ let table ~title ~header rows =
   print_endline rule
 
 let sec t = Printf.sprintf "%.4f" t
-let ratio a b = if b = 0.0 then "-" else Printf.sprintf (if a < b then "%.2fx" else "%.1fx") (a /. b)
+let ratio a b =
+  if a = 0.0 || b = 0.0 then "-"
+  else if a < b then Printf.sprintf "1/%.1fx" (b /. a)
+  else Printf.sprintf "%.1fx" (a /. b)
 let slope s = if Float.is_nan s then "-" else Printf.sprintf "%.2f" s
 
 (* ---- JSON: a hand-rolled emitter (no JSON dependency in the image)

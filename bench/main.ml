@@ -657,19 +657,17 @@ let e18 =
 (* The worst p50 and p99 queue wait (µs from frame parse to worker
    dequeue) over the servers at [socks], from their stats. *)
 let queue_wait socks =
-  let field json k =
-    match parse_json json with
-    | Ok (Obj top) -> (
-      match List.assoc_opt "queue_wait" top with
-      | Some (Obj q) -> ( match List.assoc_opt k q with Some (Num f) -> int_of_float f | _ -> 0)
-      | _ -> 0)
+  let stat json k =
+    let field k = function Some (Obj fs) -> List.assoc_opt k fs | _ -> None in
+    match field k (field "queue_wait" (field "server" (Result.to_option (parse_json json)))) with
+    | Some (Num f) -> int_of_float f
     | _ -> 0
   in
   List.fold_left
     (fun (p50, p99) sock ->
       let c = connect sock 100 in
       match Fun.protect ~finally:(fun () -> Client.close c) (fun () -> Client.rpc c Protocol.Stats) with
-      | Protocol.Stats_json json -> (max p50 (field json "p50_us"), max p99 (field json "p99_us"))
+      | Protocol.Stats_json json -> (max p50 (stat json "p50_us"), max p99 (stat json "p99_us"))
       | _ -> (p50, p99))
     (0, 0) socks
 
