@@ -81,7 +81,6 @@ let table ~title ~header rows =
   List.iter (fun row -> print_endline (render row)) rows;
   print_endline rule
 
-let sec t = Printf.sprintf "%.4f" t
 let ratio a b =
   if a = 0.0 || b = 0.0 then "-"
   else if a < b then Printf.sprintf "1/%.1fx" (b /. a)

@@ -41,7 +41,7 @@ let in_work name = Filename.concat work name
 (* Counter snapshot for a BENCH point: the program once more on the
    staged engine with telemetry on (the timed runs stay
    uninstrumented); none for programs outside its class. *)
-let program to_prog input =
+let staged_counters to_prog input =
   let telemetry = Telemetry.create () in
   match Stage_engine.run ~telemetry (to_prog input) with
   | _ -> Telemetry.totals telemetry
@@ -93,7 +93,7 @@ let e1 =
     ~timed:[ ("staged", fun g -> Prim.run Runner.Staged g); ("procedural", fun g -> Prim.procedural g) ]
     ~oracle:(mst_ok (fun r -> r.Prim.weight))
     ~extra:(fun g _ -> [ ("e", int_of_float (edges g)) ])
-    ~counters:(program (Prim.program ~root:0)) ~gates:[ slope_band "C1" 0.75 1.6 ] ()
+    ~counters:(staged_counters (Prim.program ~root:0)) ~gates:[ slope_band "C1" 0.75 1.6 ] ()
 
 let e2 =
   sweep ~name:"E2" ~title:"Sorting (paper claim C2: O(n log n), a heap-sort, not insertion)"
@@ -103,7 +103,7 @@ let e2 =
       [ ("staged", Sorting.run Runner.Staged); ("heap-sort", Sorting.procedural);
         ("List.sort", List.sort (fun (_, a) (_, b) -> compare a b)) ]
     ~oracle:(fun items outs -> List.for_all (Sorting.is_sorted_permutation ~input:items) outs)
-    ~counters:(program Sorting.program) ~gates:[ slope_band "C2" 0.8 1.55 ] ()
+    ~counters:(staged_counters Sorting.program) ~gates:[ slope_band "C2" 0.8 1.55 ] ()
 
 let e3 =
   sweep ~name:"E3" ~title:"Greedy matching (paper claim C3: O(e log e), Q holds all e arcs)"
@@ -112,7 +112,7 @@ let e3 =
     ~timed:[ ("staged", Matching.run Runner.Staged); ("procedural", Matching.procedural) ]
     ~oracle:(fun _ -> all_equal (fun r -> r.Matching.arcs))
     ~extra:(fun _ rs -> [ ("matched", List.length (List.hd rs).Matching.arcs) ])
-    ~counters:(program Matching.program) ~gates:[ slope_band "C3" 0.7 1.6 ] ()
+    ~counters:(staged_counters Matching.program) ~gates:[ slope_band "C3" 0.7 1.6 ] ()
 
 let e4 =
   sweep ~name:"E4"
@@ -125,7 +125,7 @@ let e4 =
         ("uf-no-rank", Kruskal.procedural ~by_rank:false) ]
     ~oracle:(mst_ok (fun r -> r.Kruskal.weight))
     ~extra:(fun g _ -> [ ("e", int_of_float (edges g)) ])
-    ~counters:(program Kruskal.program) ~gates:[ slope_band "C4" 1.5 2.6 ] ()
+    ~counters:(staged_counters Kruskal.program) ~gates:[ slope_band "C4" 1.5 2.6 ] ()
 
 (* ---- Worked examples at scale, the compile-time class, extensions ---- *)
 
@@ -136,7 +136,7 @@ let e5 =
     ~timed:[ ("staged", Tsp.run Runner.Staged); ("procedural", Tsp.procedural) ]
     ~oracle:(fun g rs -> Tsp.is_hamiltonian_path g (List.hd rs) && all_equal (fun r -> r.Tsp.chain) rs)
     ~extra:(fun g rs -> [ ("e", int_of_float (edges g)); ("chain cost", (List.hd rs).Tsp.cost) ])
-    ~counters:(program Tsp.program) ()
+    ~counters:(staged_counters Tsp.program) ()
 
 let e6 =
   sweep ~name:"E6"
@@ -148,7 +148,7 @@ let e6 =
         ("two-queue", Huffman.procedural_cost) ]
     ~oracle:(fun _ -> all_equal Fun.id)
     ~extra:(fun _ costs -> [ ("tree cost", List.hd costs) ])
-    ~counters:(program Huffman.program) ()
+    ~counters:(staged_counters Huffman.program) ()
 
 let e7 =
   sweep ~name:"E7" ~title:"Choice fixpoint throughput (Example 1, random bipartite takes)"
@@ -162,7 +162,7 @@ let e7 =
       [ ("assigned", List.length (Database.facts_of db "a_st"));
         ("gamma steps", stats.Choice_fixpoint.gamma_steps);
         ("candidates", stats.Choice_fixpoint.candidates_examined) ])
-    ~counters:(program Fun.id) ()
+    ~counters:(staged_counters Fun.id) ()
 
 let e8 =
   listing ~name:"E8" ~title:"Theorem 1: produced models are stable models of the rewriting"
@@ -219,7 +219,7 @@ let e10 =
     ~oracle:(fun (_, jobs) -> function
       | [ d; p; s ] -> d = p && s = `Jobs (Scheduling.procedural jobs)
       | _ -> false)
-    ~counters:(program (fun (g, _) -> Dijkstra.program ~root:0 g)) ()
+    ~counters:(staged_counters (fun (g, _) -> Dijkstra.program ~root:0 g)) ()
 
 let e11 =
   sweep ~name:"E11"
@@ -256,7 +256,7 @@ let e12 =
       | [ `Cover vc; `Sets sc ] ->
         [ ("cover size", List.length vc.Vertex_cover.cover); ("sets picked", List.length sc) ]
       | _ -> [])
-    ~counters:(program (fun (g, _) -> Vertex_cover.program g)) ()
+    ~counters:(staged_counters (fun (g, _) -> Vertex_cover.program g)) ()
 
 (* Non-terminating programs under a max-facts budget: every governed
    run must come back Partial.  The values are deep [s(...)] chains,
@@ -462,7 +462,12 @@ let e17 =
       (* [k] timings of [f], sorted; [untimed] runs after each *)
       let samples ?(untimed = ignore) s k f =
         ignore (run s);
-        let a = Array.init k (fun k -> snd (time (fun () -> f k)) |> fun t -> untimed (); t) in
+        let sample k =
+          let (), t = time (fun () -> f k) in
+          untimed ();
+          t
+        in
+        let a = Array.init k sample in
         Array.sort compare a;
         a
       in
@@ -497,7 +502,8 @@ let e17 =
       (* from scratch: a fresh session's first run (the load is a cache hit) *)
       let model, t_full = time ~repeat:2 (fun () -> run (session ())) in
       let s = session () in
-      let inc = asserts s and ret = retracts (session ()) in
+      let inc = asserts s in
+      let ret = retracts (session ()) in
       let on_disk f =
         rm_rf dir;
         match Durable.create ~fsync:(Wal.Batch 16) ~snapshot_every:64 dir with
@@ -506,7 +512,8 @@ let e17 =
           let d = session ~durable:d () in
           Fun.protect ~finally:(fun () -> Session.discard d) (fun () -> median (f d))
       in
-      let t_dur = on_disk asserts and t_dur_ret = on_disk retracts in
+      let t_dur = on_disk asserts in
+      let t_dur_ret = on_disk retracts in
       let durable_x = t_dur /. median inc in
       if n = 512 then
         verdicts := [ at_most "E17 durable/ephemeral" ~limit:3.0 "durable/ephemeral assert median" durable_x ];
@@ -901,7 +908,7 @@ let a1 =
     ~timed:
       [ ("staged", fun g -> Prim.run Runner.Staged g); ("reference", fun g -> Prim.run Runner.Reference g) ]
     ~oracle:(mst_ok (fun r -> r.Prim.weight))
-    ~counters:(program (Prim.program ~root:0)) ~gates:[ ratio_at_least "A1" "reference" 10.0 ] ()
+    ~counters:(staged_counters (Prim.program ~root:0)) ~gates:[ ratio_at_least "A1" "reference" 10.0 ] ()
 
 (* A2: r-congruence shadowing keeps one candidate per class, at
    identical output; its queue high-water mark must be below the
@@ -919,7 +926,7 @@ let a2 =
         [ ("max queue auto", a.Stage_engine.max_queue); ("max queue off", o.Stage_engine.max_queue);
           ("shadowed", a.Stage_engine.shadowed); ("stale pops", a.Stage_engine.stale) ]
       | _ -> [])
-    ~counters:(program Fun.id)
+    ~counters:(staged_counters Fun.id)
     ~gates:
       [ (fun ps ->
           let pair p = Printf.sprintf "%d vs %d at n=%d" (queue "auto" p) (queue "off" p) p.n in
