@@ -49,7 +49,6 @@ let clients n f =
   let (), wall = time (fun () -> List.iter Thread.join (List.init n (Thread.create client))) in
   (wall, !all)
 
-
 (* Peak major-heap size since program start, in words: the resident
    footprint recorded next to minor words per fact.  [Gc.quick_stat]
    reads it without forcing a collection. *)
@@ -85,6 +84,7 @@ let ratio a b =
   if a = 0.0 || b = 0.0 then "-"
   else if a < b then Printf.sprintf "1/%.1fx" (b /. a)
   else Printf.sprintf "%.1fx" (a /. b)
+
 let slope s = if Float.is_nan s then "-" else Printf.sprintf "%.2f" s
 
 (* ---- JSON: a hand-rolled emitter (no JSON dependency in the image)
