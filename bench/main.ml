@@ -140,7 +140,7 @@ let e5 =
 
 let e6 =
   sweep ~name:"E6"
-    ~title:"Huffman trees (engine Theta(n^2): quadratic feasible relation; two-queue O(n log n); equal costs)"
+    ~title:"Huffman trees (engine Theta(n^2), two-queue O(n log n); equal optimal costs)"
     ~sizes:(sizes ([ 32 ], [ 32; 64; 128; 256 ]))
     ~input:(fun n -> Text_gen.zipf ~seed:(600 + n) ~letters:n)
     ~timed:
@@ -223,7 +223,7 @@ let e10 =
 
 let e11 =
   sweep ~name:"E11"
-    ~title:"Magic sets: point query tc(n-5, X) on an n-chain, goal-directed vs full (substrate, not a claim)"
+    ~title:"Magic sets: query tc(n-5, X) on an n-chain, goal-directed vs full evaluation"
     ~sizes:(sizes ([ 100 ], [ 100; 200; 400; 800 ]))
     ~input:(fun n ->
       ( List.init n (fun i -> Ast.fact "e" [ Value.Int i; Value.Int (i + 1) ])
@@ -276,7 +276,7 @@ let e13 =
       (fun l -> partial (Stage_engine.run_governed ~limits:l choice)) ]
   in
   let governed b = List.length (List.filter (fun run -> run (Limits.create ~max_facts:b ())) runs) in
-  sweep ~name:"E13" ~title:"Resource governor: non-terminating programs under a max-facts budget stop Partial"
+  sweep ~name:"E13" ~title:"Governor: non-terminating programs stop Partial under a max-facts budget"
     ~xname:"max_facts" ~sizes:(sizes ([ 500 ], [ 500; 1_000; 2_000 ])) ~input:Fun.id
     ~timed:[ ("governed", governed) ]
     ~oracle:(fun _ counts -> counts = [ List.length runs ])
@@ -625,7 +625,7 @@ let e18 =
     let rps_off, reqs, errs_off, _ = serve "e18_off" in
     let rps_on, _, errs_on, wall_on = serve ~data_dir:(in_work "e18.data") "e18_on" in
     let overhead = (rps_off -. rps_on) /. rps_off *. 100.0 in
-    report ~exp:"E18" ~title:"WAL overhead: 13 exemplars as Load + Assert + Run (n sessions, 4 workers, fsync 16)"
+    report ~exp:"E18" ~title:"WAL overhead: 13 exemplars, Load + Assert + Run (n sessions, 4 workers)"
       [ ( sessions, wall_on, wall_on,
           [ ("requests", reqs); ("errors", errs_off + errs_on); ("workers", 4);
             ("rps_wal_off", int_of_float rps_off); ("rps_wal_on", int_of_float rps_on);
@@ -816,7 +816,7 @@ let e19 =
       if n = 0 then 0 else us a.(min (n - 1) (int_of_float (p *. float_of_int n)))
     in
     let wall = fst blk +. fst pip in
-    report ~exp:"E19" ~title:"Scale-out serving via gbc-router (2 backends x 2 workers), blocking vs pipelined"
+    report ~exp:"E19" ~title:"gbc-router over 2 backends x 2 workers: blocking vs pipelined clients"
       [ ( sessions, wall, wall,
           [ ("requests", List.length lats_b + List.length lats_p); ("errors", errors); ("backends", backends_n);
             ("generators", gens); ("inflight_cap", inflight_cap); ("blocking_rps", int_of_float rps_b);
@@ -862,7 +862,7 @@ let e20 =
           ("top_heap_words", top_heap_words ()) ] )
     in
     report ~exp:"E20" ~labels:("corpus", [ "prim"; "kruskal"; "dijkstra" ])
-      ~title:(Printf.sprintf "Bulk loads (%d-node/%d-edge power-law, %dx%d road); n = facts" nodes edges grid grid)
+      ~title:(Printf.sprintf "Bulk loads (%d/%d power-law, %dx%d road); n = facts" nodes edges grid grid)
       (List.map load
          [ (lazy (Graph_gen.power_law ~seed ~nodes ~edges), false);
            (lazy (Graph_gen.road_network ~seed ~width:grid ~height:grid), false);
@@ -874,7 +874,7 @@ let e20 =
     let (db2, _), t_restore = time ~repeat:2 (fun () -> Db_snapshot.read snap 0) in
     if Database.cardinal db2 <> facts then failwith "snapshot round-trip lost facts";
     let _, t_fork = time ~repeat:2 (fun () -> Database.copy db) in
-    report ~exp:"E20" ~title:"Snapshot round-trip of the Dijkstra base (v2 cell blobs), and the session fork"
+    report ~exp:"E20" ~title:"Snapshot round-trip of the Dijkstra base, and the session fork"
       [ ( facts, t_restore, t_restore,
           [ ("seed", seed); ("snapshot_v2_bytes", String.length snap); ("restore_v2_us", us t_restore);
             ("fork_us", us t_fork); ("top_heap_words", top_heap_words ()) ] ) ];
@@ -938,7 +938,7 @@ let a2 =
    recursion one must enumerate choice models and filter afterwards -
    exponentially many; with least inside, one greedy run suffices. *)
 let a3 =
-  sweep ~name:"A3" ~title:"Ablation: least inside the clique (one run) vs enumerating choice models to filter"
+  sweep ~name:"A3" ~title:"Ablation: least inside the clique vs enumerating choice models"
     ~xname:"arcs" ~sizes:(sizes ([ 3 ], [ 3; 4; 5; 6 ]))
     ~input:(fun n ->
       let arc (x, y, c) = Ast.fact "g" [ Value.Int x; Value.Int y; Value.Int c ] in
