@@ -243,16 +243,27 @@ let report ?labels ~exp ~title points =
     ~header:(label (-1) @ ("n" :: List.map fst first))
     (List.mapi (fun i (n, _, _, cs) -> label i @ List.map string_of_int (n :: List.map snd cs)) points)
 
-(* The commit the numbers were measured at ("-dirty" when the tree had
-   uncommitted changes), or "unknown" outside a git checkout. *)
+(* The commit the numbers were measured at, or "unknown" outside a git
+   checkout; "-dirty" when a tracked file other than the checked-in
+   BENCH files has uncommitted changes, since a full-scale run rewrites
+   those and a second one would otherwise record its own predecessor's
+   output as a source change.  Read once, before any entry runs. *)
 let git_rev =
-  lazy
-    (match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
-     | exception Unix.Unix_error _ -> "unknown"
-     | ic ->
-       let rev = try input_line ic with End_of_file -> "" in
-       ignore (Unix.close_process_in ic);
-       if rev = "" then "unknown" else rev)
+  let first_line cmd =
+    match Unix.open_process_in (cmd ^ " 2>/dev/null") with
+    | exception Unix.Unix_error _ -> ""
+    | ic ->
+      let line = try input_line ic with End_of_file -> "" in
+      ignore (Unix.close_process_in ic);
+      line
+  in
+  match first_line "git describe --always" with
+  | "" -> "unknown"
+  | rev ->
+    let changed =
+      first_line "git status --porcelain --untracked-files=no -- ':(top,exclude)BENCH_*.json'"
+    in
+    if changed = "" then rev else rev ^ "-dirty"
 
 (* Writes every recorded experiment into [dir]; returns the paths. *)
 let flush_bench ~dir =
@@ -265,7 +276,7 @@ let flush_bench ~dir =
       in
       let doc =
         Obj
-          [ ("experiment", Str exp); ("git_rev", Str (Lazy.force git_rev));
+          [ ("experiment", Str exp); ("git_rev", Str git_rev);
             (* the host's parallelism: scaling (E16) and latency (E17-E19)
                points mean nothing without it *)
             ("recommended_domain_count", Num (float_of_int (Domain.recommended_domain_count ())));

@@ -160,7 +160,6 @@ let serve_fleet host port no_tcp unix_path workers default_timeout max_facts max
     { Gbc.Router.host;
       port = (if no_tcp then None else Some port);
       unix_path;
-      backlog = 64;
       backends = List.init fleet (fun i -> Gbc.Client.Uds (sock i));
       vnodes = 100;
       max_frame;
@@ -203,7 +202,6 @@ let serve host port no_tcp unix_path workers default_timeout max_facts max_steps
     { Gbc.Server.host;
       port = (if no_tcp then None else Some port);
       unix_path;
-      backlog = 64;
       workers = max 1 workers;
       default_timeout_s = (if default_timeout > 0.0 then Some default_timeout else None);
       max_facts;

@@ -73,7 +73,6 @@ let route host port no_tcp unix_path backends vnodes max_frame connect_timeout =
     { Gbc.Router.host;
       port = (if no_tcp then None else Some port);
       unix_path;
-      backlog = 64;
       backends;
       vnodes = max 1 vnodes;
       max_frame;

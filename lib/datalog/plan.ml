@@ -245,19 +245,6 @@ let pp ppf t =
       end)
     t.rules
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
   let b = Buffer.create 1024 in
   Buffer.add_string b
@@ -268,14 +255,14 @@ let to_json t =
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b
         (Printf.sprintf "{\"rule\": \"%s\", \"reordered\": %b, \"joins\": ["
-           (escape rp.rp_label) rp.rp_reordered);
+           (Telemetry.json_escape rp.rp_label) rp.rp_reordered);
       List.iteri
         (fun k lc ->
           if k > 0 then Buffer.add_string b ", ";
           Buffer.add_string b
             (Printf.sprintf
                "{\"literal\": \"%s\", \"source_position\": %d, \"card\": %.1f, \"cost\": %.1f}"
-               (escape (lit_to_string lc.lp_lit)) lc.lp_index lc.lp_card lc.lp_cost))
+               (Telemetry.json_escape (lit_to_string lc.lp_lit)) lc.lp_index lc.lp_card lc.lp_cost))
         rp.rp_lits;
       Buffer.add_string b "]}")
     (List.filter (fun rp -> rp.rp_lits <> []) t.rules);

@@ -94,3 +94,7 @@ val pp : Format.formatter -> t -> unit
 val to_json : t -> string
 (** The counter snapshot as a self-contained JSON object; the schema is
     documented in docs/INTERNALS.md. *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal: quote, backslash, newline, tab
+    and CR escaped by name, other control bytes as [\u00XX]. *)

@@ -36,25 +36,9 @@ type endpoint = Tcp of { host : string; port : int } | Uds of string
 
 let connect_fd ?(max_frame = Protocol.max_frame_default) fd = { fd; inbuf = ""; max_frame; rid = 0 }
 
-(* Bounded connect: non-blocking connect, select for writability, read
-   the socket error back.  Never blocks past [timeout]. *)
-let connect_bounded fd addr timeout =
-  match timeout with
-  | None -> Unix.connect fd addr
-  | Some tmo -> (
-    Unix.set_nonblock fd;
-    (match Unix.connect fd addr with
-    | () -> ()
-    | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> (
-      match Unix.select [] [ fd ] [] tmo with
-      | _, [], _ -> raise Timeout
-      | _ -> (
-        match Unix.getsockopt_error fd with
-        | None -> ()
-        | Some err -> raise (Unix.Unix_error (err, "connect", "")))));
-    Unix.clear_nonblock fd)
-
-let connect ?max_frame ?timeout endpoint =
+(* With a timeout the connect is non-blocking: select for writability,
+   then read the socket error back, never blocking past [timeout]. *)
+let connect_socket ?timeout endpoint =
   let domain, addr =
     match endpoint with
     | Tcp { host; port } ->
@@ -63,13 +47,28 @@ let connect ?max_frame ?timeout endpoint =
     | Uds path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
   in
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  (try connect_bounded fd addr timeout
+  (try
+     match timeout with
+     | None -> Unix.connect fd addr
+     | Some tmo ->
+       Unix.set_nonblock fd;
+       (match Unix.connect fd addr with
+       | () -> ()
+       | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> (
+         match Unix.select [] [ fd ] [] tmo with
+         | _, [], _ -> raise Timeout
+         | _ -> (
+           match Unix.getsockopt_error fd with
+           | None -> ()
+           | Some err -> raise (Unix.Unix_error (err, "connect", "")))));
+       Unix.clear_nonblock fd
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  connect_fd ?max_frame fd
+  fd
 
-let connect_tcp ?max_frame ?timeout ~host ~port () = connect ?max_frame ?timeout (Tcp { host; port })
+let connect ?max_frame ?timeout endpoint = connect_fd ?max_frame (connect_socket ?timeout endpoint)
+
 let connect_unix ?max_frame ?timeout path = connect ?max_frame ?timeout (Uds path)
 
 let set_recv_deadline t = function

@@ -29,7 +29,9 @@ val connect : ?max_frame:int -> ?timeout:float -> endpoint -> t
     non-blocking + select, raising {!Timeout} when the server does not
     accept in time. *)
 
-val connect_tcp : ?max_frame:int -> ?timeout:float -> host:string -> port:int -> unit -> t
+val connect_socket : ?timeout:float -> endpoint -> Unix.file_descr
+(** The connected blocking socket under {!connect}, raising like it. *)
+
 val connect_unix : ?max_frame:int -> ?timeout:float -> string -> t
 
 val connect_fd : ?max_frame:int -> Unix.file_descr -> t

@@ -3,10 +3,10 @@
 
    One single-threaded select loop owns everything: the client
    listeners, every accepted client connection, and one backend link
-   per client connection.  The router never evaluates — it decodes
-   frames only far enough to route and account them, then re-encodes
-   (the codec is canonical, so a forwarded frame is byte-identical to
-   the one received).
+   per client connection, all of them Conn sockets as in gbcd.  The
+   router never evaluates — it decodes frames only far enough to route
+   and account them, then re-encodes (the codec is canonical, so a
+   forwarded frame is byte-identical to the one received).
 
    Placement.  A fresh connection is placed on the ring
    (consistent hash with virtual nodes, keyed by a router-assigned
@@ -20,8 +20,8 @@
 
    Framing.  In-tree clients send envelopes (per-request ids, matched
    by id on the way back); bare frames from blocking clients without
-   ids are forwarded bare and their bare replies matched FIFO, so both
-   keep the daemon's ordering through the proxy.
+   ids are forwarded bare and their bare replies matched FIFO (a
+   count), so both keep the daemon's ordering through the proxy.
 
    The router answers some requests itself, never forwarding them:
    [Stats] (its own JSON: per-backend in-flight/forwarded/reconnects
@@ -30,12 +30,13 @@
    backends are {e not} shut down by the router; whoever spawned the
    fleet owns their lifetime (see [gbc serve --fleet]).
 
-   Backend death.  When a link's read or write fails, every request
-   still in flight on it is answered with a structured [server-error]
-   frame (a pipelined client sees one error per orphaned id and can
-   replay — its session survives on the backend's data dir).  The
-   backend is marked dead; the next request that needs it connects
-   again, and a success after a observed death counts as a reconnect
+   Backend death.  When a link's read or write fails, or the backend
+   sends bytes that do not decode, every request still in flight on it
+   is answered with a structured [server-error] frame, ids ascending,
+   then bare frames (a pipelined client sees one error per orphaned id
+   and can replay — its session survives on the backend's data dir).
+   The backend is marked dead; the next request that needs it connects
+   again, and a success after an observed death counts as a reconnect
    in the stats. *)
 
 module P = Protocol
@@ -90,7 +91,6 @@ type config = {
   host : string;
   port : int option;  (* None: no TCP listener *)
   unix_path : string option;  (* None: no Unix-domain listener *)
-  backlog : int;
   backends : Client.endpoint list;
   vnodes : int;  (* virtual nodes per backend on the ring *)
   max_frame : int;
@@ -101,7 +101,6 @@ let default_config =
   { host = "127.0.0.1";
     port = Some 7412;
     unix_path = None;
-    backlog = 64;
     backends = [];
     vnodes = 100;
     max_frame = P.max_frame_default;
@@ -119,26 +118,18 @@ type backend = {
   mutable b_reconnects : int;  (* successful connects after a death *)
 }
 
-type link = {
-  l_fd : Unix.file_descr;
-  l_idx : int;  (* backend index *)
-  l_in : Buffer.t;  (* unconsumed reply bytes from the backend *)
-  l_out : Buffer.t;  (* frames awaiting forwarding; [l_out_off] written *)
-  mutable l_out_off : int;
-  mutable l_alive : bool;
-}
+(* A connection's link is dropped from it the moment it dies. *)
+type link = { l_ep : Conn.t; l_idx : int (* backend index *) }
 
 type rconn = {
-  c_fd : Unix.file_descr;
+  c_ep : Conn.t;
   c_key : string;  (* ring key for first placement *)
-  c_in : Buffer.t;
-  c_out : Buffer.t;
-  mutable c_out_off : int;
   mutable c_backend : int option;  (* sticky once placed *)
   mutable c_link : link option;
-  mutable c_outstanding : int option list;
-      (* envelope ids of forwarded-unanswered requests, oldest first;
-         [None] entries are bare frames, matched FIFO *)
+  c_ids : (int, unit) Hashtbl.t;
+      (* envelope ids forwarded and not yet answered, one binding per
+         request (a reused id is bound twice) *)
+  mutable c_bare : int;  (* bare frames forwarded and not yet answered; matched FIFO *)
   mutable c_alive : bool;
   mutable c_peer_gone : bool;
   mutable c_close_after_flush : bool;
@@ -146,15 +137,13 @@ type rconn = {
 
 type t = {
   cfg : config;
-  listeners : Unix.file_descr list;
-  tcp_port : int option;
+  listener : Conn.listener;
   backends : backend array;
   idx_of_name : (string, int) Hashtbl.t;
   ring : Ring.t;
   started_at : float;
   draining : bool Atomic.t;
-  pipe_r : Unix.file_descr;
-  pipe_w : Unix.file_descr;
+  wakeup : Conn.wakeup;
   mutable conn_seq : int;
   mutable forwarded_total : int;
   mutable reconnects_total : int;
@@ -170,24 +159,7 @@ let endpoint_name = function
   | Client.Tcp { host; port } -> Printf.sprintf "tcp:%s:%d" host port
   | Client.Uds path -> "unix:" ^ path
 
-let bind_tcp host port backlog =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  let addr = try Unix.inet_addr_of_string host with Failure _ -> failwith ("bad host " ^ host) in
-  Unix.bind fd (Unix.ADDR_INET (addr, port));
-  Unix.listen fd backlog;
-  let actual = match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> port in
-  (fd, actual)
-
-let bind_unix path backlog =
-  if Sys.file_exists path then (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd backlog;
-  fd
-
 let create (cfg : config) =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   match
     if cfg.backends = [] then failwith "no backends configured";
     let backends =
@@ -212,24 +184,15 @@ let create (cfg : config) =
       Ring.create ~vnodes:(max 1 cfg.vnodes)
         (Array.to_list (Array.map (fun b -> b.b_name) backends))
     in
-    let tcp = Option.map (fun p -> bind_tcp cfg.host p cfg.backlog) cfg.port in
-    let uds = Option.map (fun p -> bind_unix p cfg.backlog) cfg.unix_path in
-    let listeners = List.filter_map Fun.id [ Option.map fst tcp; uds ] in
-    if listeners = [] then failwith "no listener configured (need a port or a unix path)";
-    List.iter Unix.set_nonblock listeners;
-    let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
-    Unix.set_nonblock pipe_r;
-    Unix.set_nonblock pipe_w;
+    let listener = Conn.listen ~host:cfg.host ~port:cfg.port ~unix_path:cfg.unix_path in
     { cfg;
-      listeners;
-      tcp_port = Option.map snd tcp;
+      listener;
       backends;
       idx_of_name;
       ring;
       started_at = Unix.gettimeofday ();
       draining = Atomic.make false;
-      pipe_r;
-      pipe_w;
+      wakeup = Conn.wakeup ();
       conn_seq = 0;
       forwarded_total = 0;
       reconnects_total = 0;
@@ -243,41 +206,21 @@ let create (cfg : config) =
     Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
   | exception Failure msg -> Error msg
 
-let port t = t.tcp_port
-
-let wake t =
-  try ignore (Unix.write t.pipe_w (Bytes.make 1 '!') 0 1)
-  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE | Unix.EBADF), _, _) ->
-    (* a second shutdown after run already tore the pipe down is a no-op *)
-    ()
+let port t = Conn.listener_port t.listener
 
 let shutdown t =
   Atomic.set t.draining true;
-  wake t
+  Conn.wake t.wakeup
 
 (* ---------------- stats ---------------- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let stats_json t =
   let backend b =
     Printf.sprintf
       "{\"endpoint\": \"%s\", \"alive\": %b, \"inflight\": %d, \"forwarded\": %d, \
        \"reconnects\": %d}"
-      (json_escape b.b_name) b.b_alive b.b_inflight b.b_forwarded b.b_reconnects
+      (Gbc_datalog.Telemetry.json_escape b.b_name) b.b_alive b.b_inflight b.b_forwarded
+      b.b_reconnects
   in
   Printf.sprintf
     "{\"router\": {\"uptime_s\": %.3f, \"draining\": %b, \"open_conns\": %d, \
@@ -289,54 +232,12 @@ let stats_json t =
     t.forwarded_total t.reconnects_total t.inflight_now t.inflight_max
     (String.concat ", " (Array.to_list (Array.map backend t.backends)))
 
-(* ---------------- wire helpers ---------------- *)
-
-(* Replies echo the request's wire form (enveloped or bare), exactly
-   like gbcd itself. *)
-let encode_reply rid resp =
-  match rid with
-  | Some rid -> P.encode_response_v2 ~rid resp
-  | None -> P.encode_response resp
-
-let encode_forward rid req =
-  match rid with
-  | Some rid -> P.encode_request_v2 ~rid req
-  | None -> P.encode_request req
-
-let reply_now c rid resp = Buffer.add_string c.c_out (encode_reply rid resp)
-
 (* ---------------- backend links ---------------- *)
 
 let connect_backend t idx =
   let b = t.backends.(idx) in
-  let domain, addr =
-    match b.b_endpoint with
-    | Client.Tcp { host; port } -> (
-      match Unix.inet_addr_of_string host with
-      | inet -> (Unix.PF_INET, Unix.ADDR_INET (inet, port))
-      | exception Failure _ -> failwith ("bad host " ^ host))
-    | Client.Uds path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-  in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  match
-    (* bounded non-blocking connect, as in Client.connect *)
-    match t.cfg.connect_timeout with
-    | None -> Unix.connect fd addr
-    | Some tmo -> (
-      Unix.set_nonblock fd;
-      (match Unix.connect fd addr with
-      | () -> ()
-      | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-        -> (
-        match Unix.select [] [ fd ] [] tmo with
-        | _, [], _ -> failwith "backend connect timed out"
-        | _ -> (
-          match Unix.getsockopt_error fd with
-          | None -> ()
-          | Some err -> raise (Unix.Unix_error (err, "connect", b.b_name)))));
-      Unix.clear_nonblock fd)
-  with
-  | () ->
+  match Client.connect_socket ?timeout:t.cfg.connect_timeout b.b_endpoint with
+  | fd ->
     Unix.set_nonblock fd;
     if b.b_connected_once && not b.b_alive then begin
       b.b_reconnects <- b.b_reconnects + 1;
@@ -344,42 +245,51 @@ let connect_backend t idx =
     end;
     b.b_alive <- true;
     b.b_connected_once <- true;
-    Ok { l_fd = fd; l_idx = idx; l_in = Buffer.create 1024; l_out = Buffer.create 1024;
-         l_out_off = 0; l_alive = true }
+    Ok { l_ep = Conn.create fd; l_idx = idx }
   | exception e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
     b.b_alive <- false;
     Error
       (Printf.sprintf "backend %s unreachable: %s" b.b_name
          (match e with
+         | Client.Timeout -> "connect timed out"
          | Unix.Unix_error (err, _, _) -> Unix.error_message err
          | Failure msg -> msg
          | e -> Printexc.to_string e))
+
+let in_flight c = Hashtbl.length c.c_ids + c.c_bare
+
+let settle t l n =
+  let b = t.backends.(l.l_idx) in
+  b.b_inflight <- b.b_inflight - n;
+  t.inflight_now <- t.inflight_now - n
+
+(* Close a link and take back everything in flight on it: the envelope
+   ids ascending, then one [None] per bare frame. *)
+let drop_link t c l =
+  Conn.close l.l_ep;
+  c.c_link <- None;
+  let ids = List.sort Int.compare (Hashtbl.fold (fun rid () acc -> rid :: acc) c.c_ids []) in
+  let orphans = List.map Option.some ids @ List.init c.c_bare (fun _ -> None) in
+  Hashtbl.reset c.c_ids;
+  c.c_bare <- 0;
+  settle t l (List.length orphans);
+  orphans
 
 (* Tear a link down and answer every request still in flight on it
    with a structured error — a pipelined client gets one per orphaned
    envelope id and can replay against the recovered backend. *)
 let kill_link t c reason =
-  match c.c_link with
-  | None -> ()
-  | Some l ->
-    l.l_alive <- false;
-    (try Unix.close l.l_fd with Unix.Unix_error _ -> ());
-    c.c_link <- None;
-    let b = t.backends.(l.l_idx) in
-    b.b_alive <- false;
-    let orphans = c.c_outstanding in
-    c.c_outstanding <- [];
-    let n = List.length orphans in
-    b.b_inflight <- b.b_inflight - n;
-    t.inflight_now <- t.inflight_now - n;
-    List.iter
-      (fun rid ->
-        reply_now c rid
-          (P.Error
-             { code = P.Server_error;
-               message = "backend died with this request in flight: " ^ reason }))
-      orphans
+  Option.iter
+    (fun l ->
+      t.backends.(l.l_idx).b_alive <- false;
+      List.iter
+        (fun rid ->
+          Conn.reply c.c_ep rid
+            (P.Error
+               { code = P.Server_error;
+                 message = "backend died with this request in flight: " ^ reason }))
+        (drop_link t c l))
+    c.c_link
 
 (* The sticky backend for this connection, choosing from the ring on
    first need. *)
@@ -393,10 +303,10 @@ let placed_backend t c =
 
 let ensure_link t c idx =
   match c.c_link with
-  | Some l when l.l_alive && l.l_idx = idx -> Ok l
-  | Some l when l.l_alive ->
+  | Some l when l.l_idx = idx -> Ok l
+  | Some l ->
     Error (Printf.sprintf "connection is bound to backend %s" t.backends.(l.l_idx).b_name)
-  | _ -> (
+  | None -> (
     match connect_backend t idx with
     | Ok l ->
       c.c_link <- Some l;
@@ -404,284 +314,191 @@ let ensure_link t c idx =
       Ok l
     | Error _ as e -> e)
 
-let forward t c rid req =
-  match c.c_link with
-  | None -> assert false
-  | Some l ->
-    Buffer.add_string l.l_out (encode_forward rid req);
-    c.c_outstanding <- c.c_outstanding @ [ rid ];
-    let b = t.backends.(l.l_idx) in
-    b.b_forwarded <- b.b_forwarded + 1;
-    b.b_inflight <- b.b_inflight + 1;
-    t.forwarded_total <- t.forwarded_total + 1;
-    t.inflight_now <- t.inflight_now + 1;
-    if t.inflight_now > t.inflight_max then t.inflight_max <- t.inflight_now
+let forward t c l rid req =
+  (match rid with
+  | Some id ->
+    Conn.send l.l_ep (P.encode_request_v2 ~rid:id req);
+    Hashtbl.add c.c_ids id ()
+  | None ->
+    Conn.send l.l_ep (P.encode_request req);
+    c.c_bare <- c.c_bare + 1);
+  let b = t.backends.(l.l_idx) in
+  b.b_forwarded <- b.b_forwarded + 1;
+  b.b_inflight <- b.b_inflight + 1;
+  t.forwarded_total <- t.forwarded_total + 1;
+  t.inflight_now <- t.inflight_now + 1;
+  if t.inflight_now > t.inflight_max then t.inflight_max <- t.inflight_now
 
 (* ---------------- request handling ---------------- *)
 
 let handle_client_frame t c (rid, req) =
-  if Atomic.get t.draining then
-    reply_now c rid (P.Error { code = P.Draining; message = "router is draining" })
+  let reply = Conn.reply c.c_ep rid in
+  if Atomic.get t.draining then reply (P.Error { code = P.Draining; message = "router is draining" })
   else
     match req with
-    | P.Stats -> reply_now c rid (P.Stats_json (stats_json t))
+    | P.Stats -> reply (P.Stats_json (stats_json t))
     | P.Shutdown ->
-      reply_now c rid P.Bye;
+      reply P.Bye;
       Atomic.set t.draining true;
       c.c_close_after_flush <- true
     | P.Attach (Some cid) -> (
       let idx, sid = split_composite cid in
       if idx < 0 || idx >= Array.length t.backends then
-        reply_now c rid
-          (P.Error { code = P.No_session; message = Printf.sprintf "no session %d" cid })
+        reply (P.Error { code = P.No_session; message = Printf.sprintf "no session %d" cid })
       else
         match ensure_link t c idx with
-        | Ok _ -> forward t c rid (P.Attach (Some sid))
-        | Error msg -> reply_now c rid (P.Error { code = P.No_session; message = msg }))
+        | Ok l -> forward t c l rid (P.Attach (Some sid))
+        | Error msg -> reply (P.Error { code = P.No_session; message = msg }))
     | req -> (
       let idx = placed_backend t c in
       match ensure_link t c idx with
-      | Ok _ -> forward t c rid req
-      | Error msg -> reply_now c rid (P.Error { code = P.Server_error; message = msg }))
+      | Ok l -> forward t c l rid req
+      | Error msg -> reply (P.Error { code = P.Server_error; message = msg }))
 
 (* A reply coming home from the backend: rewrite session ids to their
    composite form, account it, pass it through in the request's wire
-   form. *)
+   form.  A reply matching nothing in flight is passed on unaccounted;
+   the client will complain. *)
 let handle_backend_frame t c l (rid, resp) =
   let resp =
     match resp with
     | P.Attached { id } -> P.Attached { id = composite ~idx:l.l_idx id }
     | resp -> resp
   in
-  let rec remove_first seen = function
-    | [] -> List.rev seen  (* unmatched: tolerate, the client will complain *)
-    | r :: rest when r = rid -> List.rev_append seen rest
-    | r :: rest -> remove_first (r :: seen) rest
-  in
-  c.c_outstanding <- remove_first [] c.c_outstanding;
-  let b = t.backends.(l.l_idx) in
-  b.b_inflight <- b.b_inflight - 1;
-  t.inflight_now <- t.inflight_now - 1;
-  reply_now c rid resp
+  (match rid with
+  | Some id when Hashtbl.mem c.c_ids id ->
+    Hashtbl.remove c.c_ids id;
+    settle t l 1
+  | None when c.c_bare > 0 ->
+    c.c_bare <- c.c_bare - 1;
+    settle t l 1
+  | _ -> ());
+  Conn.reply c.c_ep rid resp
 
 (* ---------------- the event loop ---------------- *)
 
-let out_pending c = Buffer.length c.c_out - c.c_out_off
-let link_out_pending l = Buffer.length l.l_out - l.l_out_off
+let out_pending c = Conn.out_pending c.c_ep
 
 let close_conn t c =
   if c.c_alive then begin
     c.c_alive <- false;
-    (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
-    (match c.c_link with
-    | None -> ()
-    | Some l ->
-      (* closing the link detaches the session on the backend (it
-         survives there if the client made it attachable) *)
-      l.l_alive <- false;
-      (try Unix.close l.l_fd with Unix.Unix_error _ -> ());
-      c.c_link <- None;
-      let n = List.length c.c_outstanding in
-      c.c_outstanding <- [];
-      let b = t.backends.(l.l_idx) in
-      b.b_inflight <- b.b_inflight - n;
-      t.inflight_now <- t.inflight_now - n)
+    Conn.close c.c_ep;
+    (* closing the link detaches the session on the backend (it
+       survives there if the client made it attachable) *)
+    Option.iter (fun l -> ignore (drop_link t c l)) c.c_link
   end
 
 let on_peer_gone t c =
   c.c_peer_gone <- true;
   close_conn t c
 
-let parse_client_frames t c =
-  let data = Buffer.contents c.c_in in
-  let off = ref 0 in
-  let stop = ref false in
-  while not !stop do
-    match P.extract_frame ~max_frame:t.cfg.max_frame data !off with
-    | P.Need_more -> stop := true
-    | P.Bad_length n ->
-      reply_now c None
-        (P.Error
-           { code = P.Protocol_violation;
-             message = Printf.sprintf "unacceptable frame length %d" n });
-      c.c_peer_gone <- true;
-      c.c_close_after_flush <- true;
-      stop := true
-    | P.Frame (body, next) -> (
-      off := next;
-      match P.decode_request body with
-      | Ok (rid, req) -> handle_client_frame t c (rid, req)
-      | Error msg ->
-        reply_now c None (P.Error { code = P.Protocol_violation; message = msg });
-        c.c_peer_gone <- true;
-        c.c_close_after_flush <- true;
-        stop := true)
-  done;
-  if !off > 0 then begin
-    let rest = String.sub data !off (String.length data - !off) in
-    Buffer.clear c.c_in;
-    Buffer.add_string c.c_in rest
-  end
+(* Framing or decoding failed: the stream is desynchronized beyond
+   repair, so answer bare and stop reading. *)
+let refuse c message =
+  Conn.reply c.c_ep None (P.Error { code = P.Protocol_violation; message });
+  c.c_peer_gone <- true;
+  c.c_close_after_flush <- true
 
-let parse_backend_frames t c l =
-  let data = Buffer.contents l.l_in in
-  let off = ref 0 in
-  let stop = ref false in
-  while not !stop do
-    match P.extract_frame ~max_frame:t.cfg.max_frame data !off with
-    | P.Need_more -> stop := true
-    | P.Bad_length n ->
-      kill_link t c (Printf.sprintf "sent an unacceptable frame length %d" n);
-      stop := true
-    | P.Frame (body, next) -> (
-      off := next;
-      match P.decode_response_v2 body with
-      | Ok (rid, resp) -> handle_backend_frame t c l (rid, resp)
-      | Error msg ->
-        kill_link t c ("sent an undecodable reply: " ^ msg);
-        stop := true)
-  done;
-  if l.l_alive && !off > 0 then begin
-    let rest = String.sub data !off (String.length data - !off) in
-    Buffer.clear l.l_in;
-    Buffer.add_string l.l_in rest
-  end
-
-let accept_conn t lfd =
-  match Unix.accept ~cloexec:true lfd with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> ()
-  | fd, _addr ->
-    Unix.set_nonblock fd;
-    t.conn_seq <- t.conn_seq + 1;
-    let c =
-      { c_fd = fd;
-        c_key = string_of_int t.conn_seq;
-        c_in = Buffer.create 1024;
-        c_out = Buffer.create 1024;
-        c_out_off = 0;
-        c_backend = None;
-        c_link = None;
-        c_outstanding = [];
-        c_alive = true;
-        c_peer_gone = false;
-        c_close_after_flush = false }
-    in
-    t.conns <- c :: t.conns
+let accept_conn t fd =
+  t.conn_seq <- t.conn_seq + 1;
+  let c =
+    { c_ep = Conn.create fd;
+      c_key = string_of_int t.conn_seq;
+      c_backend = None;
+      c_link = None;
+      c_ids = Hashtbl.create 16;
+      c_bare = 0;
+      c_alive = true;
+      c_peer_gone = false;
+      c_close_after_flush = false }
+  in
+  t.conns <- c :: t.conns
 
 let on_client_readable t c =
-  match Unix.read c.c_fd t.read_buf 0 (Bytes.length t.read_buf) with
-  | 0 -> on_peer_gone t c
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> on_peer_gone t c
-  | n ->
-    Buffer.add_subbytes c.c_in t.read_buf 0 n;
-    parse_client_frames t c
+  match Conn.read c.c_ep t.read_buf with
+  | Conn.Again -> ()
+  | Conn.Eof | Conn.Failed _ -> on_peer_gone t c
+  | Conn.Data ->
+    Conn.frames c.c_ep ~max_frame:t.cfg.max_frame
+      ~on_bad_length:(fun n -> refuse c (Printf.sprintf "unacceptable frame length %d" n))
+      (fun body ->
+        match P.decode_request body with
+        | Ok frame ->
+          handle_client_frame t c frame;
+          true
+        | Error msg ->
+          refuse c msg;
+          false)
 
 let on_link_readable t c l =
-  match Unix.read l.l_fd t.read_buf 0 (Bytes.length t.read_buf) with
-  | 0 -> kill_link t c "connection closed"
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error (e, _, _) -> kill_link t c (Unix.error_message e)
-  | n ->
-    Buffer.add_subbytes l.l_in t.read_buf 0 n;
-    parse_backend_frames t c l
+  match Conn.read l.l_ep t.read_buf with
+  | Conn.Again -> ()
+  | Conn.Eof -> kill_link t c "connection closed"
+  | Conn.Failed e -> kill_link t c (Unix.error_message e)
+  | Conn.Data ->
+    Conn.frames l.l_ep ~max_frame:t.cfg.max_frame
+      ~on_bad_length:(fun n -> kill_link t c (Printf.sprintf "sent an unacceptable frame length %d" n))
+      (fun body ->
+        match P.decode_response_v2 body with
+        | Ok frame ->
+          handle_backend_frame t c l frame;
+          true
+        | Error msg ->
+          kill_link t c ("sent an undecodable reply: " ^ msg);
+          false)
 
 let on_client_writable t c =
-  let len = out_pending c in
-  if len > 0 then begin
-    match Unix.write_substring c.c_fd (Buffer.contents c.c_out) c.c_out_off len with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ ->
-      Buffer.clear c.c_out;
-      c.c_out_off <- 0;
-      on_peer_gone t c
-    | n ->
-      c.c_out_off <- c.c_out_off + n;
-      if out_pending c = 0 then begin
-        Buffer.clear c.c_out;
-        c.c_out_off <- 0
-      end
-  end;
-  if c.c_alive && out_pending c = 0 && c.c_close_after_flush && c.c_outstanding = [] then
+  (match Conn.flush c.c_ep with Ok () -> () | Error _ -> on_peer_gone t c);
+  if c.c_alive && out_pending c = 0 && c.c_close_after_flush && in_flight c = 0 then
     close_conn t c
 
 let on_link_writable t c l =
-  let len = link_out_pending l in
-  if len > 0 then begin
-    match Unix.write_substring l.l_fd (Buffer.contents l.l_out) l.l_out_off len with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-    | exception Unix.Unix_error (e, _, _) -> kill_link t c (Unix.error_message e)
-    | n ->
-      l.l_out_off <- l.l_out_off + n;
-      if link_out_pending l = 0 then begin
-        Buffer.clear l.l_out;
-        l.l_out_off <- 0
-      end
-  end
-
-let drain_pipe t =
-  let b = Bytes.create 256 in
-  let rec go () =
-    match Unix.read t.pipe_r b 0 256 with
-    | 256 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  in
-  go ()
+  match Conn.flush l.l_ep with Ok () -> () | Error e -> kill_link t c (Unix.error_message e)
 
 let run t =
-  let live_link c =
-    match c.c_link with Some l when l.l_alive -> Some l | _ -> None
-  in
   let rec loop () =
     t.conns <- List.filter (fun c -> c.c_alive) t.conns;
     if finished () then ()
     else begin
-      let accepting = not (Atomic.get t.draining) in
       let rds =
-        (t.pipe_r :: (if accepting then t.listeners else []))
-        @ List.filter_map
-            (fun c -> if not c.c_peer_gone then Some c.c_fd else None)
-            t.conns
-        @ List.filter_map (fun c -> Option.map (fun l -> l.l_fd) (live_link c)) t.conns
+        List.filter_map (fun c -> if not c.c_peer_gone then Some (Conn.fd c.c_ep) else None) t.conns
+        @ List.filter_map (fun c -> Option.map (fun l -> Conn.fd l.l_ep) c.c_link) t.conns
       in
       let wrs =
-        List.filter_map (fun c -> if out_pending c > 0 then Some c.c_fd else None) t.conns
+        List.filter_map (fun c -> if out_pending c > 0 then Some (Conn.fd c.c_ep) else None) t.conns
         @ List.filter_map
             (fun c ->
-              match live_link c with
-              | Some l when link_out_pending l > 0 -> Some l.l_fd
+              match c.c_link with
+              | Some l when Conn.out_pending l.l_ep > 0 -> Some (Conn.fd l.l_ep)
               | _ -> None)
             t.conns
       in
-      (match Unix.select rds wrs [] (-1.0) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | readable, writable, _ ->
-        if List.mem t.pipe_r readable then drain_pipe t;
-        List.iter (fun lfd -> if List.mem lfd readable then accept_conn t lfd) t.listeners;
-        List.iter
-          (fun c ->
-            match live_link c with
-            | Some l when c.c_alive && List.mem l.l_fd readable -> on_link_readable t c l
-            | _ -> ())
-          t.conns;
-        List.iter
-          (fun c -> if c.c_alive && List.mem c.c_fd readable then on_client_readable t c)
-          t.conns;
-        List.iter
-          (fun c ->
-            match live_link c with
-            | Some l when c.c_alive && List.mem l.l_fd writable -> on_link_writable t c l
-            | _ -> ())
-          t.conns;
-        List.iter
-          (fun c -> if c.c_alive && List.mem c.c_fd writable then on_client_writable t c)
-          t.conns);
+      let readable, writable =
+        Conn.select t.wakeup t.listener ~accepting:(not (Atomic.get t.draining))
+          ~on_accept:(accept_conn t) rds wrs (-1.0)
+      in
+      List.iter
+        (fun c ->
+          match c.c_link with
+          | Some l when c.c_alive && List.mem (Conn.fd l.l_ep) readable -> on_link_readable t c l
+          | _ -> ())
+        t.conns;
+      List.iter
+        (fun c -> if c.c_alive && List.mem (Conn.fd c.c_ep) readable then on_client_readable t c)
+        t.conns;
+      List.iter
+        (fun c ->
+          match c.c_link with
+          | Some l when c.c_alive && List.mem (Conn.fd l.l_ep) writable -> on_link_writable t c l
+          | _ -> ())
+        t.conns;
+      List.iter
+        (fun c -> if c.c_alive && List.mem (Conn.fd c.c_ep) writable then on_client_writable t c)
+        t.conns;
       if Atomic.get t.draining then
         List.iter
           (fun c ->
-            if c.c_alive && c.c_outstanding = [] then begin
+            if c.c_alive && in_flight c = 0 then begin
               c.c_close_after_flush <- true;
               if out_pending c = 0 then close_conn t c
             end)
@@ -692,9 +509,5 @@ let run t =
   loop ();
   List.iter (fun c -> close_conn t c) t.conns;
   t.conns <- [];
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listeners;
-  (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.pipe_w with Unix.Unix_error _ -> ());
-  Option.iter
-    (fun p -> try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
-    t.cfg.unix_path
+  Conn.close_listener t.listener;
+  Conn.close_wakeup t.wakeup

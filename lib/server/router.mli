@@ -59,7 +59,6 @@ type config = {
   host : string;
   port : int option;  (** [None]: no TCP listener *)
   unix_path : string option;  (** [None]: no Unix-domain listener *)
-  backlog : int;
   backends : Client.endpoint list;
   vnodes : int;  (** virtual nodes per backend on the ring *)
   max_frame : int;

@@ -2,19 +2,18 @@
 
    Architecture — one event-loop domain plus a pool of worker domains:
 
-   - The event loop owns every socket.  It accepts connections, reads
-     bytes, splits frames (Protocol.extract_frame), decodes requests
-     (enveloped, as every in-tree client sends them, or bare, as a
-     blocking client without ids sends them), and queues session-bound
-     work on the shared work queue at most one per connection at a
-     time (per-connection FIFO order is what makes assert-then-run
-     meaningful).  An enveloped Ping is "independent": it carries no
-     session state, so it is dispatched immediately — even while a
-     session-bound request is in flight — and its reply genuinely
-     overtakes (out-of-order, matched by the envelope id on the
-     client).  Bare frames never overtake: their replies come back in
-     request order.  It also owns all outbound buffers and flushes
-     them as sockets become writable.
+   - The event loop owns every socket through Conn, the layer it
+     shares with gbc-router (listeners, the wake-up pipe, frame
+     splitting, buffered writes).  It keeps the policy: it decodes
+     requests (enveloped, as every in-tree client sends them, or bare,
+     as a blocking client without ids sends them) and queues
+     session-bound work at most one per connection at a time
+     (per-connection FIFO order is what makes assert-then-run
+     meaningful).  An enveloped Ping carries no session state, so it
+     is dispatched at once, even while a session-bound request is in
+     flight, and its reply overtakes (matched by id on the client).
+     Bare frames never overtake: their replies come back in request
+     order.  Idle tracking and draining are the loop's too.
 
    - Worker domains block on the work queue, evaluate the request
      against the connection's session under a per-request Limits
@@ -126,7 +125,6 @@ type config = {
   host : string;
   port : int option;  (* None: no TCP listener *)
   unix_path : string option;  (* None: no Unix-domain listener *)
-  backlog : int;
   workers : int;
   default_timeout_s : float option;  (* per-request governor caps *)
   max_facts : int option;
@@ -146,7 +144,6 @@ let default_config =
   { host = "127.0.0.1";
     port = Some 7411;
     unix_path = None;
-    backlog = 64;
     workers = 4;
     default_timeout_s = Some 30.0;
     max_facts = None;
@@ -162,11 +159,8 @@ let default_config =
     worker_fault = None }
 
 type conn = {
-  fd : Unix.file_descr;
+  ep : Conn.t;
   mutable session : Session.t;  (* event-loop owned; replaced by Attach *)
-  inbuf : Buffer.t;  (* unconsumed inbound bytes *)
-  out : Buffer.t;  (* outbound bytes; [out_off] already written *)
-  mutable out_off : int;
   pending : (int option * Protocol.request * float) Queue.t;
       (* (envelope id, request, parse time) — parse time feeds the
          queue-wait histogram when a worker finally dequeues it *)
@@ -191,8 +185,7 @@ type completion =
 
 type t = {
   cfg : config;
-  listeners : Unix.file_descr list;
-  tcp_port : int option;  (* actual bound port (for port 0) *)
+  listener : Conn.listener;
   cache : Program_cache.t;
   durable : Durable.t option;
   work_m : Mutex.t;
@@ -200,8 +193,7 @@ type t = {
   work : work_item Queue.t;
   done_m : Mutex.t;
   done_q : completion Queue.t;
-  pipe_r : Unix.file_descr;
-  pipe_w : Unix.file_descr;
+  wakeup : Conn.wakeup;
   draining : bool Atomic.t;
   started_at : float;
   requests : int Atomic.t;
@@ -234,28 +226,7 @@ type t = {
 
 (* ---------------- creation ---------------- *)
 
-let bind_tcp host port backlog =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  let addr = try Unix.inet_addr_of_string host with Failure _ -> failwith ("bad host " ^ host) in
-  Unix.bind fd (Unix.ADDR_INET (addr, port));
-  Unix.listen fd backlog;
-  let actual =
-    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> port
-  in
-  (fd, actual)
-
-let bind_unix path backlog =
-  if Sys.file_exists path then (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd backlog;
-  fd
-
 let create cfg =
-  (* writes to sockets whose peer vanished must surface as EPIPE, not
-     kill the process *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   match
     let cache = Program_cache.create ~capacity:cfg.cache_capacity () in
     let durable =
@@ -286,19 +257,9 @@ let create cfg =
           Atomic.incr sessions_recovered;
           if id > Atomic.get sessions_total then Atomic.set sessions_total id)
         (Durable.session_ids dur));
-    let tcp = Option.map (fun p -> bind_tcp cfg.host p cfg.backlog) cfg.port in
-    let uds = Option.map (fun p -> bind_unix p cfg.backlog) cfg.unix_path in
-    let listeners =
-      List.filter_map Fun.id [ Option.map fst tcp; uds ]
-    in
-    if listeners = [] then failwith "no listener configured (need a port or a unix path)";
-    List.iter Unix.set_nonblock listeners;
-    let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
-    Unix.set_nonblock pipe_r;
-    Unix.set_nonblock pipe_w;
+    let listener = Conn.listen ~host:cfg.host ~port:cfg.port ~unix_path:cfg.unix_path in
     { cfg;
-      listeners;
-      tcp_port = Option.map snd tcp;
+      listener;
       cache;
       durable;
       work_m = Mutex.create ();
@@ -306,8 +267,7 @@ let create cfg =
       work = Queue.create ();
       done_m = Mutex.create ();
       done_q = Queue.create ();
-      pipe_r;
-      pipe_w;
+      wakeup = Conn.wakeup ();
       draining = Atomic.make false;
       started_at = Unix.gettimeofday ();
       requests = Atomic.make 0;
@@ -336,15 +296,11 @@ let create cfg =
     Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
   | exception Failure msg -> Error msg
 
-let port t = t.tcp_port
-
-let wake t =
-  try ignore (Unix.write t.pipe_w (Bytes.make 1 '!') 0 1)
-  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) -> ()
+let port t = Conn.listener_port t.listener
 
 let shutdown t =
   Atomic.set t.draining true;
-  wake t
+  Conn.wake t.wakeup
 
 (* ---------------- the session registry ---------------- *)
 
@@ -409,27 +365,12 @@ let effective_jobs t (b : Protocol.budget) =
 
 (* ---------------- stats ---------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let totals_json tbl =
   let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
   let entries = List.sort (fun (a, _) (b, _) -> String.compare a b) entries in
   "{"
   ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v) entries)
+      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" (Telemetry.json_escape k) v) entries)
   ^ "}"
 
 let durable_json t =
@@ -439,7 +380,7 @@ let durable_json t =
     Printf.sprintf
       "{\"data_dir\": \"%s\", \"fsync\": \"%s\", \"snapshot_every\": %d, \"wal_records\": %d, \
        \"snapshots_written\": %d}"
-      (json_escape (Durable.root d))
+      (Telemetry.json_escape (Durable.root d))
       (Wal.fsync_policy_to_string (Durable.fsync d))
       (Durable.snapshot_every d) (Wal.appended ())
       (Durable.snapshots_written ())
@@ -584,14 +525,6 @@ let handle_request t (session : Session.t) req : Protocol.response * post =
     (* last-resort classification: a worker must survive anything *)
     err (Protocol.Server_error, Printexc.to_string e)
 
-(* Replies echo the request's wire form: an enveloped request gets its
-   reply wrapped in a response envelope carrying the same id, a bare
-   request gets a bare reply. *)
-let encode_reply rid resp =
-  match rid with
-  | Some rid -> Protocol.encode_response_v2 ~rid resp
-  | None -> Protocol.encode_response resp
-
 let worker t slot =
   let pop () =
     Mutex.lock t.work_m;
@@ -618,10 +551,10 @@ let worker t slot =
         handle_request t conn.session req
       with
       | resp, post ->
-        let bytes = encode_reply rid resp in
+        let bytes = Conn.encode_reply rid resp in
         Mutex.protect t.done_m (fun () ->
             Queue.push (Done (conn, bytes, post, session_bound)) t.done_q);
-        wake t;
+        Conn.wake t.wakeup;
         go ()
       | exception e ->
         (* This domain is compromised: answer the client with a
@@ -629,7 +562,7 @@ let worker t slot =
            death for respawning, and exit the domain. *)
         Atomic.incr t.errors;
         let bytes =
-          encode_reply rid
+          Conn.encode_reply rid
             (Protocol.Error
                { code = Protocol.Server_error;
                  message = "worker crashed handling this request: " ^ Printexc.to_string e })
@@ -637,7 +570,7 @@ let worker t slot =
         Mutex.protect t.done_m (fun () ->
             Queue.push (Done (conn, bytes, Keep, session_bound)) t.done_q;
             Queue.push (Worker_died (slot, Printexc.to_string e)) t.done_q);
-        wake t)
+        Conn.wake t.wakeup)
   in
   go ()
 
@@ -647,7 +580,7 @@ let close_conn t c =
   if c.alive then begin
     c.alive <- false;
     Atomic.decr t.open_conns;
-    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    Conn.close c.ep;
     release_session t c.session
   end
 
@@ -661,8 +594,6 @@ let on_peer_gone t c =
   end;
   if c.inflight = 0 then close_conn t c
 
-let respond_now ?rid c resp = Buffer.add_string c.out (encode_reply rid resp)
-
 let enqueue_job t c (rid, req, parsed_at) ~session_bound =
   if session_bound then c.busy <- true;
   c.inflight <- c.inflight + 1;
@@ -672,14 +603,13 @@ let enqueue_job t c (rid, req, parsed_at) ~session_bound =
       Queue.push (Job (c, rid, req, session_bound, parsed_at)) t.work);
   Condition.signal t.work_c
 
-
 let dispatch t c =
   if c.alive && not (Queue.is_empty c.pending) then begin
     if Atomic.get t.draining then begin
       (* drain answers queued-but-unstarted work without evaluating *)
       Queue.iter
         (fun (rid, _, _) ->
-          respond_now ?rid c
+          Conn.reply c.ep rid
             (Protocol.Error { code = Protocol.Draining; message = "server is draining" }))
         c.pending;
       Queue.clear c.pending;
@@ -703,95 +633,54 @@ let dispatch t c =
     end
   end
 
-let parse_frames t c =
-  let data = Buffer.contents c.inbuf in
-  let off = ref 0 in
-  let stop = ref false in
-  while not !stop do
-    match Protocol.extract_frame ~max_frame:t.cfg.max_frame data !off with
-    | Protocol.Need_more -> stop := true
-    | Protocol.Bad_length n ->
-      respond_now c
-        (Protocol.Error
-           { code = Protocol.Protocol_violation;
-             message = Printf.sprintf "unacceptable frame length %d" n });
-      (* framing is desynchronized beyond repair; stop reading *)
-      c.peer_gone <- true;
-      c.close_after_flush <- true;
-      stop := true
-    | Protocol.Frame (body, next) -> (
-      off := next;
-      match Protocol.decode_request body with
-      | Ok (rid, req) -> Queue.push (rid, req, Unix.gettimeofday ()) c.pending
-      | Error msg ->
-        respond_now c
-          (Protocol.Error { code = Protocol.Protocol_violation; message = msg });
-        c.peer_gone <- true;
-        c.close_after_flush <- true;
-        stop := true)
-  done;
-  if !off > 0 then begin
-    let rest = String.sub data !off (String.length data - !off) in
-    Buffer.clear c.inbuf;
-    Buffer.add_string c.inbuf rest
-  end;
-  dispatch t c
+let accept_conn t fd =
+  let id = 1 + Atomic.fetch_and_add t.sessions_total 1 in
+  Mutex.protect t.sessions_m (fun () -> Hashtbl.replace t.live_ids id ());
+  Atomic.incr t.open_conns;
+  let c =
+    { ep = Conn.create fd;
+      session = Session.create ?durable:t.durable ~cache:t.cache ~id ();
+      pending = Queue.create ();
+      busy = false;
+      inflight = 0;
+      alive = true;
+      peer_gone = false;
+      close_after_flush = false;
+      last_activity = Unix.gettimeofday () }
+  in
+  t.conns <- c :: t.conns
 
-let accept_conn t lfd =
-  match Unix.accept ~cloexec:true lfd with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> ()
-  | fd, _addr ->
-    Unix.set_nonblock fd;
-    let id = 1 + Atomic.fetch_and_add t.sessions_total 1 in
-    Mutex.protect t.sessions_m (fun () -> Hashtbl.replace t.live_ids id ());
-    Atomic.incr t.open_conns;
-    let c =
-      { fd;
-        session = Session.create ?durable:t.durable ~cache:t.cache ~id ();
-        inbuf = Buffer.create 1024;
-        out = Buffer.create 1024;
-        out_off = 0;
-        pending = Queue.create ();
-        busy = false;
-        inflight = 0;
-        alive = true;
-        peer_gone = false;
-        close_after_flush = false;
-        last_activity = Unix.gettimeofday () }
-    in
-    t.conns <- c :: t.conns
+(* Framing or decoding failed: the stream is desynchronized beyond
+   repair, so answer bare and stop reading. *)
+let refuse c message =
+  Conn.reply c.ep None (Protocol.Error { code = Protocol.Protocol_violation; message });
+  c.peer_gone <- true;
+  c.close_after_flush <- true
 
 let on_readable t c =
-  match Unix.read c.fd t.read_buf 0 (Bytes.length t.read_buf) with
-  | 0 -> on_peer_gone t c
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> on_peer_gone t c
-  | n ->
+  match Conn.read c.ep t.read_buf with
+  | Conn.Again -> ()
+  | Conn.Eof | Conn.Failed _ -> on_peer_gone t c
+  | Conn.Data ->
     c.last_activity <- Unix.gettimeofday ();
-    Buffer.add_subbytes c.inbuf t.read_buf 0 n;
-    parse_frames t c
+    Conn.frames c.ep ~max_frame:t.cfg.max_frame
+      ~on_bad_length:(fun n -> refuse c (Printf.sprintf "unacceptable frame length %d" n))
+      (fun body ->
+        match Protocol.decode_request body with
+        | Ok (rid, req) ->
+          Queue.push (rid, req, Unix.gettimeofday ()) c.pending;
+          true
+        | Error msg ->
+          refuse c msg;
+          false);
+    dispatch t c
 
-let out_pending c = Buffer.length c.out - c.out_off
+let out_pending c = Conn.out_pending c.ep
 
 let on_writable t c =
-  let len = out_pending c in
-  if len > 0 then begin
-    match Unix.write_substring c.fd (Buffer.contents c.out) c.out_off len with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ ->
-      (* EPIPE/ECONNRESET and kin: the peer is gone — clean teardown,
-         never a crash (SIGPIPE is ignored process-wide) *)
-      Buffer.clear c.out;
-      c.out_off <- 0;
-      on_peer_gone t c
-    | n ->
-      c.out_off <- c.out_off + n;
-      if out_pending c = 0 then begin
-        Buffer.clear c.out;
-        c.out_off <- 0
-      end
-  end;
+  (* a peer that can no longer receive is torn down cleanly, never a
+     crash (SIGPIPE is ignored process-wide) *)
+  (match Conn.flush c.ep with Ok () -> () | Error _ -> on_peer_gone t c);
   if out_pending c = 0 && c.close_after_flush && c.inflight = 0 && Queue.is_empty c.pending
   then close_conn t c
 
@@ -827,20 +716,10 @@ let drain_completions t ~respawn =
                straight back to the registry *)
             release_session t s
         | Keep -> ());
-        if c.alive && not c.peer_gone then Buffer.add_string c.out bytes
+        if c.alive && not c.peer_gone then Conn.send c.ep bytes
         else if c.alive && c.inflight = 0 then close_conn t c;
         dispatch t c)
     items
-
-let drain_pipe t =
-  let b = Bytes.create 256 in
-  let rec go () =
-    match Unix.read t.pipe_r b 0 256 with
-    | 256 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  in
-  go ()
 
 (* Reap what the idle timeout says is abandoned: detached sessions
    nobody reclaimed (their WAL fds close with them; the on-disk state
@@ -910,27 +789,23 @@ let run t =
     t.conns <- List.filter (fun c -> c.alive || c.inflight > 0) t.conns;
     if finished t then ()
     else begin
-      let accepting = not (Atomic.get t.draining) in
-      let rds =
-        (t.pipe_r :: (if accepting then t.listeners else []))
-        @ List.filter_map
-            (fun c -> if c.alive && not c.peer_gone then Some c.fd else None)
-            t.conns
+      let fds_where p =
+        List.filter_map (fun c -> if p c then Some (Conn.fd c.ep) else None) t.conns
       in
-      let wrs =
-        List.filter_map (fun c -> if c.alive && out_pending c > 0 then Some c.fd else None) t.conns
+      let readable, writable =
+        Conn.select t.wakeup t.listener
+          ~accepting:(not (Atomic.get t.draining))
+          ~on_accept:(accept_conn t)
+          (fds_where (fun c -> c.alive && not c.peer_gone))
+          (fds_where (fun c -> c.alive && out_pending c > 0))
+          (select_timeout t ~last_sweep:!last_sweep)
       in
-      (match Unix.select rds wrs [] (select_timeout t ~last_sweep:!last_sweep) with
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-       | readable, writable, _ ->
-         if List.mem t.pipe_r readable then drain_pipe t;
-         List.iter (fun lfd -> if List.mem lfd readable then accept_conn t lfd) t.listeners;
-         List.iter
-           (fun c -> if c.alive && List.mem c.fd readable then on_readable t c)
-           t.conns;
-         List.iter
-           (fun c -> if c.alive && List.mem c.fd writable then on_writable t c)
-           t.conns);
+      List.iter
+        (fun c -> if c.alive && List.mem (Conn.fd c.ep) readable then on_readable t c)
+        t.conns;
+      List.iter
+        (fun c -> if c.alive && List.mem (Conn.fd c.ep) writable then on_writable t c)
+        t.conns;
       drain_completions t ~respawn;
       Wal.sync_stale ();
       (match t.cfg.idle_timeout_s with
@@ -956,15 +831,11 @@ let run t =
   Mutex.protect t.sessions_m (fun () ->
       Hashtbl.iter (fun _ (s, _) -> Session.discard s) t.detached;
       Hashtbl.reset t.detached);
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listeners;
+  Conn.close_listener t.listener;
   Mutex.protect t.work_m (fun () ->
       for _ = 1 to !live do
         Queue.push Quit t.work
       done);
   Condition.broadcast t.work_c;
   Array.iter (Option.iter Domain.join) domains;
-  (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.pipe_w with Unix.Unix_error _ -> ());
-  Option.iter
-    (fun p -> try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
-    t.cfg.unix_path
+  Conn.close_wakeup t.wakeup

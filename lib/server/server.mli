@@ -46,7 +46,6 @@ type config = {
   host : string;
   port : int option;  (** TCP listener; [None] disables.  0 picks a free port. *)
   unix_path : string option;  (** Unix-domain listener; [None] disables. *)
-  backlog : int;
   workers : int;
   default_timeout_s : float option;  (** server-side per-request caps … *)
   max_facts : int option;
@@ -80,8 +79,8 @@ val default_config : config
 type t
 
 val create : config -> (t, string) result
-(** Bind the configured listeners (SO_REUSEADDR; a stale Unix-socket
-    path is unlinked) and build the server.  Ignores SIGPIPE. *)
+(** Bind the configured listeners ({!Conn.listen}, which also ignores
+    SIGPIPE) and build the server. *)
 
 val port : t -> int option
 (** The actually-bound TCP port (useful with [port = Some 0]). *)

@@ -12,8 +12,9 @@
      owning backend;
    - the router answers [stats] itself with its forwarding counters;
    - shutdown drains gracefully (Bye, then the router's run returns);
-   - a backend dying with a request in flight gets that request
-     answered with a server-error frame, not silence. *)
+   - a backend dying with a pipelined window in flight gets each
+     request answered with a server-error frame, once, not silence;
+   - so does a backend whose reply cannot be decoded. *)
 
 open Gbc
 
@@ -264,6 +265,44 @@ let spawn_daemon args =
         (Array.of_list (daemon_exe :: args))
         Unix.stdin devnull Unix.stderr)
 
+(* Raw enveloped traffic, so a test can keep many ids in flight and
+   see every reply exactly as the router sent it. *)
+let raw_send fd frames =
+  let bytes = String.concat "" frames in
+  let rec go off =
+    if off < String.length bytes then
+      go (off + Unix.write_substring fd bytes off (String.length bytes - off))
+  in
+  go 0
+
+let rec raw_reply fd pending =
+  match Protocol.extract_frame (Buffer.contents pending) 0 with
+  | Protocol.Frame (body, next) -> (
+    let rest = Buffer.contents pending in
+    Buffer.clear pending;
+    Buffer.add_string pending (String.sub rest next (String.length rest - next));
+    match Protocol.decode_response_v2 body with
+    | Ok reply -> reply
+    | Error msg -> Alcotest.fail ("undecodable reply: " ^ msg))
+  | Protocol.Bad_length n -> Alcotest.failf "reply with frame length %d" n
+  | Protocol.Need_more ->
+    let chunk = Bytes.create 4096 in
+    let n = Unix.read fd chunk 0 4096 in
+    if n = 0 then Alcotest.fail "connection closed before the reply";
+    Buffer.add_subbytes pending chunk 0 n;
+    raw_reply fd pending
+
+let with_raw path f =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+      f fd (Buffer.create 256))
+
+let pings rids = List.map (fun rid -> Protocol.encode_request_v2 ~rid Protocol.Ping) rids
+
 let test_backend_death () =
   let sock = fresh_sock "bd" in
   let pid = spawn_daemon [ "--no-tcp"; "--unix"; sock; "--workers"; "1" ] in
@@ -277,24 +316,91 @@ let test_backend_death () =
       let probe = connect ~tries:150 sock in
       Client.close probe;
       with_router [ sock ] (fun path ->
-          with_conn path (fun c ->
-              (match Client.rpc c Protocol.Ping with
-               | Protocol.Pong -> ()
+          with_raw path (fun fd pending ->
+              raw_send fd (pings [ 100 ]);
+              (match raw_reply fd pending with
+               | Some 100, Protocol.Pong -> ()
                | _ -> Alcotest.fail "expected Pong");
-              (* freeze the backend, launch a request it can never
-                 answer, then kill it: the router must answer the
-                 orphaned request with a server-error frame *)
+              (* freeze the backend, pipeline a window it can never
+                 answer (eight ids, sent out of order, and a bare frame),
+                 then kill it: the router must answer every orphan with
+                 a server-error frame, once, ids ascending, bare last *)
+              let window = [ 3; 1; 4; 8; 5; 2; 7; 6 ] in
               Unix.kill pid Sys.sigstop;
-              Client.send c Protocol.Ping;
+              raw_send fd (pings window @ [ Protocol.encode_request Protocol.Ping ]);
               Unix.sleepf 0.2;
               Unix.kill pid Sys.sigkill;
-              match Client.recv c with
-              | Protocol.Error { code = Protocol.Server_error; message } ->
-                Alcotest.(check bool) "message names the death" true
-                  (contains message "backend died")
-              | Protocol.Error { message; _ } ->
-                Alcotest.fail ("wrong error code: " ^ message)
-              | _ -> Alcotest.fail "expected a server-error frame")))
+              let expected = List.init 8 (fun i -> Some (i + 1)) @ [ None ] in
+              let answered =
+                List.map
+                  (fun _ ->
+                    match raw_reply fd pending with
+                    | rid, Protocol.Error { code = Protocol.Server_error; message } ->
+                      Alcotest.(check bool) "message names the death" true
+                        (contains message "backend died");
+                      rid
+                    | _, Protocol.Error { message; _ } ->
+                      Alcotest.fail ("wrong error code: " ^ message)
+                    | _ -> Alcotest.fail "expected a server-error frame")
+                  expected
+              in
+              Alcotest.(check (list (option int))) "every orphan answered once, in order" expected
+                answered;
+              (* no orphan is answered twice: the next reply is the next
+                 request's (the backend is gone, so it cannot be reached) *)
+              raw_send fd (pings [ 9 ]);
+              match raw_reply fd pending with
+              | Some 9, Protocol.Error { code = Protocol.Server_error; _ } -> ()
+              | Some rid, _ -> Alcotest.failf "reply for id %d, expected 9" rid
+              | None, _ -> Alcotest.fail "bare reply")))
+
+(* A backend whose reply cannot be decoded (an envelope tag with no id
+   after it) is treated like a dead one: the request in flight is
+   answered with server-error and the stats mark the backend dead. *)
+let with_garbage_backend f =
+  let path = fresh_sock "gb" in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let serve () =
+    match Unix.select [ lfd ] [] [] 30.0 with
+    | [], _, _ -> ()
+    | _ ->
+      let fd, _ = Unix.accept lfd in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+      let buf = Bytes.create 4096 in
+      let rec answer () =
+        match Unix.read fd buf 0 4096 with
+        | 0 -> ()
+        | _ ->
+          ignore (Unix.write_substring fd "\x00\x00\x00\x01\x7f" 0 5);
+          answer ()
+      in
+      (try answer () with Unix.Unix_error _ -> ());
+      Unix.close fd
+  in
+  let server = Thread.create serve () in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join server;
+      Unix.close lfd;
+      try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
+    (fun () -> f path)
+
+let test_undecodable_reply () =
+  with_garbage_backend (fun back ->
+      with_router [ back ] (fun path ->
+          with_conn path (fun c ->
+              (match Client.rpc c Protocol.Ping with
+               | Protocol.Error { code = Protocol.Server_error; message } ->
+                 Alcotest.(check bool) "message names the bad reply" true
+                   (contains message "undecodable reply")
+               | _ -> Alcotest.fail "expected a server-error frame");
+              match Client.rpc c Protocol.Stats with
+              | Protocol.Stats_json json ->
+                Alcotest.(check bool) "backend marked dead" true (contains json "\"alive\": false");
+                Alcotest.(check int) "nothing left in flight" 0 (int_field json "inflight")
+              | _ -> Alcotest.fail "expected Stats_json")))
 
 (* ---------------- gbcd --fleet ---------------- *)
 
@@ -368,6 +474,8 @@ let () =
          Alcotest.test_case "shutdown drains and run returns" `Quick test_drain ]);
       ("failure",
        [ Alcotest.test_case "backend death orphans answered with server-error" `Quick
-           test_backend_death ]);
+           test_backend_death;
+         Alcotest.test_case "undecodable backend reply answered with server-error" `Quick
+           test_undecodable_reply ]);
       ("fleet",
        [ Alcotest.test_case "gbcd --fleet 2 serves and drains" `Slow test_fleet ]) ]

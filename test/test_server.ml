@@ -622,23 +622,33 @@ let raw_write raw frames =
   in
   go 0
 
-(* The next reply: [None] when it came back bare, else its envelope id. *)
-let rec raw_read raw =
+(* The next reply frame's payload, as it came off the wire. *)
+let rec raw_frame raw =
   match Protocol.extract_frame (Buffer.contents raw.pending) 0 with
   | Protocol.Frame (body, next) ->
     let rest = Buffer.contents raw.pending in
     Buffer.clear raw.pending;
     Buffer.add_string raw.pending (String.sub rest next (String.length rest - next));
-    (match Protocol.decode_response_v2 body with
-    | Ok reply -> reply
-    | Error msg -> Alcotest.fail ("undecodable reply: " ^ msg))
+    body
   | Protocol.Bad_length n -> Alcotest.failf "reply with frame length %d" n
   | Protocol.Need_more ->
     let chunk = Bytes.create 4096 in
     let n = Unix.read raw.fd chunk 0 4096 in
     if n = 0 then Alcotest.fail "connection closed before the reply";
     Buffer.add_subbytes raw.pending chunk 0 n;
-    raw_read raw
+    raw_frame raw
+
+(* The next reply: [None] when it came back bare, else its envelope id. *)
+let raw_read raw =
+  match Protocol.decode_response_v2 (raw_frame raw) with
+  | Ok reply -> reply
+  | Error msg -> Alcotest.fail ("undecodable reply: " ^ msg)
+
+let expect_pong path =
+  with_conn path (fun c ->
+      match Client.rpc c Protocol.Ping with
+      | Protocol.Pong -> ()
+      | _ -> Alcotest.fail "expected Pong")
 
 let bare req = Protocol.encode_request req
 
@@ -706,10 +716,46 @@ let test_retired_hello target () =
               | _ -> Alcotest.fail (what ^ ": expected a bare protocol-violation")))
         [ ("bare", hello); ("enveloped", "\x7f" ^ String.make 8 '\x00' ^ hello) ];
       (* the daemon behind is unaffected *)
-      with_conn path (fun c ->
-          match Client.rpc c Protocol.Ping with
-          | Protocol.Pong -> ()
-          | _ -> Alcotest.fail "expected Pong after the refusals"))
+      expect_pong path)
+
+(* A length prefix over [max_frame] leaves no frame boundary to resync
+   on: one bare protocol-violation naming the length, then EOF. *)
+let test_oversized_prefix target () =
+  let n = Protocol.max_frame_default + 1 in
+  let prefix = Bytes.create 4 in
+  Bytes.set_int32_be prefix 0 (Int32.of_int n);
+  target (fun path ->
+      with_raw path (fun raw ->
+          raw_write raw [ Bytes.to_string prefix ];
+          (match raw_read raw with
+          | None, Protocol.Error { code = Protocol.Protocol_violation; message } ->
+            Alcotest.(check bool) "message names the length" true
+              (contains message (string_of_int n))
+          | _ -> Alcotest.fail "expected a bare protocol-violation");
+          Alcotest.(check int) "nothing after the refusal" 0 (Buffer.length raw.pending);
+          Alcotest.(check int) "then EOF" 0 (Unix.read raw.fd (Bytes.create 16) 0 16));
+      expect_pong path)
+
+(* Frames split across reads reassemble: an enveloped Run written one
+   byte at a time is answered byte for byte as the same request written
+   in one piece. *)
+let test_byte_at_a_time target () =
+  target (fun path ->
+      with_raw path (fun raw ->
+          raw_write raw [ Protocol.encode_request_v2 ~rid:1 (Protocol.Load (source "example1.dl")) ];
+          ignore (raw_frame raw);
+          let run = Protocol.encode_request_v2 ~rid:2 run_req in
+          raw_write raw [ run ];
+          let whole = raw_frame raw in
+          (match Protocol.decode_response_v2 whole with
+          | Ok (Some 2, Protocol.Model { complete = true; _ }) -> ()
+          | _ -> Alcotest.fail "expected the run's model under id 2");
+          String.iter
+            (fun byte ->
+              raw_write raw [ String.make 1 byte ];
+              Unix.sleepf 0.001)
+            run;
+          Alcotest.(check string) "same reply bytes" whole (raw_frame raw)))
 
 (* ---------------- shutdown ---------------- *)
 
@@ -841,7 +887,11 @@ let () =
               Alcotest.test_case (where ^ ": bare ping waits behind bare run") `Quick
                 (test_bare_ping_waits target);
               Alcotest.test_case (where ^ ": retired hello tag refused") `Quick
-                (test_retired_hello target) ])
+                (test_retired_hello target);
+              Alcotest.test_case (where ^ ": oversized length prefix refused, then EOF") `Quick
+                (test_oversized_prefix target);
+              Alcotest.test_case (where ^ ": request written a byte at a time") `Quick
+                (test_byte_at_a_time target) ])
           [ ("direct", fun f -> with_server f); ("routed", routed) ] );
       ( "lifecycle",
         [ Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
