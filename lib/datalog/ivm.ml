@@ -22,15 +22,23 @@
    - {e deletions} in a recursive stratum use DRed (delete and
      re-derive): over-delete everything reachable from the deleted
      rows through the clique's rules, then restore the rows that are
-     still EDB-backed or re-derivable from what survived;
+     still EDB-backed or re-derivable from what survived.  It works on
+     row ids of the pre handles: the over-deleted rows are a bitset
+     per predicate, each round's frontier is the id range the previous
+     round appended to an over-delete relation (cells copied, nothing
+     decoded), and the re-derive checks each over-deleted id once,
+     re-checking only the rows a restore can support;
 
    - a deletion costs the rows it touches: DRed's fixpoint marks rows
-     instead of removing them round by round, then one [Relation.remove]
-     per relation that loses rows marks them dead in place, so no
-     survivor is copied and no index rebuilt.  The handle a removal
-     replaces is kept as the pre state the deletion joins read, and a
-     relation that only gained rows is read below its old id bound
-     ([Relation.prefix]) — no snapshot is copied;
+     instead of removing them round by round, then one
+     [Relation.remove_ids] per relation that loses rows marks them dead
+     in place, so no survivor is copied and no index rebuilt (unless
+     dead rows pass an eighth of the live ones: [Relation.compact]).
+     The handle a removal replaces is kept as the pre state the
+     deletion joins read, and a relation that only gained rows is read
+     below its old id bound ([Relation.prefix]) — no snapshot is
+     copied.  The deleted rows a lower stratum's joins read are copied
+     out only when some stratum reads them;
 
    - a stratum with negation, extrema or aggregates is {e recomputed}
      from its (updated) inputs with the same [Seminaive.eval_clique]
@@ -77,6 +85,44 @@ type stats = {
   mutable strata_recomputed : int;  (* non-monotone recomputations *)
   mutable dred_overdeleted : int;
   mutable dred_rederived : int;
+  mutable dred_rounds : int;  (* over-delete rounds *)
+  mutable dred_checked : int;  (* re-derive checks made *)
+}
+
+(* One clique predicate under DRed.  Ids are those of its pre handle. *)
+type dred_pred = {
+  dp_pred : string;
+  dp_pre : Relation.t;
+  mutable dp_live : Relation.t;  (* after the removal: restores append here *)
+  dp_edb : Relation.t option;  (* its updated fact base rows *)
+  dp_fr : Relation.t;  (* the over-deleted rows, in the order they were found *)
+  dp_over : Relation.Idset.t;
+  dp_back : Relation.Idset.t;  (* restored *)
+  dp_queued : Relation.Idset.t;  (* queued for the next re-derive pass *)
+  dp_derived : Relation.Idset.t;  (* over-deleted heads an [Enumerate] check found *)
+  mutable dp_count : int;  (* over-deleted *)
+  mutable dp_back_count : int;  (* restored *)
+  mutable dp_lo : int;  (* the frontier: ids [dp_lo, dp_hi) of [dp_fr], *)
+  mutable dp_hi : int;  (* then of [dp_live] while re-deriving *)
+  mutable dp_checks : rederive_check list;  (* the rules deriving it *)
+}
+
+and rederive_check =
+  | Probe of Compile.t * Compile.binder  (* the body, head slots bound by the binder *)
+  | Enumerate of Compile.t * Compile.value_prog array * Value.t array * bool
+      (* the body's heads, into the buffer; [true]: the body reads no
+         clique predicate *)
+
+(* Where a delta variant's range scan reads: the rows a clique
+   predicate appended, or a lower stratum's deleted rows. *)
+type dred_source = Clique of dred_pred | Lower of Relation.t
+
+type dred_variant = {
+  dv_chain : Compile.t;
+  dv_head : Compile.value_prog array;
+  dv_buf : Value.t array;
+  dv_into : dred_pred;
+  dv_src : dred_source;
 }
 
 type t = {
@@ -129,7 +175,7 @@ let create program ~edb ~model =
     stats =
       { applies = 0; fallbacks = 0; rows_inserted = 0; rows_deleted = 0;
         strata_stepped = 0; strata_recomputed = 0; dred_overdeleted = 0;
-        dred_rederived = 0 } }
+        dred_rederived = 0; dred_rounds = 0; dred_checked = 0 } }
 
 (* Conservative predicate-level reachability: would a change to any of
    [preds] (transitively) affect a choice stratum?  Checked before the
@@ -165,11 +211,6 @@ let run_chain limits db (chain, head) k =
   Compile.run chain db (fun () ->
       Limits.poll limits;
       k (Compile.eval_row env head))
-
-let row_tbl_of rows =
-  let tbl = Relation.Row_tbl.create (max 4 (List.length rows)) in
-  List.iter (fun r -> Relation.Row_tbl.replace tbl r ()) rows;
-  tbl
 
 let group changes =
   let tbl = Hashtbl.create 8 in
@@ -215,7 +256,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
             Database.set_relation model p fresh
           in
           (* Net rows removed from the model so far, per predicate. *)
-          let deleted : (string, Relation.t) Hashtbl.t = Hashtbl.create 8 in
+          let deleted : (string, Relation.t Lazy.t) Hashtbl.t = Hashtbl.create 8 in
           (* Rows at ids >= base_card are "new since this apply
              started" — exactly what downstream strata must see as
              their insertion deltas ([Seminaive] marks).  A removal
@@ -261,43 +302,48 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                 Hashtbl.replace pre_view_memo p r;
                 r)
           in
-          let note_deleted p rows =
-            match rows with
-            | [] -> ()
-            | first :: _ ->
-              let rel =
-                match Hashtbl.find_opt deleted p with
-                | Some r -> r
-                | None ->
-                  let r = Relation.create (p ^ del_suffix) (Array.length first) in
-                  Hashtbl.replace deleted p r;
-                  r
-              in
-              List.iter (fun row -> ignore (Relation.add rel row)) rows
+          (* [n] rows, the ids of [src] that [iter] names, left [p]:
+             copied onto [p]'s deleted rows when a later stratum first
+             reads them, which in a model nothing reads below the
+             clique is never. *)
+          let note_deleted p src n iter =
+            if n > 0 then begin
+              let prev = Hashtbl.find_opt deleted p in
+              Hashtbl.replace deleted p
+                (lazy
+                  (let rel =
+                     match prev with
+                     | Some l -> Lazy.force l
+                     | None -> Relation.create (p ^ del_suffix) (Relation.arity src)
+                   in
+                   iter (fun id -> ignore (Relation.add_of rel src id));
+                   rel));
+              stats.rows_deleted <- stats.rows_deleted + n
+            end
           in
           (* Remove [rows] from [p]'s model relation, keeping the
-             survivors' order; returns the rows actually removed
-             (deduplicated). *)
+             survivors' order; rows it does not hold are ignored. *)
           let remove_rows p rows =
-            let seen = Relation.Row_tbl.create 16 in
-            let present =
-              List.filter
+            match Database.find model p with
+            | None -> ()
+            | Some rel ->
+              let set = Relation.Idset.create (Relation.id_bound rel) and n = ref 0 in
+              List.iter
                 (fun row ->
-                  Database.mem_fact model p row
-                  && not (Relation.Row_tbl.mem seen row)
-                  && (Relation.Row_tbl.replace seen row (); true))
-                rows
-            in
-            match present with
-            | [] -> []
-            | _ ->
-              let rel = Option.get (Database.find model p) in
-              let fresh = Relation.remove rel present in
-              replace p rel fresh;
-              Hashtbl.replace base_card p (Relation.id_bound fresh);
-              note_deleted p present;
-              stats.rows_deleted <- stats.rows_deleted + List.length present;
-              present
+                  match Relation.find rel row with
+                  | -1 -> ()
+                  | id ->
+                    if not (Relation.Idset.mem set id) then begin
+                      Relation.Idset.add set id;
+                      incr n
+                    end)
+                rows;
+              if !n > 0 then begin
+                let fresh = Relation.compact (Relation.remove_ids rel set) in
+                replace p rel fresh;
+                Hashtbl.replace base_card p (Relation.id_bound fresh);
+                note_deleted p rel !n (Relation.Idset.iter set)
+              end
           in
           (* S_old minus the deleted rows, memoized per predicate (a
              predicate's deletions are final once its stratum has been
@@ -309,7 +355,14 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
             | None ->
               let r =
                 match (Hashtbl.find_opt pre p, Hashtbl.find_opt deleted p) with
-                | Some pr, Some del -> Relation.remove pr (Relation.to_list del)
+                | Some pr, Some (lazy del) ->
+                  let set = Relation.Idset.create (Relation.id_bound pr) in
+                  for id = 0 to Relation.id_bound del - 1 do
+                    match Relation.find_of pr del id with
+                    | -1 -> ()
+                    | j -> Relation.Idset.add set j
+                  done;
+                  Relation.remove_ids pr set
                 | Some pr, None -> pr
                 | None, _ -> (
                   match Database.find model p with
@@ -351,7 +404,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
           List.iter
             (fun (p, rows) ->
               if Hashtbl.mem t.idb p then Hashtbl.replace edb_del p rows
-              else ignore (remove_rows p rows))
+              else remove_rows p rows)
             del_groups;
           List.iter
             (fun (p, rows) ->
@@ -416,7 +469,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
               (fun p ->
                 let b = ref [] in
                 (match Hashtbl.find_opt deleted p with
-                | Some d ->
+                | Some (lazy d) ->
                   b := (p ^ del_suffix, d) :: (p ^ mid_suffix, mid_rel p) :: !b
                 | None -> ());
                 (match Hashtbl.find_opt pre p with
@@ -461,11 +514,11 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                   let left = cur - n in
                   if left <= 0 then begin
                     Relation.Row_tbl.remove tbl row;
-                    if Database.mem_fact model p row then doomed := row :: !doomed
+                    doomed := row :: !doomed
                   end
                   else Relation.Row_tbl.replace tbl row left)
                 dec;
-              ignore (remove_rows p !doomed);
+              remove_rows p !doomed;
               false
             | None ->
               (* Recount from scratch against the already-final lower
@@ -486,193 +539,198 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                 Relation.iter rel (fun row ->
                     if not (Relation.Row_tbl.mem tbl row) then doomed := row :: !doomed)
               | None -> ());
-              ignore (remove_rows p (List.rev !doomed));
+              remove_rows p (List.rev !doomed);
               s.s_supports <- Some tbl;
               true
           in
 
-          (* DRed for a recursive monotone clique: over-delete
-             everything reachable from the deleted rows through the
-             clique's rules (judged over the pre state), then restore
-             what is still EDB-backed or re-derivable from the
-             survivors.  The over-delete fixpoint reads the clique only
-             through [$ivm_pre] and [$ivm_fr] and rejects rows already
-             over-deleted, so the live relations stay untouched — they
-             are the pre state, bound with their indexes — until one
-             removal pass per predicate after the fixpoint. *)
+          (* DRed for a recursive monotone clique, on row ids of the
+             pre handles.  Nothing is removed until the over-delete
+             fixpoint is done, so the clique's live handles are its pre
+             state throughout it.
+
+             - Over-delete: a round joins its frontier with the pre
+               state and marks every derived head, found in its pre
+               handle by its cells, in a bitset of over-deleted ids.  A
+               newly marked row is copied, cell for cell, onto the
+               predicate's append-only [$ivm_fr] relation, so the next
+               round's frontier is the id range this round appended,
+               read by range-scan delta variants.
+             - Removal: one [Relation.remove_ids] of each bitset, then
+               [Relation.compact].
+             - Re-derive: every over-deleted id is checked once against
+               the survivors (and the already-updated lower strata):
+               still EDB-backed, or some rule body holds with the head
+               bound from its pre row.  A restored row is appended to
+               the live relation, and the delta variants run over the
+               ids a pass restored re-queue the over-deleted rows whose
+               derivation can use them; nothing else is checked again. *)
           let dred_delete s =
             let clique = s.s_preds in
             let in_clique p = List.mem p clique in
             let is_front q = in_clique q || Hashtbl.mem deleted q in
             let is_pre q = is_front q || Hashtbl.mem pre q || has_inserts q in
-            let front_preds = List.filter is_front s.s_reads in
-            let front_preds =
-              List.sort_uniq String.compare (front_preds @ clique)
-            in
-            (* Over-deleted rows per clique pred. *)
-            let over : (string, Relation.Row_tbl.key list ref) Hashtbl.t =
-              Hashtbl.create 4
-            in
-            let over_tbl : (string, unit Relation.Row_tbl.t) Hashtbl.t =
-              Hashtbl.create 4
-            in
-            let is_over p row =
-              match Hashtbl.find_opt over_tbl p with
-              | Some tb -> Relation.Row_tbl.mem tb row
-              | None -> false
-            in
-            let mark_over p row =
-              (match Hashtbl.find_opt over p with
-              | Some l -> l := row :: !l
-              | None -> Hashtbl.replace over p (ref [ row ]));
-              (match Hashtbl.find_opt over_tbl p with
-              | Some tb -> Relation.Row_tbl.replace tb row ()
-              | None ->
-                let tb = Relation.Row_tbl.create 64 in
-                Relation.Row_tbl.replace tb row ();
-                Hashtbl.replace over_tbl p tb)
-            in
-            (* One variant per positive occurrence of a frontier-able
-               predicate; every other occurrence of a dirty predicate
-               reads the pre state (over-approximation is fine — the
-               re-derive phase restores any overshoot). *)
-            let variants =
-              List.concat_map
-                (fun rule ->
-                  let n =
-                    List.length
-                      (List.filter
-                         (function Pos a -> is_front a.pred | _ -> false)
-                         rule.body)
-                  in
-                  List.init n (fun i ->
-                      let occ = ref (-1) in
-                      let delta = ref None in
-                      let rest =
-                        List.filter_map
-                          (fun lit ->
-                            match lit with
-                            | Pos a when is_front a.pred ->
-                              incr occ;
-                              if !occ = i then begin
-                                delta :=
-                                  Some (Pos { a with pred = a.pred ^ fr_suffix });
-                                None
-                              end
-                              else Some (Pos { a with pred = a.pred ^ pre_suffix })
-                            | Pos a when is_pre a.pred ->
-                              Some (Pos { a with pred = a.pred ^ pre_suffix })
-                            | lit -> Some lit)
-                          rule.body
-                      in
-                      let body =
-                        match !delta with Some d -> d :: rest | None -> assert false
-                      in
-                      (rule.head.pred, head_chain body rule.head)))
-                s.s_rules
-            in
-            let pre_of p =
-              match Hashtbl.find_opt pre p with
-              | Some r -> Some r
-              | None ->
-                if has_inserts p then Some (pre_view p) else Database.find model p
-            in
-            let static_bindings =
+            let dps =
               List.filter_map
                 (fun p ->
-                  match pre_of p with
-                  | Some r -> Some (p ^ pre_suffix, r)
-                  | None -> None)
-                (List.sort_uniq String.compare
-                   (List.filter is_pre (s.s_reads @ clique)))
+                  Option.map
+                    (fun r ->
+                      let n = Relation.id_bound r in
+                      { dp_pred = p; dp_pre = r; dp_live = r;
+                        dp_edb = Database.find t.edb p;
+                        dp_fr = Relation.create (p ^ fr_suffix) (Relation.arity r);
+                        dp_over = Relation.Idset.create n; dp_back = Relation.Idset.create n;
+                        dp_queued = Relation.Idset.create n; dp_derived = Relation.Idset.create n;
+                        dp_count = 0; dp_back_count = 0; dp_lo = 0; dp_hi = 0; dp_checks = [] })
+                    (Database.find model p))
+                clique
             in
-            let arity_of p =
-              match Database.find model p with
-              | Some r -> Relation.arity r
-              | None -> (
-                match Database.find t.edb p with
-                | Some r -> Relation.arity r
-                | None -> 0)
+            let dp_of p = List.find_opt (fun dp -> String.equal dp.dp_pred p) dps in
+            let over dp id =
+              if not (Relation.Idset.mem dp.dp_over id) then begin
+                Relation.Idset.add dp.dp_over id;
+                Relation.append_of dp.dp_fr dp.dp_pre id;
+                dp.dp_count <- dp.dp_count + 1
+              end
             in
-            let fr_names = List.map (fun p -> (p, p ^ fr_suffix)) front_preds in
-            with_rels static_bindings (fun () ->
-                Fun.protect
-                  ~finally:(fun () ->
-                    List.iter
-                      (fun (_, n) -> Database.remove_relation model n)
-                      fr_names)
-                  (fun () ->
-                    (* Seed: external deletions from lower strata, plus
-                       this clique's own retracted EDB rows. *)
-                    let frontier : (string, Relation.Row_tbl.key list) Hashtbl.t =
-                      Hashtbl.create 4
-                    in
-                    List.iter
+            (* The delta variants of every rule with a head to mark:
+               one per positive occurrence of a [front] predicate,
+               read from [source] as a range scan. *)
+            let variants ~front ~rename_front ~rename ~source =
+              List.concat_map
+                (fun rule ->
+                  match dp_of rule.head.pred with
+                  | None -> []
+                  | Some into ->
+                    List.concat
+                      (List.mapi
+                         (fun i lit ->
+                           match lit with
+                           | Pos a when front a.pred -> (
+                             match source a.pred with
+                             | None -> []
+                             | Some src ->
+                               let rest =
+                                 List.filteri (fun j _ -> j <> i) rule.body
+                                 |> List.map (function
+                                      | Pos b -> Pos { b with pred = rename b.pred }
+                                      | lit -> lit)
+                               in
+                               let cbody =
+                                 Eval.compile_body (Pos { a with pred = rename_front a.pred } :: rest)
+                               in
+                               let chain = Compile.of_body ~range:true cbody in
+                               [ { dv_chain = chain;
+                                   dv_head =
+                                     Compile.compile_row chain
+                                       (Eval.compile_terms cbody rule.head.args);
+                                   dv_buf = Array.make (List.length rule.head.args) Value.unit;
+                                   dv_into = into; dv_src = src } ])
+                           | _ -> [])
+                         rule.body))
+                s.s_rules
+            in
+            (* [f] on the pre id of each head [v] derives over ids
+               [lo, hi) of its source. *)
+            let run_variant v lo hi f =
+              if hi > lo then begin
+                let env = Compile.env v.dv_chain in
+                Compile.run_range v.dv_chain ~ro:false lo hi (fun () ->
+                    Limits.poll limits;
+                    for j = 0 to Array.length v.dv_head - 1 do
+                      v.dv_buf.(j) <- v.dv_head.(j) env
+                    done;
+                    match Relation.find v.dv_into.dp_pre v.dv_buf with
+                    | -1 -> ()
+                    | id -> f id)
+              end
+            in
+            let checked = ref 0 and rounds = ref 0 in
+
+            Telemetry.span telemetry "ivm:overdelete" (fun () ->
+                let ovs =
+                  variants ~front:is_front
+                    ~rename_front:(fun p -> p ^ fr_suffix)
+                    ~rename:(fun p -> if is_pre p then p ^ pre_suffix else p)
+                    ~source:(fun q ->
+                      match dp_of q with
+                      | Some dp -> Some (Clique dp)
+                      | None ->
+                        if in_clique q then None
+                        else Some (Lower (Lazy.force (Hashtbl.find deleted q))))
+                in
+                let pre_of p =
+                  match Hashtbl.find_opt pre p with
+                  | Some r -> Some r
+                  | None -> if has_inserts p then Some (pre_view p) else Database.find model p
+                in
+                let bindings =
+                  List.filter_map
+                    (fun p -> Option.map (fun r -> (p ^ pre_suffix, r)) (pre_of p))
+                    (List.sort_uniq String.compare (List.filter is_pre (s.s_reads @ clique)))
+                  @ List.map (fun dp -> (dp.dp_pred ^ fr_suffix, dp.dp_fr)) dps
+                  @ List.filter_map
                       (fun q ->
-                        if not (in_clique q) then
-                          match Hashtbl.find_opt deleted q with
-                          | Some d -> Hashtbl.replace frontier q (Relation.to_list d)
-                          | None -> ())
-                      front_preds;
+                        if in_clique q then None
+                        else
+                          Option.map
+                            (fun d -> (q ^ fr_suffix, Lazy.force d))
+                            (Hashtbl.find_opt deleted q))
+                      (List.sort_uniq String.compare s.s_reads)
+                in
+                with_rels bindings (fun () ->
+                    List.iter (fun v -> Compile.resolve v.dv_chain model) ovs;
+                    (* Seed: this clique's own retracted EDB rows; the
+                       lower strata's deletions are the first round's
+                       [Lower] frontier. *)
                     List.iter
-                      (fun p ->
-                        let rows =
-                          List.filter
-                            (fun row -> Database.mem_fact model p row)
-                            (edb_del_of p)
-                        in
-                        if rows <> [] then begin
-                          List.iter (mark_over p) rows;
-                          Hashtbl.replace frontier p rows
-                        end)
-                      clique;
-                    (* Over-delete to fixpoint. *)
-                    while Hashtbl.length frontier > 0 do
+                      (fun dp ->
+                        List.iter
+                          (fun row ->
+                            match Relation.find dp.dp_pre row with
+                            | -1 -> ()
+                            | id -> over dp id)
+                          (edb_del_of dp.dp_pred);
+                        dp.dp_hi <- Relation.id_bound dp.dp_fr)
+                      dps;
+                    let first = ref true in
+                    while !first || List.exists (fun dp -> dp.dp_hi > dp.dp_lo) dps do
                       Limits.poll limits;
+                      incr rounds;
                       List.iter
-                        (fun (p, n) ->
-                          let rel = Relation.create n (arity_of p) in
-                          (match Hashtbl.find_opt frontier p with
-                          | Some rows ->
-                            List.iter (fun row -> ignore (Relation.add rel row)) rows
-                          | None -> ());
-                          Database.set_relation model n rel)
-                        fr_names;
-                      let next : (string, Relation.Row_tbl.key list ref) Hashtbl.t =
-                        Hashtbl.create 4
-                      in
+                        (fun v ->
+                          let lo, hi =
+                            match v.dv_src with
+                            | Clique dp -> (dp.dp_lo, dp.dp_hi)
+                            | Lower r -> if !first then (0, Relation.id_bound r) else (0, 0)
+                          in
+                          run_variant v lo hi (over v.dv_into))
+                        ovs;
+                      first := false;
                       List.iter
-                        (fun (hp, v) ->
-                          run_chain limits model v (fun row ->
-                              if
-                                Database.mem_fact model hp row
-                                && not (is_over hp row)
-                              then begin
-                                mark_over hp row;
-                                match Hashtbl.find_opt next hp with
-                                | Some l -> l := row :: !l
-                                | None -> Hashtbl.replace next hp (ref [ row ])
-                              end))
-                        variants;
-                      Hashtbl.reset frontier;
-                      Hashtbl.iter (fun p l -> Hashtbl.replace frontier p !l) next
+                        (fun dp ->
+                          dp.dp_lo <- dp.dp_hi;
+                          dp.dp_hi <- Relation.id_bound dp.dp_fr)
+                        dps
                     done));
-            Hashtbl.iter
-              (fun p l ->
-                match Database.find model p with
-                | Some rel -> replace p rel (Relation.remove rel !l)
-                | None -> ())
-              over;
-            (* Re-derive: restore over-deleted rows that are still
-               EDB-backed or have a derivation over the surviving (and
-               already-updated lower) state.  A probe only asks whether
-               some derivation exists, so its positive literals may join
-               in any order: most bound arguments first, the smaller
-               relation on a tie.  On [tc(X, Z) <- tc(X, Y), edge(Y, Z)]
-               that walks edge's one-row bucket and ends in a ground tc
-               lookup instead of scanning every tc(X, _).  Comparisons
-               and negations still go wherever [Eval.compile_body] finds
-               them ready; computed arguments keep the written order. *)
+
+            Telemetry.span telemetry "ivm:remove" (fun () ->
+                List.iter
+                  (fun dp ->
+                    if dp.dp_count > 0 then begin
+                      dp.dp_live <- Relation.compact (Relation.remove_ids dp.dp_pre dp.dp_over);
+                      replace dp.dp_pred dp.dp_pre dp.dp_live
+                    end)
+                  dps);
+
+            (* A probe only asks whether some derivation exists, so its
+               positive literals may join in any order: most bound
+               arguments first, the smaller relation on a tie.  On
+               [tc(X, Z) <- tc(X, Y), edge(Y, Z)] that walks edge's
+               one-row bucket and ends in a ground tc lookup instead of
+               scanning every tc(X, _).  Comparisons and negations
+               still go wherever [Eval.compile_body] finds them ready;
+               computed arguments keep the written order. *)
             let probe_order bound body =
               let simple = function
                 | Pos a -> List.for_all (function Var _ | Cst _ -> true | _ -> false) a.args
@@ -696,112 +754,167 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
               in
               if List.for_all simple body then go bound body else body
             in
-            let checkers =
-              Array.of_list
-              @@ List.map
-                (fun rule ->
-                  let bindable =
-                    List.for_all
-                      (function Var _ | Cst _ -> true | _ -> false)
-                      rule.head.args
-                  in
-                  if bindable then begin
-                    let head_vars =
-                      List.sort_uniq compare
-                        (List.concat_map Ast.term_vars rule.head.args)
-                    in
-                    let cbody =
-                      Eval.compile_body ~extra_bound:head_vars (probe_order head_vars rule.body)
-                    in
-                    let chain =
-                      Compile.of_body ~bound:(List.map (Eval.slot cbody) head_vars) cbody
-                    in
-                    let bind =
-                      Compile.compile_binder ~bound:[] (Eval.compile_terms cbody rule.head.args)
-                    in
-                    `Probe (rule.head.pred, chain, bind)
-                  end
-                  else `Enumerate (rule.head.pred, head_chain rule.body rule.head))
-                s.s_rules
-            in
-            let overdeleted = ref 0 and rederived = ref 0 in
-            let remaining : (string, unit Relation.Row_tbl.t) Hashtbl.t =
-              Hashtbl.create 4
-            in
-            Hashtbl.iter
-              (fun p l ->
-                overdeleted := !overdeleted + List.length !l;
-                Hashtbl.replace remaining p (row_tbl_of !l))
-              over;
-            let restore p row tb =
-              ignore (Database.add_fact model p row);
-              Relation.Row_tbl.remove tb row;
-              incr rederived
-            in
-            let progress = ref true in
-            while !progress do
-              progress := false;
-              Limits.poll limits;
-              (* Heads of computed-argument rules, re-enumerated once
-                 per round (rare: monotone heads are almost always
-                 plain variables).  Stale within a round is fine — the
-                 outer loop repeats until no restore makes progress. *)
-              let enum_heads =
-                Array.map
-                  (fun checker ->
-                    match checker with
-                    | `Probe _ -> None
-                    | `Enumerate (_, v) ->
-                      let tb = Relation.Row_tbl.create 64 in
-                      run_chain limits model v (fun row -> Relation.Row_tbl.replace tb row ());
-                      Some tb)
-                  checkers
-              in
-              let derivable p row =
-                let ok = ref false in
-                Array.iteri
-                  (fun i checker ->
-                    if not !ok then
-                      match checker with
-                      | `Probe (hp, chain, bind) ->
-                        if String.equal hp p then begin
-                          if
-                            Compile.bind bind (Compile.env chain) row
-                            && (try
-                                  Compile.run chain model (fun () -> raise Exit);
-                                  false
-                                with Exit -> true)
-                          then ok := true
+            Telemetry.span telemetry "ivm:rederive" (fun () ->
+                (* Every check reads the model as it stands: resolved
+                   once, since a restore appends to the same handles. *)
+                List.iter
+                  (fun rule ->
+                    match dp_of rule.head.pred with
+                    | None -> ()
+                    | Some dp ->
+                      let positive = List.filter_map (function Pos a -> Some a.pred | _ -> None) rule.body in
+                      let by_enumeration () =
+                        let cbody = Eval.compile_body rule.body in
+                        let chain = Compile.of_body cbody in
+                        Enumerate
+                          ( chain,
+                            Compile.compile_row chain (Eval.compile_terms cbody rule.head.args),
+                            Array.make (List.length rule.head.args) Value.unit,
+                            not (List.exists in_clique positive) )
+                      in
+                      let check =
+                        if
+                          not
+                            (List.for_all
+                               (function Var _ | Cst _ -> true | _ -> false)
+                               rule.head.args)
+                        then
+                          (* A computed head (rare: monotone heads are
+                             almost always plain variables). *)
+                          by_enumeration ()
+                        else if
+                          (* A rule over one lower relation smaller than
+                             the rows to check: scanning it once beats a
+                             probe per row. *)
+                          match positive with
+                          | [ q ] when not (in_clique q) -> (
+                            match Database.find model q with
+                            | Some r -> Relation.cardinal r < dp.dp_count
+                            | None -> true)
+                          | _ -> false
+                        then by_enumeration ()
+                        else begin
+                          let head_vars =
+                            List.sort_uniq compare (List.concat_map Ast.term_vars rule.head.args)
+                          in
+                          let cbody =
+                            Eval.compile_body ~extra_bound:head_vars
+                              (probe_order head_vars rule.body)
+                          in
+                          let chain =
+                            Compile.of_body ~bound:(List.map (Eval.slot cbody) head_vars) cbody
+                          in
+                          Probe
+                            ( chain,
+                              Compile.compile_binder ~bound:[]
+                                (Eval.compile_terms cbody rule.head.args) )
                         end
-                      | `Enumerate (hp, _) -> (
-                        if String.equal hp p then
-                          match enum_heads.(i) with
-                          | Some tb -> if Relation.Row_tbl.mem tb row then ok := true
-                          | None -> ()))
-                  checkers;
-                !ok
-              in
-              Hashtbl.iter
-                (fun p tb ->
-                  let rows = Relation.Row_tbl.fold (fun row () acc -> row :: acc) tb [] in
+                      in
+                      (match check with
+                      | Probe (chain, _) | Enumerate (chain, _, _, _) -> Compile.resolve chain model);
+                      dp.dp_checks <- check :: dp.dp_checks)
+                  s.s_rules;
+                (* The over-deleted heads of every enumerated rule, over
+                   the model as it stands: they only grow, and those of a
+                   rule that reads no clique predicate never change. *)
+                let first = ref true in
+                let enumerate () =
                   List.iter
-                    (fun row ->
-                      if Relation.Row_tbl.mem tb row then
-                        if Database.mem_fact t.edb p row || derivable p row then begin
-                          restore p row tb;
-                          progress := true
-                        end)
-                    rows)
-                remaining
-            done;
-            stats.dred_overdeleted <- stats.dred_overdeleted + !overdeleted;
-            stats.dred_rederived <- stats.dred_rederived + !rederived;
-            Hashtbl.iter
-              (fun p tb ->
-                let gone = Relation.Row_tbl.fold (fun row () acc -> row :: acc) tb [] in
-                note_deleted p gone;
-                stats.rows_deleted <- stats.rows_deleted + List.length gone)
-              remaining;
+                    (fun dp ->
+                      List.iter
+                        (function
+                          | Probe _ -> ()
+                          | Enumerate (_, _, _, true) when not !first -> ()
+                          | Enumerate (chain, head, buf, _) ->
+                            let env = Compile.env chain in
+                            Compile.run_resolved chain (fun () ->
+                                Limits.poll limits;
+                                for j = 0 to Array.length head - 1 do
+                                  buf.(j) <- head.(j) env
+                                done;
+                                match Relation.find dp.dp_pre buf with
+                                | -1 -> ()
+                                | id -> Relation.Idset.add dp.dp_derived id))
+                        dp.dp_checks)
+                    dps;
+                  first := false
+                in
+                let rec derivable dp id = function
+                  | [] -> false
+                  | Probe (chain, bind) :: rest ->
+                    (Compile.bind_id bind (Compile.env chain) dp.dp_pre id
+                    && try
+                         Compile.run_resolved chain (fun () -> raise Exit);
+                         false
+                       with Exit -> true)
+                    || derivable dp id rest
+                  | Enumerate _ :: rest -> Relation.Idset.mem dp.dp_derived id || derivable dp id rest
+                in
+                let check dp id =
+                  Limits.poll limits;
+                  incr checked;
+                  if
+                    (match dp.dp_edb with
+                    | Some e -> Relation.find_of e dp.dp_pre id >= 0
+                    | None -> false)
+                    || derivable dp id dp.dp_checks
+                  then begin
+                    ignore (Relation.add_of dp.dp_live dp.dp_pre id);
+                    Relation.Idset.add dp.dp_back id;
+                    dp.dp_back_count <- dp.dp_back_count + 1
+                  end
+                in
+                let rqs =
+                  variants ~front:in_clique ~rename_front:Fun.id ~rename:Fun.id
+                    ~source:(fun q -> Option.map (fun dp -> Clique dp) (dp_of q))
+                in
+                List.iter (fun v -> Compile.resolve v.dv_chain model) rqs;
+                (* One pass: [visit] checks rows; then the variants over
+                   what it restored queue the rows to check next. *)
+                let rec pass visit =
+                  enumerate ();
+                  List.iter (fun dp -> dp.dp_lo <- Relation.id_bound dp.dp_live) dps;
+                  visit ();
+                  List.iter (fun dp -> dp.dp_hi <- Relation.id_bound dp.dp_live) dps;
+                  let queue = ref [] in
+                  List.iter
+                    (fun v ->
+                      let src = match v.dv_src with Clique dp -> dp | Lower _ -> assert false in
+                      let dp = v.dv_into in
+                      run_variant v src.dp_lo src.dp_hi (fun id ->
+                          if
+                            Relation.Idset.mem dp.dp_over id
+                            && (not (Relation.Idset.mem dp.dp_back id))
+                            && not (Relation.Idset.mem dp.dp_queued id)
+                          then begin
+                            Relation.Idset.add dp.dp_queued id;
+                            queue := (dp, id) :: !queue
+                          end))
+                    rqs;
+                  match !queue with
+                  | [] -> ()
+                  | queued ->
+                    pass (fun () ->
+                        List.iter
+                          (fun (dp, id) ->
+                            Relation.Idset.remove dp.dp_queued id;
+                            if not (Relation.Idset.mem dp.dp_back id) then check dp id)
+                          (List.rev queued))
+                in
+                pass (fun () -> List.iter (fun dp -> Relation.Idset.iter dp.dp_over (check dp)) dps));
+            List.iter
+              (fun dp ->
+                stats.dred_overdeleted <- stats.dred_overdeleted + dp.dp_count;
+                stats.dred_rederived <- stats.dred_rederived + dp.dp_back_count)
+              dps;
+            stats.dred_checked <- stats.dred_checked + !checked;
+            stats.dred_rounds <- stats.dred_rounds + !rounds;
+            List.iter
+              (fun dp ->
+                note_deleted dp.dp_pred dp.dp_pre (dp.dp_count - dp.dp_back_count) (fun f ->
+                    Relation.Idset.iter dp.dp_over (fun id ->
+                        if not (Relation.Idset.mem dp.dp_back id) then f id)))
+              dps;
             (* The restored rows were never absent from the stratum's
                point of view: mark them (and the survivors) as already
                seen, so only genuinely new rows flow downstream. *)
@@ -882,15 +995,18 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
               (fun p ->
                 match (Hashtbl.find_opt pre p, Database.find model p) with
                 | Some old, Some now ->
-                  let gone = ref [] in
-                  Relation.iter old (fun row ->
-                      if not (Relation.mem now row) then gone := row :: !gone);
-                  let gone = List.rev !gone in
-                  note_deleted p gone;
-                  stats.rows_deleted <- stats.rows_deleted + List.length gone;
-                  Relation.iter now (fun row ->
-                      if not (Relation.mem old row) then
-                        stats.rows_inserted <- stats.rows_inserted + 1);
+                  (* [b]'s live ids whose rows [a] lacks *)
+                  let missing a b f =
+                    for id = 0 to Relation.id_bound b - 1 do
+                      if Relation.is_live b id && Relation.find_of a b id < 0 then f id
+                    done
+                  in
+                  let gone = Relation.Idset.create (Relation.id_bound old) and n = ref 0 in
+                  missing now old (fun id ->
+                      Relation.Idset.add gone id;
+                      incr n);
+                  note_deleted p old !n (Relation.Idset.iter gone);
+                  missing old now (fun _ -> stats.rows_inserted <- stats.rows_inserted + 1);
                   Hashtbl.replace base_card p 0
                 | _ -> ())
               s.s_preds;

@@ -12,11 +12,12 @@
       support count per derived fact, decremented by the lost
       derivations); recursive strata use DRed — over-delete everything
       reachable from the retracted rows, then restore what is still
-      EDB-backed or re-derivable.  A delete costs the rows it touches
-      plus one {!Relation.remove} pass over each relation that loses
-      rows: the over-delete fixpoint leaves the live relations alone,
-      and the relation a removal replaces, indexes included, serves as
-      the pre state (nothing is snapshotted by copying);
+      EDB-backed or re-derivable, on row ids and bitsets of the pre
+      state.  A delete costs the rows it touches plus one
+      {!Relation.remove_ids} pass over each relation that loses rows:
+      the over-delete fixpoint leaves the live relations alone, and the
+      relation a removal replaces, indexes included, serves as the pre
+      state (nothing is snapshotted by copying);
     - strata with negation, extrema or aggregates are recomputed from
       their updated inputs with the same {!Seminaive.eval_clique} the
       engines use, and the diff keeps propagating;
@@ -50,8 +51,12 @@ type stats = {
   mutable rows_deleted : int;  (** net rows removed from the model *)
   mutable strata_stepped : int;  (** delta-maintained stratum visits *)
   mutable strata_recomputed : int;  (** non-monotone recomputations *)
-  mutable dred_overdeleted : int;
-  mutable dred_rederived : int;
+  mutable dred_overdeleted : int;  (** rows DRed over-deleted *)
+  mutable dred_rederived : int;  (** of those, rows it restored *)
+  mutable dred_rounds : int;  (** over-delete rounds *)
+  mutable dred_checked : int;
+      (** re-derive checks: each over-deleted row once, plus once per
+          re-queue after a restore its derivation can use *)
 }
 
 val create : Ast.program -> edb:Database.t -> model:Database.t -> t

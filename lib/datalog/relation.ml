@@ -192,9 +192,41 @@ let dead_prefix dead n =
   done;
   out
 
+(* Id sets for callers, in the bitmap format of dead rows. *)
+module Idset = struct
+  type t = Bytes.t
+
+  let create n = Bytes.make ((n + 7) lsr 3) '\000'
+  let mem = is_dead
+
+  let add s id =
+    if id < 0 || id lsr 3 >= Bytes.length s then invalid_arg "Relation.Idset.add: id out of range";
+    set_dead s id
+
+  let remove s id =
+    let byte = id lsr 3 in
+    if byte < Bytes.length s then
+      Bytes.unsafe_set s byte
+        (Char.unsafe_chr (Char.code (Bytes.unsafe_get s byte) land lnot (1 lsl (id land 7))))
+
+  let iter s f =
+    for byte = 0 to Bytes.length s - 1 do
+      let b = Char.code (Bytes.unsafe_get s byte) in
+      if b <> 0 then
+        for bit = 0 to 7 do
+          if b land (1 lsl bit) <> 0 then f ((byte lsl 3) lor bit)
+        done
+    done
+end
+
 (* Membership: a hash set of row ids keyed by full-row cell content,
-   [-1] marking an empty slot.  Always populated, so that [mem] never
-   mutates — concurrent readers call it on relations they only read. *)
+   [-1] marking an empty slot.  An entry is the id shifted left by 8
+   over 8 high bits of the row's hash, so a probe reads the cells of
+   only the rows whose tag matches its own.  Always populated, so that
+   [mem] never mutates — concurrent readers call it on relations they
+   only read. *)
+let[@inline] entry id h = (id lsl 8) lor ((h lsr 40) land 255)
+let[@inline] entry_id e = e lsr 8
 let slots_create n =
   let rec cap c = if c >= 2 * n then c else cap (2 * c) in
   Array.make (cap 32) (-1)
@@ -213,21 +245,27 @@ let free_slot slots h =
    a dead row and the live copy added after it each keep an entry. *)
 let fill_slots slots cells w n =
   for id = 0 to n - 1 do
-    slots.(free_slot slots (hash_cells cells (id * w) w 17 0)) <- id
+    let h = hash_cells cells (id * w) w 17 0 in
+    slots.(free_slot slots h) <- entry id h
   done;
   slots
 
 (* The slot of the row whose cells equal [key] at [koff] among the ids
    below [bound] that [dead] leaves live, or the empty slot where that
-   row would go.  Other rows with those cells — removed ones, or ones
-   past the bound — are stepped over like any other key. *)
-let seen_slot slots cells w key koff bound dead =
-  let mask = Array.length slots - 1 in
-  let i = ref (hash_cells key koff w 17 0 land mask) in
+   row would go, for the key's hash [h].  Other rows with those cells
+   — removed ones, or ones past the bound — are stepped over like any
+   other key, and without reading their cells. *)
+let seen_slot slots cells w key koff h bound dead =
+  let mask = Array.length slots - 1 and tag = entry 0 h in
+  let i = ref (h land mask) in
   while
-    let id = Array.unsafe_get slots !i in
-    id >= 0
-    && not (cells_eq cells (id * w) key koff w 0 && id < bound && not (is_dead dead id))
+    let e = Array.unsafe_get slots !i in
+    e >= 0
+    && not
+         (e land 255 = tag
+         &&
+         let id = entry_id e in
+         id < bound && (not (is_dead dead id)) && cells_eq cells (id * w) key koff w 0)
   do
     i := (!i + 1) land mask
   done;
@@ -379,8 +417,13 @@ type digest_cache = {
    them. *)
 type store = {
   mutable cells : int array;  (* row i at [i*width, (i+1)*width) *)
-  mutable slots : int array;  (* membership: one entry per written id *)
+  mutable slots : int array;  (* membership: one entry per id below [hashed] *)
   mutable used : int;
+  mutable hashed : int;
+      (* ids [hashed, used) were appended unchecked ([append_of]); they
+         enter [slots] before the set is next read.  Equal to [used] on
+         a frozen store ([copy] catches up first), so concurrent
+         readers never write. *)
   mutable owner : int;  (* the owning handle's [tok], or -1 *)
   mutable indexes : index list;
 }
@@ -408,7 +451,8 @@ let make rel_name width cells count =
   { rel_name;
     width;
     tok;
-    store = { cells; slots = slots_create (count + 1); used = count; owner = tok; indexes = [] };
+    store =
+      { cells; slots = slots_create (count + 1); used = count; hashed = count; owner = tok; indexes = [] };
     cells;
     count;
     live = count;
@@ -424,13 +468,19 @@ let id_bound r = r.count
 let is_live r id = id < r.count && not (is_dead r.dead id)
 let full_mask r = (1 lsl r.width) - 1
 
-(* Enter row [id] of [st] in its membership set, growing the set as
-   needed.  Only the owner writes a store. *)
-let seen_add st w id =
-  if 2 * (st.used + 1) >= Array.length st.slots then
-    st.slots <- fill_slots (Array.make (2 * Array.length st.slots) (-1)) st.cells w st.used;
-  st.slots.(free_slot st.slots (hash_cells st.cells (id * w) w 17 0)) <- id;
-  st.used <- st.used + 1
+(* Enter the rows appended since the membership set was last written,
+   growing the set as needed.  Only the owner writes a store. *)
+let catch_up st w =
+  if st.hashed < st.used then begin
+    if 2 * (st.used + 1) >= Array.length st.slots then
+      st.slots <- fill_slots (slots_create (st.used + 1)) st.cells w st.used
+    else
+      for id = st.hashed to st.used - 1 do
+        let h = hash_cells st.cells (id * w) w 17 0 in
+        st.slots.(free_slot st.slots h) <- entry id h
+      done;
+    st.hashed <- st.used
+  end
 
 (* Make [r] the owner of a store of its own before it appends.  A store
    written only up to [r]'s bound is copied as it stands, indexes
@@ -440,18 +490,21 @@ let seen_add st w id =
 let privatize r =
   let st = r.store in
   if st.owner <> r.tok then begin
+    catch_up st r.width;
     let cells = Array.copy st.cells in
     r.store <-
       (if st.used = r.count then
          { cells;
            slots = Array.copy st.slots;
            used = st.used;
+           hashed = st.used;
            owner = r.tok;
            indexes = List.map index_copy st.indexes }
        else
          { cells;
            slots = fill_slots (slots_create (r.count + 1)) cells r.width r.count;
            used = r.count;
+           hashed = r.count;
            owner = r.tok;
            indexes = [] });
     r.cells <- cells
@@ -486,29 +539,57 @@ let rec add_to_indexes cells w id = function
 (* The id of the live row whose cells equal [probe], or -1. *)
 let find_cells r (probe : int array) =
   let st = r.store in
-  st.slots.(seen_slot st.slots st.cells r.width probe 0 r.count r.dead)
+  catch_up st r.width;
+  let e =
+    st.slots.(seen_slot st.slots st.cells r.width probe 0 (hash_cells probe 0 r.width 17 0) r.count
+                r.dead)
+  in
+  if e < 0 then -1 else entry_id e
+
+(* Write the row in [r.scratch] at id [r.count] of [r]'s own store. *)
+let push_scratch r =
+  let st = r.store and w = r.width in
+  if (r.count * w) + w > Array.length st.cells then begin
+    let ncells = Array.make (max (16 * w) (2 * Array.length st.cells)) 0 in
+    Array.blit st.cells 0 ncells 0 (r.count * w);
+    st.cells <- ncells;
+    r.cells <- ncells
+  end;
+  let off = r.count * w in
+  for j = 0 to w - 1 do
+    Array.unsafe_set st.cells (off + j) (Array.unsafe_get r.scratch j)
+  done
+
+(* ... and count it in, once the membership set holds it or knows to. *)
+let push_done r =
+  let st = r.store in
+  (* Guarded: the iter closure would otherwise be the only per-row
+     minor allocation on the bulk-load path (no indexes yet). *)
+  if st.indexes <> [] then add_to_indexes st.cells r.width r.count st.indexes;
+  r.count <- r.count + 1;
+  r.live <- r.live + 1
 
 (* Insert the candidate row held in [r.scratch].  A removed row comes
    back under a new id, with an entry of its own: the old entry stays
    for the handles that still see the old id. *)
 let add_scratch r =
-  if find_cells r r.scratch >= 0 then false
+  let st0 = r.store and w = r.width in
+  catch_up st0 w;
+  (* the row's slot if present, else the empty slot it goes in *)
+  let h = hash_cells r.scratch 0 w 17 0 in
+  let slot = seen_slot st0.slots st0.cells w r.scratch 0 h r.count r.dead in
+  if st0.slots.(slot) >= 0 then false
   else begin
     privatize r;
-    let st = r.store and w = r.width in
-    if (r.count * w) + w > Array.length st.cells then begin
-      let ncells = Array.make (max (16 * w) (2 * Array.length st.cells)) 0 in
-      Array.blit st.cells 0 ncells 0 (r.count * w);
-      st.cells <- ncells;
-      r.cells <- ncells
-    end;
-    Array.blit r.scratch 0 st.cells (r.count * w) w;
-    seen_add st w r.count;
-    (* Guarded: the iter closure would otherwise be the only per-row
-       minor allocation on the bulk-load path (no indexes yet). *)
-    if st.indexes <> [] then add_to_indexes st.cells w r.count st.indexes;
-    r.count <- r.count + 1;
-    r.live <- r.live + 1;
+    let st = r.store in
+    push_scratch r;
+    st.used <- st.used + 1;
+    if st == st0 && 2 * (st.used + 1) < Array.length st.slots then begin
+      st.slots.(slot) <- entry r.count h;
+      st.hashed <- st.used
+    end
+    else catch_up st w;
+    push_done r;
     true
   end
 
@@ -535,6 +616,33 @@ let find_row r (probe : int array) (row : tuple) =
   find_cells r probe
 
 let mem r row = Array.length row = r.width && find_row r (Array.make r.width 0) row >= 0
+
+let find r row = if Array.length row = r.width then find_row r r.scratch row else -1
+
+let copy_cells r src id =
+  if src.width <> r.width then
+    invalid_arg
+      (Printf.sprintf "Relation: row of %s (arity %d) into %s (arity %d)" src.rel_name src.width r.rel_name
+         r.width);
+  let cells = src.cells and off = id * r.width in
+  for j = 0 to r.width - 1 do
+    Array.unsafe_set r.scratch j (Array.unsafe_get cells (off + j))
+  done
+
+let find_of r src id =
+  copy_cells r src id;
+  find_cells r r.scratch
+
+let add_of r src id =
+  copy_cells r src id;
+  add_scratch r
+
+let append_of r src id =
+  copy_cells r src id;
+  privatize r;
+  push_scratch r;
+  r.store.used <- r.store.used + 1;
+  push_done r
 
 (* ---------------- iteration ---------------- *)
 
@@ -593,49 +701,62 @@ let dense_cells r doomed n =
   done;
   cells
 
-(* Removal for incremental view maintenance.  The doomed rows are
-   located through the membership set.  In place, the result is a new
-   handle on [r]'s store whose bitmap also marks them dead: no
-   survivor is copied, re-hashed or re-indexed, and [r] keeps reading
-   its own rows.  Once dead rows would exceed an eighth of the live
-   ones, the survivors are compacted into a fresh store instead, their
-   index chains renumbered along: every scan stays within 1.125 times
-   the live rows, the cost per removed row stays constant, and the
-   store, compacted with room for a quarter more rows, need not grow
-   while an assert/retract stream churns it.  (Looser thresholds
-   compact less often but keep larger stores: letting dead rows
-   outnumber live ones raised gbcd's peak RSS on serve_update by ~12%,
-   a quarter by ~8%.)  A digest cache carries over: the removed rows below its watermark queue their
-   cells for subtraction, and a compaction lowers the watermark to the
-   survivors below it. *)
-let remove r rows =
+(* Removal for incremental view maintenance, in two steps.
+   [remove_ids] makes a new handle on [r]'s store whose bitmap also
+   marks the ids dead: no survivor is copied, re-hashed or re-indexed,
+   and [r] keeps reading its own rows.  [compact], once dead rows
+   exceed an eighth of the live ones, copies the survivors into a
+   fresh store, their index chains renumbered along: every scan stays
+   within 1.125 times the live rows, the cost per removed row stays
+   constant, and the store, compacted with room for a quarter more
+   rows, need not grow while an assert/retract stream churns it.
+   (Looser thresholds compact less often but keep larger stores:
+   letting dead rows outnumber live ones raised gbcd's peak RSS on
+   serve_update by ~12%, a quarter by ~8%.)  A digest cache carries
+   over: the removed rows below its watermark queue their cells for
+   subtraction, and a compaction lowers the watermark to the survivors
+   below it. *)
+let remove_ids r set =
   let w = r.width and st = r.store in
-  let probe = Array.make w 0 in
-  let ids =
-    List.filter_map
-      (fun row ->
-        if Array.length row <> w then None
-        else match find_row r probe row with -1 -> None | id -> Some id)
-      rows
-    |> List.sort_uniq Int.compare
-  in
-  let live = r.live - List.length ids in
   let doomed = dead_prefix r.dead r.count in
-  List.iter (set_dead doomed) ids;
+  (* the ids of [set] below [hi] that [r] holds live, in order *)
+  let iter_removed hi f = Idset.iter set (fun id -> if id < hi && not (is_dead r.dead id) then f id) in
+  let n = ref 0 in
+  iter_removed r.count (fun id ->
+      set_dead doomed id;
+      incr n);
   let gone d =
-    let below = List.filter (fun id -> id < d.mark) ids in
-    let gone = Array.make (List.length below * w) 0 in
-    List.iteri (fun i id -> Array.blit r.cells (id * w) gone (i * w) w) below;
+    let below = ref 0 in
+    iter_removed (min d.mark r.count) (fun _ -> incr below);
+    let gone = Array.make (!below * w) 0 and i = ref 0 in
+    iter_removed (min d.mark r.count) (fun id ->
+        Array.blit r.cells (id * w) gone (!i * w) w;
+        incr i);
     gone
   in
-  if 8 * (r.count - live) > live then begin
-    let out = make r.rel_name w (dense_cells r doomed live) live in
+  let tok = fresh_tok () in
+  if st.owner = r.tok then st.owner <- tok;
+  { r with
+    tok;
+    live = r.live - !n;
+    dead = doomed;
+    scratch = Array.make w 0;
+    digest =
+      (match r.digest with
+      | Some d when w > 0 -> Some { d with removed = gone d :: d.removed }
+      | _ -> None) }
+
+let compact r =
+  let w = r.width and st = r.store and live = r.live in
+  if 8 * (r.count - live) <= live then r
+  else begin
+    let out = make r.rel_name w (dense_cells r r.dead live) live in
     let ost = out.store in
     ignore (fill_slots ost.slots ost.cells w live);
     if st.indexes <> [] then begin
       let renum = Array.make r.count (-1) and k = ref 0 in
       for id = 0 to r.count - 1 do
-        if not (is_dead doomed id) then begin
+        if not (is_dead r.dead id) then begin
           renum.(id) <- !k;
           incr k
         end
@@ -647,25 +768,21 @@ let remove r rows =
     | Some d when w > 0 ->
       let mark = ref 0 in
       for id = 0 to d.mark - 1 do
-        if not (is_dead doomed id) then incr mark
+        if not (is_dead r.dead id) then incr mark
       done;
-      out.digest <- Some { d with mark = !mark; removed = gone d :: d.removed }
+      out.digest <- Some { d with mark = !mark }
     | _ -> ());
     out
   end
-  else begin
-    let tok = fresh_tok () in
-    if st.owner = r.tok then st.owner <- tok;
-    { r with
-      tok;
-      live;
-      dead = doomed;
-      scratch = Array.make w 0;
-      digest =
-        (match r.digest with
-        | Some d when w > 0 -> Some { d with removed = gone d :: d.removed }
-        | _ -> None) }
-  end
+
+let remove r rows =
+  let set = Idset.create r.count and probe = Array.make r.width 0 in
+  List.iter
+    (fun row ->
+      if Array.length row = r.width then
+        match find_row r probe row with -1 -> () | id -> Idset.add set id)
+    rows;
+  compact (remove_ids r set)
 
 (* A read-only handle on the rows of [r] below id [m]: the state [r]
    had when its id bound was [m], if it lost no row since. *)
@@ -835,6 +952,7 @@ let copy r =
   (* the arrays are shared, frozen, until either side privatizes them;
      indexes are rebuilt lazily and never shared *)
   let st = r.store in
+  catch_up st r.width;
   st.owner <- -1;
   { r with tok = fresh_tok (); store = { st with indexes = [] }; scratch = Array.make r.width 0 }
 
@@ -891,8 +1009,9 @@ let of_cells rel_name arity (cells : int array) count =
   let r = make rel_name arity cells count in
   let slots = r.store.slots in
   for i = 0 to count - 1 do
-    let s = seen_slot slots cells arity cells (i * arity) i no_dead in
+    let h = hash_cells cells (i * arity) arity 17 0 in
+    let s = seen_slot slots cells arity cells (i * arity) h i no_dead in
     if slots.(s) >= 0 then invalid_arg (Printf.sprintf "Relation.of_cells: duplicate row in %s" rel_name);
-    slots.(s) <- i
+    slots.(s) <- entry i h
   done;
   r

@@ -99,6 +99,27 @@ val add_ints : t -> int array -> bool
 
 val mem : t -> tuple -> bool
 
+val find : t -> tuple -> int
+(** The id of the live row [row], or [-1].  The key is encoded into
+    the handle's own scratch buffer: not for concurrent readers of one
+    handle. *)
+
+val find_of : t -> t -> int -> int
+(** [find_of r src id]: {!find} for row [id] of [src], compared cell
+    by cell — nothing is decoded.  Same scratch caveat.
+    @raise Invalid_argument when the arities differ. *)
+
+val add_of : t -> t -> int -> bool
+(** [add_of r src id]: {!add} of row [id] of [src], its cells copied:
+    nothing is decoded or re-encoded.
+    @raise Invalid_argument when the arities differ. *)
+
+val append_of : t -> t -> int -> unit
+(** [append_of r src id]: {!add_of} without the duplicate check, for a
+    caller that knows [r] lacks the row.  Its membership entry is made
+    when [r] is next probed, added to or copied, so a relation filled
+    this way and only scanned never hashes its rows. *)
+
 val iter : t -> (tuple -> unit) -> unit
 (** All live rows, in insertion order. *)
 
@@ -107,32 +128,60 @@ val iter_from : t -> int -> (tuple -> unit) -> unit
     ...] below {!id_bound}, in insertion order — the rows appended
     since the watermark [k]. *)
 
-val remove : t -> tuple list -> t
-(** [remove r rows]: a new handle holding the rows of [r] that are not
-    in [rows], in their original insertion order.  This is how
+(** Sets of row ids, one bit per id below the bound they were created
+    for: the over-deleted rows of incremental maintenance, and the
+    argument of {!remove_ids}. *)
+module Idset : sig
+  type t
+
+  val create : int -> t
+  (** [create n]: the empty set over ids [0, n). *)
+
+  val mem : t -> int -> bool
+  (** False for every id at or past the bound. *)
+
+  val add : t -> int -> unit
+  (** @raise Invalid_argument for an id past the bound's byte. *)
+
+  val remove : t -> int -> unit
+
+  val iter : t -> (int -> unit) -> unit
+  (** The members in ascending order. *)
+end
+
+val remove_ids : t -> Idset.t -> t
+(** [remove_ids r set]: a new handle holding the rows of [r] whose ids
+    are not in [set], in their original insertion order.  This is how
     incremental view maintenance retracts: the caller installs the
-    result with [Database.set_relation].  Rows of [rows] absent from
-    [r] are ignored.
+    result with [Database.set_relation].  Ids of [set] that [r] does
+    not hold live are ignored.
 
     The result shares [r]'s store, indexes included: the removed rows
-    are only marked dead in its own bitmap, so the cost is the removed
-    rows plus a copy of that bitmap, one bit per id.  [r] stays the
+    are only marked dead in its own bitmap, so the cost is a scan of
+    [set] plus a copy of that bitmap, one bit per id.  [r] stays the
     exact pre-removal state — its rows, probes and {!iter_from} do not
     change when the result later grows — and the result takes over
     appending to the store in place.  A row added back gets a new id,
     so it enumerates last, as a fresh insert would.
 
-    When the dead rows would exceed an eighth of the live ones, the
-    survivors are compacted into a fresh store instead, in one pass
-    over [r]: their cells are copied in runs, decoding nothing, and
-    index chains are renumbered, not rebuilt.  Ids are then dense again, so callers holding ids or
-    watermarks of [r] must not apply them to the result; {!id_bound}
-    of the result tells both cases apart for a watermark ([Ivm] resets
-    its watermarks to it after every removal).
+    When [r] has a {!digest_cache}, the result inherits it, with the
+    removed rows below its watermark queued in [removed]. *)
 
-    When [r] has a {!digest_cache}, the result inherits it: the removed
-    rows below its watermark queue their cells in [removed], and a
-    compaction lowers the watermark to the survivors below it. *)
+val compact : t -> t
+(** [compact r]: [r] itself while its dead rows are at most an eighth
+    of its live ones; otherwise a handle on a fresh store holding the
+    same rows in the same order, so that scans stay within 1.125 times
+    the live rows.  Their cells are copied in runs, decoding nothing,
+    and index chains are renumbered, not rebuilt.  Ids are then dense
+    again, so callers holding ids or watermarks of [r] must not apply
+    them to the result; {!id_bound} of the result tells both cases
+    apart for a watermark ([Ivm] resets its watermarks to it after
+    every removal).  A {!digest_cache} moves along, its watermark
+    lowered to the survivors below it. *)
+
+val remove : t -> tuple list -> t
+(** [remove r rows]: {!compact} of {!remove_ids} of the ids [rows] have
+    in [r]; rows absent from [r] are ignored. *)
 
 val prefix : t -> int -> t
 (** [prefix r m]: a read-only handle on the rows of [r] with ids below

@@ -106,21 +106,34 @@ let read t buf =
     Data
   | exception Unix.Unix_error (e, _, _) -> if again e then Again else Failed e
 
+(* Whether the inbound buffer starts with a whole frame or a bad
+   length prefix: read from the buffer in place, so a large frame
+   arriving over many reads is copied out once, not once per read. *)
+let frame_ready t ~max_frame =
+  let len = Buffer.length t.inbuf in
+  len >= 4
+  &&
+  let byte i = Char.code (Buffer.nth t.inbuf i) in
+  let n = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
+  n < 1 || n > max_frame || len - 4 >= n
+
 let frames t ~max_frame ~on_bad_length on_body =
-  let data = Buffer.contents t.inbuf in
-  let rec go off =
-    match Protocol.extract_frame ~max_frame data off with
-    | Protocol.Need_more -> off
-    | Protocol.Bad_length n ->
-      on_bad_length n;
-      off
-    | Protocol.Frame (body, next) -> if on_body body then go next else next
-  in
-  let off = go 0 in
-  if off > 0 then begin
-    let rest = String.sub data off (String.length data - off) in
-    Buffer.clear t.inbuf;
-    Buffer.add_string t.inbuf rest
+  if frame_ready t ~max_frame then begin
+    let data = Buffer.contents t.inbuf in
+    let rec go off =
+      match Protocol.extract_frame ~max_frame data off with
+      | Protocol.Need_more -> off
+      | Protocol.Bad_length n ->
+        on_bad_length n;
+        off
+      | Protocol.Frame (body, next) -> if on_body body then go next else next
+    in
+    let off = go 0 in
+    if off > 0 then begin
+      let rest = String.sub data off (String.length data - off) in
+      Buffer.clear t.inbuf;
+      Buffer.add_string t.inbuf rest
+    end
   end
 
 let send t bytes = Buffer.add_string t.out bytes

@@ -60,7 +60,10 @@ val frames : t -> max_frame:int -> on_bad_length:(int -> unit) -> (string -> boo
 (** Hand each whole inbound frame's payload, in order, to the callback
     while it returns [true]; a length prefix outside [1, max_frame]
     calls [on_bad_length] once and stops.  Frames handed out are
-    dropped from the buffer, a partial one waits for more bytes. *)
+    dropped from the buffer, a partial one waits for more bytes — in
+    place: the inbound bytes are copied out only once a whole frame or
+    a bad prefix is there, so a frame costs its length however many
+    reads it takes. *)
 
 val send : t -> string -> unit
 

@@ -665,6 +665,56 @@ let test_add_ints_boundaries () =
         (Relation.add_ints by_values [| i |]))
     boundary_ints
 
+(* Row-id access as incremental maintenance uses it: rows copied cell
+   for cell between relations ([add_of], and [append_of], whose
+   membership entries wait for the next probe), found by their values
+   or another relation's row ([find], [find_of]), and removed by id
+   ([remove_ids]) with compaction a separate step ([compact]). *)
+let test_row_ids () =
+  let src = Relation.create "p" 2 in
+  List.iter (fun i -> ignore (Relation.add src (row [ i; i * i ]))) (List.init 40 Fun.id);
+  Alcotest.(check int) "find" 7 (Relation.find src (row [ 7; 49 ]));
+  Alcotest.(check int) "find absent" (-1) (Relation.find src (row [ 7; 48 ]));
+  let dst = Relation.create "q" 2 in
+  for id = 0 to 19 do
+    Relation.append_of dst src (2 * id)
+  done;
+  Alcotest.(check int) "appended rows" 20 (Relation.cardinal dst);
+  let copy = Relation.copy dst in
+  Alcotest.(check int) "find_of an appended row" 5 (Relation.find_of dst src 10);
+  Alcotest.(check int) "find_of a row never appended" (-1) (Relation.find_of dst src 11);
+  Alcotest.(check bool) "add_of dedups an appended row" false (Relation.add_of dst src 4);
+  Alcotest.(check bool) "add_of adds a new row" true (Relation.add_of dst src 5);
+  Alcotest.(check bool) "a copy taken before the probes hashes its rows too" true
+    (Relation.mem copy (row [ 38; 1444 ]) && not (Relation.mem copy (row [ 5; 25 ])));
+  Alcotest.(check bool) "arity mismatch" true
+    (try
+       ignore (Relation.add_of (Relation.create "u" 1) src 0);
+       false
+     with Invalid_argument _ -> true);
+  let set = Relation.Idset.create (Relation.id_bound src) in
+  List.iter (Relation.Idset.add set) [ 1; 3; 39 ];
+  Relation.Idset.add set 3;
+  let kept = Relation.remove_ids src set in
+  Alcotest.(check int) "three removed" 37 (Relation.cardinal kept);
+  Alcotest.(check int) "ids kept" 40 (Relation.id_bound kept);
+  Alcotest.(check int) "no compaction under an eighth" 40 (Relation.id_bound (Relation.compact kept));
+  Alcotest.(check int) "old handle intact" 40 (Relation.cardinal src);
+  Alcotest.(check (list int)) "members" [ 1; 3; 39 ]
+    (let acc = ref [] in
+     Relation.Idset.iter set (fun id -> acc := id :: !acc);
+     List.rev !acc);
+  Relation.Idset.remove set 3;
+  Alcotest.(check bool) "Idset.remove" false (Relation.Idset.mem set 3);
+  let most = Relation.Idset.create 40 in
+  for id = 0 to 29 do
+    Relation.Idset.add most id
+  done;
+  let c = Relation.compact (Relation.remove_ids src most) in
+  Alcotest.(check (pair int int)) "compacted: dense ids" (10, 10)
+    (Relation.cardinal c, Relation.id_bound c);
+  Alcotest.(check int) "compacted rows keep their order" 0 (Relation.find c (row [ 30; 900 ]))
+
 let () =
   Alcotest.run "relation"
     [ ( "relation",
@@ -675,7 +725,8 @@ let () =
           Alcotest.test_case "index lookup" `Quick test_index_lookup;
           Alcotest.test_case "multi-column index" `Quick test_index_multi_column;
           Alcotest.test_case "full scan" `Quick test_full_scan_pattern;
-          Alcotest.test_case "copy isolation" `Quick test_copy_isolation ] );
+          Alcotest.test_case "copy isolation" `Quick test_copy_isolation;
+          Alcotest.test_case "row ids: copy, find, remove" `Quick test_row_ids ] );
       ( "database",
         [ Alcotest.test_case "basics" `Quick test_database_basics;
           Alcotest.test_case "copy and equal_on" `Quick test_database_copy_and_equal;

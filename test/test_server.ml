@@ -757,6 +757,40 @@ let test_byte_at_a_time target () =
             run;
           Alcotest.(check string) "same reply bytes" whole (raw_frame raw)))
 
+(* A multi-MiB frame arriving over many reads is answered as the same
+   frame written in one piece: an enveloped assert of one fact holding
+   a 3 MiB string, on a fresh session each time, once whole and once in
+   64 KiB writes with a pause between them. *)
+let test_large_frame_in_chunks target () =
+  let text = Printf.sprintf "blob(\"%s\")." (String.make (3 * 1024 * 1024) 'x') in
+  let frame = Protocol.encode_request_v2 ~rid:2 (Protocol.Assert_facts { text; id = None }) in
+  let chunk = 64 * 1024 in
+  target (fun path ->
+      let reply write =
+        with_raw path (fun raw ->
+            raw_write raw [ Protocol.encode_request_v2 ~rid:1 (Protocol.Load (source "example1.dl")) ];
+            ignore (raw_frame raw);
+            write raw;
+            raw_frame raw)
+      in
+      let whole = reply (fun raw -> raw_write raw [ frame ]) in
+      (match Protocol.decode_response_v2 whole with
+      | Ok (Some 2, Protocol.Asserted { added = 1 }) -> ()
+      | _ -> Alcotest.fail "expected the assert's reply under id 2");
+      let chunked =
+        reply (fun raw ->
+            let rec go off =
+              if off < String.length frame then begin
+                let n = min chunk (String.length frame - off) in
+                raw_write raw [ String.sub frame off n ];
+                Unix.sleepf 0.002;
+                go (off + n)
+              end
+            in
+            go 0)
+      in
+      Alcotest.(check string) "same reply bytes" whole chunked)
+
 (* ---------------- shutdown ---------------- *)
 
 let test_shutdown_drains () =
@@ -891,7 +925,9 @@ let () =
               Alcotest.test_case (where ^ ": oversized length prefix refused, then EOF") `Quick
                 (test_oversized_prefix target);
               Alcotest.test_case (where ^ ": request written a byte at a time") `Quick
-                (test_byte_at_a_time target) ])
+                (test_byte_at_a_time target);
+              Alcotest.test_case (where ^ ": 3 MiB frame in 64 KiB writes") `Quick
+                (test_large_frame_in_chunks target) ])
           [ ("direct", fun f -> with_server f); ("routed", routed) ] );
       ( "lifecycle",
         [ Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
