@@ -361,12 +361,9 @@ let check_no_fallback name s =
    through 64 rounds, none re-derivable.  The retract must cost its
    delta — one removal pass, not one rebuild per round — so the minor
    words of retract + maintained run stay within a small multiple of
-   (model facts + over-deleted rows): 0.91 words per unit here, with
-   over-deleted rows kept as ids and copied as cells, against about
-   80 when they were boxed tuples in lists and row tables, and about
-   530 when every over-delete round rebuilt the relation and every
-   retract re-indexed a fresh pre-state copy.  The budget is 1.5 times
-   the 0.91. *)
+   (model facts + over-deleted rows): over-deleted rows are ids and
+   their copies cells, so this allocates 0.91 words per unit, and the
+   budget is 1.5 times that. *)
 let test_dred_chain_budget () =
   let n = 128 in
   let mid = n / 2 in
