@@ -427,8 +427,8 @@ let tc_chain ?(skip = 0) n =
    Every update must be served incrementally (DRed for retracts) and
    leave the model a from-scratch run derives, and at every full-scale
    size a retract's median must not exceed the from-scratch run's (at
-   the smoke size, 128, the two are within 10% of each other, too
-   close to gate beside the test suites).  Both are
+   the smoke size, 128, ten runs read 0.49-0.98: too close to the
+   bound to gate beside the test suites).  Both are
    repeated on a durable session (fsync batch 16, snapshot every 64)
    whose runs also log the maintained model digest, so a durable
    assert should cost about an ephemeral one: above 3x at n = 512
