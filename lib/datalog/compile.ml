@@ -4,18 +4,30 @@
 
    [Eval.compile_body] fixes the join order, the guard placement and
    the static bound-column masks; this module takes that plan and
-   specializes it once per rule into straight-line closures:
+   specializes it once per rule into straight-line closures over
+   cells, the one-int-per-value encoding of {!Relation}:
 
-   - the environment is a plain [Value.t array] — no [Some] box per
-     binding;
+   - the environment is an [int array] of cells: a scan binds by
+     copying a row's cells, a repeated variable is an int compare, and
+     heads are written as cells straight into the caller's buffer;
    - every per-row obligation (write, repeated-variable equality,
      structural match, arithmetic inversion) is resolved statically
      into a [rowop], so execution dispatches on a tiny opcode array
      instead of re-deriving bindings from [pterm]s per tuple;
-   - index probes go through {!Relation.iter_matching_cols}: a static
-     mask plus a reusable full-arity key buffer, no option pattern;
+   - index probes go through {!Relation.probe_ids}: a static mask plus
+     a full-arity key of cells, computed once per probe and never
+     encoded again;
    - relation lookup happens once per chain execution, not once per
      enclosing solution.
+
+   A cell is decoded only where a value's meaning is needed: an order
+   comparison or arithmetic on cells that are not inline ints (inline
+   ints add and compare as they are), a compound term, and the
+   decoded value programs ({!compile_value}) of the query edge, the
+   aggregates and the FD tables.  A value computed in the body gets its
+   cell through the term table ({!Relation.Cell.encode}); a probe key
+   only looks its cell up ({!Relation.Cell.lookup}), so a failing probe
+   never grows that table.
 
    The static binding analysis is exact because the caller promises to
    bind exactly the [bound] slots before {!run}, which is what every
@@ -35,10 +47,40 @@
 
 module E = Eval
 module ISet = Set.Make (Int)
+module Cell = Relation.Cell
 
-type env = Value.t array
+type env = int array
 
-let test_cmp (op : Ast.cmp_op) a b =
+(* ------------------------------------------------------------------ *)
+(* Cells                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let decode = Cell.decode
+
+(* Does cell [c] hold an int, inline or wide — and which? *)
+let holds_int c =
+  Cell.is_int c || (Cell.is_term c && match decode c with Value.Int _ -> true | _ -> false)
+
+let int_of c = if Cell.is_int c then c asr 1 else Value.as_int (decode c)
+
+(* [Value.compare] on cells: inline ints compare as cells, symbols by
+   interner rank, the rest decoded. *)
+let compare_cells a b =
+  if a land 1 = 0 && b land 1 = 0 then Int.compare a b
+  else if a = b then 0
+  else if Cell.is_sym a && Cell.is_sym b then Interner.compare_ids (Cell.sym_id a) (Cell.sym_id b)
+  else Value.compare (decode a) (decode b)
+
+let test_cmp (op : Ast.cmp_op) =
+  match op with
+  | Ast.Eq -> fun a b -> a = b
+  | Ast.Ne -> fun a b -> a <> b
+  | Ast.Lt -> fun a b -> compare_cells a b < 0
+  | Ast.Le -> fun a b -> compare_cells a b <= 0
+  | Ast.Gt -> fun a b -> compare_cells a b > 0
+  | Ast.Ge -> fun a b -> compare_cells a b >= 0
+
+let test_values (op : Ast.cmp_op) a b =
   let c = Value.compare a b in
   match op with
   | Ast.Lt -> c < 0
@@ -47,6 +89,29 @@ let test_cmp (op : Ast.cmp_op) a b =
   | Ast.Ge -> c >= 0
   | Ast.Eq -> c = 0
   | Ast.Ne -> c <> 0
+
+(* Arithmetic on cells, the result's cell made by [fin] when it is not
+   inline.  Two inline ints cannot overflow a native int when added or
+   subtracted, so [Eval.apply_binop]'s overflow check is needed only
+   on the decoded path, which every other case takes. *)
+let binop_cells fin (op : Ast.binop) =
+  let slow a b = fin (E.apply_binop op (decode a) (decode b)) in
+  match op with
+  | Ast.Add ->
+    fun a b ->
+      if a land 1 = 0 && b land 1 = 0 then
+        let s = (a asr 1) + (b asr 1) in
+        if Cell.inline s then s lsl 1 else fin (Value.Int s)
+      else slow a b
+  | Ast.Sub ->
+    fun a b ->
+      if a land 1 = 0 && b land 1 = 0 then
+        let d = (a asr 1) - (b asr 1) in
+        if Cell.inline d then d lsl 1 else fin (Value.Int d)
+      else slow a b
+  | Ast.Mul -> slow
+  | Ast.Max -> fun a b -> if compare_cells a b >= 0 then a else b
+  | Ast.Min -> fun a b -> if compare_cells a b <= 0 then a else b
 
 (* ------------------------------------------------------------------ *)
 (* Compiled sub-programs                                               *)
@@ -62,18 +127,38 @@ let rec has_unbound bound = function
   | E.PBinop (_, a, b) -> has_unbound bound a || has_unbound bound b
   | E.PAny -> true
 
+(* A statically unbound variable (or a wildcard) compiles to a raising
+   closure — [Eval.run]'s runtime [Unsafe] on the same program, just
+   decided earlier. *)
+let unbound _ = raise (E.Unsafe "unbound variable in compiled term")
+
 (* Evaluator of a pterm whose variables the static analysis proved
-   bound.  A statically unbound variable (or a wildcard) compiles to a
-   raising closure — [Eval.run]'s runtime [Unsafe] on the same
-   program, just decided earlier. *)
-let rec compile_eval bound (t : E.pterm) : env -> Value.t =
+   bound, to its cell.  With [intern], a value no row holds yet enters
+   the term table; without, its cell is one no row holds — for probe
+   keys.  A compound term is built as a value; constants are encoded
+   once, here. *)
+let rec compile_cell ~intern bound (t : E.pterm) : env -> int =
   match t with
-  | E.PVar s ->
-    if ISet.mem s bound then fun env -> env.(s)
-    else fun _ -> raise (E.Unsafe "unbound variable in compiled term")
+  | E.PVar s -> if ISet.mem s bound then fun env -> Array.unsafe_get env s else unbound
+  | E.PCst c ->
+    let k = Cell.encode c in
+    fun _ -> k
+  | E.PCmp _ ->
+    let v = compile_value bound t in
+    if intern then fun env -> Cell.encode (v env) else fun env -> Cell.lookup (v env)
+  | E.PBinop (op, a, b) ->
+    let ca = compile_cell ~intern:true bound a and cb = compile_cell ~intern:true bound b in
+    let f = binop_cells (if intern then Cell.encode else Cell.lookup) op in
+    fun env -> f (ca env) (cb env)
+  | E.PAny -> unbound
+
+(* The same evaluator, to the decoded value. *)
+and compile_value bound (t : E.pterm) : env -> Value.t =
+  match t with
+  | E.PVar s -> if ISet.mem s bound then fun env -> decode env.(s) else unbound
   | E.PCst c -> fun _ -> c
   | E.PCmp (f, args) ->
-    let progs = Array.map (compile_eval bound) args in
+    let progs = Array.map (compile_value bound) args in
     let n = Array.length progs in
     let eval_args env =
       let rec go i = if i = n then [] else progs.(i) env :: go (i + 1) in
@@ -82,11 +167,24 @@ let rec compile_eval bound (t : E.pterm) : env -> Value.t =
     if f = "" then fun env -> Value.Tup (eval_args env)
     else fun env -> Value.App (f, eval_args env)
   | E.PBinop (op, a, b) ->
-    let ea = compile_eval bound a and eb = compile_eval bound b in
+    let ea = compile_value bound a and eb = compile_value bound b in
     fun env -> E.apply_binop op (ea env) (eb env)
-  | E.PAny -> fun _ -> raise (E.Unsafe "unbound variable in compiled term")
+  | E.PAny -> unbound
 
-(* Matcher of a pterm against a ground value, binding statically
+(* A comparison of two bound pterms.  Cells compare as values, except
+   that a compound side is compared decoded: its cell would have to
+   enter the term table first. *)
+let compile_test bound ((op, x, y) : E.guard) : env -> bool =
+  match x, y with
+  | E.PCmp _, _ | _, E.PCmp _ ->
+    let ex = compile_value bound x and ey = compile_value bound y in
+    fun env -> test_values op (ex env) (ey env)
+  | _ ->
+    let ex = compile_cell ~intern:true bound x and ey = compile_cell ~intern:true bound y in
+    let cmp = test_cmp op in
+    fun env -> cmp (ex env) (ey env)
+
+(* Matcher of a pterm against a ground cell, binding statically
    unbound slots in place.  This is [Eval]'s [match_pterm] with the
    dynamic bound checks replayed at compile time; [inversion] selects
    between [match_pterm] semantics (scans, unifications — Add/Sub
@@ -94,15 +192,64 @@ let rec compile_eval bound (t : E.pterm) : env -> Value.t =
    (engine-side row binding — partially bound arithmetic never
    matches).  No trail: stale writes from a failed row are invisible
    because a statically-unbound slot is never read before the next
-   write. *)
-let rec compile_match ~inversion bound (t : E.pterm) : (env -> Value.t -> bool) * ISet.t =
+   write.  A compound pattern matches the decoded value
+   ([match_value]). *)
+let rec compile_match ~inversion bound (t : E.pterm) : (env -> int -> bool) * ISet.t =
   match t with
   | E.PAny -> (fun _ _ -> true), bound
   | E.PVar s ->
-    if ISet.mem s bound then (fun env v -> Value.equal env.(s) v), bound
+    if ISet.mem s bound then (fun env c -> Array.unsafe_get env s = c), bound
+    else
+      ( (fun env c ->
+          Array.unsafe_set env s c;
+          true),
+        ISet.add s bound )
+  | E.PCst k ->
+    let k = Cell.encode k in
+    (fun _ c -> c = k), bound
+  | E.PCmp _ ->
+    let m, b = match_value ~inversion bound t in
+    (fun env c -> Cell.is_term c && m env (decode c)), b
+  | E.PBinop (op, a, b) ->
+    if not (has_unbound bound t) then
+      let ev = compile_cell ~intern:false bound t in
+      (fun env c -> ev env = c), bound
+    else if not inversion then (fun _ _ -> false), bound
+    else (
+      (* Invert simple integer arithmetic so that equations like
+         [I = J + 1] can bind [J] when [I] is already known — exactly
+         [Eval]'s [match_pterm] cases. *)
+      let invert known pat solve =
+        let ek = compile_cell ~intern:true bound known in
+        let m, bound' = compile_match ~inversion bound pat in
+        ( (fun env c ->
+            holds_int c
+            &&
+            let k = ek env in
+            holds_int k && m env (Cell.of_int (solve (int_of c) (int_of k)))),
+          bound' )
+      in
+      match op with
+      | Ast.Add ->
+        if not (has_unbound bound a) then invert a b (fun s x -> s - x)
+        else if not (has_unbound bound b) then invert b a (fun s y -> s - y)
+        else (fun _ _ -> false), bound
+      | Ast.Sub ->
+        if not (has_unbound bound a) then invert a b (fun s x -> x - s)
+        else if not (has_unbound bound b) then invert b a (fun s y -> s + y)
+        else (fun _ _ -> false), bound
+      | _ -> (fun _ _ -> false), bound)
+
+(* The same matcher against a decoded value: a part of a compound
+   cell.  A variable binds the part's cell. *)
+and match_value ~inversion bound (t : E.pterm) : (env -> Value.t -> bool) * ISet.t =
+  match t with
+  | E.PAny -> (fun _ _ -> true), bound
+  | E.PVar s ->
+    if ISet.mem s bound then (fun env v -> env.(s) = Cell.lookup v), bound
     else
       ( (fun env v ->
-          env.(s) <- v;
+          env.(s) <- Cell.encode v;
           true),
         ISet.add s bound )
   | E.PCst c -> (fun _ v -> Value.equal c v), bound
@@ -112,7 +259,7 @@ let rec compile_match ~inversion bound (t : E.pterm) : (env -> Value.t -> bool) 
     let ms =
       Array.map
         (fun a ->
-          let m, b = compile_match ~inversion !bound a in
+          let m, b = match_value ~inversion !bound a in
           bound := b;
           m)
         args
@@ -135,65 +282,13 @@ let rec compile_match ~inversion bound (t : E.pterm) : (env -> Value.t -> bool) 
         | _ -> false
     in
     (m, !bound)
-  | E.PBinop (op, a, b) ->
+  | E.PBinop _ ->
     if not (has_unbound bound t) then
-      let ev = compile_eval bound t in
+      let ev = compile_value bound t in
       (fun env v -> Value.equal (ev env) v), bound
-    else if not inversion then (fun _ _ -> false), bound
-    else (
-      (* Invert simple integer arithmetic so that equations like
-         [I = J + 1] can bind [J] when [I] is already known — exactly
-         [Eval]'s [match_pterm] cases. *)
-      match op with
-      | Ast.Add ->
-        if not (has_unbound bound a) then
-          let ea = compile_eval bound a in
-          let mb, bound' = compile_match ~inversion bound b in
-          ( (fun env v ->
-              match v with
-              | Value.Int s -> (
-                match ea env with
-                | Value.Int x -> mb env (Value.Int (s - x))
-                | _ -> false)
-              | _ -> false),
-            bound' )
-        else if not (has_unbound bound b) then
-          let eb = compile_eval bound b in
-          let ma, bound' = compile_match ~inversion bound a in
-          ( (fun env v ->
-              match v with
-              | Value.Int s -> (
-                match eb env with
-                | Value.Int y -> ma env (Value.Int (s - y))
-                | _ -> false)
-              | _ -> false),
-            bound' )
-        else (fun _ _ -> false), bound
-      | Ast.Sub ->
-        if not (has_unbound bound a) then
-          let ea = compile_eval bound a in
-          let mb, bound' = compile_match ~inversion bound b in
-          ( (fun env v ->
-              match v with
-              | Value.Int s -> (
-                match ea env with
-                | Value.Int x -> mb env (Value.Int (x - s))
-                | _ -> false)
-              | _ -> false),
-            bound' )
-        else if not (has_unbound bound b) then
-          let eb = compile_eval bound b in
-          let ma, bound' = compile_match ~inversion bound a in
-          ( (fun env v ->
-              match v with
-              | Value.Int s -> (
-                match eb env with
-                | Value.Int y -> ma env (Value.Int (s + y))
-                | _ -> false)
-              | _ -> false),
-            bound' )
-        else (fun _ _ -> false), bound
-      | _ -> (fun _ _ -> false), bound)
+    else
+      let m, b = compile_match ~inversion bound t in
+      (fun env v -> match v with Value.Int _ -> m env (Cell.encode v) | _ -> false), b
 
 (* ------------------------------------------------------------------ *)
 (* Compiled scans                                                      *)
@@ -207,19 +302,19 @@ type rowop =
   | REq of int * int  (** [row.(pos)] must equal [env.(slot)] — repeat *)
   | RSame of int * int
       (** [row.(pos)] must equal [row.(pos')], the column that bound the
-          variable — a repeat within the atom: one cell comparison *)
-  | RMatch of int * (env -> Value.t -> bool)  (** structural match-bind *)
+          variable — a repeat within the atom *)
+  | RMatch of int * (env -> int -> bool)  (** structural match-bind *)
 
 type cscan = {
   cs_pred : string;
   cs_arity : int;
   cs_mask : int;
-  cs_key : Value.t array;  (* full-arity probe key; constants prefilled *)
-  cs_kfill : (int * (env -> Value.t)) array;
+  cs_key : int array;  (* full-arity cell probe; constants prefilled *)
+  cs_kvars : (int * int) array;  (* key positions copied from a slot *)
+  cs_kfill : (int * (env -> int)) array;  (* key positions computed *)
   cs_ops : rowop array;
   cs_writes : (int * int) array;  (* = the ops when they are all writes *)
   cs_all_writes : bool;
-  cs_probe : int array;  (* private cell-probe buffer for read-only runs *)
   mutable cs_rel : Relation.t option;
   mutable cs_lo : int;  (* a range scan's ids: [cs_lo, cs_hi) *)
   mutable cs_hi : int;
@@ -230,20 +325,21 @@ type cstep =
   | CRange of cscan  (* the live ids of a set range, masked columns compared as cells *)
   | CNeg of cscan * (env -> bool) array
   | CTest of (env -> bool)
-  | CUnify of (env -> Value.t) * (env -> Value.t -> bool)
+  | CUnify of (env -> int) * (env -> int -> bool)
 
 let build_scan bound (sc : E.scan) =
   let mask = sc.E.sc_mask in
-  let key = Array.make (max 1 sc.E.sc_arity) Value.unit in
-  let kfill = ref [] in
+  let key = Array.make sc.E.sc_arity 0 in
+  let kvars = ref [] and kfill = ref [] in
   let ops = ref [] in
   let bound = ref bound in
   for p = 0 to sc.E.sc_arity - 1 do
     let t = sc.E.sc_args.(p) in
     if mask land (1 lsl p) <> 0 then (
       match t with
-      | E.PCst c -> key.(p) <- c
-      | _ -> kfill := (p, compile_eval !bound t) :: !kfill)
+      | E.PCst c -> key.(p) <- Cell.encode c
+      | E.PVar s when ISet.mem s !bound -> kvars := (p, s) :: !kvars
+      | _ -> kfill := (p, compile_cell ~intern:false !bound t) :: !kfill)
     else
       match t with
       | E.PVar s ->
@@ -273,41 +369,49 @@ let build_scan bound (sc : E.scan) =
       cs_arity = sc.E.sc_arity;
       cs_mask = mask;
       cs_key = key;
+      cs_kvars = Array.of_list (List.rev !kvars);
       cs_kfill = Array.of_list (List.rev !kfill);
       cs_ops = ops;
       cs_writes = writes;
       cs_all_writes = all_writes;
-      cs_probe = Array.make sc.E.sc_arity 0;
       cs_rel = None;
       cs_lo = 0;
       cs_hi = 0 },
     !bound )
 
-(* The statically-unrolled residue of [match_row] per enumerated row:
-   fields are read positionally through [Relation.read], so no row
-   tuple is ever materialized. *)
-let rec ops_ok_ids env (ops : rowop array) rel id j =
+(* The statically-unrolled residue of [match_row] per enumerated row,
+   over the row's cells at [off]: no row tuple is ever materialized and
+   nothing is decoded. *)
+let rec ops_ok env (ops : rowop array) cells off j =
   j = Array.length ops
-  || (match ops.(j) with
+  || (match Array.unsafe_get ops j with
      | WVar (p, s) ->
-       env.(s) <- Relation.read rel id p;
+       Array.unsafe_set env s (Array.unsafe_get cells (off + p));
        true
-     | REq (p, s) -> Value.equal env.(s) (Relation.read rel id p)
-     | RSame (p, q) ->
-       let cells = Relation.cells rel and off = id * Relation.arity rel in
-       cells.(off + p) = cells.(off + q)
-     | RMatch (p, m) -> m env (Relation.read rel id p))
-     && ops_ok_ids env ops rel id (j + 1)
+     | REq (p, s) -> Array.unsafe_get env s = Array.unsafe_get cells (off + p)
+     | RSame (p, q) -> Array.unsafe_get cells (off + p) = Array.unsafe_get cells (off + q)
+     | RMatch (p, m) -> m env (Array.unsafe_get cells (off + p)))
+     && ops_ok env ops cells off (j + 1)
 
 let rec guards_ok env (gs : (env -> bool) array) j =
   j = Array.length gs || (gs.(j) env && guards_ok env gs (j + 1))
 
 let fill_key env cs =
+  let key = cs.cs_key in
+  let kv = cs.cs_kvars in
+  for j = 0 to Array.length kv - 1 do
+    let p, s = Array.unsafe_get kv j in
+    Array.unsafe_set key p (Array.unsafe_get env s)
+  done;
   let kf = cs.cs_kfill in
   for j = 0 to Array.length kf - 1 do
-    let p, e = kf.(j) in
-    cs.cs_key.(p) <- e env
+    let p, e = Array.unsafe_get kf j in
+    Array.unsafe_set key p (e env)
   done
+
+let probe ~ro rel cs f =
+  if ro then Relation.probe_ids_ro rel cs.cs_mask cs.cs_key f
+  else Relation.probe_ids rel cs.cs_mask cs.cs_key f
 
 (* Does some row of the negated relation match?  Boolean only, so
    enumeration order inside is free; the probe mask is still the
@@ -319,16 +423,13 @@ let neg_fails ~ro env cs guards =
     fill_key env cs;
     let hit = ref false in
     let visit id =
-      if ops_ok_ids env cs.cs_ops rel id 0 && guards_ok env guards 0 then begin
+      if ops_ok env cs.cs_ops (Relation.cells rel) (id * cs.cs_arity) 0 && guards_ok env guards 0
+      then begin
         hit := true;
         raise Exit
       end
     in
-    (try
-       if ro then
-         Relation.iter_matching_cols_ro_ids rel cs.cs_mask cs.cs_key cs.cs_probe visit
-       else Relation.iter_matching_cols_ids rel cs.cs_mask cs.cs_key visit
-     with Exit -> ());
+    (try probe ~ro rel cs visit with Exit -> ());
     !hit
 
 (* ------------------------------------------------------------------ *)
@@ -370,40 +471,32 @@ let of_body ?(bound = []) ?(range = false) (body : E.body) =
           (* Locals bind inside the negation only: thread the scan's
              bound set into the guards, then forget it. *)
           let cs, b = build_scan !bound sc in
-          let gs =
-            Array.of_list
-              (List.map
-                 (fun ((op, x, y) : E.guard) ->
-                   let ex = compile_eval b x and ey = compile_eval b y in
-                   fun env -> test_cmp op (ex env) (ey env))
-                 guards)
-          in
-          CNeg (cs, gs)
-        | E.STest (op, x, y) ->
-          let ex = compile_eval !bound x and ey = compile_eval !bound y in
-          CTest (fun env -> test_cmp op (ex env) (ey env))
+          CNeg (cs, Array.of_list (List.map (compile_test b) guards))
+        | E.STest (op, x, y) -> CTest (compile_test !bound (op, x, y))
         | E.SUnify (pat, ground) ->
-          let eg = compile_eval !bound ground in
+          let eg = compile_cell ~intern:true !bound ground in
           let m, b = compile_match ~inversion:true !bound pat in
           bound := b;
           CUnify (eg, m))
       body.E.steps
   in
-  let env = Array.make (max 1 body.E.nvars) Value.unit in
+  let env = Array.make (max 1 body.E.nvars) 0 in
   let kont = ref noop in
   let n = Array.length steps in
   (* visit closures are preallocated; they re-read [cs_rel] per row
      (set before iteration starts, never cleared mid-run) *)
   let visit_of cs next =
+    let w = cs.cs_arity in
     if cs.cs_all_writes then begin
       let writes = cs.cs_writes in
       let nw = Array.length writes in
       fun id ->
         (match cs.cs_rel with
         | Some rel ->
+          let cells = Relation.cells rel and off = id * w in
           for j = 0 to nw - 1 do
-            let p, s = writes.(j) in
-            env.(s) <- Relation.read rel id p
+            let p, s = Array.unsafe_get writes j in
+            Array.unsafe_set env s (Array.unsafe_get cells (off + p))
           done
         | None -> assert false);
         next ()
@@ -412,7 +505,7 @@ let of_body ?(bound = []) ?(range = false) (body : E.body) =
       let ops = cs.cs_ops in
       fun id ->
         match cs.cs_rel with
-        | Some rel -> if ops_ok_ids env ops rel id 0 then next ()
+        | Some rel -> if ops_ok env ops (Relation.cells rel) (id * w) 0 then next ()
         | None -> assert false
     end
   in
@@ -428,9 +521,7 @@ let of_body ?(bound = []) ?(range = false) (body : E.body) =
           | None -> ()
           | Some rel ->
             fill_key env cs;
-            if ro then
-              Relation.iter_matching_cols_ro_ids rel cs.cs_mask cs.cs_key cs.cs_probe visit
-            else Relation.iter_matching_cols_ids rel cs.cs_mask cs.cs_key visit)
+            probe ~ro rel cs visit)
       | CRange cs ->
         let visit = visit_of cs next in
         fun () -> (
@@ -438,7 +529,7 @@ let of_body ?(bound = []) ?(range = false) (body : E.body) =
           | None -> ()
           | Some rel ->
             fill_key env cs;
-            Relation.iter_range_ids rel cs.cs_lo cs.cs_hi cs.cs_mask cs.cs_key cs.cs_probe visit)
+            Relation.iter_range_ids rel cs.cs_lo cs.cs_hi cs.cs_mask cs.cs_key visit)
       | CNeg (cs, gs) -> fun () -> if not (neg_fails ~ro env cs gs) then next ()
       | CTest t -> fun () -> if t env then next ()
       | CUnify (eg, m) -> fun () -> if m env (eg env) then next ()
@@ -467,7 +558,7 @@ let of_body ?(bound = []) ?(range = false) (body : E.body) =
 
 let clone t = of_body ~bound:t.c_bound0 ~range:(t.c_range <> None) t.c_body
 let env t = t.c_env
-let set_slot t s v = t.c_env.(s) <- v
+let set_slot t s c = t.c_env.(s) <- c
 
 let find_rel db cs =
   match Database.find db cs.cs_pred with
@@ -547,20 +638,64 @@ let run_slice t db sl lo hi k =
 (* Engine-side programs over a chain's environment                     *)
 (* ------------------------------------------------------------------ *)
 
+type cell_prog = env -> int
 type value_prog = env -> Value.t
 
-let compile_value t ct = compile_eval t.c_bound_end ct
-let compile_row t cts = Array.map (compile_value t) cts
+let compile_cell t ct = compile_cell ~intern:true t.c_bound_end ct
+let compile_value t ct = compile_value t.c_bound_end ct
 
-let eval_row env (progs : value_prog array) =
-  let n = Array.length progs in
-  let out = Array.make n Value.unit in
-  for i = 0 to n - 1 do
-    out.(i) <- progs.(i) env
-  done;
+(* A head row: position [j] copies slot [slots.(j)] when that is not
+   negative — a plain variable, the common case — and runs
+   [progs.(j)] otherwise. *)
+type row = { slots : int array; progs : cell_prog array }
+
+let compile_row t cts =
+  { slots = Array.map (function E.PVar s when ISet.mem s t.c_bound_end -> s | _ -> -1) cts;
+    progs = Array.map (compile_cell t) cts }
+
+let row_width r = Array.length r.slots
+
+let write_row r env dst off =
+  let slots = r.slots in
+  for j = 0 to Array.length slots - 1 do
+    let s = Array.unsafe_get slots j in
+    dst.(off + j) <- (if s >= 0 then Array.unsafe_get env s else r.progs.(j) env)
+  done
+
+let row_cells r env =
+  let out = Array.make (row_width r) 0 in
+  write_row r env out 0;
   out
 
-type binder = (env -> Value.t -> bool) array
+(* Rows of one width, appended cell by cell into one growable array
+   that is kept across uses. *)
+type rows = { width : int; mutable cells : int array; mutable n : int }
+
+let rows_create width = { width; cells = [||]; n = 0 }
+let clear_rows rows = rows.n <- 0
+
+let emit rows r env =
+  let w = rows.width in
+  let need = (rows.n + 1) * w in
+  if need > Array.length rows.cells then begin
+    let bigger = Array.make (max (16 * w) (2 * need)) 0 in
+    Array.blit rows.cells 0 bigger 0 (rows.n * w);
+    rows.cells <- bigger
+  end;
+  write_row r env rows.cells (rows.n * w);
+  rows.n <- rows.n + 1
+
+(* Add the rows to [rel], last to first, and forget them; returns how
+   many were new. *)
+let add_rows_rev rel rows =
+  let added = ref 0 in
+  for i = rows.n - 1 downto 0 do
+    if Relation.add_cells rel rows.cells (i * rows.width) then incr added
+  done;
+  rows.n <- 0;
+  !added
+
+type binder = (env -> int -> bool) array
 
 (* No arithmetic inversion, no trail. *)
 let compile_binder ~bound cts =
@@ -572,21 +707,17 @@ let compile_binder ~bound cts =
       m)
     cts
 
-let rec bind_from (bdr : binder) env (row : Value.t array) i =
-  i = Array.length bdr || (bdr.(i) env row.(i) && bind_from bdr env row (i + 1))
-
-let bind (bdr : binder) env (row : Value.t array) =
-  Array.length row = Array.length bdr && bind_from bdr env row 0
-
-let rec bind_id_from (bdr : binder) env rel id i =
-  i = Array.length bdr || (bdr.(i) env (Relation.read rel id i) && bind_id_from bdr env rel id (i + 1))
+let rec bind_from (bdr : binder) env cells off i =
+  i = Array.length bdr
+  || (bdr.(i) env (Array.unsafe_get cells (off + i)) && bind_from bdr env cells off (i + 1))
 
 let bind_id (bdr : binder) env rel id =
-  Relation.arity rel = Array.length bdr && bind_id_from bdr env rel id 0
+  let w = Relation.arity rel in
+  w = Array.length bdr && bind_from bdr env (Relation.cells rel) (id * w) 0
 
 let solutions body db outs =
   let t = of_body body in
-  let progs = compile_row t (E.compile_terms body outs) in
+  let progs = Array.map (compile_value t) (E.compile_terms body outs) in
   let acc = ref [] in
-  run t db (fun () -> acc := Array.to_list (eval_row t.c_env progs) :: !acc);
+  run t db (fun () -> acc := Array.to_list (Array.map (fun p -> p t.c_env) progs) :: !acc);
   List.rev !acc

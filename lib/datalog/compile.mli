@@ -5,18 +5,24 @@
     A chain executes exactly the steps of its {!Eval.body}, in the
     same order, enumerating rows in insertion order — the order the
     engines' deterministic tie-breaking relies on, and the order of the
-    reference executor {!Eval.run}.  Per tuple, bindings are direct
-    [Value.t array] stores (no option boxing), row obligations are
-    statically-resolved opcodes, probes carry a static mask and a
-    reusable key buffer, and relations are resolved once per execution
-    instead of once per enclosing solution.
+    reference executor {!Eval.run}.  The environment holds one
+    {!Relation} cell per variable: per tuple, a binding is a cell copied
+    out of the row, a repeated variable an int compare, row obligations
+    are statically-resolved opcodes, probes carry a static mask and a
+    key of cells that goes to {!Relation.probe_ids} as it is, heads are
+    written as cells, and relations are resolved once per execution
+    instead of once per enclosing solution.  Cells are decoded only
+    where a value's meaning is needed: order comparisons and arithmetic
+    on cells that are not inline ints, compound terms, and the value
+    programs below.
 
     A chain owns mutable buffers: never share one instance across
     concurrent executors.  Shards take {!clone}s and run read-only via
     {!run_slice} or [run_range ~ro:true] after the coordinator called
     {!prepare_indexes}. *)
 
-type env = Value.t array
+type env = int array
+(** One cell per variable slot (see {!Relation.Cell}). *)
 
 type t
 
@@ -41,7 +47,9 @@ val clone : t -> t
     buffers, for one shard. *)
 
 val env : t -> env
-val set_slot : t -> int -> Value.t -> unit
+
+val set_slot : t -> int -> int -> unit
+(** [set_slot t slot cell]: bind a [bound] slot before a run. *)
 
 val run : t -> Database.t -> (unit -> unit) -> unit
 (** [run t db k] calls [k] once per satisfying assignment, with the
@@ -84,13 +92,43 @@ val run_slice : t -> Database.t -> Relation.slice -> int -> int -> (unit -> unit
     The engines evaluate heads, costs, keys and FD projections per
     solution.  These compile the corresponding {!Eval.cterm}s against
     the chain's end-of-body bound set into direct evaluators over the
-    unboxed environment. *)
+    environment: to a cell, for what goes into a relation, or to a
+    decoded value, for what is compared or tabled as a value. *)
 
+type cell_prog = env -> int
 type value_prog = env -> Value.t
 
+val compile_cell : t -> Eval.cterm -> cell_prog
+(** A value the body computes enters the term table when it needs a
+    cell there. *)
+
 val compile_value : t -> Eval.cterm -> value_prog
-val compile_row : t -> Eval.cterm array -> value_prog array
-val eval_row : env -> value_prog array -> Value.t array
+
+type row
+(** A head: one cell program per argument, a plain variable copying
+    its slot. *)
+
+val compile_row : t -> Eval.cterm array -> row
+val row_width : row -> int
+
+val write_row : row -> env -> int array -> int -> unit
+(** [write_row r env dst off]: the row's cells into [dst] at [off]. *)
+
+val row_cells : row -> env -> int array
+(** The row's cells in a fresh array. *)
+
+(** Rows of one width gathered into one growable cell array, kept
+    across uses: what a semi-naive fire collects before it inserts. *)
+type rows
+
+val rows_create : int -> rows
+val clear_rows : rows -> unit
+val emit : rows -> row -> env -> unit
+
+val add_rows_rev : Relation.t -> rows -> int
+(** Add the gathered rows to the relation, the last gathered first,
+    through {!Relation.add_cells}, and empty the buffer; returns how
+    many were new. *)
 
 type binder
 
@@ -100,14 +138,13 @@ val compile_binder : bound:int list -> Eval.cterm array -> binder
     No arithmetic inversion: a partially bound arithmetic term never
     matches. *)
 
-val bind : binder -> env -> Value.t array -> bool
-
 val bind_id : binder -> env -> Relation.t -> int -> bool
-(** [bind_id b env rel id]: {!bind} against row [id] of [rel], read
-    field by field from its cells — no row is decoded as a whole. *)
+(** [bind_id b env rel id]: match against the cells of row [id] of
+    [rel] — nothing is decoded unless a pattern is compound. *)
 
 val solutions : Eval.body -> Database.t -> Ast.term list -> Value.t list list
 (** [solutions body db outs]: run [body] (compiled with no
     [extra_bound] variables) once and return the values of [outs] per
-    solution, in enumeration order — the query and explanation paths.
+    solution, in enumeration order — the query and explanation paths,
+    where the cells are decoded.
     @raise Eval.Unsafe when an output term is unbound. *)

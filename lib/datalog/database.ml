@@ -147,14 +147,15 @@ let column_keys keys cells n w j ord =
 
 let rec bit_width x = if x = 0 then 0 else 1 + bit_width (x lsr 1)
 
-(* Stable sort of [ids] (length [n]) by the unsigned offsets
+(* Stable sort of [ids] (its first [n]) by the unsigned offsets
    [keys.(id) - lo], which are at most [spread], through [tmp];
-   returns the array holding the result and the spare one.  With no
-   [counts] buckets, an insertion sort. *)
-let sort_by_keys ids tmp counts keys lo spread n =
+   returns the array holding the result and the spare one.  With
+   [nb] buckets of [counts], as few counting passes as they allow;
+   with none, an insertion sort. *)
+let sort_by_keys ids tmp counts nb keys lo spread n =
   let bits = bit_width spread in
   if bits = 0 then (ids, tmp)
-  else if Array.length counts = 0 then begin
+  else if nb = 0 then begin
     for i = 1 to n - 1 do
       let id = ids.(i) in
       let d = (keys.(id) - lo) lxor min_int in
@@ -169,7 +170,7 @@ let sort_by_keys ids tmp counts keys lo spread n =
   end
   else begin
     (* as few counting passes as the buckets allow, of equal width *)
-    let dmax = bit_width (Array.length counts - 1) in
+    let dmax = bit_width (nb - 1) in
     let passes = (bits + dmax - 1) / dmax in
     let d = (bits + passes - 1) / passes in
     let mask = (1 lsl d) - 1 in
@@ -201,25 +202,101 @@ let sort_by_keys ids tmp counts keys lo spread n =
     (!src, !dst)
   end
 
-let add_row b pred cells w id =
-  Buffer.add_string b pred;
-  Buffer.add_char b '(';
-  for j = 0 to w - 1 do
-    if j > 0 then Buffer.add_string b ", ";
-    let c = Array.unsafe_get cells ((id * w) + j) in
-    if Relation.Cell.is_int c then Value.add_int b (c asr 1)
-    else if Relation.Cell.is_sym c then Buffer.add_string b (Interner.resolve (Relation.Cell.sym_id c))
-    else Value.add b (Relation.Cell.decode c)
+(* about one bucket per row, and none for a few rows *)
+let buckets n = if n < 16 then 0 else 1 lsl min 16 (bit_width n - 1)
+
+(* The sort's arrays, shared by every relation of one render: sized
+   for the largest. *)
+type scratch = { keys : int array; ids : int array; tmp : int array; counts : int array }
+
+(* The printed text of each distinct term cell of one render, made
+   once: the width pass sizes it and the write pass copies it. *)
+type texts = (int, string) Hashtbl.t
+
+let term_text (texts : texts) c =
+  match Hashtbl.find_opt texts c with
+  | Some s -> s
+  | None ->
+    let s = Value.to_string (Relation.Cell.decode c) in
+    Hashtbl.add texts c s;
+    s
+
+(* Decimal width of an inline int. *)
+let int_width i =
+  let rec go n acc = if n > -10 then acc else go (n / 10) (acc + 1) in
+  if i < 0 then 1 + go i 1 else go (-i) 1
+
+let cell_width texts c =
+  if Relation.Cell.is_int c then int_width (c asr 1)
+  else if Relation.Cell.is_sym c then String.length (Interner.resolve (Relation.Cell.sym_id c))
+  else String.length (term_text texts c)
+
+(* [f] on the live ids of [r], in id order. *)
+let iter_live r f =
+  let bound = Relation.id_bound r in
+  if Relation.cardinal r = bound then
+    for id = 0 to bound - 1 do
+      f id
+    done
+  else
+    for id = 0 to bound - 1 do
+      if Relation.is_live r id then f id
+    done
+
+(* The bytes [pred]'s facts print to: [pred(], the fields, [, ]
+   between them and [).\n] per row. *)
+let relation_width texts pred r =
+  let w = Relation.arity r and cells = Relation.cells r in
+  let per_row = String.length pred + 4 + if w > 0 then 2 * (w - 1) else 0 in
+  let total = ref (per_row * Relation.cardinal r) in
+  iter_live r (fun id ->
+      for j = id * w to (id * w) + w - 1 do
+        total := !total + cell_width texts (Array.unsafe_get cells j)
+      done);
+  !total
+
+(* Write [i] (inline: [|i| < 2^61], so negating is exact) at [pos],
+   its digits backwards from the end; returns the end. *)
+let write_int out pos i =
+  let stop = pos + int_width i in
+  let n = ref (abs i) and p = ref (stop - 1) in
+  Bytes.unsafe_set out !p (Char.unsafe_chr (48 + (!n mod 10)));
+  n := !n / 10;
+  while !n > 0 do
+    decr p;
+    Bytes.unsafe_set out !p (Char.unsafe_chr (48 + (!n mod 10)));
+    n := !n / 10
   done;
-  Buffer.add_string b ").\n"
+  if i < 0 then Bytes.unsafe_set out pos '-';
+  stop
+
+let write_string out pos s =
+  Bytes.blit_string s 0 out pos (String.length s);
+  pos + String.length s
+
+let write_row out pos texts pred cells w id =
+  let pos = ref (write_string out pos pred) in
+  Bytes.set out !pos '(';
+  incr pos;
+  for j = 0 to w - 1 do
+    if j > 0 then pos := write_string out !pos ", ";
+    let c = Array.unsafe_get cells ((id * w) + j) in
+    pos :=
+      if Relation.Cell.is_int c then write_int out !pos (c asr 1)
+      else if Relation.Cell.is_sym c then
+        write_string out !pos (Interner.resolve (Relation.Cell.sym_id c))
+      else write_string out !pos (term_text texts c)
+  done;
+  write_string out !pos ").\n"
 
 (* Keys are computed for every id below the bound, dead ones included
    (a removed row's cells are still in place, and its key never reaches
    the sort): only the live ids are sorted and printed. *)
-let add_relation b pred r =
+let write_relation out pos sc texts pred r =
   let w = Relation.arity r and n = Relation.cardinal r and cells = Relation.cells r in
   let bound = Relation.id_bound r in
-  if n > 0 then begin
+  if n = 0 then pos
+  else begin
     let top_sym = ref (-1) in
     for i = 0 to (bound * w) - 1 do
       let c = Array.unsafe_get cells i in
@@ -227,37 +304,44 @@ let add_relation b pred r =
         top_sym := Relation.Cell.sym_id c
     done;
     let ord = Interner.ranks (!top_sym + 1) in
-    let live =
-      if n = bound then Array.init n Fun.id
-      else begin
-        let ids = Array.make n 0 and k = ref 0 in
-        for id = 0 to bound - 1 do
-          if Relation.is_live r id then begin
-            ids.(!k) <- id;
-            incr k
-          end
-        done;
-        ids
-      end
-    in
-    let ids = ref live and tmp = ref (Array.make n 0) in
-    let keys = Array.make bound 0 in
-    (* about one bucket per row, and none for a few rows *)
-    let counts = if n < 16 then [||] else Array.make (1 lsl min 16 (bit_width n - 1)) 0 in
+    let k = ref 0 in
+    iter_live r (fun id ->
+        sc.ids.(!k) <- id;
+        incr k);
+    let ids = ref sc.ids and tmp = ref sc.tmp in
     for j = w - 1 downto 0 do
-      let lo, spread = column_keys keys cells bound w j ord in
-      let sorted, spare = sort_by_keys !ids !tmp counts keys lo spread n in
+      let lo, spread = column_keys sc.keys cells bound w j ord in
+      let sorted, spare = sort_by_keys !ids !tmp sc.counts (buckets n) sc.keys lo spread n in
       ids := sorted;
       tmp := spare
     done;
-    Array.iter (add_row b pred cells w) !ids
+    let pos = ref pos in
+    for i = 0 to n - 1 do
+      pos := write_row out !pos texts pred cells w !ids.(i)
+    done;
+    !pos
   end
 
+(* Two passes over the chosen relations: the first sums the exact
+   output size, the second sorts each relation and writes its rows
+   into one buffer of that size, which becomes the result as it is. *)
 let render ?preds:chosen db =
   let preds = match chosen with Some ps -> ps | None -> List.sort String.compare (preds db) in
-  let b = Buffer.create 1024 in
-  List.iter (fun pred -> Option.iter (add_relation b pred) (find db pred)) preds;
-  Buffer.contents b
+  let rels = List.filter_map (fun p -> Option.map (fun r -> (p, r)) (find db p)) preds in
+  let texts = Hashtbl.create 16 in
+  let size = List.fold_left (fun acc (p, r) -> acc + relation_width texts p r) 0 rels in
+  let most f = List.fold_left (fun acc (_, r) -> max acc (f r)) 0 rels in
+  let rows = most Relation.cardinal in
+  let sc =
+    { keys = Array.make (most Relation.id_bound) 0;
+      ids = Array.make rows 0;
+      tmp = Array.make rows 0;
+      counts = Array.make (buckets rows) 0 }
+  in
+  let out = Bytes.create size in
+  let pos = List.fold_left (fun pos (p, r) -> write_relation out pos sc texts p r) 0 rels in
+  assert (pos = size);
+  Bytes.unsafe_to_string out
 
 let pp fmt db = Format.pp_print_string fmt (render db)
 

@@ -35,7 +35,7 @@ type crule = {
   (* The body's closure chain plus the V / FD / extrema evaluators over
      its environment, resolved once at compile time. *)
   chain : Compile.t;
-  c_out : Compile.value_prog array;
+  c_out : Compile.row;  (* the chosen$ridx row's cells *)
   c_fds : (Compile.value_prog list * Compile.value_prog list) list;
   c_ext : (Compile.value_prog * Compile.value_prog) array;
   (* Per-shard chain clones for data-parallel candidate collection,
@@ -120,7 +120,9 @@ let compile_crule ridx (r : Ast.rule) =
     c_min = Array.of_list (List.map (fun e -> e.minimize) extrema);
     v_fds = List.map (fun (l, rr) -> (List.map (compile_vterm vars) l, List.map (compile_vterm vars) rr)) fds;
     chain;
-    c_out = Array.of_list (List.map value out_terms);
+    c_out =
+      Compile.compile_row chain
+        (try Eval.compile_terms body out_terms with Eval.Unsafe msg -> unsafe msg);
     c_fds = List.map (fun (l, rr) -> (List.map value l, List.map value rr)) fds;
     c_ext = Array.of_list (List.map (fun e -> (value e.key, value e.cost)) extrema);
     c_scratch = [||] }
@@ -195,14 +197,25 @@ let current_stage db tr =
   (match Database.find db tr.pred with
   | None -> ()
   | Some rel ->
-    Relation.iter_from rel tr.mark (fun row ->
-        match row.(tr.pos) with
-        | Value.Int i -> if i > tr.maxv then tr.maxv <- i
-        | v ->
-          raise
-            (Unsupported
-               (Printf.sprintf "non-integer stage value %s in %s" (Value.to_string v) tr.pred)));
-    tr.mark <- Relation.id_bound rel);
+    let w = Relation.arity rel and n = Relation.id_bound rel in
+    let cells = Relation.cells rel in
+    for id = tr.mark to n - 1 do
+      if Relation.is_live rel id then begin
+        let c = cells.((id * w) + tr.pos) in
+        let i =
+          if Relation.Cell.is_int c then c asr 1
+          else
+            match Relation.Cell.decode c with
+            | Value.Int i -> i
+            | v ->
+              raise
+                (Unsupported
+                   (Printf.sprintf "non-integer stage value %s in %s" (Value.to_string v) tr.pred))
+        in
+        if i > tr.maxv then tr.maxv <- i
+      end
+    done;
+    tr.mark <- n);
   tr.maxv
 
 (* ------------------------------------------------------------------ *)
@@ -212,7 +225,7 @@ let current_stage db tr =
 type candidate = {
   c_st : fd_state;
   c_idx : int;  (* stable index of [c_st] in its clique's fd_states *)
-  c_row : Value.t array;  (* the new chosen$i tuple *)
+  c_row : int array;  (* the new chosen$i row's cells *)
 }
 
 (* Minimum slice length before candidate collection fans out.  Low on
@@ -227,8 +240,8 @@ let par_threshold = 2
    compatible rows, so every occurrence of an incompatible row is
    checked and counted. *)
 let visit_solution cr st seen cenv ~rejected k =
-  let row = Compile.eval_row cenv cr.c_out in
-  if not (Relation.Row_tbl.mem seen row) then begin
+  let row = Compile.row_cells cr.c_out cenv in
+  if not (Relation.Cells_tbl.mem seen row) then begin
     let projections =
       List.map
         (fun (l, r) ->
@@ -236,7 +249,7 @@ let visit_solution cr st seen cenv ~rejected k =
         cr.c_fds
     in
     if compatible st projections then begin
-      Relation.Row_tbl.add seen row ();
+      Relation.Cells_tbl.add seen row ();
       k row (Array.map (fun (key, cost) -> (key cenv, cost cenv)) cr.c_ext)
     end
     else rejected ()
@@ -268,7 +281,7 @@ let collect_parallel pool limits st db slice =
       Option.iter (Compile.set_slot ch cr.stage_slot) stage;
       let cenv = Compile.env ch in
       let lo, hi = Par.bounds ~shards n s in
-      let seen = Relation.Row_tbl.create 64 in
+      let seen = Relation.Cells_tbl.create 64 in
       let acc = ref [] and ex = ref 0 and rej = ref 0 in
       Compile.run_slice ch db slice lo hi (fun () ->
           incr ex;
@@ -286,16 +299,15 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
   let rc = Telemetry.rule tele cr.label in
   (match cr.stage, tracker with
   | Some _, Some tr ->
-    Compile.set_slot cr.chain cr.stage_slot (Value.Int (current_stage db tr + 1))
+    Compile.set_slot cr.chain cr.stage_slot (Relation.Cell.of_int (current_stage db tr + 1))
   | None, None -> ()
   | _ -> assert false);
   (* Shards in slice order with a global first-occurrence dedup: the
      merged list reproduces the sequential solution order exactly.  The
-     membership test against chosen$i runs here, sequentially: a flat
-     relation's [Relation.mem] encodes its probe into a buffer the
-     relation owns. *)
+     membership test against chosen$i runs here, sequentially: it may
+     bring the relation's membership set up to date. *)
   let merge_shards (results, shards, rows) =
-    let gseen = Relation.Row_tbl.create 64 in
+    let gseen = Relation.Cells_tbl.create 64 in
     let merged = ref [] in
     Telemetry.span tele "par:merge" (fun () ->
         Array.iter
@@ -308,9 +320,9 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
             | None -> ());
             List.iter
               (fun (row, kcs) ->
-                if not (Relation.Row_tbl.mem gseen row) then begin
-                  Relation.Row_tbl.add gseen row ();
-                  merged := (row, Relation.mem st.rel row, kcs) :: !merged
+                if not (Relation.Cells_tbl.mem gseen row) then begin
+                  Relation.Cells_tbl.add gseen row ();
+                  merged := (row, Relation.find_cells st.rel row >= 0, kcs) :: !merged
                 end)
               sols)
           results);
@@ -332,7 +344,7 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
     | Some slice -> merge_shards (collect_parallel pool limits st db slice)
     | None ->
       let cenv = Compile.env cr.chain in
-      let seen = Relation.Row_tbl.create 64 in
+      let seen = Relation.Cells_tbl.create 64 in
       let solutions = ref [] in
       let rejected () =
         match rc with
@@ -344,7 +356,7 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
           Limits.tick_candidates limits 1;
           (match rc with Some rc -> rc.Telemetry.candidates <- rc.Telemetry.candidates + 1 | None -> ());
           visit_solution cr st seen cenv ~rejected (fun row kcs ->
-              solutions := (row, Relation.mem st.rel row, kcs) :: !solutions));
+              solutions := (row, Relation.find_cells st.rel row >= 0, kcs) :: !solutions));
       List.rev !solutions
   in
   (* Optimum per key for each extremum, over all compatible solutions. *)
@@ -432,7 +444,7 @@ let all_candidates ?limits db tele state examined =
        (List.combine state.fd_states state.trackers))
 
 let fire ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited) db cand =
-  ignore (Relation.add cand.c_st.rel cand.c_row);
+  ignore (Relation.add_cells cand.c_st.rel cand.c_row 0);
   Limits.tick_derived limits 1;
   Telemetry.fired telemetry cand.c_st.cr.label;
   ignore db

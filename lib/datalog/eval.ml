@@ -17,12 +17,9 @@ type cterm = pterm
 
 type guard = cmp_op * pterm * pterm
 
-(* A compiled scan of one atom.  [sc_pattern] is a scratch probe buffer
-   reused across invocations: constant positions are prefilled at
-   compile time, the rest ([sc_fill]) are refreshed from the
-   environment on every execution.  This is safe because
-   [Relation.iter_matching] consumes the pattern before invoking the
-   row callback.
+(* A compiled scan of one atom.  Each execution evaluates its probe
+   pattern from the environment ([pattern_of]): the scan holds no
+   mutable state, so executions of one body never share a buffer.
 
    When every argument is a constant or a first-occurrence variable the
    scan runs as a kernel: [sc_writes] lists (row position, slot) pairs
@@ -36,8 +33,6 @@ type scan = {
   sc_pred : string;
   sc_arity : int;
   sc_args : pterm array;
-  sc_pattern : Value.t option array;
-  sc_fill : (int * pterm) array;
   sc_writes : (int * int) array;
   sc_reads : int array;
   sc_fast : bool;
@@ -318,18 +313,14 @@ let compile_body ?(extra_bound = []) lits =
     let ast_args = Array.of_list a.args in
     let n = Array.length ast_args in
     let args = Array.map (resolve ctx) ast_args in
-    let pattern = Array.make n None in
-    let fill = ref [] and writes = ref [] and reads = ref [] in
+    let writes = ref [] and reads = ref [] in
     let written = Hashtbl.create 4 in
     let all_fast = ref fast in
     let mask = ref 0 in
     for p = n - 1 downto 0 do
       match args.(p) with
-      | PCst c ->
-        pattern.(p) <- Some c;
-        mask := !mask lor (1 lsl p)
+      | PCst _ -> mask := !mask lor (1 lsl p)
       | PVar s ->
-        fill := (p, args.(p)) :: !fill;
         let statically_bound =
           match ast_args.(p) with Var v when v <> "_" -> SSet.mem v !bound | _ -> false
         in
@@ -346,7 +337,6 @@ let compile_body ?(extra_bound = []) lits =
           writes := (p, s) :: !writes
         end
       | PCmp _ | PBinop _ ->
-        fill := (p, args.(p)) :: !fill;
         all_fast := false;
         if List.for_all (fun v -> SSet.mem v !bound) (term_vars ast_args.(p)) then
           mask := !mask lor (1 lsl p)
@@ -355,8 +345,6 @@ let compile_body ?(extra_bound = []) lits =
     { sc_pred = a.pred;
       sc_arity = n;
       sc_args = args;
-      sc_pattern = pattern;
-      sc_fill = Array.of_list !fill;
       sc_writes = Array.of_list !writes;
       sc_reads = Array.of_list !reads;
       sc_fast = !all_fast;
@@ -433,30 +421,24 @@ let fresh_env b = Array.make (max 1 b.nvars) None
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Refresh the scratch probe pattern from the environment.  Constant
-   positions were prefilled at compile time; variable positions read
-   straight out of [env] with no allocation. *)
-let fill_pattern env sc =
-  let fl = sc.sc_fill in
-  for j = 0 to Array.length fl - 1 do
-    let p, t = fl.(j) in
-    sc.sc_pattern.(p) <- eval_pterm env t
-  done
+(* The scan's probe pattern under [env]: a bound position holds its
+   value, an unbound one [None]. *)
+let pattern_of env sc = Array.map (eval_pterm env) sc.sc_args
 
 (* The kernel assumes statically-bound variables are bound and
    statically-unbound ones are not.  A caller that binds more or fewer
    variables than the body's [extra_bound] violates one of the two, in
    which case this invocation falls back to generic matching. *)
-let fast_applicable sc =
+let fast_applicable sc pattern =
   let ok = ref true in
   let writes = sc.sc_writes in
   for j = 0 to Array.length writes - 1 do
     let p, _ = writes.(j) in
-    match sc.sc_pattern.(p) with None -> () | Some _ -> ok := false
+    match pattern.(p) with None -> () | Some _ -> ok := false
   done;
   let reads = sc.sc_reads in
   for j = 0 to Array.length reads - 1 do
-    match sc.sc_pattern.(reads.(j)) with None -> ok := false | Some _ -> ()
+    match pattern.(reads.(j)) with None -> ok := false | Some _ -> ()
   done;
   !ok
 
@@ -474,10 +456,9 @@ let neg_holds db env sc guards =
   match find_rel db sc with
   | None -> true
   | Some rel ->
-    fill_pattern env sc;
     let found = ref false in
     (try
-       Relation.iter_matching rel sc.sc_pattern (fun row ->
+       Relation.iter_matching rel (pattern_of env sc) (fun row ->
            let trail = ref [] in
            let matched =
              match_row env trail sc.sc_args row
@@ -506,13 +487,13 @@ let run body db env k =
         match find_rel db sc with
         | None -> ()
         | Some rel ->
-          fill_pattern env sc;
-          if sc.sc_fast && fast_applicable sc then begin
+          let pattern = pattern_of env sc in
+          if sc.sc_fast && fast_applicable sc pattern then begin
             (* id-based kernel: read only the written positions — no
                row tuple is ever materialized *)
             let writes = sc.sc_writes in
             let nw = Array.length writes in
-            Relation.iter_matching_ids rel sc.sc_pattern (fun id ->
+            Relation.iter_matching_ids rel pattern (fun id ->
                 for j = 0 to nw - 1 do
                   let p, s = writes.(j) in
                   env.(s) <- Some (Relation.read rel id p)
@@ -524,7 +505,7 @@ let run body db env k =
             done
           end
           else
-            Relation.iter_matching rel sc.sc_pattern (fun row ->
+            Relation.iter_matching rel pattern (fun row ->
                 let trail = ref [] in
                 if match_row env trail sc.sc_args row then exec (i + 1);
                 undo env trail))

@@ -40,13 +40,11 @@ type cterm = pterm
 type guard = Ast.cmp_op * pterm * pterm
 
 (** A compiled scan of one atom; see [eval.ml] for the invariants of
-    the scratch pattern, kernel writes and static probe mask. *)
+    the kernel writes and the static probe mask. *)
 type scan = {
   sc_pred : string;
   sc_arity : int;
   sc_args : pterm array;
-  sc_pattern : Value.t option array;
-  sc_fill : (int * pterm) array;
   sc_writes : (int * int) array;
   sc_reads : int array;
   sc_fast : bool;

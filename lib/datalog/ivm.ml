@@ -73,7 +73,7 @@ type stratum = {
   (* Support counts for the counting deletion path (non-recursive
      monotone strata only).  [None] = not initialized or invalidated;
      rebuilt lazily by the next deletion that reaches the stratum. *)
-  mutable s_supports : int Relation.Row_tbl.t option;
+  mutable s_supports : int Relation.Cells_tbl.t option;
 }
 
 type stats = {
@@ -109,7 +109,7 @@ type dred_pred = {
 
 and rederive_check =
   | Probe of Compile.t * Compile.binder  (* the body, head slots bound by the binder *)
-  | Enumerate of Compile.t * Compile.value_prog array * Value.t array * bool
+  | Enumerate of Compile.t * Compile.row * int array * bool
       (* the body's heads, into the buffer; [true]: the body reads no
          clique predicate *)
 
@@ -119,8 +119,8 @@ type dred_source = Clique of dred_pred | Lower of Relation.t
 
 type dred_variant = {
   dv_chain : Compile.t;
-  dv_head : Compile.value_prog array;
-  dv_buf : Value.t array;
+  dv_head : Compile.row;
+  dv_buf : int array;
   dv_into : dred_pred;
   dv_src : dred_source;
 }
@@ -198,7 +198,7 @@ let reaches_choice t preds =
     t.strata;
   !hit
 
-(* A rule body's closure chain plus the head row's evaluators over its
+(* A rule body's closure chain plus the head row's cells over its
    environment.  Chains are built per apply: one costs about a
    microsecond to build, so nothing is cached across applies. *)
 let head_chain body (head : Ast.atom) =
@@ -206,11 +206,16 @@ let head_chain body (head : Ast.atom) =
   let chain = Compile.of_body cbody in
   (chain, Compile.compile_row chain (Eval.compile_terms cbody head.args))
 
+(* [k] on the head's cells, fresh per solution. *)
 let run_chain limits db (chain, head) k =
   let env = Compile.env chain in
   Compile.run chain db (fun () ->
       Limits.poll limits;
-      k (Compile.eval_row env head))
+      k (Compile.row_cells head env))
+
+(* The cells a fact of the client's has, for a lookup: a value no row
+   holds gets a cell no row holds. *)
+let lookup_cells row = Array.map Relation.Cell.lookup row
 
 let group changes =
   let tbl = Hashtbl.create 8 in
@@ -321,8 +326,9 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
               stats.rows_deleted <- stats.rows_deleted + n
             end
           in
-          (* Remove [rows] from [p]'s model relation, keeping the
-             survivors' order; rows it does not hold are ignored. *)
+          (* Remove the rows with the cells [rows] from [p]'s model
+             relation, keeping the survivors' order; rows it does not
+             hold are ignored. *)
           let remove_rows p rows =
             match Database.find model p with
             | None -> ()
@@ -330,7 +336,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
               let set = Relation.Idset.create (Relation.id_bound rel) and n = ref 0 in
               List.iter
                 (fun row ->
-                  match Relation.find rel row with
+                  match if Array.length row = Relation.arity rel then Relation.find_cells rel row else -1 with
                   | -1 -> ()
                   | id ->
                     if not (Relation.Idset.mem set id) then begin
@@ -404,7 +410,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
           List.iter
             (fun (p, rows) ->
               if Hashtbl.mem t.idb p then Hashtbl.replace edb_del p rows
-              else remove_rows p rows)
+              else remove_rows p (List.map lookup_cells rows))
             del_groups;
           List.iter
             (fun (p, rows) ->
@@ -488,14 +494,14 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
           let counting_delete s =
             let p = List.hd s.s_preds in
             let bump tbl row n =
-              let prev = try Relation.Row_tbl.find tbl row with Not_found -> 0 in
-              Relation.Row_tbl.replace tbl row (prev + n)
+              let prev = try Relation.Cells_tbl.find tbl row with Not_found -> 0 in
+              Relation.Cells_tbl.replace tbl row (prev + n)
             in
             match s.s_supports with
             | Some tbl ->
               (* Exact decrement against the state the counts reflect. *)
-              let dec = Relation.Row_tbl.create 64 in
-              List.iter (fun row -> bump dec row 1) (edb_del_of p);
+              let dec = Relation.Cells_tbl.create 64 in
+              List.iter (fun row -> bump dec (lookup_cells row) 1) (edb_del_of p);
               let is_deleted q = Hashtbl.mem deleted q in
               let is_dirty q =
                 (not (is_deleted q)) && (Hashtbl.mem pre q || has_inserts q)
@@ -508,15 +514,15 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                         (deletion_variants ~is_deleted ~is_dirty rule))
                     s.s_rules);
               let doomed = ref [] in
-              Relation.Row_tbl.iter
+              Relation.Cells_tbl.iter
                 (fun row n ->
-                  let cur = try Relation.Row_tbl.find tbl row with Not_found -> 0 in
+                  let cur = try Relation.Cells_tbl.find tbl row with Not_found -> 0 in
                   let left = cur - n in
                   if left <= 0 then begin
-                    Relation.Row_tbl.remove tbl row;
+                    Relation.Cells_tbl.remove tbl row;
                     doomed := row :: !doomed
                   end
-                  else Relation.Row_tbl.replace tbl row left)
+                  else Relation.Cells_tbl.replace tbl row left)
                 dec;
               remove_rows p !doomed;
               false
@@ -524,9 +530,14 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
               (* Recount from scratch against the already-final lower
                  state: rows at zero support disappear; rows counted
                  but not yet present arrive with the insertion step. *)
-              let tbl = Relation.Row_tbl.create 256 in
+              let tbl = Relation.Cells_tbl.create 256 in
+              let live_rows r f =
+                for id = 0 to Relation.id_bound r - 1 do
+                  if Relation.is_live r id then f (Relation.row_cells r id)
+                done
+              in
               (match Database.find t.edb p with
-              | Some r -> Relation.iter r (fun row -> bump tbl row 1)
+              | Some r -> live_rows r (fun row -> bump tbl row 1)
               | None -> ());
               List.iter
                 (fun rule ->
@@ -536,8 +547,8 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
               let doomed = ref [] in
               (match Database.find model p with
               | Some rel ->
-                Relation.iter rel (fun row ->
-                    if not (Relation.Row_tbl.mem tbl row) then doomed := row :: !doomed)
+                live_rows rel (fun row ->
+                    if not (Relation.Cells_tbl.mem tbl row) then doomed := row :: !doomed)
               | None -> ());
               remove_rows p (List.rev !doomed);
               s.s_supports <- Some tbl;
@@ -624,7 +635,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                                    dv_head =
                                      Compile.compile_row chain
                                        (Eval.compile_terms cbody rule.head.args);
-                                   dv_buf = Array.make (List.length rule.head.args) Value.unit;
+                                   dv_buf = Array.make (List.length rule.head.args) 0;
                                    dv_into = into; dv_src = src } ])
                            | _ -> [])
                          rule.body))
@@ -637,10 +648,8 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                 let env = Compile.env v.dv_chain in
                 Compile.run_range v.dv_chain ~ro:false lo hi (fun () ->
                     Limits.poll limits;
-                    for j = 0 to Array.length v.dv_head - 1 do
-                      v.dv_buf.(j) <- v.dv_head.(j) env
-                    done;
-                    match Relation.find v.dv_into.dp_pre v.dv_buf with
+                    Compile.write_row v.dv_head env v.dv_buf 0;
+                    match Relation.find_cells v.dv_into.dp_pre v.dv_buf with
                     | -1 -> ()
                     | id -> f id)
               end
@@ -769,7 +778,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                         Enumerate
                           ( chain,
                             Compile.compile_row chain (Eval.compile_terms cbody rule.head.args),
-                            Array.make (List.length rule.head.args) Value.unit,
+                            Array.make (List.length rule.head.args) 0,
                             not (List.exists in_clique positive) )
                       in
                       let check =
@@ -829,10 +838,8 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                             let env = Compile.env chain in
                             Compile.run_resolved chain (fun () ->
                                 Limits.poll limits;
-                                for j = 0 to Array.length head - 1 do
-                                  buf.(j) <- head.(j) env
-                                done;
-                                match Relation.find dp.dp_pre buf with
+                                Compile.write_row head env buf 0;
+                                match Relation.find_cells dp.dp_pre buf with
                                 | -1 -> ()
                                 | id -> Relation.Idset.add dp.dp_derived id))
                         dp.dp_checks)
@@ -985,7 +992,9 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                   let fresh = Relation.create p (Relation.arity r) in
                   (match Database.find t.edb p with
                   | Some er ->
-                    Relation.iter er (fun row -> ignore (Relation.add fresh row))
+                    for id = 0 to Relation.id_bound er - 1 do
+                      if Relation.is_live er id then ignore (Relation.add_of fresh er id)
+                    done
                   | None -> ());
                   replace p r fresh)
               s.s_preds;

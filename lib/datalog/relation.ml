@@ -166,6 +166,14 @@ let rec cells_eq a aoff b boff w i =
   || (Array.unsafe_get a (aoff + i) = Array.unsafe_get b (boff + i)
      && cells_eq a aoff b boff w (i + 1))
 
+(* Hash tables keyed by whole rows of cells. *)
+module Cells_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b = Array.length a = Array.length b && cells_eq a 0 b 0 (Array.length a) 0
+  let hash a = hash_cells a 0 (Array.length a) 17 0
+end)
+
 (* Dead rows: bit [id] of a handle's bitmap is set when row [id] was
    removed.  A bitmap never changes once its handle exists, so handles
    share them freely; no bit at or past the handle's id bound is set,
@@ -593,6 +601,10 @@ let add_scratch r =
     true
   end
 
+let add_cells r (src : int array) off =
+  Array.blit src off r.scratch 0 r.width;
+  add_scratch r
+
 let add r row =
   check_arity r "add" (Array.length row);
   for j = 0 to r.width - 1 do
@@ -618,6 +630,8 @@ let find_row r (probe : int array) (row : tuple) =
 let mem r row = Array.length row = r.width && find_row r (Array.make r.width 0) row >= 0
 
 let find r row = if Array.length row = r.width then find_row r r.scratch row else -1
+
+let row_cells r id = Array.sub r.cells (id * r.width) r.width
 
 let copy_cells r src id =
   if src.width <> r.width then
@@ -816,12 +830,6 @@ let index r mask =
     ix
   end
 
-(* Fill the bound positions of [probe] from [key]. *)
-let encode_cols (probe : int array) mask (key : Value.t array) =
-  for c = 0 to Array.length probe - 1 do
-    if mask land (1 lsl c) <> 0 then probe.(c) <- Cell.lookup key.(c)
-  done
-
 (* The chain of [probe]'s key, up to the id bound [bound], around dead
    rows. *)
 let walk (ix : index) r (probe : int array) bound f =
@@ -855,10 +863,6 @@ let probe_ids r mask (probe : int array) f =
   end
   else walk (index r mask) r probe r.count f
 
-let iter_matching_cols_ids r mask (key : Value.t array) f =
-  encode_cols r.scratch mask key;
-  probe_ids r mask r.scratch f
-
 let iter_matching_ids r (pattern : Value.t option array) f =
   if Array.length pattern <> r.width then
     invalid_arg (Printf.sprintf "Relation.iter_matching_ids: bad pattern arity for %s" r.rel_name);
@@ -874,7 +878,6 @@ let iter_matching_ids r (pattern : Value.t option array) f =
   probe_ids r !mask r.scratch f
 
 let iter_matching r pattern f = iter_matching_ids r pattern (fun id -> f (decode_row r id))
-let iter_matching_cols r mask key f = iter_matching_cols_ids r mask key (fun id -> f (decode_row r id))
 
 let rec cells_match cells off w mask (probe : int array) i =
   i = w
@@ -882,14 +885,12 @@ let rec cells_match cells off w mask (probe : int array) i =
      && cells_match cells off w mask probe (i + 1))
 
 (* Read-only variant for concurrent readers inside a parallel region:
-   it never builds or mutates an index and probes with a caller-owned
-   buffer instead of the relation's scratch.  An existing index is used
+   it never builds or mutates an index.  An existing index is used
    when present, otherwise a filtered linear scan — both enumerate in
    insertion order, so the result sequence is identical either way.
    Coordinators call [ensure_index] for the statically known probe
    masks before entering the region, making the fallback rare. *)
-let iter_matching_cols_ro_ids r mask (key : Value.t array) (probe : int array) f =
-  encode_cols probe mask key;
+let probe_ids_ro r mask (probe : int array) f =
   if mask = 0 || mask = full_mask r then probe_ids r mask probe f
   else
     let ix = find_index mask r.store.indexes in
@@ -901,15 +902,13 @@ let iter_matching_cols_ro_ids r mask (key : Value.t array) (probe : int array) f
 let ensure_index r mask = if mask <> 0 && mask <> full_mask r then ignore (index r mask)
 
 (* The semi-naive delta scan: the live ids in [lo, hi) whose rows agree
-   with [key] on [mask], in id order, by comparing cells.  No index is
+   with [probe] on [mask], in id order, by comparing cells.  No index is
    read or built — a delta is a few rows at the end of the relation —
-   and the key goes into the caller's [probe], so concurrent readers
-   may share the relation. *)
-let iter_range_ids r lo hi mask (key : Value.t array) (probe : int array) f =
+   so concurrent readers may share the relation. *)
+let iter_range_ids r lo hi mask (probe : int array) f =
   let hi = min hi r.count in
   if mask = 0 then iter_live r lo hi f
   else begin
-    encode_cols probe mask key;
     let cells = r.cells and w = r.width in
     iter_live r lo hi (fun i -> if cells_match cells (i * w) w mask probe 0 then f i)
   end
@@ -927,12 +926,11 @@ let iter_range_ids r lo hi mask (key : Value.t array) (probe : int array) f =
    id range itself, dead ids skipped as shards meet them. *)
 type slice = { sl_rel : t; sl_ids : int array option; sl_len : int }
 
-let slice_cols r mask (key : Value.t array) =
+let slice_cols r mask (probe : int array) =
   if mask = 0 then { sl_rel = r; sl_ids = None; sl_len = r.count }
   else begin
-    encode_cols r.scratch mask key;
     let ids = ref [] in
-    probe_ids r mask r.scratch (fun id -> ids := id :: !ids);
+    probe_ids r mask probe (fun id -> ids := id :: !ids);
     let ids = Array.of_list (List.rev !ids) in
     { sl_rel = r; sl_ids = Some ids; sl_len = Array.length ids }
   end

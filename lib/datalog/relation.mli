@@ -39,9 +39,27 @@
     nothing beyond the row tuple; the id-based accessors below avoid
     even that for hot paths that only read a few fields. *)
 
-(** Cell inspection for the snapshot codec, the digest, the printer
-    and the staged engine's queue. *)
+(** Cells: what the snapshot codec, the digest and the printer read,
+    and what the compiled rule bodies ({!Compile}) bind, probe and
+    write. *)
 module Cell : sig
+  val max_inline : int
+  (** [2^61]: ints strictly between [-max_inline] and [max_inline] are
+      inline. *)
+
+  val inline : int -> bool
+
+  val encode : Value.t -> int
+  (** The value's cell, entering it into the term table if it is not
+      there yet. *)
+
+  val lookup : Value.t -> int
+  (** The value's cell if it has one, else a cell no row holds: for
+      probes, which never grow the term table. *)
+
+  val of_int : int -> int
+  (** [encode (Int i)], boxing nothing when [i] is inline. *)
+
   val decode : int -> Value.t
 
   val is_int : int -> bool
@@ -66,6 +84,9 @@ module Row_key : Hashtbl.HashedType with type t = tuple
 module Row_tbl : Hashtbl.S with type key = tuple
 (** Hash tables keyed by rows — use this instead of a polymorphic
     [Hashtbl] so keys hash via {!Value.hash} (never truncated). *)
+
+module Cells_tbl : Hashtbl.S with type key = int array
+(** Hash tables keyed by rows of cells. *)
 
 type t
 
@@ -103,6 +124,19 @@ val find : t -> tuple -> int
 (** The id of the live row [row], or [-1].  The key is encoded into
     the handle's own scratch buffer: not for concurrent readers of one
     handle. *)
+
+val find_cells : t -> int array -> int
+(** [find_cells r probe]: the id of the live row whose cells are the
+    [arity r] cells of [probe], or [-1].  Reads nothing but the probe,
+    so callers may pass their own buffer. *)
+
+val add_cells : t -> int array -> int -> bool
+(** [add_cells r src off]: {!add} of the row whose cells are
+    [src.(off) .. src.(off + arity r - 1)], copied through the handle's
+    scratch row: nothing is encoded. *)
+
+val row_cells : t -> int -> int array
+(** [row_cells r id]: a fresh copy of row [id]'s cells. *)
 
 val find_of : t -> t -> int -> int
 (** [find_of r src id]: {!find} for row [id] of [src], compared cell
@@ -210,17 +244,21 @@ val iter_matching_ids : t -> Value.t option array -> (int -> unit) -> unit
 (** Id-yielding {!iter_matching}: same index use, same order, same
     snapshot semantics. *)
 
-val iter_matching_cols_ids : t -> int -> Value.t array -> (int -> unit) -> unit
-(** Id-yielding {!iter_matching_cols}. *)
+val probe_ids : t -> int -> int array -> (int -> unit) -> unit
+(** [probe_ids r mask probe f]: the live ids whose rows agree with the
+    cells of [probe] on every column of the bitmask [mask], in
+    insertion order.  [probe] is a full-arity cell buffer whose
+    positions outside [mask] are ignored — the closure chains' probe
+    keys go in as they are, encoded once when they were computed.
+    Index choice and snapshot semantics are those of {!iter_matching},
+    so the row sequence is identical. *)
 
-val iter_matching_cols_ro_ids : t -> int -> Value.t array -> int array -> (int -> unit) -> unit
-(** [iter_matching_cols_ro_ids r mask key probe f]: like
-    {!iter_matching_cols_ids} but safe for concurrent readers — never
-    builds or mutates an index, and encodes the key into the
-    caller-owned [probe] buffer, which needs [arity r] slots.  Falls
-    back to a filtered linear scan when no index exists for [mask] —
-    same rows, same insertion order, just slower; call {!ensure_index}
-    from the (sequential) coordinator first. *)
+val probe_ids_ro : t -> int -> int array -> (int -> unit) -> unit
+(** Like {!probe_ids} but safe for concurrent readers — never builds or
+    mutates an index.  Falls back to a filtered linear scan when no
+    index exists for [mask] — same rows, same insertion order, just
+    slower; call {!ensure_index} from the (sequential) coordinator
+    first. *)
 
 val iter_matching : t -> Value.t option array -> (tuple -> unit) -> unit
 (** [iter_matching r pattern f]: rows agreeing with every [Some v]
@@ -234,28 +272,19 @@ val iter_matching : t -> Value.t option array -> (tuple -> unit) -> unit
     scratch pattern buffer across calls.  Rows inserted by [f] itself
     are not visited. *)
 
-val iter_matching_cols : t -> int -> Value.t array -> (tuple -> unit) -> unit
-(** [iter_matching_cols r mask key f]: rows agreeing with [key] on every
-    column of the bitmask [mask], in insertion order.  [key] is a
-    full-arity buffer whose positions outside [mask] are ignored — the
-    closure chains' allocation-free replacement for building an option
-    pattern.  Index choice and snapshot semantics are those of
-    {!iter_matching}, so the row sequence is identical. *)
-
 val ensure_index : t -> int -> unit
 (** [ensure_index r mask] builds (if absent) the index for the
     bound-column bitmask [mask], so subsequent
-    {!iter_matching_cols_ro_ids} probes with that mask hit it.  Must be called outside any parallel
+    {!probe_ids_ro} probes with that mask hit it.  Must be called outside any parallel
     region — it mutates the relation's index table. *)
 
-val iter_range_ids : t -> int -> int -> int -> Value.t array -> int array -> (int -> unit) -> unit
-(** [iter_range_ids r lo hi mask key probe f]: the live ids in [lo,
-    hi) (clipped to {!id_bound}) whose rows agree with [key] on every
-    column of [mask], in id order — the delta occurrence of a
+val iter_range_ids : t -> int -> int -> int -> int array -> (int -> unit) -> unit
+(** [iter_range_ids r lo hi mask probe f]: the live ids in [lo, hi)
+    (clipped to {!id_bound}) whose rows agree with the cells of [probe]
+    on every column of [mask], in id order — the delta occurrence of a
     semi-naive variant, between two watermarks.  Masked columns are
-    compared cell by cell: no index is read or built, and the key is
-    encoded into the caller-owned [probe] ([arity r] slots), so it is
-    safe for concurrent readers. *)
+    compared cell by cell: no index is read or built, so it is safe for
+    concurrent readers. *)
 
 (** {2 Slices — sharded enumeration}
 
@@ -269,8 +298,9 @@ val iter_range_ids : t -> int -> int -> int -> Value.t array -> int array -> (in
 
 type slice
 
-val slice_cols : t -> int -> Value.t array -> slice
-(** The rows agreeing with [key] on every column of [mask], in
+val slice_cols : t -> int -> int array -> slice
+(** The rows agreeing with the cells of [probe] on every column of
+    [mask], in
     insertion order: the whole relation when [mask] is [0], an index
     bucket otherwise. *)
 

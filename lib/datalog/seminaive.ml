@@ -46,11 +46,11 @@ let extrema_rule limits head rule =
   let c_min = Array.of_list (List.map (fun e -> e.minimize) extrema) in
   let env = Compile.env chain in
   let run () =
-    (* Solution: head row + per-extremum (key, cost). *)
+    (* Solution: head cells + per-extremum (key, cost). *)
     let solutions = ref [] in
     Compile.run_resolved chain (fun () ->
         Limits.poll limits;
-        let head = Compile.eval_row env c_head in
+        let head = Compile.row_cells c_head env in
         let kcs = Array.map (fun (k, c) -> (k env, c env)) c_ext in
         solutions := (head, kcs) :: !solutions);
     let solutions = List.rev !solutions in
@@ -76,7 +76,7 @@ let extrema_rule limits head rule =
           (fun i (k, c) ->
             if Value.compare (Value.Tbl.find bests.(i) k) c <> 0 then optimal := false)
           kcs;
-        if !optimal && Relation.add rel row then incr added)
+        if !optimal && Relation.add_cells rel row 0 then incr added)
       solutions;
     !added
   in
@@ -109,7 +109,7 @@ let agg_rule limits head rule =
       (fun t ->
         match t with
         | Var v when String.equal v out -> None
-        | t -> Some (value t))
+        | t -> Some (Compile.compile_cell chain (Eval.compile_term body t)))
       rule.head.args
   in
   let env = Compile.env chain in
@@ -140,10 +140,10 @@ let agg_rule limits head rule =
         let row =
           Array.of_list
             (List.map
-               (function Some v -> v | None -> aggregate)
+               (function Some c -> c | None -> Relation.Cell.encode aggregate)
                (Value.Tbl.find head_parts key))
         in
-        if Relation.add rel row then incr added)
+        if Relation.add_cells rel row 0 then incr added)
       groups;
     !added
   in
@@ -183,10 +183,11 @@ type variant = {
   v_head : delta;
   v_delta : delta;
   v_chain : Compile.t;  (* the delta occurrence is its range scan *)
-  v_cprogs : Compile.value_prog array;  (* head row over the chain's env *)
-  (* Per-shard chain clones for the data-parallel fire path, grown
-     lazily and reused across steps. *)
-  mutable v_cscratch : Compile.t array;
+  v_row : Compile.row;  (* the head's cells over the chain's env *)
+  v_rows : Compile.rows;  (* what a sequential fire gathers *)
+  (* Per-shard chain clones and row buffers for the data-parallel fire
+     path, grown lazily and reused across steps. *)
+  mutable v_cscratch : (Compile.t * Compile.rows) array;
 }
 
 (* The delta variant of [rule] that reads its [i]th body literal, [a],
@@ -198,9 +199,9 @@ let variant head d (rule : Ast.rule) i a =
   assert (Array.find_map (function Eval.SScan sc -> Some sc.Eval.sc_pred | _ -> None) body.steps
           = Some a.pred);
   let v_chain = Compile.of_body ~range:true body in
-  { v_label = Telemetry.rule_label rule; v_head = head; v_delta = d; v_chain;
-    v_cprogs = Compile.compile_row v_chain (Eval.compile_terms body rule.head.args);
-    v_cscratch = [||] }
+  let v_row = Compile.compile_row v_chain (Eval.compile_terms body rule.head.args) in
+  { v_label = Telemetry.rule_label rule; v_head = head; v_delta = d; v_chain; v_row;
+    v_rows = Compile.rows_create (Compile.row_width v_row); v_cscratch = [||] }
 
 type incremental = {
   db : Database.t;
@@ -330,45 +331,42 @@ let cscratch_for variant shards =
     let old = variant.v_cscratch in
     variant.v_cscratch <-
       Array.init shards (fun i ->
-          if i < Array.length old then old.(i) else Compile.clone variant.v_chain)
+          if i < Array.length old then old.(i)
+          else (Compile.clone variant.v_chain, Compile.rows_create (Compile.row_width variant.v_row)))
   end;
   variant.v_cscratch
 
-(* The head rows of [v] over the ids [lo, hi) of its delta, in reverse
-   enumeration order, read through the chain [ch]. *)
-let collect t v ch ~ro lo hi =
-  let cenv = Compile.env ch and acc = ref [] in
+(* Gather the head rows of [v] over the ids [lo, hi) of its delta into
+   [rows], in enumeration order, read through the chain [ch]. *)
+let collect t v (ch, rows) ~ro lo hi =
+  let cenv = Compile.env ch in
+  Compile.clear_rows rows;
   Compile.run_range ch ~ro lo hi (fun () ->
       Limits.poll t.limits;
-      acc := Compile.eval_row cenv v.v_cprogs :: !acc);
-  !acc
-
-let rec add_all rel n = function
-  | [] -> n
-  | row :: rest -> add_all rel (if Relation.add rel row then n + 1 else n) rest
+      Compile.emit rows v.v_row cenv)
 
 (* The data-parallel fire: the [n] ids of the delta are cut into
    contiguous ranges, each enumerated read-only by a private chain
-   clone.  The range scan is the chain's outer loop, so the shards'
-   lists in shard order hold the sequential enumeration, and inserting
-   them from the last to the first, each front to back, replays the
-   sequential path's insertion order exactly. *)
+   clone into its own buffer.  The range scan is the chain's outer
+   loop, so the shards' buffers in shard order hold the sequential
+   enumeration, and inserting them from the last to the first, each
+   last row first, replays the sequential path's insertion order
+   exactly. *)
 let fire_sharded t v rel n =
   let d = v.v_delta in
   let shards = Par.nshards t.pool n in
   Compile.prepare_indexes v.v_chain t.db;
   let scratch = cscratch_for v shards in
   for s = 0 to shards - 1 do
-    Compile.resolve scratch.(s) t.db
+    Compile.resolve (fst scratch.(s)) t.db
   done;
-  let accs = Array.make shards [] in
   Par.run t.pool ~shards (fun s ->
       let lo, hi = Par.bounds ~shards n s in
-      accs.(s) <- collect t v scratch.(s) ~ro:true (d.d_lo + lo) (d.d_lo + hi));
+      collect t v scratch.(s) ~ro:true (d.d_lo + lo) (d.d_lo + hi));
   let added = ref 0 in
   Telemetry.span t.tele "par:merge" (fun () ->
       for s = shards - 1 downto 0 do
-        added := add_all rel !added accs.(s)
+        added := !added + Compile.add_rows_rev rel (snd scratch.(s))
       done);
   Telemetry.add_par t.tele ~shards ~rows:n;
   !added
@@ -383,7 +381,10 @@ let fire t v =
     let rel = Option.get v.v_head.d_rel in
     let added =
       if Par.size t.pool > 1 && n >= par_threshold then fire_sharded t v rel n
-      else add_all rel 0 (collect t v v.v_chain ~ro:false d.d_lo d.d_hi)
+      else begin
+        collect t v (v.v_chain, v.v_rows) ~ro:false d.d_lo d.d_hi;
+        Compile.add_rows_rev rel v.v_rows
+      end
     in
     Telemetry.add_derived t.tele v.v_label added;
     Limits.tick_derived t.limits added

@@ -105,14 +105,14 @@ type srule = {
      at compile time. *)
   chain : Compile.t;
   bind : Compile.binder;  (* source argument terms against a source row *)
-  out : Compile.value_prog array;  (* chosen$i tuple *)
-  head_row : Compile.value_prog array;
+  out : Compile.row;  (* chosen$i row *)
+  head_row : Compile.row;
   fds : (Compile.value_prog list * Compile.value_prog list) list;
-  fd_cols : (int * int array * Value.t array * int array) array option;
+  fd_cols : (int * int array * int array * int array) array option;
   (* When every projection of every choice FD is a plain chosen-row
      column ([VPos]), the FD state needs no tables at all: per FD the
-     left-column bitmask, the left columns, a reusable full-arity probe
-     key and the right columns, checked against the chosen relation's
+     left-column bitmask, the left columns, a reusable full-arity cell
+     probe and the right columns, checked against the chosen relation's
      own indexes. *)
   cost_pos : int option;
   (* Source argument position holding the extremum cost when the cost
@@ -130,7 +130,7 @@ type srule = {
    the relation's column indexes — no projection tuples, no replay. *)
 exception Fd_conflict
 
-let compatible_cols rel fds (cand : Value.t array) =
+let compatible_cols rel fds (cand : int array) =
   try
     Array.iter
       (fun (mask, lcols, key, rcols) ->
@@ -138,10 +138,11 @@ let compatible_cols rel fds (cand : Value.t array) =
           let c = lcols.(j) in
           key.(c) <- cand.(c)
         done;
-        Relation.iter_matching_cols rel mask key (fun row ->
+        Relation.probe_ids rel mask key (fun id ->
+            let cells = Relation.cells rel and off = id * Relation.arity rel in
             for j = 0 to Array.length rcols - 1 do
               let c = rcols.(j) in
-              if not (Value.equal row.(c) cand.(c)) then raise Fd_conflict
+              if cells.(off + c) <> cand.(c) then raise Fd_conflict
             done))
       fds;
     true
@@ -260,7 +261,7 @@ let compile_srule (cr : EC.crule) (r : Ast.rule) =
         Some
           ( List.fold_left (fun m c -> m lor (1 lsl c)) 0 ls,
             Array.of_list ls,
-            Array.make (max 1 arity) Value.unit,
+            Array.make arity 0,
             Array.of_list rs )
       | _ -> None
     in
@@ -285,7 +286,7 @@ let compile_srule (cr : EC.crule) (r : Ast.rule) =
     match (cost, cost_pos) with
     | None, _ | _, Some _ -> None
     | Some c, None ->
-      let env = Array.make (max 1 (Eval.nvars residual)) Value.unit in
+      let env = Array.make (max 1 (Eval.nvars residual)) 0 in
       let bind = Compile.compile_binder ~bound:[] src_pats in
       let cost = value c in
       Some
@@ -296,8 +297,8 @@ let compile_srule (cr : EC.crule) (r : Ast.rule) =
   { cr; source; minimize; has_extremum; key_positions; stage_positions; shadow;
     newer_wins; stage_slot; chain;
     bind = Compile.compile_binder ~bound:[ stage_slot ] src_pats;
-    out = Array.of_list (List.map value cr.EC.out_terms);
-    head_row = Array.of_list (List.map value cr.EC.head.args);
+    out = Compile.compile_row chain (Array.of_list (List.map compile_t cr.EC.out_terms));
+    head_row = Compile.compile_row chain (Array.of_list (List.map compile_t cr.EC.head.args));
     fds = List.map (fun (l, rr) -> (List.map value l, List.map value rr)) cr.EC.fds;
     fd_cols; cost_pos; cost_of }
 
@@ -313,35 +314,43 @@ let no_cost = Value.Str (-1)
    follow insertion order. *)
 type staged = {
   sr : srule;
-  rql : (int, int array) Rql.t;  (* keyed by the congruence columns' cells *)
+  rql : int Rql.t;  (* keyed by the congruence columns' cells *)
   mutable src_mark : int;
   src_rel : Relation.t;
   fire : unit -> int;  (* pop-validate-fire: the stage fired at, or -1 *)
 }
 
-exception Fired of Value.t array * Value.t array (* chosen row, head row *)
+exception Fired
 
-(* Pop-validate-fire loop for one staged rule.  The closures are
-   preallocated here rather than per fire, relations are resolved once
-   per call rather than per candidate, the stage slot is written once
-   per stage (the binder and the chain both treat it as bound), and FD
-   checks go through {!compatible_cols} when the FDs are plain column
-   projections. *)
+(* Pop-validate-fire loop for one staged rule.  The closures and the
+   chosen and head row buffers are preallocated here rather than per
+   fire, relations are resolved once per call rather than per
+   candidate, the stage slot is written once per stage (the binder and
+   the chain both treat it as bound), and FD checks go through
+   {!compatible_cols} when the FDs are plain column projections.  A
+   solution that fires leaves its chosen and head cells in the
+   buffers. *)
 let make_fire ~telemetry ~limits db (sr : srule) ~rql ~src_rel ~(fd : EC.fd_state) ~tracker
     ~head_rel =
   let cenv = Compile.env sr.chain in
   let rc = Telemetry.rule telemetry sr.cr.EC.label in
+  let chosen = Array.make (Compile.row_width sr.out) 0 in
+  let head = Array.make (Compile.row_width sr.head_row) 0 in
+  let fired () =
+    Compile.write_row sr.head_row cenv head 0;
+    raise Fired
+  in
   let kont =
     match sr.fd_cols with
     | Some fds ->
       fun () ->
-        let chosen_row = Compile.eval_row cenv sr.out in
-        if (not (Relation.mem fd.EC.rel chosen_row)) && compatible_cols fd.EC.rel fds chosen_row
-        then raise (Fired (chosen_row, Compile.eval_row cenv sr.head_row))
+        Compile.write_row sr.out cenv chosen 0;
+        if Relation.find_cells fd.EC.rel chosen < 0 && compatible_cols fd.EC.rel fds chosen then
+          fired ()
     | None ->
       fun () ->
-        let chosen_row = Compile.eval_row cenv sr.out in
-        if not (Relation.mem fd.EC.rel chosen_row) then begin
+        Compile.write_row sr.out cenv chosen 0;
+        if Relation.find_cells fd.EC.rel chosen < 0 then begin
           let projections =
             List.map
               (fun (l, r) ->
@@ -349,8 +358,7 @@ let make_fire ~telemetry ~limits db (sr : srule) ~rql ~src_rel ~(fd : EC.fd_stat
                   Value.Tup (List.map (fun p -> p cenv) r) ))
               sr.fds
           in
-          if EC.compatible fd projections then
-            raise (Fired (chosen_row, Compile.eval_row cenv sr.head_row))
+          if EC.compatible fd projections then fired ()
         end
   in
   let valid id =
@@ -363,17 +371,17 @@ let make_fire ~telemetry ~limits db (sr : srule) ~rql ~src_rel ~(fd : EC.fd_stat
     else begin
       match Compile.run_resolved sr.chain kont with
       | () -> false
-      | exception Fired (chosen_row, head_row) ->
-        ignore (Relation.add fd.EC.rel chosen_row);
+      | exception Fired ->
+        ignore (Relation.add_cells fd.EC.rel chosen 0);
         Limits.tick_derived limits 1;
-        if Relation.add head_rel head_row then Limits.tick_derived limits 1;
+        if Relation.add_cells head_rel head 0 then Limits.tick_derived limits 1;
         true
     end
   in
   fun () ->
     if Option.is_none sr.fd_cols then EC.replay_chosen fd;
     let stage = EC.current_stage db tracker + 1 in
-    Compile.set_slot sr.chain sr.stage_slot (Value.Int stage);
+    Compile.set_slot sr.chain sr.stage_slot (Relation.Cell.of_int stage);
     Compile.resolve sr.chain db;
     match Rql.retrieve_least rql ~valid with Some _ -> stage | None -> -1
 
@@ -405,14 +413,7 @@ let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db crules flat_rule
         let src_rel = Database.relation db sr.source.pred (List.length sr.source.args) in
         let w = Relation.arity src_rel in
         let key_cols = Array.of_list sr.key_positions in
-        let key_of id =
-          let cells = Relation.cells src_rel in
-          let key = Array.make (Array.length key_cols) 0 in
-          for i = 0 to Array.length key_cols - 1 do
-            key.(i) <- cells.((id * w) + key_cols.(i))
-          done;
-          key
-        in
+        let key id i = Array.unsafe_get (Relation.cells src_rel) ((id * w) + key_cols.(i)) in
         (* Cost order of two source rows: read straight off their cells
            when the cost is a plain source argument, else evaluated once
            per row and memoized by id. *)
@@ -449,11 +450,15 @@ let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db crules flat_rule
         let stage_of id =
           match sr.stage_positions with
           | [] -> 0
-          | p :: _ -> ( match Relation.read src_rel id p with Value.Int i -> i | _ -> 0)
+          | p :: _ ->
+            let c = (Relation.cells src_rel).((id * w) + p) in
+            if Relation.Cell.is_int c then c asr 1
+            else ( match Relation.Cell.decode c with Value.Int i -> i | _ -> 0)
         in
         let shadow = match shadow_mode with `Auto -> sr.shadow | `Off -> false in
         let rql =
-          Rql.create ~shadow ~newer_wins:sr.newer_wins ~key:key_of ~cost_cmp ~stage:stage_of ()
+          Rql.create ~shadow ~newer_wins:sr.newer_wins ~width:(Array.length key_cols) ~key ~cost_cmp
+            ~stage:stage_of ()
         in
         let tracker =
           let pos = match sr.cr.EC.stage with Some (_, p) -> p | None -> assert false in

@@ -1,5 +1,3 @@
-type 'k class_state = Used | Live of int (* live entry id *)
-
 type stats = {
   inserted : int;
   shadowed : int;
@@ -21,13 +19,32 @@ type 'f flat = {
   mutable f_popped_id : int;  (* id of the last [flat_pop] result *)
 }
 
-type ('f, 'k) t = {
-  key : 'f -> 'k;
+(* The congruence classes: an open-addressing table over the classes'
+   representative facts.  A class's key is [width] ints of its facts,
+   read through [key]: no key is built or stored, a slot is compared by
+   reading its representative's key.  Power-of-two sizes, linear
+   probing, at most half full.  [cl_state.(i)] is [empty], [reopened]
+   (an invalid pop reopened the class: it keeps its slot, and is absent
+   until a fact of its key comes again), [used] (the class is in [L]),
+   or the insertion id of the class's live queue entry. *)
+type 'f classes = {
+  mutable cl_fact : 'f array;
+  mutable cl_state : int array;
+  mutable cl_taken : int;  (* slots not [empty] *)
+}
+
+let empty = -3
+let reopened = -2
+let used = -1
+
+type 'f t = {
+  width : int;
+  key : 'f -> int -> int;
   cost_cmp : 'f -> 'f -> int;
   stage : 'f -> int;
   shadow : bool;
   newer_wins : bool;
-  classes : ('k, 'k class_state * 'f) Hashtbl.t;
+  classes : 'f classes;
   flat : 'f flat;
   mutable live : int;
   mutable next_id : int;
@@ -99,9 +116,54 @@ let flat_pop cmp fl =
   end;
   top
 
-let create ?(shadow = true) ?(newer_wins = false) ~key ~cost_cmp ?(stage = fun _ -> 0) () =
-  { key; cost_cmp; stage; shadow; newer_wins;
-    classes = Hashtbl.create 64;
+(* Class-table primitives, top-level recursions for the same reason. *)
+let rec hash_key key f w h i = if i = w then h else hash_key key f w ((h * 1000003) lxor key f i) (i + 1)
+
+let rec key_eq key a b w i = i = w || (key a i = key b i && key_eq key a b w (i + 1))
+
+(* The slot of [fact]'s class, or the empty slot where it would go.
+   The low bits index the table, so every bit of the hash is spread
+   down first. *)
+let class_slot t fact =
+  let cl = t.classes in
+  let mask = Array.length cl.cl_state - 1 in
+  let h = hash_key t.key fact t.width 17 0 in
+  let h = (h lxor (h lsr 32)) * 0x7fb5d329728ea185 in
+  let i = ref ((h lxor (h lsr 29)) land mask) in
+  while
+    Array.unsafe_get cl.cl_state !i <> empty
+    && not (key_eq t.key (Array.unsafe_get cl.cl_fact !i) fact t.width 0)
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+(* Room for one more class, [fact] the witness a fresh table is filled
+   with.  A rehash drops the reopened classes: absent is what they
+   stand for. *)
+let reserve t fact =
+  let cl = t.classes in
+  let cap = Array.length cl.cl_state in
+  if 2 * (cl.cl_taken + 1) > cap then begin
+    let facts = cl.cl_fact and states = cl.cl_state in
+    let ncap = if cap = 0 then 64 else 2 * cap in
+    cl.cl_fact <- Array.make ncap fact;
+    cl.cl_state <- Array.make ncap empty;
+    cl.cl_taken <- 0;
+    for i = 0 to cap - 1 do
+      let st = states.(i) in
+      if st <> empty && st <> reopened then begin
+        let j = class_slot t facts.(i) in
+        cl.cl_fact.(j) <- facts.(i);
+        cl.cl_state.(j) <- st;
+        cl.cl_taken <- cl.cl_taken + 1
+      end
+    done
+  end
+
+let create ?(shadow = true) ?(newer_wins = false) ~width ~key ~cost_cmp ?(stage = fun _ -> 0) () =
+  { width; key; cost_cmp; stage; shadow; newer_wins;
+    classes = { cl_fact = [||]; cl_state = [||]; cl_taken = 0 };
     flat = { ff = [||]; fi = [||]; fn = 0; f_popped_id = 0 };
     live = 0; next_id = 0;
     s_inserted = 0; s_shadowed = 0; s_stale = 0; s_invalid = 0; s_used = 0;
@@ -122,10 +184,13 @@ let insert t fact =
   t.s_inserted <- t.s_inserted + 1;
   if not t.shadow then ignore (push_live t fact)
   else begin
-    let k = t.key fact in
-    match Hashtbl.find_opt t.classes k with
-    | Some (Used, _) -> t.s_shadowed <- t.s_shadowed + 1
-    | Some (Live _, incumbent) ->
+    reserve t fact;
+    let cl = t.classes in
+    let i = class_slot t fact in
+    let st = cl.cl_state.(i) in
+    if st = used then t.s_shadowed <- t.s_shadowed + 1
+    else if st >= 0 then begin
+      let incumbent = cl.cl_fact.(i) in
       let replaces =
         if t.newer_wins && t.stage fact > t.stage incumbent then true
         else if t.newer_wins && t.stage fact < t.stage incumbent then false
@@ -136,19 +201,22 @@ let insert t fact =
            pop time.  [live] counts it out immediately. *)
         t.live <- t.live - 1;
         t.s_shadowed <- t.s_shadowed + 1;
-        let id = push_live t fact in
-        Hashtbl.replace t.classes k (Live id, fact)
+        cl.cl_state.(i) <- push_live t fact;
+        cl.cl_fact.(i) <- fact
       end
       else t.s_shadowed <- t.s_shadowed + 1
-    | None ->
-      let id = push_live t fact in
-      Hashtbl.replace t.classes k (Live id, fact)
+    end
+    else begin
+      if st = empty then cl.cl_taken <- cl.cl_taken + 1;
+      cl.cl_state.(i) <- push_live t fact;
+      cl.cl_fact.(i) <- fact
+    end
   end
 
 (* Retrieval: tail-recursive with no result cells (a queue full of
-   stale or invalid entries cannot blow the stack), the congruence key
-   is only computed when shadowing is on, and the pop itself does not
-   allocate. *)
+   stale or invalid entries cannot blow the stack), the congruence
+   class is only looked up when shadowing is on, and neither the pop
+   nor the lookup allocates. *)
 let rec retrieve_flat t fl ~valid =
   if fl.fn = 0 then None
   else begin
@@ -166,14 +234,10 @@ let rec retrieve_flat t fl ~valid =
       end
     end
     else begin
-      let id = fl.f_popped_id in
-      let k = t.key fact in
-      let is_live =
-        match Hashtbl.find_opt t.classes k with
-        | Some (Live live_id, _) -> live_id = id
-        | Some (Used, _) | None -> false
-      in
-      if not is_live then begin
+      let cl = t.classes in
+      let i = class_slot t fact in
+      (* a live entry's state is its id, and ids are not negative *)
+      if cl.cl_state.(i) <> fl.f_popped_id then begin
         t.s_stale <- t.s_stale + 1;
         retrieve_flat t fl ~valid
       end
@@ -181,12 +245,12 @@ let rec retrieve_flat t fl ~valid =
         t.live <- t.live - 1;
         if valid fact then begin
           t.s_used <- t.s_used + 1;
-          Hashtbl.replace t.classes k (Used, fact);
+          cl.cl_state.(i) <- used;
           Some fact
         end
         else begin
           t.s_invalid <- t.s_invalid + 1;
-          Hashtbl.remove t.classes k;
+          cl.cl_state.(i) <- reopened;
           retrieve_flat t fl ~valid
         end
       end

@@ -32,7 +32,7 @@
     matching program, where the paper itself keeps all [e] arcs in
     [Q]). *)
 
-type ('f, 'k) t
+type 'f t
 
 type stats = {
   inserted : int;  (** facts offered to [insert] *)
@@ -46,13 +46,18 @@ type stats = {
 val create :
   ?shadow:bool ->
   ?newer_wins:bool ->
-  key:('f -> 'k) ->
+  width:int ->
+  key:('f -> int -> int) ->
   cost_cmp:('f -> 'f -> int) ->
   ?stage:('f -> int) ->
   unit ->
-  ('f, 'k) t
-(** [create ~key ~cost_cmp ()] builds an empty structure.  [key]
-    extracts the r-congruence class, [cost_cmp] orders candidates
+  'f t
+(** [create ~width ~key ~cost_cmp ()] builds an empty structure.  A
+    fact's r-congruence class is the [width] ints [key f 0], ...,
+    [key f (width - 1)] (the staged engine reads them straight out of
+    the fact's cells); facts with equal ints are congruent.  The
+    classes live in an open-addressing table of representative facts,
+    so no key is ever built.  [cost_cmp] orders candidates
     (ties must be broken deterministically by the caller for reproducible
     runs), and [stage] is required when [newer_wins] is set.  Equal
     costs pop in insertion order.
@@ -60,15 +65,15 @@ val create :
     [Q] is a flat dual-array binary heap: push and pop allocate nothing
     beyond amortized growth. *)
 
-val insert : ('f, 'k) t -> 'f -> unit
+val insert : 'f t -> 'f -> unit
 (** The paper's insertion operation, [O(log |Q|)] plus one hash probe. *)
 
-val retrieve_least : ('f, 'k) t -> valid:('f -> bool) -> 'f option
+val retrieve_least : 'f t -> valid:('f -> bool) -> 'f option
 (** The paper's retrieve-least operation: pops minimal live candidates,
     discards invalid ones into [R], moves the first valid one into [L]
     and returns it.  [None] when no valid candidate remains. *)
 
-val queue_length : ('f, 'k) t -> int
+val queue_length : 'f t -> int
 (** Live entries currently in [Q] (stale entries excluded). *)
 
-val stats : ('f, 'k) t -> stats
+val stats : 'f t -> stats

@@ -28,11 +28,14 @@ let run_both ?(bindings = []) b db outs =
   in
   let chained =
     let chain = Compile.of_body ~bound:(List.map (fun (v, _) -> Eval.slot b v) bindings) b in
-    List.iter (fun (v, x) -> Compile.set_slot chain (Eval.slot b v) x) bindings;
-    let progs = Compile.compile_row chain (Eval.compile_terms b outs) in
+    List.iter
+      (fun (v, x) -> Compile.set_slot chain (Eval.slot b v) (Relation.Cell.encode x))
+      bindings;
+    let head = Compile.compile_row chain (Eval.compile_terms b outs) in
     let acc = ref [] in
     Compile.run chain db (fun () ->
-        acc := Array.to_list (Compile.eval_row (Compile.env chain) progs) :: !acc);
+        let cells = Compile.row_cells head (Compile.env chain) in
+        acc := Array.to_list (Array.map Relation.Cell.decode cells) :: !acc);
     List.rev !acc
   in
   if not (List.equal (List.equal Value.equal) reference chained) then

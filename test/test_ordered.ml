@@ -88,7 +88,7 @@ let prop_union_find_vs_naive =
 type fact = { key : int; cost : int; stage : int }
 
 let make_rql ?shadow ?newer_wins () =
-  Rql.create ?shadow ?newer_wins ~key:(fun f -> f.key)
+  Rql.create ?shadow ?newer_wins ~width:1 ~key:(fun f _ -> f.key)
     ~cost_cmp:(fun a b -> compare a.cost b.cost)
     ~stage:(fun f -> f.stage) ()
 

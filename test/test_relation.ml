@@ -254,6 +254,7 @@ let matching ids model key mask =
    index yet: a linear scan) and again after the others built one. *)
 let check_probes r model key =
   let w = Array.length key in
+  let probe = Array.map Relation.Cell.lookup key in
   let ids = live_ids r in
   List.length ids = List.length model
   && List.for_all
@@ -261,18 +262,18 @@ let check_probes r model key =
       let bound c = mask land (1 lsl c) <> 0 in
       let expected = matching ids model key mask in
       let pattern = Array.mapi (fun c v -> if bound c then Some v else None) key in
-      let ro () = collect (Relation.iter_matching_cols_ro_ids r mask key (Array.make w 0)) in
+      let ro () = collect (Relation.probe_ids_ro r mask probe) in
       let slice () =
-        let sl = Relation.slice_cols r mask key in
+        let sl = Relation.slice_cols r mask probe in
         collect (Relation.slice_iter_ids sl 0 (Relation.slice_len sl))
       in
       let rows_of found = List.filteri (fun i _ -> List.mem (List.nth ids i) found) model in
       let paths =
-        [ ("iter_matching_cols_ro_ids (scan)", ro ());
+        [ ("probe_ids_ro (scan)", ro ());
           ("iter_matching_ids", collect (Relation.iter_matching_ids r pattern));
-          ("iter_matching_cols_ids", collect (Relation.iter_matching_cols_ids r mask key));
+          ("probe_ids", collect (Relation.probe_ids r mask probe));
           ("slice_cols", slice ());
-          ("iter_matching_cols_ro_ids (index)", ro ()) ]
+          ("probe_ids_ro (index)", ro ()) ]
       in
       List.for_all
         (fun (name, ids) ->
@@ -281,8 +282,7 @@ let check_probes r model key =
                (String.concat ";" (List.map string_of_int ids))
                (String.concat ";" (List.map string_of_int expected)))
         paths
-      && same (collect (Relation.iter_matching r pattern)) (rows_of expected)
-      && same (collect (Relation.iter_matching_cols r mask key)) (rows_of expected))
+      && same (collect (Relation.iter_matching r pattern)) (rows_of expected))
     (List.init (1 lsl w) Fun.id)
 
 (* The delta scan over ids [lo, hi), for every mask, against the live
@@ -291,7 +291,7 @@ let check_range r model lo hi key =
   List.for_all
     (fun mask ->
       let expected = List.filter (fun id -> id >= lo && id < hi) (matching (live_ids r) model key mask) in
-      let got = collect (Relation.iter_range_ids r lo hi mask key (Array.make (Array.length key) 0)) in
+      let got = collect (Relation.iter_range_ids r lo hi mask (Array.map Relation.Cell.lookup key)) in
       got = expected
       || QCheck.Test.fail_reportf "range [%d, %d), mask %d: got [%s], model [%s]" lo hi mask
            (String.concat ";" (List.map string_of_int got))
