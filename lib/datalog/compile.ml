@@ -679,7 +679,7 @@ let emit rows r env =
   let need = (rows.n + 1) * w in
   if need > Array.length rows.cells then begin
     let bigger = Array.make (max (16 * w) (2 * need)) 0 in
-    Array.blit rows.cells 0 bigger 0 (rows.n * w);
+    Relation.blit_cells rows.cells 0 bigger 0 (rows.n * w);
     rows.cells <- bigger
   end;
   write_row r env rows.cells (rows.n * w);

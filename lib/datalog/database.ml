@@ -221,10 +221,10 @@ let term_text (texts : texts) c =
     Hashtbl.add texts c s;
     s
 
-(* Decimal width of an inline int. *)
-let int_width i =
-  let rec go n acc = if n > -10 then acc else go (n / 10) (acc + 1) in
-  if i < 0 then 1 + go i 1 else go (-i) 1
+(* Decimal width of an inline int ([|i| < 2^61], so negating is exact):
+   compared against powers of ten, no division. *)
+let rec digits n p d = if n < p || d = 19 then d else digits n (10 * p) (d + 1)
+let int_width i = if i < 0 then 1 + digits (-i) 10 1 else digits i 10 1
 
 let cell_width texts c =
   if Relation.Cell.is_int c then int_width (c asr 1)
@@ -255,31 +255,45 @@ let relation_width texts pred r =
       done);
   !total
 
-(* Write [i] (inline: [|i| < 2^61], so negating is exact) at [pos],
-   its digits backwards from the end; returns the end. *)
+(* Write the inline int [i] at [pos], its digits backwards from the
+   end, two at a time; returns the end. *)
+let pairs = String.init 200 (fun k -> Char.chr (48 + if k land 1 = 0 then k / 20 else k / 2 mod 10))
+
 let write_int out pos i =
   let stop = pos + int_width i in
-  let n = ref (abs i) and p = ref (stop - 1) in
-  Bytes.unsafe_set out !p (Char.unsafe_chr (48 + (!n mod 10)));
-  n := !n / 10;
-  while !n > 0 do
-    decr p;
-    Bytes.unsafe_set out !p (Char.unsafe_chr (48 + (!n mod 10)));
-    n := !n / 10
+  let n = ref (abs i) and p = ref stop in
+  while !n >= 10 do
+    let k = 2 * (!n mod 100) in
+    p := !p - 2;
+    Bytes.unsafe_set out !p (String.unsafe_get pairs k);
+    Bytes.unsafe_set out (!p + 1) (String.unsafe_get pairs (k + 1));
+    n := !n / 100
   done;
+  if !p > pos + if i < 0 then 1 else 0 then Bytes.unsafe_set out (!p - 1) (Char.unsafe_chr (48 + !n));
   if i < 0 then Bytes.unsafe_set out pos '-';
   stop
 
+(* Short strings are copied in a loop: a symbol is a few bytes, less
+   than a call into the runtime costs. *)
 let write_string out pos s =
-  Bytes.blit_string s 0 out pos (String.length s);
-  pos + String.length s
+  let n = String.length s in
+  if n <= 16 then
+    for k = 0 to n - 1 do
+      Bytes.unsafe_set out (pos + k) (String.unsafe_get s k)
+    done
+  else Bytes.blit_string s 0 out pos n;
+  pos + n
 
 let write_row out pos texts pred cells w id =
   let pos = ref (write_string out pos pred) in
   Bytes.set out !pos '(';
   incr pos;
   for j = 0 to w - 1 do
-    if j > 0 then pos := write_string out !pos ", ";
+    if j > 0 then begin
+      Bytes.set out !pos ',';
+      Bytes.set out (!pos + 1) ' ';
+      pos := !pos + 2
+    end;
     let c = Array.unsafe_get cells ((id * w) + j) in
     pos :=
       if Relation.Cell.is_int c then write_int out !pos (c asr 1)

@@ -161,6 +161,14 @@ let rec hash_cells cells off w h i =
   if i = w then finish h
   else hash_cells cells off w (mix h (Array.unsafe_get cells (off + i))) (i + 1)
 
+(* [Array.blit] for cells: the runtime's blit cannot tell an int array
+   from one of pointers, and into a major-heap array it runs the write
+   barrier per element; a typed loop runs none. *)
+let blit_cells (src : int array) soff (dst : int array) doff n =
+  for i = 0 to n - 1 do
+    Array.unsafe_set dst (doff + i) (Array.unsafe_get src (soff + i))
+  done
+
 let rec cells_eq a aoff b boff w i =
   i = w
   || (Array.unsafe_get a (aoff + i) = Array.unsafe_get b (boff + i)
@@ -333,7 +341,7 @@ let rec find_index mask = function
 let index_add ix cells w id =
   if id >= Array.length ix.next then begin
     let next = Array.make (2 * Array.length ix.next) (-1) in
-    Array.blit ix.next 0 next 0 (Array.length ix.next);
+    blit_cells ix.next 0 next 0 (Array.length ix.next);
     ix.next <- next
   end;
   if 4 * (ix.keys + 1) >= Array.length ix.slots then begin
@@ -559,7 +567,7 @@ let push_scratch r =
   let st = r.store and w = r.width in
   if (r.count * w) + w > Array.length st.cells then begin
     let ncells = Array.make (max (16 * w) (2 * Array.length st.cells)) 0 in
-    Array.blit st.cells 0 ncells 0 (r.count * w);
+    blit_cells st.cells 0 ncells 0 (r.count * w);
     st.cells <- ncells;
     r.cells <- ncells
   end;
@@ -602,7 +610,7 @@ let add_scratch r =
   end
 
 let add_cells r (src : int array) off =
-  Array.blit src off r.scratch 0 r.width;
+  blit_cells src off r.scratch 0 r.width;
   add_scratch r
 
 let add r row =
@@ -709,7 +717,7 @@ let dense_cells r doomed n =
       while !i < r.count && not (is_dead doomed !i) do
         incr i
       done;
-      Array.blit src (lo * w) cells (!out * w) ((!i - lo) * w);
+      blit_cells src (lo * w) cells (!out * w) ((!i - lo) * w);
       out := !out + !i - lo
     end
   done;
@@ -744,7 +752,7 @@ let remove_ids r set =
     iter_removed (min d.mark r.count) (fun _ -> incr below);
     let gone = Array.make (!below * w) 0 and i = ref 0 in
     iter_removed (min d.mark r.count) (fun id ->
-        Array.blit r.cells (id * w) gone (!i * w) w;
+        blit_cells r.cells (id * w) gone (!i * w) w;
         incr i);
     gone
   in

@@ -135,6 +135,10 @@ val add_cells : t -> int array -> int -> bool
     [src.(off) .. src.(off + arity r - 1)], copied through the handle's
     scratch row: nothing is encoded. *)
 
+val blit_cells : int array -> int -> int array -> int -> int -> unit
+(** [Array.blit] for int arrays, without the write barrier the runtime's
+    blit runs into a major-heap array. *)
+
 val row_cells : t -> int -> int array
 (** [row_cells r id]: a fresh copy of row [id]'s cells. *)
 

@@ -126,6 +126,86 @@ let prop_horn_reference =
           && String.equal naive (db_bytes (fst (Stage_engine.run ~jobs prog))))
         [ 1; 3 ])
 
+(* The chains bind, compare and emit cells, decoding only where a
+   value's meaning is needed.  Random fact bases whose values sit where
+   the cell encoding changes: ints at and past the inline bound
+   (+-2^61) and at the native ends, symbols, strings, tuples and
+   compound terms.  The rules add across the bound ([X + 1] from
+   2^61 - 1 leaves the inline range) and overflow (from [max_int],
+   which must raise the reference executor's error, by message), invert
+   an addition, probe with a computed key, compare across kinds, repeat
+   variables, and build and match compound terms.  [max_int] is the
+   only value that overflows, so every failing run names the same
+   operation. *)
+let edge = 1 lsl 61
+
+let gen_cells =
+  let open QCheck.Gen in
+  let ints = [ 0; 1; -1; 7; edge - 2; edge - 1; edge; edge + 1; -edge + 1; -edge; -edge - 1; max_int - 1 ] in
+  let gen_int = frequency [ (8, oneofl ints); (1, return max_int) ] in
+  let value =
+    frequency
+      [ (4, map (fun i -> Value.Int i) (oneofl (min_int :: max_int :: ints)));
+        (3, oneofl [ Value.sym "a"; Value.sym "b"; Value.sym "nil" ]);
+        (1, oneofl [ Value.str "a"; Value.str "z\"" ]);
+        ( 2,
+          oneofl
+            [ Value.Tup [ Value.Int 1; Value.sym "a" ];
+              Value.App ("f", [ Value.Int edge ]);
+              Value.App ("f", [ Value.sym "a" ]);
+              Value.App ("g", [ Value.Int (-1); Value.Tup [] ]) ] ) ]
+  in
+  triple
+    (list_size (int_range 1 6) gen_int)
+    (list_size (int_range 1 8) value)
+    (list_size (int_range 1 10) (frequency [ (3, pair value value); (1, map (fun v -> (v, v)) value) ]))
+
+let cells_src =
+  "s(X, Y) :- n(X), Y = X + 1.\n\
+   d(X, Y) :- n(X), Y = X - 1.\n\
+   p(X) :- n(Y), Y = X + 1.\n\
+   q(X) :- n(X), n(X + 1).\n\
+   mx(Z) :- n(X), n(Y), Z = max(X, Y).\n\
+   lt(X, Y) :- v(X), v(Y), X < Y.\n\
+   ne(X, Y) :- e(X, Y), X != Y.\n\
+   same(X) :- e(X, X).\n\
+   w(f(X, Y), g(X)) :- e(X, Y).\n\
+   un(A) :- w(T, _), T = f(A, _).\n\
+   m(X) :- w(f(X, Y), g(Y)).\n"
+
+let cells_program (ns, vs, es) =
+  List.map (fun i -> Ast.fact "n" [ Value.Int i ]) ns
+  @ List.map (fun v -> Ast.fact "v" [ v ]) vs
+  @ List.map (fun (a, b) -> Ast.fact "e" [ a; b ]) es
+  @ Parser.parse_program cells_src
+
+(* The canonical bytes, or the message of the error the run raised. *)
+let outcome run =
+  match run () with
+  | db -> Ok (db_bytes db)
+  | exception
+      (Eval.Unsafe msg | Choice_fixpoint.Unsupported msg | Stage_engine.Not_compilable msg) ->
+    Error msg
+
+let prop_cells_reference =
+  QCheck.Test.make ~name:"cells at the encoding's edges: each engine at jobs 1 and 3 = Naive" ~count:100
+    (QCheck.make
+       ~print:(fun c -> String.concat " " (List.map Pretty.rule_to_string (cells_program c)))
+       gen_cells)
+    (fun c ->
+      let prog = cells_program c in
+      let naive =
+        outcome (fun () ->
+            let db = Database.create () in
+            Naive.saturate db prog;
+            db)
+      in
+      List.for_all
+        (fun jobs ->
+          outcome (fun () -> fst (Choice_fixpoint.run ~jobs prog)) = naive
+          && outcome (fun () -> fst (Stage_engine.run ~jobs prog)) = naive)
+        [ 1; 3 ])
+
 (* ------------------------------------------------------------------ *)
 (* The planner                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -188,6 +268,7 @@ let () =
             test_reference_jobs;
           Alcotest.test_case "staged sequential = parallel on every exemplar" `Slow test_staged_jobs;
           QCheck_alcotest.to_alcotest prop_horn_reference;
+          QCheck_alcotest.to_alcotest prop_cells_reference;
           Alcotest.test_case "flat chosen$ relation: jobs 2 = jobs 1" `Slow
             test_flat_chosen_jobs ] );
       ( "planner",
