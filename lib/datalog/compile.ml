@@ -313,9 +313,12 @@ type cscan = {
   cs_kvars : (int * int) array;  (* key positions copied from a slot *)
   cs_kfill : (int * (env -> int)) array;  (* key positions computed *)
   cs_ops : rowop array;
-  cs_writes : (int * int) array;  (* = the ops when they are all writes *)
+  cs_writes : int array;  (* = the ops when they are all writes: position, slot, ... *)
   cs_all_writes : bool;
   mutable cs_rel : Relation.t option;
+  mutable cs_cells : int array;
+      (* the relation's cells as of the current probe: they hold every
+         row the probe visits, whatever it appends meanwhile *)
   mutable cs_lo : int;  (* a range scan's ids: [cs_lo, cs_hi) *)
   mutable cs_hi : int;
 }
@@ -362,9 +365,9 @@ let build_scan bound (sc : E.scan) =
   let ops = Array.of_list (List.rev !ops) in
   let writes =
     Array.of_list
-      (List.filter_map (function WVar (p, s) -> Some (p, s) | _ -> None) (Array.to_list ops))
+      (List.concat_map (function WVar (p, s) -> [ p; s ] | _ -> []) (Array.to_list ops))
   in
-  let all_writes = Array.length writes = Array.length ops in
+  let all_writes = Array.length writes = 2 * Array.length ops in
   ( { cs_pred = sc.E.sc_pred;
       cs_arity = sc.E.sc_arity;
       cs_mask = mask;
@@ -375,6 +378,7 @@ let build_scan bound (sc : E.scan) =
       cs_writes = writes;
       cs_all_writes = all_writes;
       cs_rel = None;
+      cs_cells = [||];
       cs_lo = 0;
       cs_hi = 0 },
     !bound )
@@ -410,6 +414,7 @@ let fill_key env cs =
   done
 
 let probe ~ro rel cs f =
+  cs.cs_cells <- Relation.cells rel;
   if ro then Relation.probe_ids_ro rel cs.cs_mask cs.cs_key f
   else Relation.probe_ids rel cs.cs_mask cs.cs_key f
 
@@ -423,7 +428,7 @@ let neg_fails ~ro env cs guards =
     fill_key env cs;
     let hit = ref false in
     let visit id =
-      if ops_ok env cs.cs_ops (Relation.cells rel) (id * cs.cs_arity) 0 && guards_ok env guards 0
+      if ops_ok env cs.cs_ops cs.cs_cells (id * cs.cs_arity) 0 && guards_ok env guards 0
       then begin
         hit := true;
         raise Exit
@@ -483,30 +488,25 @@ let of_body ?(bound = []) ?(range = false) (body : E.body) =
   let env = Array.make (max 1 body.E.nvars) 0 in
   let kont = ref noop in
   let n = Array.length steps in
-  (* visit closures are preallocated; they re-read [cs_rel] per row
-     (set before iteration starts, never cleared mid-run) *)
+  (* visit closures are preallocated; they read [cs_cells], set before
+     iteration starts *)
   let visit_of cs next =
     let w = cs.cs_arity in
     if cs.cs_all_writes then begin
       let writes = cs.cs_writes in
-      let nw = Array.length writes in
+      let nw = Array.length writes / 2 in
       fun id ->
-        (match cs.cs_rel with
-        | Some rel ->
-          let cells = Relation.cells rel and off = id * w in
-          for j = 0 to nw - 1 do
-            let p, s = Array.unsafe_get writes j in
-            Array.unsafe_set env s (Array.unsafe_get cells (off + p))
-          done
-        | None -> assert false);
+        let cells = cs.cs_cells and off = id * w in
+        for j = 0 to nw - 1 do
+          Array.unsafe_set env
+            (Array.unsafe_get writes ((2 * j) + 1))
+            (Array.unsafe_get cells (off + Array.unsafe_get writes (2 * j)))
+        done;
         next ()
     end
     else begin
       let ops = cs.cs_ops in
-      fun id ->
-        match cs.cs_rel with
-        | Some rel -> if ops_ok env ops (Relation.cells rel) (id * w) 0 then next ()
-        | None -> assert false
+      fun id -> if ops_ok env ops cs.cs_cells (id * w) 0 then next ()
     end
   in
   let rec build ~ro i : unit -> unit =
@@ -529,6 +529,7 @@ let of_body ?(bound = []) ?(range = false) (body : E.body) =
           | None -> ()
           | Some rel ->
             fill_key env cs;
+            cs.cs_cells <- Relation.cells rel;
             Relation.iter_range_ids rel cs.cs_lo cs.cs_hi cs.cs_mask cs.cs_key visit)
       | CNeg (cs, gs) -> fun () -> if not (neg_fails ~ro env cs gs) then next ()
       | CTest t -> fun () -> if t env then next ()
@@ -542,7 +543,9 @@ let of_body ?(bound = []) ?(range = false) (body : E.body) =
         match steps.(0) with
         | CScan cs ->
           let visit = visit_of cs (build ~ro:true 1) in
-          fun sl lo hi -> Relation.slice_iter_ids sl lo hi visit
+          fun sl lo hi ->
+            (match cs.cs_rel with Some rel -> cs.cs_cells <- Relation.cells rel | None -> ());
+            Relation.slice_iter_ids sl lo hi visit
         | _ -> fun _ _ _ -> invalid_arg "Compile.run_slice: chain does not start with a scan"))
   in
   { c_body = body;

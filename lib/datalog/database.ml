@@ -65,6 +65,14 @@ let facts_of db pred =
 
 (* ---------------- canonical printing ---------------- *)
 
+(* [Relation.Cell]'s tests, repeated so that they inline: a call into
+   another module is not inlined here, and the printer and the digest
+   run these on every cell. *)
+let is_int c = c land 1 = 0
+let is_sym c = c land 3 = 1
+let is_term c = c land 3 = 3
+let sym_id c = c lsr 2
+
 (* Rows print in [Value.compare] order, field by field.  Every column
    gets one int sort key per row, monotone in that order:
 
@@ -96,7 +104,7 @@ let column_terms cells n w j =
   let found = ref [] in
   for i = 0 to n - 1 do
     let c = Array.unsafe_get cells ((i * w) + j) in
-    if Relation.Cell.is_term c then found := c :: !found
+    if is_term c then found := c :: !found
   done;
   if !found = [] then no_terms
   else begin
@@ -130,8 +138,8 @@ let column_keys keys cells n w j ord =
   for i = 0 to n - 1 do
     let c = Array.unsafe_get cells ((i * w) + j) in
     let key =
-      if Relation.Cell.is_int c then c asr 1
-      else if Relation.Cell.is_sym c then sym_base + ord.(Relation.Cell.sym_id c)
+      if is_int c then c asr 1
+      else if is_sym c then sym_base + ord.(sym_id c)
       else begin
         let r = t.trank.(find_cell t.tcells c 0 k) in
         if r < t.nneg then r - max_inline - t.nneg
@@ -227,8 +235,8 @@ let rec digits n p d = if n < p || d = 19 then d else digits n (10 * p) (d + 1)
 let int_width i = if i < 0 then 1 + digits (-i) 10 1 else digits i 10 1
 
 let cell_width texts c =
-  if Relation.Cell.is_int c then int_width (c asr 1)
-  else if Relation.Cell.is_sym c then String.length (Interner.resolve (Relation.Cell.sym_id c))
+  if is_int c then int_width (c asr 1)
+  else if is_sym c then String.length (Interner.resolve (sym_id c))
   else String.length (term_text texts c)
 
 (* [f] on the live ids of [r], in id order. *)
@@ -249,10 +257,14 @@ let relation_width texts pred r =
   let w = Relation.arity r and cells = Relation.cells r in
   let per_row = String.length pred + 4 + if w > 0 then 2 * (w - 1) else 0 in
   let total = ref (per_row * Relation.cardinal r) in
-  iter_live r (fun id ->
+  let bound = Relation.id_bound r in
+  let all_live = Relation.cardinal r = bound in
+  for id = 0 to bound - 1 do
+    if all_live || Relation.is_live r id then
       for j = id * w to (id * w) + w - 1 do
         total := !total + cell_width texts (Array.unsafe_get cells j)
-      done);
+      done
+  done;
   !total
 
 (* Write the inline int [i] at [pos], its digits backwards from the
@@ -296,9 +308,9 @@ let write_row out pos texts pred cells w id =
     end;
     let c = Array.unsafe_get cells ((id * w) + j) in
     pos :=
-      if Relation.Cell.is_int c then write_int out !pos (c asr 1)
-      else if Relation.Cell.is_sym c then
-        write_string out !pos (Interner.resolve (Relation.Cell.sym_id c))
+      if is_int c then write_int out !pos (c asr 1)
+      else if is_sym c then
+        write_string out !pos (Interner.resolve (sym_id c))
       else write_string out !pos (term_text texts c)
   done;
   write_string out !pos ").\n"
@@ -314,8 +326,8 @@ let write_relation out pos sc texts pred r =
     let top_sym = ref (-1) in
     for i = 0 to (bound * w) - 1 do
       let c = Array.unsafe_get cells i in
-      if Relation.Cell.is_sym c && Relation.Cell.sym_id c > !top_sym then
-        top_sym := Relation.Cell.sym_id c
+      if is_sym c && sym_id c > !top_sym then
+        top_sym := sym_id c
     done;
     let ord = Interner.ranks (!top_sym + 1) in
     let k = ref 0 in
@@ -484,8 +496,8 @@ let hash_row st head cells off w =
   st.b <- head.b;
   for j = off to off + w - 1 do
     let c = Array.unsafe_get cells j in
-    if Relation.Cell.is_int c then absorb_int st (c asr 1)
-    else if Relation.Cell.is_sym c then absorb_interned st tag_sym (Relation.Cell.sym_id c)
+    if is_int c then absorb_int st (c asr 1)
+    else if is_sym c then absorb_interned st tag_sym (sym_id c)
     else absorb_value st (Relation.Cell.decode c)
   done
 

@@ -317,6 +317,9 @@ type staged = {
   rql : int Rql.t;  (* keyed by the congruence columns' cells *)
   mutable src_mark : int;
   src_rel : Relation.t;
+  src_cells : int array ref;
+      (* [src_rel]'s cells as of the last [sync]: they hold every row
+         the queue holds *)
   fire : unit -> int;  (* pop-validate-fire: the stage fired at, or -1 *)
 }
 
@@ -413,7 +416,8 @@ let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db crules flat_rule
         let src_rel = Database.relation db sr.source.pred (List.length sr.source.args) in
         let w = Relation.arity src_rel in
         let key_cols = Array.of_list sr.key_positions in
-        let key id i = Array.unsafe_get (Relation.cells src_rel) ((id * w) + key_cols.(i)) in
+        let src_cells = ref (Relation.cells src_rel) in
+        let key id i = Array.unsafe_get !src_cells ((id * w) + key_cols.(i)) in
         (* Cost order of two source rows: read straight off their cells
            when the cost is a plain source argument, else evaluated once
            per row and memoized by id. *)
@@ -423,10 +427,11 @@ let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db crules flat_rule
           | _ when not sr.has_extremum -> fun _ _ -> 0
           | Some p, _ ->
             fun a b ->
-              let cells = Relation.cells src_rel in
+              let cells = !src_cells in
               let ca = Array.unsafe_get cells ((a * w) + p)
               and cb = Array.unsafe_get cells ((b * w) + p) in
-              if Relation.Cell.is_int ca && Relation.Cell.is_int cb then sign * Int.compare ca cb
+              (* two inline ints, the common case, compare as cells *)
+              if (ca lor cb) land 1 = 0 then sign * Int.compare ca cb
               else sign * Value.compare (Relation.Cell.decode ca) (Relation.Cell.decode cb)
           | None, None -> fun _ _ -> 0
           | None, Some cost_of ->
@@ -451,7 +456,7 @@ let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db crules flat_rule
           match sr.stage_positions with
           | [] -> 0
           | p :: _ ->
-            let c = (Relation.cells src_rel).((id * w) + p) in
+            let c = !src_cells.((id * w) + p) in
             if Relation.Cell.is_int c then c asr 1
             else ( match Relation.Cell.decode c with Value.Int i -> i | _ -> 0)
         in
@@ -469,7 +474,7 @@ let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db crules flat_rule
           Database.relation db sr.cr.EC.head.pred (List.length sr.cr.EC.head.args)
         in
         let fd = EC.make_fd_state db sr.cr in
-        { sr; rql; src_mark = 0; src_rel;
+        { sr; rql; src_mark = 0; src_rel; src_cells;
           fire = make_fire ~telemetry ~limits db sr ~rql ~src_rel ~fd ~tracker ~head_rel })
       srules
   in
@@ -479,6 +484,7 @@ let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db crules flat_rule
       (fun st ->
         let n = Relation.id_bound st.src_rel in
         let all_live = Relation.cardinal st.src_rel = n in
+        st.src_cells := Relation.cells st.src_rel;
         for id = st.src_mark to n - 1 do
           if all_live || Relation.is_live st.src_rel id then Rql.insert st.rql id
         done;
