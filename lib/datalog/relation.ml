@@ -485,11 +485,13 @@ let is_live r id = id < r.count && not (is_dead r.dead id)
 let full_mask r = (1 lsl r.width) - 1
 
 (* Enter the rows appended since the membership set was last written,
-   growing the set as needed.  Only the owner writes a store. *)
+   growing the set as needed — to twice the size the rows need, or an
+   add that fills it to half would rebuild it at the size it had.  Only
+   the owner writes a store. *)
 let catch_up st w =
   if st.hashed < st.used then begin
     if 2 * (st.used + 1) >= Array.length st.slots then
-      st.slots <- fill_slots (slots_create (st.used + 1)) st.cells w st.used
+      st.slots <- fill_slots (slots_create (2 * (st.used + 1))) st.cells w st.used
     else
       for id = st.hashed to st.used - 1 do
         let h = hash_cells st.cells (id * w) w 17 0 in
