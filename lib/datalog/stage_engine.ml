@@ -130,23 +130,35 @@ type srule = {
    the relation's column indexes — no projection tuples, no replay. *)
 exception Fd_conflict
 
-let compatible_cols rel fds (cand : int array) =
-  try
-    Array.iter
-      (fun (mask, lcols, key, rcols) ->
-        for j = 0 to Array.length lcols - 1 do
-          let c = lcols.(j) in
-          key.(c) <- cand.(c)
-        done;
-        Relation.probe_ids rel mask key (fun id ->
-            let cells = Relation.cells rel and off = id * Relation.arity rel in
-            for j = 0 to Array.length rcols - 1 do
-              let c = rcols.(j) in
-              if cells.(off + c) <> cand.(c) then raise Fd_conflict
-            done))
-      fds;
-    true
-  with Fd_conflict -> false
+(* Per FD, the probe of the chosen relation [rel] for the candidate row
+   in [cand]: the left-column bitmask and columns, the cell key, and the
+   visitor that fails on a stored row disagreeing on a right column.
+   Built once per rule, so a check allocates nothing. *)
+let fd_probes rel (cand : int array) fds =
+  Array.map
+    (fun (mask, lcols, key, rcols) ->
+      let visit id =
+        let cells = Relation.cells rel and off = id * Relation.arity rel in
+        for j = 0 to Array.length rcols - 1 do
+          let c = rcols.(j) in
+          if cells.(off + c) <> cand.(c) then raise Fd_conflict
+        done
+      in
+      (mask, lcols, key, visit))
+    fds
+
+let rec compatible_from rel (cand : int array) probes i =
+  i = Array.length probes
+  ||
+  let mask, lcols, key, visit = probes.(i) in
+  for j = 0 to Array.length lcols - 1 do
+    let c = lcols.(j) in
+    key.(c) <- cand.(c)
+  done;
+  Relation.probe_ids rel mask key visit;
+  compatible_from rel cand probes (i + 1)
+
+let compatible_cols rel cand probes = try compatible_from rel cand probes 0 with Fd_conflict -> false
 
 let compile_srule (cr : EC.crule) (r : Ast.rule) =
   let fail msg = raise (Not_compilable (msg ^ ": " ^ Pretty.rule_to_string r)) in
@@ -346,9 +358,10 @@ let make_fire ~telemetry ~limits db (sr : srule) ~rql ~src_rel ~(fd : EC.fd_stat
   let kont =
     match sr.fd_cols with
     | Some fds ->
+      let probes = fd_probes fd.EC.rel chosen fds in
       fun () ->
         Compile.write_row sr.out cenv chosen 0;
-        if Relation.find_cells fd.EC.rel chosen < 0 && compatible_cols fd.EC.rel fds chosen then
+        if Relation.find_cells fd.EC.rel chosen < 0 && compatible_cols fd.EC.rel chosen probes then
           fired ()
     | None ->
       fun () ->
