@@ -326,7 +326,7 @@ let no_cost = Value.Str (-1)
    follow insertion order. *)
 type staged = {
   sr : srule;
-  rql : int Rql.t;  (* keyed by the congruence columns' cells *)
+  rql : Rql.t;  (* keyed by the congruence columns' cells *)
   mutable src_mark : int;
   src_rel : Relation.t;
   src_cells : int array ref;

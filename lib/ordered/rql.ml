@@ -7,13 +7,17 @@ type stats = {
   max_queue : int;
 }
 
+(* Facts are ints (the staged engine's source row ids), so every array
+   below is an int array: writes need no write barrier, and nothing is
+   boxed. *)
+
 (* The queue [Q]: a binary heap over the (cost, insertion id) total
    order — ids are unique, so ties pop first-in first-out.  Entries
    live in two parallel arrays and the sift loops are top-level
    recursions over plain integers, so a push or pop allocates nothing
    beyond amortized array growth. *)
-type 'f flat = {
-  mutable ff : 'f array;  (* facts, heap-ordered *)
+type flat = {
+  mutable ff : int array;  (* facts, heap-ordered *)
   mutable fi : int array;  (* insertion ids, the cost tie-break *)
   mutable fn : int;
   mutable f_popped_id : int;  (* id of the last [flat_pop] result *)
@@ -23,13 +27,13 @@ type 'f flat = {
    representative facts.  A class's key is [width] ints of its facts,
    read through [key]: no key is built or stored, a slot is compared by
    reading its representative's key.  Power-of-two sizes, linear
-   probing, at most half full.  [cl_state.(i)] is [empty], [reopened]
-   (an invalid pop reopened the class: it keeps its slot, and is absent
+   probing, at most half full.  Slot [i] is the pair [2i] (the
+   representative) and [2i + 1] (the state): [empty], [reopened] (an
+   invalid pop reopened the class: it keeps its slot, and is absent
    until a fact of its key comes again), [used] (the class is in [L]),
    or the insertion id of the class's live queue entry. *)
-type 'f classes = {
-  mutable cl_fact : 'f array;
-  mutable cl_state : int array;
+type classes = {
+  mutable cl : int array;
   mutable cl_taken : int;  (* slots not [empty] *)
 }
 
@@ -37,15 +41,15 @@ let empty = -3
 let reopened = -2
 let used = -1
 
-type 'f t = {
+type t = {
   width : int;
-  key : 'f -> int -> int;
-  cost_cmp : 'f -> 'f -> int;
-  stage : 'f -> int;
+  key : int -> int -> int;
+  cost_cmp : int -> int -> int;
+  stage : int -> int;
   shadow : bool;
   newer_wins : bool;
-  classes : 'f classes;
-  flat : 'f flat;
+  classes : classes;
+  flat : flat;
   mutable live : int;
   mutable next_id : int;
   mutable s_inserted : int;
@@ -60,8 +64,8 @@ type 'f t = {
    a nested [let rec] capturing its surroundings would allocate a
    closure per operation, defeating the point. *)
 let flat_less cmp fl i j =
-  let c = cmp fl.ff.(i) fl.ff.(j) in
-  c < 0 || (c = 0 && fl.fi.(i) < fl.fi.(j))
+  let c = cmp (Array.unsafe_get fl.ff i) (Array.unsafe_get fl.ff j) in
+  c < 0 || (c = 0 && Array.unsafe_get fl.fi i < Array.unsafe_get fl.fi j)
 
 let flat_swap fl i j =
   let f = fl.ff.(i) and d = fl.fi.(i) in
@@ -88,16 +92,17 @@ let rec flat_down cmp fl i =
     flat_down cmp fl s
   end
 
+let grow (a : int array) n =
+  let b = Array.make (if n = 0 then 16 else 2 * n) 0 in
+  for i = 0 to n - 1 do
+    Array.unsafe_set b i (Array.unsafe_get a i)
+  done;
+  b
+
 let flat_push cmp fl fact id =
-  let cap = Array.length fl.ff in
-  if fl.fn = cap then begin
-    let ncap = if cap = 0 then 16 else 2 * cap in
-    let nff = Array.make ncap fact in
-    let nfi = Array.make ncap 0 in
-    Array.blit fl.ff 0 nff 0 fl.fn;
-    Array.blit fl.fi 0 nfi 0 fl.fn;
-    fl.ff <- nff;
-    fl.fi <- nfi
+  if fl.fn = Array.length fl.ff then begin
+    fl.ff <- grow fl.ff fl.fn;
+    fl.fi <- grow fl.fi fl.fn
   end;
   fl.ff.(fl.fn) <- fact;
   fl.fi.(fl.fn) <- id;
@@ -121,49 +126,46 @@ let rec hash_key key f w h i = if i = w then h else hash_key key f w ((h * 10000
 
 let rec key_eq key a b w i = i = w || (key a i = key b i && key_eq key a b w (i + 1))
 
-(* The slot of [fact]'s class, or the empty slot where it would go.
-   The low bits index the table, so every bit of the hash is spread
-   down first. *)
-let class_slot t fact =
-  let cl = t.classes in
-  let mask = Array.length cl.cl_state - 1 in
+(* The slot of [fact]'s class in [cl], or the empty slot where it would
+   go.  The low bits index the table, so every bit of the hash is
+   spread down first. *)
+let class_slot t cl fact =
+  let mask = (Array.length cl / 2) - 1 in
   let h = hash_key t.key fact t.width 17 0 in
   let h = (h lxor (h lsr 32)) * 0x7fb5d329728ea185 in
   let i = ref ((h lxor (h lsr 29)) land mask) in
   while
-    Array.unsafe_get cl.cl_state !i <> empty
-    && not (key_eq t.key (Array.unsafe_get cl.cl_fact !i) fact t.width 0)
+    Array.unsafe_get cl ((2 * !i) + 1) <> empty
+    && not (key_eq t.key (Array.unsafe_get cl (2 * !i)) fact t.width 0)
   do
     i := (!i + 1) land mask
   done;
   !i
 
-(* Room for one more class, [fact] the witness a fresh table is filled
-   with.  A rehash drops the reopened classes: absent is what they
-   stand for. *)
-let reserve t fact =
-  let cl = t.classes in
-  let cap = Array.length cl.cl_state in
-  if 2 * (cl.cl_taken + 1) > cap then begin
-    let facts = cl.cl_fact and states = cl.cl_state in
-    let ncap = if cap = 0 then 64 else 2 * cap in
-    cl.cl_fact <- Array.make ncap fact;
-    cl.cl_state <- Array.make ncap empty;
-    cl.cl_taken <- 0;
-    for i = 0 to cap - 1 do
-      let st = states.(i) in
+(* Room for one more class.  A rehash drops the reopened classes:
+   absent is what they stand for. *)
+let reserve t =
+  let c = t.classes in
+  let slots = Array.length c.cl / 2 in
+  if 2 * (c.cl_taken + 1) > slots then begin
+    let old = c.cl in
+    let cl = Array.make (if slots = 0 then 128 else 4 * slots) empty in
+    c.cl_taken <- 0;
+    for i = 0 to slots - 1 do
+      let st = old.((2 * i) + 1) in
       if st <> empty && st <> reopened then begin
-        let j = class_slot t facts.(i) in
-        cl.cl_fact.(j) <- facts.(i);
-        cl.cl_state.(j) <- st;
-        cl.cl_taken <- cl.cl_taken + 1
+        let j = class_slot t cl old.(2 * i) in
+        cl.(2 * j) <- old.(2 * i);
+        cl.((2 * j) + 1) <- st;
+        c.cl_taken <- c.cl_taken + 1
       end
-    done
+    done;
+    c.cl <- cl
   end
 
 let create ?(shadow = true) ?(newer_wins = false) ~width ~key ~cost_cmp ?(stage = fun _ -> 0) () =
   { width; key; cost_cmp; stage; shadow; newer_wins;
-    classes = { cl_fact = [||]; cl_state = [||]; cl_taken = 0 };
+    classes = { cl = [||]; cl_taken = 0 };
     flat = { ff = [||]; fi = [||]; fn = 0; f_popped_id = 0 };
     live = 0; next_id = 0;
     s_inserted = 0; s_shadowed = 0; s_stale = 0; s_invalid = 0; s_used = 0;
@@ -184,13 +186,13 @@ let insert t fact =
   t.s_inserted <- t.s_inserted + 1;
   if not t.shadow then ignore (push_live t fact)
   else begin
-    reserve t fact;
-    let cl = t.classes in
-    let i = class_slot t fact in
-    let st = cl.cl_state.(i) in
+    reserve t;
+    let cl = t.classes.cl in
+    let i = class_slot t cl fact in
+    let st = cl.((2 * i) + 1) in
     if st = used then t.s_shadowed <- t.s_shadowed + 1
     else if st >= 0 then begin
-      let incumbent = cl.cl_fact.(i) in
+      let incumbent = cl.(2 * i) in
       let replaces =
         if t.newer_wins && t.stage fact > t.stage incumbent then true
         else if t.newer_wins && t.stage fact < t.stage incumbent then false
@@ -201,15 +203,15 @@ let insert t fact =
            pop time.  [live] counts it out immediately. *)
         t.live <- t.live - 1;
         t.s_shadowed <- t.s_shadowed + 1;
-        cl.cl_state.(i) <- push_live t fact;
-        cl.cl_fact.(i) <- fact
+        cl.((2 * i) + 1) <- push_live t fact;
+        cl.(2 * i) <- fact
       end
       else t.s_shadowed <- t.s_shadowed + 1
     end
     else begin
-      if st = empty then cl.cl_taken <- cl.cl_taken + 1;
-      cl.cl_state.(i) <- push_live t fact;
-      cl.cl_fact.(i) <- fact
+      if st = empty then t.classes.cl_taken <- t.classes.cl_taken + 1;
+      cl.((2 * i) + 1) <- push_live t fact;
+      cl.(2 * i) <- fact
     end
   end
 
@@ -234,10 +236,10 @@ let rec retrieve_flat t fl ~valid =
       end
     end
     else begin
-      let cl = t.classes in
-      let i = class_slot t fact in
+      let cl = t.classes.cl in
+      let i = class_slot t cl fact in
       (* a live entry's state is its id, and ids are not negative *)
-      if cl.cl_state.(i) <> fl.f_popped_id then begin
+      if cl.((2 * i) + 1) <> fl.f_popped_id then begin
         t.s_stale <- t.s_stale + 1;
         retrieve_flat t fl ~valid
       end
@@ -245,12 +247,12 @@ let rec retrieve_flat t fl ~valid =
         t.live <- t.live - 1;
         if valid fact then begin
           t.s_used <- t.s_used + 1;
-          cl.cl_state.(i) <- used;
+          cl.((2 * i) + 1) <- used;
           Some fact
         end
         else begin
           t.s_invalid <- t.s_invalid + 1;
-          cl.cl_state.(i) <- reopened;
+          cl.((2 * i) + 1) <- reopened;
           retrieve_flat t fl ~valid
         end
       end

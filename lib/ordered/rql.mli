@@ -32,7 +32,9 @@
     matching program, where the paper itself keeps all [e] arcs in
     [Q]). *)
 
-type 'f t
+type t
+(** Facts are ints: the staged engine's source row ids.  A caller
+    whose facts are values numbers them. *)
 
 type stats = {
   inserted : int;  (** facts offered to [insert] *)
@@ -47,17 +49,17 @@ val create :
   ?shadow:bool ->
   ?newer_wins:bool ->
   width:int ->
-  key:('f -> int -> int) ->
-  cost_cmp:('f -> 'f -> int) ->
-  ?stage:('f -> int) ->
+  key:(int -> int -> int) ->
+  cost_cmp:(int -> int -> int) ->
+  ?stage:(int -> int) ->
   unit ->
-  'f t
+  t
 (** [create ~width ~key ~cost_cmp ()] builds an empty structure.  A
     fact's r-congruence class is the [width] ints [key f 0], ...,
     [key f (width - 1)] (the staged engine reads them straight out of
     the fact's cells); facts with equal ints are congruent.  The
-    classes live in an open-addressing table of representative facts,
-    so no key is ever built.  [cost_cmp] orders candidates
+    classes live in one int array, an open-addressing table of
+    representative facts, so no key is ever built.  [cost_cmp] orders candidates
     (ties must be broken deterministically by the caller for reproducible
     runs), and [stage] is required when [newer_wins] is set.  Equal
     costs pop in insertion order.
@@ -65,15 +67,15 @@ val create :
     [Q] is a flat dual-array binary heap: push and pop allocate nothing
     beyond amortized growth. *)
 
-val insert : 'f t -> 'f -> unit
+val insert : t -> int -> unit
 (** The paper's insertion operation, [O(log |Q|)] plus one hash probe. *)
 
-val retrieve_least : 'f t -> valid:('f -> bool) -> 'f option
+val retrieve_least : t -> valid:(int -> bool) -> int option
 (** The paper's retrieve-least operation: pops minimal live candidates,
     discards invalid ones into [R], moves the first valid one into [L]
     and returns it.  [None] when no valid candidate remains. *)
 
-val queue_length : 'f t -> int
+val queue_length : t -> int
 (** Live entries currently in [Q] (stale entries excluded). *)
 
-val stats : 'f t -> stats
+val stats : t -> stats

@@ -87,19 +87,36 @@ let prop_union_find_vs_naive =
 
 type fact = { key : int; cost : int; stage : int }
 
+(* [Rql] holds facts by number: a queue here numbers its records in
+   insertion order, and [insert] and [retrieve] speak records. *)
+type rql = { q : Rql.t; facts : (int, fact) Hashtbl.t }
+
 let make_rql ?shadow ?newer_wins () =
-  Rql.create ?shadow ?newer_wins ~width:1 ~key:(fun f _ -> f.key)
-    ~cost_cmp:(fun a b -> compare a.cost b.cost)
-    ~stage:(fun f -> f.stage) ()
+  let facts = Hashtbl.create 16 in
+  let f = Hashtbl.find facts in
+  { q =
+      Rql.create ?shadow ?newer_wins ~width:1 ~key:(fun id _ -> (f id).key)
+        ~cost_cmp:(fun a b -> compare (f a).cost (f b).cost)
+        ~stage:(fun id -> (f id).stage) ();
+    facts }
+
+let insert r fact =
+  let id = Hashtbl.length r.facts in
+  Hashtbl.add r.facts id fact;
+  Rql.insert r.q id
+
+let retrieve r ~valid =
+  Option.map (Hashtbl.find r.facts)
+    (Rql.retrieve_least r.q ~valid:(fun id -> valid (Hashtbl.find r.facts id)))
 
 let test_rql_pops_in_cost_order () =
   let q = make_rql ~shadow:false () in
   List.iteri
-    (fun i c -> Rql.insert q { key = i; cost = c; stage = 0 })
+    (fun i c -> insert q { key = i; cost = c; stage = 0 })
     [ 7; 1; 5; 3 ];
   let pops = ref [] in
   let rec drain () =
-    match Rql.retrieve_least q ~valid:(fun _ -> true) with
+    match retrieve q ~valid:(fun _ -> true) with
     | Some f ->
       pops := f.cost :: !pops;
       drain ()
@@ -110,66 +127,66 @@ let test_rql_pops_in_cost_order () =
 
 let test_rql_congruence_shadowing () =
   let q = make_rql () in
-  Rql.insert q { key = 1; cost = 10; stage = 0 };
-  Rql.insert q { key = 1; cost = 5; stage = 0 };  (* replaces *)
-  Rql.insert q { key = 1; cost = 8; stage = 0 };  (* shadowed out *)
-  Rql.insert q { key = 2; cost = 7; stage = 0 };
-  Alcotest.(check int) "live queue" 2 (Rql.queue_length q);
-  let first = Option.get (Rql.retrieve_least q ~valid:(fun _ -> true)) in
+  insert q { key = 1; cost = 10; stage = 0 };
+  insert q { key = 1; cost = 5; stage = 0 };  (* replaces *)
+  insert q { key = 1; cost = 8; stage = 0 };  (* shadowed out *)
+  insert q { key = 2; cost = 7; stage = 0 };
+  Alcotest.(check int) "live queue" 2 (Rql.queue_length q.q);
+  let first = Option.get (retrieve q ~valid:(fun _ -> true)) in
   Alcotest.(check int) "cheapest representative" 5 first.cost;
   (* Class 1 is now Used: later inserts are redundant. *)
-  Rql.insert q { key = 1; cost = 1; stage = 0 };
-  let second = Option.get (Rql.retrieve_least q ~valid:(fun _ -> true)) in
+  insert q { key = 1; cost = 1; stage = 0 };
+  let second = Option.get (retrieve q ~valid:(fun _ -> true)) in
   Alcotest.(check int) "used class stays closed" 7 second.cost;
   Alcotest.(check (option int)) "drained" None
-    (Option.map (fun f -> f.cost) (Rql.retrieve_least q ~valid:(fun _ -> true)));
-  let s = Rql.stats q in
+    (Option.map (fun f -> f.cost) (retrieve q ~valid:(fun _ -> true)));
+  let s = Rql.stats q.q in
   Alcotest.(check int) "shadowed count" 3 s.Rql.shadowed;
   Alcotest.(check int) "used count" 2 s.Rql.used
 
 let test_rql_invalid_reopens_class () =
   let q = make_rql () in
-  Rql.insert q { key = 1; cost = 3; stage = 0 };
+  insert q { key = 1; cost = 3; stage = 0 };
   Alcotest.(check (option int)) "invalid pop discarded" None
-    (Option.map (fun f -> f.cost) (Rql.retrieve_least q ~valid:(fun _ -> false)));
+    (Option.map (fun f -> f.cost) (retrieve q ~valid:(fun _ -> false)));
   (* The class reopened: a new insert is live again. *)
-  Rql.insert q { key = 1; cost = 9; stage = 0 };
+  insert q { key = 1; cost = 9; stage = 0 };
   Alcotest.(check (option int)) "reinserted" (Some 9)
-    (Option.map (fun f -> f.cost) (Rql.retrieve_least q ~valid:(fun _ -> true)));
-  Alcotest.(check int) "invalid counted" 1 (Rql.stats q).Rql.invalid
+    (Option.map (fun f -> f.cost) (retrieve q ~valid:(fun _ -> true)));
+  Alcotest.(check int) "invalid counted" 1 (Rql.stats q.q).Rql.invalid
 
 let test_rql_newer_wins () =
   let q = make_rql ~newer_wins:true () in
-  Rql.insert q { key = 1; cost = 1; stage = 1 };
+  insert q { key = 1; cost = 1; stage = 1 };
   (* Newer stage shadows even at higher cost (TSP's I = J + 1). *)
-  Rql.insert q { key = 1; cost = 100; stage = 2 };
-  let f = Option.get (Rql.retrieve_least q ~valid:(fun _ -> true)) in
+  insert q { key = 1; cost = 100; stage = 2 };
+  let f = Option.get (retrieve q ~valid:(fun _ -> true)) in
   Alcotest.(check int) "newer survived" 2 f.stage;
   (* And an older fact never displaces a newer incumbent. *)
   let q = make_rql ~newer_wins:true () in
-  Rql.insert q { key = 1; cost = 100; stage = 2 };
-  Rql.insert q { key = 1; cost = 1; stage = 1 };
-  let f = Option.get (Rql.retrieve_least q ~valid:(fun _ -> true)) in
+  insert q { key = 1; cost = 100; stage = 2 };
+  insert q { key = 1; cost = 1; stage = 1 };
+  let f = Option.get (retrieve q ~valid:(fun _ -> true)) in
   Alcotest.(check int) "older rejected" 2 f.stage
 
 let test_rql_stale_entries_skipped () =
   let q = make_rql () in
-  Rql.insert q { key = 1; cost = 10; stage = 0 };
-  Rql.insert q { key = 1; cost = 5; stage = 0 };
+  insert q { key = 1; cost = 10; stage = 0 };
+  insert q { key = 1; cost = 5; stage = 0 };
   (* The superseded cost-10 entry must be skipped silently. *)
-  ignore (Rql.retrieve_least q ~valid:(fun _ -> true));
+  ignore (retrieve q ~valid:(fun _ -> true));
   Alcotest.(check (option int)) "no ghost" None
-    (Option.map (fun f -> f.cost) (Rql.retrieve_least q ~valid:(fun _ -> true)));
-  Alcotest.(check int) "stale counted" 1 (Rql.stats q).Rql.stale
+    (Option.map (fun f -> f.cost) (retrieve q ~valid:(fun _ -> true)));
+  Alcotest.(check int) "stale counted" 1 (Rql.stats q.q).Rql.stale
 
 let prop_rql_no_shadow_equals_heap =
   QCheck.Test.make ~name:"rql(no shadow, binary) drains like a heap" ~count:200
     QCheck.(small_list (int_bound 100))
     (fun costs ->
       let q = make_rql ~shadow:false () in
-      List.iteri (fun i c -> Rql.insert q { key = i; cost = c; stage = 0 }) costs;
+      List.iteri (fun i c -> insert q { key = i; cost = c; stage = 0 }) costs;
       let rec drain acc =
-        match Rql.retrieve_least q ~valid:(fun _ -> true) with
+        match retrieve q ~valid:(fun _ -> true) with
         | Some f -> drain (f.cost :: acc)
         | None -> List.rev acc
       in
@@ -203,18 +220,18 @@ let prop_rql_equals_sorted_model =
         (function
           | Some cost ->
             let f = { key = !next_id; cost; stage = 0 } in
-            Rql.insert q f;
+            insert q f;
             model := List.merge compare !model [ ((cost, !next_id), f) ];
             incr next_id;
-            Rql.queue_length q = List.length !model
+            Rql.queue_length q.q = List.length !model
           | None ->
-            let got = Rql.retrieve_least q ~valid:(valid checks_q) in
+            let got = retrieve q ~valid:(valid checks_q) in
             let want = model_pop () in
             if Option.is_some want then incr used;
-            got = want && Rql.queue_length q = List.length !model)
+            got = want && Rql.queue_length q.q = List.length !model)
         (ops @ List.init (List.length ops) (fun _ -> None))
       &&
-      let s = Rql.stats q in
+      let s = Rql.stats q.q in
       s.Rql.inserted = !next_id && s.Rql.shadowed = 0 && s.Rql.stale = 0
       && s.Rql.used = !used && s.Rql.invalid = !checks_m - !used)
 
@@ -223,10 +240,10 @@ let prop_rql_shadow_one_per_class =
     QCheck.(small_list (pair (int_bound 4) (int_bound 50)))
     (fun facts ->
       let q = make_rql () in
-      List.iter (fun (k, c) -> Rql.insert q { key = k; cost = c; stage = 0 }) facts;
+      List.iter (fun (k, c) -> insert q { key = k; cost = c; stage = 0 }) facts;
       let seen = Hashtbl.create 8 in
       let rec drain () =
-        match Rql.retrieve_least q ~valid:(fun _ -> true) with
+        match retrieve q ~valid:(fun _ -> true) with
         | Some f ->
           if Hashtbl.mem seen f.key then false
           else begin
