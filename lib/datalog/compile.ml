@@ -80,16 +80,6 @@ let test_cmp (op : Ast.cmp_op) =
   | Ast.Gt -> fun a b -> compare_cells a b > 0
   | Ast.Ge -> fun a b -> compare_cells a b >= 0
 
-let test_values (op : Ast.cmp_op) a b =
-  let c = Value.compare a b in
-  match op with
-  | Ast.Lt -> c < 0
-  | Ast.Le -> c <= 0
-  | Ast.Gt -> c > 0
-  | Ast.Ge -> c >= 0
-  | Ast.Eq -> c = 0
-  | Ast.Ne -> c <> 0
-
 (* Arithmetic on cells, the result's cell made by [fin] when it is not
    inline.  Two inline ints cannot overflow a native int when added or
    subtracted, so [Eval.apply_binop]'s overflow check is needed only
@@ -178,7 +168,7 @@ let compile_test bound ((op, x, y) : E.guard) : env -> bool =
   match x, y with
   | E.PCmp _, _ | _, E.PCmp _ ->
     let ex = compile_value bound x and ey = compile_value bound y in
-    fun env -> test_values op (ex env) (ey env)
+    fun env -> E.test_cmp op (ex env) (ey env)
   | _ ->
     let ex = compile_cell ~intern:true bound x and ey = compile_cell ~intern:true bound y in
     let cmp = test_cmp op in

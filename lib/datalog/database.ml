@@ -232,7 +232,11 @@ let term_text (texts : texts) c =
 (* Decimal width of an inline int ([|i| < 2^61], so negating is exact):
    compared against powers of ten, no division. *)
 let rec digits n p d = if n < p || d = 19 then d else digits n (10 * p) (d + 1)
-let int_width i = if i < 0 then 1 + digits (-i) 10 1 else digits i 10 1
+
+let nat_width n =
+  if n < 10 then 1 else if n < 100 then 2 else if n < 1000 then 3 else digits n 10_000 4
+
+let int_width i = if i < 0 then 1 + nat_width (-i) else nat_width i
 
 let cell_width texts c =
   if is_int c then int_width (c asr 1)

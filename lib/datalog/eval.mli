@@ -73,6 +73,9 @@ val apply_binop : Ast.binop -> Value.t -> Value.t -> Value.t
     over non-integers and on native-int overflow ([Add]/[Sub]/[Mul]
     never wrap silently — the message names the offending operation). *)
 
+val test_cmp : Ast.cmp_op -> Value.t -> Value.t -> bool
+(** A comparison goal on two values, by {!Value.compare}. *)
+
 val compile_body : ?extra_bound:string list -> Ast.literal list -> body
 (** [extra_bound] names variables the engine binds before {!run}
     (typically the stage variable of a [next] rule). *)

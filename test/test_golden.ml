@@ -182,9 +182,12 @@ let fresh = ref 0
 let gen_render_db =
   let open QCheck.Gen in
   let edge = 1 lsl 61 in
+  (* and every decimal width: the printer sizes its output from them *)
+  let powers = List.init 18 (fun k -> int_of_float (10.0 ** float_of_int (k + 1))) in
   let special =
     [ 0; 1; -1; edge - 1; edge; edge + 1; -edge + 1; -edge; -edge - 1; min_int; max_int;
       min_int + 1; max_int - 1 ]
+    @ List.concat_map (fun p -> [ p - 1; p; 1 - p; -p ]) powers
   in
   let gen_int =
     frequency
