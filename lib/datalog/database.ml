@@ -243,18 +243,6 @@ let cell_width texts c =
   else if is_sym c then String.length (Interner.resolve (sym_id c))
   else String.length (term_text texts c)
 
-(* [f] on the live ids of [r], in id order. *)
-let iter_live r f =
-  let bound = Relation.id_bound r in
-  if Relation.cardinal r = bound then
-    for id = 0 to bound - 1 do
-      f id
-    done
-  else
-    for id = 0 to bound - 1 do
-      if Relation.is_live r id then f id
-    done
-
 (* The bytes [pred]'s facts print to: [pred(], the fields, [, ]
    between them and [).\n] per row. *)
 let relation_width texts pred r =
@@ -313,8 +301,7 @@ let write_row out pos texts pred cells w id =
     let c = Array.unsafe_get cells ((id * w) + j) in
     pos :=
       if is_int c then write_int out !pos (c asr 1)
-      else if is_sym c then
-        write_string out !pos (Interner.resolve (sym_id c))
+      else if is_sym c then write_string out !pos (Interner.resolve (sym_id c))
       else write_string out !pos (term_text texts c)
   done;
   write_string out !pos ").\n"
@@ -330,14 +317,16 @@ let write_relation out pos sc texts pred r =
     let top_sym = ref (-1) in
     for i = 0 to (bound * w) - 1 do
       let c = Array.unsafe_get cells i in
-      if is_sym c && sym_id c > !top_sym then
-        top_sym := sym_id c
+      if is_sym c && sym_id c > !top_sym then top_sym := sym_id c
     done;
     let ord = Interner.ranks (!top_sym + 1) in
     let k = ref 0 in
-    iter_live r (fun id ->
+    for id = 0 to bound - 1 do
+      if n = bound || Relation.is_live r id then begin
         sc.ids.(!k) <- id;
-        incr k);
+        incr k
+      end
+    done;
     let ids = ref sc.ids and tmp = ref sc.tmp in
     for j = w - 1 downto 0 do
       let lo, spread = column_keys sc.keys cells bound w j ord in

@@ -43,11 +43,8 @@
     and what the compiled rule bodies ({!Compile}) bind, probe and
     write. *)
 module Cell : sig
-  val max_inline : int
-  (** [2^61]: ints strictly between [-max_inline] and [max_inline] are
-      inline. *)
-
   val inline : int -> bool
+  (** [inline i]: [|i| < 2^61], so [Int i] is the cell [i lsl 1]. *)
 
   val encode : Value.t -> int
   (** The value's cell, entering it into the term table if it is not
@@ -304,9 +301,8 @@ type slice
 
 val slice_cols : t -> int -> int array -> slice
 (** The rows agreeing with the cells of [probe] on every column of
-    [mask], in
-    insertion order: the whole relation when [mask] is [0], an index
-    bucket otherwise. *)
+    [mask], in insertion order: the whole relation when [mask] is [0],
+    an index bucket otherwise. *)
 
 val slice_len : slice -> int
 (** The positions the slice spans: its rows, or for a whole relation
