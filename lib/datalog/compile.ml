@@ -231,17 +231,11 @@ let rec compile_match ~inversion bound (t : E.pterm) : (env -> int -> bool) * IS
       | _ -> (fun _ _ -> false), bound)
 
 (* The same matcher against a decoded value: a part of a compound
-   cell.  A variable binds the part's cell. *)
+   cell.  Anything but a compound or a constant pattern matches the
+   part's cell. *)
 and match_value ~inversion bound (t : E.pterm) : (env -> Value.t -> bool) * ISet.t =
   match t with
   | E.PAny -> (fun _ _ -> true), bound
-  | E.PVar s ->
-    if ISet.mem s bound then (fun env v -> env.(s) = Cell.lookup v), bound
-    else
-      ( (fun env v ->
-          env.(s) <- Cell.encode v;
-          true),
-        ISet.add s bound )
   | E.PCst c -> (fun _ v -> Value.equal c v), bound
   | E.PCmp (f, args) ->
     let n = Array.length args in
@@ -272,13 +266,9 @@ and match_value ~inversion bound (t : E.pterm) : (env -> Value.t -> bool) * ISet
         | _ -> false
     in
     (m, !bound)
-  | E.PBinop _ ->
-    if not (has_unbound bound t) then
-      let ev = compile_value bound t in
-      (fun env v -> Value.equal (ev env) v), bound
-    else
-      let m, b = compile_match ~inversion bound t in
-      (fun env v -> match v with Value.Int _ -> m env (Cell.encode v) | _ -> false), b
+  | E.PVar _ | E.PBinop _ ->
+    let m, b = compile_match ~inversion bound t in
+    (fun env v -> m env (Cell.encode v)), b
 
 (* ------------------------------------------------------------------ *)
 (* Compiled scans                                                      *)
