@@ -268,9 +268,9 @@ let () =
             test_reference_jobs;
           Alcotest.test_case "staged sequential = parallel on every exemplar" `Slow test_staged_jobs;
           QCheck_alcotest.to_alcotest prop_horn_reference;
-          QCheck_alcotest.to_alcotest prop_cells_reference;
           Alcotest.test_case "flat chosen$ relation: jobs 2 = jobs 1" `Slow
-            test_flat_chosen_jobs ] );
+            test_flat_chosen_jobs;
+          QCheck_alcotest.to_alcotest prop_cells_reference ] );
       ( "planner",
         [ Alcotest.test_case "skewed fixture: cheapest-first order" `Quick
             test_planner_join_order;
