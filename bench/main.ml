@@ -338,7 +338,11 @@ let e14 kernel ~limit sz mk gates =
    retract it, query again.  Each op changes 400 reach facts at any
    size, so its words ([Gc.allocated_bytes], major included) should not
    follow the model: at 104 paths at most 1.25x those at 26 (2.34 when
-   every retract rebuilt the relations it touched). *)
+   every retract rebuilt the relations it touched).  Its major-heap words
+   (allocated there or promoted) at 104 paths are at most 12,000 per op:
+   compacting into the arrays the previous compaction left reads
+   MAJOR_MEASURED in each of 10 smoke runs, where allocating a fresh store per
+   compaction read 35,600. *)
 let update_words_per_op paths =
   let len = 20 and cycles = 50 and warm = 10 in
   let rng = Rng.create 42 in
@@ -376,20 +380,26 @@ let update_words_per_op paths =
     query ()
   in
   List.iter op (List.init warm ignore);
-  let b0 = Gc.allocated_bytes () in
+  let b0 = Gc.allocated_bytes () and _, _, major0 = Gc.counters () in
   List.iter op (List.init cycles ignore);
-  (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8) /. float_of_int cycles
+  let _, _, major1 = Gc.counters () and per x = x /. float_of_int cycles in
+  (per ((Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)), per (major1 -. major0))
 
 let e14_update =
   sweep ~name:"E14" ~title:"update: assert, query, retract, query on serve_update's model"
     ~xname:"paths" ~sizes:(sizes ([ 26; 104 ], [ 26; 104 ])) ~input:Fun.id
     ~timed:[ ("setup+ops", update_words_per_op) ]
-    ~extra:(fun _ ws -> [ ("words_per_op", int_of_float (List.hd ws)) ])
+    ~extra:(fun _ ws ->
+      let words, major = List.hd ws in
+      [ ("words_per_op", int_of_float words); ("major_words_per_op", int_of_float major) ])
     ~gates:
       [ (fun ps ->
           let w p = float_of_int (col "words_per_op" p) in
           at_most "E14 update allocation" ~limit:1.25 "words/op, 104 paths over 26"
-            (w (List.nth ps 1) /. w (List.hd ps)))
+            (w (List.nth ps 1) /. w (List.hd ps)));
+        (fun ps ->
+          at_most "E14 update major words" ~limit:8_000.0 "major words/op at 104 paths"
+            (float_of_int (col "major_words_per_op" (List.nth ps 1))))
       ]
     ()
 

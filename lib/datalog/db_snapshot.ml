@@ -97,58 +97,72 @@ let rec w_value enc b = function
     w_u32 b (List.length xs);
     List.iter (w_value enc b) xs
 
-let w_rows enc body rel =
-  Relation.iter rel (fun row -> Array.iter (fun v -> w_value enc body v) row)
+let w_rows enc b rel = Relation.iter rel (fun row -> Array.iter (fun v -> w_value enc b v) row)
 
-(* A relation with no term cells travels as one blob of i64 cells: int
-   cells in their in-memory encoding, sym cells re-encoded as
-   [(local lsl 1) lor 1].  Nullary relations keep tagged rows, which
-   every reader accepts. *)
-let w_cell enc body c =
-  if Relation.Cell.is_sym c then w_i64 body ((local enc (Relation.Cell.sym_id c) lsl 1) lor 1)
-  else w_i64 body c
-
-let w_cells enc body rel =
+(* The live cells of [rel], in order. *)
+let iter_cells rel f =
   let cells = Relation.cells rel and w = Relation.arity rel and n = Relation.id_bound rel in
   if Relation.cardinal rel = n then
     for i = 0 to (n * w) - 1 do
-      w_cell enc body (Array.unsafe_get cells i)
+      f (Array.unsafe_get cells i)
     done
   else
     for id = 0 to n - 1 do
       if Relation.is_live rel id then
         for i = id * w to (id * w) + w - 1 do
-          w_cell enc body (Array.unsafe_get cells i)
+          f (Array.unsafe_get cells i)
         done
     done
+
+(* A relation with no term cells travels as one blob of i64 cells: int
+   cells in their in-memory encoding, sym cells re-encoded as
+   [(local lsl 1) lor 1].  Nullary relations keep tagged rows, which
+   every reader accepts. *)
+let w_cell enc b c =
+  if Relation.Cell.is_sym c then w_i64 b ((local enc (Relation.Cell.sym_id c) lsl 1) lor 1)
+  else w_i64 b c
+
+let rec value_syms enc = function
+  | Value.Int _ -> ()
+  | Value.Sym id | Value.Str id -> ignore (local enc id)
+  | Value.Tup xs | Value.App (_, xs) -> List.iter (value_syms enc) xs
 
 let write buf db =
   w_u32 buf magic;
   w_u8 buf version;
   let enc = { locals = Hashtbl.create 64; syms_rev = []; nsyms = 0 } in
-  (* rows go to a scratch buffer first: the symbol table they populate
-     must precede them in the stream *)
-  let body = Buffer.create 4096 in
-  let preds = Database.preds db in
-  w_u32 body (List.length preds);
+  let rels =
+    List.map
+      (fun pred ->
+        let rel = Option.get (Database.find db pred) in
+        (pred, rel, Relation.arity rel > 0 && not (Relation.has_terms rel)))
+      (Database.preds db)
+  in
+  (* The symbol table precedes the rows that fill it: a first pass meets
+     every symbol in the order the rows are then written in, so they go
+     straight into [buf]. *)
   List.iter
-    (fun pred ->
-      let rel = Option.get (Database.find db pred) in
-      w_str body pred;
-      w_u32 body (Relation.arity rel);
-      w_u32 body (Relation.cardinal rel);
-      if Relation.arity rel > 0 && not (Relation.has_terms rel) then begin
-        w_u8 body 1;
-        w_cells enc body rel
-      end
-      else begin
-        w_u8 body 0;
-        w_rows enc body rel
-      end)
-    preds;
+    (fun (_, rel, blob) ->
+      if blob then iter_cells rel (fun c -> if Relation.Cell.is_sym c then ignore (local enc (Relation.Cell.sym_id c)))
+      else Relation.iter rel (Array.iter (value_syms enc)))
+    rels;
   w_u32 buf enc.nsyms;
   List.iter (fun s -> w_str buf s) (List.rev enc.syms_rev);
-  Buffer.add_buffer buf body
+  w_u32 buf (List.length rels);
+  List.iter
+    (fun (pred, rel, blob) ->
+      w_str buf pred;
+      w_u32 buf (Relation.arity rel);
+      w_u32 buf (Relation.cardinal rel);
+      if blob then begin
+        w_u8 buf 1;
+        iter_cells rel (w_cell enc buf)
+      end
+      else begin
+        w_u8 buf 0;
+        w_rows enc buf rel
+      end)
+    rels
 
 (* ---------------- reading ---------------- *)
 

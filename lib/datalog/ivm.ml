@@ -64,6 +64,37 @@ let fr_suffix = "$ivm_fr"
 
 type kind = Monotone | Nonmonotone | Choice
 
+(* Support counts: a count per row of cells, the rows kept in a
+   relation (its id table finds them) and each count at its row's id.
+   A row at zero support is absent. *)
+module Supports = struct
+  type t = { rows : Relation.t; mutable counts : int array }
+
+  let create w = { rows = Relation.create "supports" w; counts = Array.make 64 0 }
+  let find s row = match Relation.find_cells s.rows row with -1 -> 0 | id -> s.counts.(id)
+
+  let bump s row n =
+    let id =
+      match Relation.find_cells s.rows row with
+      | -1 ->
+        ignore (Relation.add_cells s.rows row 0);
+        Relation.id_bound s.rows - 1
+      | id -> id
+    in
+    if id >= Array.length s.counts then begin
+      let counts = Array.make (2 * (id + 1)) 0 in
+      Array.blit s.counts 0 counts 0 (Array.length s.counts);
+      s.counts <- counts
+    end;
+    s.counts.(id) <- s.counts.(id) + n
+
+  (* The rows with a count, in the order they were first counted. *)
+  let iter s f =
+    for id = 0 to Relation.id_bound s.rows - 1 do
+      if s.counts.(id) <> 0 then f (Relation.row_cells s.rows id) s.counts.(id)
+    done
+end
+
 type stratum = {
   s_preds : string list;
   s_rules : Ast.rule list;
@@ -73,7 +104,7 @@ type stratum = {
   (* Support counts for the counting deletion path (non-recursive
      monotone strata only).  [None] = not initialized or invalidated;
      rebuilt lazily by the next deletion that reaches the stratum. *)
-  mutable s_supports : int Relation.Cells_tbl.t option;
+  mutable s_supports : Supports.t option;
 }
 
 type stats = {
@@ -256,8 +287,17 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
              gains any; relations that only gain rows use [pre_view]
              below. *)
           let pre : (string, Relation.t) Hashtbl.t = Hashtbl.create 8 in
+          (* The handles this apply replaced or made: read until it ends,
+             then released, so that no other handle reads a store the
+             compactions at the end squeeze in place. *)
+          let retired = ref [] in
+          let retire r =
+            retired := r :: !retired;
+            r
+          in
           let replace p old fresh =
             if not (Hashtbl.mem pre p) then Hashtbl.replace pre p old;
+            ignore (retire old);
             Database.set_relation model p fresh
           in
           (* Net rows removed from the model so far, per predicate. *)
@@ -302,7 +342,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                   | None -> Relation.create p 0
                   | Some rel ->
                     let m = mark p in
-                    if m >= Relation.id_bound rel then rel else Relation.prefix rel m
+                    if m >= Relation.id_bound rel then rel else retire (Relation.prefix rel m)
                 in
                 Hashtbl.replace pre_view_memo p r;
                 r)
@@ -345,7 +385,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                     end)
                 rows;
               if !n > 0 then begin
-                let fresh = Relation.compact (Relation.remove_ids rel set) in
+                let fresh = Relation.remove_ids rel set in
                 replace p rel fresh;
                 Hashtbl.replace base_card p (Relation.id_bound fresh);
                 note_deleted p rel !n (Relation.Idset.iter set)
@@ -368,7 +408,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                     | -1 -> ()
                     | j -> Relation.Idset.add set j
                   done;
-                  Relation.remove_ids pr set
+                  retire (Relation.remove_ids pr set)
                 | Some pr, None -> pr
                 | None, _ -> (
                   match Database.find model p with
@@ -493,14 +533,11 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
              state, so the following insertion step keeps it valid. *)
           let counting_delete s =
             let p = List.hd s.s_preds in
-            let bump tbl row n =
-              let prev = try Relation.Cells_tbl.find tbl row with Not_found -> 0 in
-              Relation.Cells_tbl.replace tbl row (prev + n)
-            in
+            let w = List.length (List.hd s.s_rules).head.args and bump = Supports.bump in
             match s.s_supports with
             | Some tbl ->
               (* Exact decrement against the state the counts reflect. *)
-              let dec = Relation.Cells_tbl.create 64 in
+              let dec = Supports.create w in
               List.iter (fun row -> bump dec (lookup_cells row) 1) (edb_del_of p);
               let is_deleted q = Hashtbl.mem deleted q in
               let is_dirty q =
@@ -514,23 +551,18 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                         (deletion_variants ~is_deleted ~is_dirty rule))
                     s.s_rules);
               let doomed = ref [] in
-              Relation.Cells_tbl.iter
-                (fun row n ->
-                  let cur = try Relation.Cells_tbl.find tbl row with Not_found -> 0 in
-                  let left = cur - n in
-                  if left <= 0 then begin
-                    Relation.Cells_tbl.remove tbl row;
-                    doomed := row :: !doomed
-                  end
-                  else Relation.Cells_tbl.replace tbl row left)
-                dec;
+              Supports.iter dec (fun row n ->
+                  let cur = Supports.find tbl row in
+                  (* to zero when [n] takes every support *)
+                  bump tbl row (-min cur n);
+                  if cur <= n then doomed := row :: !doomed);
               remove_rows p !doomed;
               false
             | None ->
               (* Recount from scratch against the already-final lower
                  state: rows at zero support disappear; rows counted
                  but not yet present arrive with the insertion step. *)
-              let tbl = Relation.Cells_tbl.create 256 in
+              let tbl = Supports.create w in
               let live_rows r f =
                 for id = 0 to Relation.id_bound r - 1 do
                   if Relation.is_live r id then f (Relation.row_cells r id)
@@ -548,7 +580,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
               (match Database.find model p with
               | Some rel ->
                 live_rows rel (fun row ->
-                    if not (Relation.Cells_tbl.mem tbl row) then doomed := row :: !doomed)
+                    if Supports.find tbl row = 0 then doomed := row :: !doomed)
               | None -> ());
               remove_rows p (List.rev !doomed);
               s.s_supports <- Some tbl;
@@ -727,7 +759,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                 List.iter
                   (fun dp ->
                     if dp.dp_count > 0 then begin
-                      dp.dp_live <- Relation.compact (Relation.remove_ids dp.dp_pre dp.dp_over);
+                      dp.dp_live <- Relation.remove_ids dp.dp_pre dp.dp_over;
                       replace dp.dp_pred dp.dp_pre dp.dp_live
                     end)
                   dps);
@@ -1051,6 +1083,13 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                   insert_phase s ~fresh_supports:!fresh_supports
               end)
             t.strata;
+          List.iter Relation.release !retired;
+          (* Compact once the handles that shared the stores are
+             released, so that a compaction works in place. *)
+          Hashtbl.iter
+            (fun p _ ->
+              Option.iter (fun r -> Database.set_relation model p (Relation.compact r)) (Database.find model p))
+            pre;
           stats.applies <- stats.applies + 1);
       Maintained
     with Fall msg ->

@@ -135,18 +135,32 @@ module Cell = struct
     else term (c lsr 2)
 end
 
+
 (* ------------------------------------------------------------------ *)
-(* Membership set and indexes                                          *)
+(* Id tables                                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Every row is [width] cells (see [Cell] above) at [id * width] in one
-   growable int array.  Membership and indexes are open-addressing
-   structures over row ids that probe straight into that store: no
-   per-entry box, no stored keys — a slot is compared by reading its
-   row's cells.  Power-of-two sizes, linear probing, no deletions: a
-   removed row keeps its entries, and a reader skips the ids it does
-   not see (see [t] below).  Probes are full-width cell buffers; an
-   index reads only its own columns of them. *)
+   growable int array.  The membership set and every index are one kind
+   of table over row ids: an index maps a row's cells on its columns —
+   its key — to the ids of the rows holding that key, in insertion
+   order, and the membership set is the index on every column.  No key
+   is stored: a slot is compared by reading the cells of a row it
+   names.  Power-of-two sizes, at most three quarters full, linear probing, no
+   deletions: a removed row keeps its entry, and a reader skips the ids
+   it does not see (see [t] below).
+
+   A slot is [-1] when empty, else [x] over the key's low [hbits] hash
+   bits.  The bits place the entry again when the table grows or is
+   compacted, reading no cell, and a probe reads the cells only of the
+   entries whose bits match its own.  [x] is [id lsl 1] for a key one
+   row holds: a unique key costs its slot and nothing else.  It is
+   [(tail lsl 1) lor 1] for a key several rows hold: [next] links each
+   of them to the next in insertion order, and the tail back to the
+   head, so ids grow along a chain up to its tail.  Whether a key is
+   unique is decided by the rows the index has met, so an index whose
+   every key has one row (an FD index of a [chosen$] relation) has no
+   [next] at all. *)
 
 let mix h c = (h * 1000003) lxor c
 
@@ -157,10 +171,6 @@ let finish h =
   let h = (h lxor (h lsr 32)) * 0x7fb5d329728ea185 in
   (h lxor (h lsr 29)) land max_int
 
-let rec hash_cells cells off w h i =
-  if i = w then finish h
-  else hash_cells cells off w (mix h (Array.unsafe_get cells (off + i))) (i + 1)
-
 (* [Array.blit] for cells: the runtime's blit cannot tell an int array
    from one of pointers, and into a major-heap array it runs the write
    barrier per element; a typed loop runs none. *)
@@ -169,34 +179,20 @@ let blit_cells (src : int array) soff (dst : int array) doff n =
     Array.unsafe_set dst (doff + i) (Array.unsafe_get src (soff + i))
   done
 
-let rec cells_eq a aoff b boff w i =
-  i = w
-  || (Array.unsafe_get a (aoff + i) = Array.unsafe_get b (boff + i)
-     && cells_eq a aoff b boff w (i + 1))
-
-(* Hash tables keyed by whole rows of cells. *)
-module Cells_tbl = Hashtbl.Make (struct
-  type t = int array
-
-  let equal a b = Array.length a = Array.length b && cells_eq a 0 b 0 (Array.length a) 0
-  let hash a = hash_cells a 0 (Array.length a) 17 0
-end)
-
 (* Dead rows: bit [id] of a handle's bitmap is set when row [id] was
    removed.  A bitmap never changes once its handle exists, so handles
    share them freely; no bit at or past the handle's id bound is set,
    and ids past the bitmap's end are live. *)
 let no_dead = Bytes.empty
 
-let[@inline] is_dead dead id =
-  let byte = id lsr 3 in
-  byte < Bytes.length dead
-  && Char.code (Bytes.unsafe_get dead byte) land (1 lsl (id land 7)) <> 0
+let[@inline] dead_byte dead byte =
+  if byte < Bytes.length dead then Char.code (Bytes.unsafe_get dead byte) else 0
+
+let[@inline] is_dead dead id = dead_byte dead (id lsr 3) land (1 lsl (id land 7)) <> 0
 
 let set_dead dead id =
   let byte = id lsr 3 in
-  Bytes.unsafe_set dead byte
-    (Char.unsafe_chr (Char.code (Bytes.unsafe_get dead byte) lor (1 lsl (id land 7))))
+  Bytes.unsafe_set dead byte (Char.unsafe_chr (dead_byte dead byte lor (1 lsl (id land 7))))
 
 (* Bits [0, n) of [dead] in a fresh bitmap sized for [n] ids. *)
 let dead_prefix dead n =
@@ -222,8 +218,7 @@ module Idset = struct
   let remove s id =
     let byte = id lsr 3 in
     if byte < Bytes.length s then
-      Bytes.unsafe_set s byte
-        (Char.unsafe_chr (Char.code (Bytes.unsafe_get s byte) land lnot (1 lsl (id land 7))))
+      Bytes.unsafe_set s byte (Char.unsafe_chr (dead_byte s byte land lnot (1 lsl (id land 7))))
 
   let iter s f =
     for byte = 0 to Bytes.length s - 1 do
@@ -235,71 +230,34 @@ module Idset = struct
     done
 end
 
-(* Membership: a hash set of row ids keyed by full-row cell content,
-   [-1] marking an empty slot.  An entry is the id shifted left by 8
-   over 8 high bits of the row's hash, so a probe reads the cells of
-   only the rows whose tag matches its own.  Always populated, so that
-   [mem] never mutates — concurrent readers call it on relations they
-   only read. *)
-let[@inline] entry id h = (id lsl 8) lor ((h lsr 40) land 255)
-let[@inline] entry_id e = e lsr 8
-let slots_create n =
-  let rec cap c = if c >= 2 * n then c else cap (2 * c) in
-  Array.make (cap 32) (-1)
+(* Compaction renumbers the live ids densely, in order: [ids.(id)] is
+   the new id of each id below the bound, -1 for a dead one.  One map
+   per domain, grown and never shrunk, so a compaction allocates none. *)
+let id_map = Domain.DLS.new_key (fun () -> ref [||])
 
-(* The first empty slot on the probe sequence of hash [h]. *)
-let free_slot slots h =
-  let mask = Array.length slots - 1 in
-  let i = ref (h land mask) in
-  while Array.unsafe_get slots !i >= 0 do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-(* Enter rows [0, n) of [cells] in the empty membership set [slots]:
-   each at the first free slot of its hash, compared with nothing —
-   a dead row and the live copy added after it each keep an entry. *)
-let fill_slots slots cells w n =
+let renumber dead n =
+  let m = Domain.DLS.get id_map in
+  if Array.length !m < n then m := Array.make (max n (2 * Array.length !m)) 0;
+  let ids = !m and k = ref 0 in
   for id = 0 to n - 1 do
-    let h = hash_cells cells (id * w) w 17 0 in
-    slots.(free_slot slots h) <- entry id h
+    if is_dead dead id then Array.unsafe_set ids id (-1)
+    else begin
+      Array.unsafe_set ids id !k;
+      incr k
+    end
   done;
-  slots
+  ids
 
-(* The slot of the row whose cells equal [key] at [koff] among the ids
-   below [bound] that [dead] leaves live, or the empty slot where that
-   row would go, for the key's hash [h].  Other rows with those cells
-   — removed ones, or ones past the bound — are stepped over like any
-   other key, and without reading their cells. *)
-let seen_slot slots cells w key koff h bound dead =
-  let mask = Array.length slots - 1 and tag = entry 0 h in
-  let i = ref (h land mask) in
-  while
-    let e = Array.unsafe_get slots !i in
-    e >= 0
-    && not
-         (e land 255 = tag
-         &&
-         let id = entry_id e in
-         id < bound && (not (is_dead dead id)) && cells_eq cells (id * w) key koff w 0)
-  do
-    i := (!i + 1) land mask
-  done;
-  !i
+let hbits = 30
+let hmask = (1 lsl hbits) - 1
+let[@inline] entry x h = (x lsl hbits) lor (h land hmask)
 
-(* An index maps the projection on a column set to the chain of
-   matching row ids.  [slots] is an open-addressing table of (head,
-   tail) pairs, one per distinct key, head [-1] marking an empty slot;
-   a key is the projection of its chain's head row, so no keys are
-   stored.  [next.(id)] links each row to the next one with its key:
-   chains run in insertion order, so ids along a chain only grow, and
-   nothing is allocated per key or per row. *)
 type index = {
-  mask : int;  (* the bound columns, as a bitmask *)
+  mask : int;  (* the key columns, as a bitmask *)
   cols : int array;
-  mutable slots : int array;  (* slot i at [2i] (head) and [2i+1] (tail) *)
+  mutable slots : int array;
   mutable keys : int;
-  mutable next : int array;
+  mutable next : int array;  (* [||] until some key meets its second row *)
 }
 
 let rec hash_proj cells off (cols : int array) h i =
@@ -313,87 +271,190 @@ let rec proj_eq a aoff b boff (cols : int array) i =
   let c = Array.unsafe_get cols i in
   Array.unsafe_get a (aoff + c) = Array.unsafe_get b (boff + c) && proj_eq a aoff b boff cols (i + 1)
 
-(* The slot of the chain whose key is the projection of [key] at
-   [koff], or the empty slot where that chain would go. *)
-let index_slot slots cells w cols key koff =
-  let mask = (Array.length slots / 2) - 1 in
-  let i = ref (hash_proj key koff cols 17 0 land mask) in
+(* The slot of the key of the row at [koff] in [key] (hash [h]), or the
+   empty slot where it would go. *)
+let index_slot ix cells w key koff h =
+  let slots = ix.slots in
+  let mask = Array.length slots - 1 and tag = h land hmask in
+  let i = ref (h land mask) in
   while
-    let head = Array.unsafe_get slots (2 * !i) in
-    head >= 0 && not (proj_eq cells (head * w) key koff cols 0)
+    let e = Array.unsafe_get slots !i in
+    e >= 0 && not (e land hmask = tag && proj_eq cells ((e lsr (hbits + 1)) * w) key koff ix.cols 0)
   do
     i := (!i + 1) land mask
   done;
-  2 * !i
+  !i
 
-let index_create mask cols rows =
-  { mask; cols; slots = Array.make 128 (-1); keys = 0; next = Array.make (max 16 rows) (-1) }
+(* Enter [e] in the first empty slot from the home its bits give. *)
+let place slots e =
+  let mask = Array.length slots - 1 in
+  let i = ref (e land mask) in
+  while Array.unsafe_get slots !i >= 0 do
+    i := (!i + 1) land mask
+  done;
+  Array.unsafe_set slots !i e
 
-let index_copy ix = { ix with slots = Array.copy ix.slots; next = Array.copy ix.next }
+(* A table of [cap] slots is full at three quarters. *)
+let[@inline] full keys cap = 4 * (keys + 1) > 3 * cap
 
+(* The table size for [n] keys. *)
+let table_size n =
+  let rec cap c = if full n c then cap (2 * c) else c in
+  cap 16
+
+let index_create mask cols n = { mask; cols; slots = Array.make (table_size n) (-1); keys = 0; next = [||] }
 let no_index = { mask = -1; cols = [||]; slots = [||]; keys = 0; next = [||] }
+
+(* Row [id] under the key in slot [s] (hash [h]): a new key, its
+   second row, or a chain's new tail.  Only the old tail's [next]
+   changes, so a walk that started before still ends where it would. *)
+let link ix s id h =
+  let e = Array.unsafe_get ix.slots s in
+  if e < 0 then begin
+    ix.slots.(s) <- entry (id lsl 1) h;
+    ix.keys <- ix.keys + 1
+  end
+  else begin
+    if id >= Array.length ix.next then begin
+      let next = Array.make (max 16 (2 * (id + 1))) (-1) in
+      blit_cells ix.next 0 next 0 (Array.length ix.next);
+      ix.next <- next
+    end;
+    let x = e lsr hbits in
+    let t = x lsr 1 in
+    ix.next.(id) <- (if x land 1 = 0 then t else ix.next.(t));
+    ix.next.(t) <- id;
+    ix.slots.(s) <- entry ((id lsl 1) lor 1) h
+  end
+
+let index_add ix cells w id =
+  if full ix.keys (Array.length ix.slots) then begin
+    let slots = Array.make (2 * Array.length ix.slots) (-1) in
+    Array.iter (fun e -> if e >= 0 then place slots e) ix.slots;
+    ix.slots <- slots
+  end;
+  let h = hash_proj cells (id * w) ix.cols 17 0 in
+  link ix (index_slot ix cells w cells (id * w) h) id h
+
+(* The ids of the key in slot [s] below [bound] that [dead] leaves
+   live, in insertion order: the first one, or -1 ... *)
+let rec first_from next t bound dead id =
+  if id >= bound then -1
+  else if not (is_dead dead id) then id
+  else if id = t then -1
+  else first_from next t bound dead (Array.unsafe_get next id)
+
+let first_id ix s bound dead =
+  let e = Array.unsafe_get ix.slots s in
+  if e < 0 then -1
+  else
+    let x = e lsr hbits in
+    if x land 1 = 0 then first_from [||] (x lsr 1) bound dead (x lsr 1)
+    else first_from ix.next (x lsr 1) bound dead ix.next.(x lsr 1)
+
+(* ... or each of them, [next] read before [f] sees an id: rows [f]
+   adds are not visited. *)
+let rec walk_from next t bound dead f id =
+  if id < bound then begin
+    let after = Array.unsafe_get next id in
+    if not (is_dead dead id) then f id;
+    if id <> t then walk_from next t bound dead f after
+  end
+
+let walk_slot ix s bound dead f =
+  let e = Array.unsafe_get ix.slots s in
+  if e >= 0 then begin
+    let x = e lsr hbits in
+    let t = x lsr 1 in
+    if x land 1 = 0 then (if t < bound && not (is_dead dead t) then f t)
+    else walk_from ix.next t bound dead f ix.next.(t)
+  end
+
+(* Squeezing renumbers an index where it is, by [ids] (see [renumber]),
+   dropping the ids past [bound].  Renumbering is monotone, so chains
+   keep their order, and an entry goes back by its stored bits: no cell
+   is read.  First the slots, in one pass that starts after an empty
+   slot, so that no probe run wraps past the start: each entry is taken
+   out, renumbered and placed again, at or before its old slot. *)
+
+(* The renumbered entry of the chain of [e] (tail [t]), or -1 when none
+   of its ids is left.  A chain that keeps two ids or more leaves its
+   new head at [next.(t)], for [relink]. *)
+let chain_entry next t bound ids e =
+  let first = ref (-1) and last = ref (-1) and id = ref next.(t) in
+  while !id < bound && begin
+      let k = Array.unsafe_get ids !id in
+      if k >= 0 then begin
+        if !first < 0 then first := k;
+        last := k
+      end;
+      !id <> t
+    end
+  do
+    id := next.(!id)
+  done;
+  if !first = !last then (if !first < 0 then -1 else entry (!first lsl 1) e)
+  else begin
+    next.(t) <- !first;
+    entry ((!last lsl 1) lor 1) e
+  end
+
+(* Then the links, in id order: each id left links to the next one of
+   its chain, the last one to the new head at the old tail ([next.(j)
+   <= j] only there).  A link is written at a new id, which is no
+   larger than the id being read, so every link read is still old.  Ids
+   past [next]'s end never met a second row under their key. *)
+let relink next bound ids =
+  for i = 0 to min bound (Array.length next) - 1 do
+    let k = Array.unsafe_get ids i in
+    if k >= 0 then begin
+      let j = ref i in
+      while
+        let n = next.(!j) in
+        n > !j && (n >= bound || Array.unsafe_get ids n < 0)
+      do
+        j := next.(!j)
+      done;
+      let n = next.(!j) in
+      next.(k) <- (if n > !j then Array.unsafe_get ids n else n)
+    end
+  done
+
+let squeeze bound ids ix =
+  let slots = ix.slots in
+  if Array.length slots > 0 then begin
+    let mask = Array.length slots - 1 and start = ref 0 in
+    while slots.(!start) >= 0 do
+      incr start
+    done;
+    ix.keys <- 0;
+    for j = 1 to mask do
+      let i = (!start + j) land mask in
+      let e = Array.unsafe_get slots i in
+      if e >= 0 then begin
+        Array.unsafe_set slots i (-1);
+        let x = e lsr hbits in
+        let t = x lsr 1 in
+        let e =
+          if x land 1 = 1 then chain_entry ix.next t bound ids e
+          else begin
+            (* a unique key's row links nowhere: [relink] must not follow it *)
+            if t < Array.length ix.next then ix.next.(t) <- -1;
+            if t < bound && Array.unsafe_get ids t >= 0 then entry (Array.unsafe_get ids t lsl 1) e else -1
+          end
+        in
+        if e >= 0 then begin
+          ix.keys <- ix.keys + 1;
+          place slots e
+        end
+      end
+    done;
+    if Array.length ix.next > 0 then relink ix.next bound ids
+  end
 
 let rec find_index mask = function
   | [] -> no_index
   | ix :: rest -> if ix.mask = mask then ix else find_index mask rest
-
-(* Append a stored row to its key's chain. *)
-let index_add ix cells w id =
-  if id >= Array.length ix.next then begin
-    let next = Array.make (2 * Array.length ix.next) (-1) in
-    blit_cells ix.next 0 next 0 (Array.length ix.next);
-    ix.next <- next
-  end;
-  if 4 * (ix.keys + 1) >= Array.length ix.slots then begin
-    let slots = Array.make (2 * Array.length ix.slots) (-1) in
-    for i = 0 to (Array.length ix.slots / 2) - 1 do
-      let head = ix.slots.(2 * i) in
-      if head >= 0 then begin
-        let s = index_slot slots cells w ix.cols cells (head * w) in
-        slots.(s) <- head;
-        slots.(s + 1) <- ix.slots.((2 * i) + 1)
-      end
-    done;
-    ix.slots <- slots
-  end;
-  let s = index_slot ix.slots cells w ix.cols cells (id * w) in
-  if ix.slots.(s) >= 0 then ix.next.(ix.slots.(s + 1)) <- id
-  else begin
-    ix.slots.(s) <- id;
-    ix.keys <- ix.keys + 1
-  end;
-  ix.slots.(s + 1) <- id
-
-(* [ix] over a store compacted to the ids [renum] maps to (-1 for a
-   row dropped; ids at or past [bound] are dropped too), for the new
-   [cells] with room for [rows] rows.  Renumbering keeps every chain in
-   order, so chains are relinked as they stand and only their keys are
-   re-placed: no row outside a chain's head is hashed. *)
-let index_renumber ix renum bound cells w rows =
-  let nx = index_create ix.mask ix.cols rows in
-  let cap = ref 128 in
-  while !cap < 4 * (ix.keys + 1) do
-    cap := 2 * !cap
-  done;
-  nx.slots <- Array.make !cap (-1);
-  for i = 0 to (Array.length ix.slots / 2) - 1 do
-    let id = ref ix.slots.(2 * i) and head = ref (-1) and tail = ref (-1) in
-    while !id >= 0 && !id < bound do
-      let fresh = renum.(!id) in
-      if fresh >= 0 then begin
-        if !head < 0 then head := fresh else nx.next.(!tail) <- fresh;
-        tail := fresh
-      end;
-      id := ix.next.(!id)
-    done;
-    if !head >= 0 then begin
-      let s = index_slot nx.slots cells w nx.cols cells (!head * w) in
-      nx.slots.(s) <- !head;
-      nx.slots.(s + 1) <- !tail;
-      nx.keys <- nx.keys + 1
-    end
-  done;
-  nx
 
 (* ------------------------------------------------------------------ *)
 (* Relations                                                           *)
@@ -419,8 +480,8 @@ type digest_cache = {
    bound and around its own dead rows.
 
    One handle at most, the store's [owner], appends in place; it is
-   always at the store's [used].  [remove] makes a new handle on the
-   same store and passes ownership on, so the handle it came from
+   always at the store's [used].  [remove_ids] makes a new handle on
+   the same store and passes ownership on, so the handle it came from
    stays the exact pre-removal state while the new one keeps growing.
    Any other handle copies the store before its first append
    ([privatize]).  [copy] hands ownership to nobody: a store that two
@@ -428,20 +489,25 @@ type digest_cache = {
    mutates — which is what lets sessions on other domains read a
    shared fact base.
 
-   Every index in [indexes] covers ids [0, used), dead ones included,
-   and the owner extends each on append; handles on the store share
-   them. *)
+   [members] and every index in [indexes] cover ids [0, hashed) and
+   [0, used), dead ones included; the owner extends them on append, and
+   handles on the store share them.
+
+   [readers] counts the handles on a store that are not released
+   ([release]): a compaction works in place when its handle is the
+   owner and the only reader, and in a copy otherwise. *)
 type store = {
   mutable cells : int array;  (* row i at [i*width, (i+1)*width) *)
-  mutable slots : int array;  (* membership: one entry per id below [hashed] *)
+  members : index;  (* the index on every column *)
   mutable used : int;
   mutable hashed : int;
       (* ids [hashed, used) were appended unchecked ([append_of]); they
-         enter [slots] before the set is next read.  Equal to [used] on
-         a frozen store ([copy] catches up first), so concurrent
-         readers never write. *)
+         enter [members] before it is next read.  Equal to [used] on a
+         frozen store ([copy] catches up first), so concurrent readers
+         never write. *)
   mutable owner : int;  (* the owning handle's [tok], or -1 *)
   mutable indexes : index list;
+  mutable readers : int;
 }
 
 type t = {
@@ -457,24 +523,43 @@ type t = {
   dead : Bytes.t;
   scratch : int array;  (* reusable full-width probe *)
   mutable digest : digest_cache option;
+  mutable held : bool;  (* counted in [store.readers] *)
 }
 
 let tokens = Atomic.make 0
 let fresh_tok () = Atomic.fetch_and_add tokens 1
+
+let new_store cells members used indexes owner =
+  { cells; members; used; hashed = used; owner; indexes; readers = 1 }
 
 let make rel_name width cells count =
   let tok = fresh_tok () in
   { rel_name;
     width;
     tok;
-    store =
-      { cells; slots = slots_create (count + 1); used = count; hashed = count; owner = tok; indexes = [] };
+    store = new_store cells (index_create ((1 lsl width) - 1) (Array.init width Fun.id) count) count [] tok;
     cells;
     count;
     live = count;
     dead = no_dead;
     scratch = Array.make width 0;
-    digest = None }
+    digest = None;
+    held = true }
+
+(* A new handle on [r]'s store. *)
+let share r ~tok ~count ~live ~dead ~digest =
+  r.store.readers <- r.store.readers + 1;
+  { r with tok; count; live; dead; scratch = Array.make r.width 0; digest; held = true }
+
+(* [r] reads its store no more: it reads as empty from now on. *)
+let release r =
+  if r.held then begin
+    r.held <- false;
+    r.store.readers <- r.store.readers - 1;
+    r.cells <- [||];
+    r.count <- 0;
+    r.live <- 0
+  end
 
 let create rel_name arity = make rel_name arity [||] 0
 
@@ -484,49 +569,31 @@ let id_bound r = r.count
 let is_live r id = id < r.count && not (is_dead r.dead id)
 let full_mask r = (1 lsl r.width) - 1
 
-(* Enter the rows appended since the membership set was last written,
-   growing the set as needed — to twice the size the rows need, or an
-   add that fills it to half would rebuild it at the size it had.  Only
-   the owner writes a store. *)
+(* Enter the rows appended since the membership set was last written.
+   Only the owner writes a store. *)
 let catch_up st w =
-  if st.hashed < st.used then begin
-    if 2 * (st.used + 1) >= Array.length st.slots then
-      st.slots <- fill_slots (slots_create (2 * (st.used + 1))) st.cells w st.used
-    else
-      for id = st.hashed to st.used - 1 do
-        let h = hash_cells st.cells (id * w) w 17 0 in
-        st.slots.(free_slot st.slots h) <- entry id h
-      done;
-    st.hashed <- st.used
-  end
+  for id = st.hashed to st.used - 1 do
+    index_add st.members st.cells w id
+  done;
+  st.hashed <- st.used
 
-(* Make [r] the owner of a store of its own before it appends.  A store
-   written only up to [r]'s bound is copied as it stands, indexes
-   included; one another handle has appended to since keeps those rows
-   out of [r]'s copy, so its membership set is rebuilt and its indexes
-   are left to be rebuilt on demand. *)
-let privatize r =
+let copy_index ix = { ix with slots = Array.copy ix.slots; next = Array.copy ix.next }
+
+(* Make [r] the owner of a store of its own: [r]'s store copied, its
+   tables squeezed by [ids] to the ids below [r]'s bound (another
+   handle may have appended past it). *)
+let own r ids =
   let st = r.store in
-  if st.owner <> r.tok then begin
-    catch_up st r.width;
-    let cells = Array.copy st.cells in
-    r.store <-
-      (if st.used = r.count then
-         { cells;
-           slots = Array.copy st.slots;
-           used = st.used;
-           hashed = st.used;
-           owner = r.tok;
-           indexes = List.map index_copy st.indexes }
-       else
-         { cells;
-           slots = fill_slots (slots_create (r.count + 1)) cells r.width r.count;
-           used = r.count;
-           hashed = r.count;
-           owner = r.tok;
-           indexes = [] });
-    r.cells <- cells
-  end
+  catch_up st r.width;
+  let members = copy_index st.members and indexes = List.map copy_index st.indexes in
+  List.iter (squeeze r.count ids) (members :: indexes);
+  if r.held then st.readers <- st.readers - 1;
+  r.store <- new_store (Array.copy st.cells) members r.count indexes r.tok;
+  r.cells <- r.store.cells;
+  r.held <- true
+
+(* ... before it appends. *)
+let privatize r = if r.store.owner <> r.tok then own r (renumber no_dead r.count)
 
 let read r id col = Cell.decode (Array.unsafe_get r.cells ((id * r.width) + col))
 
@@ -558,11 +625,8 @@ let rec add_to_indexes cells w id = function
 let find_cells r (probe : int array) =
   let st = r.store in
   catch_up st r.width;
-  let e =
-    st.slots.(seen_slot st.slots st.cells r.width probe 0 (hash_cells probe 0 r.width 17 0) r.count
-                r.dead)
-  in
-  if e < 0 then -1 else entry_id e
+  let ix = st.members in
+  first_id ix (index_slot ix st.cells r.width probe 0 (hash_proj probe 0 ix.cols 17 0)) r.count r.dead
 
 (* Write the row in [r.scratch] at id [r.count] of [r]'s own store. *)
 let push_scratch r =
@@ -588,22 +652,22 @@ let push_done r =
   r.live <- r.live + 1
 
 (* Insert the candidate row held in [r.scratch].  A removed row comes
-   back under a new id, with an entry of its own: the old entry stays
-   for the handles that still see the old id. *)
+   back under a new id, chained behind its old one: the old id stays
+   for the handles that still see it. *)
 let add_scratch r =
   let st0 = r.store and w = r.width in
   catch_up st0 w;
-  (* the row's slot if present, else the empty slot it goes in *)
-  let h = hash_cells r.scratch 0 w 17 0 in
-  let slot = seen_slot st0.slots st0.cells w r.scratch 0 h r.count r.dead in
-  if st0.slots.(slot) >= 0 then false
+  let ix = st0.members in
+  let h = hash_proj r.scratch 0 ix.cols 17 0 in
+  let slot = index_slot ix st0.cells w r.scratch 0 h in
+  if first_id ix slot r.count r.dead >= 0 then false
   else begin
     privatize r;
     let st = r.store in
     push_scratch r;
     st.used <- st.used + 1;
-    if st == st0 && 2 * (st.used + 1) < Array.length st.slots then begin
-      st.slots.(slot) <- entry r.count h;
+    if st == st0 && (ix.slots.(slot) >= 0 || not (full ix.keys (Array.length ix.slots))) then begin
+      link ix slot r.count h;
       st.hashed <- st.used
     end
     else catch_up st w;
@@ -705,18 +769,16 @@ let to_list r =
   iter r (fun row -> acc := row :: !acc);
   List.rev !acc
 
-(* Fresh cells holding the live rows of [r] outside [doomed], densely,
-   in id order, with room for a quarter more: survivors are copied as
-   runs of cells, decoding nothing. *)
-let dense_cells r doomed n =
+(* The live rows of [r], densely, in id order, into [cells]: survivors
+   are copied down as runs of cells, decoding nothing. *)
+let copy_live r cells =
   let w = r.width and src = r.cells in
-  let cells = Array.make (max (16 * w) ((n + (n / 4)) * w)) 0 in
   let out = ref 0 and i = ref 0 in
   while !i < r.count do
-    if is_dead doomed !i then incr i
+    if is_dead r.dead !i then incr i
     else begin
       let lo = !i in
-      while !i < r.count && not (is_dead doomed !i) do
+      while !i < r.count && not (is_dead r.dead !i) do
         incr i
       done;
       blit_cells src (lo * w) cells (!out * w) ((!i - lo) * w);
@@ -729,11 +791,11 @@ let dense_cells r doomed n =
    [remove_ids] makes a new handle on [r]'s store whose bitmap also
    marks the ids dead: no survivor is copied, re-hashed or re-indexed,
    and [r] keeps reading its own rows.  [compact], once dead rows
-   exceed an eighth of the live ones, copies the survivors into a
-   fresh store, their index chains renumbered along: every scan stays
-   within 1.125 times the live rows, the cost per removed row stays
-   constant, and the store, compacted with room for a quarter more
-   rows, need not grow while an assert/retract stream churns it.
+   exceed an eighth of the live ones, copies the survivors down into
+   another store and renumbers their ids in its tables: every scan
+   stays within 1.125 times the live rows, the cost per removed row
+   stays constant, and the store, compacted with room for a quarter
+   more rows, need not grow while an assert/retract stream churns it.
    (Looser thresholds compact less often but keep larger stores:
    letting dead rows outnumber live ones raised gbcd's peak RSS on
    serve_update by ~12%, a quarter by ~8%.)  A digest cache carries
@@ -760,43 +822,39 @@ let remove_ids r set =
   in
   let tok = fresh_tok () in
   if st.owner = r.tok then st.owner <- tok;
-  { r with
-    tok;
-    live = r.live - !n;
-    dead = doomed;
-    scratch = Array.make w 0;
-    digest =
-      (match r.digest with
-      | Some d when w > 0 -> Some { d with removed = gone d :: d.removed }
-      | _ -> None) }
+  share r ~tok ~count:r.count ~live:(r.live - !n) ~dead:doomed
+    ~digest:(match r.digest with Some d when w > 0 -> Some { d with removed = gone d :: d.removed } | _ -> None)
 
 let compact r =
-  let w = r.width and st = r.store and live = r.live in
+  let w = r.width and live = r.live in
   if 8 * (r.count - live) <= live then r
   else begin
-    let out = make r.rel_name w (dense_cells r r.dead live) live in
-    let ost = out.store in
-    ignore (fill_slots ost.slots ost.cells w live);
-    if st.indexes <> [] then begin
-      let renum = Array.make r.count (-1) and k = ref 0 in
-      for id = 0 to r.count - 1 do
-        if not (is_dead r.dead id) then begin
-          renum.(id) <- !k;
-          incr k
-        end
-      done;
-      let rows = Array.length ost.cells / w in
-      ost.indexes <- List.map (fun ix -> index_renumber ix renum r.count ost.cells w rows) st.indexes
-    end;
-    (match r.digest with
-    | Some d when w > 0 ->
-      let mark = ref 0 in
-      for id = 0 to d.mark - 1 do
-        if not (is_dead r.dead id) then incr mark
-      done;
-      out.digest <- Some { d with mark = !mark }
-    | _ -> ());
-    out
+    let ids = renumber r.dead r.count and st = r.store in
+    (* in place when no other handle reads the store, else in a copy *)
+    if r.held && st.owner = r.tok && st.readers = 1 then begin
+      catch_up st w;
+      List.iter (squeeze r.count ids) (st.members :: st.indexes)
+    end
+    else own r ids;
+    let st = r.store in
+    ignore (copy_live r st.cells);
+    st.used <- live;
+    st.hashed <- live;
+    let tok = fresh_tok () in
+    st.owner <- tok;
+    let digest =
+      match r.digest with
+      | Some d when w > 0 ->
+        let mark = ref 0 in
+        for id = 0 to d.mark - 1 do
+          if not (is_dead r.dead id) then incr mark
+        done;
+        Some { d with mark = !mark }
+      | _ -> None
+    in
+    release r;
+    st.readers <- st.readers + 1;
+    { r with tok; cells = st.cells; count = live; live; dead = no_dead; scratch = Array.make w 0; digest; held = true }
   end
 
 let remove r rows =
@@ -814,13 +872,9 @@ let prefix r m =
   if m < 0 || m > r.count then invalid_arg "Relation.prefix: bound out of range";
   let later = ref 0 in
   iter_live r m r.count (fun _ -> incr later);
-  { r with
-    tok = fresh_tok ();
-    count = m;
-    live = r.live - !later;
-    dead = (if r.live = r.count then no_dead else dead_prefix r.dead m);
-    scratch = Array.make r.width 0;
-    digest = None }
+  share r ~tok:(fresh_tok ()) ~count:m ~live:(r.live - !later)
+    ~dead:(if r.live = r.count then no_dead else dead_prefix r.dead m)
+    ~digest:None
 
 (* ---------------- indexes and probes ---------------- *)
 
@@ -830,9 +884,7 @@ let index r mask =
   if ix != no_index then ix
   else begin
     let cols = List.filter (fun c -> mask land (1 lsl c) <> 0) (List.init r.width Fun.id) in
-    (* [next] as long as the store's row capacity: rows appended
-       before the store next grows do not reallocate it *)
-    let ix = index_create mask (Array.of_list cols) (Array.length st.cells / r.width) in
+    let ix = index_create mask (Array.of_list cols) 0 in
     for i = 0 to st.used - 1 do
       index_add ix st.cells r.width i
     done;
@@ -840,24 +892,9 @@ let index r mask =
     ix
   end
 
-(* The chain of [probe]'s key, up to the id bound [bound], around dead
-   rows. *)
-let walk (ix : index) r (probe : int array) bound f =
-  let id = ref ix.slots.(index_slot ix.slots r.store.cells r.width ix.cols probe 0) in
-  if r.live = r.count then
-    while !id >= 0 && !id < bound do
-      let cur = !id in
-      id := Array.unsafe_get ix.next cur;
-      f cur
-    done
-  else begin
-    let dead = r.dead in
-    while !id >= 0 && !id < bound do
-      let cur = !id in
-      id := Array.unsafe_get ix.next cur;
-      if not (is_dead dead cur) then f cur
-    done
-  end
+(* The ids under [probe]'s key, up to the id bound, around dead rows. *)
+let walk ix r (probe : int array) f =
+  walk_slot ix (index_slot ix r.store.cells r.width probe 0 (hash_proj probe 0 ix.cols 17 0)) r.count r.dead f
 
 (* Rows agreeing with the encoded [probe] on every column of [mask],
    in insertion order.  A fully-bound probe is answered from the
@@ -871,7 +908,7 @@ let probe_ids r mask (probe : int array) f =
     let id = find_cells r probe in
     if id >= 0 then f id
   end
-  else walk (index r mask) r probe r.count f
+  else walk (index r mask) r probe f
 
 let iter_matching_ids r (pattern : Value.t option array) f =
   if Array.length pattern <> r.width then
@@ -904,7 +941,7 @@ let probe_ids_ro r mask (probe : int array) f =
   if mask = 0 || mask = full_mask r then probe_ids r mask probe f
   else
     let ix = find_index mask r.store.indexes in
-    if ix != no_index then walk ix r probe r.count f
+    if ix != no_index then walk ix r probe f
     else
       let cells = r.cells in
       iter_live r 0 r.count (fun i -> if cells_match cells (i * r.width) r.width mask probe 0 then f i)
@@ -962,7 +999,11 @@ let copy r =
   let st = r.store in
   catch_up st r.width;
   st.owner <- -1;
-  { r with tok = fresh_tok (); store = { st with indexes = [] }; scratch = Array.make r.width 0 }
+  { r with
+    tok = fresh_tok ();
+    store = { st with indexes = []; readers = 1 };
+    scratch = Array.make r.width 0;
+    held = true }
 
 (* ------------------------------------------------------------------ *)
 (* Statistics and raw access                                           *)
@@ -973,12 +1014,8 @@ let copy r =
    ([Int (-2^61)] is outside the inline range, and symbol and term
    cells are non-negative). *)
 let distinct_cells cells n w c =
-  let cap = ref 64 in
-  while !cap < 2 * n do
-    cap := 2 * !cap
-  done;
-  let slots = Array.make !cap min_int in
-  let mask = !cap - 1 in
+  let slots = Array.make (table_size n) min_int in
+  let mask = Array.length slots - 1 in
   let distinct = ref 0 in
   for i = 0 to n - 1 do
     let cell = Array.unsafe_get cells ((i * w) + c) in
@@ -996,7 +1033,7 @@ let distinct_cells cells n w c =
 (* Per-column distinct counts for the cost-based planner: one cell is
    one value, so raw cells are counted with no boxing. *)
 let distinct_counts r =
-  let cells = if r.live = r.count then r.cells else dense_cells r r.dead r.live in
+  let cells = if r.live = r.count then r.cells else copy_live r (Array.make (r.live * r.width) 0) in
   Array.init r.width (fun c -> if r.live = 0 then 0 else distinct_cells cells r.live r.width c)
 
 let cells r = r.cells
@@ -1015,11 +1052,11 @@ let of_cells rel_name arity (cells : int array) count =
   if arity < 0 || Array.length cells < count * arity then
     invalid_arg "Relation.of_cells: cell array too short";
   let r = make rel_name arity cells count in
-  let slots = r.store.slots in
+  let ix = r.store.members in
   for i = 0 to count - 1 do
-    let h = hash_cells cells (i * arity) arity 17 0 in
-    let s = seen_slot slots cells arity cells (i * arity) h i no_dead in
-    if slots.(s) >= 0 then invalid_arg (Printf.sprintf "Relation.of_cells: duplicate row in %s" rel_name);
-    slots.(s) <- entry i h
+    let h = hash_proj cells (i * arity) ix.cols 17 0 in
+    let s = index_slot ix cells arity cells (i * arity) h in
+    if ix.slots.(s) >= 0 then invalid_arg (Printf.sprintf "Relation.of_cells: duplicate row in %s" rel_name);
+    link ix s i h
   done;
   r

@@ -82,9 +82,6 @@ module Row_tbl : Hashtbl.S with type key = tuple
 (** Hash tables keyed by rows — use this instead of a polymorphic
     [Hashtbl] so keys hash via {!Value.hash} (never truncated). *)
 
-module Cells_tbl : Hashtbl.S with type key = int array
-(** Hash tables keyed by rows of cells. *)
-
 type t
 
 val create : string -> int -> t
@@ -213,6 +210,12 @@ val compact : t -> t
     apart for a watermark ([Ivm] resets its watermarks to it after
     every removal).  A {!digest_cache} moves along, its watermark
     lowered to the survivors below it. *)
+
+val release : t -> unit
+(** [release r]: the caller reads [r] no more.  [r] reads as empty
+    from then on, and once no handle on its store is left, a later
+    {!compact} may reuse the store's arrays.  A handle never released
+    keeps them (and its rows) as they are. *)
 
 val remove : t -> tuple list -> t
 (** [remove r rows]: {!compact} of {!remove_ids} of the ids [rows] have

@@ -238,8 +238,14 @@ let multiset_of_db db =
         (Database.facts_of db pred))
     (Database.preds db)
 
+(* The frame (magic, version, CRC of the body) and the body go into one
+   buffer, the CRC patched in once the body is written: the image is
+   copied out once. *)
 let encode_snapshot snap =
-  let body = Buffer.create 8192 in
+  let body = Buffer.create 65536 in
+  Buffer.add_string body magic;
+  w_u32 body version;
+  w_u32 body 0;
   w_i64 body snap.last_lsn;
   w_opt w_str body snap.digest;
   Db_snapshot.write body snap.db;
@@ -256,13 +262,10 @@ let encode_snapshot snap =
       w_str b m.model_digest;
       Db_snapshot.write b m.model)
     body snap.mat;
-  let body = Buffer.contents body in
-  let out = Buffer.create (String.length body + 12) in
-  Buffer.add_string out magic;
-  w_u32 out version;
-  w_u32 out (Checksum.string body);
-  Buffer.add_string out body;
-  Buffer.contents out
+  let image = Buffer.to_bytes body in
+  let crc = Checksum.sub_string (Bytes.unsafe_to_string image) ~pos:12 ~len:(Bytes.length image - 12) in
+  Bytes.set_int32_be image 8 (Int32.of_int crc);
+  Bytes.unsafe_to_string image
 
 let decode_snapshot data =
   let n = String.length data in

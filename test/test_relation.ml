@@ -177,6 +177,17 @@ type op =
       (** add this many rows of ints no generator draws: relations big
           enough that a removal marks rows dead in place instead of
           compacting *)
+  | Release  (** release the handle from before the last removal *)
+  | Keep  (** keep the handle from before the last removal, to the end *)
+  | Freeze of bool * Value.t array
+      (** keep a copy to the end: of the handle from before the last
+          removal, which is then released ([true]), or of the live
+          handle, which then gets the row *)
+  | Old_probe of int * int option * Value.t array
+      (** {!Probe} on a kept handle *)
+  | Dup_key of int * int
+      (** probe on a column set by the stored row at this position, then
+          add a row that agrees with it there and nowhere else *)
 
 let show_op = function
   | Add a -> "add " ^ show_row a
@@ -194,6 +205,12 @@ let show_op = function
   | Pre_probe (None, a, j) -> Printf.sprintf "pre probe %s, iter_from %d" (show_row a) j
   | Remove_most -> "remove most"
   | Fill k -> Printf.sprintf "fill %d" k
+  | Release -> "release"
+  | Keep -> "keep"
+  | Freeze (pre, a) -> Printf.sprintf "freeze %s %s" (if pre then "pre" else "live") (show_row a)
+  | Old_probe (i, Some k, _) -> Printf.sprintf "old probe %d #%d" i k
+  | Old_probe (i, None, a) -> Printf.sprintf "old probe %d %s" i (show_row a)
+  | Dup_key (k, m) -> Printf.sprintf "dup key #%d mask %d" k m
 
 let gen_ops w =
   let open QCheck.Gen in
@@ -211,7 +228,12 @@ let gen_ops w =
          (2, map (fun k -> Readd k) (int_bound 40));
          (2, map3 (fun k a j -> Pre_probe (k, a, j)) (opt (int_bound 40)) row (int_bound 12));
          (1, return Remove_most);
-         (2, map (fun k -> Fill k) (int_bound 24)) ])
+         (2, map (fun k -> Fill k) (int_bound 24));
+         (2, return Release);
+         (1, return Keep);
+         (1, map2 (fun pre a -> Freeze (pre, a)) bool row);
+         (2, map3 (fun i k a -> Old_probe (i, k, a)) (int_bound 8) (opt (int_bound 40)) row);
+         (2, map2 (fun k m -> Dup_key (k, m)) (int_bound 40) (int_bound 7)) ])
 
 let arb_script =
   QCheck.make
@@ -305,8 +327,10 @@ let prop_matches_list_model =
   QCheck.Test.make ~name:"relation = list model (every op, value kind and arity)" ~count:400 arb_script
     (fun (w, ops) ->
       let r = ref (Relation.create "p" w) and model = ref [] in
-      (* the handle a removal was made from, and its rows *)
-      let pre = ref None and filled = ref 0 in
+      (* the handle a removal was made from, and its rows; handles kept
+         to the end, read after later removals compacted the live one *)
+      let pre = ref None and filled = ref 0 and kept = ref [] in
+      let keep what h m = kept := !kept @ [ (what, h, m) ] in
       let remove doomed =
         let before = !model in
         let r' = Relation.remove !r doomed in
@@ -375,6 +399,49 @@ let prop_matches_list_model =
               model := m;
               Relation.add_ints !r ints = fresh || QCheck.Test.fail_report "fill")
             (List.init k Fun.id)
+        | Release ->
+          Option.iter (fun (p, _) -> Relation.release p) !pre;
+          pre := None;
+          true
+        | Keep ->
+          Option.iter (fun (p, pm) -> keep "kept pre handle" p pm) !pre;
+          pre := None;
+          true
+        | Freeze (true, _) -> (
+          match !pre with
+          | None -> true
+          | Some (p, pm) ->
+            keep "frozen pre handle" (Relation.copy p) pm;
+            Relation.release p;
+            pre := None;
+            true)
+        | Freeze (false, a) ->
+          keep "frozen live handle" (Relation.copy !r) !model;
+          let _, m = add_model !model a in
+          ignore (Relation.add !r a);
+          model := m;
+          true
+        | Old_probe (i, k, a) -> (
+          match !kept with
+          | [] -> true
+          | l ->
+            let what, h, hm = List.nth l (i mod List.length l) in
+            let key = match (k, hm) with Some k, _ :: _ -> stored hm k | _ -> a in
+            check_rows what h hm && check_probes h hm key)
+        | Dup_key (k, m) -> (
+          match !model with
+          | [] -> true
+          | _ when w < 2 -> true
+          | rows ->
+            let key = stored rows k and mask = 1 + (m mod ((1 lsl w) - 2)) in
+            let probe = Array.map Relation.Cell.lookup key in
+            ignore (collect (Relation.probe_ids !r mask probe));
+            incr filled;
+            let dup = Array.mapi (fun c v -> if mask land (1 lsl c) <> 0 then v else Value.Int (-100 - !filled)) key in
+            let fresh, m = add_model !model dup in
+            model := m;
+            (Relation.add !r dup = fresh || QCheck.Test.fail_report "dup key: add")
+            && check_probes !r !model key)
         | Remove_most -> (
           match !model with
           | [] -> true
@@ -386,7 +453,8 @@ let prop_matches_list_model =
                || QCheck.Test.fail_reportf "remove most: %d ids for %d rows, not compacted"
                     (Relation.id_bound !r) live))
       in
-      List.for_all (fun op -> step op && check_rows (show_op op) !r !model) ops)
+      List.for_all (fun op -> step op && check_rows (show_op op) !r !model) ops
+      && List.for_all (fun (what, h, hm) -> check_rows (what ^ ", at the end") h hm) !kept)
 
 (* ---------------- snapshot codec ---------------- *)
 
