@@ -142,25 +142,22 @@ end
 
 (* Every row is [width] cells (see [Cell] above) at [id * width] in one
    growable int array.  The membership set and every index are one kind
-   of table over row ids: an index maps a row's cells on its columns —
-   its key — to the ids of the rows holding that key, in insertion
-   order, and the membership set is the index on every column.  No key
-   is stored: a slot is compared by reading the cells of a row it
-   names.  Power-of-two sizes, at most three quarters full, linear probing, no
-   deletions: a removed row keeps its entry, and a reader skips the ids
-   it does not see (see [t] below).
+   of table: an index maps a row's cells on its columns (its key) to the
+   ids of the rows holding that key, in insertion order; the membership
+   set is the index on every column.  No key is stored: a slot is
+   compared by reading the cells of a row it names.  Power-of-two
+   sizes, at most three quarters full, linear probing; a removed row
+   keeps its entry until a compaction, and readers skip the ids they do
+   not see (see [t] below).
 
    A slot is [-1] when empty, else [x] over the key's low [hbits] hash
-   bits.  The bits place the entry again when the table grows or is
-   compacted, reading no cell, and a probe reads the cells only of the
-   entries whose bits match its own.  [x] is [id lsl 1] for a key one
-   row holds: a unique key costs its slot and nothing else.  It is
-   [(tail lsl 1) lor 1] for a key several rows hold: [next] links each
-   of them to the next in insertion order, and the tail back to the
-   head, so ids grow along a chain up to its tail.  Whether a key is
-   unique is decided by the rows the index has met, so an index whose
-   every key has one row (an FD index of a [chosen$] relation) has no
-   [next] at all. *)
+   bits, which place the entry again when the table grows or is
+   compacted, reading no cell, and spare a probe the cells of most other
+   keys.  [x] is [id lsl 1] for a key one row holds: that costs the slot
+   and nothing else.  It is [(tail lsl 1) lor 1] for a key several rows
+   hold: [next] links each to the next and the tail back to the head,
+   so ids grow along a chain up to its tail.  An index whose every key
+   has one row (an FD index of a [chosen$] relation) has no [next]. *)
 
 let mix h c = (h * 1000003) lxor c
 
@@ -486,16 +483,10 @@ type digest_cache = {
    Any other handle copies the store before its first append
    ([privatize]).  [copy] hands ownership to nobody: a store that two
    snapshots share is frozen, and either side copies it before it
-   mutates — which is what lets sessions on other domains read a
-   shared fact base.
-
+   mutates, so sessions on other domains can read a shared fact base.
    [members] and every index in [indexes] cover ids [0, hashed) and
-   [0, used), dead ones included; the owner extends them on append, and
-   handles on the store share them.
-
-   [readers] counts the handles on a store that are not released
-   ([release]): a compaction works in place when its handle is the
-   owner and the only reader, and in a copy otherwise. *)
+   [0, used), dead ones included.  [readers] counts the handles on the
+   store not yet released ([release]). *)
 type store = {
   mutable cells : int array;  (* row i at [i*width, (i+1)*width) *)
   members : index;  (* the index on every column *)
@@ -748,19 +739,7 @@ let iter_live r lo hi f =
     done
   end
 
-(* [iter_live] spelled out: no closure per call, as the engines call it
-   once per firing. *)
-let iter_from r k f =
-  if r.live = r.count then
-    for i = k to r.count - 1 do
-      f (decode_row r i)
-    done
-  else begin
-    let dead = r.dead in
-    for i = k to r.count - 1 do
-      if not (is_dead dead i) then f (decode_row r i)
-    done
-  end
+let iter_from r k f = iter_live r k r.count (fun i -> f (decode_row r i))
 
 let iter r f = iter_from r 0 f
 
@@ -791,17 +770,14 @@ let copy_live r cells =
    [remove_ids] makes a new handle on [r]'s store whose bitmap also
    marks the ids dead: no survivor is copied, re-hashed or re-indexed,
    and [r] keeps reading its own rows.  [compact], once dead rows
-   exceed an eighth of the live ones, copies the survivors down into
-   another store and renumbers their ids in its tables: every scan
-   stays within 1.125 times the live rows, the cost per removed row
-   stays constant, and the store, compacted with room for a quarter
-   more rows, need not grow while an assert/retract stream churns it.
-   (Looser thresholds compact less often but keep larger stores:
-   letting dead rows outnumber live ones raised gbcd's peak RSS on
-   serve_update by ~12%, a quarter by ~8%.)  A digest cache carries
-   over: the removed rows below its watermark queue their cells for
-   subtraction, and a compaction lowers the watermark to the survivors
-   below it. *)
+   exceed an eighth of the live ones, copies the survivors down and
+   squeezes the tables: every scan stays within 1.125 times the live
+   rows, and the cost per removed row stays constant.  (Looser
+   thresholds keep larger stores: letting dead rows outnumber live ones
+   raised gbcd's peak RSS on serve_update by ~12%, a quarter by ~8%.)
+   A digest cache carries over: the removed rows below its watermark
+   queue their cells for subtraction, and a compaction lowers the
+   watermark to the survivors below it. *)
 let remove_ids r set =
   let w = r.width and st = r.store in
   let doomed = dead_prefix r.dead r.count in
@@ -830,7 +806,8 @@ let compact r =
   if 8 * (r.count - live) <= live then r
   else begin
     let ids = renumber r.dead r.count and st = r.store in
-    (* in place when no other handle reads the store, else in a copy *)
+    (* in place when no other handle reads the store, else in a copy:
+       a store is never written under a handle that still reads it *)
     if r.held && st.owner = r.tok && st.readers = 1 then begin
       catch_up st w;
       List.iter (squeeze r.count ids) (st.members :: st.indexes)
@@ -965,12 +942,11 @@ let iter_range_ids r lo hi mask (probe : int array) f =
 (* ------------------------------------------------------------------ *)
 
 (* A frozen description of the rows matching a probe, splittable into
-   contiguous ranges for the domain pool.  Built by the sequential
-   coordinator (which may create the index); iterated concurrently by
-   shards, each over its own [lo, hi) range, touching nothing mutable.
-   The ids array and its bound are captured at build time, so later
-   appends by the coordinator are invisible.  An unbound slice is the
-   id range itself, dead ids skipped as shards meet them. *)
+   contiguous ranges for the domain pool: built by the sequential
+   coordinator (which may create the index), iterated concurrently by
+   shards, each over its own [lo, hi), touching nothing mutable.  Later
+   appends are invisible.  An unbound slice is the id range itself, dead
+   ids skipped as shards meet them. *)
 type slice = { sl_rel : t; sl_ids : int array option; sl_len : int }
 
 let slice_cols r mask (probe : int array) =
@@ -1009,32 +985,16 @@ let copy r =
 (* Statistics and raw access                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Distinct cells of one column, via a private open-addressing int set
-   sized up front.  [min_int] marks an empty slot: it is never a cell
-   ([Int (-2^61)] is outside the inline range, and symbol and term
-   cells are non-negative). *)
-let distinct_cells cells n w c =
-  let slots = Array.make (table_size n) min_int in
-  let mask = Array.length slots - 1 in
-  let distinct = ref 0 in
-  for i = 0 to n - 1 do
-    let cell = Array.unsafe_get cells ((i * w) + c) in
-    let j = ref (finish cell land mask) in
-    while Array.unsafe_get slots !j <> min_int && Array.unsafe_get slots !j <> cell do
-      j := (!j + 1) land mask
-    done;
-    if Array.unsafe_get slots !j = min_int then begin
-      Array.unsafe_set slots !j cell;
-      incr distinct
-    end
-  done;
-  !distinct
-
-(* Per-column distinct counts for the cost-based planner: one cell is
-   one value, so raw cells are counted with no boxing. *)
+(* Per-column distinct counts for the cost-based planner: the keys of
+   a one-column id table over the live rows, each entered once. *)
 let distinct_counts r =
-  let cells = if r.live = r.count then r.cells else copy_live r (Array.make (r.live * r.width) 0) in
-  Array.init r.width (fun c -> if r.live = 0 then 0 else distinct_cells cells r.live r.width c)
+  Array.init r.width (fun c ->
+      let ix = index_create (1 lsl c) [| c |] r.live in
+      iter_live r 0 r.count (fun i ->
+          let h = hash_proj r.cells (i * r.width) ix.cols 17 0 in
+          let s = index_slot ix r.cells r.width r.cells (i * r.width) h in
+          if ix.slots.(s) < 0 then link ix s i h);
+      ix.keys)
 
 let cells r = r.cells
 let digest_cache r = r.digest
@@ -1054,9 +1014,7 @@ let of_cells rel_name arity (cells : int array) count =
   let r = make rel_name arity cells count in
   let ix = r.store.members in
   for i = 0 to count - 1 do
-    let h = hash_proj cells (i * arity) ix.cols 17 0 in
-    let s = index_slot ix cells arity cells (i * arity) h in
-    if ix.slots.(s) >= 0 then invalid_arg (Printf.sprintf "Relation.of_cells: duplicate row in %s" rel_name);
-    link ix s i h
+    index_add ix cells arity i;
+    if ix.keys <= i then invalid_arg (Printf.sprintf "Relation.of_cells: duplicate row in %s" rel_name)
   done;
   r
