@@ -179,15 +179,20 @@ type op =
           compacting *)
   | Release  (** release the handle from before the last removal *)
   | Keep  (** keep the handle from before the last removal, to the end *)
-  | Freeze of bool * Value.t array
+  | Freeze of bool
       (** keep a copy to the end: of the handle from before the last
           removal, which is then released ([true]), or of the live
-          handle, which then gets the row *)
+          handle, whose store the copy freezes *)
   | Old_probe of int * int option * Value.t array
       (** {!Probe} on a kept handle *)
   | Dup_key of int * int
       (** probe on a column set by the stored row at this position, then
           add a row that agrees with it there and nowhere else *)
+  | Retract of bool * int list
+      (** as [Ivm] removes: {!Relation.remove_ids} of every stored row
+          but the first ([true]) or of those at these positions, the
+          source handle released, then {!Relation.compact}, which works
+          in place when no other handle reads the store *)
 
 let show_op = function
   | Add a -> "add " ^ show_row a
@@ -207,10 +212,12 @@ let show_op = function
   | Fill k -> Printf.sprintf "fill %d" k
   | Release -> "release"
   | Keep -> "keep"
-  | Freeze (pre, a) -> Printf.sprintf "freeze %s %s" (if pre then "pre" else "live") (show_row a)
+  | Freeze pre -> Printf.sprintf "freeze %s" (if pre then "pre" else "live")
   | Old_probe (i, Some k, _) -> Printf.sprintf "old probe %d #%d" i k
   | Old_probe (i, None, a) -> Printf.sprintf "old probe %d %s" i (show_row a)
   | Dup_key (k, m) -> Printf.sprintf "dup key #%d mask %d" k m
+  | Retract (true, _) -> "retract most"
+  | Retract (false, ks) -> Printf.sprintf "retract #%s" (String.concat ",#" (List.map string_of_int ks))
 
 let gen_ops w =
   let open QCheck.Gen in
@@ -231,9 +238,10 @@ let gen_ops w =
          (2, map (fun k -> Fill k) (int_bound 24));
          (2, return Release);
          (1, return Keep);
-         (1, map2 (fun pre a -> Freeze (pre, a)) bool row);
+         (1, map (fun pre -> Freeze pre) bool);
          (2, map3 (fun i k a -> Old_probe (i, k, a)) (int_bound 8) (opt (int_bound 40)) row);
-         (2, map2 (fun k m -> Dup_key (k, m)) (int_bound 40) (int_bound 7)) ])
+         (2, map2 (fun k m -> Dup_key (k, m)) (int_bound 40) (int_bound 7));
+         (3, map2 (fun most ks -> Retract (most, ks)) bool (list_size (int_bound 4) (int_bound 40))) ])
 
 let arb_script =
   QCheck.make
@@ -407,7 +415,7 @@ let prop_matches_list_model =
           Option.iter (fun (p, pm) -> keep "kept pre handle" p pm) !pre;
           pre := None;
           true
-        | Freeze (true, _) -> (
+        | Freeze true -> (
           match !pre with
           | None -> true
           | Some (p, pm) ->
@@ -415,11 +423,8 @@ let prop_matches_list_model =
             Relation.release p;
             pre := None;
             true)
-        | Freeze (false, a) ->
+        | Freeze false ->
           keep "frozen live handle" (Relation.copy !r) !model;
-          let _, m = add_model !model a in
-          ignore (Relation.add !r a);
-          model := m;
           true
         | Old_probe (i, k, a) -> (
           match !kept with
@@ -442,6 +447,19 @@ let prop_matches_list_model =
             model := m;
             (Relation.add !r dup = fresh || QCheck.Test.fail_report "dup key: add")
             && check_probes !r !model key)
+        | Retract (most, ks) -> (
+          match !model with
+          | [] -> true
+          | _ :: rest as m ->
+            let doomed = if most then rest else List.map (stored m) ks in
+            let set = Relation.Idset.create (Relation.id_bound !r) in
+            List.iter (fun a -> match Relation.find !r a with -1 -> () | id -> Relation.Idset.add set id) doomed;
+            let r' = Relation.remove_ids !r set in
+            Relation.release !r;
+            r := Relation.compact r';
+            model := List.filter (fun a -> not (List.exists (row_eq a) doomed)) m;
+            (not most) || Relation.id_bound !r = 1
+            || QCheck.Test.fail_reportf "retract most: %d ids left, not compacted" (Relation.id_bound !r))
         | Remove_most -> (
           match !model with
           | [] -> true
@@ -783,6 +801,62 @@ let test_row_ids () =
     (Relation.cardinal c, Relation.id_bound c);
   Alcotest.(check int) "compacted rows keep their order" 0 (Relation.find c (row [ 30; 900 ]))
 
+(* Handles that outlive compactions: a pre-removal handle, a prefix and
+   frozen copies, read after the live side compacted five times — in a
+   copy of a store another handle reads, in place otherwise — and a
+   unique-key index, probed, then given a second row under a key. *)
+let test_handles_outlive_compactions () =
+  let r = ref (Relation.create "p" 2) in
+  let add i = ignore (Relation.add !r (row [ i mod 7; i ])) in
+  List.iter add (List.init 64 Fun.id);
+  List.iter (Relation.ensure_index !r) [ 1; 2 ];
+  let before = Relation.to_list !r in
+  let probe_rows h mask a b =
+    let acc = ref [] in
+    Relation.probe_ids h mask [| Relation.Cell.of_int a; Relation.Cell.of_int b |] (fun id ->
+        acc := Relation.row_cells h id :: !acc);
+    List.rev_map (Array.map (fun c -> Relation.Cell.decode c)) !acc
+  in
+  let rows = Alcotest.(list (array (testable Value.pp Value.equal))) in
+  let frozen = Relation.copy !r and prefix = Relation.prefix !r 32 and pre = !r in
+  let first n l = List.filteri (fun i _ -> i < n) l in
+  let model = ref before in
+  let retract n ~in_place =
+    let set = Relation.Idset.create (Relation.id_bound !r) in
+    for id = 0 to n - 1 do
+      Relation.Idset.add set id
+    done;
+    let old = !r and cells = Relation.cells !r in
+    let r' = Relation.remove_ids old set in
+    if old != pre then Relation.release old;
+    r := Relation.compact r';
+    model := List.filteri (fun i _ -> i >= n) !model;
+    Alcotest.(check bool) "compacted in place" in_place (Relation.cells !r == cells);
+    Alcotest.(check int) "dense ids" (List.length !model) (Relation.id_bound !r)
+  in
+  retract 16 ~in_place:false;
+  let frozen_live = ref None in
+  for round = 1 to 4 do
+    let fresh = List.init 16 (fun i -> (1000 * round) + i) in
+    List.iter add fresh;
+    model := !model @ List.map (fun i -> row [ i mod 7; i ]) fresh;
+    (* a copy freezes the live store: the next compaction copies it *)
+    if round = 2 then frozen_live := Some (Relation.copy !r, !model);
+    retract 20 ~in_place:(round <> 2)
+  done;
+  Option.iter (fun (c, m) -> Alcotest.check rows "frozen live copy" m (Relation.to_list c)) !frozen_live;
+  Alcotest.check rows "live rows" !model (Relation.to_list !r);
+  Alcotest.check rows "pre-removal handle" before (Relation.to_list pre);
+  Alcotest.check rows "frozen copy" before (Relation.to_list frozen);
+  Alcotest.check rows "prefix" (first 32 before) (Relation.to_list prefix);
+  let with_key l a = List.filter (fun x -> Value.equal x.(0) (Value.Int a)) l in
+  Alcotest.check rows "pre-removal probe" (with_key before 3) (probe_rows pre 1 3 0);
+  Alcotest.check rows "live probe" (with_key !model 3) (probe_rows !r 1 3 0);
+  Alcotest.check rows "unique key" [ row [ 0; 3003 ] ] (probe_rows !r 2 0 3003);
+  ignore (Relation.add !r (row [ 5; 3003 ]));
+  Alcotest.check rows "unique key, second row" [ row [ 0; 3003 ]; row [ 5; 3003 ] ] (probe_rows !r 2 0 3003);
+  Alcotest.check rows "frozen unique key" [ row [ 0; 63 ] ] (probe_rows frozen 2 0 63)
+
 let () =
   Alcotest.run "relation"
     [ ( "relation",
@@ -794,7 +868,8 @@ let () =
           Alcotest.test_case "multi-column index" `Quick test_index_multi_column;
           Alcotest.test_case "full scan" `Quick test_full_scan_pattern;
           Alcotest.test_case "copy isolation" `Quick test_copy_isolation;
-          Alcotest.test_case "row ids: copy, find, remove" `Quick test_row_ids ] );
+          Alcotest.test_case "row ids: copy, find, remove" `Quick test_row_ids;
+          Alcotest.test_case "handles outlive compactions" `Quick test_handles_outlive_compactions ] );
       ( "database",
         [ Alcotest.test_case "basics" `Quick test_database_basics;
           Alcotest.test_case "copy and equal_on" `Quick test_database_copy_and_equal;
