@@ -295,6 +295,12 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
             retired := r :: !retired;
             r
           in
+          (* A removal of [n] rows that alone leaves more dead rows than
+             an eighth of the live ones compacts at once (in a copy,
+             as the replaced handle still reads the store): the rest of
+             the apply would read around them.  Smaller ones add up and
+             are compacted at the end, in place. *)
+          let shed r n = if 8 * n > Relation.cardinal r then Relation.compact r else r in
           let replace p old fresh =
             if not (Hashtbl.mem pre p) then Hashtbl.replace pre p old;
             ignore (retire old);
@@ -385,7 +391,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                     end)
                 rows;
               if !n > 0 then begin
-                let fresh = Relation.remove_ids rel set in
+                let fresh = shed (Relation.remove_ids rel set) !n in
                 replace p rel fresh;
                 Hashtbl.replace base_card p (Relation.id_bound fresh);
                 note_deleted p rel !n (Relation.Idset.iter set)
@@ -759,7 +765,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                 List.iter
                   (fun dp ->
                     if dp.dp_count > 0 then begin
-                      dp.dp_live <- Relation.remove_ids dp.dp_pre dp.dp_over;
+                      dp.dp_live <- shed (Relation.remove_ids dp.dp_pre dp.dp_over) dp.dp_count;
                       replace dp.dp_pred dp.dp_pre dp.dp_live
                     end)
                   dps);

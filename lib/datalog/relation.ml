@@ -227,23 +227,38 @@ module Idset = struct
     done
 end
 
-(* Compaction renumbers the live ids densely, in order: [ids.(id)] is
-   the new id of each id below the bound, -1 for a dead one.  One map
-   per domain, grown and never shrunk, so a compaction allocates none. *)
-let id_map = Domain.DLS.new_key (fun () -> ref [||])
+(* Compaction renumbers the live ids below a bound densely, in order.
+   [base.(b)] counts the live ids below [8 b], so an id's new number is
+   that plus the live ids before it in its byte of the dead bitmap: a
+   lookup reads an eighth of a word per id, not a word, which keeps
+   renumbering a large store in cache.  One base array per domain,
+   grown and never shrunk, so a compaction allocates none. *)
+type renum = { base : int array; dead : Bytes.t; bound : int; live : int }
 
-let renumber dead n =
-  let m = Domain.DLS.get id_map in
+let popcount =
+  let rec bits b = if b = 0 then 0 else (b land 1) + bits (b lsr 1) in
+  String.init 256 (fun b -> Char.chr (bits b))
+
+let base_map = Domain.DLS.new_key (fun () -> ref [||])
+
+let renumber dead bound =
+  let m = Domain.DLS.get base_map and n = (bound lsr 3) + 1 in
   if Array.length !m < n then m := Array.make (max n (2 * Array.length !m)) 0;
-  let ids = !m and k = ref 0 in
-  for id = 0 to n - 1 do
-    if is_dead dead id then Array.unsafe_set ids id (-1)
-    else begin
-      Array.unsafe_set ids id !k;
-      incr k
-    end
+  let base = !m in
+  base.(0) <- 0;
+  for b = 1 to n - 1 do
+    base.(b) <- base.(b - 1) + 8 - Char.code (String.unsafe_get popcount (dead_byte dead (b - 1)))
   done;
-  ids
+  let last = lnot (dead_byte dead (n - 1)) land ((1 lsl (bound land 7)) - 1) in
+  { base; dead; bound; live = base.(n - 1) + Char.code (String.unsafe_get popcount last) }
+
+(* The new id of [id], or -1 for a dead one or one past the bound. *)
+let[@inline] nid m id =
+  if id >= m.bound then -1
+  else
+    let b = dead_byte m.dead (id lsr 3) and bit = 1 lsl (id land 7) in
+    if b land bit <> 0 then -1
+    else Array.unsafe_get m.base (id lsr 3) + Char.code (String.unsafe_get popcount (lnot b land (bit - 1)))
 
 let hbits = 30
 let hmask = (1 lsl hbits) - 1
@@ -367,60 +382,78 @@ let walk_slot ix s bound dead f =
     else walk_from ix.next t bound dead f ix.next.(t)
   end
 
-(* Squeezing renumbers an index where it is, by [ids] (see [renumber]),
-   dropping the ids past [bound].  Renumbering is monotone, so chains
-   keep their order, and an entry goes back by its stored bits: no cell
-   is read.  First the slots, in one pass that starts after an empty
-   slot, so that no probe run wraps past the start: each entry is taken
-   out, renumbered and placed again, at or before its old slot. *)
+(* Squeezing renumbers an index where it is, by [m] (see [renumber]).
+   Renumbering is monotone, so chains keep their order, and an entry
+   goes back by its stored bits: no cell is read, and no chain is
+   walked past its first id left, as a walk costs a cache miss an id.
 
-(* The renumbered entry of the chain of [e] (tail [t]), or -1 when none
-   of its ids is left.  A chain that keeps two ids or more leaves its
-   new head at [next.(t)], for [relink]. *)
-let chain_entry next t bound ids e =
-  let first = ref (-1) and last = ref (-1) and id = ref next.(t) in
-  while !id < bound && begin
-      let k = Array.unsafe_get ids !id in
-      if k >= 0 then begin
-        if !first < 0 then first := k;
-        last := k
-      end;
-      !id <> t
-    end
-  do
-    id := next.(!id)
-  done;
-  if !first = !last then (if !first < 0 then -1 else entry (!first lsl 1) e)
-  else begin
-    next.(t) <- !first;
-    entry ((!last lsl 1) lor 1) e
-  end
+   First, over the slots: a unique key's row gets no link ([relink]
+   must not follow it), and a chain's old tail gets its new head, or
+   keeps the old one when no id of it is left.  [tails] maps an old
+   tail to the chain's new entry, -1 until [relink] meets its last id
+   left. *)
+let heads ix m tails =
+  Array.iter
+    (fun e ->
+      if e >= 0 then begin
+        let x = e lsr hbits in
+        let t = x lsr 1 in
+        if x land 1 = 0 then (if t < Array.length ix.next then ix.next.(t) <- -1)
+        else begin
+          tails.(t) <- -1;
+          let id = ref ix.next.(t) in
+          while !id <> t && nid m !id < 0 do
+            id := ix.next.(!id)
+          done;
+          if nid m !id >= 0 then ix.next.(t) <- nid m !id
+        end
+      end)
+    ix.slots
 
 (* Then the links, in id order: each id left links to the next one of
-   its chain, the last one to the new head at the old tail ([next.(j)
-   <= j] only there).  A link is written at a new id, which is no
-   larger than the id being read, so every link read is still old.  Ids
-   past [next]'s end never met a second row under their key. *)
-let relink next bound ids =
-  for i = 0 to min bound (Array.length next) - 1 do
-    let k = Array.unsafe_get ids i in
+   its chain, and the last one to the new head at the old tail ([next.(j)
+   <= j] only there), where it leaves the chain's new entry in [tails].
+   A link is written at a new id, which is no larger than the id being
+   read, so every link read is still old.  Ids past [next]'s end never
+   met a second row under their key. *)
+let relink next m tails =
+  for i = 0 to min m.bound (Array.length next) - 1 do
+    let k = nid m i in
     if k >= 0 then begin
       let j = ref i in
       while
         let n = next.(!j) in
-        n > !j && (n >= bound || Array.unsafe_get ids n < 0)
+        n > !j && nid m n < 0
       do
         j := next.(!j)
       done;
       let n = next.(!j) in
-      next.(k) <- (if n > !j then Array.unsafe_get ids n else n)
+      if n > !j then next.(k) <- nid m n
+      else begin
+        next.(k) <- n;
+        if n >= 0 then tails.(!j) <- (k lsl 1) lor (if n = k then 0 else 1)
+      end
     end
   done
 
-let squeeze bound ids ix =
-  let slots = ix.slots in
+let tail_map = Domain.DLS.new_key (fun () -> ref [||])
+
+(* Last, the slots, in one pass: each entry is taken out, renumbered and
+   placed again: into a fresh table when the slots are another store's
+   ([copy]) or when one of the size the ids left need is smaller (a
+   probe's misses grow with the table, and it grows back only once
+   full), else in place, at or before its old slot, as the pass starts
+   after an empty slot, so that no probe run wraps past the start. *)
+let squeeze m ~copy ix =
+  let slots = ix.slots and tails = Domain.DLS.get tail_map in
   if Array.length slots > 0 then begin
-    let mask = Array.length slots - 1 and start = ref 0 in
+    if Array.length ix.next > 0 then begin
+      if Array.length !tails < Array.length ix.next then tails := Array.make (Array.length ix.next) 0;
+      heads ix m !tails;
+      relink ix.next m !tails
+    end;
+    let cap = table_size (min ix.keys m.live) and mask = Array.length slots - 1 and start = ref 0 in
+    let into = if copy || cap < Array.length slots then Array.make cap (-1) else slots in
     while slots.(!start) >= 0 do
       incr start
     done;
@@ -429,24 +462,16 @@ let squeeze bound ids ix =
       let i = (!start + j) land mask in
       let e = Array.unsafe_get slots i in
       if e >= 0 then begin
-        Array.unsafe_set slots i (-1);
+        if into == slots then Array.unsafe_set slots i (-1);
         let x = e lsr hbits in
-        let t = x lsr 1 in
-        let e =
-          if x land 1 = 1 then chain_entry ix.next t bound ids e
-          else begin
-            (* a unique key's row links nowhere: [relink] must not follow it *)
-            if t < Array.length ix.next then ix.next.(t) <- -1;
-            if t < bound && Array.unsafe_get ids t >= 0 then entry (Array.unsafe_get ids t lsl 1) e else -1
-          end
-        in
-        if e >= 0 then begin
+        let x = if x land 1 = 1 then !tails.(x lsr 1) else if nid m (x lsr 1) >= 0 then nid m (x lsr 1) lsl 1 else -1 in
+        if x >= 0 then begin
           ix.keys <- ix.keys + 1;
-          place slots e
+          place into (entry x e)
         end
       end
     done;
-    if Array.length ix.next > 0 then relink ix.next bound ids
+    ix.slots <- into
   end
 
 let rec find_index mask = function
@@ -568,19 +593,41 @@ let catch_up st w =
   done;
   st.hashed <- st.used
 
-let copy_index ix = { ix with slots = Array.copy ix.slots; next = Array.copy ix.next }
+(* The rows [m] keeps, densely, in order, from [src] into [dst] ([w]
+   cells a row): runs of cells copied down, decoding nothing.  [dst]
+   may be [src]. *)
+let copy_kept m w (src : int array) (dst : int array) =
+  let out = ref 0 and i = ref 0 in
+  while !i < m.bound do
+    if is_dead m.dead !i then incr i
+    else begin
+      let lo = !i in
+      while !i < m.bound && not (is_dead m.dead !i) do
+        incr i
+      done;
+      blit_cells src (lo * w) dst (!out * w) ((!i - lo) * w);
+      out := !out + !i - lo
+    end
+  done
 
-(* Make [r] the owner of a store of its own: [r]'s store copied, its
-   tables squeezed by [ids] to the ids below [r]'s bound (another
-   handle may have appended past it). *)
-let own r ids =
-  let st = r.store in
-  catch_up st r.width;
-  let members = copy_index st.members and indexes = List.map copy_index st.indexes in
-  List.iter (squeeze r.count ids) (members :: indexes);
+(* Make [r] the owner of a store of its own, [m] applied: the rows it
+   keeps, with room for a quarter more, and its tables squeezed.  The
+   old store is only read (another handle may have appended past [r]'s
+   bound, which [m] ends at). *)
+let own r m =
+  let st = r.store and w = r.width in
+  catch_up st w;
+  let own_index ix =
+    let ix = { ix with next = Array.copy ix.next } in
+    squeeze m ~copy:true ix;
+    ix
+  in
+  let cells = Array.make (max (16 * w) ((m.live + (m.live / 4)) * w)) 0 in
+  copy_kept m w r.cells cells;
+  let members = own_index st.members and indexes = List.map own_index st.indexes in
   if r.held then st.readers <- st.readers - 1;
-  r.store <- new_store (Array.copy st.cells) members r.count indexes r.tok;
-  r.cells <- r.store.cells;
+  r.store <- new_store cells members m.live indexes r.tok;
+  r.cells <- cells;
   r.held <- true
 
 (* ... before it appends. *)
@@ -748,24 +795,6 @@ let to_list r =
   iter r (fun row -> acc := row :: !acc);
   List.rev !acc
 
-(* The live rows of [r], densely, in id order, into [cells]: survivors
-   are copied down as runs of cells, decoding nothing. *)
-let copy_live r cells =
-  let w = r.width and src = r.cells in
-  let out = ref 0 and i = ref 0 in
-  while !i < r.count do
-    if is_dead r.dead !i then incr i
-    else begin
-      let lo = !i in
-      while !i < r.count && not (is_dead r.dead !i) do
-        incr i
-      done;
-      blit_cells src (lo * w) cells (!out * w) ((!i - lo) * w);
-      out := !out + !i - lo
-    end
-  done;
-  cells
-
 (* Removal for incremental view maintenance, in two steps.
    [remove_ids] makes a new handle on [r]'s store whose bitmap also
    marks the ids dead: no survivor is copied, re-hashed or re-indexed,
@@ -805,19 +834,18 @@ let compact r =
   let w = r.width and live = r.live in
   if 8 * (r.count - live) <= live then r
   else begin
-    let ids = renumber r.dead r.count and st = r.store in
+    let m = renumber r.dead r.count and st = r.store in
     (* in place when no other handle reads the store, else in a copy:
        a store is never written under a handle that still reads it *)
     if r.held && st.owner = r.tok && st.readers = 1 then begin
       catch_up st w;
-      List.iter (squeeze r.count ids) (st.members :: st.indexes)
+      List.iter (squeeze m ~copy:false) (st.members :: st.indexes);
+      copy_kept m w st.cells st.cells;
+      st.used <- live;
+      st.hashed <- live
     end
-    else own r ids;
-    let st = r.store in
-    ignore (copy_live r st.cells);
-    st.used <- live;
-    st.hashed <- live;
-    let tok = fresh_tok () in
+    else own r m;
+    let st = r.store and tok = fresh_tok () in
     st.owner <- tok;
     let digest =
       match r.digest with
