@@ -143,12 +143,11 @@ end
 (* Every row is [width] cells (see [Cell] above) at [id * width] in one
    growable int array.  The membership set and every index are one kind
    of table: an index maps a row's cells on its columns (its key) to the
-   ids of the rows holding that key, in insertion order; the membership
-   set is the index on every column.  No key is stored: a slot is
-   compared by reading the cells of a row it names.  Power-of-two
-   sizes, at most three quarters full, linear probing; a removed row
-   keeps its entry until a compaction, and readers skip the ids they do
-   not see (see [t] below).
+   ids of the rows holding it, in insertion order; the membership set
+   is the index on every column.  No key is stored: a slot is compared
+   by reading the cells of a row it names.  Power-of-two sizes, at most
+   three quarters full, linear probing; a removed row keeps its entry
+   until a compaction, and readers skip the ids they do not see.
 
    A slot is [-1] when empty, else [x] over the key's low [hbits] hash
    bits, which place the entry again when the table grows or is
@@ -233,7 +232,7 @@ end
    lookup reads an eighth of a word per id, not a word, which keeps
    renumbering a large store in cache.  One base array per domain,
    grown and never shrunk, so a compaction allocates none. *)
-type renum = { base : int array; dead : Bytes.t; bound : int; live : int }
+type renum = { base : int array; dead : Bytes.t; bound : int }
 
 let popcount =
   let rec bits b = if b = 0 then 0 else (b land 1) + bits (b lsr 1) in
@@ -249,16 +248,16 @@ let renumber dead bound =
   for b = 1 to n - 1 do
     base.(b) <- base.(b - 1) + 8 - Char.code (String.unsafe_get popcount (dead_byte dead (b - 1)))
   done;
-  let last = lnot (dead_byte dead (n - 1)) land ((1 lsl (bound land 7)) - 1) in
-  { base; dead; bound; live = base.(n - 1) + Char.code (String.unsafe_get popcount last) }
+  { base; dead; bound }
+
+(* The live ids below [id], up to the bound. *)
+let[@inline] live_below m id =
+  let byte = id lsr 3 in
+  Array.unsafe_get m.base byte
+  + Char.code (String.unsafe_get popcount (lnot (dead_byte m.dead byte) land ((1 lsl (id land 7)) - 1)))
 
 (* The new id of [id], or -1 for a dead one or one past the bound. *)
-let[@inline] nid m id =
-  if id >= m.bound then -1
-  else
-    let b = dead_byte m.dead (id lsr 3) and bit = 1 lsl (id land 7) in
-    if b land bit <> 0 then -1
-    else Array.unsafe_get m.base (id lsr 3) + Char.code (String.unsafe_get popcount (lnot b land (bit - 1)))
+let[@inline] nid m id = if id >= m.bound || is_dead m.dead id then -1 else live_below m id
 
 let hbits = 30
 let hmask = (1 lsl hbits) - 1
@@ -358,11 +357,8 @@ let rec first_from next t bound dead id =
 
 let first_id ix s bound dead =
   let e = Array.unsafe_get ix.slots s in
-  if e < 0 then -1
-  else
-    let x = e lsr hbits in
-    if x land 1 = 0 then first_from [||] (x lsr 1) bound dead (x lsr 1)
-    else first_from ix.next (x lsr 1) bound dead ix.next.(x lsr 1)
+  let t = e lsr (hbits + 1) in
+  if e < 0 then -1 else first_from ix.next t bound dead (if (e lsr hbits) land 1 = 0 then t else ix.next.(t))
 
 (* ... or each of them, [next] read before [f] sees an id: rows [f]
    adds are not visited. *)
@@ -382,16 +378,13 @@ let walk_slot ix s bound dead f =
     else walk_from ix.next t bound dead f ix.next.(t)
   end
 
-(* Squeezing renumbers an index where it is, by [m] (see [renumber]).
-   Renumbering is monotone, so chains keep their order, and an entry
-   goes back by its stored bits: no cell is read, and no chain is
-   walked past its first id left, as a walk costs a cache miss an id.
-
-   First, over the slots: a unique key's row gets no link ([relink]
-   must not follow it), and a chain's old tail gets its new head, or
-   keeps the old one when no id of it is left.  [tails] maps an old
-   tail to the chain's new entry, -1 until [relink] meets its last id
-   left. *)
+(* Squeezing renumbers an index by [m] (see [renumber]).  Renumbering
+   is monotone, so chains keep their order, and an entry goes back by
+   its stored bits: no cell is read, and no chain is walked past its
+   first id left (a walk costs a cache miss an id).  First, over the
+   slots: a unique key's row gets no link, and a chain's old tail gets
+   its new head.  [tails] maps an old tail to the chain's new entry,
+   -1 until [relink] meets its last id left. *)
 let heads ix m tails =
   Array.iter
     (fun e ->
@@ -411,11 +404,10 @@ let heads ix m tails =
     ix.slots
 
 (* Then the links, in id order: each id left links to the next one of
-   its chain, and the last one to the new head at the old tail ([next.(j)
-   <= j] only there), where it leaves the chain's new entry in [tails].
-   A link is written at a new id, which is no larger than the id being
-   read, so every link read is still old.  Ids past [next]'s end never
-   met a second row under their key. *)
+   its chain, the last one to the new head at the old tail ([next.(j)
+   <= j] only there).  A link is written at a new id, no larger than
+   the id being read, so every link read is still old.  Ids past
+   [next]'s end never met a second row under their key. *)
 let relink next m tails =
   for i = 0 to min m.bound (Array.length next) - 1 do
     let k = nid m i in
@@ -438,12 +430,11 @@ let relink next m tails =
 
 let tail_map = Domain.DLS.new_key (fun () -> ref [||])
 
-(* Last, the slots, in one pass: each entry is taken out, renumbered and
-   placed again: into a fresh table when the slots are another store's
-   ([copy]) or when one of the size the ids left need is smaller (a
-   probe's misses grow with the table, and it grows back only once
-   full), else in place, at or before its old slot, as the pass starts
-   after an empty slot, so that no probe run wraps past the start. *)
+(* Last, the slots: each entry is taken out, renumbered and placed
+   again, into a fresh table when the slots are another store's
+   ([copy]) or a smaller one would do (a probe's misses grow with the
+   table), else in place, at or before its old slot: the pass starts
+   after an empty slot, so no probe run wraps past the start. *)
 let squeeze m ~copy ix =
   let slots = ix.slots and tails = Domain.DLS.get tail_map in
   if Array.length slots > 0 then begin
@@ -452,7 +443,7 @@ let squeeze m ~copy ix =
       heads ix m !tails;
       relink ix.next m !tails
     end;
-    let cap = table_size (min ix.keys m.live) and mask = Array.length slots - 1 and start = ref 0 in
+    let cap = table_size (min ix.keys (live_below m m.bound)) and mask = Array.length slots - 1 and start = ref 0 in
     let into = if copy || cap < Array.length slots then Array.make cap (-1) else slots in
     while slots.(!start) >= 0 do
       incr start
@@ -594,19 +585,13 @@ let catch_up st w =
   st.hashed <- st.used
 
 (* The rows [m] keeps, densely, in order, from [src] into [dst] ([w]
-   cells a row): runs of cells copied down, decoding nothing.  [dst]
-   may be [src]. *)
+   cells a row), decoding nothing.  [dst] may be [src]. *)
 let copy_kept m w (src : int array) (dst : int array) =
-  let out = ref 0 and i = ref 0 in
-  while !i < m.bound do
-    if is_dead m.dead !i then incr i
-    else begin
-      let lo = !i in
-      while !i < m.bound && not (is_dead m.dead !i) do
-        incr i
-      done;
-      blit_cells src (lo * w) dst (!out * w) ((!i - lo) * w);
-      out := !out + !i - lo
+  let out = ref 0 in
+  for id = 0 to m.bound - 1 do
+    if not (is_dead m.dead id) then begin
+      blit_cells src (id * w) dst (!out * w) w;
+      incr out
     end
   done
 
@@ -622,11 +607,12 @@ let own r m =
     squeeze m ~copy:true ix;
     ix
   in
-  let cells = Array.make (max (16 * w) ((m.live + (m.live / 4)) * w)) 0 in
+  let live = live_below m m.bound in
+  let cells = Array.make (max (16 * w) ((live + (live / 4)) * w)) 0 in
   copy_kept m w r.cells cells;
   let members = own_index st.members and indexes = List.map own_index st.indexes in
   if r.held then st.readers <- st.readers - 1;
-  r.store <- new_store cells members m.live indexes r.tok;
+  r.store <- new_store cells members live indexes r.tok;
   r.cells <- cells;
   r.held <- true
 
@@ -717,19 +703,15 @@ let add_cells r (src : int array) off =
   blit_cells src off r.scratch 0 r.width;
   add_scratch r
 
-let add r row =
-  check_arity r "add" (Array.length row);
+let add_encoded fn encode r row =
+  check_arity r fn (Array.length row);
   for j = 0 to r.width - 1 do
-    r.scratch.(j) <- Cell.encode row.(j)
+    r.scratch.(j) <- encode row.(j)
   done;
   add_scratch r
 
-let add_ints r (ints : int array) =
-  check_arity r "add_ints" (Array.length ints);
-  for j = 0 to r.width - 1 do
-    r.scratch.(j) <- Cell.of_int ints.(j)
-  done;
-  add_scratch r
+let add r row = add_encoded "add" Cell.encode r row
+let add_ints r ints = add_encoded "add_ints" Cell.of_int r ints
 
 (* The id of [row] in [r], or -1.  [probe] is a caller-owned
    full-width buffer, so concurrent readers never share one. *)
@@ -848,14 +830,7 @@ let compact r =
     let st = r.store and tok = fresh_tok () in
     st.owner <- tok;
     let digest =
-      match r.digest with
-      | Some d when w > 0 ->
-        let mark = ref 0 in
-        for id = 0 to d.mark - 1 do
-          if not (is_dead r.dead id) then incr mark
-        done;
-        Some { d with mark = !mark }
-      | _ -> None
+      match r.digest with Some d when w > 0 -> Some { d with mark = live_below m (min d.mark r.count) } | _ -> None
     in
     release r;
     st.readers <- st.readers + 1;
