@@ -32,13 +32,16 @@
    - a deletion costs the rows it touches: DRed's fixpoint marks rows
      instead of removing them round by round, then one
      [Relation.remove_ids] per relation that loses rows marks them dead
-     in place, so no survivor is copied and no index rebuilt (unless
-     dead rows pass an eighth of the live ones: [Relation.compact]).
-     The handle a removal replaces is kept as the pre state the
-     deletion joins read, and a relation that only gained rows is read
-     below its old id bound ([Relation.prefix]) — no snapshot is
-     copied.  The deleted rows a lower stratum's joins read are copied
-     out only when some stratum reads them;
+     in place, so no survivor is copied and no index rebuilt.  The
+     handle a removal replaces is kept as the pre state the deletion
+     joins read, and a relation that only gained rows is read below
+     its old id bound ([Relation.prefix]) — no snapshot is copied.
+     Once the apply ends, those handles are released and each relation
+     whose dead rows pass an eighth of its live ones is compacted in
+     its own arrays ([Relation.compact]); a single removal past that
+     share compacts at once, into a copy.  The deleted rows a lower
+     stratum's joins read are copied out only when some stratum reads
+     them;
 
    - a stratum with negation, extrema or aggregates is {e recomputed}
      from its (updated) inputs with the same [Seminaive.eval_clique]

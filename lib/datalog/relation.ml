@@ -146,7 +146,7 @@ end
    ids of the rows holding it, in insertion order; the membership set
    is the index on every column.  No key is stored: a slot is compared
    by reading the cells of a row it names.  Power-of-two sizes, at most
-   three quarters full, linear probing; a removed row keeps its entry
+   half full, linear probing; a removed row keeps its entry
    until a compaction, and readers skip the ids they do not see.
 
    A slot is [-1] when empty, else [x] over the key's low [hbits] hash
@@ -305,8 +305,9 @@ let place slots e =
   done;
   Array.unsafe_set slots !i e
 
-(* A table of [cap] slots is full at three quarters. *)
-let[@inline] full keys cap = 4 * (keys + 1) > 3 * cap
+(* A table of [cap] slots is full at half: a probe that misses reads
+   2.5 slots on average then, 8.5 at three quarters. *)
+let[@inline] full keys cap = 2 * (keys + 1) > cap
 
 (* The table size for [n] keys. *)
 let table_size n =
@@ -358,7 +359,9 @@ let rec first_from next t bound dead id =
 let first_id ix s bound dead =
   let e = Array.unsafe_get ix.slots s in
   let t = e lsr (hbits + 1) in
-  if e < 0 then -1 else first_from ix.next t bound dead (if (e lsr hbits) land 1 = 0 then t else ix.next.(t))
+  if e < 0 then -1
+  else if (e lsr hbits) land 1 = 0 then (if t < bound && not (is_dead dead t) then t else -1)
+  else first_from ix.next t bound dead ix.next.(t)
 
 (* ... or each of them, [next] read before [f] sees an id: rows [f]
    adds are not visited. *)
@@ -409,10 +412,11 @@ let heads ix m tails =
    the id being read, so every link read is still old.  Ids past
    [next]'s end never met a second row under their key. *)
 let relink next m tails =
+  let k = ref (-1) in
   for i = 0 to min m.bound (Array.length next) - 1 do
-    let k = nid m i in
-    if k >= 0 then begin
-      let j = ref i in
+    if not (is_dead m.dead i) then begin
+      incr k;
+      let k = !k and j = ref i in
       while
         let n = next.(!j) in
         n > !j && nid m n < 0
@@ -430,11 +434,12 @@ let relink next m tails =
 
 let tail_map = Domain.DLS.new_key (fun () -> ref [||])
 
-(* Last, the slots: each entry is taken out, renumbered and placed
-   again, into a fresh table when the slots are another store's
-   ([copy]) or a smaller one would do (a probe's misses grow with the
-   table), else in place, at or before its old slot: the pass starts
-   after an empty slot, so no probe run wraps past the start. *)
+(* Last, the slots: each entry is renumbered, into a fresh table when
+   the slots are another store's ([copy]) or a smaller one would do (a
+   probe's misses grow with the table), else in place: the pass starts
+   after an empty slot, so no probe run wraps past it, and an entry
+   moves back to the first empty slot from its home only if one opened
+   in between ([hole]: the last empty slot met, from the start). *)
 let squeeze m ~copy ix =
   let slots = ix.slots and tails = Domain.DLS.get tail_map in
   if Array.length slots > 0 then begin
@@ -449,16 +454,21 @@ let squeeze m ~copy ix =
       incr start
     done;
     ix.keys <- 0;
+    let hole = ref 0 in
     for j = 1 to mask do
       let i = (!start + j) land mask in
       let e = Array.unsafe_get slots i in
-      if e >= 0 then begin
-        if into == slots then Array.unsafe_set slots i (-1);
+      if e < 0 then hole := j
+      else begin
         let x = e lsr hbits in
-        let x = if x land 1 = 1 then !tails.(x lsr 1) else if nid m (x lsr 1) >= 0 then nid m (x lsr 1) lsl 1 else -1 in
-        if x >= 0 then begin
-          ix.keys <- ix.keys + 1;
-          place into (entry x e)
+        let x = if x land 1 = 1 then !tails.(x lsr 1) else nid m (x lsr 1) lsl 1 in
+        if x >= 0 then ix.keys <- ix.keys + 1;
+        if into != slots then (if x >= 0 then place into (entry x e))
+        else if x >= 0 && ((e - !start) land mask) > !hole then Array.unsafe_set slots i (entry x e)
+        else begin
+          Array.unsafe_set slots i (-1);
+          hole := j;
+          if x >= 0 then place slots (entry x e)
         end
       end
     done;
@@ -661,10 +671,7 @@ let push_scratch r =
     st.cells <- ncells;
     r.cells <- ncells
   end;
-  let off = r.count * w in
-  for j = 0 to w - 1 do
-    Array.unsafe_set st.cells (off + j) (Array.unsafe_get r.scratch j)
-  done
+  blit_cells r.scratch 0 st.cells (r.count * w) w
 
 (* ... and count it in, once the membership set holds it or knows to. *)
 let push_done r =
@@ -732,10 +739,7 @@ let copy_cells r src id =
     invalid_arg
       (Printf.sprintf "Relation: row of %s (arity %d) into %s (arity %d)" src.rel_name src.width r.rel_name
          r.width);
-  let cells = src.cells and off = id * r.width in
-  for j = 0 to r.width - 1 do
-    Array.unsafe_set r.scratch j (Array.unsafe_get cells (off + j))
-  done
+  blit_cells src.cells (id * r.width) r.scratch 0 r.width
 
 let find_of r src id =
   copy_cells r src id;
@@ -911,23 +915,6 @@ let rec cells_match cells off w mask (probe : int array) i =
   || ((mask land (1 lsl i) = 0 || Array.unsafe_get cells (off + i) = probe.(i))
      && cells_match cells off w mask probe (i + 1))
 
-(* Read-only variant for concurrent readers inside a parallel region:
-   it never builds or mutates an index.  An existing index is used
-   when present, otherwise a filtered linear scan — both enumerate in
-   insertion order, so the result sequence is identical either way.
-   Coordinators call [ensure_index] for the statically known probe
-   masks before entering the region, making the fallback rare. *)
-let probe_ids_ro r mask (probe : int array) f =
-  if mask = 0 || mask = full_mask r then probe_ids r mask probe f
-  else
-    let ix = find_index mask r.store.indexes in
-    if ix != no_index then walk ix r probe f
-    else
-      let cells = r.cells in
-      iter_live r 0 r.count (fun i -> if cells_match cells (i * r.width) r.width mask probe 0 then f i)
-
-let ensure_index r mask = if mask <> 0 && mask <> full_mask r then ignore (index r mask)
-
 (* The semi-naive delta scan: the live ids in [lo, hi) whose rows agree
    with [probe] on [mask], in id order, by comparing cells.  No index is
    read or built — a delta is a few rows at the end of the relation —
@@ -939,6 +926,20 @@ let iter_range_ids r lo hi mask (probe : int array) f =
     let cells = r.cells and w = r.width in
     iter_live r lo hi (fun i -> if cells_match cells (i * w) w mask probe 0 then f i)
   end
+
+(* Read-only variant for concurrent readers inside a parallel region:
+   it never builds or mutates an index.  An existing index is used
+   when present, otherwise a filtered linear scan — both enumerate in
+   insertion order, so the result sequence is identical either way.
+   Coordinators call [ensure_index] for the statically known probe
+   masks before entering the region, making the fallback rare. *)
+let probe_ids_ro r mask (probe : int array) f =
+  if mask = 0 || mask = full_mask r then probe_ids r mask probe f
+  else
+    let ix = find_index mask r.store.indexes in
+    if ix != no_index then walk ix r probe f else iter_range_ids r 0 r.count mask probe f
+
+let ensure_index r mask = if mask <> 0 && mask <> full_mask r then ignore (index r mask)
 
 (* ------------------------------------------------------------------ *)
 (* Slices: sharded enumeration of a matched row set                    *)

@@ -1,10 +1,14 @@
 (** Relation storage with on-demand hash indexes and removal in place.
 
     Rows are kept in insertion order (engines rely on this for
-    deterministic tie-breaking), membership is a hash set, and an index
-    is built lazily for every distinct bound-column pattern that a query
-    uses.  Indexes are maintained incrementally on insertion, so any
-    lookup after the first is expected [O(1 + matches)].
+    deterministic tie-breaking).  Membership and every index are one
+    kind of open-addressing table of row ids: membership is the index on
+    every column, and an index is built lazily for every distinct
+    bound-column pattern that a query uses.  A key one row holds costs
+    its slot only; the rows of a key several rows hold are chained in
+    insertion order.  Indexes are maintained incrementally on
+    insertion, so any lookup after the first is expected
+    [O(1 + matches)].
 
     {b Handles.}  A relation is a handle on a row store: the store, an
     id bound and a set of dead rows.  A row gets the next id when it is
@@ -16,8 +20,9 @@
     handle, the newest, appends to a store in place; any other copies
     the store before it first adds a row, as both sides of a {!copy}
     do.  Once dead rows would exceed an eighth of the live ones,
-    {!remove} compacts the survivors into a fresh store instead, so
-    scans stay within 1.125 times the live rows.
+    {!remove} compacts the survivors, so scans stay within 1.125 times
+    the live rows: in the store's own arrays when no other handle reads
+    them, else into a copy.
 
     {b One representation.}  A row is [arity] {e cells} — one int per
     field — stored with every other row in one growable int array of
@@ -201,15 +206,20 @@ val remove_ids : t -> Idset.t -> t
 
 val compact : t -> t
 (** [compact r]: [r] itself while its dead rows are at most an eighth
-    of its live ones; otherwise a handle on a fresh store holding the
-    same rows in the same order, so that scans stay within 1.125 times
-    the live rows.  Their cells are copied in runs, decoding nothing,
-    and index chains are renumbered, not rebuilt.  Ids are then dense
-    again, so callers holding ids or watermarks of [r] must not apply
-    them to the result; {!id_bound} of the result tells both cases
-    apart for a watermark ([Ivm] resets its watermarks to it after
-    every removal).  A {!digest_cache} moves along, its watermark
-    lowered to the survivors below it. *)
+    of its live ones; otherwise a handle holding the same rows in the
+    same order with dense ids, so that scans stay within 1.125 times
+    the live rows, and [r] is {!release}d.  The survivors' cells are
+    copied down and the membership set and indexes renumbered — ids
+    map monotonely, so no row is re-hashed and chains keep their
+    order.  When [r] owns its store and no other handle reads it, this
+    happens in the store's own arrays and allocates only the new
+    handle; otherwise into a copy, leaving the arrays other handles
+    read as they are.
+    Callers holding ids or watermarks of [r] must not apply them to
+    the result; {!id_bound} of the result tells both cases apart for a
+    watermark ([Ivm] resets its watermarks to it after every removal).
+    A {!digest_cache} moves along, its watermark lowered to the
+    survivors below it. *)
 
 val release : t -> unit
 (** [release r]: the caller reads [r] no more.  [r] reads as empty
@@ -219,7 +229,8 @@ val release : t -> unit
 
 val remove : t -> tuple list -> t
 (** [remove r rows]: {!compact} of {!remove_ids} of the ids [rows] have
-    in [r]; rows absent from [r] are ignored. *)
+    in [r]; rows absent from [r] are ignored.  [r] keeps its rows, so a
+    compaction here works in a copy. *)
 
 val prefix : t -> int -> t
 (** [prefix r m]: a read-only handle on the rows of [r] with ids below
@@ -232,8 +243,8 @@ val prefix : t -> int -> t
 
     Row ids are insertion positions: row [0] is the oldest, ids below
     {!id_bound} are live or dead, and an id names the same row for as
-    long as a relation keeps its store (a compacting {!remove} starts a
-    new one).  The [_ids] iterators enumerate exactly the live ids, in
+    long as a relation is not compacted (a compacting {!remove}
+    renumbers them).  The [_ids] iterators enumerate exactly the live ids, in
     exactly the same order, as their tuple-yielding counterparts — but
     without materializing a tuple per row: one array load per field
     instead of an allocation per row.  Pair them with {!read}. *)
