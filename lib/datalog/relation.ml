@@ -276,6 +276,10 @@ let rec hash_proj cells off (cols : int array) h i =
   else
     hash_proj cells off cols (mix h (Array.unsafe_get cells (off + Array.unsafe_get cols i))) (i + 1)
 
+(* [hash_proj] of the whole row at [off]: the membership set's key. *)
+let rec hash_row cells off w h i =
+  if i = w then finish h else hash_row cells off w (mix h (Array.unsafe_get cells (off + i))) (i + 1)
+
 let rec proj_eq a aoff b boff (cols : int array) i =
   i = Array.length cols
   ||
@@ -589,10 +593,12 @@ let full_mask r = (1 lsl r.width) - 1
 (* Enter the rows appended since the membership set was last written.
    Only the owner writes a store. *)
 let catch_up st w =
-  for id = st.hashed to st.used - 1 do
-    index_add st.members st.cells w id
-  done;
-  st.hashed <- st.used
+  if st.hashed < st.used then begin
+    for id = st.hashed to st.used - 1 do
+      index_add st.members st.cells w id
+    done;
+    st.hashed <- st.used
+  end
 
 (* The rows [m] keeps, densely, in order, from [src] into [dst] ([w]
    cells a row), decoding nothing.  [dst] may be [src]. *)
@@ -606,12 +612,12 @@ let copy_kept m w (src : int array) (dst : int array) =
   done
 
 (* Make [r] the owner of a store of its own, [m] applied: the rows it
-   keeps, with room for a quarter more, and its tables squeezed.  The
-   old store is only read (another handle may have appended past [r]'s
-   bound, which [m] ends at). *)
+   keeps, with room for a quarter more, its indexes squeezed and its
+   membership set hashed anew (cheaper than a pass over slots mostly
+   empty or dead).  The old store is only read: another handle may have
+   appended past [r]'s bound, which [m] ends at. *)
 let own r m =
   let st = r.store and w = r.width in
-  catch_up st w;
   let own_index ix =
     let ix = { ix with next = Array.copy ix.next } in
     squeeze m ~copy:true ix;
@@ -620,7 +626,11 @@ let own r m =
   let live = live_below m m.bound in
   let cells = Array.make (max (16 * w) ((live + (live / 4)) * w)) 0 in
   copy_kept m w r.cells cells;
-  let members = own_index st.members and indexes = List.map own_index st.indexes in
+  let members = index_create st.members.mask st.members.cols live in
+  for id = 0 to live - 1 do
+    index_add members cells w id
+  done;
+  let indexes = List.map own_index st.indexes in
   if r.held then st.readers <- st.readers - 1;
   r.store <- new_store cells members live indexes r.tok;
   r.cells <- cells;
@@ -660,7 +670,7 @@ let find_cells r (probe : int array) =
   let st = r.store in
   catch_up st r.width;
   let ix = st.members in
-  first_id ix (index_slot ix st.cells r.width probe 0 (hash_proj probe 0 ix.cols 17 0)) r.count r.dead
+  first_id ix (index_slot ix st.cells r.width probe 0 (hash_row probe 0 r.width 17 0)) r.count r.dead
 
 (* Write the row in [r.scratch] at id [r.count] of [r]'s own store. *)
 let push_scratch r =
@@ -689,7 +699,7 @@ let add_scratch r =
   let st0 = r.store and w = r.width in
   catch_up st0 w;
   let ix = st0.members in
-  let h = hash_proj r.scratch 0 ix.cols 17 0 in
+  let h = hash_row r.scratch 0 w 17 0 in
   let slot = index_slot ix st0.cells w r.scratch 0 h in
   if first_id ix slot r.count r.dead >= 0 then false
   else begin
@@ -842,12 +852,8 @@ let compact r =
   end
 
 let remove r rows =
-  let set = Idset.create r.count and probe = Array.make r.width 0 in
-  List.iter
-    (fun row ->
-      if Array.length row = r.width then
-        match find_row r probe row with -1 -> () | id -> Idset.add set id)
-    rows;
+  let set = Idset.create r.count in
+  List.iter (fun row -> match find r row with -1 -> () | id -> Idset.add set id) rows;
   compact (remove_ids r set)
 
 (* A read-only handle on the rows of [r] below id [m]: the state [r]
@@ -888,24 +894,16 @@ let walk ix r (probe : int array) f =
    visited, and [f] may reuse the probe buffer. *)
 let probe_ids r mask (probe : int array) f =
   if mask = 0 then iter_live r 0 r.count f
-  else if mask = full_mask r then begin
-    let id = find_cells r probe in
-    if id >= 0 then f id
-  end
+  else if mask = full_mask r then (match find_cells r probe with -1 -> () | id -> f id)
   else walk (index r mask) r probe f
 
 let iter_matching_ids r (pattern : Value.t option array) f =
   if Array.length pattern <> r.width then
     invalid_arg (Printf.sprintf "Relation.iter_matching_ids: bad pattern arity for %s" r.rel_name);
   let mask = ref 0 in
-  Array.iteri
-    (fun c v ->
-      match v with
-      | Some v ->
-        mask := !mask lor (1 lsl c);
-        r.scratch.(c) <- Cell.lookup v
-      | None -> ())
-    pattern;
+  for c = 0 to r.width - 1 do
+    match pattern.(c) with Some v -> mask := !mask lor (1 lsl c); r.scratch.(c) <- Cell.lookup v | None -> ()
+  done;
   probe_ids r !mask r.scratch f
 
 let iter_matching r pattern f = iter_matching_ids r pattern (fun id -> f (decode_row r id))
