@@ -78,11 +78,7 @@ module Supports = struct
 
   let bump s row n =
     let id =
-      match Relation.find_cells s.rows row with
-      | -1 ->
-        ignore (Relation.add_cells s.rows row 0);
-        Relation.id_bound s.rows - 1
-      | id -> id
+      if Relation.add_cells s.rows row 0 then Relation.id_bound s.rows - 1 else Relation.find_cells s.rows row
     in
     if id >= Array.length s.counts then begin
       let counts = Array.make (2 * (id + 1)) 0 in
