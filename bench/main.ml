@@ -340,8 +340,8 @@ let e14 kernel ~limit sz mk gates =
    follow the model: at 104 paths at most 1.25x those at 26 (2.34 when
    every retract rebuilt the relations it touched).  Its major-heap words
    (allocated there or promoted) at 104 paths are at most 6,000 per op:
-   compacting in place read 4,107 in each of 10 smoke runs, where
-   compacting into a freshly allocated store read 26,806. *)
+   compacting in place read 4,115 in each of 10 smoke runs, where
+   compacting into a freshly allocated store read 22,220. *)
 let update_words_per_op paths =
   let len = 20 and cycles = 50 and warm = 10 in
   let rng = Rng.create 42 in

@@ -208,13 +208,14 @@ val compact : t -> t
 (** [compact r]: [r] itself while its dead rows are at most an eighth
     of its live ones; otherwise a handle holding the same rows in the
     same order with dense ids, so that scans stay within 1.125 times
-    the live rows, and [r] is {!release}d.  The survivors' cells are
-    copied down and the membership set and indexes renumbered — ids
-    map monotonely, so no row is re-hashed and chains keep their
-    order.  When [r] owns its store and no other handle reads it, this
-    happens in the store's own arrays and allocates only the new
-    handle; otherwise into a copy, leaving the arrays other handles
-    read as they are.
+    the live rows, and [r] is {!release}d.  When [r] owns its store and
+    no other handle reads it, this happens in the store's own arrays
+    and allocates only the new handle: the survivors' cells are copied
+    down and the membership set and indexes renumbered where they are
+    (ids map monotonely, so no row is re-hashed and chains keep their
+    order).  Otherwise the survivors go into a copy, its indexes
+    renumbered and its membership set hashed anew, and the arrays other
+    handles read stay as they are.
     Callers holding ids or watermarks of [r] must not apply them to
     the result; {!id_bound} of the result tells both cases apart for a
     watermark ([Ivm] resets its watermarks to it after every removal).
