@@ -620,7 +620,7 @@ let copy_kept m w (src : int array) (dst : int array) =
 let own r m =
   let st = r.store and w = r.width in
   let own_index ix =
-    let ix = { ix with next = Array.sub ix.next 0 (min m.bound (Array.length ix.next)) } in
+    let ix = { ix with next = Array.sub ix.next 0 (min st.used (Array.length ix.next)) } in
     squeeze m ~copy:true ix;
     ix
   in

@@ -855,7 +855,23 @@ let test_handles_outlive_compactions () =
   Alcotest.check rows "unique key" [ row [ 0; 3003 ] ] (probe_rows !r 2 0 3003);
   ignore (Relation.add !r (row [ 5; 3003 ]));
   Alcotest.check rows "unique key, second row" [ row [ 0; 3003 ]; row [ 5; 3003 ] ] (probe_rows !r 2 0 3003);
-  Alcotest.check rows "frozen unique key" [ row [ 0; 63 ] ] (probe_rows frozen 2 0 63)
+  Alcotest.check rows "frozen unique key" [ row [ 0; 63 ] ] (probe_rows frozen 2 0 63);
+  (* a handle from before a removal adds a row after the newer handle
+     extended its chains: it copies the store up to its own bound *)
+  let q = Relation.create "q" 2 in
+  List.iter (fun i -> ignore (Relation.add q (row [ i mod 3; i ]))) (List.init 12 Fun.id);
+  Relation.ensure_index q 1;
+  let set = Relation.Idset.create 12 in
+  Relation.Idset.add set 4;
+  let q' = Relation.remove_ids q set in
+  ignore (Relation.add q' (row [ 0; 12 ]));
+  ignore (Relation.add q (row [ 0; 99 ]));
+  let with_zero l = List.filter (fun x -> Value.equal x.(0) (Value.Int 0)) l in
+  Alcotest.check rows "older handle, own row" (with_zero (Relation.to_list q)) (probe_rows q 1 0 0);
+  Alcotest.check rows "older handle's chain" [ row [ 0; 0 ]; row [ 0; 3 ]; row [ 0; 6 ]; row [ 0; 9 ]; row [ 0; 99 ] ]
+    (probe_rows q 1 0 0);
+  Alcotest.check rows "newer handle's chain" [ row [ 0; 0 ]; row [ 0; 3 ]; row [ 0; 6 ]; row [ 0; 9 ]; row [ 0; 12 ] ]
+    (probe_rows q' 1 0 0)
 
 let () =
   Alcotest.run "relation"
