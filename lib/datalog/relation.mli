@@ -224,9 +224,9 @@ val compact : t -> t
 
 val release : t -> unit
 (** [release r]: the caller reads [r] no more.  [r] reads as empty
-    from then on, and once no handle on its store is left, a later
-    {!compact} may reuse the store's arrays.  A handle never released
-    keeps them (and its rows) as they are. *)
+    from then on.  Once every handle on a store but its owner is
+    released, {!compact} of the owner works in the store's own arrays;
+    a handle never released keeps them, and its rows, as they are. *)
 
 val remove : t -> tuple list -> t
 (** [remove r rows]: {!compact} of {!remove_ids} of the ids [rows] have
