@@ -241,7 +241,7 @@ let par_threshold = 2
    checked and counted. *)
 let visit_solution cr st seen cenv ~rejected k =
   let row = Compile.row_cells cr.c_out cenv in
-  if Relation.find_cells seen row < 0 then begin
+  if not (Relation.Cells_tbl.mem seen row) then begin
     let projections =
       List.map
         (fun (l, r) ->
@@ -249,7 +249,7 @@ let visit_solution cr st seen cenv ~rejected k =
         cr.c_fds
     in
     if compatible st projections then begin
-      ignore (Relation.add_cells seen row 0);
+      Relation.Cells_tbl.add seen row ();
       k row (Array.map (fun (key, cost) -> (key cenv, cost cenv)) cr.c_ext)
     end
     else rejected ()
@@ -281,7 +281,7 @@ let collect_parallel pool limits st db slice =
       Option.iter (Compile.set_slot ch cr.stage_slot) stage;
       let cenv = Compile.env ch in
       let lo, hi = Par.bounds ~shards n s in
-      let seen = Relation.create "seen" (Relation.arity st.rel) in
+      let seen = Relation.Cells_tbl.create 64 in
       let acc = ref [] and ex = ref 0 and rej = ref 0 in
       Compile.run_slice ch db slice lo hi (fun () ->
           incr ex;
@@ -307,7 +307,7 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
      membership test against chosen$i runs here, sequentially: it may
      bring the relation's membership set up to date. *)
   let merge_shards (results, shards, rows) =
-    let gseen = Relation.create "seen" (Relation.arity st.rel) in
+    let gseen = Relation.Cells_tbl.create 64 in
     let merged = ref [] in
     Telemetry.span tele "par:merge" (fun () ->
         Array.iter
@@ -320,7 +320,8 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
             | None -> ());
             List.iter
               (fun (row, kcs) ->
-                if Relation.add_cells gseen row 0 then begin
+                if not (Relation.Cells_tbl.mem gseen row) then begin
+                  Relation.Cells_tbl.add gseen row ();
                   merged := (row, Relation.find_cells st.rel row >= 0, kcs) :: !merged
                 end)
               sols)
@@ -343,7 +344,7 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
     | Some slice -> merge_shards (collect_parallel pool limits st db slice)
     | None ->
       let cenv = Compile.env cr.chain in
-      let seen = Relation.create "seen" (Relation.arity st.rel) in
+      let seen = Relation.Cells_tbl.create 64 in
       let solutions = ref [] in
       let rejected () =
         match rc with

@@ -65,12 +65,11 @@ module Cell = struct
           Atomic.set count (k + 1);
           k)
 
-  let absent = -1
-
+  (* The cell of a stored term, or -1: no row holds [v]. *)
   let find_term v =
     match Mutex.protect lock (fun () -> Value.Tbl.find_opt ids v) with
     | Some k -> (k lsl 2) lor 3
-    | None -> absent
+    | None -> -1
 
   (* Ints and symbols are encoded inline, at every call site. *)
   let[@inline] encode v =
@@ -279,6 +278,16 @@ let rec hash_proj cells off (cols : int array) h i =
 (* [hash_proj] of the whole row at [off]: the membership set's key. *)
 let rec hash_row cells off w h i =
   if i = w then finish h else hash_row cells off w (mix h (Array.unsafe_get cells (off + i))) (i + 1)
+
+let rec cells_eq (a : int array) b i = i = Array.length a || (Array.unsafe_get a i = b.(i) && cells_eq a b (i + 1))
+
+(* Hash tables keyed by whole rows of cells. *)
+module Cells_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal a b = Array.length a = Array.length b && cells_eq a b 0
+  let hash a = hash_row a 0 (Array.length a) 17 0
+end)
 
 let rec proj_eq a aoff b boff (cols : int array) i =
   i = Array.length cols
@@ -656,10 +665,6 @@ let decode_row r i =
 
 (* ---------------- add / mem ---------------- *)
 
-let check_arity r fn n =
-  if n <> r.width then
-    invalid_arg (Printf.sprintf "Relation.%s: %s expects arity %d, got %d" fn r.rel_name r.width n)
-
 let rec add_to_indexes cells w id = function
   | [] -> ()
   | ix :: rest ->
@@ -721,6 +726,10 @@ let add_cells r (src : int array) off =
   blit_cells src off r.scratch 0 r.width;
   add_scratch r
 
+let check_arity r fn n =
+  if n <> r.width then
+    invalid_arg (Printf.sprintf "Relation.%s: %s expects arity %d, got %d" fn r.rel_name r.width n)
+
 let add_encoded fn encode r row =
   check_arity r fn (Array.length row);
   for j = 0 to r.width - 1 do
@@ -745,23 +754,20 @@ let find r row = if Array.length row = r.width then find_row r r.scratch row els
 
 let row_cells r id = Array.sub r.cells (id * r.width) r.width
 
-let copy_cells r src id =
-  if src.width <> r.width then
-    invalid_arg
-      (Printf.sprintf "Relation: row of %s (arity %d) into %s (arity %d)" src.rel_name src.width r.rel_name
-         r.width);
+let copy_cells fn r src id =
+  check_arity r fn src.width;
   blit_cells src.cells (id * r.width) r.scratch 0 r.width
 
 let find_of r src id =
-  copy_cells r src id;
+  copy_cells "find_of" r src id;
   find_cells r r.scratch
 
 let add_of r src id =
-  copy_cells r src id;
+  copy_cells "add_of" r src id;
   add_scratch r
 
 let append_of r src id =
-  copy_cells r src id;
+  copy_cells "append_of" r src id;
   privatize r;
   push_scratch r;
   r.store.used <- r.store.used + 1;
@@ -792,18 +798,13 @@ let to_list r =
   iter r (fun row -> acc := row :: !acc);
   List.rev !acc
 
-(* Removal for incremental view maintenance, in two steps.
-   [remove_ids] makes a new handle on [r]'s store whose bitmap also
-   marks the ids dead: no survivor is copied, re-hashed or re-indexed,
-   and [r] keeps reading its own rows.  [compact], once dead rows
-   exceed an eighth of the live ones, copies the survivors down and
-   squeezes the tables: every scan stays within 1.125 times the live
-   rows, and the cost per removed row stays constant.  (Looser
-   thresholds keep larger stores: letting dead rows outnumber live ones
-   raised gbcd's peak RSS on serve_update by ~12%, a quarter by ~8%.)
-   A digest cache carries over: the removed rows below its watermark
-   queue their cells for subtraction, and a compaction lowers the
-   watermark to the survivors below it. *)
+(* Removal in two steps (see the interface).  [remove_ids] marks the
+   ids dead in a new handle's bitmap; [compact] squeezes once dead rows
+   pass an eighth of the live ones (a quarter raised gbcd's peak RSS on
+   serve_update by ~8%, more dead than live rows by ~12%).  A digest
+   cache carries over: removed rows below its watermark queue their
+   cells for subtraction, and a compaction lowers the watermark to the
+   survivors below it. *)
 let remove_ids r set =
   let w = r.width and st = r.store in
   let doomed = dead_prefix r.dead r.count in

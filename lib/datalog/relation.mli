@@ -87,6 +87,9 @@ module Row_tbl : Hashtbl.S with type key = tuple
 (** Hash tables keyed by rows — use this instead of a polymorphic
     [Hashtbl] so keys hash via {!Value.hash} (never truncated). *)
 
+module Cells_tbl : Hashtbl.S with type key = int array
+(** Hash tables keyed by rows of cells. *)
+
 type t
 
 val create : string -> int -> t
