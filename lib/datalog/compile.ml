@@ -540,6 +540,39 @@ let of_body ?(bound = []) ?(range = false) (body : E.body) =
     c_slice_entry = slice_entry }
 
 let clone t = of_body ~bound:t.c_bound0 ~range:(t.c_range <> None) t.c_body
+
+(* What [of_body] reads of a chain's body, and nothing it built: the
+   steps and the slot count, the bound slots and the range flag.  A
+   program cache holds many plans, so they are kept small: the slot
+   table only served compilation, the scans' kernel writes and reads
+   only serve [Eval.run], and small variables share one block each. *)
+type plan = { p_body : E.body; p_bound : int list; p_range : bool }
+
+let shared_vars = Array.init 64 (fun s -> E.PVar s)
+
+let rec share (t : E.pterm) =
+  match t with
+  | E.PVar s when s < Array.length shared_vars -> shared_vars.(s)
+  | E.PCmp (f, args) -> E.PCmp (f, Array.map share args)
+  | E.PBinop (op, a, b) -> E.PBinop (op, share a, share b)
+  | E.PVar _ | E.PCst _ | E.PAny -> t
+
+let share_scan (sc : E.scan) =
+  { sc with E.sc_args = Array.map share sc.E.sc_args; sc_writes = [||]; sc_reads = [||] }
+
+let no_slots : (string, int) Hashtbl.t = Hashtbl.create 1
+
+let plan t =
+  let step : E.step -> E.step = function
+    | E.SScan sc -> E.SScan (share_scan sc)
+    | E.SNeg (sc, gs) -> E.SNeg (share_scan sc, List.map (fun (op, x, y) -> (op, share x, share y)) gs)
+    | E.STest (op, x, y) -> E.STest (op, share x, share y)
+    | E.SUnify (x, y) -> E.SUnify (share x, share y)
+  in
+  { p_body = { E.steps = Array.map step t.c_body.E.steps; slots = no_slots; nvars = t.c_body.E.nvars };
+    p_bound = t.c_bound0; p_range = t.c_range <> None }
+
+let instance p = of_body ~bound:p.p_bound ~range:p.p_range p.p_body
 let env t = t.c_env
 let set_slot t s c = t.c_env.(s) <- c
 

@@ -46,6 +46,21 @@ val clone : t -> t
 (** A fresh instance of the same plan: private environment and
     buffers, for one shard. *)
 
+type plan
+(** What a chain is built from — the planned body's steps, the [bound]
+    slots and the [range] flag — without the buffers and closures a
+    chain holds.  Immutable: the prepared programs of
+    {!Seminaive.prepare} and {!Stage_engine.prepare} keep plans, and
+    every execution builds its own chains from them. *)
+
+val plan : t -> plan
+(** The plan of a chain.  Rows, binders and value programs compiled
+    against the chain work with every {!instance} of its plan: they
+    take the environment as an argument. *)
+
+val instance : plan -> t
+(** A fresh chain of the plan, as {!clone} makes one. *)
+
 val env : t -> env
 
 val set_slot : t -> int -> int -> unit

@@ -53,13 +53,52 @@ let version = 2
 
 (* ---------------- writing ---------------- *)
 
-let w_u8 b n = Buffer.add_uint8 b (n land 0xff)
-let w_u32 b n = Buffer.add_int32_be b (Int32.of_int n)
-let w_i64 b n = Buffer.add_int64_be b (Int64.of_int n)
+(* Where an encoding goes: appended to a buffer, or written in place
+   into bytes from [pos] on.  Filling [Bytes.empty] writes nothing and
+   only counts, which is how an image finds its exact size before it is
+   written once. *)
+type fill = { bytes : Bytes.t; mutable pos : int }
+type out = Buf of Buffer.t | Fill of fill
 
-let w_str b s =
-  w_u32 b (String.length s);
-  Buffer.add_string b s
+let counter () = Fill { bytes = Bytes.empty; pos = 0 }
+let filler bytes = Fill { bytes; pos = 0 }
+let written = function Buf b -> Buffer.length b | Fill f -> f.pos
+
+(* Move past [n] bytes, returning where they start, or -1 when they are
+   only counted. *)
+let[@inline] reserve f n =
+  let p = f.pos in
+  f.pos <- p + n;
+  if Bytes.length f.bytes > 0 then p else -1
+
+let w_u8 o n =
+  match o with
+  | Buf b -> Buffer.add_uint8 b (n land 0xff)
+  | Fill f ->
+    let p = reserve f 1 in
+    if p >= 0 then Bytes.set_uint8 f.bytes p (n land 0xff)
+
+let w_u32 o n =
+  match o with
+  | Buf b -> Buffer.add_int32_be b (Int32.of_int n)
+  | Fill f ->
+    let p = reserve f 4 in
+    if p >= 0 then Bytes.set_int32_be f.bytes p (Int32.of_int n)
+
+let w_i64 o n =
+  match o with
+  | Buf b -> Buffer.add_int64_be b (Int64.of_int n)
+  | Fill f ->
+    let p = reserve f 8 in
+    if p >= 0 then Bytes.set_int64_be f.bytes p (Int64.of_int n)
+
+let w_str o s =
+  w_u32 o (String.length s);
+  match o with
+  | Buf b -> Buffer.add_string b s
+  | Fill f ->
+    let p = reserve f (String.length s) in
+    if p >= 0 then Bytes.blit_string s 0 f.bytes p (String.length s)
 
 type enc = {
   locals : (int, int) Hashtbl.t;  (* global interner id -> local id *)
@@ -97,8 +136,6 @@ let rec w_value enc b = function
     w_u32 b (List.length xs);
     List.iter (w_value enc b) xs
 
-let w_rows enc b rel = Relation.iter rel (fun row -> Array.iter (fun v -> w_value enc b v) row)
-
 (* The live cells of [rel], in order. *)
 let iter_cells rel f =
   let cells = Relation.cells rel and w = Relation.arity rel and n = Relation.id_bound rel in
@@ -127,42 +164,61 @@ let rec value_syms enc = function
   | Value.Sym id | Value.Str id -> ignore (local enc id)
   | Value.Tup xs | Value.App (_, xs) -> List.iter (value_syms enc) xs
 
-let write buf db =
-  w_u32 buf magic;
-  w_u8 buf version;
+type table = {
+  name : string;
+  arity : int;
+  rows : int;
+  blob : bool;
+  cells : (int -> unit) -> unit;
+  values : (Value.t -> unit) -> unit;
+}
+
+let of_relation name rel =
+  { name; arity = Relation.arity rel; rows = Relation.cardinal rel;
+    blob = Relation.arity rel > 0 && not (Relation.has_terms rel);
+    cells = iter_cells rel;
+    values = (fun f -> Relation.iter rel (Array.iter f)) }
+
+let tables db =
+  List.map (fun pred -> of_relation pred (Option.get (Database.find db pred))) (Database.preds db)
+
+type stream = { enc : enc; tbls : table list }
+
+(* The symbol table precedes the rows that fill it: a first pass meets
+   every symbol in the order the rows are then written in. *)
+let stream tbls =
   let enc = { locals = Hashtbl.create 64; syms_rev = []; nsyms = 0 } in
-  let rels =
-    List.map
-      (fun pred ->
-        let rel = Option.get (Database.find db pred) in
-        (pred, rel, Relation.arity rel > 0 && not (Relation.has_terms rel)))
-      (Database.preds db)
-  in
-  (* The symbol table precedes the rows that fill it: a first pass meets
-     every symbol in the order the rows are then written in, so they go
-     straight into [buf]. *)
   List.iter
-    (fun (_, rel, blob) ->
-      if blob then iter_cells rel (fun c -> if Relation.Cell.is_sym c then ignore (local enc (Relation.Cell.sym_id c)))
-      else Relation.iter rel (Array.iter (value_syms enc)))
-    rels;
-  w_u32 buf enc.nsyms;
-  List.iter (fun s -> w_str buf s) (List.rev enc.syms_rev);
-  w_u32 buf (List.length rels);
+    (fun t ->
+      if t.blob then t.cells (fun c -> if Relation.Cell.is_sym c then ignore (local enc (Relation.Cell.sym_id c)))
+      else t.values (value_syms enc))
+    tbls;
+  { enc; tbls }
+
+let of_database db = stream (tables db)
+
+let put o { enc; tbls } =
+  w_u32 o magic;
+  w_u8 o version;
+  w_u32 o enc.nsyms;
+  List.iter (fun s -> w_str o s) (List.rev enc.syms_rev);
+  w_u32 o (List.length tbls);
   List.iter
-    (fun (pred, rel, blob) ->
-      w_str buf pred;
-      w_u32 buf (Relation.arity rel);
-      w_u32 buf (Relation.cardinal rel);
-      if blob then begin
-        w_u8 buf 1;
-        iter_cells rel (w_cell enc buf)
+    (fun t ->
+      w_str o t.name;
+      w_u32 o t.arity;
+      w_u32 o t.rows;
+      if t.blob then begin
+        w_u8 o 1;
+        t.cells (w_cell enc o)
       end
       else begin
-        w_u8 buf 0;
-        w_rows enc buf rel
+        w_u8 o 0;
+        t.values (w_value enc o)
       end)
-    rels
+    tbls
+
+let write buf db = put (Buf buf) (of_database db)
 
 (* ---------------- reading ---------------- *)
 

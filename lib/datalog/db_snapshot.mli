@@ -29,6 +29,53 @@ exception Corrupt of string
 val write : Buffer.t -> Database.t -> unit
 (** Append the (version 2) snapshot encoding of a database. *)
 
+(** {2 Images written once}
+
+    A caller framing snapshots in an image of its own (the durability
+    layer) writes the image at its exact size: every part is first put
+    to a {!counter}, then to a {!filler} over bytes of the size
+    counted.  Nothing is buffered twice. *)
+
+type out
+
+val counter : unit -> out
+(** Counts what is put to it and writes nothing. *)
+
+val filler : Bytes.t -> out
+(** Writes what is put to it into the bytes, from offset 0 on. *)
+
+val written : out -> int
+(** Bytes put so far. *)
+
+val w_u8 : out -> int -> unit
+val w_u32 : out -> int -> unit
+val w_i64 : out -> int -> unit
+
+val w_str : out -> string -> unit
+(** A [u32] length, then the bytes. *)
+
+type table = {
+  name : string;
+  arity : int;
+  rows : int;
+  blob : bool;  (** no term cells: the rows travel as one cell blob *)
+  cells : (int -> unit) -> unit;  (** every cell, row after row ([blob] only) *)
+  values : (Value.t -> unit) -> unit;  (** every field, row after row *)
+}
+(** One relation's contents, as the encoding reads them.  Written as
+    a database holding the tables, in order, would be; a table
+    need not be backed by a {!Relation}. *)
+
+type stream
+(** Tables with their local symbol table found. *)
+
+val stream : table list -> stream
+val of_database : Database.t -> stream
+
+val put : out -> stream -> unit
+(** The (version 2) snapshot encoding: [write buf db] is
+    [put] of [of_database db] to the buffer. *)
+
 val read : string -> int -> Database.t * int
 (** [read s pos] decodes one snapshot starting at [pos], returning the
     database and the offset just past it.

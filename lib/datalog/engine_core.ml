@@ -20,6 +20,16 @@ type vterm =
   | VCmp of string * vterm list
   | VBinop of binop * vterm * vterm
 
+(* The body's closure chain plus the V / FD / extrema evaluators over
+   its environment, resolved once at compile time.  Immutable: every
+   {!fd_state} runs its own instance of the plan. *)
+type cbody = {
+  plan : Compile.plan;
+  c_out : Compile.row;  (* the chosen$ridx row's cells *)
+  c_fds : (Compile.value_prog list * Compile.value_prog list) list;
+  c_ext : (Compile.value_prog * Compile.value_prog) array;
+}
+
 type crule = {
   ridx : int;  (* index of chosen$ridx, matching Rewrite.expand_choice *)
   label : string;  (* telemetry row of the original rule *)
@@ -32,16 +42,14 @@ type crule = {
   stage_slot : int;  (* environment slot of the stage variable, or -1 *)
   c_min : bool array;  (* minimize flag per extremum *)
   v_fds : (vterm list * vterm list) list;  (* [fds] against the V layout *)
-  (* The body's closure chain plus the V / FD / extrema evaluators over
-     its environment, resolved once at compile time. *)
-  chain : Compile.t;
-  c_out : Compile.row;  (* the chosen$ridx row's cells *)
-  c_fds : (Compile.value_prog list * Compile.value_prog list) list;
-  c_ext : (Compile.value_prog * Compile.value_prog) array;
-  (* Per-shard chain clones for data-parallel candidate collection,
-     grown lazily. *)
-  mutable c_scratch : Compile.t array;
+  body : cbody option;
+      (* [None] when compiled [~body:false], for the staged engine's
+         next rules, which evaluate a residual body of their own: the
+         body is still compiled, so it fails as it would, but not kept *)
 }
+
+let body cr =
+  match cr.body with Some b -> b | None -> invalid_arg "Engine_core: rule compiled without its body"
 
 let is_choice_rule r = has_next r || has_choice r
 
@@ -91,7 +99,7 @@ let rec compile_vterm vars = function
   | Cmp (f, args) -> VCmp (f, List.map (compile_vterm vars) args)
   | Binop (op, a, b) -> VBinop (op, compile_vterm vars a, compile_vterm vars b)
 
-let compile_crule ridx (r : Ast.rule) =
+let compile_crule ?(body = true) ridx (r : Ast.rule) =
   let stage = stage_of_rule r in
   let fds =
     match stage with
@@ -105,27 +113,29 @@ let compile_crule ridx (r : Ast.rule) =
   let unsafe msg =
     raise (Unsupported (Printf.sprintf "unsafe rule '%s': %s" (Pretty.rule_to_string r) msg))
   in
-  let body =
+  let cbody =
     try Eval.compile_body ~extra_bound (flat_literals r) with Eval.Unsafe msg -> unsafe msg
   in
   let out_terms = List.map (fun v -> Var v) vars in
   let extrema = extrema_of r in
-  let stage_slot = match stage with Some (v, _) -> Eval.slot body v | None -> -1 in
-  let chain = Compile.of_body ~bound:(if stage_slot < 0 then [] else [ stage_slot ]) body in
-  let value t =
-    Compile.compile_value chain (try Eval.compile_term body t with Eval.Unsafe msg -> unsafe msg)
+  let stage_slot = match stage with Some (v, _) -> Eval.slot cbody v | None -> -1 in
+  let compiled () =
+    let chain = Compile.of_body ~bound:(if stage_slot < 0 then [] else [ stage_slot ]) cbody in
+    let value t =
+      Compile.compile_value chain (try Eval.compile_term cbody t with Eval.Unsafe msg -> unsafe msg)
+    in
+    { plan = Compile.plan chain;
+      c_out =
+        Compile.compile_row chain
+          (try Eval.compile_terms cbody out_terms with Eval.Unsafe msg -> unsafe msg);
+      c_fds = List.map (fun (l, rr) -> (List.map value l, List.map value rr)) fds;
+      c_ext = Array.of_list (List.map (fun e -> (value e.key, value e.cost)) extrema) }
   in
   { ridx; label = Telemetry.rule_label r; head = r.head; vars; out_terms;
     fds; extrema; stage; stage_slot;
     c_min = Array.of_list (List.map (fun e -> e.minimize) extrema);
     v_fds = List.map (fun (l, rr) -> (List.map (compile_vterm vars) l, List.map (compile_vterm vars) rr)) fds;
-    chain;
-    c_out =
-      Compile.compile_row chain
-        (try Eval.compile_terms body out_terms with Eval.Unsafe msg -> unsafe msg);
-    c_fds = List.map (fun (l, rr) -> (List.map value l, List.map value rr)) fds;
-    c_ext = Array.of_list (List.map (fun e -> (value e.key, value e.cost)) extrema);
-    c_scratch = [||] }
+    body = (let b = compiled () in if body then Some b else None) }
 
 (* The rewritten positive rule: head <- flat body, chosen$i(V).  The
    extrema are dropped when the head is fully determined by V (always
@@ -156,11 +166,16 @@ let rec vterm_value row = function
     try Eval.apply_binop op (vterm_value row a) (vterm_value row b)
     with Eval.Unsafe msg -> raise (Unsupported (msg ^ " in choice goal")))
 
+(* A choice rule in one execution. *)
 type fd_state = {
   cr : crule;
   rel : Relation.t;  (* chosen$ridx, lives in the database *)
   tables : Value.t Value.Tbl.t list;  (* per FD: L-projection -> R-projection *)
   mutable mark : int;  (* replay watermark on [rel] *)
+  chain : Compile.t Lazy.t;  (* the body, built when candidates are first collected *)
+  mutable scratch : Compile.t array;
+      (* per-shard chain clones for data-parallel candidate collection,
+         grown lazily *)
 }
 
 let fd_projections row (l, r) =
@@ -168,7 +183,8 @@ let fd_projections row (l, r) =
 
 let make_fd_state db cr =
   let rel = Database.relation db (Rewrite.chosen_pred cr.ridx) (List.length cr.vars) in
-  { cr; rel; tables = List.map (fun _ -> Value.Tbl.create 64) cr.fds; mark = 0 }
+  { cr; rel; tables = List.map (fun _ -> Value.Tbl.create 64) cr.fds; mark = 0;
+    chain = lazy (Compile.instance (body cr).plan); scratch = [||] }
 
 let replay_chosen st =
   Relation.iter_from st.rel st.mark (fun row ->
@@ -240,6 +256,7 @@ let par_threshold = 2
    compatible rows, so every occurrence of an incompatible row is
    checked and counted. *)
 let visit_solution cr st seen cenv ~rejected k =
+  let cr = body cr in
   let row = Compile.row_cells cr.c_out cenv in
   if not (Relation.Cells_tbl.mem seen row) then begin
     let projections =
@@ -264,17 +281,17 @@ let visit_solution cr st seen cenv ~rejected k =
    no relation state beyond the read-only probes; whether a row is
    already chosen is decided by the sequential merge. *)
 let collect_parallel pool limits st db slice =
-  let cr = st.cr in
+  let cr = st.cr and chain = Lazy.force st.chain in
   let n = Relation.slice_len slice in
   let shards = Par.nshards pool n in
-  Compile.prepare_indexes cr.chain db;
-  if Array.length cr.c_scratch < shards then begin
-    let old = cr.c_scratch in
-    cr.c_scratch <-
-      Array.init shards (fun i -> if i < Array.length old then old.(i) else Compile.clone cr.chain)
+  Compile.prepare_indexes chain db;
+  if Array.length st.scratch < shards then begin
+    let old = st.scratch in
+    st.scratch <-
+      Array.init shards (fun i -> if i < Array.length old then old.(i) else Compile.clone chain)
   end;
-  let scratch = cr.c_scratch in
-  let stage = if cr.stage_slot >= 0 then Some (Compile.env cr.chain).(cr.stage_slot) else None in
+  let scratch = st.scratch in
+  let stage = if cr.stage_slot >= 0 then Some (Compile.env chain).(cr.stage_slot) else None in
   let results = Array.make shards ([], 0, 0) in
   Par.run pool ~shards (fun s ->
       let ch = scratch.(s) in
@@ -294,12 +311,12 @@ let collect_parallel pool limits st db slice =
 
 let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequential) db tele
     st tracker examined =
-  let cr = st.cr in
+  let cr = st.cr and chain = Lazy.force st.chain in
   replay_chosen st;
   let rc = Telemetry.rule tele cr.label in
   (match cr.stage, tracker with
   | Some _, Some tr ->
-    Compile.set_slot cr.chain cr.stage_slot (Relation.Cell.of_int (current_stage db tr + 1))
+    Compile.set_slot chain cr.stage_slot (Relation.Cell.of_int (current_stage db tr + 1))
   | None, None -> ()
   | _ -> assert false);
   (* Shards in slice order with a global first-occurrence dedup: the
@@ -334,8 +351,8 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
      (cf. the bi_st_c example), while only new rows are candidates. *)
   let solutions =
     let parallel_slice =
-      if Par.size pool > 1 && Compile.shardable cr.chain then
-        match Compile.shard_scan cr.chain db with
+      if Par.size pool > 1 && Compile.shardable chain then
+        match Compile.shard_scan chain db with
         | Some slice when Relation.slice_len slice >= par_threshold -> Some slice
         | _ -> None
       else None
@@ -343,7 +360,7 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
     match parallel_slice with
     | Some slice -> merge_shards (collect_parallel pool limits st db slice)
     | None ->
-      let cenv = Compile.env cr.chain in
+      let cenv = Compile.env chain in
       let seen = Relation.Cells_tbl.create 64 in
       let solutions = ref [] in
       let rejected () =
@@ -351,7 +368,7 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
         | Some rc -> rc.Telemetry.fd_rejections <- rc.Telemetry.fd_rejections + 1
         | None -> ()
       in
-      Compile.run cr.chain db (fun () ->
+      Compile.run chain db (fun () ->
           incr examined;
           Limits.tick_candidates limits 1;
           (match rc with Some rc -> rc.Telemetry.candidates <- rc.Telemetry.candidates + 1 | None -> ());
@@ -360,7 +377,7 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
       List.rev !solutions
   in
   (* Optimum per key for each extremum, over all compatible solutions. *)
-  let bests = Array.map (fun _ -> Value.Tbl.create 16) cr.c_ext in
+  let bests = Array.map (fun _ -> Value.Tbl.create 16) (body cr).c_ext in
   List.iter
     (fun (_, _, kcs) ->
       Array.iteri

@@ -73,6 +73,10 @@ type stratum = {
   s_kind : kind;
   s_recursive : bool;
   s_reads : string list;  (* every body predicate, deduplicated *)
+  s_eval : (Seminaive.prepared, exn) result;
+      (* the stratum's rules, prepared once for the insert phase and
+         the recomputation; a choice stratum, never evaluated here,
+         keeps an error *)
   (* Support counts for the counting deletion path (non-recursive
      monotone strata only).  [None] = not initialized or invalidated;
      rebuilt lazily by the next deletion that reaches the stratum. *)
@@ -128,6 +132,12 @@ type dred_variant = {
   dv_src : dred_source;
 }
 
+(* The strata of a program, as {!create} finds them.  Shared by the
+   materializations of every session a program cache serves, so never
+   mutated: each materialization copies the strata, and only the copies'
+   support counts change. *)
+type prepared = { p_strata : stratum array; p_idb : (string, unit) Hashtbl.t }
+
 type t = {
   strata : stratum array;
   idb : (string, unit) Hashtbl.t;
@@ -143,7 +153,7 @@ exception Fall of string
 let model t = t.model
 let stats t = t.stats
 
-let create program ~edb ~model =
+let prepare program =
   let rules = List.filter (fun r -> not (Ast.is_fact r)) program in
   let dg = Depgraph.make rules in
   let idb = Hashtbl.create 16 in
@@ -168,17 +178,28 @@ let create program ~edb ~model =
           s_kind = kind;
           s_recursive = Depgraph.is_recursive dg clique;
           s_reads = List.sort_uniq String.compare (List.concat_map Ast.body_preds srules);
+          s_eval =
+            (if kind = Choice then Error (Fall "choice stratum affected")
+             else try Ok (Seminaive.prepare ~clique srules) with e -> Error e);
           s_supports = None })
       (Depgraph.cliques dg)
   in
-  { strata = Array.of_list strata;
-    idb;
+  { p_strata = Array.of_list strata; p_idb = idb }
+
+let materialize p ~edb ~model =
+  { strata = Array.map (fun s -> { s with s_supports = None }) p.p_strata;
+    idb = p.p_idb;
     edb = Database.copy edb;
     model;
     stats =
       { applies = 0; fallbacks = 0; rows_inserted = 0; rows_deleted = 0;
         strata_stepped = 0; strata_recomputed = 0; dred_overdeleted = 0;
         dred_rederived = 0; dred_rounds = 0; dred_checked = 0 } }
+
+let create program ~edb ~model = materialize (prepare program) ~edb ~model
+
+(* A stratum's prepared rules, or the error preparing them raised. *)
+let prepared s = match s.s_eval with Ok p -> p | Error e -> raise e
 
 (* Conservative predicate-level reachability: would a change to any of
    [preds] (transitively) affect a choice stratum?  Checked before the
@@ -985,8 +1006,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                   s.s_preds
               in
               let inc =
-                Seminaive.make ~telemetry ~limits ~pool ~marks:mark model
-                  ~clique:s.s_preds s.s_rules
+                Seminaive.instantiate ~telemetry ~limits ~pool ~marks:mark model (prepared s)
               in
               Seminaive.step inc;
               List.iter
@@ -1019,8 +1039,7 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                   | None -> ());
                   replace p r fresh)
               s.s_preds;
-            Seminaive.eval_clique ~telemetry ~limits ~pool model ~clique:s.s_preds
-              s.s_rules;
+            Seminaive.step (Seminaive.instantiate ~telemetry ~limits ~pool model (prepared s));
             List.iter
               (fun p ->
                 match (Hashtbl.find_opt pre p, Database.find model p) with

@@ -59,12 +59,26 @@ type stats = {
           re-queue after a restore its derivation can use *)
 }
 
+type prepared
+(** A program's strata — predicate dependency cliques, in topological
+    order, each classified and its rules prepared once for the insert
+    phase and the recomputation ({!Seminaive.prepared}).  Depends on
+    the rules only and is immutable: one value serves the
+    materializations of any number of sessions, on any domain. *)
+
+val prepare : Ast.program -> prepared
+(** Never raises: a stratum whose rules cannot be prepared keeps the
+    error, raised by the {!apply} that evaluates it. *)
+
+val materialize : prepared -> edb:Database.t -> model:Database.t -> t
+(** [materialize p ~edb ~model]: [model] must be the complete fixpoint
+    of the prepared program's rules over the fact base [edb].  [edb] is
+    copied; [model] is owned by the returned value and mutated by
+    {!apply} — callers keep reading it through {!model}. *)
+
 val create : Ast.program -> edb:Database.t -> model:Database.t -> t
-(** [create program ~edb ~model] materializes: [model] must be the
-    complete fixpoint of [program]'s rules over the fact base [edb]
-    (facts in [program] are ignored — they are already part of [edb]).
-    [edb] is copied; [model] is owned by the returned value and
-    mutated by {!apply} — callers keep reading it through {!model}. *)
+(** [materialize (prepare program)]: facts in [program] are ignored —
+    they are already part of [edb]. *)
 
 val model : t -> Database.t
 val stats : t -> stats

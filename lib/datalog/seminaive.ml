@@ -32,11 +32,18 @@ type delta = {
 }
 
 (* A rule whose heads need all of its body's solutions first — an
-   extremum or an aggregate — compiled once, re-run on every round that
-   made progress.  [g_run] returns the facts it added. *)
-type gather = { g_label : string; g_chain : Compile.t; g_run : unit -> int }
+   extremum or an aggregate — compiled once at {!prepare}, re-run on
+   every round that made progress.  [pg_run] runs over an execution's
+   own instance of [pg_plan] and returns the facts it added to the head
+   relation. *)
+type pgather = {
+  pg_label : string;
+  pg_head : int;  (* index of the head among the tracked predicates *)
+  pg_plan : Compile.plan;  (* every execution runs its own instance *)
+  pg_run : Limits.t -> Compile.t -> Relation.t -> int;
+}
 
-let extrema_rule limits head rule =
+let extrema_rule head rule =
   let extrema = extrema_of rule in
   let body = Eval.compile_body (flat_body rule) in
   let chain = Compile.of_body body in
@@ -44,8 +51,8 @@ let extrema_rule limits head rule =
   let c_head = Compile.compile_row chain (Eval.compile_terms body rule.head.args) in
   let c_ext = Array.of_list (List.map (fun e -> (value e.key, value e.cost)) extrema) in
   let c_min = Array.of_list (List.map (fun e -> e.minimize) extrema) in
-  let env = Compile.env chain in
-  let run () =
+  let run limits chain rel =
+    let env = Compile.env chain in
     (* Solution: head cells + per-extremum (key, cost). *)
     let solutions = ref [] in
     Compile.run_resolved chain (fun () ->
@@ -68,7 +75,7 @@ let extrema_rule limits head rule =
               if better then Value.Tbl.replace tbl k c)
           kcs)
       solutions;
-    let rel = Option.get head.d_rel and added = ref 0 in
+    let added = ref 0 in
     List.iter
       (fun (row, kcs) ->
         let optimal = ref true in
@@ -80,12 +87,12 @@ let extrema_rule limits head rule =
       solutions;
     !added
   in
-  { g_label = Telemetry.rule_label rule; g_chain = chain; g_run = run }
+  { pg_label = Telemetry.rule_label rule; pg_head = head; pg_plan = Compile.plan chain; pg_run = run }
 
 (* One [count]/[sum] goal per rule: group the flat-body solutions by
    the (evaluated) keys, aggregate the distinct counted values of each
    group, bind the output variable and emit the heads. *)
-let agg_rule limits head rule =
+let agg_rule head rule =
   let op, out, counted, keys =
     match List.filter_map (function Agg (o, v, c, k) -> Some (o, v, c, k) | _ -> None) rule.body with
     | [ x ] -> x
@@ -112,8 +119,8 @@ let agg_rule limits head rule =
         | t -> Some (Compile.compile_cell chain (Eval.compile_term body t)))
       rule.head.args
   in
-  let env = Compile.env chain in
-  let run () =
+  let run limits chain rel =
+    let env = Compile.env chain in
     let head_parts = Value.Tbl.create 16 in
     let groups = Value.Tbl.create 16 in
     Compile.run_resolved chain (fun () ->
@@ -127,7 +134,7 @@ let agg_rule limits head rule =
           let partial = List.map (Option.map (fun p -> p env)) c_head in
           Value.Tbl.add head_parts key partial
         end);
-    let rel = Option.get head.d_rel and added = ref 0 in
+    let added = ref 0 in
     Value.Tbl.iter
       (fun key set ->
         let aggregate =
@@ -147,7 +154,7 @@ let agg_rule limits head rule =
       groups;
     !added
   in
-  { g_label = Telemetry.rule_label rule; g_chain = chain; g_run = run }
+  { pg_label = Telemetry.rule_label rule; pg_head = head; pg_plan = Compile.plan chain; pg_run = run }
 
 (* ------------------------------------------------------------------ *)
 (* Rule checks                                                         *)
@@ -178,30 +185,97 @@ let check_clique_rule ~allow_clique_negation clique rule =
 (* Incremental semi-naive saturation                                   *)
 (* ------------------------------------------------------------------ *)
 
-type variant = {
-  v_label : string;
-  v_head : delta;
-  v_delta : delta;
-  v_chain : Compile.t;  (* the delta occurrence is its range scan *)
-  v_row : Compile.row;  (* the head's cells over the chain's env *)
-  v_rows : Compile.rows;  (* what a sequential fire gathers *)
-  (* Per-shard chain clones and row buffers for the data-parallel fire
-     path, grown lazily and reused across steps. *)
-  mutable v_cscratch : (Compile.t * Compile.rows) array;
+(* A delta variant as {!prepare} compiles it: the head and the delta
+   are indexes among the tracked predicates, and every execution runs
+   its own instance of the chain's plan. *)
+type pvariant = {
+  pv_label : string;
+  pv_head : int;
+  pv_delta : int;
+  pv_plan : Compile.plan;  (* the delta occurrence is its range scan *)
+  pv_row : Compile.row;  (* the head's cells over the chain's env *)
 }
 
 (* The delta variant of [rule] that reads its [i]th body literal, [a],
    from the delta [d].  That occurrence goes first: the planner keeps
    positive scans in written order, so it is the first scan of the plan
    — the range scan — and the outer loop of every join. *)
-let variant head d (rule : Ast.rule) i a =
+let pvariant label head d (rule : Ast.rule) i a =
   let body = Eval.compile_body (Pos a :: List.filteri (fun j _ -> j <> i) rule.body) in
   assert (Array.find_map (function Eval.SScan sc -> Some sc.Eval.sc_pred | _ -> None) body.steps
           = Some a.pred);
-  let v_chain = Compile.of_body ~range:true body in
-  let v_row = Compile.compile_row v_chain (Eval.compile_terms body rule.head.args) in
-  { v_label = Telemetry.rule_label rule; v_head = head; v_delta = d; v_chain; v_row;
-    v_rows = Compile.rows_create (Compile.row_width v_row); v_cscratch = [||] }
+  let chain = Compile.of_body ~range:true body in
+  let pv_row = Compile.compile_row chain (Eval.compile_terms body rule.head.args) in
+  { pv_label = label; pv_head = head; pv_delta = d; pv_plan = Compile.plan chain; pv_row }
+
+type prepared = {
+  p_label : string;  (* the clique's predicates, comma-separated *)
+  p_heads : (string * int) list;  (* one per rule, in rule order *)
+  p_tracked : string array;
+  p_variants : pvariant array;
+  p_gathers : pgather array;
+}
+
+let prepare ?(allow_clique_negation = false) ~clique program =
+  let rules =
+    List.filter (fun r -> (not (Ast.is_fact r)) && List.mem (head_pred r) clique) program
+  in
+  List.iter (check_clique_rule ~allow_clique_negation clique) rules;
+  let agg_rules, rest = List.partition Ast.has_agg rules in
+  let extrema_rules, plain = List.partition Ast.has_extrema rest in
+  (* Track every positive body predicate: the first step then seeds
+     from the full relations, later steps only from what is new —
+     including facts added externally between steps. *)
+  let tracked =
+    Array.of_list
+      (List.sort_uniq String.compare
+         (clique
+         @ List.concat_map
+             (fun r -> List.map (fun a -> a.pred) (positive_body_atoms r))
+             (plain @ extrema_rules @ agg_rules)))
+  in
+  let index p =
+    let rec go i = if String.equal tracked.(i) p then i else go (i + 1) in
+    go 0
+  in
+  (* One delta variant per positive body literal: all are tracked. *)
+  let variants =
+    List.concat_map
+      (fun (r : Ast.rule) ->
+        let label = Telemetry.rule_label r in
+        List.concat
+          (List.mapi
+             (fun i lit ->
+               match lit with
+               | Pos a -> [ pvariant label (index r.head.pred) (index a.pred) r i a ]
+               | _ -> [])
+             r.body))
+      plain
+  in
+  (* Aggregate rules are evaluated by the same group-then-emit schedule
+     as extrema rules, after them. *)
+  let gathers =
+    List.map (fun (r : Ast.rule) -> extrema_rule (index r.head.pred) r) extrema_rules
+    @ List.map (fun (r : Ast.rule) -> agg_rule (index r.head.pred) r) agg_rules
+  in
+  { p_label = String.concat "," clique;
+    p_heads = List.map (fun (r : Ast.rule) -> (r.head.pred, List.length r.head.args)) rules;
+    p_tracked = tracked; p_variants = Array.of_list variants; p_gathers = Array.of_list gathers }
+
+(* What one execution owns: the deltas, an instance of every chain and
+   the row buffers. *)
+type variant = {
+  v : pvariant;
+  v_head : delta;
+  v_delta : delta;
+  v_chain : Compile.t;
+  v_rows : Compile.rows;  (* what a sequential fire gathers *)
+  (* Per-shard chain clones and row buffers for the data-parallel fire
+     path, grown lazily and reused across steps. *)
+  mutable v_cscratch : (Compile.t * Compile.rows) array;
+}
+
+type gather = { g : pgather; g_head : delta; g_chain : Compile.t }
 
 type incremental = {
   db : Database.t;
@@ -215,29 +289,10 @@ type incremental = {
   mutable bound_at : int;  (* [Database.bindings] when last resolved *)
 }
 
-let make ?(allow_clique_negation = false) ?(telemetry = Telemetry.none)
-    ?(limits = Limits.unlimited) ?(pool = Par.sequential) ?(marks = fun _ -> 0) db ~clique
-    program =
-  let rules =
-    List.filter (fun r -> (not (Ast.is_fact r)) && List.mem (head_pred r) clique) program
-  in
-  List.iter (check_clique_rule ~allow_clique_negation clique) rules;
+let instantiate ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
+    ?(pool = Par.sequential) ?(marks = fun _ -> 0) db p =
   (* Head relations must exist even when no rule ever fires. *)
-  List.iter
-    (fun (r : Ast.rule) -> ignore (Database.relation db r.head.pred (List.length r.head.args)))
-    rules;
-  let agg_rules, rest = List.partition Ast.has_agg rules in
-  let extrema_rules, plain = List.partition Ast.has_extrema rest in
-  (* Track every positive body predicate: the first step then seeds
-     from the full relations, later steps only from what is new —
-     including facts added externally between steps. *)
-  let tracked =
-    List.sort_uniq String.compare
-      (clique
-      @ List.concat_map
-          (fun r -> List.map (fun a -> a.pred) (positive_body_atoms r))
-          (plain @ extrema_rules @ agg_rules))
-  in
+  List.iter (fun (pred, arity) -> ignore (Database.relation db pred arity)) p.p_heads;
   (* Initial watermark per tracked predicate: 0 replays the whole
      relation on the first step (the seed evaluation); a caller doing
      incremental view maintenance passes [marks] pointing at the rows
@@ -245,39 +300,35 @@ let make ?(allow_clique_negation = false) ?(telemetry = Telemetry.none)
      publishes only what appeared since (clamped — a relation can have
      shrunk through retraction since the mark was taken). *)
   let deltas =
-    List.map
-      (fun p ->
+    Array.map
+      (fun pred ->
         let mark =
-          match Database.find db p with
+          match Database.find db pred with
           | None -> 0
-          | Some rel -> min (max 0 (marks p)) (Relation.id_bound rel)
+          | Some rel -> min (max 0 (marks pred)) (Relation.id_bound rel)
         in
-        { d_pred = p; d_rel = None; d_mark = mark; d_lo = 0; d_hi = 0 })
-      tracked
+        { d_pred = pred; d_rel = None; d_mark = mark; d_lo = 0; d_hi = 0 })
+      p.p_tracked
   in
-  let delta_of p = List.find (fun d -> String.equal d.d_pred p) deltas in
-  (* One delta variant per positive body literal: all are tracked. *)
   let variants =
-    List.concat_map
-      (fun (r : Ast.rule) ->
-        List.concat
-          (List.mapi
-             (fun i lit ->
-               match lit with
-               | Pos a -> [ variant (delta_of r.head.pred) (delta_of a.pred) r i a ]
-               | _ -> [])
-             r.body))
-      plain
+    Array.map
+      (fun pv ->
+        { v = pv; v_head = deltas.(pv.pv_head); v_delta = deltas.(pv.pv_delta);
+          v_chain = Compile.instance pv.pv_plan;
+          v_rows = Compile.rows_create (Compile.row_width pv.pv_row); v_cscratch = [||] })
+      p.p_variants
   in
-  (* Aggregate rules are evaluated by the same group-then-emit schedule
-     as extrema rules, after them. *)
   let gathers =
-    List.map (fun (r : Ast.rule) -> extrema_rule limits (delta_of r.head.pred) r) extrema_rules
-    @ List.map (fun (r : Ast.rule) -> agg_rule limits (delta_of r.head.pred) r) agg_rules
+    Array.map
+      (fun pg ->
+        { g = pg; g_head = deltas.(pg.pg_head); g_chain = Compile.instance pg.pg_plan })
+      p.p_gathers
   in
-  { db; deltas = Array.of_list deltas; variants = Array.of_list variants;
-    gathers = Array.of_list gathers; tele = telemetry; limits; pool;
-    clique_label = String.concat "," clique; bound_at = -1 }
+  { db; deltas; variants; gathers; tele = telemetry; limits; pool; clique_label = p.p_label;
+    bound_at = -1 }
+
+let make ?allow_clique_negation ?telemetry ?limits ?pool ?marks db ~clique program =
+  instantiate ?telemetry ?limits ?pool ?marks db (prepare ?allow_clique_negation ~clique program)
 
 (* Bind every relation the step reads or writes.  A step only adds rows
    to relations already bound, so the bindings hold until it returns,
@@ -332,7 +383,7 @@ let cscratch_for variant shards =
     variant.v_cscratch <-
       Array.init shards (fun i ->
           if i < Array.length old then old.(i)
-          else (Compile.clone variant.v_chain, Compile.rows_create (Compile.row_width variant.v_row)))
+          else (Compile.clone variant.v_chain, Compile.rows_create (Compile.row_width variant.v.pv_row)))
   end;
   variant.v_cscratch
 
@@ -343,7 +394,7 @@ let collect t v (ch, rows) ~ro lo hi =
   Compile.clear_rows rows;
   Compile.run_range ch ~ro lo hi (fun () ->
       Limits.poll t.limits;
-      Compile.emit rows v.v_row cenv)
+      Compile.emit rows v.v.pv_row cenv)
 
 (* The data-parallel fire: the [n] ids of the delta are cut into
    contiguous ranges, each enumerated read-only by a private chain
@@ -386,13 +437,13 @@ let fire t v =
         Compile.add_rows_rev rel v.v_rows
       end
     in
-    Telemetry.add_derived t.tele v.v_label added;
+    Telemetry.add_derived t.tele v.v.pv_label added;
     Limits.tick_derived t.limits added
   end
 
 let gather t g =
-  let added = g.g_run () in
-  Telemetry.add_derived t.tele g.g_label added;
+  let added = g.g.pg_run t.limits g.g_chain (Option.get g.g_head.d_rel) in
+  Telemetry.add_derived t.tele g.g.pg_label added;
   Limits.tick_derived t.limits added
 
 (* Nothing is created, installed or removed here, so a governor that

@@ -21,22 +21,41 @@
     negation is strictly stage-bounded and thus tests only facts that
     are final by the time the negating rule can fire (see DESIGN.md). *)
 
-type incremental
+type prepared
+(** A clique's rules compiled once: every delta variant's planned body,
+    closure chain, head row and telemetry label, and every extrema and
+    aggregate rule.  A pure function of the rules — no database is
+    read — and immutable afterwards, so one value may be shared by
+    executions on any number of domains: each execution runs private
+    clones of its chains ({!instantiate}). *)
 
-val make :
-  ?allow_clique_negation:bool ->
+val prepare : ?allow_clique_negation:bool -> clique:string list -> Ast.program -> prepared
+(** Compile the non-fact rules whose heads lie in [clique].  Every
+    positive body predicate is delta-tracked, so the first {!step} of
+    an instance performs the seed evaluation and later steps are
+    proportional to the new facts.
+
+    Every delta variant, extrema rule and aggregate rule is compiled
+    here, once, into a {!Compile} closure chain (see docs/INTERNALS.md,
+    "Execution").
+    @raise Invalid_argument on rules outside the supported class (see
+    above), and {!Eval.Unsafe} on an unsafe rule. *)
+
+type incremental
+(** One execution of a {!prepared} clique over one database: its
+    watermarks, its own chain instances ({!Compile.clone}) and row
+    buffers. *)
+
+val instantiate :
   ?telemetry:Telemetry.t ->
   ?limits:Limits.t ->
   ?pool:Par.t ->
   ?marks:(string -> int) ->
   Database.t ->
-  clique:string list ->
-  Ast.program ->
+  prepared ->
   incremental
-(** Compile the non-fact rules whose heads lie in [clique].  Every
-    positive body predicate is delta-tracked, so the first {!step}
-    performs the seed evaluation and later steps are proportional to
-    the new facts.
+(** Create the clique's head relations (in rule order) and bind the
+    prepared clique to [db].
 
     [marks] sets the initial watermark of each tracked predicate
     (default [fun _ -> 0], the full seed).  Incremental view
@@ -51,13 +70,20 @@ val make :
     range is cut across the pool's domains, each shard joins read-only
     into a private buffer, and the buffers are merged in an order that
     makes the database insertion order byte-identical to sequential
-    evaluation (see docs/INTERNALS.md, "Parallel evaluation").
+    evaluation (see docs/INTERNALS.md, "Parallel evaluation"). *)
 
-    Every delta variant, extrema rule and aggregate rule is compiled
-    here, once, into a {!Compile} closure chain (see docs/INTERNALS.md,
-    "Execution").
-    @raise Invalid_argument on rules outside the supported class (see
-    above). *)
+val make :
+  ?allow_clique_negation:bool ->
+  ?telemetry:Telemetry.t ->
+  ?limits:Limits.t ->
+  ?pool:Par.t ->
+  ?marks:(string -> int) ->
+  Database.t ->
+  clique:string list ->
+  Ast.program ->
+  incremental
+(** One-shot: [instantiate] of [prepare].
+    @raise Invalid_argument on rules outside the supported class. *)
 
 val step : incremental -> unit
 (** Saturate to fixpoint given everything that is new since the last

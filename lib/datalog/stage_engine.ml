@@ -102,25 +102,25 @@ type srule = {
   stage_slot : int;
   (* The residual body's closure chain and the evaluators the
      pop-validate loop runs per candidate row, resolved against it once
-     at compile time. *)
-  chain : Compile.t;
+     at compile time.  Every execution runs its own instance of the
+     chain's plan. *)
+  plan : Compile.plan;
   bind : Compile.binder;  (* source argument terms against a source row *)
   out : Compile.row;  (* chosen$i row *)
   head_row : Compile.row;
   fds : (Compile.value_prog list * Compile.value_prog list) list;
-  fd_cols : (int * int array * int array * int array) array option;
+  fd_cols : (int * int array * int array) array option;
   (* When every projection of every choice FD is a plain chosen-row
      column ([VPos]), the FD state needs no tables at all: per FD the
-     left-column bitmask, the left columns, a reusable full-arity cell
-     probe and the right columns, checked against the chosen relation's
-     own indexes. *)
+     left-column bitmask, the left columns and the right columns,
+     checked against the chosen relation's own indexes. *)
   cost_pos : int option;
   (* Source argument position holding the extremum cost when the cost
      term is that argument's plain variable — the queue then reads
      costs straight out of the row's cells, no memo. *)
-  cost_of : (Relation.t -> int -> Value.t) option;
-  (* Otherwise: the cost of a source row, given by id, evaluated from a
-     private environment the row is bound into. *)
+  cost_of : (Compile.binder * Compile.value_prog * int) option;
+  (* Otherwise: the cost of a source row, bound into an environment of
+     the given width and evaluated there. *)
 }
 
 (* Index-backed FD compatibility: the chosen relation's rows are
@@ -133,10 +133,11 @@ exception Fd_conflict
 (* Per FD, the probe of the chosen relation [rel] for the candidate row
    in [cand]: the left-column bitmask and columns, the cell key, and the
    visitor that fails on a stored row disagreeing on a right column.
-   Built once per rule, so a check allocates nothing. *)
+   Built once per execution of a rule, so a check allocates nothing. *)
 let fd_probes rel (cand : int array) fds =
   Array.map
-    (fun (mask, lcols, key, rcols) ->
+    (fun (mask, lcols, rcols) ->
+      let key = Array.make (Relation.arity rel) 0 in
       let visit id =
         let cells = Relation.cells rel and off = id * Relation.arity rel in
         for j = 0 to Array.length rcols - 1 do
@@ -261,7 +262,6 @@ let compile_srule (cr : EC.crule) (r : Ast.rule) =
   in
   let value t = Compile.compile_value chain (compile_t t) in
   let fd_cols =
-    let arity = List.length cr.EC.vars in
     let cols vs =
       List.fold_right
         (fun v acc -> match (v, acc) with EC.VPos i, Some l -> Some (i :: l) | _ -> None)
@@ -271,10 +271,7 @@ let compile_srule (cr : EC.crule) (r : Ast.rule) =
       match (cols l, cols rr) with
       | Some ls, Some rs ->
         Some
-          ( List.fold_left (fun m c -> m lor (1 lsl c)) 0 ls,
-            Array.of_list ls,
-            Array.make arity 0,
-            Array.of_list rs )
+          (List.fold_left (fun m c -> m lor (1 lsl c)) 0 ls, Array.of_list ls, Array.of_list rs)
       | _ -> None
     in
     let rec go acc = function
@@ -298,16 +295,10 @@ let compile_srule (cr : EC.crule) (r : Ast.rule) =
     match (cost, cost_pos) with
     | None, _ | _, Some _ -> None
     | Some c, None ->
-      let env = Array.make (max 1 (Eval.nvars residual)) 0 in
-      let bind = Compile.compile_binder ~bound:[] src_pats in
-      let cost = value c in
-      Some
-        (fun rel id ->
-          if Compile.bind_id bind env rel id then cost env
-          else invalid_arg "Stage_engine: source row does not match its own atom")
+      Some (Compile.compile_binder ~bound:[] src_pats, value c, max 1 (Eval.nvars residual))
   in
   { cr; source; minimize; has_extremum; key_positions; stage_positions; shadow;
-    newer_wins; stage_slot; chain;
+    newer_wins; stage_slot; plan = Compile.plan chain;
     bind = Compile.compile_binder ~bound:[ stage_slot ] src_pats;
     out = Compile.compile_row chain (Array.of_list (List.map compile_t cr.EC.out_terms));
     head_row = Compile.compile_row chain (Array.of_list (List.map compile_t cr.EC.head.args));
@@ -345,9 +336,9 @@ exception Fired
    {!compatible_cols} when the FDs are plain column projections.  A
    solution that fires leaves its chosen and head cells in the
    buffers. *)
-let make_fire ~telemetry ~limits db (sr : srule) ~rql ~src_rel ~(fd : EC.fd_state) ~tracker
+let make_fire ~telemetry ~limits db (sr : srule) ~chain ~rql ~src_rel ~(fd : EC.fd_state) ~tracker
     ~head_rel =
-  let cenv = Compile.env sr.chain in
+  let cenv = Compile.env chain in
   let rc = Telemetry.rule telemetry sr.cr.EC.label in
   let chosen = Array.make (Compile.row_width sr.out) 0 in
   let head = Array.make (Compile.row_width sr.head_row) 0 in
@@ -385,7 +376,7 @@ let make_fire ~telemetry ~limits db (sr : srule) ~rql ~src_rel ~(fd : EC.fd_stat
     | None -> ());
     if not (Compile.bind_id sr.bind cenv src_rel id) then false
     else begin
-      match Compile.run_resolved sr.chain kont with
+      match Compile.run_resolved chain kont with
       | () -> false
       | exception Fired ->
         ignore (Relation.add_cells fd.EC.rel chosen 0);
@@ -397,30 +388,36 @@ let make_fire ~telemetry ~limits db (sr : srule) ~rql ~src_rel ~(fd : EC.fd_stat
   fun () ->
     if Option.is_none sr.fd_cols then EC.replay_chosen fd;
     let stage = EC.current_stage db tracker + 1 in
-    Compile.set_slot sr.chain sr.stage_slot (Relation.Cell.of_int stage);
-    Compile.resolve sr.chain db;
+    Compile.set_slot chain sr.stage_slot (Relation.Cell.of_int stage);
+    Compile.resolve chain db;
     match Rql.retrieve_least rql ~valid with Some _ -> stage | None -> -1
 
-let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db crules flat_rules gamma =
+(* A choice clique as {!prepare} compiles it: the exit rules (whose
+   chains every execution clones), the next rules, and the flat rules
+   plus the exits' positive rules, prepared per sub-clique. *)
+type choice_clique = { exits : EC.crule list; srules : srule list; subs : Seminaive.prepared list }
+
+let not_compilable f =
+  try f () with Invalid_argument msg | Eval.Unsafe msg -> raise (Not_compilable msg)
+
+let prepare_choice crules flat_rules =
   let exits, nexts = List.partition (fun ((cr : EC.crule), _) -> cr.EC.stage = None) crules in
   let srules = List.map (fun (cr, r) -> compile_srule cr r) nexts in
-  let flat =
-    flat_rules @ List.map (fun (cr, r) -> EC.positive_rule cr r) exits
+  let flat = flat_rules @ List.map (fun (cr, r) -> EC.positive_rule cr r) exits in
+  let subs =
+    not_compilable (fun () ->
+        List.map
+          (fun sub -> Seminaive.prepare ~allow_clique_negation:true ~clique:sub flat)
+          (Depgraph.cliques (Depgraph.make flat)))
   in
-  let sub_cliques = Depgraph.cliques (Depgraph.make flat) in
+  { exits = List.map fst exits; srules; subs }
+
+let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db c gamma =
   let saturators =
-    try
-      List.map
-        (fun sub ->
-          Seminaive.make ~allow_clique_negation:true ~telemetry ~limits ~pool db ~clique:sub flat)
-        sub_cliques
-    with Invalid_argument msg | Eval.Unsafe msg -> raise (Not_compilable msg)
+    not_compilable (fun () -> List.map (Seminaive.instantiate ~telemetry ~limits ~pool db) c.subs)
   in
-  let saturate () =
-    try List.iter Seminaive.step saturators
-    with Invalid_argument msg | Eval.Unsafe msg -> raise (Not_compilable msg)
-  in
-  let exit_states = List.map (fun (cr, _) -> EC.make_fd_state db cr) exits in
+  let saturate () = not_compilable (fun () -> List.iter Seminaive.step saturators) in
+  let exit_states = List.map (EC.make_fd_state db) c.exits in
   let staged =
     List.map
       (fun sr ->
@@ -447,7 +444,12 @@ let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db crules flat_rule
               if (ca lor cb) land 1 = 0 then sign * Int.compare ca cb
               else sign * Value.compare (Relation.Cell.decode ca) (Relation.Cell.decode cb)
           | None, None -> fun _ _ -> 0
-          | None, Some cost_of ->
+          | None, Some (bind, cost, width) ->
+            let env = Array.make width 0 in
+            let cost_of rel id =
+              if Compile.bind_id bind env rel id then cost env
+              else invalid_arg "Stage_engine: source row does not match its own atom"
+            in
             let memo = ref [||] in
             let cost id =
               let m = !memo in
@@ -487,9 +489,10 @@ let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db crules flat_rule
           Database.relation db sr.cr.EC.head.pred (List.length sr.cr.EC.head.args)
         in
         let fd = EC.make_fd_state db sr.cr in
+        let chain = Compile.instance sr.plan in
         { sr; rql; src_mark = 0; src_rel; src_cells;
-          fire = make_fire ~telemetry ~limits db sr ~rql ~src_rel ~fd ~tracker ~head_rel })
-      srules
+          fire = make_fire ~telemetry ~limits db sr ~chain ~rql ~src_rel ~fd ~tracker ~head_rel })
+      c.srules
   in
   (* New source rows enter the queue as the live ids past the mark. *)
   let sync () =
@@ -564,7 +567,7 @@ let plan_cliques rules =
         if EC.is_choice_rule r then begin
           let i = !counter in
           incr counter;
-          `Choice (EC.compile_crule i r, r)
+          `Choice (EC.compile_crule ~body:(not (Ast.has_next r)) i r, r)
         end
         else `Flat r)
       rules
@@ -587,8 +590,55 @@ let plan_cliques rules =
       (clique, crules_in, flat_in))
     (Depgraph.cliques graph)
 
-let run_governed ?(shadow = `Auto) ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
-    ?(jobs = 1) ?plan ?db program =
+(* A stratum as {!prepare} leaves it.  Preparing never raises: a
+   clique outside the compiled class keeps its error, raised when an
+   execution reaches the stratum — after the strata before it ran, as
+   if it were compiled on the spot. *)
+type clique = Flat of Seminaive.prepared | Choice_clique of choice_clique
+type stratum = { label : string; clique : (clique, exn) result }
+
+type prepared = {
+  facts : Ast.program;
+  strata : (stratum list, exn) result;  (* an error: the choice rules do not compile *)
+}
+
+let caught f = match f () with x -> Ok x | exception e -> Error e
+
+let prepare program =
+  let facts, rules = List.partition Ast.is_fact program in
+  let stratum i (preds, crules_in, flat_in) =
+    { label = Printf.sprintf "stratum %d: %s" i (String.concat "," preds);
+      clique =
+        caught (fun () ->
+            if crules_in = [] then
+              Flat (not_compilable (fun () -> Seminaive.prepare ~clique:preds rules))
+            else Choice_clique (prepare_choice crules_in flat_in)) }
+  in
+  { facts; strata = caught (fun () -> List.mapi stratum (plan_cliques rules)) }
+
+(* Load the facts, then evaluate stratum by stratum. *)
+let execute_in ~shadow ~telemetry ~limits ~pool ~gamma ~rql_stats db p =
+  Database.load_facts db p.facts;
+  let strata = match p.strata with Ok strata -> strata | Error e -> raise e in
+  List.iter
+    (fun st ->
+      Limits.set_active limits st.label;
+      Telemetry.stratum telemetry st.label;
+      Telemetry.span telemetry st.label (fun () ->
+          match st.clique with
+          | Error e -> raise e
+          | Ok (Flat sp) ->
+            not_compilable (fun () ->
+                Seminaive.step (Seminaive.instantiate ~telemetry ~limits ~pool db sp))
+          | Ok (Choice_clique c) ->
+            rql_stats :=
+              eval_choice_clique ~shadow_mode:shadow ~telemetry ~limits ~pool db c gamma
+              @ !rql_stats))
+    strata
+
+(* Execute what [prepared] returns for the database, under the
+   governor. *)
+let governed ~shadow ~telemetry ~limits ~jobs ?db prepared =
   let pool = Par.get jobs in
   let db = match db with Some db -> db | None -> Database.create () in
   let gamma = ref 0 in
@@ -608,6 +658,16 @@ let run_governed ?(shadow = `Auto) ?(telemetry = Telemetry.none) ?(limits = Limi
   Limits.govern ~telemetry limits
     ~partial:(fun () -> (db, stats ()))
     (fun () ->
+      execute_in ~shadow ~telemetry ~limits ~pool ~gamma ~rql_stats db (prepared db);
+      (db, stats ()))
+
+let execute ?(shadow = `Auto) ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
+    ?(jobs = 1) ?db p =
+  governed ~shadow ~telemetry ~limits ~jobs ?db (fun _ -> p)
+
+let run_governed ?(shadow = `Auto) ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
+    ?(jobs = 1) ?plan ?db program =
+  governed ~shadow ~telemetry ~limits ~jobs ?db (fun db ->
       (* Reorderable rule bodies are cost-planned first.  The gate
          makes this a no-op on any program with choice / next rules,
          so [compile_srule]'s source-atom selection always sees the
@@ -617,25 +677,7 @@ let run_governed ?(shadow = `Auto) ?(telemetry = Telemetry.none) ?(limits = Limi
         | Some p -> Plan.program p
         | None -> Plan.program (Plan.analyze ~telemetry ~db program)
       in
-      let facts, rules = List.partition Ast.is_fact program in
-      Database.load_facts db facts;
-      List.iteri
-        (fun i (clique, crules_in, flat_in) ->
-          let label = Printf.sprintf "stratum %d: %s" i (String.concat "," clique) in
-          Limits.set_active limits label;
-          Telemetry.stratum telemetry label;
-          Telemetry.span telemetry label (fun () ->
-              if crules_in = [] then begin
-                try Seminaive.eval_clique ~telemetry ~limits ~pool db ~clique rules
-                with Invalid_argument msg | Eval.Unsafe msg -> raise (Not_compilable msg)
-              end
-              else
-                rql_stats :=
-                  eval_choice_clique ~shadow_mode:shadow ~telemetry ~limits ~pool db crules_in
-                    flat_in gamma
-                  @ !rql_stats))
-        (plan_cliques rules);
-      (db, stats ()))
+      Telemetry.span telemetry "prepare" (fun () -> prepare program))
 
 let run ?shadow ?telemetry ?limits ?jobs ?plan ?db program =
   match run_governed ?shadow ?telemetry ?limits ?jobs ?plan ?db program with

@@ -49,6 +49,46 @@ type shadow_mode =
   | `Off  (** ablation A2: never shadow *)
   ]
 
+(** {2 Prepare and execute}
+
+    Everything the engine derives from the rules alone — the clique
+    list and each clique's rule partition, the compiled choice and
+    [next] rules, each choice clique's sub-clique {!Depgraph}, every
+    semi-naive delta variant ({!Seminaive.prepared}) and every
+    telemetry label — is computed once by {!prepare}.  {!execute} then
+    only runs it over a database, under its own limits and telemetry.
+    The one-shot entry points are [execute (prepare ...)]; gbcd keeps
+    the prepared program in its program cache, so a served run only
+    executes. *)
+
+type prepared
+(** A prepared program.  Immutable: one value may be executed any
+    number of times, concurrently on any number of domains.  Each
+    execution takes private instances of its closure chains
+    ({!Compile.clone}), with their own environments, resolved relations,
+    row buffers and {!Rql} queues. *)
+
+val prepare : Ast.program -> prepared
+(** Prepare a (cost-planned) program, facts included.  Never raises: a
+    stratum outside the compiled class keeps its error, and
+    {!execute} raises it ({!Not_compilable}, or
+    {!Engine_core.Unsupported} for a choice rule that does not compile)
+    when it reaches that stratum, exactly where a one-shot run would. *)
+
+val execute :
+  ?shadow:shadow_mode ->
+  ?telemetry:Telemetry.t ->
+  ?limits:Limits.t ->
+  ?jobs:int ->
+  ?db:Database.t ->
+  prepared ->
+  (Database.t * stats) Limits.outcome
+(** Load the prepared program's facts into [db] (default: a fresh
+    database) and evaluate it, as {!run_governed} does; [limits]
+    governs the whole execution. *)
+
+(** {2 One-shot} *)
+
 val run :
   ?shadow:shadow_mode ->
   ?telemetry:Telemetry.t ->
@@ -70,7 +110,8 @@ val run :
     Flat saturation, residual revalidation and exit-rule enumeration
     run as {!Compile} closure chains over the cost-planned join order
     ([plan] when given, else {!Plan.analyze}; see docs/INTERNALS.md,
-    "Execution").
+    "Execution").  [run] is {!execute} of {!prepare}; with [telemetry]
+    the preparation is recorded as the span [prepare].
     @raise Limits.Exhausted when [limits] trips a budget; use
     {!run_governed} to receive the partial database instead. *)
 

@@ -25,6 +25,7 @@
 module Database = Gbc_datalog.Database
 module Db_snapshot = Gbc_datalog.Db_snapshot
 module Value = Gbc_datalog.Value
+module Relation = Gbc_datalog.Relation
 module Checksum = Gbc_datalog.Checksum
 
 type t = {
@@ -156,13 +157,10 @@ type snapshot = {
 let magic = "GBCS"
 let version = 1
 
-let w_u8 b n = Buffer.add_uint8 b (n land 0xff)
-let w_u32 b n = Buffer.add_int32_be b (Int32.of_int n)
-let w_i64 b n = Buffer.add_int64_be b (Int64.of_int n)
-
-let w_str b s =
-  w_u32 b (String.length s);
-  Buffer.add_string b s
+let w_u8 = Db_snapshot.w_u8
+let w_u32 = Db_snapshot.w_u32
+let w_i64 = Db_snapshot.w_i64
+let w_str = Db_snapshot.w_str
 
 let w_opt w b = function
   | None -> w_u8 b 0
@@ -216,14 +214,40 @@ let r_db rd what =
     db
   | exception Db_snapshot.Corrupt msg -> raise (Corrupt (what ^ ": " ^ msg))
 
-(* the multiset as an aux database: each row widened by its count *)
-let multiset_to_db entries =
-  let db = Database.create () in
-  List.iter
-    (fun (pred, row, n) ->
-      ignore (Database.add_fact db pred (Array.append row [| Value.Int n |])))
-    entries;
-  db
+(* The multiset travels as a database would that holds each (distinct)
+   entry's row widened by its count: one table per predicate, in order
+   of first appearance, rows in entry order.  The tables read the
+   entries in place; no such database is built. *)
+let multiset_tables entries =
+  let preds =
+    List.rev
+      (List.fold_left (fun acc (p, _, _) -> if List.mem p acc then acc else p :: acc) [] entries)
+  in
+  let inline = function
+    | Value.Int i -> Relation.Cell.inline i
+    | Value.Sym _ -> true
+    | _ -> false
+  in
+  List.map
+    (fun pred ->
+      let each f = List.iter (fun (p, row, n) -> if String.equal p pred then f row n) entries in
+      let rows = ref 0 and arity = ref 0 and blob = ref true in
+      each (fun row n ->
+          incr rows;
+          arity := Array.length row + 1;
+          blob := !blob && Relation.Cell.inline n && Array.for_all inline row);
+      { Db_snapshot.name = pred; arity = !arity; rows = !rows; blob = !blob;
+        cells =
+          (fun f ->
+            each (fun row n ->
+                Array.iter (fun v -> f (Relation.Cell.encode v)) row;
+                f (Relation.Cell.of_int n)));
+        values =
+          (fun f ->
+            each (fun row n ->
+                Array.iter f row;
+                f (Value.Int n))) })
+    preds
 
 let multiset_of_db db =
   List.concat_map
@@ -238,31 +262,39 @@ let multiset_of_db db =
         (Database.facts_of db pred))
     (Database.preds db)
 
-(* The frame (magic, version, CRC of the body) and the body go into one
-   buffer, the CRC patched in once the body is written: the image is
-   copied out once. *)
+(* The frame (magic, version, CRC of the body) and the body are written
+   once, into bytes of the image's exact size, counted by a first pass
+   over the same calls; the CRC is patched in once the body is
+   written. *)
 let encode_snapshot snap =
-  let body = Buffer.create 65536 in
-  Buffer.add_string body magic;
-  w_u32 body version;
-  w_u32 body 0;
-  w_i64 body snap.last_lsn;
-  w_opt w_str body snap.digest;
-  Db_snapshot.write body snap.db;
-  Db_snapshot.write body (multiset_to_db snap.multiset);
-  w_opt
-    (fun b (id, result) ->
-      w_i64 b id;
-      w_i64 b result)
-    body snap.last_mut;
-  w_opt
-    (fun b m ->
-      w_u8 b m.m_engine;
-      w_opt w_i64 b m.m_seed;
-      w_str b m.model_digest;
-      Db_snapshot.write b m.model)
-    body snap.mat;
-  let image = Buffer.to_bytes body in
+  let db = Db_snapshot.of_database snap.db
+  and multiset = Db_snapshot.stream (multiset_tables snap.multiset)
+  and mat = Option.map (fun m -> (m, Db_snapshot.of_database m.model)) snap.mat in
+  let emit o =
+    String.iter (fun c -> w_u8 o (Char.code c)) magic;
+    w_u32 o version;
+    w_u32 o 0;
+    w_i64 o snap.last_lsn;
+    w_opt w_str o snap.digest;
+    Db_snapshot.put o db;
+    Db_snapshot.put o multiset;
+    w_opt
+      (fun o (id, result) ->
+        w_i64 o id;
+        w_i64 o result)
+      o snap.last_mut;
+    w_opt
+      (fun o (m, model) ->
+        w_u8 o m.m_engine;
+        w_opt w_i64 o m.m_seed;
+        w_str o m.model_digest;
+        Db_snapshot.put o model)
+      o mat
+  in
+  let size = Db_snapshot.counter () in
+  emit size;
+  let image = Bytes.create (Db_snapshot.written size) in
+  emit (Db_snapshot.filler image);
   let crc = Checksum.sub_string (Bytes.unsafe_to_string image) ~pos:12 ~len:(Bytes.length image - 12) in
   Bytes.set_int32_be image 8 (Int32.of_int crc);
   Bytes.unsafe_to_string image

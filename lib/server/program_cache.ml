@@ -1,9 +1,13 @@
-(* The compiled-program cache: parse + stage-analysis + EDB load happen
-   once per distinct program text, keyed by source digest.
+(* The compiled-program cache: parse, stage analysis, EDB load, cost
+   planning and engine preparation happen once per distinct program
+   text, keyed by source digest.
 
-   An entry is immutable after construction: the parse, the partition
-   into rules and facts, the stage report, and a frozen base database
-   holding the program's ground facts.  Sessions never mutate the base
+   An entry is immutable after construction: the rules, a frozen base
+   database holding the program's ground facts, the cost plan, and the
+   prepared staged engine and incremental maintenance strata that every
+   session executes.  Of the parse and the stage report it keeps only
+   what a [Load] reply carries: a cache holds many entries, so none
+   keeps what no request reads.  Sessions never mutate the base
    — they take [Database.copy] snapshots (copy-on-write at the
    relation level), so serving an entry to any number of concurrent
    sessions costs one O(#relations) copy per session, not a re-parse
@@ -21,16 +25,20 @@ module Database = Gbc_datalog.Database
 module Parser = Gbc_datalog.Parser
 module Stage = Gbc_datalog.Stage
 module Plan = Gbc_datalog.Plan
+module Stage_engine = Gbc_datalog.Stage_engine
+module Ivm = Gbc_datalog.Ivm
 module Gbc_error = Gbc_datalog.Gbc_error
 
 type entry = {
   digest : string;  (* hex MD5 of the source text *)
   source_bytes : int;
-  program : Ast.program;
+  clauses : int;
+  stage_stratified : bool;
   rules : Ast.program;  (* non-fact clauses *)
   base : Database.t;  (* the program's ground facts; frozen *)
-  report : Stage.report;
-  plan : Plan.t;  (* cost plan against [base]; feeds every session run *)
+  plan : Plan.t;  (* cost plan against [base]; feeds reference runs *)
+  prepared : Stage_engine.prepared;  (* [plan]'s program, prepared *)
+  ivm : Ivm.prepared;  (* [rules]' strata for incremental maintenance *)
   compile_ms : float;  (* wall time of this entry's compilation *)
 }
 
@@ -74,14 +82,18 @@ let compile ~digest source =
   let facts, rules = List.partition Ast.is_fact program in
   let base = Database.create () in
   Database.load_facts base facts;
-  let report = Stage.analyze program in
+  let stage_stratified = (Stage.analyze program).Stage.stage_stratified in
   (* Plan over the non-fact clauses only — sessions evaluate [rules]
      against a copy of [base], so the plan's program must match; the
      base database supplies the cardinality statistics the fact
      clauses would otherwise seed. *)
   let plan = Plan.analyze ~db:base rules in
-  { digest; source_bytes = String.length source; program; rules; base; report; plan;
-    compile_ms = (Unix.gettimeofday () -. t0) *. 1000.0 }
+  (* Neither preparation raises: a program outside the compiled class
+     loads, and its staged runs answer [not-compilable]. *)
+  let prepared = Stage_engine.prepare (Plan.program plan) in
+  let ivm = Ivm.prepare rules in
+  { digest; source_bytes = String.length source; clauses = List.length program; stage_stratified;
+    rules; base; plan; prepared; ivm; compile_ms = (Unix.gettimeofday () -. t0) *. 1000.0 }
 
 let touch t digest = t.lru <- digest :: List.filter (fun d -> not (String.equal d digest)) t.lru
 

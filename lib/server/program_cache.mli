@@ -1,9 +1,9 @@
 (** The compiled-program cache behind gbcd's [Load] request.
 
     Keyed by the MD5 digest of the source text: repeated loads of the
-    same [.dl] program skip parsing, rewriting/stage analysis and EDB
-    loading entirely, and hand every session the same immutable
-    {!entry}.  Sessions isolate themselves by snapshotting
+    same [.dl] program skip parsing, rewriting/stage analysis, EDB
+    loading, cost planning and engine preparation entirely, and hand
+    every session the same immutable {!entry}.  Sessions isolate themselves by snapshotting
     [entry.base] with [Database.copy] (copy-on-write), never by
     mutating it.
 
@@ -15,19 +15,31 @@ module Ast = Gbc_datalog.Ast
 module Database = Gbc_datalog.Database
 module Stage = Gbc_datalog.Stage
 module Plan = Gbc_datalog.Plan
+module Stage_engine = Gbc_datalog.Stage_engine
+module Ivm = Gbc_datalog.Ivm
 module Gbc_error = Gbc_datalog.Gbc_error
 
 type entry = private {
   digest : string;  (** hex MD5 of the source text *)
   source_bytes : int;
-  program : Ast.program;  (** the full parse, facts included *)
+  clauses : int;  (** clauses in the parse, facts included *)
+  stage_stratified : bool;  (** the verdict of {!Stage.analyze} *)
   rules : Ast.program;  (** non-fact clauses only *)
   base : Database.t;  (** the program's ground facts — treat as frozen *)
-  report : Stage.report;
   plan : Plan.t;
       (** cost plan computed once against [base]; sessions hand it to
-          the engines so re-runs skip re-analysis *)
-  compile_ms : float;  (** wall time this entry took to compile *)
+          the reference engine so re-runs skip re-analysis *)
+  prepared : Stage_engine.prepared;
+      (** [plan]'s program prepared for the staged engine
+          ({!Stage_engine.prepare}): a session's staged run only
+          executes it.  A program outside the compiled class is
+          prepared too; executing it raises the stratum's error. *)
+  ivm : Ivm.prepared;
+      (** [rules]' strata for incremental maintenance
+          ({!Ivm.prepare}): every materialization reads them *)
+  compile_ms : float;
+      (** wall time this entry took to compile: parse, analysis, EDB
+          load, planning and both preparations *)
 }
 
 type stats = {

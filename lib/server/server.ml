@@ -470,10 +470,10 @@ let handle_request t (session : Session.t) req : Protocol.response * post =
       match Session.load session src with
       | Ok (entry, cache_hit) ->
         ( Protocol.Loaded
-            { clauses = List.length entry.Program_cache.program;
+            { clauses = entry.Program_cache.clauses;
               cache_hit;
               digest = entry.Program_cache.digest;
-              stage_stratified = entry.Program_cache.report.Gbc_datalog.Stage.stage_stratified },
+              stage_stratified = entry.Program_cache.stage_stratified },
           Keep )
       | Error e -> err e)
     | Protocol.Assert_facts { text; id } -> (

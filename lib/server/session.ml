@@ -549,7 +549,8 @@ let run t ~engine ~seed ~jobs ~limits ~telemetry =
       Ok outcome
     | None ->
       let work = Database.copy db in
-      (* Hand the engines the entry's cached cost plan: re-runs skip
+      (* The staged engine executes the entry's prepared program; the
+         reference engine gets its cached cost plan.  Re-runs skip
          re-analysis, and every session sharing the entry executes the
          same join orders. *)
       let plan = entry.Program_cache.plan in
@@ -558,8 +559,8 @@ let run t ~engine ~seed ~jobs ~limits ~telemetry =
             match engine with
             | Protocol.Staged ->
               map_outcome fst
-                (Stage_engine.run_governed ~plan ~telemetry ~limits ~jobs ~db:work
-                   entry.Program_cache.rules)
+                (Stage_engine.execute ~telemetry ~limits ~jobs ~db:work
+                   entry.Program_cache.prepared)
             | Protocol.Reference ->
               let policy =
                 match seed with Some s -> Choice_fixpoint.Random s | None -> Choice_fixpoint.First
@@ -580,7 +581,7 @@ let run t ~engine ~seed ~jobs ~limits ~telemetry =
           Some
             { mat_engine = fst key;
               mat_seed = snd key;
-              ivm = Ivm.create entry.Program_cache.rules ~edb:db ~model };
+              ivm = Ivm.materialize entry.Program_cache.ivm ~edb:db ~model };
         log_run t ~key model
       | Ok (Limits.Partial _) ->
         t.counters.runs_full <- t.counters.runs_full + 1;
@@ -708,7 +709,7 @@ let restore ~cache dur id =
               { mat_engine = engine_of_int m.Durable.m_engine;
                 mat_seed = m.Durable.m_seed;
                 ivm =
-                  Ivm.create entry.Program_cache.rules ~edb:s.Durable.db
+                  Ivm.materialize entry.Program_cache.ivm ~edb:s.Durable.db
                     ~model:m.Durable.model })));
   (* 2. the WAL tail: records beyond the snapshot, in order, through
      the exact in-memory paths the live session used *)

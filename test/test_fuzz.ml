@@ -190,6 +190,42 @@ let prop_random_sorting_stable =
       let prog = Sorting.program items in
       Stable.is_stable prog (Stage_engine.model prog))
 
+(* ------------------------------------------------------------------ *)
+(* One prepared program, two fact bases: executing the rules prepared
+   once must give each fact base the model a fresh one-shot run of
+   facts and rules gives it.                                           *)
+(* ------------------------------------------------------------------ *)
+
+let prepared_agrees rules facts_a facts_b =
+  let prepared = Stage_engine.prepare rules in
+  List.for_all
+    (fun facts ->
+      let db = Database.create () in
+      Database.load_facts db facts;
+      match Stage_engine.execute ~db prepared with
+      | Limits.Complete (db, _) ->
+        String.equal (Database.render db) (Database.render (Stage_engine.model (facts @ rules)))
+      | Limits.Partial _ -> false)
+    [ facts_a; facts_b ]
+
+let split prog = List.partition Ast.is_fact prog
+
+let prop_prepared_positive =
+  QCheck.Test.make ~name:"random positive programs: one prepared program, two fact bases"
+    ~count:150 (QCheck.pair arb_positive_program arb_positive_program) (fun (p, q) ->
+      let facts_a, rules = split p and facts_b, _ = split q in
+      prepared_agrees rules facts_a facts_b)
+
+let prop_prepared_stage =
+  QCheck.Test.make ~name:"random stage programs: one prepared program, two fact bases" ~count:120
+    (QCheck.make
+       ~print:(fun ((_, p), (_, q)) ->
+         Pretty.program_to_string p ^ "\n--- second fact base from ---\n" ^ Pretty.program_to_string q)
+       (QCheck.Gen.pair gen_stage_program gen_stage_program))
+    (fun ((_, p), (_, q)) ->
+      let facts_a, rules = split p and facts_b, _ = split q in
+      prepared_agrees rules facts_a facts_b)
+
 let () =
   Alcotest.run "fuzz"
     [ ( "differential",
@@ -198,4 +234,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_enumeration_equals_brute_force;
           QCheck_alcotest.to_alcotest prop_every_enumerated_model_stable;
           QCheck_alcotest.to_alcotest prop_random_sorting_stable;
-          QCheck_alcotest.to_alcotest prop_random_stage_programs ] ) ]
+          QCheck_alcotest.to_alcotest prop_random_stage_programs ] );
+      ( "prepared",
+        [ QCheck_alcotest.to_alcotest prop_prepared_positive;
+          QCheck_alcotest.to_alcotest prop_prepared_stage ] ) ]
