@@ -174,6 +174,24 @@ let compile_test bound ((op, x, y) : E.guard) : env -> bool =
     let cmp = test_cmp op in
     fun env -> cmp (ex env) (ey env)
 
+(* The slots bound once [t] matched, given [bound]: what the matcher
+   [compile_match] compiles writes.  The bound sets of a chain's steps
+   come from here alone. *)
+let rec match_bound ~inversion bound (t : E.pterm) =
+  match t with
+  | E.PAny | E.PCst _ -> bound
+  | E.PVar s -> ISet.add s bound
+  | E.PCmp (_, args) -> Array.fold_left (match_bound ~inversion) bound args
+  | E.PBinop (op, a, b) -> (
+    if (not inversion) || not (has_unbound bound t) then bound
+    else
+      match op with
+      | Ast.Add | Ast.Sub ->
+        if not (has_unbound bound a) then match_bound ~inversion bound b
+        else if not (has_unbound bound b) then match_bound ~inversion bound a
+        else bound
+      | _ -> bound)
+
 (* Matcher of a pterm against a ground cell, binding statically
    unbound slots in place.  This is [Eval]'s [match_pterm] with the
    dynamic bound checks replayed at compile time; [inversion] selects
@@ -184,67 +202,64 @@ let compile_test bound ((op, x, y) : E.guard) : env -> bool =
    because a statically-unbound slot is never read before the next
    write.  A compound pattern matches the decoded value
    ([match_value]). *)
-let rec compile_match ~inversion bound (t : E.pterm) : (env -> int -> bool) * ISet.t =
+let rec compile_match ~inversion bound (t : E.pterm) : env -> int -> bool =
   match t with
-  | E.PAny -> (fun _ _ -> true), bound
+  | E.PAny -> fun _ _ -> true
   | E.PVar s ->
-    if ISet.mem s bound then (fun env c -> Array.unsafe_get env s = c), bound
-    else
-      ( (fun env c ->
-          Array.unsafe_set env s c;
-          true),
-        ISet.add s bound )
+    if ISet.mem s bound then fun env c -> Array.unsafe_get env s = c
+    else fun env c ->
+      Array.unsafe_set env s c;
+      true
   | E.PCst k ->
     let k = Cell.encode k in
-    (fun _ c -> c = k), bound
+    fun _ c -> c = k
   | E.PCmp _ ->
-    let m, b = match_value ~inversion bound t in
-    (fun env c -> Cell.is_term c && m env (decode c)), b
+    let m = match_value ~inversion bound t in
+    fun env c -> Cell.is_term c && m env (decode c)
   | E.PBinop (op, a, b) ->
     if not (has_unbound bound t) then
       let ev = compile_cell ~intern:false bound t in
-      (fun env c -> ev env = c), bound
-    else if not inversion then (fun _ _ -> false), bound
+      fun env c -> ev env = c
+    else if not inversion then fun _ _ -> false
     else (
       (* Invert simple integer arithmetic so that equations like
          [I = J + 1] can bind [J] when [I] is already known — exactly
          [Eval]'s [match_pterm] cases. *)
       let invert known pat solve =
         let ek = compile_cell ~intern:true bound known in
-        let m, bound' = compile_match ~inversion bound pat in
-        ( (fun env c ->
-            holds_int c
-            &&
-            let k = ek env in
-            holds_int k && m env (Cell.of_int (solve (int_of c) (int_of k)))),
-          bound' )
+        let m = compile_match ~inversion bound pat in
+        fun env c ->
+          holds_int c
+          &&
+          let k = ek env in
+          holds_int k && m env (Cell.of_int (solve (int_of c) (int_of k)))
       in
       match op with
       | Ast.Add ->
         if not (has_unbound bound a) then invert a b (fun s x -> s - x)
         else if not (has_unbound bound b) then invert b a (fun s y -> s - y)
-        else (fun _ _ -> false), bound
+        else fun _ _ -> false
       | Ast.Sub ->
         if not (has_unbound bound a) then invert a b (fun s x -> x - s)
         else if not (has_unbound bound b) then invert b a (fun s y -> s + y)
-        else (fun _ _ -> false), bound
-      | _ -> (fun _ _ -> false), bound)
+        else fun _ _ -> false
+      | _ -> fun _ _ -> false)
 
 (* The same matcher against a decoded value: a part of a compound
    cell.  Anything but a compound or a constant pattern matches the
    part's cell. *)
-and match_value ~inversion bound (t : E.pterm) : (env -> Value.t -> bool) * ISet.t =
+and match_value ~inversion bound (t : E.pterm) : env -> Value.t -> bool =
   match t with
-  | E.PAny -> (fun _ _ -> true), bound
-  | E.PCst c -> (fun _ v -> Value.equal c v), bound
+  | E.PAny -> fun _ _ -> true
+  | E.PCst c -> fun _ v -> Value.equal c v
   | E.PCmp (f, args) ->
     let n = Array.length args in
     let bound = ref bound in
     let ms =
       Array.map
         (fun a ->
-          let m, b = match_value ~inversion !bound a in
-          bound := b;
+          let m = match_value ~inversion !bound a in
+          bound := match_bound ~inversion !bound a;
           m)
         args
     in
@@ -257,18 +272,15 @@ and match_value ~inversion bound (t : E.pterm) : (env -> Value.t -> bool) * ISet
       in
       go 0 vs
     in
-    let m =
-      if f = "" then fun env v ->
-        match v with Value.Tup vs -> match_list env vs | _ -> false
-      else fun env v ->
-        match v with
-        | Value.App (g, vs) when String.equal f g -> match_list env vs
-        | _ -> false
-    in
-    (m, !bound)
+    if f = "" then fun env v ->
+      match v with Value.Tup vs -> match_list env vs | _ -> false
+    else fun env v -> (
+      match v with
+      | Value.App (g, vs) when String.equal f g -> match_list env vs
+      | _ -> false)
   | E.PVar _ | E.PBinop _ ->
-    let m, b = compile_match ~inversion bound t in
-    (fun env v -> m env (Cell.encode v)), b
+    let m = compile_match ~inversion bound t in
+    fun env v -> m env (Cell.encode v)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled scans                                                      *)
@@ -323,24 +335,20 @@ let build_scan bound (sc : E.scan) =
       | E.PCst c -> key.(p) <- Cell.encode c
       | E.PVar s when ISet.mem s !bound -> kvars := (p, s) :: !kvars
       | _ -> kfill := (p, compile_cell ~intern:false !bound t) :: !kfill)
-    else
-      match t with
+    else begin
+      (match t with
       | E.PVar s ->
-        if ISet.mem s !bound then
-          ops :=
-            (match List.find_opt (function WVar (_, s') -> s' = s | _ -> false) !ops with
-            | Some (WVar (q, _)) -> RSame (p, q)
-            | _ -> REq (p, s))
-            :: !ops
-        else begin
-          ops := WVar (p, s) :: !ops;
-          bound := ISet.add s !bound
-        end
-      | E.PCmp _ | E.PBinop _ ->
-        let m, b = compile_match ~inversion:true !bound t in
-        ops := RMatch (p, m) :: !ops;
-        bound := b
-      | E.PCst _ | E.PAny -> assert false (* constants are always masked *)
+        ops :=
+          (if not (ISet.mem s !bound) then WVar (p, s)
+           else
+             match List.find_opt (function WVar (_, s') -> s' = s | _ -> false) !ops with
+             | Some (WVar (q, _)) -> RSame (p, q)
+             | _ -> REq (p, s))
+          :: !ops
+      | E.PCmp _ | E.PBinop _ -> ops := RMatch (p, compile_match ~inversion:true !bound t) :: !ops
+      | E.PCst _ | E.PAny -> assert false (* constants are always masked *));
+      bound := match_bound ~inversion:true !bound t
+    end
   done;
   let ops = Array.of_list (List.rev !ops) in
   let writes =
@@ -362,6 +370,21 @@ let build_scan bound (sc : E.scan) =
       cs_lo = 0;
       cs_hi = 0 },
     !bound )
+
+(* The slots bound after a scan, and after a step, given those bound
+   before it: what [build_scan] threads, without building the scan. *)
+let scan_bound bound (sc : E.scan) =
+  let b = ref bound in
+  Array.iteri
+    (fun p t -> if sc.E.sc_mask land (1 lsl p) = 0 then b := match_bound ~inversion:true !b t)
+    sc.E.sc_args;
+  !b
+
+let step_bound bound (s : E.step) =
+  match s with
+  | E.SScan sc -> scan_bound bound sc
+  | E.SNeg _ | E.STest _ -> bound
+  | E.SUnify (pat, _) -> match_bound ~inversion:true bound pat
 
 (* The statically-unrolled residue of [match_row] per enumerated row,
    over the row's cells at [off]: no row tuple is ever materialized and
@@ -421,12 +444,46 @@ let neg_fails ~ro env cs guards =
 (* Chains                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* What a chain is built from, and nothing it builds: the steps and the
+   slot count, the bound slots and the range flag, and the slots bound
+   at the end of the body, which the engine-side programs below are
+   compiled against.  A program cache holds many plans, so they are
+   kept small: the slot table only served compilation, the scans'
+   kernel writes and reads only serve [Eval.run], and small variables
+   share one block each. *)
+type plan = { p_body : E.body; p_bound : int list; p_range : bool; p_bound_end : ISet.t }
+
+let shared_vars = Array.init 64 (fun s -> E.PVar s)
+
+let rec share (t : E.pterm) =
+  match t with
+  | E.PVar s when s < Array.length shared_vars -> shared_vars.(s)
+  | E.PCmp (f, args) -> E.PCmp (f, Array.map share args)
+  | E.PBinop (op, a, b) -> E.PBinop (op, share a, share b)
+  | E.PVar _ | E.PCst _ | E.PAny -> t
+
+let share_scan (sc : E.scan) =
+  { sc with E.sc_args = Array.map share sc.E.sc_args; sc_writes = [||]; sc_reads = [||] }
+
+let no_slots : (string, int) Hashtbl.t = Hashtbl.create 1
+
+let plan ?(bound = []) ?(range = false) (body : E.body) =
+  let step : E.step -> E.step = function
+    | E.SScan sc -> E.SScan (share_scan sc)
+    | E.SNeg (sc, gs) -> E.SNeg (share_scan sc, List.map (fun (op, x, y) -> (op, share x, share y)) gs)
+    | E.STest (op, x, y) -> E.STest (op, share x, share y)
+    | E.SUnify (x, y) -> E.SUnify (share x, share y)
+  in
+  let steps = Array.map step body.E.steps in
+  { p_body = { E.steps; slots = no_slots; nvars = body.E.nvars };
+    p_bound = bound;
+    p_range = range;
+    p_bound_end = Array.fold_left step_bound (ISet.of_list bound) steps }
+
 type t = {
-  c_body : E.body;
-  c_bound0 : int list;
+  c_plan : plan;
   c_env : env;
   c_steps : cstep array;
-  c_bound_end : ISet.t;
   c_range : cscan option;
   c_kont : (unit -> unit) ref;
   c_entry : unit -> unit;  (* read-write executor over all steps *)
@@ -436,10 +493,9 @@ type t = {
 
 let noop () = ()
 
-let of_body ?(bound = []) ?(range = false) (body : E.body) =
-  let bound0 = bound in
-  let bound = ref (ISet.of_list bound) in
-  let range_left = ref range in
+let instance p =
+  let bound = ref (ISet.of_list p.p_bound) in
+  let range_left = ref p.p_range in
   let steps =
     Array.map
       (fun (s : E.step) ->
@@ -460,12 +516,12 @@ let of_body ?(bound = []) ?(range = false) (body : E.body) =
         | E.STest (op, x, y) -> CTest (compile_test !bound (op, x, y))
         | E.SUnify (pat, ground) ->
           let eg = compile_cell ~intern:true !bound ground in
-          let m, b = compile_match ~inversion:true !bound pat in
-          bound := b;
+          let m = compile_match ~inversion:true !bound pat in
+          bound := match_bound ~inversion:true !bound pat;
           CUnify (eg, m))
-      body.E.steps
+      p.p_body.E.steps
   in
-  let env = Array.make (max 1 body.E.nvars) 0 in
+  let env = Array.make (max 1 p.p_body.E.nvars) 0 in
   let kont = ref noop in
   let n = Array.length steps in
   (* visit closures are preallocated; they read [cs_cells], set before
@@ -528,51 +584,17 @@ let of_body ?(bound = []) ?(range = false) (body : E.body) =
             Relation.slice_iter_ids sl lo hi visit
         | _ -> fun _ _ _ -> invalid_arg "Compile.run_slice: chain does not start with a scan"))
   in
-  { c_body = body;
-    c_bound0 = bound0;
+  { c_plan = p;
     c_env = env;
     c_steps = steps;
-    c_bound_end = !bound;
     c_range = Array.find_map (function CRange cs -> Some cs | _ -> None) steps;
     c_kont = kont;
     c_entry = build ~ro:false 0;
     c_ro_entry = lazy (build ~ro:true 0);
     c_slice_entry = slice_entry }
 
-let clone t = of_body ~bound:t.c_bound0 ~range:(t.c_range <> None) t.c_body
-
-(* What [of_body] reads of a chain's body, and nothing it built: the
-   steps and the slot count, the bound slots and the range flag.  A
-   program cache holds many plans, so they are kept small: the slot
-   table only served compilation, the scans' kernel writes and reads
-   only serve [Eval.run], and small variables share one block each. *)
-type plan = { p_body : E.body; p_bound : int list; p_range : bool }
-
-let shared_vars = Array.init 64 (fun s -> E.PVar s)
-
-let rec share (t : E.pterm) =
-  match t with
-  | E.PVar s when s < Array.length shared_vars -> shared_vars.(s)
-  | E.PCmp (f, args) -> E.PCmp (f, Array.map share args)
-  | E.PBinop (op, a, b) -> E.PBinop (op, share a, share b)
-  | E.PVar _ | E.PCst _ | E.PAny -> t
-
-let share_scan (sc : E.scan) =
-  { sc with E.sc_args = Array.map share sc.E.sc_args; sc_writes = [||]; sc_reads = [||] }
-
-let no_slots : (string, int) Hashtbl.t = Hashtbl.create 1
-
-let plan t =
-  let step : E.step -> E.step = function
-    | E.SScan sc -> E.SScan (share_scan sc)
-    | E.SNeg (sc, gs) -> E.SNeg (share_scan sc, List.map (fun (op, x, y) -> (op, share x, share y)) gs)
-    | E.STest (op, x, y) -> E.STest (op, share x, share y)
-    | E.SUnify (x, y) -> E.SUnify (share x, share y)
-  in
-  { p_body = { E.steps = Array.map step t.c_body.E.steps; slots = no_slots; nvars = t.c_body.E.nvars };
-    p_bound = t.c_bound0; p_range = t.c_range <> None }
-
-let instance p = of_body ~bound:p.p_bound ~range:p.p_range p.p_body
+let of_body ?bound ?range body = instance (plan ?bound ?range body)
+let clone t = instance t.c_plan
 let env t = t.c_env
 let set_slot t s c = t.c_env.(s) <- c
 
@@ -657,17 +679,17 @@ let run_slice t db sl lo hi k =
 type cell_prog = env -> int
 type value_prog = env -> Value.t
 
-let compile_cell t ct = compile_cell ~intern:true t.c_bound_end ct
-let compile_value t ct = compile_value t.c_bound_end ct
+let compile_cell p ct = compile_cell ~intern:true p.p_bound_end ct
+let compile_value p ct = compile_value p.p_bound_end ct
 
 (* A head row: position [j] copies slot [slots.(j)] when that is not
    negative — a plain variable, the common case — and runs
    [progs.(j)] otherwise. *)
 type row = { slots : int array; progs : cell_prog array }
 
-let compile_row t cts =
-  { slots = Array.map (function E.PVar s when ISet.mem s t.c_bound_end -> s | _ -> -1) cts;
-    progs = Array.map (compile_cell t) cts }
+let compile_row p cts =
+  { slots = Array.map (function E.PVar s when ISet.mem s p.p_bound_end -> s | _ -> -1) cts;
+    progs = Array.map (compile_cell p) cts }
 
 let row_width r = Array.length r.slots
 
@@ -718,8 +740,8 @@ let compile_binder ~bound cts =
   let b = ref (ISet.of_list bound) in
   Array.map
     (fun ct ->
-      let m, b' = compile_match ~inversion:false !b ct in
-      b := b';
+      let m = compile_match ~inversion:false !b ct in
+      b := match_bound ~inversion:false !b ct;
       m)
     cts
 
@@ -732,8 +754,9 @@ let bind_id (bdr : binder) env rel id =
   w = Array.length bdr && bind_from bdr env (Relation.cells rel) (id * w) 0
 
 let solutions body db outs =
-  let t = of_body body in
-  let progs = Array.map (compile_value t) (E.compile_terms body outs) in
+  let p = plan body in
+  let t = instance p in
+  let progs = Array.map (compile_value p) (E.compile_terms body outs) in
   let acc = ref [] in
   run t db (fun () -> acc := Array.to_list (Array.map (fun p -> p t.c_env) progs) :: !acc);
   List.rev !acc

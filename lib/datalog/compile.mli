@@ -24,11 +24,17 @@
 type env = int array
 (** One cell per variable slot (see {!Relation.Cell}). *)
 
-type t
+type plan
+(** What a chain is built from: the planned body's steps, the [bound]
+    slots, the [range] flag and the slots bound at the body's end —
+    none of the buffers and closures a chain holds.  Immutable: the
+    prepared programs of {!Seminaive.prepare} and
+    {!Stage_engine.prepare} keep plans, and every execution builds its
+    own chains from them. *)
 
-val of_body : ?bound:int list -> ?range:bool -> Eval.body -> t
-(** Compile a planned body.  [bound] lists the environment slots the
-    caller promises to set before every {!run} — the slots of the
+val plan : ?bound:int list -> ?range:bool -> Eval.body -> plan
+(** The plan of a planned body.  [bound] lists the environment slots
+    the caller promises to set before every {!run} — the slots of the
     body's [extra_bound] variables.  The static analysis is exact only
     under that promise.
 
@@ -42,24 +48,17 @@ val of_body : ?bound:int list -> ?range:bool -> Eval.body -> t
     lists the same rows in the same order as a relation holding just
     those rows would. *)
 
-val clone : t -> t
-(** A fresh instance of the same plan: private environment and
-    buffers, for one shard. *)
-
-type plan
-(** What a chain is built from — the planned body's steps, the [bound]
-    slots and the [range] flag — without the buffers and closures a
-    chain holds.  Immutable: the prepared programs of
-    {!Seminaive.prepare} and {!Stage_engine.prepare} keep plans, and
-    every execution builds its own chains from them. *)
-
-val plan : t -> plan
-(** The plan of a chain.  Rows, binders and value programs compiled
-    against the chain work with every {!instance} of its plan: they
-    take the environment as an argument. *)
+type t
 
 val instance : plan -> t
-(** A fresh chain of the plan, as {!clone} makes one. *)
+(** A chain of the plan: a private environment, buffers and resolved
+    relations. *)
+
+val of_body : ?bound:int list -> ?range:bool -> Eval.body -> t
+(** [instance] of [plan]. *)
+
+val clone : t -> t
+(** A fresh instance of the same plan, for one shard. *)
 
 val env : t -> env
 
@@ -106,24 +105,26 @@ val run_slice : t -> Database.t -> Relation.slice -> int -> int -> (unit -> unit
 
     The engines evaluate heads, costs, keys and FD projections per
     solution.  These compile the corresponding {!Eval.cterm}s against
-    the chain's end-of-body bound set into direct evaluators over the
+    the plan's end-of-body bound set into direct evaluators over the
     environment: to a cell, for what goes into a relation, or to a
-    decoded value, for what is compared or tabled as a value. *)
+    decoded value, for what is compared or tabled as a value.  They
+    take the environment as an argument, so they serve every
+    {!instance} of the plan. *)
 
 type cell_prog = env -> int
 type value_prog = env -> Value.t
 
-val compile_cell : t -> Eval.cterm -> cell_prog
+val compile_cell : plan -> Eval.cterm -> cell_prog
 (** A value the body computes enters the term table when it needs a
     cell there. *)
 
-val compile_value : t -> Eval.cterm -> value_prog
+val compile_value : plan -> Eval.cterm -> value_prog
 
 type row
 (** A head: one cell program per argument, a plain variable copying
     its slot. *)
 
-val compile_row : t -> Eval.cterm array -> row
+val compile_row : plan -> Eval.cterm array -> row
 val row_width : row -> int
 
 val write_row : row -> env -> int array -> int -> unit

@@ -53,52 +53,39 @@ let version = 2
 
 (* ---------------- writing ---------------- *)
 
-(* Where an encoding goes: appended to a buffer, or written in place
-   into bytes from [pos] on.  Filling [Bytes.empty] writes nothing and
-   only counts, which is how an image finds its exact size before it is
-   written once. *)
-type fill = { bytes : Bytes.t; mutable pos : int }
-type out = Buf of Buffer.t | Fill of fill
+(* Where an encoding goes: written in place into bytes from [pos] on.
+   Filling [Bytes.empty] writes nothing and only counts, which is how
+   an image finds its exact size before it is written once. *)
+type out = { bytes : Bytes.t; mutable pos : int }
 
-let counter () = Fill { bytes = Bytes.empty; pos = 0 }
-let filler bytes = Fill { bytes; pos = 0 }
-let written = function Buf b -> Buffer.length b | Fill f -> f.pos
+let counter () = { bytes = Bytes.empty; pos = 0 }
+let filler bytes = { bytes; pos = 0 }
+let written o = o.pos
+let counting o = Bytes.length o.bytes = 0
 
 (* Move past [n] bytes, returning where they start, or -1 when they are
    only counted. *)
-let[@inline] reserve f n =
-  let p = f.pos in
-  f.pos <- p + n;
-  if Bytes.length f.bytes > 0 then p else -1
+let[@inline] reserve o n =
+  let p = o.pos in
+  o.pos <- p + n;
+  if counting o then -1 else p
 
 let w_u8 o n =
-  match o with
-  | Buf b -> Buffer.add_uint8 b (n land 0xff)
-  | Fill f ->
-    let p = reserve f 1 in
-    if p >= 0 then Bytes.set_uint8 f.bytes p (n land 0xff)
+  let p = reserve o 1 in
+  if p >= 0 then Bytes.set_uint8 o.bytes p (n land 0xff)
 
 let w_u32 o n =
-  match o with
-  | Buf b -> Buffer.add_int32_be b (Int32.of_int n)
-  | Fill f ->
-    let p = reserve f 4 in
-    if p >= 0 then Bytes.set_int32_be f.bytes p (Int32.of_int n)
+  let p = reserve o 4 in
+  if p >= 0 then Bytes.set_int32_be o.bytes p (Int32.of_int n)
 
 let w_i64 o n =
-  match o with
-  | Buf b -> Buffer.add_int64_be b (Int64.of_int n)
-  | Fill f ->
-    let p = reserve f 8 in
-    if p >= 0 then Bytes.set_int64_be f.bytes p (Int64.of_int n)
+  let p = reserve o 8 in
+  if p >= 0 then Bytes.set_int64_be o.bytes p (Int64.of_int n)
 
 let w_str o s =
   w_u32 o (String.length s);
-  match o with
-  | Buf b -> Buffer.add_string b s
-  | Fill f ->
-    let p = reserve f (String.length s) in
-    if p >= 0 then Bytes.blit_string s 0 f.bytes p (String.length s)
+  let p = reserve o (String.length s) in
+  if p >= 0 then Bytes.blit_string s 0 o.bytes p (String.length s)
 
 type enc = {
   locals : (int, int) Hashtbl.t;  (* global interner id -> local id *)
@@ -210,7 +197,8 @@ let put o { enc; tbls } =
       w_u32 o t.rows;
       if t.blob then begin
         w_u8 o 1;
-        t.cells (w_cell enc o)
+        (* a blob's size is known: a counter skips the walk *)
+        if counting o then o.pos <- o.pos + (8 * t.arity * t.rows) else t.cells (w_cell enc o)
       end
       else begin
         w_u8 o 0;
@@ -218,7 +206,13 @@ let put o { enc; tbls } =
       end)
     tbls
 
-let write buf db = put (Buf buf) (of_database db)
+let write buf db =
+  let s = of_database db in
+  let size = counter () in
+  put size s;
+  let image = Bytes.create (written size) in
+  put (filler image) s;
+  Buffer.add_bytes buf image
 
 (* ---------------- reading ---------------- *)
 

@@ -27,7 +27,9 @@ exception Corrupt of string
     snapshot's own bytes. *)
 
 val write : Buffer.t -> Database.t -> unit
-(** Append the (version 2) snapshot encoding of a database. *)
+(** Append the (version 2) snapshot encoding of a database: the
+    encoding is {!put} to a {!counter}, then to a {!filler} over bytes
+    of the size counted, which are appended. *)
 
 (** {2 Images written once}
 
@@ -39,7 +41,8 @@ val write : Buffer.t -> Database.t -> unit
 type out
 
 val counter : unit -> out
-(** Counts what is put to it and writes nothing. *)
+(** Counts what is put to it and writes nothing; a cell blob is
+    counted from its table's size, without walking it. *)
 
 val filler : Bytes.t -> out
 (** Writes what is put to it into the bytes, from offset 0 on. *)
@@ -73,8 +76,7 @@ val stream : table list -> stream
 val of_database : Database.t -> stream
 
 val put : out -> stream -> unit
-(** The (version 2) snapshot encoding: [write buf db] is
-    [put] of [of_database db] to the buffer. *)
+(** The (version 2) snapshot encoding. *)
 
 val read : string -> int -> Database.t * int
 (** [read s pos] decodes one snapshot starting at [pos], returning the

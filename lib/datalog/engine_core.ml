@@ -42,14 +42,8 @@ type crule = {
   stage_slot : int;  (* environment slot of the stage variable, or -1 *)
   c_min : bool array;  (* minimize flag per extremum *)
   v_fds : (vterm list * vterm list) list;  (* [fds] against the V layout *)
-  body : cbody option;
-      (* [None] when compiled [~body:false], for the staged engine's
-         next rules, which evaluate a residual body of their own: the
-         body is still compiled, so it fails as it would, but not kept *)
+  body : cbody;
 }
-
-let body cr =
-  match cr.body with Some b -> b | None -> invalid_arg "Engine_core: rule compiled without its body"
 
 let is_choice_rule r = has_next r || has_choice r
 
@@ -99,7 +93,7 @@ let rec compile_vterm vars = function
   | Cmp (f, args) -> VCmp (f, List.map (compile_vterm vars) args)
   | Binop (op, a, b) -> VBinop (op, compile_vterm vars a, compile_vterm vars b)
 
-let compile_crule ?(body = true) ridx (r : Ast.rule) =
+let compile_crule ridx (r : Ast.rule) =
   let stage = stage_of_rule r in
   let fds =
     match stage with
@@ -119,23 +113,21 @@ let compile_crule ?(body = true) ridx (r : Ast.rule) =
   let out_terms = List.map (fun v -> Var v) vars in
   let extrema = extrema_of r in
   let stage_slot = match stage with Some (v, _) -> Eval.slot cbody v | None -> -1 in
-  let compiled () =
-    let chain = Compile.of_body ~bound:(if stage_slot < 0 then [] else [ stage_slot ]) cbody in
-    let value t =
-      Compile.compile_value chain (try Eval.compile_term cbody t with Eval.Unsafe msg -> unsafe msg)
-    in
-    { plan = Compile.plan chain;
-      c_out =
-        Compile.compile_row chain
-          (try Eval.compile_terms cbody out_terms with Eval.Unsafe msg -> unsafe msg);
-      c_fds = List.map (fun (l, rr) -> (List.map value l, List.map value rr)) fds;
-      c_ext = Array.of_list (List.map (fun e -> (value e.key, value e.cost)) extrema) }
+  let plan = Compile.plan ~bound:(if stage_slot < 0 then [] else [ stage_slot ]) cbody in
+  let value t =
+    Compile.compile_value plan (try Eval.compile_term cbody t with Eval.Unsafe msg -> unsafe msg)
   in
   { ridx; label = Telemetry.rule_label r; head = r.head; vars; out_terms;
     fds; extrema; stage; stage_slot;
     c_min = Array.of_list (List.map (fun e -> e.minimize) extrema);
     v_fds = List.map (fun (l, rr) -> (List.map (compile_vterm vars) l, List.map (compile_vterm vars) rr)) fds;
-    body = (let b = compiled () in if body then Some b else None) }
+    body =
+      { plan;
+        c_out =
+          Compile.compile_row plan
+            (try Eval.compile_terms cbody out_terms with Eval.Unsafe msg -> unsafe msg);
+        c_fds = List.map (fun (l, rr) -> (List.map value l, List.map value rr)) fds;
+        c_ext = Array.of_list (List.map (fun e -> (value e.key, value e.cost)) extrema) } }
 
 (* The rewritten positive rule: head <- flat body, chosen$i(V).  The
    extrema are dropped when the head is fully determined by V (always
@@ -184,7 +176,7 @@ let fd_projections row (l, r) =
 let make_fd_state db cr =
   let rel = Database.relation db (Rewrite.chosen_pred cr.ridx) (List.length cr.vars) in
   { cr; rel; tables = List.map (fun _ -> Value.Tbl.create 64) cr.fds; mark = 0;
-    chain = lazy (Compile.instance (body cr).plan); scratch = [||] }
+    chain = lazy (Compile.instance cr.body.plan); scratch = [||] }
 
 let replay_chosen st =
   Relation.iter_from st.rel st.mark (fun row ->
@@ -256,18 +248,18 @@ let par_threshold = 2
    compatible rows, so every occurrence of an incompatible row is
    checked and counted. *)
 let visit_solution cr st seen cenv ~rejected k =
-  let cr = body cr in
-  let row = Compile.row_cells cr.c_out cenv in
+  let b = cr.body in
+  let row = Compile.row_cells b.c_out cenv in
   if not (Relation.Cells_tbl.mem seen row) then begin
     let projections =
       List.map
         (fun (l, r) ->
           (Value.Tup (List.map (fun p -> p cenv) l), Value.Tup (List.map (fun p -> p cenv) r)))
-        cr.c_fds
+        b.c_fds
     in
     if compatible st projections then begin
       Relation.Cells_tbl.add seen row ();
-      k row (Array.map (fun (key, cost) -> (key cenv, cost cenv)) cr.c_ext)
+      k row (Array.map (fun (key, cost) -> (key cenv, cost cenv)) b.c_ext)
     end
     else rejected ()
   end
@@ -377,7 +369,7 @@ let collect_candidates ?(idx = 0) ?(limits = Limits.unlimited) ?(pool = Par.sequ
       List.rev !solutions
   in
   (* Optimum per key for each extremum, over all compatible solutions. *)
-  let bests = Array.map (fun _ -> Value.Tbl.create 16) (body cr).c_ext in
+  let bests = Array.map (fun _ -> Value.Tbl.create 16) cr.body.c_ext in
   List.iter
     (fun (_, _, kcs) ->
       Array.iteri

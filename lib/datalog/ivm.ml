@@ -227,8 +227,8 @@ let reaches_choice t preds =
    microsecond to build, so nothing is cached across applies. *)
 let head_chain body (head : Ast.atom) =
   let cbody = Eval.compile_body body in
-  let chain = Compile.of_body cbody in
-  (chain, Compile.compile_row chain (Eval.compile_terms cbody head.args))
+  let plan = Compile.plan cbody in
+  (Compile.instance plan, Compile.compile_row plan (Eval.compile_terms cbody head.args))
 
 (* [k] on the head's cells, fresh per solution. *)
 let run_chain limits db (chain, head) k =
@@ -672,10 +672,10 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                                let cbody =
                                  Eval.compile_body (Pos { a with pred = rename_front a.pred } :: rest)
                                in
-                               let chain = Compile.of_body ~range:true cbody in
-                               [ { dv_chain = chain;
+                               let plan = Compile.plan ~range:true cbody in
+                               [ { dv_chain = Compile.instance plan;
                                    dv_head =
-                                     Compile.compile_row chain
+                                     Compile.compile_row plan
                                        (Eval.compile_terms cbody rule.head.args);
                                    dv_buf = Array.make (List.length rule.head.args) 0;
                                    dv_into = into; dv_src = src } ])
@@ -816,10 +816,10 @@ let apply ?(telemetry = Telemetry.none) ?(limits = Limits.unlimited)
                       let positive = List.filter_map (function Pos a -> Some a.pred | _ -> None) rule.body in
                       let by_enumeration () =
                         let cbody = Eval.compile_body rule.body in
-                        let chain = Compile.of_body cbody in
+                        let plan = Compile.plan cbody in
                         Enumerate
-                          ( chain,
-                            Compile.compile_row chain (Eval.compile_terms cbody rule.head.args),
+                          ( Compile.instance plan,
+                            Compile.compile_row plan (Eval.compile_terms cbody rule.head.args),
                             Array.make (List.length rule.head.args) 0,
                             not (List.exists in_clique positive) )
                       in

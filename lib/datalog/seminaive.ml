@@ -46,9 +46,9 @@ type pgather = {
 let extrema_rule head rule =
   let extrema = extrema_of rule in
   let body = Eval.compile_body (flat_body rule) in
-  let chain = Compile.of_body body in
-  let value t = Compile.compile_value chain (Eval.compile_term body t) in
-  let c_head = Compile.compile_row chain (Eval.compile_terms body rule.head.args) in
+  let plan = Compile.plan body in
+  let value t = Compile.compile_value plan (Eval.compile_term body t) in
+  let c_head = Compile.compile_row plan (Eval.compile_terms body rule.head.args) in
   let c_ext = Array.of_list (List.map (fun e -> (value e.key, value e.cost)) extrema) in
   let c_min = Array.of_list (List.map (fun e -> e.minimize) extrema) in
   let run limits chain rel =
@@ -87,7 +87,7 @@ let extrema_rule head rule =
       solutions;
     !added
   in
-  { pg_label = Telemetry.rule_label rule; pg_head = head; pg_plan = Compile.plan chain; pg_run = run }
+  { pg_label = Telemetry.rule_label rule; pg_head = head; pg_plan = plan; pg_run = run }
 
 (* One [count]/[sum] goal per rule: group the flat-body solutions by
    the (evaluated) keys, aggregate the distinct counted values of each
@@ -103,8 +103,8 @@ let agg_rule head rule =
     invalid_arg ("Seminaive: aggregate mixed with extremum: " ^ Pretty.rule_to_string rule);
   let key_term = Cmp ("", keys) in
   let body = Eval.compile_body (flat_body rule) in
-  let chain = Compile.of_body body in
-  let value t = Compile.compile_value chain (Eval.compile_term body t) in
+  let plan = Compile.plan body in
+  let value t = Compile.compile_value plan (Eval.compile_term body t) in
   let c_key = value key_term in
   let c_counted = value counted in
   (* Head arguments: the output variable passes through ([None]),
@@ -116,7 +116,7 @@ let agg_rule head rule =
       (fun t ->
         match t with
         | Var v when String.equal v out -> None
-        | t -> Some (Compile.compile_cell chain (Eval.compile_term body t)))
+        | t -> Some (Compile.compile_cell plan (Eval.compile_term body t)))
       rule.head.args
   in
   let run limits chain rel =
@@ -154,7 +154,7 @@ let agg_rule head rule =
       groups;
     !added
   in
-  { pg_label = Telemetry.rule_label rule; pg_head = head; pg_plan = Compile.plan chain; pg_run = run }
+  { pg_label = Telemetry.rule_label rule; pg_head = head; pg_plan = plan; pg_run = run }
 
 (* ------------------------------------------------------------------ *)
 (* Rule checks                                                         *)
@@ -204,9 +204,9 @@ let pvariant label head d (rule : Ast.rule) i a =
   let body = Eval.compile_body (Pos a :: List.filteri (fun j _ -> j <> i) rule.body) in
   assert (Array.find_map (function Eval.SScan sc -> Some sc.Eval.sc_pred | _ -> None) body.steps
           = Some a.pred);
-  let chain = Compile.of_body ~range:true body in
-  let pv_row = Compile.compile_row chain (Eval.compile_terms body rule.head.args) in
-  { pv_label = label; pv_head = head; pv_delta = d; pv_plan = Compile.plan chain; pv_row }
+  let pv_plan = Compile.plan ~range:true body in
+  let pv_row = Compile.compile_row pv_plan (Eval.compile_terms body rule.head.args) in
+  { pv_label = label; pv_head = head; pv_delta = d; pv_plan; pv_row }
 
 type prepared = {
   p_label : string;  (* the clique's predicates, comma-separated *)

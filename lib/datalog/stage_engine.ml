@@ -255,12 +255,12 @@ let compile_srule (cr : EC.crule) (r : Ast.rule) =
   in
   let stage_slot = Eval.slot residual stage_var in
   let src_pats = Array.of_list (List.map compile_t source.args) in
-  let chain =
-    Compile.of_body
+  let plan =
+    Compile.plan
       ~bound:(List.sort_uniq compare (List.map (Eval.slot residual) extra_bound))
       residual
   in
-  let value t = Compile.compile_value chain (compile_t t) in
+  let value t = Compile.compile_value plan (compile_t t) in
   let fd_cols =
     let cols vs =
       List.fold_right
@@ -298,10 +298,10 @@ let compile_srule (cr : EC.crule) (r : Ast.rule) =
       Some (Compile.compile_binder ~bound:[] src_pats, value c, max 1 (Eval.nvars residual))
   in
   { cr; source; minimize; has_extremum; key_positions; stage_positions; shadow;
-    newer_wins; stage_slot; plan = Compile.plan chain;
+    newer_wins; stage_slot; plan;
     bind = Compile.compile_binder ~bound:[ stage_slot ] src_pats;
-    out = Compile.compile_row chain (Array.of_list (List.map compile_t cr.EC.out_terms));
-    head_row = Compile.compile_row chain (Array.of_list (List.map compile_t cr.EC.head.args));
+    out = Compile.compile_row plan (Array.of_list (List.map compile_t cr.EC.out_terms));
+    head_row = Compile.compile_row plan (Array.of_list (List.map compile_t cr.EC.head.args));
     fds = List.map (fun (l, rr) -> (List.map value l, List.map value rr)) cr.EC.fds;
     fd_cols; cost_pos; cost_of }
 
@@ -416,7 +416,11 @@ let eval_choice_clique ~shadow_mode ~telemetry ~limits ~pool db c gamma =
   let saturators =
     not_compilable (fun () -> List.map (Seminaive.instantiate ~telemetry ~limits ~pool db) c.subs)
   in
-  let saturate () = not_compilable (fun () -> List.iter Seminaive.step saturators) in
+  (* Per gamma step: a [try], not [not_compilable], allocates no closure. *)
+  let saturate () =
+    try List.iter Seminaive.step saturators
+    with Invalid_argument msg | Eval.Unsafe msg -> raise (Not_compilable msg)
+  in
   let exit_states = List.map (EC.make_fd_state db) c.exits in
   let staged =
     List.map
@@ -567,7 +571,7 @@ let plan_cliques rules =
         if EC.is_choice_rule r then begin
           let i = !counter in
           incr counter;
-          `Choice (EC.compile_crule ~body:(not (Ast.has_next r)) i r, r)
+          `Choice (EC.compile_crule i r, r)
         end
         else `Flat r)
       rules

@@ -216,38 +216,59 @@ let r_db rd what =
 
 (* The multiset travels as a database would that holds each (distinct)
    entry's row widened by its count: one table per predicate, in order
-   of first appearance, rows in entry order.  The tables read the
-   entries in place; no such database is built. *)
+   of first appearance, rows in entry order.  A first pass counts each
+   predicate's entries and a second groups them; no such database is
+   built.  A table is a cell blob when no cell is a term-table cell, the
+   rule [Db_snapshot] applies to a relation ([lookup] interns nothing). *)
+type group = { pred : string; mutable n : int; mutable entries : (string * Value.t array * int) array }
+
+let rec has_term row i =
+  i < Array.length row
+  && (Relation.Cell.is_term (Relation.Cell.lookup row.(i)) || has_term row (i + 1))
+
 let multiset_tables entries =
-  let preds =
-    List.rev
-      (List.fold_left (fun acc (p, _, _) -> if List.mem p acc then acc else p :: acc) [] entries)
-  in
-  let inline = function
-    | Value.Int i -> Relation.Cell.inline i
-    | Value.Sym _ -> true
-    | _ -> false
-  in
-  List.map
-    (fun pred ->
-      let each f = List.iter (fun (p, row, n) -> if String.equal p pred then f row n) entries in
-      let rows = ref 0 and arity = ref 0 and blob = ref true in
-      each (fun row n ->
-          incr rows;
-          arity := Array.length row + 1;
-          blob := !blob && Relation.Cell.inline n && Array.for_all inline row);
-      { Db_snapshot.name = pred; arity = !arity; rows = !rows; blob = !blob;
+  let groups = Hashtbl.create 8 and order = ref [] in
+  List.iter
+    (fun ((pred, _, _) as e) ->
+      match Hashtbl.find_opt groups pred with
+      | Some g -> g.n <- g.n + 1
+      | None ->
+        let g = { pred; n = 1; entries = [| e |] } in
+        Hashtbl.add groups pred g;
+        order := g :: !order)
+    entries;
+  List.iter (fun g -> g.entries <- Array.make g.n g.entries.(0); g.n <- 0) !order;
+  List.iter
+    (fun ((pred, _, _) as e) ->
+      let g = Hashtbl.find groups pred in
+      g.entries.(g.n) <- e;
+      g.n <- g.n + 1)
+    entries;
+  List.rev_map
+    (fun g ->
+      let _, row0, _ = g.entries.(0) in
+      { Db_snapshot.name = g.pred;
+        arity = Array.length row0 + 1;
+        rows = g.n;
+        blob =
+          Array.for_all
+            (fun (_, row, n) -> not (Relation.Cell.is_term (Relation.Cell.of_int n) || has_term row 0))
+            g.entries;
         cells =
           (fun f ->
-            each (fun row n ->
+            Array.iter
+              (fun (_, row, n) ->
                 Array.iter (fun v -> f (Relation.Cell.encode v)) row;
-                f (Relation.Cell.of_int n)));
+                f (Relation.Cell.of_int n))
+              g.entries);
         values =
           (fun f ->
-            each (fun row n ->
+            Array.iter
+              (fun (_, row, n) ->
                 Array.iter f row;
-                f (Value.Int n))) })
-    preds
+                f (Value.Int n))
+              g.entries) })
+    !order
 
 let multiset_of_db db =
   List.concat_map

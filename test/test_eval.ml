@@ -27,11 +27,12 @@ let run_both ?(bindings = []) b db outs =
     List.rev !acc
   in
   let chained =
-    let chain = Compile.of_body ~bound:(List.map (fun (v, _) -> Eval.slot b v) bindings) b in
+    let plan = Compile.plan ~bound:(List.map (fun (v, _) -> Eval.slot b v) bindings) b in
+    let chain = Compile.instance plan in
     List.iter
       (fun (v, x) -> Compile.set_slot chain (Eval.slot b v) (Relation.Cell.encode x))
       bindings;
-    let head = Compile.compile_row chain (Eval.compile_terms b outs) in
+    let head = Compile.compile_row plan (Eval.compile_terms b outs) in
     let acc = ref [] in
     Compile.run chain db (fun () ->
         let cells = Compile.row_cells head (Compile.env chain) in
