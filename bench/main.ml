@@ -331,17 +331,27 @@ let e14 kernel ~limit sz mk gates =
       :: gates)
     ()
 
+(* Words allocated so far: [Gc.minor_words] plus the words allocated
+   directly in the major heap.  On OCaml 5.1 [Gc.allocated_bytes]
+   counts minor words only up to the last minor collection, so a
+   difference of two readings depends on when the collector ran. *)
+let words_allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 (* Update allocation: a session holding serve_update's model - [paths]
    disjoint seeded 20-node paths with forward chords, closed under
    [reach] - runs that workload's op: assert an edge from one path's
    tail to another's head, query the reach fact only it supports,
    retract it, query again.  Each op changes 400 reach facts at any
-   size, so its words ([Gc.allocated_bytes], major included) should not
-   follow the model: at 104 paths at most 1.25x those at 26 (2.34 when
-   every retract rebuilt the relations it touched).  Its major-heap words
-   (allocated there or promoted) at 104 paths are at most 6,000 per op:
-   compacting in place read 4,115 in each of 10 smoke runs, where
-   compacting into a freshly allocated store read 22,220. *)
+   size, so its words ({!words_allocated}) should not follow the model:
+   at 104 paths at most 1.25x those at 26.  They read 15,842 and 17,505
+   (1.10) in each of 10 smoke runs; every retract rebuilding the
+   relations it touched read 2.34, through [Gc.allocated_bytes].  Its
+   major-heap words (allocated there or promoted) at 104 paths are at
+   most 6,000 per op: compacting in place read 4,115 in each of 10
+   smoke runs, where compacting into a freshly allocated store read
+   22,220. *)
 let update_words_per_op paths =
   let len = 20 and cycles = 50 and warm = 10 in
   let rng = Rng.create 42 in
@@ -379,10 +389,10 @@ let update_words_per_op paths =
     query ()
   in
   List.iter op (List.init warm ignore);
-  let b0 = Gc.allocated_bytes () and _, _, major0 = Gc.counters () in
+  let w0 = words_allocated () and _, _, major0 = Gc.counters () in
   List.iter op (List.init cycles ignore);
   let _, _, major1 = Gc.counters () and per x = x /. float_of_int cycles in
-  (per ((Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)), per (major1 -. major0))
+  (per (words_allocated () -. w0), per (major1 -. major0))
 
 let e14_update =
   sweep ~name:"E14" ~title:"update: assert, query, retract, query on serve_update's model"
@@ -407,13 +417,9 @@ let e14_update =
    planned, compiled or labelled again.  Words allocated per
    [Session.run], the Load before it not counted, the mean over
    [rounds] passes over the 13 exemplars, each Run from scratch on its
-   session's fresh snapshot.  Minor words are read with
-   [Gc.minor_words], plus the words allocated directly in the major
-   heap: on OCaml 5.1 [Gc.allocated_bytes] counts minor words only up
-   to the last minor collection, which would charge a Run with what the
-   Loads around it allocated.  At most 6,000: the prepared programs
-   read 5,092 in each of 10 smoke runs, where preparing every run read
-   18,910. *)
+   session's fresh snapshot, read with {!words_allocated}.  At most
+   6,000: the prepared programs read 5,062 in each of 10 smoke runs,
+   where preparing every run read 18,910. *)
 let exemplars =
   [ "example1.dl"; "bi_st_c.dl"; "sorting.dl"; "prim.dl"; "kruskal.dl"; "matching.dl"; "huffman.dl";
     "tsp.dl"; "dijkstra.dl"; "scheduling.dl"; "vertex_cover.dl"; "set_cover.dl"; "transitive_closure.dl" ]
@@ -421,17 +427,13 @@ let exemplars =
 let served_run_words rounds =
   let s = Session.create ~cache:(Program_cache.create ()) ~id:0 () in
   let ok what = function Ok _ -> () | Error (_, m) -> failwith (Printf.sprintf "served %s: %s" what m) in
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
-  in
   let run src =
     ok "load" (Session.load s src);
-    let w0 = words () in
+    let w0 = words_allocated () in
     ok "run"
       (Session.run s ~engine:Protocol.Staged ~seed:None ~jobs:1 ~limits:Limits.unlimited
          ~telemetry:Telemetry.none);
-    words () -. w0
+    words_allocated () -. w0
   in
   let sources = List.map read_program exemplars in
   List.iter (fun src -> ignore (run src)) sources;
